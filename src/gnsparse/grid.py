@@ -73,10 +73,9 @@ class GridFunction1D:
 
     dim = 1
 
-    def __init__(self, grid: Grid1D, evaluate, orders: int = 2, label: str = ""):
+    def __init__(self, grid: Grid1D, evaluate, label: str = ""):
         self.grid = grid
         self.evaluate = evaluate
-        self.max_order = orders
         self.label = label
         x = grid.nodes()
         self.values = np.asarray(evaluate(x, 0), dtype=float)
@@ -105,13 +104,12 @@ class GridFunction2D:
 
     dim = 2
 
-    def __init__(self, grid: Grid2D, evaluate, axis: int = 1, orders: int = 2, label: str = ""):
+    def __init__(self, grid: Grid2D, evaluate, axis: int = 1, label: str = ""):
         if axis not in (1, 2):
             raise ValueError(f"axis must be 1 or 2, got {axis}")
         self.grid = grid
         self.evaluate = evaluate
         self.axis = axis
-        self.max_order = orders
         self.label = label
         X, Y = grid.nodes()
         self.values = np.asarray(evaluate(X, Y, 0, 0), dtype=float)
@@ -142,30 +140,6 @@ class GridFunction2D:
         else:
             vals = self._axis_partial(X, Y, order)
         return float(np.max(np.abs(vals)))
-
-    def line_function(self, transverse_value: float):
-        """The restriction to one grid line as callables of the axis variable.
-
-        Returns ``(window, eval_line)`` where ``eval_line(t, order)`` is the
-        pure partial along ``axis`` of that order, evaluated on the line.
-        """
-        if self.axis == 1:
-            window = (self.grid.gx.a, self.grid.gx.b)
-
-            def eval_line(t, order):
-                t = np.asarray(t, dtype=float)
-                y = np.full_like(t, transverse_value)
-                return self.evaluate(t, y, order, 0)
-
-        else:
-            window = (self.grid.gy.a, self.grid.gy.b)
-
-            def eval_line(t, order):
-                t = np.asarray(t, dtype=float)
-                x = np.full_like(t, transverse_value)
-                return self.evaluate(x, t, 0, order)
-
-        return window, eval_line
 
 
 def fd_consistency_error(f) -> float:

@@ -69,7 +69,6 @@ def mollify(u: GridFunction1D, l: float) -> GridFunction1D:
     out = GridFunction1D.__new__(GridFunction1D)
     out.grid = grid
     out.evaluate = evaluate
-    out.max_order = 2
     out.label = f"{u.label}*phi_{l:g}"
     out.values = values
     out.d1 = d1

@@ -2,15 +2,24 @@
 
 For each sign s and level k, the nodes with 2^(k-1) <= s*u' < 2^k seed
 maximal open intervals on which s*u' stays inside the widened band
-[2^(k-2), 2^(k+1)).  Within one (k, sign) these intervals are equal or
-disjoint, and a point can only lie in intervals of its own level or the two
-adjacent ones, which caps the covering multiplicity at 3.
+[2^(k-2), 2^(k+1)).  Such an interval is fixed by the maximal run of
+consecutive in-band nodes that holds its seed: each end lies between the
+run's outermost node and the out-of-band node next to it, where it is found
+by bisection.  So within one (k, sign) the intervals are disjoint, one per
+seeded run, and a point can only lie in intervals of its own level or the
+two adjacent ones, which caps the covering multiplicity at 3.  A run that
+reaches an end of the window has no interval inside it; its seeds are
+window exits.
+
+:func:`seeded_runs` finds the runs of one (k, sign) along every line of a
+sampled array at once; the 2D slab build in :mod:`gnsparse.sparse2d` shares it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,7 +32,6 @@ from .errors import (
 from .grid import interval_average, interval_integral
 
 BISECT_TOL_FACTOR = 1e-3  # endpoint tolerance, in grid steps
-DEDUP_TOL_FACTOR = 1e-2  # interval identification tolerance, in grid steps
 
 
 def level_index(v: float) -> int:
@@ -60,7 +68,7 @@ class EscapeInterval:
 
 
 class SparseFamily1D:
-    """Deduplicated escape intervals plus the bookkeeping of the build."""
+    """Escape intervals in (k, sign, z) order plus the bookkeeping of the build."""
 
     def __init__(self, intervals, nodes, d1, k_min, k_max, window_exit_nodes, eligible_count, unanalyzed_count):
         self.intervals = list(intervals)
@@ -75,14 +83,17 @@ class SparseFamily1D:
     def __len__(self):
         return len(self.intervals)
 
+    def node_ranges(self):
+        """Per interval, the index range [i0, i1) of the nodes strictly inside it."""
+        z = np.array([iv.z for iv in self.intervals], dtype=float)
+        y = np.array([iv.y for iv in self.intervals], dtype=float)
+        return np.searchsorted(self.nodes, z, side="right"), np.searchsorted(self.nodes, y, side="left")
+
     def node_counts(self) -> np.ndarray:
         """Exact number of covering intervals at every grid node."""
         counts = np.zeros(len(self.nodes), dtype=np.int64)
-        for iv in self.intervals:
-            i0 = int(np.searchsorted(self.nodes, iv.z, side="right"))
-            i1 = int(np.searchsorted(self.nodes, iv.y, side="left"))
-            if i0 < i1:
-                counts[i0:i1] += 1
+        for i0, i1 in zip(*self.node_ranges()):
+            counts[i0:i1] += 1
         return counts
 
     def eligible_mask(self) -> np.ndarray:
@@ -95,85 +106,125 @@ class SparseFamily1D:
         return m
 
 
-def _bisect_exit(g, t_in: float, t_out: float, lo: float, hi: float, tol: float) -> float:
-    """First band-exit point between a node inside the band and one outside."""
-    while t_out - t_in > tol:
-        mid = 0.5 * (t_in + t_out)
-        v = float(g(mid))
-        if lo <= v < hi:
-            t_in = mid
-        else:
-            t_out = mid
-    return 0.5 * (t_in + t_out)
+class SeededRuns(NamedTuple):
+    """The in-band runs of one level and sign that hold a seed, along lines.
+
+    A run that closes inside its line gives its line, its first and last
+    in-band index and its first seed index.  A run that reaches an end of
+    its line gives instead its seeds, each with its line and whether that
+    end is the right one.
+    """
+
+    line: np.ndarray
+    first: np.ndarray
+    last: np.ndarray
+    seed: np.ndarray
+    exit_line: np.ndarray
+    exit_index: np.ndarray
+    exit_right: np.ndarray
 
 
-def escape_interval(u, x: float, sign: int, window=None, g=None, in_band_nodes=None, nodes=None, node_index=None):
+def seeded_runs(g: np.ndarray, seeds: np.ndarray, k: int) -> SeededRuns:
+    """Maximal runs along each row of ``g`` inside the widened band of level k.
+
+    ``g`` holds one line of sign*u' samples per row; ``seeds`` is a boolean
+    array of the same shape that is True only at in-band entries.  Only runs
+    holding a seed are returned, in row-major order, as are exit seeds.
+    """
+    lo, hi = band_edges(k)
+    in_band = np.pad((g >= lo) & (g < hi), ((0, 0), (1, 1)))
+    step = np.diff(in_band.astype(np.int8), axis=1)
+    line, first = np.nonzero(step == 1)
+    last = np.nonzero(step == -1)[1] - 1
+    seed_line, seed_index = np.nonzero(seeds)
+    width = g.shape[1]
+    run = np.searchsorted(line * width + first, seed_line * width + seed_index, side="right") - 1
+    right = last == width - 1
+    exits = ((first == 0) | right)[run]
+    kept, head = np.unique(run[~exits], return_index=True)
+    return SeededRuns(
+        line[kept],
+        first[kept],
+        last[kept],
+        seed_index[~exits][head],
+        seed_line[exits],
+        seed_index[exits],
+        right[run[exits]],
+    )
+
+
+def _run_ends(u, nodes: np.ndarray, k, sign, first: np.ndarray, last: np.ndarray):
+    """The escape-interval ends (z, y) of closed runs, bisected all at once.
+
+    ``k`` and ``sign`` give each run's level and sign (or one for all).
+    Each end starts bracketed by a run's outermost in-band node and the
+    out-of-band node next to it, and is halved until the bracket is at most
+    BISECT_TOL_FACTOR grid steps wide, with one evaluator call per halving
+    step for all ends still open.  The result is the midpoint of the last
+    bracket, so it lies strictly between those two nodes.
+    """
+    tol = float(nodes[1] - nodes[0]) * BISECT_TOL_FACTOR
+    k, sign = np.tile(k, 2), np.tile(sign, 2)
+    lo, hi = np.ldexp(1.0, k - 2), np.ldexp(1.0, k + 1)
+    t_in = nodes[np.concatenate([first, last])]
+    t_out = nodes[np.concatenate([first - 1, last + 1])]
+    while True:
+        wide = np.nonzero(np.abs(t_out - t_in) > tol)[0]
+        if wide.size == 0:
+            break
+        mid = 0.5 * (t_in[wide] + t_out[wide])
+        v = sign[wide] * np.asarray(u.evaluate(mid, 1), dtype=float)
+        inside = (v >= lo[wide]) & (v < hi[wide])
+        t_in[wide[inside]] = mid[inside]
+        t_out[wide[~inside]] = mid[~inside]
+    ends = 0.5 * (t_in + t_out)
+    return ends[: len(first)], ends[len(first) :]
+
+
+def escape_interval(u, x: float, sign: int) -> EscapeInterval:
     """The maximal interval around node x on which sign*u' stays in the band.
 
-    ``u`` is a GridFunction1D; the keyword arguments let the family builder
-    reuse precomputed per-level node data.  Raises WindowExitError when the
-    band does not close before a window edge.
+    ``u`` is a GridFunction1D.  Raises BandPreconditionError unless
+    sign*u'(x) > 0, and WindowExitError when the band does not close before
+    a window edge.
     """
-    if g is None:
-        g = lambda t: sign * np.asarray(u.evaluate(t, 1), dtype=float)
-    if nodes is None:
-        nodes = u.grid.nodes()
-    if window is None:
-        window = (nodes[0], nodes[-1])
-    v = float(g(x))
+    nodes = u.grid.nodes()
+    v = sign * float(u.evaluate(x, 1))
     if not (v > 0.0 and math.isfinite(v)):
         raise BandPreconditionError(f"sign*u'({x}) = {v} is not positive")
     k = level_index(v)
-    lo, hi = band_edges(k)
-    if in_band_nodes is None:
-        gv = sign * np.asarray(u.d1, dtype=float)
-        in_band_nodes = (gv >= lo) & (gv < hi)
-    if node_index is None:
-        node_index = int(np.searchsorted(nodes, x))
-        if node_index >= len(nodes) or not math.isclose(nodes[node_index], x, abs_tol=1e-12):
-            raise ValueError(f"x = {x} is not a grid node")
-    h = float(nodes[1] - nodes[0])
-    tol = h * BISECT_TOL_FACTOR
-
-    # right endpoint
-    exits = np.nonzero(~in_band_nodes[node_index + 1 :])[0]
-    if exits.size == 0:
+    i = int(np.searchsorted(nodes, x))
+    if i >= len(nodes) or not math.isclose(nodes[i], x, abs_tol=1e-12):
+        raise ValueError(f"x = {x} is not a grid node")
+    seeds = np.zeros(len(nodes), dtype=bool)
+    seeds[i] = True
+    runs = seeded_runs(sign * np.asarray(u.d1, dtype=float)[None], seeds[None], k)
+    if runs.exit_index.size:
+        side = "right" if runs.exit_right[0] else "left"
         raise WindowExitError(
-            f"band of level {k} does not close before the right window edge (seed x = {x})",
-            node=node_index,
-            side="right",
+            f"band of level {k} does not close before the {side} window edge (seed x = {x})",
+            node=i,
+            side=side,
         )
-    j = node_index + 1 + int(exits[0])
-    y = _bisect_exit(g, float(nodes[j - 1]), float(nodes[j]), lo, hi, tol)
-
-    # left endpoint
-    exits = np.nonzero(~in_band_nodes[:node_index][::-1])[0]
-    if exits.size == 0:
-        raise WindowExitError(
-            f"band of level {k} does not close before the left window edge (seed x = {x})",
-            node=node_index,
-            side="left",
-        )
-    j = node_index - 1 - int(exits[0])
-    z = -_bisect_exit(lambda t: g(-t), -float(nodes[j + 1]), -float(nodes[j]), lo, hi, tol)
-
-    if not (z < x < y):
-        raise ConstructionError(f"degenerate escape interval ({z}, {y}) around {x}")
-    return EscapeInterval(z=z, y=y, k=k, sign=sign, seed=float(x))
+    (z,), (y,) = _run_ends(u, nodes, k, sign, runs.first, runs.last)
+    return EscapeInterval(z=float(z), y=float(y), k=k, sign=sign, seed=float(x))
 
 
-def default_k_min(u, rel_floor: float = 1e-6) -> int:
-    """Smallest k whose level floor 2^(k-1) is >= rel_floor * sup|u'|.
+def k_min_for_sup(sup: float) -> int:
+    """Smallest k whose level floor 2^(k-1) is >= 1e-6 * sup; 0 for sup 0."""
+    if sup == 0.0:
+        return 0
+    m, e = math.frexp(1e-6 * sup)
+    return e if m == 0.5 else e + 1
+
+
+def default_k_min(u) -> int:
+    """k_min_for_sup of sup|u'|.
 
     The sup norm comes from a fixed fine probe so that the analyzed level
     range does not move when the grid is refined.
     """
-    sup = u.sup_norm(order=1)
-    if sup == 0.0:
-        return 0
-    target = rel_floor * sup
-    m, e = math.frexp(target)
-    return e if m == 0.5 else e + 1
+    return k_min_for_sup(u.sup_norm(order=1))
 
 
 def resolved_k_min(u, min_cells: int = 4) -> int:
@@ -198,14 +249,14 @@ def resolved_k_min(u, min_cells: int = 4) -> int:
 
 
 def build_family_1d(u, k_min: int, exit_fraction_limit: float = 0.01) -> SparseFamily1D:
-    """Assemble the deduplicated two-sign escape-interval family of u.
+    """Assemble the two-sign escape-interval family of u, one interval per
+    seeded run, in (k, sign, z) order.
 
     Nodes whose interval would leave the window are excluded and recorded;
     more than ``exit_fraction_limit`` of them is a corpus-configuration
     error (the window is too small for the function).
     """
     nodes = u.grid.nodes()
-    h = u.grid.h
     d1 = np.asarray(u.d1, dtype=float)
     thr = level_floor(k_min)
 
@@ -213,40 +264,23 @@ def build_family_1d(u, k_min: int, exit_fraction_limit: float = 0.01) -> SparseF
     eligible_count = int(np.sum(eligible))
     unanalyzed = int(np.sum((np.abs(d1) > 0.0) & ~eligible))
 
-    intervals = []
+    runs_found = []  # (k, sign, first, last, seed) per closed seeded run
     exit_nodes = []
     k_max_seen = k_min
 
     for sign in (1, -1):
-        g_nodes = sign * d1
-        side = eligible & (g_nodes > 0.0)
+        g = sign * d1
+        side = eligible & (g > 0.0)
         if not np.any(side):
             continue
-        # frexp exponent of every eligible node value on this side
-        ks = np.frexp(g_nodes[side])[1]
-        k_max_seen = max(k_max_seen, int(np.max(ks)))
-        idx_side = np.nonzero(side)[0]
-        g = lambda t, s=sign: s * np.asarray(u.evaluate(t, 1), dtype=float)
-        for k in range(k_min, int(np.max(ks)) + 1):
-            seeds = idx_side[ks == k]
-            if seeds.size == 0:
-                continue
-            lo, hi = band_edges(k)
-            in_band = (g_nodes >= lo) & (g_nodes < hi)
-            current = None
-            for i in seeds:
-                x = float(nodes[i])
-                if current is not None and current.contains(x):
-                    continue  # equal-or-disjoint: same maximal interval
-                try:
-                    current = escape_interval(
-                        u, x, sign, g=g, in_band_nodes=in_band, nodes=nodes, node_index=int(i)
-                    )
-                except WindowExitError:
-                    exit_nodes.append(int(i))
-                    current = None
-                    continue
-                intervals.append(current)
+        k_top = level_index(float(np.max(g[side])))
+        k_max_seen = max(k_max_seen, k_top)
+        for k in range(k_min, k_top + 1):
+            seeds = (g >= level_floor(k)) & (g < level_floor(k + 1))
+            runs = seeded_runs(g[None], seeds[None], k)
+            exit_nodes.extend(runs.exit_index.tolist())
+            for run in zip(runs.first.tolist(), runs.last.tolist(), runs.seed.tolist()):
+                runs_found.append((k, sign, *run))
 
     if eligible_count and len(exit_nodes) > exit_fraction_limit * eligible_count:
         raise CorpusConfigError(
@@ -255,7 +289,13 @@ def build_family_1d(u, k_min: int, exit_fraction_limit: float = 0.01) -> SparseF
             f"function {u.label!r} is not sufficiently localized in its window"
         )
 
-    intervals = _dedup(intervals, h)
+    # the runs of one (k, sign) are disjoint, so sorting by first sorts by z
+    k, sign, first, last, seed = np.array(sorted(runs_found), dtype=np.int64).reshape(-1, 5).T
+    z, y = _run_ends(u, nodes, k, sign, first, last)
+    intervals = [
+        EscapeInterval(z=float(a), y=float(b), k=int(kk), sign=int(s), seed=float(nodes[i]))
+        for a, b, kk, s, i in zip(z, y, k, sign, seed)
+    ]
     return SparseFamily1D(
         intervals,
         nodes,
@@ -266,20 +306,6 @@ def build_family_1d(u, k_min: int, exit_fraction_limit: float = 0.01) -> SparseF
         eligible_count,
         unanalyzed,
     )
-
-
-def _dedup(intervals, h: float):
-    tol = h * DEDUP_TOL_FACTOR
-    out = []
-    by_key = {}
-    for iv in sorted(intervals, key=lambda iv: (iv.k, iv.sign, iv.z, iv.y)):
-        key = (iv.k, iv.sign)
-        kept = by_key.setdefault(key, [])
-        if kept and abs(kept[-1].z - iv.z) <= tol and abs(kept[-1].y - iv.y) <= tol:
-            continue
-        kept.append(iv)
-        out.append(iv)
-    return out
 
 
 def overlap_profile(family):
@@ -301,21 +327,30 @@ def interval_averages(u, iv: EscapeInterval):
     return a2, a0
 
 
+def _interval_table(u, family: SparseFamily1D):
+    """Per family interval: the interval, its node range [i0, i1), and the
+    integrals of |u''| and of |u| over it, by analytic quadrature."""
+    h = u.grid.h
+    for iv, i0, i1 in zip(family.intervals, *family.node_ranges()):
+        int_d2 = interval_integral(lambda t: np.abs(u.evaluate(t, 2)), iv.z, iv.y, h)
+        int_u = interval_integral(lambda t: np.abs(u.evaluate(t, 0)), iv.z, iv.y, h)
+        yield iv, i0, i1, int_d2, int_u
+
+
 def verify_pointwise_1d(u, family: SparseFamily1D):
     """Per-node ratio u'(x)^2 / sum over covering intervals of the product
     of interval averages of |u''| and |u|; the paper bound for the max is 128.
     """
     nodes = family.nodes
     denom = np.zeros(len(nodes))
-    for iv in family.intervals:
-        a2, a0 = interval_averages(u, iv)
+    for iv, i0, i1, int_d2, int_u in _interval_table(u, family):
+        a2 = int_d2 / (iv.y - iv.z)
+        a0 = int_u / (iv.y - iv.z)
         if a2 <= 0.0 or a0 < 0.0:
             raise ConstructionError(
                 f"interval ({iv.z}, {iv.y}) has vanishing |u''| average; "
                 "u' cannot traverse a dyadic band with u'' = 0"
             )
-        i0 = int(np.searchsorted(nodes, iv.z, side="right"))
-        i1 = int(np.searchsorted(nodes, iv.y, side="left"))
         denom[i0:i1] += a2 * a0
     covered = denom > 0.0
     ratios = np.zeros(len(nodes))
@@ -375,17 +410,11 @@ def observation_bounds_report(u, family: SparseFamily1D, slack: float = 0.02):
     family makes a claim about.  Returns (worst slack a, worst slack b,
     all_pass) where the worst slacks are max over nodes of lhs/rhs.
     """
-    nodes = family.nodes
-    h = u.grid.h
     worst_a = 0.0
     worst_b = 0.0
-    for iv in family.intervals:
-        int_d2 = interval_integral(lambda t: np.abs(u.evaluate(t, 2)), iv.z, iv.y, h)
-        int_u = interval_integral(lambda t: np.abs(u.evaluate(t, 0)), iv.z, iv.y, h)
+    for iv, i0, i1, int_d2, int_u in _interval_table(u, family):
         bound_a = 4.0 * int_d2
         bound_b = 32.0 / iv.length**2 * int_u
-        i0 = int(np.searchsorted(nodes, iv.z, side="right"))
-        i1 = int(np.searchsorted(nodes, iv.y, side="left"))
         g = iv.sign * family.d1[i0:i1]
         lo, hi = level_floor(iv.k), math.ldexp(1.0, iv.k)
         own = (g >= lo) & (g < hi)
@@ -402,15 +431,9 @@ def factorized_bounds_report(u, family: SparseFamily1D, slack: float = 0.02):
     |u'(x)| <= 4 * sum over covering P of int_P |u''|, and
     |u'(x)| <= 96 / |P|^2 * int_P |u| for every covering P.
     """
-    nodes = family.nodes
-    h = u.grid.h
-    sum_d2 = np.zeros(len(nodes))
+    sum_d2 = np.zeros(len(family.nodes))
     ok_b = True
-    for iv in family.intervals:
-        int_d2 = interval_integral(lambda t: np.abs(u.evaluate(t, 2)), iv.z, iv.y, h)
-        int_u = interval_integral(lambda t: np.abs(u.evaluate(t, 0)), iv.z, iv.y, h)
-        i0 = int(np.searchsorted(nodes, iv.z, side="right"))
-        i1 = int(np.searchsorted(nodes, iv.y, side="left"))
+    for iv, i0, i1, int_d2, int_u in _interval_table(u, family):
         sum_d2[i0:i1] += int_d2
         bound = 96.0 / iv.length**2 * int_u * (1.0 + slack)
         if np.any(np.abs(family.d1[i0:i1]) > bound):

@@ -1,10 +1,10 @@
 """Two-dimensional sparse slab coverings from level sets of one pure partial.
 
 Each grid line parallel to the chosen axis carries the 1D escape-interval
-construction for d1 = the first partial along that axis; an interval (z, y)
-found on the line through a seed cell is thickened transversely by an open
-ball of radius delta_k, where delta_k keeps the oscillation of u, d1 u and
-d1^2 u below the level-dependent bound
+construction for d1 = the first partial along that axis, on the cell
+centers of the line; an interval found on the line through a seed cell is
+thickened transversely by an open ball of radius delta_k, where delta_k
+keeps the oscillation of u, d1 u and d1^2 u below the level-dependent bound
 
     b_k = min(2^(k-4), 2^(2k-4) / M),   M = max of the three sup norms.
 
@@ -14,6 +14,16 @@ the slab averages of |d1^2 u| and |u| comparable to the line averages.
 delta_k must be a positive integer multiple of the grid step; levels where
 no such multiple exists are skipped and reported with a resolution
 diagnostic instead of being silently dropped.
+
+A slab only holds whole cells: those whose centers lie strictly inside a
+line interval, widened by delta_steps - 1 lines on each side.  The interval
+is fixed by its seeded run of in-band centers (see :mod:`gnsparse.sparse1d`),
+and its bisected ends lie strictly between the run's outermost centers and
+the out-of-band centers next to them, because the bisection stops at a
+bracket of BISECT_TOL_FACTOR > 0 grid steps and returns its midpoint.  So
+the cells inside the interval are exactly the run, and the build takes the
+runs from :func:`~gnsparse.sparse1d.seeded_runs` without bisecting or
+evaluating u at all.
 """
 
 from __future__ import annotations
@@ -23,8 +33,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConstructionError, CorpusConfigError, WindowExitError
-from .sparse1d import band_edges, escape_interval, level_floor, level_index
+from .errors import ConstructionError, CorpusConfigError
+from .sparse1d import k_min_for_sup, level_floor, level_index, seeded_runs
 
 OVERLAP_LIMIT_2D = 5
 
@@ -180,17 +190,9 @@ def oscillation_bound(k: int, big_m: float) -> float:
     return min(first, math.ldexp(1.0, 2 * k - 4) / big_m)
 
 
-def field_sup_bound(u) -> float:
-    """M: the largest of the sup norms of u, d1 u, d1^2 u (fixed fine probe)."""
-    return max(u.sup_norm(order=j) for j in (0, 1, 2))
-
-
-def default_k_min_2d(u, rel_floor: float = 1e-6) -> int:
-    sup = u.sup_norm(order=1)
-    if sup == 0.0:
-        return 0
-    m, e = math.frexp(rel_floor * sup)
-    return e if m == 0.5 else e + 1
+def field_sups(u):
+    """The sup norms of u, d1 u and d1^2 u (fixed fine probe); M is their max."""
+    return tuple(u.sup_norm(order=j) for j in (0, 1, 2))
 
 
 def _check_compact_support(u):
@@ -211,10 +213,10 @@ def _check_compact_support(u):
 def build_family_2d(u, axis: int = 1, k_min=None, exit_fraction_limit: float = 0.01) -> SparseFamily2D:
     """Assemble the two-sign slab family of one pure partial of u.
 
-    Per analyzed level: line escape intervals through every seed cell,
-    thickened transversely by the admissible delta.  Levels without an
-    admissible delta >= h are recorded as skipped.  Window-exiting seeds
-    follow the same 1% budget as the 1D build.
+    Per analyzed level and sign: the seeded runs of every line, one slab
+    piece each, thickened transversely by the admissible delta.  Levels
+    without an admissible delta >= h are recorded as skipped.
+    Window-exiting seeds follow the same 1% budget as the 1D build.
     """
     if axis != u.axis:
         raise ConstructionError(f"function carries partials for axis {u.axis}, not {axis}")
@@ -225,26 +227,21 @@ def build_family_2d(u, axis: int = 1, k_min=None, exit_fraction_limit: float = 0
     d2c = u.center_values(2)
     lattices = (u.values, u.d1, u.d2, uc, d1c, d2c)
 
-    # canonical orientation: line axis first
-    d1_lines = d1c if axis == 1 else d1c.T
-    n_line, n_trans = d1_lines.shape
-    if axis == 1:
-        line_coords = u.grid.gx.centers()
-        trans_coords = u.grid.gy.centers()
-    else:
-        line_coords = u.grid.gy.centers()
-        trans_coords = u.grid.gx.centers()
-    h = u.grid.gx.h
+    # canonical orientation: one row per grid line along the axis
+    lines = d1c.T if axis == 1 else d1c
+    abs_lines = np.abs(lines)
+    n_line = lines.shape[1]
 
-    big_m = field_sup_bound(u)
-    sup_d1 = max(u.sup_norm(order=1), float(np.max(np.abs(d1c))))
+    sups = field_sups(u)
+    big_m = max(sups)
+    sup_d1 = max(sups[1], float(np.max(np.abs(d1c))))
     if sup_d1 == 0.0:
         return SparseFamily2D(
             axis, [], [], 0, 0, [], 0, u.grid, uc, d1c, d2c, {}
         )
     k_top = level_index(sup_d1)
     if k_min is None:
-        k_min = default_k_min_2d(u)
+        k_min = k_min_for_sup(sups[1])
 
     thr = level_floor(k_min)
     eligible_count = int(np.sum(np.abs(d1c) >= thr))
@@ -255,8 +252,7 @@ def build_family_2d(u, axis: int = 1, k_min=None, exit_fraction_limit: float = 0
     deltas = {}
 
     for k in range(k_top, k_min - 1, -1):
-        abs_d1 = np.abs(d1_lines)
-        own = (abs_d1 >= level_floor(k)) & (abs_d1 < math.ldexp(1.0, k))
+        own = (abs_lines >= level_floor(k)) & (abs_lines < level_floor(k + 1))
         seed_count = int(np.sum(own))
         if seed_count == 0:
             continue
@@ -275,57 +271,28 @@ def build_family_2d(u, axis: int = 1, k_min=None, exit_fraction_limit: float = 0
                 )
             )
             continue
-        m_steps = res.steps
-        lo, hi = band_edges(k)
         for sign in (1, -1):
-            g_lines = sign * d1_lines
-            in_band_all = (g_lines >= lo) & (g_lines < hi)
-            seed_rows = np.nonzero(np.any(own & (g_lines > 0.0), axis=0))[0]
-            if seed_rows.size == 0:
+            g = sign * lines
+            seeds = own & (g > 0.0)
+            if not np.any(seeds):
                 continue
-            mask = np.zeros((n_line, n_trans), dtype=bool)
-            pieces = 0
-            level_seeds = 0
-            for j in seed_rows:
-                col = own[:, j] & (g_lines[:, j] > 0.0)
-                seeds = np.nonzero(col)[0]
-                level_seeds += int(seeds.size)
-                _, line_eval = u.line_function(float(trans_coords[j]))
-                g = lambda t, s=sign: s * np.asarray(line_eval(t, 1), dtype=float)
-                in_band = in_band_all[:, j]
-                current = None
-                j0 = max(0, int(j) - (m_steps - 1))
-                j1 = min(n_trans, int(j) + m_steps)
-                for i in seeds:
-                    x = float(line_coords[i])
-                    if current is not None and current.contains(x):
-                        continue
-                    try:
-                        current = escape_interval(
-                            None, x, sign, g=g, in_band_nodes=in_band,
-                            nodes=line_coords, node_index=int(i),
-                        )
-                    except WindowExitError:
-                        cell = (int(i), int(j)) if axis == 1 else (int(j), int(i))
-                        exit_cells.append((cell[0], cell[1], k, sign))
-                        current = None
-                        continue
-                    i0 = int(np.searchsorted(line_coords, current.z, side="right"))
-                    i1 = int(np.searchsorted(line_coords, current.y, side="left"))
-                    mask[i0:i1, j0:j1] = True
-                    pieces += 1
-            if pieces == 0:
+            runs = seeded_runs(g, seeds, k)
+            for j, i in zip(runs.exit_line.tolist(), runs.exit_index.tolist()):
+                exit_cells.append((i, j, k, sign) if axis == 1 else (j, i, k, sign))
+            if runs.first.size == 0:
                 continue
-            final_mask = mask if axis == 1 else mask.T
+            mask = np.zeros(lines.shape, dtype=bool)
+            for j, first, last in zip(runs.line.tolist(), runs.first.tolist(), runs.last.tolist()):
+                mask[max(0, j - (res.steps - 1)) : j + res.steps, first : last + 1] = True
             slabs.append(
                 SlabSet(
                     k=k,
                     sign=sign,
-                    mask=final_mask,
+                    mask=mask.T if axis == 1 else mask,
                     delta=res.delta,
-                    delta_steps=m_steps,
-                    seed_cells=level_seeds,
-                    pieces=pieces,
+                    delta_steps=res.steps,
+                    seed_cells=int(np.sum(seeds)),
+                    pieces=int(runs.first.size),
                 )
             )
 

@@ -241,7 +241,7 @@ def make_test_function(spec: TestFunctionSpec, grid, axis: int = 1):
                 f"width {spec.widths()[0]} <= 4h = {4.0 * grid.h} for {spec.name or spec.family}"
             )
         _check_support(spec, 0)
-        return GridFunction1D(grid, make_evaluator_1d(spec), orders=3, label=spec.name or spec.family)
+        return GridFunction1D(grid, make_evaluator_1d(spec), label=spec.name or spec.family)
 
     if not isinstance(grid, Grid2D):
         raise CorpusConfigError("2D spec requires a Grid2D")
@@ -251,7 +251,7 @@ def make_test_function(spec: TestFunctionSpec, grid, axis: int = 1):
                 f"width {spec.widths()[comp]} <= 4h on axis {comp + 1} for {spec.name or spec.family}"
             )
         _check_support(spec, comp)
-    return GridFunction2D(grid, make_evaluator_2d(spec), axis=axis, orders=3, label=spec.name or spec.family)
+    return GridFunction2D(grid, make_evaluator_2d(spec), axis=axis, label=spec.name or spec.family)
 
 
 def _check_support(spec: TestFunctionSpec, component: int):

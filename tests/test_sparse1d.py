@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gnsparse.errors import BandPreconditionError, CorpusConfigError, WindowExitError
 from gnsparse.grid import Grid1D
 from gnsparse.sparse1d import (
+    BISECT_TOL_FACTOR,
     band_edges,
     build_family_1d,
     check_observation_bounds,
@@ -16,6 +19,7 @@ from gnsparse.sparse1d import (
     escape_interval,
     factorized_bounds_report,
     interval_averages,
+    level_floor,
     level_index,
     observation_bounds_report,
     overlap_profile,
@@ -359,3 +363,105 @@ class TestObservationBounds:
         fam = build_family_1d(u, k_min=-6)
         ok_a, ok_b = factorized_bounds_report(u, fam)
         assert ok_a and ok_b
+
+
+def scalar_family_1d(u, k_min):
+    """Reference build, one seed at a time: walk out from each seed node to
+    the ends of its in-band run and bisect each end with scalar evaluator
+    calls.  Returns ((k, sign, z, y) in (k, sign, z) order, window exit
+    nodes in (sign 1 then -1, k, node) order)."""
+    nodes = u.grid.nodes()
+    tol = float(nodes[1] - nodes[0]) * BISECT_TOL_FACTOR
+    end = len(nodes) - 1
+
+    def bisect(inside, t_in, t_out):
+        while abs(t_out - t_in) > tol:
+            mid = 0.5 * (t_in + t_out)
+            if inside(mid):
+                t_in = mid
+            else:
+                t_out = mid
+        return 0.5 * (t_in + t_out)
+
+    found = {}
+    exits = []
+    for sign in (1, -1):
+        g = sign * u.d1
+        last_run = {}
+        for i in range(len(nodes)):
+            if not g[i] >= level_floor(k_min):
+                continue
+            k = level_index(float(g[i]))
+            lo, hi = band_edges(k)
+            left, right = last_run.get(k, (-1, -1))
+            if not left <= i <= right:
+                left = right = i
+                while left > 0 and lo <= g[left - 1] < hi:
+                    left -= 1
+                while right < end and lo <= g[right + 1] < hi:
+                    right += 1
+                last_run[k] = (left, right)
+            if left == 0 or right == end:
+                exits.append((-sign, k, i))
+            elif (k, sign, left) not in found:
+
+                def inside(t, sign=sign, lo=lo, hi=hi):
+                    return lo <= sign * float(u.evaluate(t, 1)) < hi
+
+                z = bisect(inside, float(nodes[left]), float(nodes[left - 1]))
+                y = bisect(inside, float(nodes[right]), float(nodes[right + 1]))
+                found[k, sign, left] = (z, y)
+    intervals = [(k, sign, z, y) for (k, sign, _), (z, y) in sorted(found.items())]
+    return intervals, [i for _, _, i in sorted(exits)]
+
+
+def assert_matches_scalar_family(u, fam):
+    intervals, exits = scalar_family_1d(u, fam.k_min)
+    assert [(iv.k, iv.sign) for iv in fam.intervals] == [(k, sign) for k, sign, _, _ in intervals]
+    tol = BISECT_TOL_FACTOR * u.grid.h
+    for iv, (_, _, z, y) in zip(fam.intervals, intervals):
+        assert abs(iv.z - z) <= tol and abs(iv.y - y) <= tol
+    assert fam.window_exit_nodes == exits
+
+
+class TestScalarOracle:
+    @pytest.mark.parametrize("spec", default_corpus_1d(), ids=lambda s: s.name)
+    def test_corpus(self, spec):
+        u = make_test_function(spec, grid_for_spec(spec, 1024))
+        assert_matches_scalar_family(u, build_family_1d(u, default_k_min(u)))
+
+    def test_fine_grid(self):
+        spec = next(s for s in default_corpus_1d() if s.name == "m5")
+        u = make_test_function(spec, grid_for_spec(spec, 16384))
+        assert_matches_scalar_family(u, build_family_1d(u, default_k_min(u)))
+
+    def test_window_exits(self):
+        u = gaussian_function(n=1024, window=(-1.2, 1.2))
+        fam = build_family_1d(u, default_k_min(u), exit_fraction_limit=1.0)
+        assert fam.window_exit_nodes
+        assert_matches_scalar_family(u, fam)
+
+
+@st.composite
+def localized_functions(draw):
+    family = draw(st.sampled_from(["gaussian", "smooth-bump"]))
+    center = draw(st.floats(-2.0, 2.0))
+    width = draw(st.floats(0.3, 3.0))
+    amplitude = draw(st.floats(0.2, 3.0)) * draw(st.sampled_from([1.0, -1.0]))
+    # bumps need their support strictly inside the window; gaussians are
+    # cut where some low-level bands reach the window edge
+    reach = st.floats(1.05, 2.0) if family == "smooth-bump" else st.floats(2.5, 6.0)
+    window = (center - draw(reach) * width, center + draw(reach) * width)
+    spec = TestFunctionSpec(family, center, width, amplitude, 0.0, window, name="random")
+    return make_test_function(spec, grid_for_spec(spec, draw(st.integers(64, 2048))))
+
+
+@settings(max_examples=30, derandomize=True, deadline=None, database=None)
+@given(localized_functions())
+def test_random_families_match_oracle_and_cover(u):
+    fam = build_family_1d(u, default_k_min(u), exit_fraction_limit=1.0)
+    assert_matches_scalar_family(u, fam)
+    _, worst = overlap_profile(fam)
+    assert worst <= 3
+    uncovered, _ = coverage_report(fam)
+    assert uncovered.size == 0

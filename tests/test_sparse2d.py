@@ -7,12 +7,11 @@ import pytest
 
 from gnsparse.errors import ConstructionError, CorpusConfigError
 from gnsparse.grid import Grid1D, Grid2D, GridFunction2D
-from gnsparse.sparse1d import overlap_profile
+from gnsparse.sparse1d import band_edges, level_floor, overlap_profile
 from gnsparse.sparse2d import (
     build_family_2d,
     compute_delta,
-    default_k_min_2d,
-    field_sup_bound,
+    field_sups,
     oscillation_bound,
     verify_family_2d,
 )
@@ -86,7 +85,7 @@ class TestComputeDelta:
         )
         u = make_test_function(spec, grid_for_spec(spec, 128))
         k_top = 0 if u.sup_norm(1) >= 0.5 else -1
-        bound = oscillation_bound(k_top, field_sup_bound(u))
+        bound = oscillation_bound(k_top, max(field_sups(u)))
         res = compute_delta(u, bound)
         assert res.admissible
         assert res.delta == pytest.approx(res.steps * u.grid.gx.h)
@@ -198,3 +197,50 @@ class TestRefinementStability:
             g = s.sign * fam.d1c[s.mask]
             assert np.min(g) >= math.ldexp(1.0, s.k - 3)
             assert np.max(g) < math.ldexp(1.0, s.k + 2)
+
+
+def loop_slabs_2d(fam):
+    """Reference slab masks and piece counts, one line and one seed at a
+    time: each seed's in-band run along its line, skipped when it reaches a
+    line end, thickened by delta_steps - 1 lines on both sides."""
+    lines = fam.d1c if fam.axis == 1 else fam.d1c.T  # [position, line]
+    n_pos, n_lines = lines.shape
+    out = []
+    for k in range(fam.k_top, fam.k_min - 1, -1):
+        if k not in fam.deltas or not fam.deltas[k].admissible:
+            continue
+        m = fam.deltas[k].steps
+        lo, hi = band_edges(k)
+        for sign in (1, -1):
+            g = sign * lines
+            mask = np.zeros(lines.shape, dtype=bool)
+            pieces = 0
+            for j in range(n_lines):
+                right = -1
+                for i in range(n_pos):
+                    if i <= right or not level_floor(k) <= g[i, j] < level_floor(k + 1):
+                        continue
+                    left = right = i
+                    while left > 0 and lo <= g[left - 1, j] < hi:
+                        left -= 1
+                    while right < n_pos - 1 and lo <= g[right + 1, j] < hi:
+                        right += 1
+                    if left > 0 and right < n_pos - 1:
+                        mask[left : right + 1, max(0, j - m + 1) : j + m] = True
+                        pieces += 1
+            if pieces:
+                out.append((k, sign, mask if fam.axis == 1 else mask.T, pieces))
+    return out
+
+
+# n = 64 analyzes no level of this corpus; n = 128 and 256 analyze the top
+# level with delta_steps 1 and 2
+@pytest.mark.parametrize("n, axis", [(128, 1), (128, 2), (256, 1)])
+@pytest.mark.parametrize("spec", default_corpus_2d(), ids=lambda s: s.name)
+def test_slabs_match_loop_reference(spec, n, axis):
+    u = make_test_function(spec, grid_for_spec(spec, n), axis=axis)
+    fam = build_family_2d(u, axis=axis)
+    expected = loop_slabs_2d(fam)
+    assert [(s.k, s.sign, s.pieces) for s in fam.slabs] == [(k, sign, p) for k, sign, _, p in expected]
+    for s, (_, _, mask, _) in zip(fam.slabs, expected):
+        assert np.array_equal(s.mask, mask)
