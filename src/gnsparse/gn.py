@@ -158,8 +158,11 @@ def _cell_measure(u) -> float:
     return u.grid.h if u.dim == 1 else u.grid.cell_area
 
 
-def _norms_at(case: GNCase, z_space: SpaceDescriptor, n: int):
-    u = make_test_function(case.spec, grid_for_spec(case.spec, n), axis=case.axis)
+def _sample(case: GNCase, n: int):
+    return make_test_function(case.spec, grid_for_spec(case.spec, n), axis=case.axis)
+
+
+def _norms_at(case: GNCase, z_space: SpaceDescriptor, u):
     mu = _cell_measure(u)
     lhs = space_norm(z_space, _abs_field(u, case.j, case.mode, case.axis), mu)
     rhs_x = space_norm(case.x_space, _abs_field(u, case.k, case.mode, case.axis), mu)
@@ -175,16 +178,20 @@ def _ratio_of(lhs: float, rhs_x: float, rhs_y: float, theta: Fraction) -> float:
     return 0.0 if lhs == 0.0 else math.inf
 
 
-def gn_ratio(case: GNCase) -> GNReport:
+def gn_ratio(case: GNCase, u=None) -> GNReport:
     """Empirical ratio at case.n plus a refinement rerun at 2n.
 
-    Zero functions give ratio 0 by convention.  The stability flag compares
-    the two resolutions at 1% relative; norm failures propagate.
+    ``u`` is the case's function already sampled at case.n, if the caller
+    has it; otherwise it is sampled here.  Zero functions give ratio 0 by
+    convention.  The stability flag compares the two resolutions at 1%
+    relative; norm failures propagate.
     """
     z_space = cl_combine(case.x_space, case.y_space, case.theta)
-    lhs, rhs_x, rhs_y = _norms_at(case, z_space, case.n)
+    if u is None:
+        u = _sample(case, case.n)
+    lhs, rhs_x, rhs_y = _norms_at(case, z_space, u)
     ratio = _ratio_of(lhs, rhs_x, rhs_y, case.theta)
-    lhs2, rhs_x2, rhs_y2 = _norms_at(case, z_space, 2 * case.n)
+    lhs2, rhs_x2, rhs_y2 = _norms_at(case, z_space, _sample(case, 2 * case.n))
     refined = _ratio_of(lhs2, rhs_x2, rhs_y2, case.theta)
     if ratio == refined:
         drift = 0.0
@@ -421,7 +428,7 @@ def run_case(case: GNCase, checks, limits: RunLimits = None) -> CaseResult:
         z_text = cl_combine(case.x_space, case.y_space, case.theta).format()
         u = family = rep2d = cells = None
         if _needs_family(selected):
-            u = make_test_function(case.spec, grid_for_spec(case.spec, case.n), axis=case.axis)
+            u = _sample(case, case.n)
             if case.dim == 1:
                 family = build_family_1d(u, default_k_min(u))
                 intervals = tuple(family.intervals)
@@ -492,7 +499,7 @@ def run_case(case: GNCase, checks, limits: RunLimits = None) -> CaseResult:
                         break
                 verdicts.append((name, bad or "pass"))
             elif name == "gn":
-                report = gn_ratio(case)
+                report = gn_ratio(case, u)
                 if math.isfinite(report.ratio) and report.stable:
                     verdicts.append((name, "pass"))
                 else:

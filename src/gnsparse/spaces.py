@@ -140,28 +140,42 @@ class YoungFunction:
 
     @staticmethod
     def _bisect_monotone(fn, targets, rel_tol=1e-12, iters=200):
+        """Solve fn(t) = y for every target y by bisection, all targets at once.
+
+        Each target follows exactly the lo/hi sequence of a scalar loop:
+        from lo, hi = 0, 1 double while ``not fn(hi) >= y`` (so a NaN target
+        never brackets), then halve until ``hi - lo <= rel_tol*hi``, moving
+        lo to the midpoint where ``fn(mid) < y`` and hi otherwise; the answer
+        is 0.5*(lo+hi), and 0 for a zero target.  ``fn`` must be elementwise
+        (its value at a point does not depend on the other points passed with
+        it), so one call per step on the still-active targets gives each
+        target the same answer, bit for bit, as inverting it alone.
+        """
         orig_shape = np.shape(targets)
-        targets = np.atleast_1d(np.asarray(targets, dtype=float))
+        targets = np.asarray(targets, dtype=float).ravel()
+        nonzero = np.flatnonzero(targets != 0.0)
+        lo = np.zeros_like(targets)
+        hi = np.ones_like(targets)
+        active = nonzero
+        for _ in range(iters):
+            if active.size == 0:
+                break
+            active = active[~(fn(hi[active]) >= targets[active])]
+            lo[active] = hi[active]
+            hi[active] *= 2.0
+        if active.size:
+            raise OverflowError("monotone inversion failed to bracket")
+        active = nonzero
+        for _ in range(iters):
+            active = active[~(hi[active] - lo[active] <= rel_tol * hi[active])]
+            if active.size == 0:
+                break
+            mid = 0.5 * (lo[active] + hi[active])
+            below = fn(mid) < targets[active]
+            lo[active[below]] = mid[below]
+            hi[active[~below]] = mid[~below]
         out = np.zeros_like(targets)
-        for i, y in enumerate(targets):
-            if y == 0.0:
-                continue
-            lo, hi = 0.0, 1.0
-            for _ in range(iters):
-                if fn(hi) >= y:
-                    break
-                lo, hi = hi, hi * 2.0
-            else:
-                raise OverflowError("monotone inversion failed to bracket")
-            for _ in range(iters):
-                if hi - lo <= rel_tol * hi:
-                    break
-                mid = 0.5 * (lo + hi)
-                if fn(mid) < y:
-                    lo = mid
-                else:
-                    hi = mid
-            out[i] = 0.5 * (lo + hi)
+        out[nonzero] = 0.5 * (lo[nonzero] + hi[nonzero])
         return out.reshape(orig_shape)
 
     def _validate(self, samples=40):
@@ -173,8 +187,7 @@ class YoungFunction:
         mid = self(0.5 * (ts[:-1] + ts[1:]))
         if np.any(mid > 0.5 * (vals[:-1] + vals[1:]) * (1.0 + 1e-9)):
             raise AdmissibilityError(f"Young function {self.describe()} fails midpoint convexity")
-        ss = self(ts)
-        back = self.inverse(ss)
+        back = self.inverse(vals)
         if np.max(np.abs(back - ts) / ts) > 1e-6:
             raise AdmissibilityError(f"Young function {self.describe()} inverse is inconsistent")
 

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from gnsparse import gn as gn_module
 from gnsparse.errors import AdmissibilityError, CorpusConfigError
 from gnsparse.gn import (
     CHECK_NAMES,
@@ -255,6 +256,22 @@ class TestRunCorpus:
         assert result.overlap_max == 3
         assert result.pointwise_max is not None and result.pointwise_max <= 128.0
         assert result.intervals
+
+    @pytest.mark.parametrize("checks", [CHECK_NAMES, ("gn",)])
+    def test_case_samples_once_per_resolution(self, checks, monkeypatch):
+        # the family build and the GN ratio share the sample at n; only the
+        # refinement rerun samples again, at 2n
+        sampled = []
+
+        def counting(spec, grid, **kwargs):
+            sampled.append(grid.n)
+            return make_test_function(spec, grid, **kwargs)
+
+        case = case_1d(BUMP, "L:1", "L:1")
+        monkeypatch.setattr(gn_module, "make_test_function", counting)
+        result = run_case(case, checks)
+        assert sampled == [256, 512]
+        assert result.report == gn_ratio(case)
 
     def test_overlap_limit_violation_is_named(self):
         limits = RunLimits(max_overlap_1d=2)

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gnsparse.errors import AdmissibilityError, ModularRangeError, YoungBracketError
 from gnsparse.norms import (
@@ -13,6 +15,7 @@ from gnsparse.norms import (
     lorentz_norm,
     luxemburg_norm,
     modular,
+    norm_tolerance,
     space_norm,
 )
 from gnsparse.rearrangement import RearrangementProfile, equimeasurable
@@ -189,6 +192,94 @@ class TestCombination:
         assert via == direct
 
 
+def scalar_bisect_monotone(fn, targets, rel_tol=1e-12, iters=200):
+    """The per-target loop YoungFunction._bisect_monotone must reproduce."""
+    orig_shape = np.shape(targets)
+    targets = np.atleast_1d(np.asarray(targets, dtype=float))
+    out = np.zeros_like(targets)
+    for i, y in enumerate(targets):
+        if y == 0.0:
+            continue
+        lo, hi = 0.0, 1.0
+        for _ in range(iters):
+            if fn(hi) >= y:
+                break
+            lo, hi = hi, hi * 2.0
+        else:
+            raise OverflowError("monotone inversion failed to bracket")
+        for _ in range(iters):
+            if hi - lo <= rel_tol * hi:
+                break
+            mid = 0.5 * (lo + hi)
+            if fn(mid) < y:
+                lo = mid
+            else:
+                hi = mid
+        out[i] = 0.5 * (lo + hi)
+    return out.reshape(orig_shape)
+
+
+_EXP = YoungFunction("exp")
+_POW2 = YoungFunction("pow", (Fraction(2),))
+_POWLOG = YoungFunction("powlog", (Fraction(2), Fraction(1)))
+_EXP_POW2 = YoungFunction("combined", factors=(_EXP, _POW2), theta=Fraction(1, 3))
+_BISECTION_TARGETS = np.concatenate([[0.0, 1e-300], np.logspace(-12.0, 8.0, 302)])
+
+
+def exact_hits(fn):
+    # targets that some midpoint of the bisection meets exactly, so the
+    # tie rule (fn(mid) == y moves hi) decides the answer
+    return fn(np.array([0.75, 1.5, 3.0, 6.0]))
+
+
+class TestArrayBisection:
+    # (Young function, evaluation that runs through _bisect_monotone, targets);
+    # the powlog product nests two bisections, so it gets 0, 1e-300 and
+    # every 20th of the rest
+    CASES = {
+        "exp x pow:2": (_EXP_POW2, "__call__", _BISECTION_TARGETS),
+        "combined of combined": (
+            YoungFunction(
+                "combined", factors=(_EXP_POW2, YoungFunction("pow", (Fraction(3),))), theta=Fraction(1, 2)
+            ),
+            "__call__",
+            _BISECTION_TARGETS,
+        ),
+        "powlog:2,1 x pow:2": (
+            YoungFunction("combined", factors=(_POWLOG, _POW2), theta=Fraction(1, 2)),
+            "__call__",
+            np.concatenate([_BISECTION_TARGETS[:2], _BISECTION_TARGETS[2::20]]),
+        ),
+        "powlog inverse": (_POWLOG, "inverse", _BISECTION_TARGETS),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_matches_scalar_loop(self, name, monkeypatch):
+        young, method, targets = self.CASES[name]
+        evaluate = getattr(young, method)
+        # forward evaluation bisects the inverse and vice versa
+        targets = np.concatenate([targets, exact_hits(young.inverse if method == "__call__" else young)])
+        got = {shape: evaluate(targets.reshape(shape)) for shape in ((-1,), (2, -1))}
+        got_scalar = evaluate(float(targets[-1]))
+        monkeypatch.setattr(YoungFunction, "_bisect_monotone", staticmethod(scalar_bisect_monotone))
+        want = evaluate(targets)
+        for shape, values in got.items():
+            assert values.shape == targets.reshape(shape).shape
+            assert np.array_equal(values, want.reshape(shape))
+        assert isinstance(got_scalar, float)
+        assert got_scalar == want[-1]
+
+    def test_unreachable_target_fails_to_bracket(self):
+        with pytest.raises(OverflowError, match="failed to bracket"):
+            YoungFunction._bisect_monotone(lambda t: np.minimum(t, 1.0), np.array([0.5, 2.0]))
+        with pytest.raises(OverflowError, match="failed to bracket"):
+            YoungFunction._bisect_monotone(lambda t: np.minimum(t, 1.0), 2.0)
+
+    def test_nan_target_fails_to_bracket(self):
+        with pytest.raises(OverflowError, match="failed to bracket"):
+            YoungFunction._bisect_monotone(np.asarray, np.array([1.0, math.nan]))
+
+
 class TestNorms:
     def test_lebesgue_indicator(self):
         vals, mu = indicator(1024, 1024)  # chi_[0,4]
@@ -313,3 +404,30 @@ class TestFactorization:
                 Fraction(1, 2),
                 mu,
             )
+
+
+@st.composite
+def exp_pow_products(draw):
+    q = draw(st.sampled_from([Fraction(3, 2), Fraction(2), Fraction(3)]))
+    theta = Fraction(draw(st.integers(1, 63)), 64)
+    factors = (_EXP, YoungFunction("pow", (q,)))
+    if draw(st.booleans()):
+        factors = factors[::-1]
+    return YoungFunction("combined", factors=factors, theta=theta)
+
+
+@settings(max_examples=15, derandomize=True, deadline=None, database=None)
+@given(
+    young=exp_pow_products(),
+    values=st.lists(st.floats(1e-3, 1e2), min_size=1, max_size=64),
+    c=st.floats(0.1, 10.0),
+    t=st.floats(1e-6, 30.0),
+)
+def test_combined_orlicz_properties(young, values, c, t):
+    space = SpaceDescriptor("orlicz", young=young)
+    f = np.array(values)
+    mu = 1.0 / 64.0
+    nf = luxemburg_norm(f, mu, young)
+    assert luxemburg_norm(c * f, mu, young) == pytest.approx(c * nf, rel=norm_tolerance(space))
+    assert modular(young, f, mu, scale=nf) <= 1.0 + 1e-6
+    assert young.inverse(young(t)) == pytest.approx(t, rel=1e-9)
