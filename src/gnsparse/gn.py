@@ -405,11 +405,14 @@ def _needs_family(checks) -> bool:
     return any(c in checks for c in ("overlap", "pointwise", "operator-norm", "modular"))
 
 
-def _cells_for(case: GNCase, u, family) -> CellFamily:
+def _cells_and_fields(case: GNCase, u, family):
+    """The family's cells and |u|, |u''| at cell centers (a 2D build holds both)."""
     if case.dim == 1:
-        return CellFamily.from_intervals(family.intervals, u.grid)
+        f0, f2 = (np.abs(u.center_values(m)) for m in (0, 2))
+        return CellFamily.from_intervals(family.intervals, u.grid), f0, f2
     labels = [(s.k, s.sign) for s in family.slabs]
-    return CellFamily.from_masks([s.mask for s in family.slabs], labels, u.grid.cell_area)
+    cells = CellFamily.from_masks([s.mask for s in family.slabs], labels, u.grid.cell_area)
+    return cells, np.abs(family.uc).ravel(), np.abs(family.d2c).ravel()
 
 
 def run_case(case: GNCase, checks, limits: RunLimits = None) -> CaseResult:
@@ -474,9 +477,7 @@ def run_case(case: GNCase, checks, limits: RunLimits = None) -> CaseResult:
                         verdicts.append((name, "fail: pointwise ratio is not finite"))
             elif name == "operator-norm":
                 if cells is None:
-                    cells = _cells_for(case, u, family)
-                f0 = np.abs(np.asarray(u.center_values(0), dtype=float)).ravel()
-                f2 = np.abs(np.asarray(u.center_values(2), dtype=float)).ravel()
+                    cells, f0, f2 = _cells_and_fields(case, u, family)
                 bad = None
                 for label, vec in (("|u''|", f2), ("|u|", f0)):
                     for sp in (_L1, _LINF):
@@ -489,8 +490,7 @@ def run_case(case: GNCase, checks, limits: RunLimits = None) -> CaseResult:
                 verdicts.append((name, bad or "pass"))
             elif name == "modular":
                 if cells is None:
-                    cells = _cells_for(case, u, family)
-                f0 = np.abs(np.asarray(u.center_values(0), dtype=float)).ravel()
+                    cells, f0, f2 = _cells_and_fields(case, u, family)
                 bad = None
                 for young in MODULAR_YOUNGS:
                     lhs, rhs, ok = modular_contraction_check(young, cells, f0)

@@ -47,16 +47,21 @@ class Grid1D:
 
 @dataclass(frozen=True)
 class Grid2D:
-    """Product of two 1D grids; axis 1 is x, axis 2 is y."""
+    """Product of two 1D grids; axis 1 is x, axis 2 is y.
+
+    ``nodes()`` and ``centers()`` return the open grid pair, shapes (m, 1)
+    and (1, m): evaluators must broadcast them to the full (m, m) array, so
+    a product of 1D profiles costs O(m) profile evaluations, not O(m^2).
+    """
 
     gx: Grid1D
     gy: Grid1D
 
     def centers(self):
-        return np.meshgrid(self.gx.centers(), self.gy.centers(), indexing="ij")
+        return np.meshgrid(self.gx.centers(), self.gy.centers(), indexing="ij", sparse=True)
 
     def nodes(self):
-        return np.meshgrid(self.gx.nodes(), self.gy.nodes(), indexing="ij")
+        return np.meshgrid(self.gx.nodes(), self.gy.nodes(), indexing="ij", sparse=True)
 
     @property
     def cell_area(self) -> float:
@@ -116,30 +121,27 @@ class GridFunction2D:
         self.d1 = np.asarray(self._axis_partial(X, Y, 1), dtype=float)
         self.d2 = np.asarray(self._axis_partial(X, Y, 2), dtype=float)
         for name, arr in (("values", self.values), ("d1", self.d1), ("d2", self.d2)):
+            if arr.shape != np.broadcast_shapes(X.shape, Y.shape):
+                raise ValueError(f"{name} of {label!r} has shape {arr.shape}: the evaluator must broadcast")
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"non-finite {name} in sampled function {label!r}")
 
     def _axis_partial(self, X, Y, order):
+        """Pure partial of the given order along ``axis``; order 0 is u."""
         if self.axis == 1:
             return self.evaluate(X, Y, order, 0)
         return self.evaluate(X, Y, 0, order)
 
     def center_values(self, order: int = 0):
         X, Y = self.grid.centers()
-        if order == 0:
-            return np.asarray(self.evaluate(X, Y, 0, 0), dtype=float)
         return np.asarray(self._axis_partial(X, Y, order), dtype=float)
 
     def sup_norm(self, order: int = 0, probe: int = 512) -> float:
         """Sup norm from a fixed fine probe, independent of grid resolution."""
         x = np.linspace(self.grid.gx.a, self.grid.gx.b, probe + 1)
         y = np.linspace(self.grid.gy.a, self.grid.gy.b, probe + 1)
-        X, Y = np.meshgrid(x, y, indexing="ij")
-        if order == 0:
-            vals = self.evaluate(X, Y, 0, 0)
-        else:
-            vals = self._axis_partial(X, Y, order)
-        return float(np.max(np.abs(vals)))
+        X, Y = np.meshgrid(x, y, indexing="ij", sparse=True)
+        return float(np.max(np.abs(self._axis_partial(X, Y, order))))
 
 
 def fd_consistency_error(f) -> float:

@@ -181,17 +181,15 @@ def _radial_partials(spec, X, Y, jx, jy):
     # P'(s)/s has a finite limit at s=0 (the profile is even in s)
     lim = -np.pi ** 2 * spec.amplitude if spec.family != "gaussian" else -2.0 * spec.amplitude
     p1_over_s = np.where(safe, P1 / rs, lim)
+    if order == 1:
+        return p1_over_s * (dx if jx == 1 else dy) / w
     ex = np.where(safe, dx / rs, 0.0)
     ey = np.where(safe, dy / rs, 0.0)
-    if order == 1:
-        e = ex if jx == 1 else ey
-        return p1_over_s * (dx if jx == 1 else dy) / w
     P2 = _radial_profile(spec, r, 2)
     if order == 2:
         if jx == 2 or jy == 2:
-            e2 = np.where(safe, (ex if jx == 2 else ey) ** 2, 1.0 if jx == 2 else 0.0)
             # at r=0 both pure second partials equal P''(0)/w^2
-            e2 = np.where(safe, e2, 1.0)
+            e2 = np.where(safe, (ex if jx == 2 else ey) ** 2, 1.0)
             return (P2 * e2 + p1_over_s * (1.0 - e2)) / w ** 2
         cross = np.where(safe, ex * ey, 0.0)
         return (P2 - p1_over_s) * cross / w ** 2

@@ -10,6 +10,7 @@ from gnsparse import (
     Grid1D,
     Grid2D,
     GridFunction1D,
+    GridFunction2D,
     TestFunctionSpec,
     UnresolvableFunctionError,
     fd_consistency_error,
@@ -21,6 +22,7 @@ from gnsparse import (
     quadrature_integral_2d,
 )
 from gnsparse.errors import CorpusConfigError, EmptyRegionError
+from gnsparse.gn import _abs_field
 from gnsparse.testfunctions import default_corpus_1d, default_corpus_2d
 
 
@@ -104,11 +106,65 @@ def test_radial_2d_partials_match_fd():
     X, Y = f.grid.nodes()
     h = f.grid.gx.h
     # mixed partial (1,1) against a cross difference of values
-    mixed = f.evaluate(X[1:-1, 1:-1], Y[1:-1, 1:-1], 1, 1)
+    mixed = f.evaluate(X[1:-1], Y[:, 1:-1], 1, 1)
     cross = (
         f.values[2:, 2:] - f.values[2:, :-2] - f.values[:-2, 2:] + f.values[:-2, :-2]
     ) / (4.0 * h * h)
     assert np.max(np.abs(mixed - cross)) < 5e-3
+
+
+def test_grid2d_returns_open_grid():
+    g = Grid2D(Grid1D(-1.0, 1.0, 16), Grid1D(0.0, 3.0, 16))
+    X, Y = g.nodes()
+    assert X.shape == (17, 1) and Y.shape == (1, 17)
+    assert np.array_equal(X[:, 0], g.gx.nodes()) and np.array_equal(Y[0], g.gy.nodes())
+    Xc, Yc = g.centers()
+    assert Xc.shape == (16, 1) and Yc.shape == (1, 16)
+    assert np.array_equal(Xc[:, 0], g.gx.centers()) and np.array_equal(Yc[0], g.gy.centers())
+
+
+def test_non_broadcasting_evaluator_rejected():
+    g = Grid2D(Grid1D(0.0, 1.0, 16), Grid1D(0.0, 1.0, 16))
+    with pytest.raises(ValueError, match="broadcast"):
+        GridFunction2D(g, lambda X, Y, jx, jy: np.zeros_like(X), label="x-only")
+
+
+class _DenseGrid2D(Grid2D):
+    """Grid2D sampled on full meshgrid arrays: the per-cell reference."""
+
+    def centers(self):
+        return np.meshgrid(self.gx.centers(), self.gy.centers(), indexing="ij")
+
+    def nodes(self):
+        return np.meshgrid(self.gx.nodes(), self.gy.nodes(), indexing="ij")
+
+
+def _dense_sup_norm(u, order, probe=512):
+    X, Y = np.meshgrid(
+        np.linspace(u.grid.gx.a, u.grid.gx.b, probe + 1),
+        np.linspace(u.grid.gy.a, u.grid.gy.b, probe + 1),
+        indexing="ij",
+    )
+    jx, jy = (order, 0) if u.axis == 1 else (0, order)
+    return float(np.max(np.abs(u.evaluate(X, Y, jx, jy))))
+
+
+@pytest.mark.parametrize("axis", (1, 2))
+@pytest.mark.parametrize("spec", default_corpus_2d(), ids=lambda s: s.name)
+def test_open_grid_matches_dense_evaluation(spec, axis):
+    for n in (128, 256):
+        u = make_test_function(spec, grid_for_spec(spec, n), axis=axis)
+        g = u.grid
+        ref = GridFunction2D(_DenseGrid2D(g.gx, g.gy), u.evaluate, axis=axis)
+        for name in ("values", "d1", "d2"):
+            assert np.array_equal(getattr(u, name), getattr(ref, name)), name
+        for order in (0, 1, 2):
+            assert np.array_equal(u.center_values(order), ref.center_values(order))
+            assert u.sup_norm(order) == _dense_sup_norm(u, order)
+            for mode in ("pure", "pure-sum", "gradient"):
+                assert np.array_equal(
+                    _abs_field(u, order, mode, axis), _abs_field(ref, order, mode, axis)
+                ), (order, mode)
 
 
 def test_unresolvable_width_rejected():

@@ -31,7 +31,7 @@ def ramp_function(slope=1.0, n=16):
     # u = slope * x: constant d1, zero d2; every offset of m steps moves
     # u by at most slope * m * h
     def ev(X, Y, jx, jy):
-        X = np.asarray(X, dtype=float)
+        X, _ = np.broadcast_arrays(np.asarray(X, dtype=float), Y)
         if jx == 0 and jy == 0:
             return slope * X
         if jx == 1 and jy == 0:
@@ -43,7 +43,7 @@ def ramp_function(slope=1.0, n=16):
 
 def constant_function(c=0.7, n=16):
     def ev(X, Y, jx, jy):
-        X = np.asarray(X, dtype=float)
+        X, _ = np.broadcast_arrays(np.asarray(X, dtype=float), Y)
         return np.full_like(X, c) if jx == jy == 0 else np.zeros_like(X)
 
     return GridFunction2D(square_grid(n), ev, axis=1)
