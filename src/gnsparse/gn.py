@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -106,6 +107,12 @@ class GNCase:
     def theta(self) -> Fraction:
         return Fraction(self.j, self.k)
 
+    @cached_property
+    def z_space(self) -> SpaceDescriptor:
+        """Z = X^theta Y^(1-theta), combined on first use; an inadmissible
+        combination raises there, not when the case is built."""
+        return cl_combine(self.x_space, self.y_space, self.theta)
+
     def case_id(self) -> str:
         name = self.spec.name or self.spec.family
         parts = [
@@ -186,7 +193,7 @@ def gn_ratio(case: GNCase, u=None) -> GNReport:
     convention.  The stability flag compares the two resolutions at 1%
     relative; norm failures propagate.
     """
-    z_space = cl_combine(case.x_space, case.y_space, case.theta)
+    z_space = case.z_space
     if u is None:
         u = _sample(case, case.n)
     lhs, rhs_x, rhs_y = _norms_at(case, z_space, u)
@@ -253,12 +260,8 @@ def first_order_chain_check(u, x_space: SpaceDescriptor, y_space: SpaceDescripto
     z_space = cl_combine(x_space, y_space, Fraction(1, 2))
     if family is None:
         family = build_family_1d(u, default_k_min(u))
-    cells = CellFamily.from_intervals(family.intervals, u.grid)
-    f2 = np.abs(u.center_values(2))
-    f0 = np.abs(u.center_values(0))
-    t2 = apply_sparse_operator(cells, f2)
-    t0 = apply_sparse_operator(cells, f0)
-    covered = cells.counts() > 0
+    cells, f0, f2, t0, t2 = _cells_and_fields(u, family)
+    covered = cells.counts > 0
     geo = np.sqrt(t2 * t0)
     lhs_vec = np.where(covered, np.abs(u.center_values(1)), 0.0)
     mu = u.grid.h
@@ -279,9 +282,9 @@ def first_order_chain_check(u, x_space: SpaceDescriptor, y_space: SpaceDescripto
     )
     links.append(ChainLink("factorization", lhs2, rhs2, ok2))
 
-    lx, rx, K, okx = operator_norm_check(x_space, cells, f2)
+    lx, rx, K, okx = operator_norm_check(x_space, cells, f2, t2)
     links.append(ChainLink("operator-x", lx, rx, okx))
-    ly, ry, _, oky = operator_norm_check(y_space, cells, f0)
+    ly, ry, _, oky = operator_norm_check(y_space, cells, f0, t0)
     links.append(ChainLink("operator-y", ly, ry, oky))
 
     rhs_end = root * K * math.sqrt(space_norm(x_space, f2, mu) * space_norm(y_space, f0, mu))
@@ -405,131 +408,102 @@ def _needs_family(checks) -> bool:
     return any(c in checks for c in ("overlap", "pointwise", "operator-norm", "modular"))
 
 
-def _cells_and_fields(case: GNCase, u, family):
-    """The family's cells and |u|, |u''| at cell centers (a 2D build holds both)."""
-    if case.dim == 1:
+def _cells_and_fields(u, family):
+    """The family's cells, |u| and |u''| at cell centers, and T|u|, T|u''|.
+
+    A 2D build already holds both fields at cell centers.
+    """
+    if u.dim == 1:
         f0, f2 = (np.abs(u.center_values(m)) for m in (0, 2))
-        return CellFamily.from_intervals(family.intervals, u.grid), f0, f2
-    labels = [(s.k, s.sign) for s in family.slabs]
-    cells = CellFamily.from_masks([s.mask for s in family.slabs], labels, u.grid.cell_area)
-    return cells, np.abs(family.uc).ravel(), np.abs(family.d2c).ravel()
+        cells = CellFamily.from_intervals(family.intervals, u.grid)
+    else:
+        labels = [(s.k, s.sign) for s in family.slabs]
+        cells = CellFamily.from_masks([s.mask for s in family.slabs], labels, u.grid.cell_area)
+        f0, f2 = np.abs(family.uc).ravel(), np.abs(family.d2c).ravel()
+    return cells, f0, f2, apply_sparse_operator(cells, f0), apply_sparse_operator(cells, f2)
 
 
 def run_case(case: GNCase, checks, limits: RunLimits = None) -> CaseResult:
     """Execute the selected checks for one case; errors become verdicts."""
     limits = limits or RunLimits()
     selected = [c for c in CHECK_NAMES if c in checks]
-    verdicts = []
-    z_text = ""
-    report = None
-    overlap_max = None
-    pointwise_max = None
-    intervals = ()
-    slabs = ()
-    error = ""
+    result = CaseResult(case=case, z_text="", verdicts=())
     try:
-        z_text = cl_combine(case.x_space, case.y_space, case.theta).format()
-        u = family = rep2d = cells = None
+        result.z_text = case.z_space.format()
+        u = family = None
         if _needs_family(selected):
             u = _sample(case, case.n)
             if case.dim == 1:
                 family = build_family_1d(u, default_k_min(u))
-                intervals = tuple(family.intervals)
+                result.intervals = tuple(family.intervals)
             else:
                 family = build_family_2d(u, axis=case.axis)
-                slabs = tuple(family.slabs)
+                result.slabs = tuple(family.slabs)
+            if "operator-norm" in selected or "modular" in selected:
+                cells, f0, f2, t0, t2 = _cells_and_fields(u, family)
         for name in selected:
             if name == "overlap":
                 counts, worst = overlap_profile(family)
-                overlap_max = worst
+                result.overlap_max = worst
                 limit = limits.max_overlap_1d if case.dim == 1 else limits.max_overlap_2d
                 if worst <= limit:
-                    verdicts.append((name, "pass"))
+                    verdict = "pass"
                 elif case.dim == 1:
                     node = int(np.argmax(counts))
                     x = float(family.nodes[node])
-                    verdicts.append(
-                        (name, f"fail: overlap {worst} > {limit} at node {node} (x={x!r})")
-                    )
+                    verdict = f"fail: overlap {worst} > {limit} at node {node} (x={x!r})"
                 else:
                     ix, iy = np.unravel_index(int(np.argmax(counts)), counts.shape)
-                    verdicts.append(
-                        (name, f"fail: overlap {worst} > {limit} at cell ({int(ix)}, {int(iy)})")
-                    )
+                    verdict = f"fail: overlap {worst} > {limit} at cell ({int(ix)}, {int(iy)})"
             elif name == "pointwise":
                 if case.dim == 1:
-                    _, max_ratio = verify_pointwise_1d(u, family)
-                    pointwise_max = max_ratio
+                    _, result.pointwise_max = verify_pointwise_1d(u, family)
                     bound = POINTWISE_CONSTANT * (1.0 + limits.pointwise_slack)
-                    if max_ratio <= bound:
-                        verdicts.append((name, "pass"))
+                    if result.pointwise_max <= bound:
+                        verdict = "pass"
                     else:
-                        verdicts.append(
-                            (name, f"fail: pointwise ratio {max_ratio!r} exceeds {bound!r}")
-                        )
+                        verdict = f"fail: pointwise ratio {result.pointwise_max!r} exceeds {bound!r}"
                 else:
-                    if rep2d is None:
-                        rep2d = verify_family_2d(u, family)
-                    pointwise_max = rep2d.max_ratio
-                    if math.isfinite(rep2d.max_ratio):
-                        verdicts.append((name, "pass"))
+                    result.pointwise_max = verify_family_2d(u, family).max_ratio
+                    if math.isfinite(result.pointwise_max):
+                        verdict = "pass"
                     else:
-                        verdicts.append((name, "fail: pointwise ratio is not finite"))
+                        verdict = "fail: pointwise ratio is not finite"
             elif name == "operator-norm":
-                if cells is None:
-                    cells, f0, f2 = _cells_and_fields(case, u, family)
-                bad = None
-                for label, vec in (("|u''|", f2), ("|u|", f0)):
+                verdict = "pass"
+                for label, vec, tf in (("|u''|", f2, t2), ("|u|", f0, t0)):
                     for sp in (_L1, _LINF):
-                        lhs, rhs, _, ok = operator_norm_check(sp, cells, vec)
+                        lhs, rhs, _, ok = operator_norm_check(sp, cells, vec, tf)
                         if not ok:
-                            bad = f"fail: {sp.format()} of T{label}: {lhs!r} > {rhs!r}"
+                            verdict = f"fail: {sp.format()} of T{label}: {lhs!r} > {rhs!r}"
                             break
-                    if bad:
-                        break
-                verdicts.append((name, bad or "pass"))
-            elif name == "modular":
-                if cells is None:
-                    cells, f0, f2 = _cells_and_fields(case, u, family)
-                bad = None
-                for young in MODULAR_YOUNGS:
-                    lhs, rhs, ok = modular_contraction_check(young, cells, f0)
                     if not ok:
-                        bad = f"fail: modular of {young.describe()}: {lhs!r} > {rhs!r}"
                         break
-                verdicts.append((name, bad or "pass"))
+            elif name == "modular":
+                verdict = "pass"
+                for young in MODULAR_YOUNGS:
+                    lhs, rhs, ok = modular_contraction_check(young, cells, f0, t0)
+                    if not ok:
+                        verdict = f"fail: modular of {young.describe()}: {lhs!r} > {rhs!r}"
+                        break
             elif name == "gn":
-                report = gn_ratio(case, u)
+                result.report = report = gn_ratio(case, u)
                 if math.isfinite(report.ratio) and report.stable:
-                    verdicts.append((name, "pass"))
+                    verdict = "pass"
                 else:
-                    verdicts.append(
-                        (name, f"fail: ratio {report.ratio!r} drifts {report.drift!r} under refinement")
-                    )
+                    verdict = f"fail: ratio {report.ratio!r} drifts {report.drift!r} under refinement"
             elif name == "induction":
                 results = [
                     induction_identity_check(case.x_space, case.y_space, 3),
                     induction_identity_check(case.x_space, case.y_space, 4),
                 ]
                 bad = [msg for res in results if not res.ok for msg in res.failures]
-                verdicts.append((name, f"fail: {bad[0]}" if bad else "pass"))
+                verdict = f"fail: {bad[0]}" if bad else "pass"
+            result.verdicts += ((name, verdict),)
     except Exception as exc:  # recorded, never fatal to the run
-        error = f"{type(exc).__name__}: {exc}"
-        done = {n for n, _ in verdicts}
-        for name in selected:
-            if name not in done:
-                verdicts.append((name, "error"))
-    return CaseResult(
-        case=case,
-        z_text=z_text,
-        verdicts=tuple(verdicts),
-        report=report,
-        overlap_max=overlap_max,
-        pointwise_max=pointwise_max,
-        intervals=intervals,
-        slabs=slabs,
-        error=error,
-    )
+        result.error = f"{type(exc).__name__}: {exc}"
+        result.verdicts += tuple((name, "error") for name in selected[len(result.verdicts) :])
+    return result
 
 
 def run_corpus(cases, checks, limits: RunLimits = None):

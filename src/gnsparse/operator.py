@@ -17,7 +17,12 @@ MODULAR_SLACK = 1e-6
 
 
 class CellFamily:
-    """Rasterized family: index arrays into a flattened cell grid."""
+    """Rasterized family: index arrays into a flattened cell grid.
+
+    The sets are fixed once built, so the per-cell set counts (``counts``)
+    and their maximum, the overlap constant K (``max_overlap``), are
+    computed here once.
+    """
 
     def __init__(self, sets, labels, n_cells: int, cell_measure: float, dropped: int = 0):
         self.sets = [np.asarray(s, dtype=np.int64) for s in sets]
@@ -25,23 +30,15 @@ class CellFamily:
         self.n_cells = int(n_cells)
         self.cell_measure = float(cell_measure)
         self.dropped = int(dropped)
+        self.counts = np.zeros(self.n_cells, dtype=np.int64)
         for s in self.sets:
             if s.size == 0:
                 raise EmptyRegionError("rasterized family contains an empty cell set")
+            self.counts[s] += 1
+        self.max_overlap = int(self.counts.max(initial=0))
 
     def __len__(self):
         return len(self.sets)
-
-    def counts(self) -> np.ndarray:
-        c = np.zeros(self.n_cells, dtype=np.int64)
-        for s in self.sets:
-            c[s] += 1
-        return c
-
-    def max_overlap(self) -> int:
-        if not self.sets:
-            return 0
-        return int(np.max(self.counts()))
 
     @classmethod
     def from_intervals(cls, intervals, grid) -> "CellFamily":
@@ -83,41 +80,35 @@ class CellFamily:
 
 
 def apply_sparse_operator(family: CellFamily, values) -> np.ndarray:
-    """T f on cells; raises EmptyRegionError for a zero-measure set."""
+    """T f on cells."""
     v = np.asarray(values, dtype=float).ravel()
     if v.size != family.n_cells:
         raise ValueError(f"expected {family.n_cells} cell values, got {v.size}")
     out = np.zeros_like(v)
     for s in family.sets:
-        if s.size == 0:
-            raise EmptyRegionError("cannot average over a zero-measure set")
         out[s] += float(np.mean(v[s]))
     return out
 
 
-def operator_norm_check(space, family: CellFamily, values):
-    """||T f||_X versus K ||f||_X with K the exact cell overlap maximum.
+def operator_norm_check(space, family: CellFamily, values, tf):
+    """||T|f|||_X versus K ||f||_X with K the exact cell overlap maximum.
 
-    Returns (lhs, rhs, K, ok).  Zero input is a vacuous pass.
+    ``tf`` is T|f| on the family's cells.  Returns (lhs, rhs, K, ok).  Zero
+    input is a vacuous pass.
     """
-    K = family.max_overlap()
-    tf = apply_sparse_operator(family, np.abs(np.asarray(values, dtype=float)).ravel())
+    K = family.max_overlap
     lhs = space_norm(space, tf, family.cell_measure)
     rhs = K * space_norm(space, values, family.cell_measure)
     ok = lhs <= rhs * (1.0 + norm_tolerance(space)) or lhs == 0.0
     return lhs, rhs, K, ok
 
 
-def modular_contraction_check(young, family: CellFamily, values):
-    """rho(T f / K) <= rho(f) within slack; the convexity form of the bound.
+def modular_contraction_check(young, family: CellFamily, values, tf):
+    """rho(T|f| / K) <= rho(f) within slack; the convexity form of the bound.
 
-    Returns (lhs, rhs, ok).
+    ``tf`` is T|f| on the family's cells.  Returns (lhs, rhs, ok).
     """
-    K = family.max_overlap()
-    v = np.abs(np.asarray(values, dtype=float)).ravel()
-    if K == 0:
-        return 0.0, modular(young, v, family.cell_measure), True
-    tf = apply_sparse_operator(family, v)
-    lhs = modular(young, tf / K, family.cell_measure)
-    rhs = modular(young, v, family.cell_measure)
+    K = family.max_overlap
+    lhs = modular(young, tf / K, family.cell_measure) if K else 0.0
+    rhs = modular(young, values, family.cell_measure)
     return lhs, rhs, lhs <= rhs * (1.0 + MODULAR_SLACK)

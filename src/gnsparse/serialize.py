@@ -17,6 +17,9 @@ from collections import namedtuple
 
 import numpy as np
 
+from .gn import POINTWISE_CONSTANT, STABILITY_TOL
+from .operator import MODULAR_SLACK
+
 CSV_COLUMNS = (
     "case-id",
     "mode",
@@ -47,13 +50,9 @@ def tolerance_note(limits) -> str:
     """One provenance string describing every threshold the verdicts used."""
     return (
         f"overlap<={limits.max_overlap_1d}|{limits.max_overlap_2d}"
-        f" pointwise<=128*(1+{limits.pointwise_slack!r})"
-        " modular<=1+1e-06 gn-drift<=0.01"
+        f" pointwise<={POINTWISE_CONSTANT:g}*(1+{limits.pointwise_slack!r})"
+        f" modular<=1+{MODULAR_SLACK!r} gn-drift<={STABILITY_TOL!r}"
     )
-
-
-def interval_record(iv) -> IntervalRecord:
-    return IntervalRecord(z=float(iv.z), y=float(iv.y), k=int(iv.k), sign=int(iv.sign))
 
 
 def parse_intervals(text: str):

@@ -144,12 +144,14 @@ class YoungFunction:
 
         Each target follows exactly the lo/hi sequence of a scalar loop:
         from lo, hi = 0, 1 double while ``not fn(hi) >= y`` (so a NaN target
-        never brackets), then halve until ``hi - lo <= rel_tol*hi``, moving
-        lo to the midpoint where ``fn(mid) < y`` and hi otherwise; the answer
-        is 0.5*(lo+hi), and 0 for a zero target.  ``fn`` must be elementwise
-        (its value at a point does not depend on the other points passed with
-        it), so one call per step on the still-active targets gives each
-        target the same answer, bit for bit, as inverting it alone.
+        never brackets), then halve until ``hi - lo <= rel_tol*hi`` or no
+        float lies strictly between lo and hi (which stops a target whose
+        answer underflows), moving lo to the midpoint where ``fn(mid) < y``
+        and hi otherwise; the answer is 0.5*(lo+hi), and 0 for a zero target.
+        ``fn`` must be elementwise (its value at a point does not depend on
+        the other points passed with it), so one call per step on the
+        still-active targets gives each target the same answer, bit for bit,
+        as inverting it alone.
         """
         orig_shape = np.shape(targets)
         targets = np.asarray(targets, dtype=float).ravel()
@@ -166,11 +168,13 @@ class YoungFunction:
         if active.size:
             raise OverflowError("monotone inversion failed to bracket")
         active = nonzero
-        for _ in range(iters):
-            active = active[~(hi[active] - lo[active] <= rel_tol * hi[active])]
+        while True:
+            lo_a, hi_a = lo[active], hi[active]
+            mid = 0.5 * (lo_a + hi_a)
+            keep = (hi_a - lo_a > rel_tol * hi_a) & (lo_a < mid) & (mid < hi_a)
+            active, mid = active[keep], mid[keep]
             if active.size == 0:
                 break
-            mid = 0.5 * (lo[active] + hi[active])
             below = fn(mid) < targets[active]
             lo[active[below]] = mid[below]
             hi[active[~below]] = mid[~below]
@@ -269,14 +273,7 @@ class SpaceDescriptor:
             return f"L:{format_index(self.primary)}"
         if self.kind == "lorentz":
             return f"Lor:{format_index(self.primary)},{format_index(self.secondary)}"
-        y = self.young
-        if y.kind == "pow":
-            return f"Orl:pow:{format_index(y.params[0])}"
-        if y.kind == "powlog":
-            return f"Orl:powlog:{format_index(y.params[0])},{y.params[1]}"
-        if y.kind == "exp":
-            return "Orl:exp"
-        return f"Orl:{y.describe()}"
+        return f"Orl:{self.young.describe()}"
 
     def __repr__(self):
         return f"SpaceDescriptor({self.format()!r})"

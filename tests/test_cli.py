@@ -21,6 +21,7 @@ from gnsparse.serialize import (
     rle_decode,
     rle_encode,
     text_report,
+    tolerance_note,
 )
 from gnsparse.spaces import SpaceDescriptor
 from gnsparse.testfunctions import TestFunctionSpec
@@ -117,6 +118,11 @@ class TestReportFormats:
             assert row[0].startswith("bump-")
             assert float(row[10]) > 0
 
+    def test_tolerance_note_reports_the_constants(self):
+        assert tolerance_note(RunLimits()) == (
+            "overlap<=3|5 pointwise<=128*(1+0.02) modular<=1+1e-06 gn-drift<=0.01"
+        )
+
     def test_text_report_structure(self, results):
         lines = text_report(results, RunLimits()).splitlines()
         assert lines[0] == "gnsparse-report 1"
@@ -131,7 +137,7 @@ class TestReportFormats:
         assert records and all(rec.z < rec.y for rec in records)
         grid = Grid1D(*BUMP.window, 256)
         family = CellFamily.from_intervals(records, grid)
-        assert family.max_overlap() == results[0].overlap_max
+        assert family.max_overlap == results[0].overlap_max
 
     def test_reports_are_deterministic(self, results):
         cases = [r.case for r in results]

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from gnsparse import gn as gn_module
+from gnsparse import operator as operator_module
 from gnsparse.errors import AdmissibilityError, CorpusConfigError
 from gnsparse.gn import (
     CHECK_NAMES,
@@ -19,6 +20,7 @@ from gnsparse.gn import (
     run_case,
     run_corpus,
 )
+from gnsparse.operator import CellFamily, apply_sparse_operator
 from gnsparse.spaces import INF, SpaceDescriptor, cl_combine
 from gnsparse.testfunctions import (
     TestFunctionSpec,
@@ -272,6 +274,67 @@ class TestRunCorpus:
         result = run_case(case, checks)
         assert sampled == [256, 512]
         assert result.report == gn_ratio(case)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_case_averages_once_per_field(self, dim, monkeypatch):
+        # one CellFamily per case, T applied to |u| and |u''| once each, and
+        # Z combined once, shared by the Z text and the GN ratio
+        if dim == 1:
+            case = case_1d(BUMP, "L:1", "L:1")
+        else:
+            spec = default_corpus_2d()[0]
+            case = GNCase(spec=spec, j=1, k=2, x_space=P("L:2"), y_space=P("L:2"), n=128)
+        built, averaged, combined = [], [], []
+        inside_induction = []
+
+        for attr in ("from_intervals", "from_masks"):
+            method = getattr(CellFamily, attr).__func__
+
+            def build(cls, *args, method=method, **kwargs):
+                built.append(method.__name__)
+                return method(cls, *args, **kwargs)
+
+            monkeypatch.setattr(CellFamily, attr, classmethod(build))
+
+        def average(family, values):
+            averaged.append(values)
+            return apply_sparse_operator(family, values)
+
+        def combine(*args):
+            if not inside_induction:
+                combined.append(args)
+            return cl_combine(*args)
+
+        def induction(*args):
+            inside_induction.append(True)
+            try:
+                return induction_identity_check(*args)
+            finally:
+                inside_induction.pop()
+
+        monkeypatch.setattr(gn_module, "apply_sparse_operator", average)
+        monkeypatch.setattr(operator_module, "apply_sparse_operator", average)
+        monkeypatch.setattr(gn_module, "cl_combine", combine)
+        monkeypatch.setattr(gn_module, "induction_identity_check", induction)
+        result = run_case(case, CHECK_NAMES)
+        assert result.passed, result.verdicts
+        assert built == ["from_intervals" if dim == 1 else "from_masks"]
+        assert len(averaged) == 2
+        assert averaged[0] is not averaged[1]
+        assert len(combined) == 1
+        assert result.z_text == result.report.z_space.format()
+
+    def test_z_is_combined_on_first_use(self, monkeypatch):
+        # building a case combines nothing; a combination that fails is the
+        # case's error verdict
+        def refuse(*args):
+            raise AdmissibilityError("refused")
+
+        monkeypatch.setattr(gn_module, "cl_combine", refuse)
+        case = case_1d(BUMP, "L:1", "L:1")
+        result = run_case(case, ("overlap", "gn"))
+        assert result.error == "AdmissibilityError: refused"
+        assert result.verdicts == (("overlap", "error"), ("gn", "error"))
 
     def test_overlap_limit_violation_is_named(self):
         limits = RunLimits(max_overlap_1d=2)

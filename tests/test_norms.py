@@ -207,9 +207,7 @@ def scalar_bisect_monotone(fn, targets, rel_tol=1e-12, iters=200):
             lo, hi = hi, hi * 2.0
         else:
             raise OverflowError("monotone inversion failed to bracket")
-        for _ in range(iters):
-            if hi - lo <= rel_tol * hi:
-                break
+        while hi - lo > rel_tol * hi and lo < 0.5 * (lo + hi) < hi:
             mid = 0.5 * (lo + hi)
             if fn(mid) < y:
                 lo = mid
@@ -268,6 +266,22 @@ class TestArrayBisection:
             assert np.array_equal(values, want.reshape(shape))
         assert isinstance(got_scalar, float)
         assert got_scalar == want[-1]
+
+    def test_tiny_values_resolve(self):
+        # exp x pow:2 (theta 1/3) grows like t^(3/2) near 0: its value at
+        # 1e-40 is about 1e-60, far below 2^-200, and at 1e-300 it underflows
+        t = 1e-40
+        # direct inversion: bisect log(inverse(e^x)) = log t over x = log value
+        lo, hi = -1000.0, 0.0
+        while lo < 0.5 * (lo + hi) < hi:
+            mid = 0.5 * (lo + hi)
+            if math.log(_EXP_POW2.inverse(math.exp(mid))) < math.log(t):
+                lo = mid
+            else:
+                hi = mid
+        direct = math.exp(0.5 * (lo + hi))
+        assert _EXP_POW2(t) == pytest.approx(direct, rel=1e-9)
+        assert _EXP_POW2(1e-300) < 1e-300
 
     def test_unreachable_target_fails_to_bracket(self):
         with pytest.raises(OverflowError, match="failed to bracket"):
