@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 
 from .errors import (
     AdmissibilityError,
-    BandPreconditionError,
     ConfigError,
     ConstructionError,
     CorpusConfigError,
@@ -13,7 +12,6 @@ from .errors import (
     GnsparseError,
     ModularRangeError,
     UnresolvableFunctionError,
-    WindowExitError,
     YoungBracketError,
 )
 from .grid import (
@@ -22,7 +20,6 @@ from .grid import (
     GridFunction1D,
     GridFunction2D,
     fd_consistency_error,
-    interval_average,
     interval_integral,
     quadrature_integral,
     quadrature_integral_2d,
@@ -77,7 +74,6 @@ from .gn import (
     first_order_chain_check,
     gn_ratio,
     induction_identity_check,
-    lorentz_parameter_solve,
     run_case,
     run_corpus,
 )

@@ -17,25 +17,12 @@ class EmptyRegionError(GnsparseError):
     """An integral or average was requested over an empty region."""
 
 
-class WindowExitError(GnsparseError):
-    """An escape interval endpoint falls outside the analysis window."""
-
-    def __init__(self, message, node=None, side=None):
-        super().__init__(message)
-        self.node = node
-        self.side = side
-
-
 class CorpusConfigError(GnsparseError):
     """A corpus member is incompatible with the analysis window or config."""
 
 
 class ConstructionError(GnsparseError):
     """A built covering family violates one of its structural guarantees."""
-
-
-class BandPreconditionError(GnsparseError):
-    """An interval handed to a bound check violates the dyadic band condition."""
 
 
 class ModularRangeError(GnsparseError):

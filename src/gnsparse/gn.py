@@ -9,10 +9,11 @@ with Z = X^(j/k) Y^(1-j/k) the Calderon-Lozanovskii product of the two
 spaces.  gn_ratio measures the three norms on one test function and
 reports the empirical ratio, a lower witness for the best constant.
 first_order_chain_check walks the sparse-averaging route to the
-(j, k) = (1, 2) case link by link.  lorentz_parameter_solve and
-induction_identity_check cover the exponent algebra that reduces higher
-orders to that case, and run_corpus drives everything over a case list,
-attaching structural verdicts from the sparse construction itself.
+(j, k) = (1, 2) case link by link.  induction_identity_check covers the
+exponent algebra that reduces higher orders to that case, through the
+cl_combine rules of gnsparse.spaces, and run_corpus drives everything over
+a case list, attaching structural verdicts from the sparse construction
+itself.
 """
 
 from __future__ import annotations
@@ -34,15 +35,7 @@ from .operator import (
 )
 from .sparse1d import build_family_1d, default_k_min, overlap_profile, verify_pointwise_1d
 from .sparse2d import build_family_2d, verify_family_2d
-from .spaces import (
-    INF,
-    SpaceDescriptor,
-    YoungFunction,
-    cl_combine,
-    index_from_reciprocal,
-    index_reciprocal,
-    parse_index,
-)
+from .spaces import INF, SpaceDescriptor, YoungFunction, cl_combine
 from .testfunctions import TestFunctionSpec, grid_for_spec, make_test_function
 
 MODES = ("pure", "gradient", "pure-sum")
@@ -295,39 +288,6 @@ def first_order_chain_check(u, x_space: SpaceDescriptor, y_space: SpaceDescripto
 
 # ---------------------------------------------------------------------------
 # exponent algebra
-
-
-def _coerce_index(value) -> Fraction:
-    if isinstance(value, str):
-        return parse_index(value)
-    v = value if isinstance(value, Fraction) else Fraction(value)
-    if v != INF and v < 1:
-        raise AdmissibilityError(f"index {v} out of range [1, inf]")
-    return v
-
-
-def _solve_exponent(first: Fraction, second: Fraction, j: int, k: int) -> Fraction:
-    rec = j * index_reciprocal(first) + (k - j) * index_reciprocal(second)
-    return index_from_reciprocal(rec / k)
-
-
-def lorentz_parameter_solve(P, p, Q, q, j: int, k: int):
-    """Exact (R, r) with j/P + (k-j)/Q = k/R and j/p + (k-j)/q = k/r.
-
-    Infinity enters as reciprocal zero (the INF sentinel, or the strings
-    the descriptor grammar accepts).  A first index landing on an endpoint
-    forces the secondary index to match, exactly as in the descriptor
-    grammar; any other combination is inadmissible.
-    """
-    if not 1 <= j < k:
-        raise AdmissibilityError(f"orders must satisfy 1 <= j < k, got ({j}, {k})")
-    big = _solve_exponent(_coerce_index(P), _coerce_index(Q), j, k)
-    small = _solve_exponent(_coerce_index(p), _coerce_index(q), j, k)
-    if big == Fraction(1) and small != Fraction(1):
-        raise AdmissibilityError(f"(R, r) = (1, {small}) is not an admissible Lorentz pair")
-    if big == INF and small != INF:
-        raise AdmissibilityError(f"(R, r) = (inf, {small}) is not an admissible Lorentz pair")
-    return big, small
 
 
 @dataclass(frozen=True)

@@ -215,7 +215,3 @@ def interval_integral(fn, z: float, y: float, h_ref: float) -> float:
     v = np.asarray(fn(t), dtype=float)
     step = (y - z) / panels
     return float(step * (np.sum(v) - 0.5 * (v[0] + v[-1])))
-
-
-def interval_average(fn, z: float, y: float, h_ref: float) -> float:
-    return interval_integral(fn, z, y, h_ref) / (y - z)

@@ -306,7 +306,10 @@ def young_equal(a: YoungFunction, b: YoungFunction, rel_tol: float = 1e-9) -> bo
 def cl_combine(x: SpaceDescriptor, y: SpaceDescriptor, theta: Fraction) -> SpaceDescriptor:
     """The space Z with Z = X^theta Y^(1-theta) in the Calderon product sense.
 
-    Only like kinds combine; mixing kinds raises AdmissibilityError.
+    Only like kinds combine; mixing kinds raises AdmissibilityError.  Two
+    Orlicz spaces whose Young functions have the same ``describe()`` string
+    give X itself, by the identity X^theta X^(1-theta) = X; no combined
+    Young function is built for them.
     """
     theta = Fraction(theta)
     if not 0 <= theta <= 1:
@@ -316,14 +319,13 @@ def cl_combine(x: SpaceDescriptor, y: SpaceDescriptor, theta: Fraction) -> Space
     if x.kind == "lebesgue":
         return SpaceDescriptor("lebesgue", primary=harmonic_combine(x.primary, y.primary, theta))
     if x.kind == "lorentz":
+        # primaries in (1, inf) combine to a primary in (1, inf)
         P = harmonic_combine(x.primary, y.primary, theta)
         p = harmonic_combine(x.secondary, y.secondary, theta)
-        if P == Fraction(1) and p == Fraction(1):
-            return SpaceDescriptor("lebesgue", primary=Fraction(1))
-        if P == INF and p == INF:
-            return SpaceDescriptor("lebesgue", primary=INF)
         return SpaceDescriptor("lorentz", primary=P, secondary=p)
     ya, yb = x.young, y.young
+    if ya.describe() == yb.describe():
+        return x
     if ya.kind == "pow" and yb.kind == "pow":
         # (s^(1/p))^theta (s^(1/q))^(1-theta) = s^(1/r) with harmonic r
         return SpaceDescriptor(

@@ -23,13 +23,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    BandPreconditionError,
-    ConstructionError,
-    CorpusConfigError,
-    WindowExitError,
-)
-from .grid import interval_average, interval_integral
+from .errors import ConstructionError, CorpusConfigError
+from .grid import interval_integral
 
 BISECT_TOL_FACTOR = 1e-3  # endpoint tolerance, in grid steps
 
@@ -96,23 +91,13 @@ class SparseFamily1D:
             counts[i0:i1] += 1
         return counts
 
-    def eligible_mask(self) -> np.ndarray:
-        thr = level_floor(self.k_min)
-        return np.abs(self.d1) >= thr
-
-    def exit_mask(self) -> np.ndarray:
-        m = np.zeros(len(self.nodes), dtype=bool)
-        m[self.window_exit_nodes] = True
-        return m
-
 
 class SeededRuns(NamedTuple):
     """The in-band runs of one level and sign that hold a seed, along lines.
 
     A run that closes inside its line gives its line, its first and last
     in-band index and its first seed index.  A run that reaches an end of
-    its line gives instead its seeds, each with its line and whether that
-    end is the right one.
+    its line gives instead its seeds, each with its line.
     """
 
     line: np.ndarray
@@ -121,7 +106,6 @@ class SeededRuns(NamedTuple):
     seed: np.ndarray
     exit_line: np.ndarray
     exit_index: np.ndarray
-    exit_right: np.ndarray
 
 
 def seeded_runs(g: np.ndarray, seeds: np.ndarray, k: int) -> SeededRuns:
@@ -139,8 +123,7 @@ def seeded_runs(g: np.ndarray, seeds: np.ndarray, k: int) -> SeededRuns:
     seed_line, seed_index = np.nonzero(seeds)
     width = g.shape[1]
     run = np.searchsorted(line * width + first, seed_line * width + seed_index, side="right") - 1
-    right = last == width - 1
-    exits = ((first == 0) | right)[run]
+    exits = ((first == 0) | (last == width - 1))[run]
     kept, head = np.unique(run[~exits], return_index=True)
     return SeededRuns(
         line[kept],
@@ -149,7 +132,6 @@ def seeded_runs(g: np.ndarray, seeds: np.ndarray, k: int) -> SeededRuns:
         seed_index[~exits][head],
         seed_line[exits],
         seed_index[exits],
-        right[run[exits]],
     )
 
 
@@ -179,35 +161,6 @@ def _run_ends(u, nodes: np.ndarray, k, sign, first: np.ndarray, last: np.ndarray
         t_out[wide[~inside]] = mid[~inside]
     ends = 0.5 * (t_in + t_out)
     return ends[: len(first)], ends[len(first) :]
-
-
-def escape_interval(u, x: float, sign: int) -> EscapeInterval:
-    """The maximal interval around node x on which sign*u' stays in the band.
-
-    ``u`` is a GridFunction1D.  Raises BandPreconditionError unless
-    sign*u'(x) > 0, and WindowExitError when the band does not close before
-    a window edge.
-    """
-    nodes = u.grid.nodes()
-    v = sign * float(u.evaluate(x, 1))
-    if not (v > 0.0 and math.isfinite(v)):
-        raise BandPreconditionError(f"sign*u'({x}) = {v} is not positive")
-    k = level_index(v)
-    i = int(np.searchsorted(nodes, x))
-    if i >= len(nodes) or not math.isclose(nodes[i], x, abs_tol=1e-12):
-        raise ValueError(f"x = {x} is not a grid node")
-    seeds = np.zeros(len(nodes), dtype=bool)
-    seeds[i] = True
-    runs = seeded_runs(sign * np.asarray(u.d1, dtype=float)[None], seeds[None], k)
-    if runs.exit_index.size:
-        side = "right" if runs.exit_right[0] else "left"
-        raise WindowExitError(
-            f"band of level {k} does not close before the {side} window edge (seed x = {x})",
-            node=i,
-            side=side,
-        )
-    (z,), (y,) = _run_ends(u, nodes, k, sign, runs.first, runs.last)
-    return EscapeInterval(z=float(z), y=float(y), k=k, sign=sign, seed=float(x))
 
 
 def k_min_for_sup(sup: float) -> int:
@@ -319,14 +272,6 @@ def overlap_profile(family):
     return counts, int(np.max(counts))
 
 
-def interval_averages(u, iv: EscapeInterval):
-    """(mean of |u''|, mean of |u|) over an interval, by analytic quadrature."""
-    h = u.grid.h
-    a2 = interval_average(lambda t: np.abs(u.evaluate(t, 2)), iv.z, iv.y, h)
-    a0 = interval_average(lambda t: np.abs(u.evaluate(t, 0)), iv.z, iv.y, h)
-    return a2, a0
-
-
 def _interval_table(u, family: SparseFamily1D):
     """Per family interval: the interval, its node range [i0, i1), and the
     integrals of |u''| and of |u| over it, by analytic quadrature."""
@@ -361,44 +306,11 @@ def verify_pointwise_1d(u, family: SparseFamily1D):
 
 def coverage_report(family: SparseFamily1D):
     """(uncovered eligible non-exit node indices, covered mask)."""
-    counts = family.node_counts()
-    covered = counts > 0
-    should = family.eligible_mask() & ~family.exit_mask()
+    covered = family.node_counts() > 0
+    should = np.abs(family.d1) >= level_floor(family.k_min)
+    should[family.window_exit_nodes] = False
     uncovered = np.nonzero(should & ~covered)[0]
     return uncovered, covered
-
-
-def check_observation_bounds(u, x: float, interval, d: int = 1, slack: float = 0.02):
-    """Verify |u'(x)| <= 4 * int_I |u''| and |u'(x)| <= 2^(d+4)/|I|^2 * int_I |u|.
-
-    ``interval`` is (z, y) or an EscapeInterval containing x; u' must stay
-    within levels k-d..k+d of x's level on I (checked at interior nodes).
-    The level-spread constant 2^(d+4) equals the escape-interval constant 32
-    at d = 1.
-    """
-    z, y = (interval.z, interval.y) if isinstance(interval, EscapeInterval) else interval
-    if not z < x < y:
-        raise BandPreconditionError(f"x = {x} is not interior to ({z}, {y})")
-    v = abs(float(u.evaluate(x, 1)))
-    if v == 0.0:
-        return True, True  # vacuous: both sides zero or positive
-    k = level_index(v)
-    lo = level_floor(k - d)
-    hi = math.ldexp(1.0, k + d)
-    nodes = u.grid.nodes()
-    i0 = int(np.searchsorted(nodes, z, side="right"))
-    i1 = int(np.searchsorted(nodes, y, side="left"))
-    inner = np.abs(u.d1[i0:i1])
-    if inner.size and (np.min(inner) < lo or np.max(inner) >= hi):
-        raise BandPreconditionError(
-            f"|u'| leaves levels {k - d}..{k + d} on ({z}, {y}); the bounds are not claimed there"
-        )
-    h = u.grid.h
-    int_d2 = interval_integral(lambda t: np.abs(u.evaluate(t, 2)), z, y, h)
-    int_u = interval_integral(lambda t: np.abs(u.evaluate(t, 0)), z, y, h)
-    bound_a = 4.0 * int_d2
-    bound_b = math.ldexp(1.0, d + 4) / (y - z) ** 2 * int_u
-    return v <= bound_a * (1.0 + slack), v <= bound_b * (1.0 + slack)
 
 
 def observation_bounds_report(u, family: SparseFamily1D, slack: float = 0.02):

@@ -7,7 +7,6 @@ tolerance, so the suite doubles as a checklist of what the package claims.
 
 import math
 import random
-import shutil
 import subprocess
 import sys
 import time
@@ -17,8 +16,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gnsparse.gn import GNCase, first_order_chain_check, gn_ratio, induction_identity_check, lorentz_parameter_solve
-from gnsparse.grid import Grid1D
+from gnsparse.gn import GNCase, first_order_chain_check, gn_ratio, induction_identity_check
+from gnsparse.grid import Grid1D, interval_integral
 from gnsparse.mollifier import BoundaryContaminationWarning, mollify
 from gnsparse.norms import lebesgue_norm, lorentz_norm, luxemburg_norm, space_norm
 from gnsparse.operator import (
@@ -33,8 +32,7 @@ from gnsparse.spaces import SpaceDescriptor, YoungFunction, cl_combine
 from gnsparse.sparse1d import (
     build_family_1d,
     default_k_min,
-    escape_interval,
-    interval_averages,
+    level_index,
     observation_bounds_report,
     overlap_profile,
     resolved_k_min,
@@ -110,14 +108,20 @@ def test_criterion_02_pointwise_constant(corpus_1024):
         worst_ratio = max(worst_ratio, r1)
         worst_drift = max(worst_drift, drift)
 
-    # spot value: sine at its center node, own level-1 interval
+    # spot value: sine at its center node, own level-1 family interval
     sine = TestFunctionSpec(
         family="sine-window", center=0.0, width=1.0, amplitude=1.0, frequency=1.0,
         window=(-1.5 * math.pi, 1.5 * math.pi), name="spot",
     )
     u = make_test_function(sine, grid_for_spec(sine, 1024))
     x0 = float(u.grid.nodes()[512])
-    a2, a0 = interval_averages(u, escape_interval(u, x0, 1))
+    k = level_index(float(u.evaluate(x0, 1)))
+    fam = build_family_1d(u, default_k_min(u))
+    (iv,) = [iv for iv in fam.intervals if (iv.k, iv.sign) == (k, 1) and iv.contains(x0)]
+    a2, a0 = (
+        interval_integral(lambda t: np.abs(u.evaluate(t, m)), iv.z, iv.y, u.grid.h) / iv.length
+        for m in (2, 0)
+    )
     spot = u.evaluate(x0, 1) ** 2 / (a2 * a0)
     assert spot == pytest.approx(4.386, rel=0.02)
     criterion(
@@ -272,6 +276,11 @@ def test_criterion_09_gn_l1_headline():
     )
 
 
+def harmonic(P, Q, theta):
+    """R with 1/R = theta/P + (1 - theta)/Q, in exact rationals."""
+    return 1 / (theta / P + (1 - theta) / Q)
+
+
 def test_criterion_10_exponent_algebra():
     rng = random.Random(413)
     checked = 0
@@ -284,20 +293,23 @@ def test_criterion_10_exponent_algebra():
         qq = 1 + Fraction(rng.randint(0, 300), rng.randint(1, 60))
         k = rng.choice((2, 3))
         j = rng.randrange(1, k)
-        R, r = lorentz_parameter_solve(Pq, pq, Qq, qq, j, k)
+        theta = Fraction(j, k)
         combined = cl_combine(
             SpaceDescriptor("lorentz", primary=Pq, secondary=pq),
             SpaceDescriptor("lorentz", primary=Qq, secondary=qq),
-            Fraction(j, k),
+            theta,
         )
-        assert combined == SpaceDescriptor("lorentz", primary=R, secondary=r)
+        assert (combined.primary, combined.secondary) == (harmonic(Pq, Qq, theta), harmonic(pq, qq, theta))
         checked += 1
 
     for x, y in ((P("L:1"), P("L:3")), (P("Lor:3,2"), P("Lor:2,2")), (P("Orl:pow:1"), P("Orl:pow:3"))):
         for k in (3, 4):
             result = induction_identity_check(x, y, k)
             assert result.ok, (x.format(), y.format(), k, result.failures)
-    criterion(10, True, "solver matches cl_combine on 50 random tuples; induction identities hold at k = 3, 4")
+    criterion(
+        10, True, "cl_combine matches 1/R = theta/P + (1-theta)/Q on 50 random Lorentz pairs; "
+        "induction identities hold at k = 3, 4"
+    )
 
 
 def test_criterion_11_mollification_contracts():
@@ -319,14 +331,16 @@ def test_criterion_11_mollification_contracts():
     criterion(11, True, f"||mollify(u, 32h)||_X <= ||u||_X in 4 spaces across the corpus (max quotient {worst:.6f})")
 
 
-def test_criterion_12_end_to_end_cli(tmp_path):
-    script = shutil.which("gnsparse")
-    base = [script] if script else [sys.executable, "-m", "gnsparse.cli"]
+def test_criterion_12_end_to_end_cli(tmp_path, source_env):
     elapsed = {}
     for run in ("a", "b"):
         start = time.monotonic()
         proc = subprocess.run(
-            base + ["--out", str(tmp_path / run)], capture_output=True, text=True, timeout=600
+            [sys.executable, "-m", "gnsparse.cli", "--out", str(tmp_path / run)],
+            capture_output=True,
+            text=True,
+            timeout=600,
+            env=source_env,
         )
         elapsed[run] = time.monotonic() - start
         assert proc.returncode == 0, proc.stderr

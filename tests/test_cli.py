@@ -292,12 +292,13 @@ class TestMainExitCodes:
 
 
 class TestEntryPoint:
-    def test_module_invocation(self):
+    def test_module_invocation(self, source_env):
         proc = subprocess.run(
             [sys.executable, "-m", "gnsparse.cli", "--help"],
             capture_output=True,
             text=True,
             timeout=60,
+            env=source_env,
         )
         assert proc.returncode == 0
         assert "--checks" in proc.stdout and "--seed" in proc.stdout

@@ -16,12 +16,11 @@ from gnsparse.gn import (
     first_order_chain_check,
     gn_ratio,
     induction_identity_check,
-    lorentz_parameter_solve,
     run_case,
     run_corpus,
 )
 from gnsparse.operator import CellFamily, apply_sparse_operator
-from gnsparse.spaces import INF, SpaceDescriptor, cl_combine
+from gnsparse.spaces import SpaceDescriptor, cl_combine
 from gnsparse.testfunctions import (
     TestFunctionSpec,
     default_corpus_1d,
@@ -162,41 +161,22 @@ class TestFirstOrderChain:
 
 
 class TestLorentzParameterSolve:
+    """cl_combine at theta = j/k solves j/P + (k-j)/Q = k/R and
+    j/p + (k-j)/q = k/r for the combined indices (R, r)."""
+
     def test_all_l1(self):
-        assert lorentz_parameter_solve(1, 1, 1, 1, 1, 2) == (Fraction(1), Fraction(1))
+        assert cl_combine(P("L:1"), P("L:1"), Fraction(1, 2)) == P("L:1")
 
     def test_half_plus_quarter(self):
-        R, r = lorentz_parameter_solve(2, 2, 4, 4, 1, 2)
-        assert (R, r) == (Fraction(8, 3), Fraction(8, 3))
+        z = cl_combine(P("Lor:2,2"), P("Lor:4,4"), Fraction(1, 2))
+        assert (z.primary, z.secondary) == (Fraction(8, 3), Fraction(8, 3))
 
     def test_reciprocal_of_infinity_is_zero(self):
-        assert lorentz_parameter_solve(INF, INF, 2, 2, 1, 2) == (Fraction(4), Fraction(4))
-
-    def test_string_and_int_inputs_coerce(self):
-        assert lorentz_parameter_solve("inf", "inf", "2", "2", 1, 2) == (Fraction(4), Fraction(4))
+        assert cl_combine(P("L:inf"), P("L:2"), Fraction(1, 2)) == P("L:4")
 
     def test_agrees_with_combined_descriptor(self):
-        R, r = lorentz_parameter_solve(3, 2, 2, 2, 1, 3)
-        assert (R, r) == (Fraction(9, 4), Fraction(2))
         combined = cl_combine(P("Lor:3,2"), P("Lor:2,2"), Fraction(1, 3))
-        assert combined == SpaceDescriptor("lorentz", primary=R, secondary=r)
-
-    def test_integral_endpoint_must_pair(self):
-        # R = 1 forces r = 1
-        with pytest.raises(AdmissibilityError):
-            lorentz_parameter_solve(1, 1, 1, 2, 1, 2)
-
-    def test_supremum_endpoint_must_pair(self):
-        # R = inf forces r = inf
-        with pytest.raises(AdmissibilityError):
-            lorentz_parameter_solve(INF, 2, INF, 2, 1, 2)
-        assert lorentz_parameter_solve(INF, INF, INF, INF, 1, 2) == (INF, INF)
-
-    def test_rejects_bad_orders_and_indices(self):
-        with pytest.raises(AdmissibilityError):
-            lorentz_parameter_solve(2, 2, 2, 2, 2, 2)
-        with pytest.raises(AdmissibilityError):
-            lorentz_parameter_solve(Fraction(1, 2), 1, 1, 1, 1, 2)
+        assert combined == SpaceDescriptor("lorentz", primary=Fraction(9, 4), secondary=Fraction(2))
 
 
 class TestInductionIdentities:

@@ -18,6 +18,7 @@ from gnsparse.norms import (
     norm_tolerance,
     space_norm,
 )
+from gnsparse import spaces as spaces_module
 from gnsparse.rearrangement import RearrangementProfile, equimeasurable
 from gnsparse.spaces import (
     INF,
@@ -175,6 +176,21 @@ class TestCombination:
         y = SpaceDescriptor.parse("Orl:pow:2")
         assert cl_combine(x, y, Fraction(1)) == x
         assert cl_combine(x, y, Fraction(0)) == y
+
+    def test_equal_young_functions_give_x(self, monkeypatch):
+        # X^theta X^(1-theta) = X, decided on describe() strings, so no
+        # combined Young function is built
+        x = SpaceDescriptor.parse("Orl:powlog:1,1")
+        y = SpaceDescriptor.parse("Orl:powlog:1,1")
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("cl_combine built a Young function")
+
+        monkeypatch.setattr(spaces_module, "YoungFunction", no_build)
+        for theta in (Fraction(1, 2), Fraction(1, 3)):
+            z = cl_combine(x, y, theta)
+            assert z is x
+            assert z.format() == "Orl:powlog:1,1"
 
     def test_idempotence(self):
         for text in ("L:2", "Lor:2,3", "Orl:pow:2", "Orl:exp"):

@@ -7,18 +7,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gnsparse.errors import BandPreconditionError, CorpusConfigError, WindowExitError
-from gnsparse.grid import Grid1D
+from gnsparse.errors import CorpusConfigError
+from gnsparse.gn import MODULAR_YOUNGS
+from gnsparse.grid import Grid1D, interval_integral
+from gnsparse.operator import (
+    CellFamily,
+    apply_sparse_operator,
+    modular_contraction_check,
+    operator_norm_check,
+)
+from gnsparse.spaces import SpaceDescriptor
 from gnsparse.sparse1d import (
     BISECT_TOL_FACTOR,
     band_edges,
     build_family_1d,
-    check_observation_bounds,
     coverage_report,
     default_k_min,
-    escape_interval,
     factorized_bounds_report,
-    interval_averages,
     level_floor,
     level_index,
     observation_bounds_report,
@@ -60,6 +65,19 @@ def gaussian_function(n=1200, window=(-6.0, 6.0)):
     return make_test_function(spec, Grid1D(window[0], window[1], n))
 
 
+def seed_interval(u, x, sign):
+    """The default family's interval of node x's own (k, sign) that holds x."""
+    k = level_index(sign * float(u.evaluate(x, 1)))
+    fam = build_family_1d(u, default_k_min(u))
+    (iv,) = [iv for iv in fam.intervals if (iv.k, iv.sign) == (k, sign) and iv.contains(x)]
+    return iv
+
+
+def interval_mean(u, iv, order):
+    """Mean of |u^(order)| over an interval, by the family's quadrature."""
+    return interval_integral(lambda t: np.abs(u.evaluate(t, order)), iv.z, iv.y, u.grid.h) / iv.length
+
+
 class TestLevelIndex:
     def test_known_values(self):
         assert level_index(1.0) == 1
@@ -93,7 +111,7 @@ class TestEscapeInterval:
         u = sine_function()
         x0 = float(u.grid.nodes()[512])
         assert x0 == pytest.approx(0.0, abs=1e-12)
-        iv = escape_interval(u, x0, 1)
+        iv = seed_interval(u, x0, 1)
         assert iv.k == 1
         assert iv.sign == 1
         assert iv.z == pytest.approx(-math.pi / 3, abs=1e-3)
@@ -122,7 +140,7 @@ class TestEscapeInterval:
 
         z_exp = bisect(-2.0, -1.0)
         y_exp = bisect(-0.3, -0.01)
-        iv = escape_interval(u, x0, 1)
+        iv = seed_interval(u, x0, 1)
         assert iv.k == 0
         assert iv.z == pytest.approx(z_exp, abs=1e-4)
         assert iv.y == pytest.approx(y_exp, abs=1e-4)
@@ -134,33 +152,23 @@ class TestEscapeInterval:
         u = gaussian_function()
         x0 = float(u.grid.nodes()[650])
         assert x0 == pytest.approx(0.5, abs=1e-12)
-        iv = escape_interval(u, x0, -1)
+        iv = seed_interval(u, x0, -1)
         assert iv.k == 0
         assert iv.z == pytest.approx(0.12703, abs=1e-3)
         assert iv.y == pytest.approx(1.59589, abs=1e-3)
 
-    def test_wrong_sign_fails_precondition(self):
-        u = gaussian_function()
-        x0 = float(u.grid.nodes()[650])  # u'(0.5) < 0
-        with pytest.raises(BandPreconditionError):
-            escape_interval(u, x0, 1)
-
-    def test_zero_slope_fails_precondition(self):
-        u = gaussian_function()
-        x0 = float(u.grid.nodes()[600])  # u'(0) = 0
-        assert x0 == pytest.approx(0.0, abs=1e-12)
-        with pytest.raises(BandPreconditionError):
-            escape_interval(u, x0, 1)
-
     def test_window_exit_raises(self):
         # on (-1.2, 1.2) the level-0 band [1/4, 2) never closes to the right
-        # of x = 1: |u'(1.2)| = 2.4 exp(-1.44) > 1/4
+        # of x = 1: |u'(1.2)| = 2.4 exp(-1.44) > 1/4, so the node nearest 1
+        # is a window exit, and exits past 1% of the eligible nodes raise
         u = gaussian_function(n=1024, window=(-1.2, 1.2))
-        nodes = u.grid.nodes()
-        i = int(np.argmin(np.abs(nodes - 1.0)))
-        with pytest.raises(WindowExitError) as err:
-            escape_interval(u, float(nodes[i]), -1)
-        assert err.value.side == "right"
+        i = int(np.argmin(np.abs(u.grid.nodes() - 1.0)))
+        assert i == 939
+        with pytest.raises(CorpusConfigError):
+            build_family_1d(u, default_k_min(u))
+        fam = build_family_1d(u, default_k_min(u), exit_fraction_limit=1.0)
+        assert i in fam.window_exit_nodes
+        assert not any(iv.contains(u.grid.nodes()[i]) for iv in fam.intervals if iv.sign == -1 and iv.k == 0)
 
 
 class TestFamilyConstruction:
@@ -294,8 +302,8 @@ class TestPointwiseBound:
         # 3/(2 pi), so the own-interval ratio is (2 pi / 3)^2
         u = sine_function()
         x0 = float(u.grid.nodes()[512])
-        iv = escape_interval(u, x0, 1)
-        a2, a0 = interval_averages(u, iv)
+        iv = seed_interval(u, x0, 1)
+        a2, a0 = interval_mean(u, iv, 2), interval_mean(u, iv, 0)
         assert a2 == pytest.approx(3.0 / (2.0 * math.pi), abs=1e-4)
         assert a0 == pytest.approx(3.0 / (2.0 * math.pi), abs=1e-4)
         ratio = 1.0 / (a2 * a0)
@@ -315,39 +323,17 @@ class TestPointwiseBound:
 class TestObservationBounds:
     def test_sine_bound_values(self):
         # int |u''| over (-pi/3, pi/3) is 2(1 - cos(pi/3)) = 1, giving
-        # bound (a) = 4; bound (b) = 32/(2 pi/3)^2 * 1 = 72/pi^2
+        # bound (a) = 4; bound (b) = 32/(2 pi/3)^2 * int |u| = 72/pi^2
         u = sine_function()
         x0 = float(u.grid.nodes()[512])
-        iv = escape_interval(u, x0, 1)
-        ok_a, ok_b = check_observation_bounds(u, x0, iv, d=1)
-        assert ok_a and ok_b
-        assert 4.0 * 2.0 * (1.0 - math.cos(math.pi / 3)) == pytest.approx(4.0)
-        bound_b = 32.0 / (2.0 * math.pi / 3.0) ** 2 * 2.0 * (1.0 - math.cos(math.pi / 3))
-        assert bound_b == pytest.approx(72.0 / math.pi**2, rel=1e-12)
-        assert abs(u.evaluate(x0, 1)) <= bound_b
-
-    def test_band_spread_precondition_enforced(self):
-        # widening the interval past the cos = 1/4 crossing leaves the
-        # level window k-1..k+1 of the seed
-        u = sine_function()
-        x0 = float(u.grid.nodes()[512])
-        with pytest.raises(BandPreconditionError):
-            check_observation_bounds(u, x0, (-1.5, 1.5), d=1)
-
-    def test_wider_spread_accepts_wider_interval(self):
-        # (-1.31, 1.31) spans cos values in [0.2579, 1]: inside levels
-        # k-2..k+2 of the seed but outside k-1..k+1
-        u = sine_function()
-        x0 = float(u.grid.nodes()[512])
-        with pytest.raises(BandPreconditionError):
-            check_observation_bounds(u, x0, (-1.31, 1.31), d=1)
-        ok_a, ok_b = check_observation_bounds(u, x0, (-1.31, 1.31), d=2)
-        assert ok_a and ok_b
-
-    def test_point_outside_interval_rejected(self):
-        u = sine_function()
-        with pytest.raises(BandPreconditionError):
-            check_observation_bounds(u, 2.0, (-1.0, 1.0), d=1)
+        iv = seed_interval(u, x0, 1)
+        bound_a = 4.0 * iv.length * interval_mean(u, iv, 2)
+        bound_b = 32.0 / iv.length * interval_mean(u, iv, 0)
+        assert bound_a == pytest.approx(4.0, abs=1e-3)
+        assert bound_b == pytest.approx(72.0 / math.pi**2, abs=1e-3)
+        assert abs(u.evaluate(x0, 1)) <= min(bound_a, bound_b)
+        worst_a, worst_b, ok = observation_bounds_report(u, build_family_1d(u, default_k_min(u)))
+        assert ok and worst_a <= 1.0 and worst_b <= 1.0
 
     @pytest.mark.parametrize("spec", default_corpus_1d(), ids=lambda s: s.name)
     def test_corpus_observation_report(self, spec):
@@ -465,3 +451,21 @@ def test_random_families_match_oracle_and_cover(u):
     assert worst <= 3
     uncovered, _ = coverage_report(fam)
     assert uncovered.size == 0
+
+
+@settings(max_examples=30, derandomize=True, deadline=None, database=None)
+@given(localized_functions())
+def test_random_families_bound_the_operator(u):
+    # ||T|f|||_X <= K ||f||_X for |u''| and |u|, and rho(T|u|/K) <= rho(|u|)
+    fam = build_family_1d(u, default_k_min(u), exit_fraction_limit=1.0)
+    cells = CellFamily.from_intervals(fam.intervals, u.grid)
+    f0, f2 = (np.abs(u.center_values(m)) for m in (0, 2))
+    t0, t2 = apply_sparse_operator(cells, f0), apply_sparse_operator(cells, f2)
+    for text in ("L:1", "L:inf", "Lor:3/2,2", "Orl:pow:2"):
+        space = SpaceDescriptor.parse(text)
+        for f, tf in ((f2, t2), (f0, t0)):
+            lhs, rhs, _, ok = operator_norm_check(space, cells, f, tf)
+            assert ok, f"{text}: {lhs!r} > {rhs!r}"
+    for young in MODULAR_YOUNGS:
+        lhs, rhs, ok = modular_contraction_check(young, cells, f0, t0)
+        assert ok, f"{young.describe()}: {lhs!r} > {rhs!r}"
