@@ -13,6 +13,7 @@ from .errors import (
     ModularRangeError,
     UnresolvableFunctionError,
     YoungBracketError,
+    YoungInversionError,
 )
 from .grid import (
     Grid1D,

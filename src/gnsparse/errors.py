@@ -43,3 +43,10 @@ class AdmissibilityError(GnsparseError):
 
 class ConfigError(GnsparseError):
     """A run configuration cannot be parsed or validated (CLI exit status 2)."""
+
+
+class YoungInversionError(GnsparseError):
+    """A Young-function inversion got a NaN target or did not converge.
+
+    Distinct from OverflowError, which means a value too large for a float.
+    """

@@ -23,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import AdmissibilityError
+from .errors import AdmissibilityError, YoungInversionError
 
 INF = Fraction(-1)  # sentinel; never a legal index value itself
 
@@ -64,12 +64,63 @@ def index_float(value: Fraction) -> float:
     return math.inf if value == INF else float(value)
 
 
+NEWTON_REL_TOL = 1e-13
+NEWTON_MAX_STEPS = 100
+
+
+def _newton(fn, targets, start):
+    """Solve fn(x) = y for every target y of a 1-D array, all targets at once.
+
+    ``fn`` maps a 1-D array x to (value, derivative) elementwise and must be
+    increasing.  Each target keeps a bracket (lo, hi), open at first, that
+    every evaluation tightens.  A target is done when its Newton step is at
+    most NEWTON_REL_TOL*max(1, |x|), when fn hits it exactly, or when its
+    bracket is that narrow.  Otherwise a Newton step that leaves the bracket
+    (or a derivative that is not positive) is replaced by the bracket's
+    midpoint, or by a step of 2 towards the target while that side is
+    open.  Infinite targets give infinite answers.  A NaN target, or a
+    target not met within NEWTON_MAX_STEPS evaluations, raises
+    YoungInversionError.
+    """
+    y = np.asarray(targets, dtype=float)
+    if np.any(np.isnan(y)):
+        raise YoungInversionError("cannot invert a Young function at NaN")
+    out = np.where(np.isinf(y), y, start)
+    lo = np.full_like(y, -math.inf)
+    hi = np.full_like(y, math.inf)
+    active = np.flatnonzero(np.isfinite(y))
+    for _ in range(NEWTON_MAX_STEPS):
+        if active.size == 0:
+            return out
+        x = out[active]
+        value, slope = fn(x)
+        r = value - y[active]
+        lo_a = np.where(r < 0.0, x, lo[active])
+        hi_a = np.where(r > 0.0, x, hi[active])
+        step = np.zeros_like(r)
+        with np.errstate(over="ignore"):
+            np.divide(-r, slope, out=step, where=slope > 0.0)
+        x_new = x + step
+        tol = NEWTON_REL_TOL * np.maximum(1.0, np.abs(x))
+        converged = (r == 0.0) | ((slope > 0.0) & (np.abs(step) <= tol))
+        fallback = ~converged & ~((slope > 0.0) & (lo_a < x_new) & (x_new < hi_a))
+        closed = fallback & np.isfinite(lo_a) & np.isfinite(hi_a)
+        x_new[fallback] = x[fallback] - 2.0 * np.sign(r[fallback])
+        x_new[closed] = 0.5 * (lo_a[closed] + hi_a[closed])
+        out[active] = x_new
+        lo[active] = lo_a
+        hi[active] = hi_a
+        active = active[~(converged | (hi_a - lo_a <= tol))]
+    raise YoungInversionError(f"Young-function inversion did not converge in {NEWTON_MAX_STEPS} steps")
+
+
 class YoungFunction:
     """A Young function with a usable inverse.
 
-    ``kind`` is one of pow/powlog/exp/combined.  Forward evaluation of a
-    combined function inverts its inverse numerically; everything else is
-    closed form.
+    ``kind`` is one of pow/powlog/exp/combined.  The ``powlog`` inverse and
+    the forward value of a combined function are found by Newton's method
+    (``_newton``) on the log-domain inverse ``_log_inverse``; everything
+    else is closed form.
     """
 
     def __init__(self, kind, params=(), factors=None, theta=None):
@@ -81,17 +132,20 @@ class YoungFunction:
             (p,) = params
             if p == INF or p < 1:
                 raise AdmissibilityError(f"power Young function needs finite p >= 1, got {format_index(p)}")
+            self._p = float(p)
         elif kind == "powlog":
             p, a = params
             if p == INF or p < 1:
                 raise AdmissibilityError("power-log Young function needs finite p >= 1")
             if p == 1 and a < 0:
                 raise AdmissibilityError("power-log with p = 1 needs a >= 0 for convexity")
+            self._p, self._a = float(p), float(a)
         elif kind == "exp":
             pass
         elif kind == "combined":
             if factors is None or theta is None:
                 raise AdmissibilityError("combined Young function needs factors and theta")
+            self._theta = float(theta)
         else:
             raise AdmissibilityError(f"unknown Young function kind {kind!r}")
         self._validate()
@@ -101,10 +155,9 @@ class YoungFunction:
         if np.any(t < 0.0):
             raise ValueError("Young functions take nonnegative arguments")
         if self.kind == "pow":
-            out = t ** index_float(self.params[0])
+            out = t**self._p
         elif self.kind == "powlog":
-            p, a = self.params
-            out = t ** index_float(p) * np.log(math.e + t) ** float(a)
+            out = t**self._p * np.log(math.e + t) ** self._a
         elif self.kind == "exp":
             with np.errstate(over="raise"):
                 try:
@@ -112,7 +165,13 @@ class YoungFunction:
                 except FloatingPointError:
                     raise OverflowError(f"exp Young function overflowed at t = {np.max(t)}")
         else:
-            out = self._invert_inverse(t)
+            # psi(t) = e^x where log psi^{-1}(e^x) = log t; values below the
+            # smallest float underflow to 0
+            out = np.zeros_like(t)
+            nonzero = t != 0.0
+            log_t = np.log(t[nonzero])
+            with np.errstate(over="ignore"):
+                out[nonzero] = np.exp(_newton(self._log_inverse, log_t, log_t))
         out = np.asarray(out)
         if np.any(np.isinf(out)):
             raise OverflowError("Young function overflowed")
@@ -124,63 +183,45 @@ class YoungFunction:
         if np.any(s < 0.0):
             raise ValueError("inverse takes nonnegative arguments")
         if self.kind == "pow":
-            out = s ** (1.0 / index_float(self.params[0]))
+            out = s ** (1.0 / self._p)
         elif self.kind == "exp":
             out = np.log1p(s)
         elif self.kind == "combined":
-            th = float(self.theta)
+            th = self._theta
             out = np.asarray(self.factors[0].inverse(s)) ** th * np.asarray(self.factors[1].inverse(s)) ** (1.0 - th)
         else:
-            out = self._bisect_monotone(lambda t: self(t), s)
+            out = s.copy()
+            solve = (s != 0.0) & (s != math.inf)
+            out[solve] = np.exp(self._log_inverse(np.log(s[solve]))[0])
         out = np.asarray(out)
         return out if out.shape else float(out)
 
-    def _invert_inverse(self, t):
-        return self._bisect_monotone(lambda s: self.inverse(s), t)
+    def _log_inverse(self, y):
+        """log phi^{-1}(e^y) and its derivative in y, for a 1-D array y."""
+        if self.kind == "pow":
+            return y / self._p, np.full_like(y, 1.0 / self._p)
+        if self.kind == "exp":
+            # log log(1 + e^y); below y = -40 it equals y to within 1e-17
+            out, slope = y.copy(), np.ones_like(y)
+            big = y >= -40.0
+            la = np.logaddexp(0.0, y[big])
+            out[big] = np.log(la)
+            slope[big] = np.exp(y[big] - la) / la
+            return out, slope
+        if self.kind == "powlog":
+            # x = log t solves p x + a log log(e + e^x) = y
+            p, a = self._p, self._a
 
-    @staticmethod
-    def _bisect_monotone(fn, targets, rel_tol=1e-12, iters=200):
-        """Solve fn(t) = y for every target y by bisection, all targets at once.
+            def log_phi(x):
+                lx = np.logaddexp(1.0, x)
+                return p * x + a * np.log(lx), p + a * np.exp(x - lx) / lx
 
-        Each target follows exactly the lo/hi sequence of a scalar loop:
-        from lo, hi = 0, 1 double while ``not fn(hi) >= y`` (so a NaN target
-        never brackets), then halve until ``hi - lo <= rel_tol*hi`` or no
-        float lies strictly between lo and hi (which stops a target whose
-        answer underflows), moving lo to the midpoint where ``fn(mid) < y``
-        and hi otherwise; the answer is 0.5*(lo+hi), and 0 for a zero target.
-        ``fn`` must be elementwise (its value at a point does not depend on
-        the other points passed with it), so one call per step on the
-        still-active targets gives each target the same answer, bit for bit,
-        as inverting it alone.
-        """
-        orig_shape = np.shape(targets)
-        targets = np.asarray(targets, dtype=float).ravel()
-        nonzero = np.flatnonzero(targets != 0.0)
-        lo = np.zeros_like(targets)
-        hi = np.ones_like(targets)
-        active = nonzero
-        for _ in range(iters):
-            if active.size == 0:
-                break
-            active = active[~(fn(hi[active]) >= targets[active])]
-            lo[active] = hi[active]
-            hi[active] *= 2.0
-        if active.size:
-            raise OverflowError("monotone inversion failed to bracket")
-        active = nonzero
-        while True:
-            lo_a, hi_a = lo[active], hi[active]
-            mid = 0.5 * (lo_a + hi_a)
-            keep = (hi_a - lo_a > rel_tol * hi_a) & (lo_a < mid) & (mid < hi_a)
-            active, mid = active[keep], mid[keep]
-            if active.size == 0:
-                break
-            below = fn(mid) < targets[active]
-            lo[active[below]] = mid[below]
-            hi[active[~below]] = mid[~below]
-        out = np.zeros_like(targets)
-        out[nonzero] = 0.5 * (lo[nonzero] + hi[nonzero])
-        return out.reshape(orig_shape)
+            x = _newton(log_phi, y, y / p)
+            return x, 1.0 / log_phi(x)[1]
+        th = self._theta
+        out_a, slope_a = self.factors[0]._log_inverse(y)
+        out_b, slope_b = self.factors[1]._log_inverse(y)
+        return th * out_a + (1.0 - th) * out_b, th * slope_a + (1.0 - th) * slope_b
 
     def _validate(self, samples=40):
         # midpoint convexity plus inverse consistency on a log grid

@@ -5,10 +5,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gnsparse.errors import AdmissibilityError, ModularRangeError, YoungBracketError
+from gnsparse.errors import AdmissibilityError, ModularRangeError, YoungBracketError, YoungInversionError
 from gnsparse.norms import (
     cl_factorization_check,
     lebesgue_norm,
@@ -209,7 +209,8 @@ class TestCombination:
 
 
 def scalar_bisect_monotone(fn, targets, rel_tol=1e-12, iters=200):
-    """The per-target loop YoungFunction._bisect_monotone must reproduce."""
+    """Solve fn(t) = y by bisection, one target at a time: the oracle that
+    the Newton inversions in spaces.YoungFunction are checked against."""
     orig_shape = np.shape(targets)
     targets = np.atleast_1d(np.asarray(targets, dtype=float))
     out = np.zeros_like(targets)
@@ -241,15 +242,14 @@ _BISECTION_TARGETS = np.concatenate([[0.0, 1e-300], np.logspace(-12.0, 8.0, 302)
 
 
 def exact_hits(fn):
-    # targets that some midpoint of the bisection meets exactly, so the
-    # tie rule (fn(mid) == y moves hi) decides the answer
+    # targets that some midpoint of the oracle's bisection meets exactly
     return fn(np.array([0.75, 1.5, 3.0, 6.0]))
 
 
 class TestArrayBisection:
-    # (Young function, evaluation that runs through _bisect_monotone, targets);
-    # the powlog product nests two bisections, so it gets 0, 1e-300 and
-    # every 20th of the rest
+    # (Young function, evaluation that runs the Newton kernel, targets); the
+    # oracle for the powlog product calls the powlog inverse once per scalar
+    # step, so it gets 0, 1e-300 and every 20th of the rest
     CASES = {
         "exp x pow:2": (_EXP_POW2, "__call__", _BISECTION_TARGETS),
         "combined of combined": (
@@ -268,20 +268,20 @@ class TestArrayBisection:
     }
 
     @pytest.mark.parametrize("name", sorted(CASES))
-    def test_matches_scalar_loop(self, name, monkeypatch):
+    def test_matches_scalar_loop(self, name):
         young, method, targets = self.CASES[name]
         evaluate = getattr(young, method)
-        # forward evaluation bisects the inverse and vice versa
-        targets = np.concatenate([targets, exact_hits(young.inverse if method == "__call__" else young)])
+        # a forward value inverts the inverse and vice versa
+        closed_form = young.inverse if method == "__call__" else young
+        targets = np.concatenate([targets, exact_hits(closed_form)])
+        want = scalar_bisect_monotone(closed_form, targets)
         got = {shape: evaluate(targets.reshape(shape)) for shape in ((-1,), (2, -1))}
         got_scalar = evaluate(float(targets[-1]))
-        monkeypatch.setattr(YoungFunction, "_bisect_monotone", staticmethod(scalar_bisect_monotone))
-        want = evaluate(targets)
         for shape, values in got.items():
             assert values.shape == targets.reshape(shape).shape
-            assert np.array_equal(values, want.reshape(shape))
+            np.testing.assert_allclose(values, want.reshape(shape), rtol=1e-12, atol=0.0)
         assert isinstance(got_scalar, float)
-        assert got_scalar == want[-1]
+        assert got_scalar == pytest.approx(want[-1], rel=1e-12)
 
     def test_tiny_values_resolve(self):
         # exp x pow:2 (theta 1/3) grows like t^(3/2) near 0: its value at
@@ -299,15 +299,43 @@ class TestArrayBisection:
         assert _EXP_POW2(t) == pytest.approx(direct, rel=1e-9)
         assert _EXP_POW2(1e-300) < 1e-300
 
-    def test_unreachable_target_fails_to_bracket(self):
-        with pytest.raises(OverflowError, match="failed to bracket"):
-            YoungFunction._bisect_monotone(lambda t: np.minimum(t, 1.0), np.array([0.5, 2.0]))
-        with pytest.raises(OverflowError, match="failed to bracket"):
-            YoungFunction._bisect_monotone(lambda t: np.minimum(t, 1.0), 2.0)
+    @staticmethod
+    def bounded_log_inverse(y):
+        # an increasing log-inverse that never leaves (-1, 1)
+        return np.tanh(y), 1.0 - np.tanh(y) ** 2
 
-    def test_nan_target_fails_to_bracket(self):
-        with pytest.raises(OverflowError, match="failed to bracket"):
-            YoungFunction._bisect_monotone(np.asarray, np.array([1.0, math.nan]))
+    def test_unreachable_target_raises_inversion_error(self, monkeypatch):
+        with pytest.raises(YoungInversionError, match="did not converge"):
+            spaces_module._newton(self.bounded_log_inverse, np.array([0.5, 2.0]), np.zeros(2))
+        young = YoungFunction("combined", factors=(_EXP, _POW2), theta=Fraction(1, 3))
+        monkeypatch.setattr(young, "_log_inverse", self.bounded_log_inverse)
+        assert young(1.0) == 1.0  # log t = 0 = tanh(0)
+        with pytest.raises(YoungInversionError, match="did not converge"):
+            young(np.array([1.0, 10.0]))  # log 10 > 1
+
+    def test_nan_target_raises_inversion_error(self):
+        with pytest.raises(YoungInversionError, match="NaN"):
+            spaces_module._newton(self.bounded_log_inverse, np.array([0.5, math.nan]), np.zeros(2))
+        with pytest.raises(YoungInversionError, match="NaN"):
+            _EXP_POW2(np.array([1.0, math.nan]))
+        with pytest.raises(YoungInversionError, match="NaN"):
+            _POWLOG.inverse(math.nan)
+
+    def test_infinite_arguments(self):
+        # an infinite forward value is real overflow, not a solver failure
+        assert _POWLOG.inverse(math.inf) == math.inf
+        with pytest.raises(OverflowError):
+            _EXP_POW2(math.inf)
+        with pytest.raises(OverflowError):
+            _EXP_POW2(1e200)  # finite argument, value beyond the largest float
+
+    def test_luxemburg_norm_lets_inversion_error_through(self, monkeypatch):
+        # an OverflowError in the modular reads as rho = inf; a solver
+        # failure must not be mistaken for one
+        young = YoungFunction("combined", factors=(_EXP, _POW2), theta=Fraction(1, 3))
+        monkeypatch.setattr(young, "_log_inverse", self.bounded_log_inverse)
+        with pytest.raises(YoungInversionError):
+            luxemburg_norm(np.array([1.0, 0.01]), 0.5, young)
 
 
 class TestNorms:
@@ -436,23 +464,37 @@ class TestFactorization:
             )
 
 
+def _product(x, y, theta):
+    return cl_combine(SpaceDescriptor.parse(f"Orl:{x}"), SpaceDescriptor.parse(f"Orl:{y}"), theta).young
+
+
 @st.composite
-def exp_pow_products(draw):
+def young_products(draw):
+    # exp x pow:q, or powlog:p,a x (exp or pow:q), either factor first
     q = draw(st.sampled_from([Fraction(3, 2), Fraction(2), Fraction(3)]))
     theta = Fraction(draw(st.integers(1, 63)), 64)
     factors = (_EXP, YoungFunction("pow", (q,)))
+    if draw(st.booleans()):
+        p = draw(st.sampled_from([Fraction(1), Fraction(3, 2), Fraction(2)]))
+        a = draw(st.sampled_from([Fraction(0), Fraction(1), Fraction(2)]))
+        factors = (YoungFunction("powlog", (p, a)), draw(st.sampled_from(factors)))
     if draw(st.booleans()):
         factors = factors[::-1]
     return YoungFunction("combined", factors=factors, theta=theta)
 
 
-@settings(max_examples=15, derandomize=True, deadline=None, database=None)
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
 @given(
-    young=exp_pow_products(),
+    young=young_products(),
     values=st.lists(st.floats(1e-3, 1e2), min_size=1, max_size=64),
     c=st.floats(0.1, 10.0),
     t=st.floats(1e-6, 30.0),
 )
+# the derandomized draws leave out a = 0 and p = 2; pin them in both orders
+@example(young=_product("powlog:2,0", "exp", Fraction(1, 3)), values=[0.5, 3.0, 40.0], c=2.5, t=7.0)
+@example(young=_product("pow:3/2", "powlog:1,0", Fraction(1, 2)), values=[0.5, 3.0, 40.0], c=0.3, t=1e-3)
+@example(young=_product("powlog:2,2", "pow:2", Fraction(3, 4)), values=[1e-3, 1.0, 90.0], c=4.0, t=25.0)
+@example(young=_product("exp", "powlog:2,1", Fraction(1, 5)), values=[2.0], c=0.7, t=0.2)
 def test_combined_orlicz_properties(young, values, c, t):
     space = SpaceDescriptor("orlicz", young=young)
     f = np.array(values)
