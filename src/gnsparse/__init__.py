@@ -55,7 +55,6 @@ from .sparse1d import (
     SparseFamily1D,
     build_family_1d,
     default_k_min,
-    overlap_profile,
     resolved_k_min,
     verify_pointwise_1d,
 )
@@ -71,7 +70,6 @@ from .gn import (
     CHECK_NAMES,
     GNCase,
     GNReport,
-    RunLimits,
     first_order_chain_check,
     gn_ratio,
     induction_identity_check,

@@ -1,11 +1,12 @@
 """Batch entry point: config-driven corpus verification with file reports.
 
 A run configuration is an INI file declaring the corpus functions, the
-measurement cases over them, which checks to attach, and the verdict
-limits.  The bundled default configuration encodes the full verification
-suite, so ``gnsparse`` with no arguments runs it.  Exit status: 0 when
-every verdict passes, 1 when at least one check fails (the first failure
-goes to stderr), 2 for configuration or write errors.
+measurement cases over them, and which checks to attach; the verdict
+thresholds are the paper's constants, not settings.  The bundled default
+configuration encodes the full verification suite, so ``gnsparse`` with
+no arguments runs it.  Exit status: 0 when every verdict passes, 1 when at
+least one check fails (the first failure goes to stderr), 2 for
+configuration or write errors.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import sys
 from dataclasses import dataclass
 
 from .errors import AdmissibilityError, ConfigError, CorpusConfigError
-from .gn import CHECK_NAMES, GNCase, RunLimits, run_corpus
+from .gn import CHECK_NAMES, GNCase, run_corpus
 from .serialize import atomic_write_text, csv_report, text_report
 from .spaces import SpaceDescriptor
 from .testfunctions import TestFunctionSpec
@@ -32,7 +33,6 @@ class RunConfig:
     corpus: dict
     cases: list
     checks: tuple
-    limits: RunLimits
     format: str
     out_dir: str
 
@@ -127,35 +127,17 @@ def _get_int(section, key: str, default: int, label: str) -> int:
         raise ConfigError(f"{label}: {key} must be an integer, got {raw!r}") from exc
 
 
-def _limits_from(parser: configparser.ConfigParser) -> RunLimits:
-    if not parser.has_section("limits"):
-        return RunLimits()
-    section = parser["limits"]
-    defaults = RunLimits()
-    both = _get_int(section, "max-overlap", 0, "limits")
-    kwargs = {
-        "max_overlap_1d": _get_int(
-            section, "max-overlap-1d", both or defaults.max_overlap_1d, "limits"
-        ),
-        "max_overlap_2d": _get_int(
-            section, "max-overlap-2d", both or defaults.max_overlap_2d, "limits"
-        ),
-    }
-    raw_slack = section.get("pointwise-slack")
-    if raw_slack is not None:
-        try:
-            kwargs["pointwise_slack"] = float(raw_slack)
-        except ValueError as exc:
-            raise ConfigError(f"limits: pointwise-slack must be a number, got {raw_slack!r}") from exc
-    return RunLimits(**kwargs)
-
-
 def load_run_config(args) -> RunConfig:
     parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_string(_config_text(args.config), source=str(args.config or "default.cfg"))
     except configparser.Error as exc:
         raise ConfigError(f"malformed config: {exc}") from exc
+    for section_name in parser.sections():
+        if section_name != "run" and not section_name.startswith(("function:", "case:")):
+            raise ConfigError(
+                f"unknown section [{section_name}]; expected [run], [function:NAME] or [case:NAME]"
+            )
 
     run = parser["run"] if parser.has_section("run") else {}
     checks_text = args.checks if args.checks is not None else run.get("checks", "")
@@ -219,7 +201,6 @@ def load_run_config(args) -> RunConfig:
         corpus=corpus,
         cases=cases,
         checks=checks,
-        limits=_limits_from(parser),
         format=fmt,
         out_dir=args.out,
     )
@@ -233,12 +214,12 @@ def main(argv=None) -> int:
         print(f"gnsparse: configuration error: {exc}", file=sys.stderr)
         return 2
 
-    results = run_corpus(config.cases, config.checks, config.limits)
+    results = run_corpus(config.cases, config.checks)
     if config.format == "csv":
-        content = csv_report(results, config.limits)
+        content = csv_report(results)
         out_path = os.path.join(config.out_dir, "report.csv")
     else:
-        content = text_report(results, config.limits)
+        content = text_report(results)
         out_path = os.path.join(config.out_dir, "report.txt")
     try:
         os.makedirs(config.out_dir, exist_ok=True)

@@ -33,8 +33,14 @@ from .operator import (
     modular_contraction_check,
     operator_norm_check,
 )
-from .sparse1d import build_family_1d, default_k_min, overlap_profile, verify_pointwise_1d
-from .sparse2d import build_family_2d, verify_family_2d
+from .sparse1d import (
+    OVERLAP_LIMIT_1D,
+    POINTWISE_SLACK,
+    build_family_1d,
+    default_k_min,
+    verify_pointwise_1d,
+)
+from .sparse2d import OVERLAP_LIMIT_2D, build_family_2d, verify_family_2d
 from .spaces import INF, SpaceDescriptor, YoungFunction, cl_combine
 from .testfunctions import TestFunctionSpec, grid_for_spec, make_test_function
 
@@ -331,15 +337,6 @@ def induction_identity_check(x_space: SpaceDescriptor, y_space: SpaceDescriptor,
 # corpus runner
 
 
-@dataclass(frozen=True)
-class RunLimits:
-    """Verdict thresholds; the defaults are the proven constants."""
-
-    max_overlap_1d: int = 3
-    max_overlap_2d: int = 5
-    pointwise_slack: float = 0.02
-
-
 @dataclass
 class CaseResult:
     case: GNCase
@@ -383,9 +380,8 @@ def _cells_and_fields(u, family):
     return cells, f0, f2, apply_sparse_operator(cells, f0), apply_sparse_operator(cells, f2)
 
 
-def run_case(case: GNCase, checks, limits: RunLimits = None) -> CaseResult:
+def run_case(case: GNCase, checks) -> CaseResult:
     """Execute the selected checks for one case; errors become verdicts."""
-    limits = limits or RunLimits()
     selected = [c for c in CHECK_NAMES if c in checks]
     result = CaseResult(case=case, z_text="", verdicts=())
     try:
@@ -397,15 +393,15 @@ def run_case(case: GNCase, checks, limits: RunLimits = None) -> CaseResult:
                 family = build_family_1d(u, default_k_min(u))
                 result.intervals = tuple(family.intervals)
             else:
-                family = build_family_2d(u, axis=case.axis)
+                family = build_family_2d(u)
                 result.slabs = tuple(family.slabs)
             if "operator-norm" in selected or "modular" in selected:
                 cells, f0, f2, t0, t2 = _cells_and_fields(u, family)
         for name in selected:
             if name == "overlap":
-                counts, worst = overlap_profile(family)
+                counts, worst = family.counts, family.max_overlap
                 result.overlap_max = worst
-                limit = limits.max_overlap_1d if case.dim == 1 else limits.max_overlap_2d
+                limit = OVERLAP_LIMIT_1D if case.dim == 1 else OVERLAP_LIMIT_2D
                 if worst <= limit:
                     verdict = "pass"
                 elif case.dim == 1:
@@ -418,7 +414,7 @@ def run_case(case: GNCase, checks, limits: RunLimits = None) -> CaseResult:
             elif name == "pointwise":
                 if case.dim == 1:
                     _, result.pointwise_max = verify_pointwise_1d(u, family)
-                    bound = POINTWISE_CONSTANT * (1.0 + limits.pointwise_slack)
+                    bound = POINTWISE_CONSTANT * (1.0 + POINTWISE_SLACK)
                     if result.pointwise_max <= bound:
                         verdict = "pass"
                     else:
@@ -466,7 +462,7 @@ def run_case(case: GNCase, checks, limits: RunLimits = None) -> CaseResult:
     return result
 
 
-def run_corpus(cases, checks, limits: RunLimits = None):
+def run_corpus(cases, checks):
     """Ordered CaseResults, one per case; per-case failures are recorded.
 
     Cases are independent, so their order is the report order no matter
@@ -477,4 +473,4 @@ def run_corpus(cases, checks, limits: RunLimits = None):
     unknown = [c for c in checks if c not in CHECK_NAMES]
     if unknown:
         raise ValueError(f"unknown checks: {', '.join(unknown)}")
-    return [run_case(case, checks, limits) for case in cases]
+    return [run_case(case, checks) for case in cases]

@@ -77,6 +77,7 @@ class GridFunction1D:
     """
 
     dim = 1
+    SUP_PROBE = 8192  # probe cells of sup_norm, fixed so k_min does not move under refinement
 
     def __init__(self, grid: Grid1D, evaluate, label: str = ""):
         self.grid = grid
@@ -93,9 +94,9 @@ class GridFunction1D:
     def center_values(self, order: int = 0) -> np.ndarray:
         return np.asarray(self.evaluate(self.grid.centers(), order), dtype=float)
 
-    def sup_norm(self, order: int = 0, probe: int = 8192) -> float:
+    def sup_norm(self, order: int = 0) -> float:
         """Sup norm from a fixed fine probe, independent of grid resolution."""
-        x = np.linspace(self.grid.a, self.grid.b, probe + 1)
+        x = np.linspace(self.grid.a, self.grid.b, self.SUP_PROBE + 1)
         return float(np.max(np.abs(self.evaluate(x, order))))
 
 
@@ -108,6 +109,7 @@ class GridFunction2D:
     """
 
     dim = 2
+    SUP_PROBE = 512  # probe cells per side of sup_norm, as in GridFunction1D
 
     def __init__(self, grid: Grid2D, evaluate, axis: int = 1, label: str = ""):
         if axis not in (1, 2):
@@ -136,10 +138,10 @@ class GridFunction2D:
         X, Y = self.grid.centers()
         return np.asarray(self._axis_partial(X, Y, order), dtype=float)
 
-    def sup_norm(self, order: int = 0, probe: int = 512) -> float:
+    def sup_norm(self, order: int = 0) -> float:
         """Sup norm from a fixed fine probe, independent of grid resolution."""
-        x = np.linspace(self.grid.gx.a, self.grid.gx.b, probe + 1)
-        y = np.linspace(self.grid.gy.a, self.grid.gy.b, probe + 1)
+        x = np.linspace(self.grid.gx.a, self.grid.gx.b, self.SUP_PROBE + 1)
+        y = np.linspace(self.grid.gy.a, self.grid.gy.b, self.SUP_PROBE + 1)
         X, Y = np.meshgrid(x, y, indexing="ij", sparse=True)
         return float(np.max(np.abs(self._axis_partial(X, Y, order))))
 

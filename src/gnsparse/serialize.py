@@ -19,6 +19,8 @@ import numpy as np
 
 from .gn import POINTWISE_CONSTANT, STABILITY_TOL
 from .operator import MODULAR_SLACK
+from .sparse1d import OVERLAP_LIMIT_1D, POINTWISE_SLACK
+from .sparse2d import OVERLAP_LIMIT_2D
 
 CSV_COLUMNS = (
     "case-id",
@@ -46,11 +48,11 @@ def format_float(value) -> str:
     return repr(float(value))
 
 
-def tolerance_note(limits) -> str:
-    """One provenance string describing every threshold the verdicts used."""
+def tolerance_note() -> str:
+    """One provenance string describing every threshold the verdicts use."""
     return (
-        f"overlap<={limits.max_overlap_1d}|{limits.max_overlap_2d}"
-        f" pointwise<={POINTWISE_CONSTANT:g}*(1+{limits.pointwise_slack!r})"
+        f"overlap<={OVERLAP_LIMIT_1D}|{OVERLAP_LIMIT_2D}"
+        f" pointwise<={POINTWISE_CONSTANT:g}*(1+{POINTWISE_SLACK!r})"
         f" modular<=1+{MODULAR_SLACK!r} gn-drift<={STABILITY_TOL!r}"
     )
 
@@ -136,8 +138,8 @@ def _csv_row(result, note: str):
     ]
 
 
-def csv_report(results, limits) -> str:
-    note = tolerance_note(limits)
+def csv_report(results) -> str:
+    note = tolerance_note()
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
@@ -146,8 +148,8 @@ def csv_report(results, limits) -> str:
     return buffer.getvalue()
 
 
-def text_report(results, limits) -> str:
-    lines = ["gnsparse-report 1", f"tolerances {tolerance_note(limits)}", f"cases {len(results)}"]
+def text_report(results) -> str:
+    lines = ["gnsparse-report 1", f"tolerances {tolerance_note()}", f"cases {len(results)}"]
     for result in results:
         case = result.case
         lines.append(f"case {case.case_id()}")

@@ -27,6 +27,9 @@ from .errors import ConstructionError, CorpusConfigError
 from .grid import interval_integral
 
 BISECT_TOL_FACTOR = 1e-3  # endpoint tolerance, in grid steps
+OVERLAP_LIMIT_1D = 3  # intervals of three adjacent levels at most cover a point
+POINTWISE_SLACK = 0.02  # quadrature cushion on the pointwise and observation bounds
+EXIT_FRACTION_LIMIT = 0.01  # share of eligible nodes (or 2D cells) that may exit the window
 
 
 def level_index(v: float) -> int:
@@ -63,7 +66,9 @@ class EscapeInterval:
 
 
 class SparseFamily1D:
-    """Escape intervals in (k, sign, z) order plus the bookkeeping of the build."""
+    """Escape intervals in (k, sign, z) order, the bookkeeping of the build,
+    and the per-node covering counts fixed at build (``counts``) with their
+    maximum (``max_overlap``)."""
 
     def __init__(self, intervals, nodes, d1, k_min, k_max, window_exit_nodes, eligible_count, unanalyzed_count):
         self.intervals = list(intervals)
@@ -74,6 +79,10 @@ class SparseFamily1D:
         self.window_exit_nodes = list(window_exit_nodes)
         self.eligible_count = int(eligible_count)
         self.unanalyzed_count = int(unanalyzed_count)
+        self.counts = np.zeros(len(self.nodes), dtype=np.int64)
+        for i0, i1 in zip(*self.node_ranges()):
+            self.counts[i0:i1] += 1
+        self.max_overlap = int(self.counts.max(initial=0))
 
     def __len__(self):
         return len(self.intervals)
@@ -83,13 +92,6 @@ class SparseFamily1D:
         z = np.array([iv.z for iv in self.intervals], dtype=float)
         y = np.array([iv.y for iv in self.intervals], dtype=float)
         return np.searchsorted(self.nodes, z, side="right"), np.searchsorted(self.nodes, y, side="left")
-
-    def node_counts(self) -> np.ndarray:
-        """Exact number of covering intervals at every grid node."""
-        counts = np.zeros(len(self.nodes), dtype=np.int64)
-        for i0, i1 in zip(*self.node_ranges()):
-            counts[i0:i1] += 1
-        return counts
 
 
 class SeededRuns(NamedTuple):
@@ -201,7 +203,7 @@ def resolved_k_min(u, min_cells: int = 4) -> int:
     return floor
 
 
-def build_family_1d(u, k_min: int, exit_fraction_limit: float = 0.01) -> SparseFamily1D:
+def build_family_1d(u, k_min: int, exit_fraction_limit: float = EXIT_FRACTION_LIMIT) -> SparseFamily1D:
     """Assemble the two-sign escape-interval family of u, one interval per
     seeded run, in (k, sign, z) order.
 
@@ -261,17 +263,6 @@ def build_family_1d(u, k_min: int, exit_fraction_limit: float = 0.01) -> SparseF
     )
 
 
-def overlap_profile(family):
-    """Exact per-node covering counts and their max; (counts, 0) when empty."""
-    if hasattr(family, "node_counts"):
-        counts = family.node_counts()
-    else:  # 2D slab family
-        counts = family.sign_counts()
-    if counts.size == 0:
-        return counts, 0
-    return counts, int(np.max(counts))
-
-
 def _interval_table(u, family: SparseFamily1D):
     """Per family interval: the interval, its node range [i0, i1), and the
     integrals of |u''| and of |u| over it, by analytic quadrature."""
@@ -306,14 +297,14 @@ def verify_pointwise_1d(u, family: SparseFamily1D):
 
 def coverage_report(family: SparseFamily1D):
     """(uncovered eligible non-exit node indices, covered mask)."""
-    covered = family.node_counts() > 0
+    covered = family.counts > 0
     should = np.abs(family.d1) >= level_floor(family.k_min)
     should[family.window_exit_nodes] = False
     uncovered = np.nonzero(should & ~covered)[0]
     return uncovered, covered
 
 
-def observation_bounds_report(u, family: SparseFamily1D, slack: float = 0.02):
+def observation_bounds_report(u, family: SparseFamily1D):
     """Run both observation bounds at every family seed with its own interval.
 
     Every analyzed non-exit node is interior to its own escape interval, and
@@ -335,10 +326,10 @@ def observation_bounds_report(u, family: SparseFamily1D, slack: float = 0.02):
         vmax = float(np.max(g[own]))
         worst_a = max(worst_a, vmax / bound_a)
         worst_b = max(worst_b, vmax / bound_b)
-    return worst_a, worst_b, worst_a <= 1.0 + slack and worst_b <= 1.0 + slack
+    return worst_a, worst_b, max(worst_a, worst_b) <= 1.0 + POINTWISE_SLACK
 
 
-def factorized_bounds_report(u, family: SparseFamily1D, slack: float = 0.02):
+def factorized_bounds_report(u, family: SparseFamily1D):
     """The sum-form restatement: at every covered node x,
     |u'(x)| <= 4 * sum over covering P of int_P |u''|, and
     |u'(x)| <= 96 / |P|^2 * int_P |u| for every covering P.
@@ -347,9 +338,9 @@ def factorized_bounds_report(u, family: SparseFamily1D, slack: float = 0.02):
     ok_b = True
     for iv, i0, i1, int_d2, int_u in _interval_table(u, family):
         sum_d2[i0:i1] += int_d2
-        bound = 96.0 / iv.length**2 * int_u * (1.0 + slack)
+        bound = 96.0 / iv.length**2 * int_u * (1.0 + POINTWISE_SLACK)
         if np.any(np.abs(family.d1[i0:i1]) > bound):
             ok_b = False
     covered = sum_d2 > 0.0
-    ok_a = bool(np.all(np.abs(family.d1[covered]) <= 4.0 * sum_d2[covered] * (1.0 + slack)))
+    ok_a = bool(np.all(np.abs(family.d1[covered]) <= 4.0 * sum_d2[covered] * (1.0 + POINTWISE_SLACK)))
     return ok_a, ok_b

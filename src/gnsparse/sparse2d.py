@@ -34,9 +34,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConstructionError, CorpusConfigError
-from .sparse1d import k_min_for_sup, level_floor, level_index, seeded_runs
+from .sparse1d import EXIT_FRACTION_LIMIT, k_min_for_sup, level_floor, level_index, seeded_runs
 
-OVERLAP_LIMIT_2D = 5
+OVERLAP_LIMIT_2D = 5  # per sign: slabs of five adjacent levels at most cover a cell
 
 
 @dataclass(frozen=True)
@@ -82,6 +82,10 @@ class SlabSet:
 
 @dataclass
 class SparseFamily2D:
+    """The slabs of one build, its bookkeeping, and the per-cell covering
+    counts fixed at build: per sign (``plus_counts``, ``minus_counts``),
+    their cellwise max (``counts``) and its maximum (``max_overlap``)."""
+
     axis: int
     slabs: list
     skipped: list
@@ -95,20 +99,19 @@ class SparseFamily2D:
     d2c: np.ndarray
     deltas: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        self.plus_counts = np.zeros(self.uc.shape, dtype=np.int64)
+        self.minus_counts = np.zeros(self.uc.shape, dtype=np.int64)
+        for s in self.slabs:
+            (self.plus_counts if s.sign > 0 else self.minus_counts)[s.mask] += 1
+        self.counts = np.maximum(self.plus_counts, self.minus_counts)
+        self.max_overlap = int(self.counts.max(initial=0))
+
     def __len__(self):
         return len(self.slabs)
 
     def analyzed_levels(self):
         return sorted({s.k for s in self.slabs})
-
-    def sign_counts(self) -> np.ndarray:
-        """Per-cell covering counts, maximized over the two signs."""
-        shape = self.uc.shape
-        plus = np.zeros(shape, dtype=np.int64)
-        minus = np.zeros(shape, dtype=np.int64)
-        for s in self.slabs:
-            (plus if s.sign > 0 else minus)[s.mask] += 1
-        return np.maximum(plus, minus)
 
 
 def _shift_variation(arr: np.ndarray, a: int, b: int) -> float:
@@ -210,16 +213,15 @@ def _check_compact_support(u):
         )
 
 
-def build_family_2d(u, axis: int = 1, k_min=None, exit_fraction_limit: float = 0.01) -> SparseFamily2D:
-    """Assemble the two-sign slab family of one pure partial of u.
+def build_family_2d(u) -> SparseFamily2D:
+    """Assemble the two-sign slab family of the pure partial of u along u.axis.
 
     Per analyzed level and sign: the seeded runs of every line, one slab
     piece each, thickened transversely by the admissible delta.  Levels
     without an admissible delta >= h are recorded as skipped.
-    Window-exiting seeds follow the same 1% budget as the 1D build.
+    Window-exiting seeds follow the same EXIT_FRACTION_LIMIT as the 1D build.
     """
-    if axis != u.axis:
-        raise ConstructionError(f"function carries partials for axis {u.axis}, not {axis}")
+    axis = u.axis
     _check_compact_support(u)
 
     uc = u.center_values(0)
@@ -240,8 +242,7 @@ def build_family_2d(u, axis: int = 1, k_min=None, exit_fraction_limit: float = 0
             axis, [], [], 0, 0, [], 0, u.grid, uc, d1c, d2c, {}
         )
     k_top = level_index(sup_d1)
-    if k_min is None:
-        k_min = k_min_for_sup(sups[1])
+    k_min = k_min_for_sup(sups[1])
 
     thr = level_floor(k_min)
     eligible_count = int(np.sum(np.abs(d1c) >= thr))
@@ -296,10 +297,10 @@ def build_family_2d(u, axis: int = 1, k_min=None, exit_fraction_limit: float = 0
                 )
             )
 
-    if eligible_count and len(exit_cells) > exit_fraction_limit * eligible_count:
+    if eligible_count and len(exit_cells) > EXIT_FRACTION_LIMIT * eligible_count:
         raise CorpusConfigError(
             f"{len(exit_cells)} of {eligible_count} eligible cells exit the window "
-            f"({len(exit_cells) / eligible_count:.1%} > {exit_fraction_limit:.0%})"
+            f"({len(exit_cells) / eligible_count:.1%} > {EXIT_FRACTION_LIMIT:.0%})"
         )
 
     return SparseFamily2D(
@@ -325,7 +326,6 @@ class Family2DReport:
     covered_cells: int
     analyzed_levels: tuple
     skipped_levels: tuple
-    level_ratios: dict
 
 
 def verify_family_2d(u, family: SparseFamily2D) -> Family2DReport:
@@ -338,14 +338,9 @@ def verify_family_2d(u, family: SparseFamily2D) -> Family2DReport:
     thresholded.
     """
     shape = family.uc.shape
-    plus = np.zeros(shape, dtype=np.int64)
-    minus = np.zeros(shape, dtype=np.int64)
     denom = np.zeros(shape)
-    level_ratios = {}
 
     for s in family.slabs:
-        counts = plus if s.sign > 0 else minus
-        counts[s.mask] += 1
         g = s.sign * family.d1c[s.mask]
         lo = math.ldexp(1.0, s.k - 3)
         hi = math.ldexp(1.0, s.k + 2)
@@ -360,10 +355,9 @@ def verify_family_2d(u, family: SparseFamily2D) -> Family2DReport:
             raise ConstructionError(f"slab (k={s.k}, sign={s.sign}) has zero |d1^2 u| average")
         denom[s.mask] += a2 * a0
 
-    max_overlap = int(max(np.max(plus), np.max(minus))) if family.slabs else 0
-    if max_overlap > OVERLAP_LIMIT_2D:
-        raise ConstructionError(f"per-sign overlap {max_overlap} exceeds {OVERLAP_LIMIT_2D}")
-    if np.any((plus > 0) & (minus > 0)):
+    if family.max_overlap > OVERLAP_LIMIT_2D:
+        raise ConstructionError(f"per-sign overlap {family.max_overlap} exceeds {OVERLAP_LIMIT_2D}")
+    if np.any((family.plus_counts > 0) & (family.minus_counts > 0)):
         raise ConstructionError("positive and negative slab unions intersect")
 
     exit_set = {(i, j, k, sign) for (i, j, k, sign) in family.exit_cells}
@@ -387,14 +381,11 @@ def verify_family_2d(u, family: SparseFamily2D) -> Family2DReport:
     ratios = np.zeros(shape)
     np.divide(family.d1c**2, denom, out=ratios, where=covered)
     max_ratio = float(np.max(ratios)) if family.slabs else 0.0
-    for s in family.slabs:
-        level_ratios[(s.k, s.sign)] = float(np.max(ratios[s.mask]))
 
     return Family2DReport(
-        max_overlap=max_overlap,
+        max_overlap=family.max_overlap,
         max_ratio=max_ratio,
         covered_cells=int(np.sum(covered)),
         analyzed_levels=tuple(family.analyzed_levels()),
         skipped_levels=tuple(sk.k for sk in family.skipped),
-        level_ratios=level_ratios,
     )

@@ -34,7 +34,6 @@ from gnsparse.sparse1d import (
     default_k_min,
     level_index,
     observation_bounds_report,
-    overlap_profile,
     resolved_k_min,
     verify_pointwise_1d,
 )
@@ -85,7 +84,7 @@ def test_criterion_01_overlap_1d(corpus_1024):
     assert families == {"gaussian", "smooth-bump", "modulated-bump", "sine-window"}
     worst = 0
     for name, (u, fam) in corpus_1024.items():
-        _, overlap = overlap_profile(fam)
+        overlap = fam.max_overlap
         assert overlap <= 3, f"{name}: overlap {overlap}"
         worst = max(worst, overlap)
     criterion(1, worst <= 3, f"{len(corpus_1024)} members, max overlap {worst} <= 3")

@@ -9,8 +9,9 @@ import textwrap
 import numpy as np
 import pytest
 
+from gnsparse import gn as gn_module
 from gnsparse.cli import load_run_config, main
-from gnsparse.gn import CHECK_NAMES, GNCase, RunLimits, run_corpus
+from gnsparse.gn import CHECK_NAMES, GNCase, run_corpus
 from gnsparse.grid import Grid1D
 from gnsparse.operator import CellFamily
 from gnsparse.serialize import (
@@ -106,7 +107,7 @@ class TestReportFormats:
             assert float(format_float(value)) == value
 
     def test_csv_columns_pinned(self, results):
-        rows = list(csv.reader(io.StringIO(csv_report(results, RunLimits()))))
+        rows = list(csv.reader(io.StringIO(csv_report(results))))
         assert tuple(rows[0]) == CSV_COLUMNS
         assert CSV_COLUMNS[:14] == (
             "case-id", "mode", "j", "k", "X", "Y", "Z", "lhs", "rhs-x", "rhs-y",
@@ -119,12 +120,12 @@ class TestReportFormats:
             assert float(row[10]) > 0
 
     def test_tolerance_note_reports_the_constants(self):
-        assert tolerance_note(RunLimits()) == (
+        assert tolerance_note() == (
             "overlap<=3|5 pointwise<=128*(1+0.02) modular<=1+1e-06 gn-drift<=0.01"
         )
 
     def test_text_report_structure(self, results):
-        lines = text_report(results, RunLimits()).splitlines()
+        lines = text_report(results).splitlines()
         assert lines[0] == "gnsparse-report 1"
         assert lines[1].startswith("tolerances ")
         assert lines[2] == "cases 2"
@@ -132,7 +133,7 @@ class TestReportFormats:
         assert sum(1 for l in lines if l.startswith("case ")) == 2
 
     def test_intervals_round_trip_into_a_family(self, results):
-        text = text_report(results[:1], RunLimits())
+        text = text_report(results[:1])
         records = parse_intervals(text)
         assert records and all(rec.z < rec.y for rec in records)
         grid = Grid1D(*BUMP.window, 256)
@@ -142,8 +143,8 @@ class TestReportFormats:
     def test_reports_are_deterministic(self, results):
         cases = [r.case for r in results]
         again = run_corpus(cases, CHECK_NAMES)
-        assert csv_report(again, RunLimits()) == csv_report(results, RunLimits())
-        assert text_report(again, RunLimits()) == text_report(results, RunLimits())
+        assert csv_report(again) == csv_report(results)
+        assert text_report(again) == text_report(results)
 
 
 class TestConfigLoading:
@@ -273,9 +274,22 @@ class TestMainExitCodes:
         assert code == 2
         assert "Lorentz" in capsys.readouterr().err
 
-    def test_violated_limit_exits_one_and_names_the_spot(self, tmp_path, capsys):
-        strict = TINY_CONFIG + "\n[limits]\nmax-overlap-1d = 2\n"
-        code = main(["--config", write_config(tmp_path, strict), "--out", str(tmp_path / "v")])
+    @pytest.mark.parametrize(
+        "section",
+        ["[case third]\nfunction = pulse\nX = L:2\nY = L:2", "[limits]\nmax-overlap-1d = 2"],
+        ids=["mistyped-case", "limits"],
+    )
+    def test_unknown_section_is_a_config_error(self, tmp_path, capsys, section):
+        # an unread section would silently drop what it says: a case, or a
+        # stricter limit (the thresholds are the paper's constants)
+        config = TINY_CONFIG + "\n" + section + "\n"
+        code = main(["--config", write_config(tmp_path, config), "--out", str(tmp_path)])
+        assert code == 2
+        assert section.partition("\n")[0] in capsys.readouterr().err
+
+    def test_violated_limit_exits_one_and_names_the_spot(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(gn_module, "OVERLAP_LIMIT_1D", 2)
+        code = main(["--config", write_config(tmp_path), "--out", str(tmp_path / "v")])
         assert code == 1
         err = capsys.readouterr().err
         assert "overlap" in err and "node" in err

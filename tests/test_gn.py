@@ -12,7 +12,6 @@ from gnsparse.errors import AdmissibilityError, CorpusConfigError
 from gnsparse.gn import (
     CHECK_NAMES,
     GNCase,
-    RunLimits,
     first_order_chain_check,
     gn_ratio,
     induction_identity_check,
@@ -316,9 +315,9 @@ class TestRunCorpus:
         assert result.error == "AdmissibilityError: refused"
         assert result.verdicts == (("overlap", "error"), ("gn", "error"))
 
-    def test_overlap_limit_violation_is_named(self):
-        limits = RunLimits(max_overlap_1d=2)
-        result = run_case(case_1d(BUMP, "L:1", "L:1"), ("overlap",), limits)
+    def test_overlap_limit_violation_is_named(self, monkeypatch):
+        monkeypatch.setattr(gn_module, "OVERLAP_LIMIT_1D", 2)
+        result = run_case(case_1d(BUMP, "L:1", "L:1"), ("overlap",))
         assert not result.passed
         name, verdict = result.first_failure()
         assert name == "overlap"

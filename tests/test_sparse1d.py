@@ -27,7 +27,6 @@ from gnsparse.sparse1d import (
     level_floor,
     level_index,
     observation_bounds_report,
-    overlap_profile,
     resolved_k_min,
     verify_pointwise_1d,
 )
@@ -179,8 +178,7 @@ class TestFamilyConstruction:
         assert fam.window_exit_nodes == []
         uncovered, _ = coverage_report(fam)
         assert uncovered.size == 0
-        _, worst = overlap_profile(fam)
-        assert worst == 3  # attained: levels k-1, k, k+1 all cover x ~ 0.9
+        assert fam.max_overlap == 3  # attained: levels k-1, k, k+1 all cover x ~ 0.9
 
     def test_overlap_three_attained_near_stated_point(self):
         u = sine_function()
@@ -277,8 +275,7 @@ class TestResolvedFloor:
         assert min(iv.y - iv.z for iv in fam.intervals) >= 4 * u.grid.h
         uncovered, _ = coverage_report(fam)
         assert uncovered.size == 0
-        _, worst = overlap_profile(fam)
-        assert worst <= 3
+        assert fam.max_overlap <= 3
         _, max_ratio = verify_pointwise_1d(u, fam)
         assert 0.0 < max_ratio <= 128.0
 
@@ -290,8 +287,9 @@ def test_corpus_family_invariants(spec):
     assert len(fam.window_exit_nodes) <= 0.01 * max(fam.eligible_count, 1)
     uncovered, _ = coverage_report(fam)
     assert uncovered.size == 0
-    _, worst = overlap_profile(fam)
-    assert worst <= 3
+    inside = [(fam.nodes > iv.z) & (fam.nodes < iv.y) for iv in fam.intervals]
+    assert np.array_equal(fam.counts, np.sum(inside, axis=0))
+    assert fam.max_overlap <= 3
     _, max_ratio = verify_pointwise_1d(u, fam)
     assert 0.0 < max_ratio <= 128.0
 
@@ -315,7 +313,7 @@ class TestPointwiseBound:
         fam = build_family_1d(u, k_min=-6)
         ratios, max_ratio = verify_pointwise_1d(u, fam)
         assert max_ratio <= 128.0
-        counts = fam.node_counts()
+        counts = fam.counts
         assert np.all(ratios[counts == 0] == 0.0)
         assert np.all(ratios[counts > 0] > 0.0)
 
@@ -447,8 +445,7 @@ def localized_functions(draw):
 def test_random_families_match_oracle_and_cover(u):
     fam = build_family_1d(u, default_k_min(u), exit_fraction_limit=1.0)
     assert_matches_scalar_family(u, fam)
-    _, worst = overlap_profile(fam)
-    assert worst <= 3
+    assert fam.max_overlap <= 3
     uncovered, _ = coverage_report(fam)
     assert uncovered.size == 0
 
