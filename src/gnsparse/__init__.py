@@ -21,7 +21,7 @@ from .grid import (
     GridFunction1D,
     GridFunction2D,
     fd_consistency_error,
-    interval_integral,
+    interval_integrals,
     quadrature_integral,
     quadrature_integral_2d,
 )

@@ -26,6 +26,11 @@ from .spaces import SpaceDescriptor
 from .testfunctions import TestFunctionSpec
 
 FORMATS = ("csv", "text")
+SECTION_KEYS = {
+    "run": ("checks", "format", "resolution-1d", "resolution-2d"),
+    "function": ("family", "center", "width", "amplitude", "frequency", "window", "layout"),
+    "case": ("function", "j", "k", "x", "y", "mode", "axis", "n"),
+}
 
 
 @dataclass
@@ -137,6 +142,12 @@ def load_run_config(args) -> RunConfig:
         if section_name != "run" and not section_name.startswith(("function:", "case:")):
             raise ConfigError(
                 f"unknown section [{section_name}]; expected [run], [function:NAME] or [case:NAME]"
+            )
+        allowed = SECTION_KEYS[section_name.partition(":")[0]]
+        unknown = [key for key in parser[section_name] if key not in allowed]
+        if unknown:
+            raise ConfigError(
+                f"[{section_name}]: unknown key {unknown[0]!r}; expected one of {', '.join(allowed)}"
             )
 
     run = parser["run"] if parser.has_section("run") else {}

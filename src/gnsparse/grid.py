@@ -12,7 +12,6 @@ Two sampling conventions coexist deliberately:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -203,17 +202,31 @@ def quadrature_integral_2d(values, grid: Grid2D, region=None) -> float:
     return float(grid.cell_area * (wx @ sub @ wy))
 
 
-def interval_integral(fn, z: float, y: float, h_ref: float) -> float:
-    """Trapezoid integral of a callable over [z, y] at sub-grid resolution.
+def interval_integrals(fn, z, y, h_ref: float) -> np.ndarray:
+    """Trapezoid integrals of a callable over the intervals [z_i, y_i] at
+    sub-grid resolution, with one call of ``fn`` for all of them.
 
     Panel count scales with the interval length measured in reference grid
     steps, with a floor so that intervals shorter than one cell still get a
-    stable rule.
+    stable rule.  The nodes of each interval are those of ``np.linspace``
+    (node j is j*step + z, the last one is y) and each interval is summed on
+    its own, so every integral is the one a separate rule would give.
     """
-    if not y > z:
-        raise EmptyRegionError(f"degenerate interval ({z}, {y})")
-    panels = max(64, 8 * int(math.ceil((y - z) / h_ref)))
-    t = np.linspace(z, y, panels + 1)
-    v = np.asarray(fn(t), dtype=float)
+    z = np.asarray(z, dtype=float).reshape(-1)
+    y = np.asarray(y, dtype=float).reshape(-1)
+    degenerate = np.nonzero(~(y > z))[0]
+    if degenerate.size:
+        i = degenerate[0]
+        raise EmptyRegionError(f"degenerate interval ({z[i]}, {y[i]})")
+    if z.size == 0:
+        return np.zeros(0)
+    panels = np.maximum(64, 8 * np.ceil((y - z) / h_ref).astype(np.int64))
     step = (y - z) / panels
-    return float(step * (np.sum(v) - 0.5 * (v[0] + v[-1])))
+    ends = np.cumsum(panels + 1)
+    starts = ends - (panels + 1)
+    owner = np.repeat(np.arange(z.size), panels + 1)
+    t = (np.arange(ends[-1]) - starts[owner]) * step[owner] + z[owner]
+    t[ends - 1] = y
+    v = np.asarray(fn(t), dtype=float)
+    sums = np.array([np.sum(v[a:b]) for a, b in zip(starts.tolist(), ends.tolist())])
+    return step * (sums - 0.5 * (v[starts] + v[ends - 1]))

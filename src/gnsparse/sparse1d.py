@@ -11,8 +11,10 @@ two adjacent ones, which caps the covering multiplicity at 3.  A run that
 reaches an end of the window has no interval inside it; its seeds are
 window exits.
 
-:func:`seeded_runs` finds the runs of one (k, sign) along every line of a
-sampled array at once; the 2D slab build in :mod:`gnsparse.sparse2d` shares it.
+:func:`seeded_runs` finds the runs of one sign along every line of a
+sampled array at once, for one level or one level per line: the 1D build
+scans all levels of a sign in one call, and the 2D slab build in
+:mod:`gnsparse.sparse2d` shares it.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConstructionError, CorpusConfigError
-from .grid import interval_integral
+from .grid import interval_integrals
 
 BISECT_TOL_FACTOR = 1e-3  # endpoint tolerance, in grid steps
 OVERLAP_LIMIT_1D = 3  # intervals of three adjacent levels at most cover a point
@@ -44,9 +46,10 @@ def level_floor(k: int) -> float:
     return math.ldexp(1.0, k - 1)
 
 
-def band_edges(k: int):
-    """The widened escape band [2^(k-2), 2^(k+1)) for level k."""
-    return math.ldexp(1.0, k - 2), math.ldexp(1.0, k + 1)
+def band_edges(k):
+    """The widened escape band [2^(k-2), 2^(k+1)) for level k (or each level
+    of an integer array)."""
+    return np.ldexp(1.0, k - 2), np.ldexp(1.0, k + 1)
 
 
 @dataclass(frozen=True)
@@ -95,7 +98,7 @@ class SparseFamily1D:
 
 
 class SeededRuns(NamedTuple):
-    """The in-band runs of one level and sign that hold a seed, along lines.
+    """The in-band runs of one sign that hold a seed, along lines.
 
     A run that closes inside its line gives its line, its first and last
     in-band index and its first seed index.  A run that reaches an end of
@@ -110,20 +113,23 @@ class SeededRuns(NamedTuple):
     exit_index: np.ndarray
 
 
-def seeded_runs(g: np.ndarray, seeds: np.ndarray, k: int) -> SeededRuns:
-    """Maximal runs along each row of ``g`` inside the widened band of level k.
+def seeded_runs(g: np.ndarray, seeds: np.ndarray, k) -> SeededRuns:
+    """Maximal runs along each row inside the widened band of the row's level.
 
-    ``g`` holds one line of sign*u' samples per row; ``seeds`` is a boolean
-    array of the same shape that is True only at in-band entries.  Only runs
+    ``seeds`` is a boolean array with one row per line, True only at in-band
+    entries.  ``g`` holds sign*u' samples and ``k`` the levels; both
+    broadcast against ``seeds`` row-wise: ``g`` is one row per line or one
+    row for all, ``k`` one level for all rows or one per row.  Only runs
     holding a seed are returned, in row-major order, as are exit seeds.
     """
-    lo, hi = band_edges(k)
-    in_band = np.pad((g >= lo) & (g < hi), ((0, 0), (1, 1)))
-    step = np.diff(in_band.astype(np.int8), axis=1)
+    lo, hi = band_edges(np.reshape(k, (-1, 1)))
+    in_band = np.zeros((seeds.shape[0], seeds.shape[1] + 2), dtype=np.int8)
+    in_band[:, 1:-1] = (g >= lo) & (g < hi)
+    step = np.diff(in_band, axis=1)
     line, first = np.nonzero(step == 1)
     last = np.nonzero(step == -1)[1] - 1
     seed_line, seed_index = np.nonzero(seeds)
-    width = g.shape[1]
+    width = seeds.shape[1]
     run = np.searchsorted(line * width + first, seed_line * width + seed_index, side="right") - 1
     exits = ((first == 0) | (last == width - 1))[run]
     kept, head = np.unique(run[~exits], return_index=True)
@@ -148,8 +154,8 @@ def _run_ends(u, nodes: np.ndarray, k, sign, first: np.ndarray, last: np.ndarray
     bracket, so it lies strictly between those two nodes.
     """
     tol = float(nodes[1] - nodes[0]) * BISECT_TOL_FACTOR
-    k, sign = np.tile(k, 2), np.tile(sign, 2)
-    lo, hi = np.ldexp(1.0, k - 2), np.ldexp(1.0, k + 1)
+    lo, hi = band_edges(np.tile(k, 2))
+    sign = np.tile(sign, 2)
     t_in = nodes[np.concatenate([first, last])]
     t_out = nodes[np.concatenate([first - 1, last + 1])]
     while True:
@@ -219,7 +225,7 @@ def build_family_1d(u, k_min: int, exit_fraction_limit: float = EXIT_FRACTION_LI
     eligible_count = int(np.sum(eligible))
     unanalyzed = int(np.sum((np.abs(d1) > 0.0) & ~eligible))
 
-    runs_found = []  # (k, sign, first, last, seed) per closed seeded run
+    runs_found = [np.zeros((0, 5), dtype=np.int64)]  # rows (k, sign, first, last, seed) of closed runs
     exit_nodes = []
     k_max_seen = k_min
 
@@ -230,12 +236,12 @@ def build_family_1d(u, k_min: int, exit_fraction_limit: float = EXIT_FRACTION_LI
             continue
         k_top = level_index(float(np.max(g[side])))
         k_max_seen = max(k_max_seen, k_top)
-        for k in range(k_min, k_top + 1):
-            seeds = (g >= level_floor(k)) & (g < level_floor(k + 1))
-            runs = seeded_runs(g[None], seeds[None], k)
-            exit_nodes.extend(runs.exit_index.tolist())
-            for run in zip(runs.first.tolist(), runs.last.tolist(), runs.seed.tolist()):
-                runs_found.append((k, sign, *run))
+        levels = np.arange(k_min, k_top + 1)[:, None]  # one row per level
+        seeds = (g >= np.ldexp(1.0, levels - 1)) & (g < np.ldexp(1.0, levels))
+        runs = seeded_runs(g[None], seeds, levels)
+        exit_nodes.extend(runs.exit_index.tolist())
+        k = levels[runs.line, 0]
+        runs_found.append(np.column_stack([k, np.full_like(k, sign), runs.first, runs.last, runs.seed]))
 
     if eligible_count and len(exit_nodes) > exit_fraction_limit * eligible_count:
         raise CorpusConfigError(
@@ -245,7 +251,8 @@ def build_family_1d(u, k_min: int, exit_fraction_limit: float = EXIT_FRACTION_LI
         )
 
     # the runs of one (k, sign) are disjoint, so sorting by first sorts by z
-    k, sign, first, last, seed = np.array(sorted(runs_found), dtype=np.int64).reshape(-1, 5).T
+    runs = np.concatenate(runs_found, dtype=np.int64)
+    k, sign, first, last, seed = runs[np.lexsort((runs[:, 2], runs[:, 1], runs[:, 0]))].T
     z, y = _run_ends(u, nodes, k, sign, first, last)
     intervals = [
         EscapeInterval(z=float(a), y=float(b), k=int(kk), sign=int(s), seed=float(nodes[i]))
@@ -265,12 +272,14 @@ def build_family_1d(u, k_min: int, exit_fraction_limit: float = EXIT_FRACTION_LI
 
 def _interval_table(u, family: SparseFamily1D):
     """Per family interval: the interval, its node range [i0, i1), and the
-    integrals of |u''| and of |u| over it, by analytic quadrature."""
-    h = u.grid.h
-    for iv, i0, i1 in zip(family.intervals, *family.node_ranges()):
-        int_d2 = interval_integral(lambda t: np.abs(u.evaluate(t, 2)), iv.z, iv.y, h)
-        int_u = interval_integral(lambda t: np.abs(u.evaluate(t, 0)), iv.z, iv.y, h)
-        yield iv, i0, i1, int_d2, int_u
+    integrals of |u''| and of |u| over it, by analytic quadrature with one
+    evaluator call per order for the whole family."""
+    z = np.array([iv.z for iv in family.intervals], dtype=float)
+    y = np.array([iv.y for iv in family.intervals], dtype=float)
+    int_d2, int_u = (
+        interval_integrals(lambda t, m=m: np.abs(u.evaluate(t, m)), z, y, u.grid.h).tolist() for m in (2, 0)
+    )
+    return zip(family.intervals, *family.node_ranges(), int_d2, int_u)
 
 
 def verify_pointwise_1d(u, family: SparseFamily1D):

@@ -138,16 +138,21 @@ def _field_lattices(u):
     )
 
 
-def compute_delta(u, bound: float, lattices=None) -> DeltaResult:
-    """Largest delta = m*h whose displacements keep all field oscillations
-    within ``bound``, checked on the node and cell-center lattices.
+def compute_delta(u, bounds, lattices=None) -> list:
+    """Per oscillation bound, the largest delta = m*h whose displacements
+    keep all field oscillations within it, checked on the node and
+    cell-center lattices.
 
     Displacements are all integer offsets with Euclidean length <= m.  When
-    even the global range of every field fits the bound, the window itself
-    is no constraint and delta is its diameter.
+    even the global range of every field fits a bound, the window itself
+    is no constraint and delta is its diameter.  The rings of offsets are
+    scanned once for all bounds, out to the first ring whose cumulative
+    worst oscillation exceeds the largest bound still open.
     """
-    if bound <= 0.0:
-        raise ValueError(f"oscillation bound must be positive, got {bound}")
+    bounds = list(bounds)
+    for bound in bounds:
+        if bound <= 0.0:
+            raise ValueError(f"oscillation bound must be positive, got {bound}")
     fields = _field_lattices(u) if lattices is None else lattices
     hx, hy = u.grid.gx.h, u.grid.gy.h
     if not math.isclose(hx, hy, rel_tol=1e-12):
@@ -158,17 +163,13 @@ def compute_delta(u, bound: float, lattices=None) -> DeltaResult:
         _shift_variation(f, a, b) for f in fields for a, b in ((1, 0), (0, 1))
     )
     global_range = max(float(np.max(f) - np.min(f)) for f in fields)
-    if global_range <= bound:
-        diameter = math.hypot(u.grid.gx.b - u.grid.gx.a, u.grid.gy.b - u.grid.gy.a)
-        return DeltaResult(steps=min(u.grid.gx.n, u.grid.gy.n), delta=diameter, bound=bound, variation_at_one=var_one)
-    if var_one > bound:
-        return DeltaResult(steps=0, delta=0.0, bound=bound, variation_at_one=var_one)
-
     m_cap = min(u.grid.gx.n, u.grid.gy.n)
-    worst = var_one
-    m = 1
-    while m + 1 <= m_cap:
-        nxt = m + 1
+    reach = max((b for b in bounds if b < global_range), default=-math.inf)
+
+    # worst[m - 1]: the largest oscillation over all offsets of length <= m
+    worst = [var_one]
+    while len(worst) < m_cap and worst[-1] <= reach:
+        m, nxt = len(worst), len(worst) + 1
         ring = [
             (a, b)
             for a in range(0, nxt + 1)
@@ -178,11 +179,17 @@ def compute_delta(u, bound: float, lattices=None) -> DeltaResult:
         ring_worst = max(
             (_shift_variation(f, a, b) for f in fields for a, b in ring), default=0.0
         )
-        worst = max(worst, ring_worst)
-        if worst > bound:
-            break
-        m = nxt
-    return DeltaResult(steps=m, delta=m * h, bound=bound, variation_at_one=var_one)
+        worst.append(max(worst[-1], ring_worst))
+
+    results = []
+    for bound in bounds:
+        if global_range <= bound:
+            diameter = math.hypot(u.grid.gx.b - u.grid.gx.a, u.grid.gy.b - u.grid.gy.a)
+            results.append(DeltaResult(steps=m_cap, delta=diameter, bound=bound, variation_at_one=var_one))
+            continue
+        steps = sum(1 for w in worst if w <= bound)
+        results.append(DeltaResult(steps=steps, delta=steps * h, bound=bound, variation_at_one=var_one))
+    return results
 
 
 def oscillation_bound(k: int, big_m: float) -> float:
@@ -250,16 +257,18 @@ def build_family_2d(u) -> SparseFamily2D:
     slabs = []
     skipped = []
     exit_cells = []
-    deltas = {}
 
-    for k in range(k_top, k_min - 1, -1):
-        own = (abs_lines >= level_floor(k)) & (abs_lines < level_floor(k + 1))
-        seed_count = int(np.sum(own))
-        if seed_count == 0:
-            continue
-        bound = oscillation_bound(k, big_m)
-        res = compute_delta(u, bound, lattices=lattices)
-        deltas[k] = res
+    def own_cells(k):
+        return (abs_lines >= level_floor(k)) & (abs_lines < level_floor(k + 1))
+
+    seed_counts = {k: int(np.sum(own_cells(k))) for k in range(k_top, k_min - 1, -1)}
+    levels = [k for k, count in seed_counts.items() if count]
+    results = compute_delta(u, [oscillation_bound(k, big_m) for k in levels], lattices=lattices)
+    deltas = dict(zip(levels, results))
+
+    for k, res in deltas.items():
+        bound = res.bound
+        seed_count = seed_counts[k]
         if not res.admissible:
             suggested = int(math.ceil(n_line * res.variation_at_one / bound)) if bound > 0 else 0
             skipped.append(
@@ -272,6 +281,7 @@ def build_family_2d(u) -> SparseFamily2D:
                 )
             )
             continue
+        own = own_cells(k)
         for sign in (1, -1):
             g = sign * lines
             seeds = own & (g > 0.0)

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from gnsparse.gn import GNCase, first_order_chain_check, gn_ratio, induction_identity_check
-from gnsparse.grid import Grid1D, interval_integral
+from gnsparse.grid import Grid1D, interval_integrals
 from gnsparse.mollifier import BoundaryContaminationWarning, mollify
 from gnsparse.norms import lebesgue_norm, lorentz_norm, luxemburg_norm, space_norm
 from gnsparse.operator import (
@@ -118,7 +118,7 @@ def test_criterion_02_pointwise_constant(corpus_1024):
     fam = build_family_1d(u, default_k_min(u))
     (iv,) = [iv for iv in fam.intervals if (iv.k, iv.sign) == (k, 1) and iv.contains(x0)]
     a2, a0 = (
-        interval_integral(lambda t: np.abs(u.evaluate(t, m)), iv.z, iv.y, u.grid.h) / iv.length
+        interval_integrals(lambda t: np.abs(u.evaluate(t, m)), iv.z, iv.y, u.grid.h)[0] / iv.length
         for m in (2, 0)
     )
     spot = u.evaluate(x0, 1) ** 2 / (a2 * a0)

@@ -287,6 +287,24 @@ class TestMainExitCodes:
         assert code == 2
         assert section.partition("\n")[0] in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "section, key, line",
+        [
+            ("[case:first]", "mdoe", "mdoe = gradient"),
+            ("[function:pulse]", "widht", "widht = 1.0"),
+            ("[run]", "resolution1d", "resolution1d = 256"),
+        ],
+        ids=["mdoe", "widht", "resolution1d"],
+    )
+    def test_unknown_key_is_a_config_error(self, tmp_path, capsys, section, key, line):
+        # a mistyped key would otherwise leave its default in force silently
+        config = TINY_CONFIG.replace(section + "\n", f"{section}\n{line}\n", 1)
+        assert line in config
+        code = main(["--config", write_config(tmp_path, config), "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert section in err and repr(key) in err
+
     def test_violated_limit_exits_one_and_names_the_spot(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(gn_module, "OVERLAP_LIMIT_1D", 2)
         code = main(["--config", write_config(tmp_path), "--out", str(tmp_path / "v")])

@@ -15,7 +15,7 @@ from gnsparse import (
     UnresolvableFunctionError,
     fd_consistency_error,
     grid_for_spec,
-    interval_integral,
+    interval_integrals,
     make_test_function,
     mollify,
     quadrature_integral,
@@ -220,8 +220,8 @@ def test_quadrature_2d_product():
 
 
 def test_interval_integral_matches_closed_form():
-    val = interval_integral(np.sin, 0.0, math.pi, h_ref=0.01)
-    assert val == pytest.approx(2.0, abs=1e-6)
+    vals = interval_integrals(np.sin, [0.0, 0.0], [math.pi, 0.5 * math.pi], h_ref=0.01)
+    assert vals == pytest.approx([2.0, 1.0], abs=1e-6)
 
 
 def test_mollify_constant_one_and_warning():

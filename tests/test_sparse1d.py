@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gnsparse.errors import CorpusConfigError
+from gnsparse.cli import load_run_config
+from gnsparse.errors import CorpusConfigError, EmptyRegionError
 from gnsparse.gn import MODULAR_YOUNGS
-from gnsparse.grid import Grid1D, interval_integral
+from gnsparse.grid import Grid1D, interval_integrals
 from gnsparse.operator import (
     CellFamily,
     apply_sparse_operator,
@@ -19,6 +20,7 @@ from gnsparse.operator import (
 from gnsparse.spaces import SpaceDescriptor
 from gnsparse.sparse1d import (
     BISECT_TOL_FACTOR,
+    _interval_table,
     band_edges,
     build_family_1d,
     coverage_report,
@@ -28,6 +30,7 @@ from gnsparse.sparse1d import (
     level_index,
     observation_bounds_report,
     resolved_k_min,
+    seeded_runs,
     verify_pointwise_1d,
 )
 from gnsparse.testfunctions import (
@@ -74,7 +77,7 @@ def seed_interval(u, x, sign):
 
 def interval_mean(u, iv, order):
     """Mean of |u^(order)| over an interval, by the family's quadrature."""
-    return interval_integral(lambda t: np.abs(u.evaluate(t, order)), iv.z, iv.y, u.grid.h) / iv.length
+    return interval_integrals(lambda t: np.abs(u.evaluate(t, order)), iv.z, iv.y, u.grid.h)[0] / iv.length
 
 
 class TestLevelIndex:
@@ -424,6 +427,79 @@ class TestScalarOracle:
         fam = build_family_1d(u, default_k_min(u), exit_fraction_limit=1.0)
         assert fam.window_exit_nodes
         assert_matches_scalar_family(u, fam)
+
+
+def scalar_interval_integral(fn, z, y, h_ref):
+    """Reference quadrature, one interval and one call of ``fn`` at a time:
+    the trapezoid rule on ``np.linspace`` nodes with the batched panel rule."""
+    if not y > z:
+        raise EmptyRegionError(f"degenerate interval ({z}, {y})")
+    panels = max(64, 8 * int(math.ceil((y - z) / h_ref)))
+    t = np.linspace(z, y, panels + 1)
+    v = np.asarray(fn(t), dtype=float)
+    step = (y - z) / panels
+    return float(step * (np.sum(v) - 0.5 * (v[0] + v[-1])))
+
+
+def default_cfg_specs_1d():
+    class Args:
+        config = None
+        resolution = checks = format = None
+        out = "."
+        seed = 0
+
+    specs = {c.spec.name: c.spec for c in load_run_config(Args).cases if c.dim == 1}
+    return [specs[name] for name in sorted(specs)]
+
+
+class TestBatchedQuadrature:
+    @pytest.mark.parametrize("spec", default_cfg_specs_1d(), ids=lambda s: s.name)
+    def test_default_cases_equal_the_scalar_oracle(self, spec):
+        u = make_test_function(spec, grid_for_spec(spec, 1024))
+        table = list(_interval_table(u, build_family_1d(u, default_k_min(u))))
+        assert table
+        for iv, _, _, int_d2, int_u in table:
+            for m, got in ((2, int_d2), (0, int_u)):
+                want = scalar_interval_integral(lambda t: np.abs(u.evaluate(t, m)), iv.z, iv.y, u.grid.h)
+                assert got == want, f"{spec.name} ({iv.z}, {iv.y}) order {m}: {got!r} != {want!r}"
+
+    def test_one_call_for_all_intervals(self):
+        calls = []
+
+        def fn(t):
+            calls.append(t.size)
+            return np.cos(t)
+
+        z, y = [0.0, 1.0, -3.0], [0.5, 4.0, -2.999]
+        got = interval_integrals(fn, z, y, 0.01)
+        assert len(calls) == 1
+        assert got.tolist() == [scalar_interval_integral(np.cos, a, b, 0.01) for a, b in zip(z, y)]
+
+    @pytest.mark.parametrize("y_bad", [0.05, 0.1], ids=["reversed", "empty"])
+    def test_degenerate_interval_in_a_batch_raises(self, y_bad):
+        with pytest.raises(EmptyRegionError):
+            interval_integrals(np.cos, [0.0, 0.1, 0.3], [0.05, y_bad, 0.4], 0.01)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_seeded_runs_per_row_levels_equal_per_level_calls(seed):
+    # a random sign*u' line: a rough walk crossing many dyadic bands both ways
+    rng = np.random.default_rng(seed)
+    d1 = np.cumsum(rng.normal(size=600)) * 0.05 + 0.1 * np.sin(np.linspace(0.0, 20.0, 600))
+    d1[0], d1[-1] = 0.3, -0.3  # one window exit per sign
+    for sign in (1, -1):
+        g = sign * d1
+        levels = np.arange(-6, level_index(float(np.max(np.abs(d1)))) + 1)
+        seeds = np.array([(g >= level_floor(k)) & (g < level_floor(k + 1)) for k in levels.tolist()])
+        batched = seeded_runs(g[None], seeds, levels[:, None])
+        single = [seeded_runs(g[None], seeds[row][None], k) for row, k in enumerate(levels.tolist())]
+        assert batched.first.size and batched.exit_index.size
+        for field in ("first", "last", "seed", "exit_index"):
+            want = np.concatenate([getattr(r, field) for r in single])
+            assert np.array_equal(getattr(batched, field), want), field
+        for field, sizes in (("line", "first"), ("exit_line", "exit_index")):
+            want = np.concatenate([np.full(getattr(r, sizes).size, row) for row, r in enumerate(single)])
+            assert np.array_equal(getattr(batched, field), want), field
 
 
 @st.composite

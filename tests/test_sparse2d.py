@@ -9,6 +9,9 @@ from gnsparse.errors import CorpusConfigError
 from gnsparse.grid import Grid1D, Grid2D, GridFunction2D
 from gnsparse.sparse1d import band_edges, level_floor
 from gnsparse.sparse2d import (
+    DeltaResult,
+    _field_lattices,
+    _shift_variation,
     build_family_2d,
     compute_delta,
     field_sups,
@@ -52,20 +55,20 @@ def constant_function(c=0.7, n=16):
 class TestComputeDelta:
     def test_ramp_floor_of_bound_over_slope(self):
         u = ramp_function(slope=1.0, n=16)  # h = 1/16
-        res = compute_delta(u, bound=0.30)
+        (res,) = compute_delta(u, [0.30])
         assert res.steps == 4  # floor(0.30 * 16)
         assert res.delta == pytest.approx(4.0 / 16.0)
         assert res.admissible
 
     def test_monotone_in_bound(self):
         u = ramp_function(slope=1.0, n=16)
-        steps = [compute_delta(u, bound=b).steps for b in (0.5, 0.3, 0.125, 0.07)]
+        steps = [res.steps for res in compute_delta(u, [0.5, 0.3, 0.125, 0.07])]
         assert steps == sorted(steps, reverse=True)
         assert steps[0] >= steps[-1] >= 1
 
     def test_no_admissible_multiple(self):
         u = ramp_function(slope=1.0, n=16)
-        res = compute_delta(u, bound=0.01)  # one step already moves 1/16
+        (res,) = compute_delta(u, [0.01])  # one step already moves 1/16
         assert res.steps == 0
         assert res.delta == 0.0
         assert not res.admissible
@@ -73,7 +76,7 @@ class TestComputeDelta:
 
     def test_constant_unconstrained_by_window(self):
         u = constant_function()
-        res = compute_delta(u, bound=1e-6)
+        (res,) = compute_delta(u, [1e-6])
         assert res.delta == pytest.approx(math.sqrt(2.0))
         assert res.steps == 16
 
@@ -86,13 +89,56 @@ class TestComputeDelta:
         u = make_test_function(spec, grid_for_spec(spec, 128))
         k_top = 0 if u.sup_norm(1) >= 0.5 else -1
         bound = oscillation_bound(k_top, max(field_sups(u)))
-        res = compute_delta(u, bound)
+        (res,) = compute_delta(u, [bound])
         assert res.admissible
         assert res.delta == pytest.approx(res.steps * u.grid.gx.h)
 
     def test_rejects_nonpositive_bound(self):
         with pytest.raises(ValueError):
-            compute_delta(ramp_function(), 0.0)
+            compute_delta(ramp_function(), [0.0])
+
+
+def scalar_compute_delta(u, bound):
+    """Reference thickness scan for one bound: rings of offsets out from
+    m = 1 until the cumulative worst oscillation exceeds the bound."""
+    fields = _field_lattices(u)
+    var_one = max(_shift_variation(f, a, b) for f in fields for a, b in ((1, 0), (0, 1)))
+    global_range = max(float(np.max(f) - np.min(f)) for f in fields)
+    m_cap = min(u.grid.gx.n, u.grid.gy.n)
+    if global_range <= bound:
+        diameter = math.hypot(u.grid.gx.b - u.grid.gx.a, u.grid.gy.b - u.grid.gy.a)
+        return DeltaResult(steps=m_cap, delta=diameter, bound=bound, variation_at_one=var_one)
+    if var_one > bound:
+        return DeltaResult(steps=0, delta=0.0, bound=bound, variation_at_one=var_one)
+    worst, m = var_one, 1
+    while m + 1 <= m_cap:
+        nxt = m + 1
+        ring = [
+            (a, b)
+            for a in range(0, nxt + 1)
+            for b in range(-nxt, nxt + 1)
+            if (a > 0 or b > 0) and m * m < a * a + b * b <= nxt * nxt
+        ]
+        worst = max([worst] + [_shift_variation(f, a, b) for f in fields for a, b in ring])
+        if worst > bound:
+            break
+        m = nxt
+    return DeltaResult(steps=m, delta=m * u.grid.gx.h, bound=bound, variation_at_one=var_one)
+
+
+@pytest.mark.parametrize("n", [128, 256])
+@pytest.mark.parametrize("axis", [1, 2])
+@pytest.mark.parametrize("spec", default_corpus_2d(), ids=lambda s: s.name)
+def test_one_ring_scan_equals_per_bound_scans(spec, n, axis):
+    u = make_test_function(spec, grid_for_spec(spec, n), axis=axis)
+    fam = build_family_2d(u)
+    assert fam.deltas
+    for k, res in fam.deltas.items():
+        assert res == scalar_compute_delta(u, res.bound), f"level {k}"
+    # the same scan over bounds in any order, with repeats and a window-wide one
+    bounds = [res.bound for res in fam.deltas.values()]
+    bounds = bounds[::-1] + bounds[:1] + [1e9]
+    assert compute_delta(u, bounds) == [scalar_compute_delta(u, b) for b in bounds]
 
 
 class TestBuild2D:
