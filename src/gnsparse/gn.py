@@ -140,20 +140,24 @@ class GNReport:
     stable: bool
 
 
-def _abs_field(u, order: int, mode: str, axis: int) -> np.ndarray:
-    """|derivative expression| of the given total order at cell centers."""
-    if u.dim == 1:
-        return np.abs(np.asarray(u.evaluate(u.grid.centers(), order), dtype=float))
+def _abs_field(u, order: int, mode: str) -> np.ndarray:
+    """|derivative expression| of the given total order at cell centers.
+
+    In 1D, at order 0 and in ``pure`` mode (along u.axis) this is u's own
+    center field; the sums of the other modes read it for the partial along
+    u.axis and evaluate the others.
+    """
+    if u.dim == 1 or order == 0 or mode == "pure":
+        return np.abs(u.center_values(order)).ravel()
     X, Y = u.grid.centers()
+    own = (order, 0) if u.axis == 1 else (0, order)
 
     def part(jx, jy):
+        if (jx, jy) == own:
+            return u.center_values(order)
         return np.asarray(u.evaluate(X, Y, jx, jy), dtype=float)
 
-    if order == 0:
-        out = np.abs(part(0, 0))
-    elif mode == "pure":
-        out = np.abs(part(order, 0) if axis == 1 else part(0, order))
-    elif mode == "pure-sum":
+    if mode == "pure-sum":
         out = np.abs(part(order, 0)) + np.abs(part(0, order))
     else:  # gradient: every multi-index of the given total order
         out = sum(np.abs(part(jx, order - jx)) for jx in range(order + 1))
@@ -170,9 +174,9 @@ def _sample(case: GNCase, n: int):
 
 def _norms_at(case: GNCase, z_space: SpaceDescriptor, u):
     mu = _cell_measure(u)
-    lhs = space_norm(z_space, _abs_field(u, case.j, case.mode, case.axis), mu)
-    rhs_x = space_norm(case.x_space, _abs_field(u, case.k, case.mode, case.axis), mu)
-    rhs_y = space_norm(case.y_space, _abs_field(u, 0, case.mode, case.axis), mu)
+    lhs = space_norm(z_space, _abs_field(u, case.j, case.mode), mu)
+    rhs_x = space_norm(case.x_space, _abs_field(u, case.k, case.mode), mu)
+    rhs_y = space_norm(case.y_space, _abs_field(u, 0, case.mode), mu)
     return lhs, rhs_x, rhs_y
 
 
@@ -366,17 +370,14 @@ def _needs_family(checks) -> bool:
 
 
 def _cells_and_fields(u, family):
-    """The family's cells, |u| and |u''| at cell centers, and T|u|, T|u''|.
-
-    A 2D build already holds both fields at cell centers.
-    """
+    """The family's cells, |u| and |u''| at cell centers (u's own center
+    fields), and T|u|, T|u''|."""
     if u.dim == 1:
-        f0, f2 = (np.abs(u.center_values(m)) for m in (0, 2))
         cells = CellFamily.from_intervals(family.intervals, u.grid)
     else:
         labels = [(s.k, s.sign) for s in family.slabs]
         cells = CellFamily.from_masks([s.mask for s in family.slabs], labels, u.grid.cell_area)
-        f0, f2 = np.abs(family.uc).ravel(), np.abs(family.d2c).ravel()
+    f0, f2 = (np.abs(u.center_values(m)).ravel() for m in (0, 2))
     return cells, f0, f2, apply_sparse_operator(cells, f0), apply_sparse_operator(cells, f2)
 
 

@@ -7,7 +7,8 @@ Two sampling conventions coexist deliberately:
 * cell-center samples (n points, midpoint rule) feed everything
   measure-theoretic -- rearrangements, norms, averaging operators -- where an
   exact "step function on cells" representation makes the verified identities
-  hold to rounding error instead of quadrature error.
+  hold to rounding error instead of quadrature error.  A sampled function
+  evaluates each center field once and every consumer reads that array.
 """
 
 from __future__ import annotations
@@ -68,10 +69,11 @@ class Grid2D:
 
 
 class GridFunction1D:
-    """Node samples of u, u', u'' plus the analytic evaluators behind them.
+    """Node samples of u, u', u'', the center fields read so far, and the
+    analytic evaluator behind them.
 
-    The evaluators take a float or array and a derivative order (0..3); they
-    are what escape-interval bisection and interval quadrature consume, so
+    The evaluator takes a float or array and a derivative order (0..3); it
+    is what escape-interval bisection and interval quadrature consume, so
     those computations are not limited to grid resolution.
     """
 
@@ -82,6 +84,7 @@ class GridFunction1D:
         self.grid = grid
         self.evaluate = evaluate
         self.label = label
+        self._centers = {}
         x = grid.nodes()
         self.values = np.asarray(evaluate(x, 0), dtype=float)
         self.d1 = np.asarray(evaluate(x, 1), dtype=float)
@@ -91,7 +94,11 @@ class GridFunction1D:
                 raise ValueError(f"non-finite {name} in sampled function {label!r}")
 
     def center_values(self, order: int = 0) -> np.ndarray:
-        return np.asarray(self.evaluate(self.grid.centers(), order), dtype=float)
+        """u^(order) at cell centers, evaluated on first use and kept read-only."""
+        if order not in self._centers:
+            self._centers[order] = arr = np.asarray(self.evaluate(self.grid.centers(), order), dtype=float)
+            arr.flags.writeable = False
+        return self._centers[order]
 
     def sup_norm(self, order: int = 0) -> float:
         """Sup norm from a fixed fine probe, independent of grid resolution."""
@@ -100,10 +107,11 @@ class GridFunction1D:
 
 
 class GridFunction2D:
-    """Node samples of u and its pure partials along one axis, plus evaluators.
+    """Node samples of u and its pure partials along one axis, the center
+    fields read so far, and the evaluator behind them.
 
     ``evaluate(x, y, jx, jy)`` returns the mixed partial of order (jx, jy);
-    the stored arrays cover (0,0), the first and the second pure partial
+    the node arrays and center fields cover (0,0) and the pure partials
     along ``axis``.
     """
 
@@ -117,6 +125,7 @@ class GridFunction2D:
         self.evaluate = evaluate
         self.axis = axis
         self.label = label
+        self._centers = {}
         X, Y = grid.nodes()
         self.values = np.asarray(evaluate(X, Y, 0, 0), dtype=float)
         self.d1 = np.asarray(self._axis_partial(X, Y, 1), dtype=float)
@@ -133,9 +142,12 @@ class GridFunction2D:
             return self.evaluate(X, Y, order, 0)
         return self.evaluate(X, Y, 0, order)
 
-    def center_values(self, order: int = 0):
-        X, Y = self.grid.centers()
-        return np.asarray(self._axis_partial(X, Y, order), dtype=float)
+    def center_values(self, order: int = 0) -> np.ndarray:
+        """The pure partial along ``axis`` at cell centers, evaluated on first use and kept read-only."""
+        if order not in self._centers:
+            self._centers[order] = arr = np.asarray(self._axis_partial(*self.grid.centers(), order), dtype=float)
+            arr.flags.writeable = False
+        return self._centers[order]
 
     def sup_norm(self, order: int = 0) -> float:
         """Sup norm from a fixed fine probe, independent of grid resolution."""

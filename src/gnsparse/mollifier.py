@@ -37,8 +37,8 @@ def mollify(u: GridFunction1D, l: float) -> GridFunction1D:
 
     Derivatives commute with convolution, so the result's d1/d2 are the
     convolved d1/d2 of the input; the evaluator interpolates linearly
-    between nodes (the result is a genuine grid-level object, no longer
-    closed form).
+    between nodes, so its node samples are the convolved arrays themselves
+    (the result is a genuine grid-level object, no longer closed form).
     """
     grid = u.grid
     w = kernel_weights(l, grid.h)
@@ -53,24 +53,10 @@ def mollify(u: GridFunction1D, l: float) -> GridFunction1D:
             stacklevel=2,
         )
 
-    def conv(arr):
-        return np.convolve(arr, w, mode="same")
-
-    values = conv(u.values)
-    d1 = conv(u.d1)
-    d2 = conv(u.d2)
-
+    fields = [np.convolve(arr, w, mode="same") for arr in (u.values, u.d1, u.d2)]
     nodes = grid.nodes()
 
     def evaluate(x, order=0):
-        arr = (values, d1, d2)[order]
-        return np.interp(np.asarray(x, dtype=float), nodes, arr)
+        return np.interp(np.asarray(x, dtype=float), nodes, fields[order])
 
-    out = GridFunction1D.__new__(GridFunction1D)
-    out.grid = grid
-    out.evaluate = evaluate
-    out.label = f"{u.label}*phi_{l:g}"
-    out.values = values
-    out.d1 = d1
-    out.d2 = d2
-    return out
+    return GridFunction1D(grid, evaluate, f"{u.label}*phi_{l:g}")

@@ -46,6 +46,12 @@ def level_floor(k: int) -> float:
     return math.ldexp(1.0, k - 1)
 
 
+def level_band(k):
+    """A level's own band [2^(k-1), 2^k) for level k (or each level of an
+    integer array)."""
+    return np.ldexp(1.0, k - 1), np.ldexp(1.0, k)
+
+
 def band_edges(k):
     """The widened escape band [2^(k-2), 2^(k+1)) for level k (or each level
     of an integer array)."""
@@ -209,6 +215,17 @@ def resolved_k_min(u, min_cells: int = 4) -> int:
     return floor
 
 
+def check_exit_budget(u, exits: int, eligible: int, what: str, limit: float = EXIT_FRACTION_LIMIT):
+    """Raise CorpusConfigError when more than ``limit`` of the eligible
+    nodes or cells (``what``) of u exit the window."""
+    if eligible and exits > limit * eligible:
+        raise CorpusConfigError(
+            f"{exits} of {eligible} eligible {what} exit the window "
+            f"({exits / eligible:.1%} > {limit:.0%}); "
+            f"function {u.label!r} is not sufficiently localized in its window"
+        )
+
+
 def build_family_1d(u, k_min: int, exit_fraction_limit: float = EXIT_FRACTION_LIMIT) -> SparseFamily1D:
     """Assemble the two-sign escape-interval family of u, one interval per
     seeded run, in (k, sign, z) order.
@@ -237,18 +254,14 @@ def build_family_1d(u, k_min: int, exit_fraction_limit: float = EXIT_FRACTION_LI
         k_top = level_index(float(np.max(g[side])))
         k_max_seen = max(k_max_seen, k_top)
         levels = np.arange(k_min, k_top + 1)[:, None]  # one row per level
-        seeds = (g >= np.ldexp(1.0, levels - 1)) & (g < np.ldexp(1.0, levels))
+        lo, hi = level_band(levels)
+        seeds = (g >= lo) & (g < hi)
         runs = seeded_runs(g[None], seeds, levels)
         exit_nodes.extend(runs.exit_index.tolist())
         k = levels[runs.line, 0]
         runs_found.append(np.column_stack([k, np.full_like(k, sign), runs.first, runs.last, runs.seed]))
 
-    if eligible_count and len(exit_nodes) > exit_fraction_limit * eligible_count:
-        raise CorpusConfigError(
-            f"{len(exit_nodes)} of {eligible_count} eligible nodes exit the window "
-            f"({len(exit_nodes) / eligible_count:.1%} > {exit_fraction_limit:.0%}); "
-            f"function {u.label!r} is not sufficiently localized in its window"
-        )
+    check_exit_budget(u, len(exit_nodes), eligible_count, "nodes", exit_fraction_limit)
 
     # the runs of one (k, sign) are disjoint, so sorting by first sorts by z
     runs = np.concatenate(runs_found, dtype=np.int64)
@@ -328,7 +341,7 @@ def observation_bounds_report(u, family: SparseFamily1D):
         bound_a = 4.0 * int_d2
         bound_b = 32.0 / iv.length**2 * int_u
         g = iv.sign * family.d1[i0:i1]
-        lo, hi = level_floor(iv.k), math.ldexp(1.0, iv.k)
+        lo, hi = level_band(iv.k)
         own = (g >= lo) & (g < hi)
         if not np.any(own):
             continue

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConstructionError, CorpusConfigError
-from .sparse1d import EXIT_FRACTION_LIMIT, k_min_for_sup, level_floor, level_index, seeded_runs
+from .sparse1d import check_exit_budget, k_min_for_sup, level_band, level_floor, level_index, seeded_runs
 
 OVERLAP_LIMIT_2D = 5  # per sign: slabs of five adjacent levels at most cover a cell
 
@@ -82,9 +82,10 @@ class SlabSet:
 
 @dataclass
 class SparseFamily2D:
-    """The slabs of one build, its bookkeeping, and the per-cell covering
-    counts fixed at build: per sign (``plus_counts``, ``minus_counts``),
-    their cellwise max (``counts``) and its maximum (``max_overlap``)."""
+    """The slabs of one build, its bookkeeping, the center field d1c of the
+    partial it is built from, and the per-cell covering counts fixed at
+    build: per sign (``plus_counts``, ``minus_counts``), their cellwise max
+    (``counts``) and its maximum (``max_overlap``)."""
 
     axis: int
     slabs: list
@@ -93,15 +94,12 @@ class SparseFamily2D:
     k_top: int
     exit_cells: list
     eligible_count: int
-    grid: object
-    uc: np.ndarray
     d1c: np.ndarray
-    d2c: np.ndarray
     deltas: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.plus_counts = np.zeros(self.uc.shape, dtype=np.int64)
-        self.minus_counts = np.zeros(self.uc.shape, dtype=np.int64)
+        self.plus_counts = np.zeros(self.d1c.shape, dtype=np.int64)
+        self.minus_counts = np.zeros(self.d1c.shape, dtype=np.int64)
         for s in self.slabs:
             (self.plus_counts if s.sign > 0 else self.minus_counts)[s.mask] += 1
         self.counts = np.maximum(self.plus_counts, self.minus_counts)
@@ -127,7 +125,8 @@ def _shift_variation(arr: np.ndarray, a: int, b: int) -> float:
 
 
 def _field_lattices(u):
-    """The three controlled fields on both sampling lattices."""
+    """The three controlled fields on both sampling lattices (u's node
+    arrays and its stored center fields)."""
     return (
         u.values,
         u.d1,
@@ -138,7 +137,7 @@ def _field_lattices(u):
     )
 
 
-def compute_delta(u, bounds, lattices=None) -> list:
+def compute_delta(u, bounds) -> list:
     """Per oscillation bound, the largest delta = m*h whose displacements
     keep all field oscillations within it, checked on the node and
     cell-center lattices.
@@ -153,7 +152,7 @@ def compute_delta(u, bounds, lattices=None) -> list:
     for bound in bounds:
         if bound <= 0.0:
             raise ValueError(f"oscillation bound must be positive, got {bound}")
-    fields = _field_lattices(u) if lattices is None else lattices
+    fields = _field_lattices(u)
     hx, hy = u.grid.gx.h, u.grid.gy.h
     if not math.isclose(hx, hy, rel_tol=1e-12):
         raise ConstructionError(f"anisotropic cells ({hx} x {hy}) have no common step")
@@ -231,10 +230,7 @@ def build_family_2d(u) -> SparseFamily2D:
     axis = u.axis
     _check_compact_support(u)
 
-    uc = u.center_values(0)
     d1c = u.center_values(1)
-    d2c = u.center_values(2)
-    lattices = (u.values, u.d1, u.d2, uc, d1c, d2c)
 
     # canonical orientation: one row per grid line along the axis
     lines = d1c.T if axis == 1 else d1c
@@ -245,25 +241,23 @@ def build_family_2d(u) -> SparseFamily2D:
     big_m = max(sups)
     sup_d1 = max(sups[1], float(np.max(np.abs(d1c))))
     if sup_d1 == 0.0:
-        return SparseFamily2D(
-            axis, [], [], 0, 0, [], 0, u.grid, uc, d1c, d2c, {}
-        )
+        return SparseFamily2D(axis, [], [], 0, 0, [], 0, d1c)
     k_top = level_index(sup_d1)
     k_min = k_min_for_sup(sups[1])
 
-    thr = level_floor(k_min)
-    eligible_count = int(np.sum(np.abs(d1c) >= thr))
+    eligible_count = int(np.sum(np.abs(d1c) >= level_floor(k_min)))
 
     slabs = []
     skipped = []
     exit_cells = []
 
     def own_cells(k):
-        return (abs_lines >= level_floor(k)) & (abs_lines < level_floor(k + 1))
+        lo, hi = level_band(k)
+        return (abs_lines >= lo) & (abs_lines < hi)
 
     seed_counts = {k: int(np.sum(own_cells(k))) for k in range(k_top, k_min - 1, -1)}
     levels = [k for k, count in seed_counts.items() if count]
-    results = compute_delta(u, [oscillation_bound(k, big_m) for k in levels], lattices=lattices)
+    results = compute_delta(u, [oscillation_bound(k, big_m) for k in levels])
     deltas = dict(zip(levels, results))
 
     for k, res in deltas.items():
@@ -307,11 +301,7 @@ def build_family_2d(u) -> SparseFamily2D:
                 )
             )
 
-    if eligible_count and len(exit_cells) > EXIT_FRACTION_LIMIT * eligible_count:
-        raise CorpusConfigError(
-            f"{len(exit_cells)} of {eligible_count} eligible cells exit the window "
-            f"({len(exit_cells) / eligible_count:.1%} > {EXIT_FRACTION_LIMIT:.0%})"
-        )
+    check_exit_budget(u, len(exit_cells), eligible_count, "cells")
 
     return SparseFamily2D(
         axis=axis,
@@ -321,10 +311,7 @@ def build_family_2d(u) -> SparseFamily2D:
         k_top=k_top,
         exit_cells=exit_cells,
         eligible_count=eligible_count,
-        grid=u.grid,
-        uc=uc,
         d1c=d1c,
-        d2c=d2c,
         deltas=deltas,
     )
 
@@ -347,8 +334,8 @@ def verify_family_2d(u, family: SparseFamily2D) -> Family2DReport:
     ratio (d1 u)^2 / sum of slab-average products is reported, never
     thresholded.
     """
-    shape = family.uc.shape
-    denom = np.zeros(shape)
+    uc, d2c = u.center_values(0), u.center_values(2)
+    denom = np.zeros(family.d1c.shape)
 
     for s in family.slabs:
         g = s.sign * family.d1c[s.mask]
@@ -359,8 +346,8 @@ def verify_family_2d(u, family: SparseFamily2D) -> Family2DReport:
                 f"slab (k={s.k}, sign={s.sign}) leaves its widened band "
                 f"[{lo}, {hi}): values in [{np.min(g)}, {np.max(g)}]"
             )
-        a2 = float(np.mean(np.abs(family.d2c[s.mask])))
-        a0 = float(np.mean(np.abs(family.uc[s.mask])))
+        a2 = float(np.mean(np.abs(d2c[s.mask])))
+        a0 = float(np.mean(np.abs(uc[s.mask])))
         if a2 <= 0.0:
             raise ConstructionError(f"slab (k={s.k}, sign={s.sign}) has zero |d1^2 u| average")
         denom[s.mask] += a2 * a0
@@ -373,7 +360,8 @@ def verify_family_2d(u, family: SparseFamily2D) -> Family2DReport:
     exit_set = {(i, j, k, sign) for (i, j, k, sign) in family.exit_cells}
     for s in family.slabs:
         g = s.sign * family.d1c
-        own = (g >= level_floor(s.k)) & (g < math.ldexp(1.0, s.k))
+        lo, hi = level_band(s.k)
+        own = (g >= lo) & (g < hi)
         missing = own & ~s.mask
         if np.any(missing):
             bad = [
@@ -388,7 +376,7 @@ def verify_family_2d(u, family: SparseFamily2D) -> Family2DReport:
                 )
 
     covered = denom > 0.0
-    ratios = np.zeros(shape)
+    ratios = np.zeros(family.d1c.shape)
     np.divide(family.d1c**2, denom, out=ratios, where=covered)
     max_ratio = float(np.max(ratios)) if family.slabs else 0.0
 

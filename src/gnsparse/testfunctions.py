@@ -1,6 +1,7 @@
 """Closed-form test-function families and the default verification corpora.
 
-Families (all provide derivatives up to third order in closed form):
+Families (all provide derivatives up to third order in closed form, each
+profile as one jet of orders 0..m):
 
 * ``gaussian``        A * exp(-((x-c)/w)^2)
 * ``smooth-bump``     A * cos^4(pi (x-c) / (2 w)) on |x-c| < w, zero outside
@@ -76,78 +77,77 @@ class TestFunctionSpec:
 
 
 # ---------------------------------------------------------------------------
-# 1D profiles.  Each returns the order-m derivative of the profile at x.
+# 1D profiles.  Each returns the jet [d^0, ..., d^m] of the profile at x,
+# from one pass of its transcendental functions.
+
+MAX_ORDER = 3
 
 
 def _gaussian(x, c, w, A, m):
     t = (np.asarray(x, dtype=float) - c) / w
     e = A * np.exp(-t * t)
-    if m == 0:
-        return e
-    if m == 1:
-        return -2.0 * t * e / w
-    if m == 2:
-        return (4.0 * t * t - 2.0) * e / (w * w)
-    if m == 3:
-        return (12.0 * t - 8.0 * t ** 3) * e / (w ** 3)
-    raise ValueError(f"derivative order {m} not available")
+    orders = (
+        lambda: e,
+        lambda: -2.0 * t * e / w,
+        lambda: (4.0 * t * t - 2.0) * e / (w * w),
+        lambda: (12.0 * t - 8.0 * t ** 3) * e / (w ** 3),
+    )
+    return [d() for d in orders[: m + 1]]
 
 
 def _bump(x, c, w, A, m):
     t = (np.asarray(x, dtype=float) - c) / w
-    out = np.zeros_like(t)
     inside = np.abs(t) < 1.0
     th = _HALF_PI * t[inside]
     cs, sn = np.cos(th), np.sin(th)
-    if m == 0:
-        out[inside] = A * cs ** 4
-    elif m == 1:
-        out[inside] = -4.0 * A * (_HALF_PI / w) * cs ** 3 * sn
-    elif m == 2:
-        out[inside] = A * (_HALF_PI / w) ** 2 * (12.0 * cs ** 2 * sn ** 2 - 4.0 * cs ** 4)
-    elif m == 3:
-        out[inside] = A * (_HALF_PI / w) ** 3 * 8.0 * cs * sn * (5.0 * cs ** 2 - 3.0 * sn ** 2)
-    else:
-        raise ValueError(f"derivative order {m} not available")
-    return out
+    orders = (
+        lambda: A * cs ** 4,
+        lambda: -4.0 * A * (_HALF_PI / w) * cs ** 3 * sn,
+        lambda: A * (_HALF_PI / w) ** 2 * (12.0 * cs ** 2 * sn ** 2 - 4.0 * cs ** 4),
+        lambda: A * (_HALF_PI / w) ** 3 * 8.0 * cs * sn * (5.0 * cs ** 2 - 3.0 * sn ** 2),
+    )
+    jet = []
+    for d in orders[: m + 1]:
+        out = np.zeros_like(t)
+        out[inside] = d()
+        jet.append(out)
+    return jet
 
 
 def _modulated(x, c, w, A, nu, m):
     x = np.asarray(x, dtype=float)
     ph = nu * (x - c)
     C, S = np.cos(ph), np.sin(ph)
-    B = [_bump(x, c, w, A, j) for j in range(m + 1)]
-    if m == 0:
-        return B[0] * C
-    if m == 1:
-        return B[1] * C - B[0] * nu * S
-    if m == 2:
-        return B[2] * C - 2.0 * B[1] * nu * S - B[0] * nu * nu * C
-    if m == 3:
-        return B[3] * C - 3.0 * B[2] * nu * S - 3.0 * B[1] * nu * nu * C + B[0] * nu ** 3 * S
-    raise ValueError(f"derivative order {m} not available")
+    B = _bump(x, c, w, A, m)
+    orders = (
+        lambda: B[0] * C,
+        lambda: B[1] * C - B[0] * nu * S,
+        lambda: B[2] * C - 2.0 * B[1] * nu * S - B[0] * nu * nu * C,
+        lambda: B[3] * C - 3.0 * B[2] * nu * S - 3.0 * B[1] * nu * nu * C + B[0] * nu ** 3 * S,
+    )
+    return [d() for d in orders[: m + 1]]
 
 
 def _sine(x, c, A, nu, m):
     ph = nu * (np.asarray(x, dtype=float) - c)
-    cycle = (np.sin, np.cos, lambda t: -np.sin(t), lambda t: -np.cos(t))
-    if not 0 <= m <= 3:
+    sn = np.sin(ph)
+    cs = np.cos(ph) if m else None
+    orders = (lambda: sn, lambda: cs, lambda: -sn, lambda: -cs)
+    return [A * nu ** j * d() for j, d in enumerate(orders[: m + 1])]
+
+
+def profile_jet(spec: TestFunctionSpec, x, m: int, component: int = 0):
+    """Derivatives 0..m of the (1D or per-axis) profile of ``spec`` at x."""
+    if not 0 <= m <= MAX_ORDER:
         raise ValueError(f"derivative order {m} not available")
-    return A * nu ** m * cycle[m](ph)
-
-
-def profile_derivative(spec: TestFunctionSpec, x, m: int, component: int = 0):
-    """Order-m derivative of the (1D or per-axis) profile of ``spec`` at x."""
     c = spec.centers()[component]
     w = spec.widths()[component]
     A = spec.amplitude if component == 0 else 1.0
     if spec.family == "gaussian":
         return _gaussian(x, c, w, A, m)
-    if spec.family == "smooth-bump":
-        return _bump(x, c, w, A, m)
-    if spec.family == "modulated-bump":
-        if component == 0:
-            return _modulated(x, c, w, A, spec.frequency, m)
+    if spec.family == "modulated-bump" and component == 0:
+        return _modulated(x, c, w, A, spec.frequency, m)
+    if spec.family in COMPACT_FAMILIES:
         return _bump(x, c, w, A, m)
     if spec.family == "sine-window":
         return _sine(x, c, A, spec.frequency, m)
@@ -157,53 +157,47 @@ def profile_derivative(spec: TestFunctionSpec, x, m: int, component: int = 0):
 # ---------------------------------------------------------------------------
 # radial 2D profiles: u = P(r/w) with P the cos^4 (or gaussian) shape.
 
-
-def _radial_profile(spec, s, m):
-    A = spec.amplitude
-    if spec.family == "gaussian":
-        return _gaussian(s, 0.0, 1.0, A, m)
-    return _bump(s, 0.0, 1.0, A, m)
+_RADIAL_ORDERS = {(jx, jy) for jx in range(3) for jy in range(3 - jx)} | {(3, 0), (0, 3)}
 
 
 def _radial_partials(spec, X, Y, jx, jy):
     """Mixed partials of P(r/w) up to total order 2 (plus pure order 3)."""
+    if (jx, jy) not in _RADIAL_ORDERS:
+        raise ValueError(f"radial partial of order ({jx},{jy}) not available")
+    order = jx + jy
     cx, cy = spec.centers()
     w = spec.widths()[0]
     dx = (np.asarray(X, dtype=float) - cx) / w
     dy = (np.asarray(Y, dtype=float) - cy) / w
     r = np.hypot(dx, dy)
-    order = jx + jy
+    profile = _gaussian if spec.family == "gaussian" else _bump
+    P = profile(r, 0.0, 1.0, spec.amplitude, order)
     if order == 0:
-        return _radial_profile(spec, r, 0)
+        return P[0]
     safe = r > 1e-12
     rs = np.where(safe, r, 1.0)
-    P1 = _radial_profile(spec, r, 1)
     # P'(s)/s has a finite limit at s=0 (the profile is even in s)
     lim = -np.pi ** 2 * spec.amplitude if spec.family != "gaussian" else -2.0 * spec.amplitude
-    p1_over_s = np.where(safe, P1 / rs, lim)
+    p1_over_s = np.where(safe, P[1] / rs, lim)
     if order == 1:
         return p1_over_s * (dx if jx == 1 else dy) / w
     ex = np.where(safe, dx / rs, 0.0)
     ey = np.where(safe, dy / rs, 0.0)
-    P2 = _radial_profile(spec, r, 2)
     if order == 2:
         if jx == 2 or jy == 2:
             # at r=0 both pure second partials equal P''(0)/w^2
             e2 = np.where(safe, (ex if jx == 2 else ey) ** 2, 1.0)
-            return (P2 * e2 + p1_over_s * (1.0 - e2)) / w ** 2
+            return (P[2] * e2 + p1_over_s * (1.0 - e2)) / w ** 2
         cross = np.where(safe, ex * ey, 0.0)
-        return (P2 - p1_over_s) * cross / w ** 2
-    if order == 3 and (jx == 3 or jy == 3):
-        P3 = _radial_profile(spec, r, 3)
-        e = np.where(safe, ex if jx == 3 else ey, 0.0)
-        q = np.where(safe, (P2 - p1_over_s) / rs, 0.0)
-        return (P3 * e ** 3 + 3.0 * q * e * (1.0 - e * e)) / w ** 3
-    raise ValueError(f"radial partial of order ({jx},{jy}) not available")
+        return (P[2] - p1_over_s) * cross / w ** 2
+    e = np.where(safe, ex if jx == 3 else ey, 0.0)
+    q = np.where(safe, (P[2] - p1_over_s) / rs, 0.0)
+    return (P[3] * e ** 3 + 3.0 * q * e * (1.0 - e * e)) / w ** 3
 
 
 def make_evaluator_1d(spec: TestFunctionSpec):
     def evaluate(x, order=0):
-        return profile_derivative(spec, x, order, 0)
+        return profile_jet(spec, x, order)[order]
 
     return evaluate
 
@@ -217,9 +211,7 @@ def make_evaluator_2d(spec: TestFunctionSpec):
         return evaluate
 
     def evaluate(X, Y, jx=0, jy=0):
-        px = profile_derivative(spec, X, jx, 0)
-        py = profile_derivative(spec, Y, jy, 1)
-        return px * py
+        return profile_jet(spec, X, jx, 0)[jx] * profile_jet(spec, Y, jy, 1)[jy]
 
     return evaluate
 

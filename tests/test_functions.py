@@ -23,7 +23,14 @@ from gnsparse import (
 )
 from gnsparse.errors import CorpusConfigError, EmptyRegionError
 from gnsparse.gn import _abs_field
-from gnsparse.testfunctions import default_corpus_1d, default_corpus_2d
+from gnsparse.mollifier import kernel_weights
+from gnsparse.testfunctions import (
+    FAMILIES,
+    default_corpus_1d,
+    default_corpus_2d,
+    make_evaluator_1d,
+    make_evaluator_2d,
+)
 
 
 def test_grid_invariants():
@@ -163,8 +170,39 @@ def test_open_grid_matches_dense_evaluation(spec, axis):
             assert u.sup_norm(order) == _dense_sup_norm(u, order)
             for mode in ("pure", "pure-sum", "gradient"):
                 assert np.array_equal(
-                    _abs_field(u, order, mode, axis), _abs_field(ref, order, mode, axis)
+                    _abs_field(u, order, mode), _abs_field(ref, order, mode)
                 ), (order, mode)
+
+
+@pytest.mark.parametrize("spec", [default_corpus_1d()[0], default_corpus_2d()[0]], ids=lambda s: s.name)
+def test_center_values_are_stored_read_only(spec):
+    u = make_test_function(spec, grid_for_spec(spec, 64))
+    for order in (0, 1, 2):
+        first = u.center_values(order)
+        assert u.center_values(order) is first
+        assert not first.flags.writeable
+        with pytest.raises(ValueError):
+            first[0] = 1.0
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_1d_order_out_of_range_raises(family):
+    spec = next(s for s in default_corpus_1d() if s.family == family)
+    evaluate = make_evaluator_1d(spec)
+    assert np.all(np.isfinite(evaluate(np.linspace(*spec.window, 9), 3)))
+    with pytest.raises(ValueError, match="order 4"):
+        evaluate(np.linspace(*spec.window, 9), 4)
+
+
+@pytest.mark.parametrize(
+    "layout, orders", [("product", (4, 0)), ("radial", (2, 1)), ("radial", (4, 0))]
+)
+def test_2d_order_out_of_range_raises(layout, orders):
+    spec = next(s for s in default_corpus_2d() if s.layout == layout)
+    evaluate = make_evaluator_2d(spec)
+    X, Y = grid_for_spec(spec, 16).centers()
+    with pytest.raises(ValueError, match="not available"):
+        evaluate(X, Y, *orders)
 
 
 def test_unresolvable_width_rejected():
@@ -231,6 +269,20 @@ def test_mollify_constant_one_and_warning():
         ul = mollify(one, l=8 * grid.h)
     mid = grid.n // 2
     assert ul.values[mid] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_mollify_is_a_sampled_function():
+    spec = TestFunctionSpec("smooth-bump", 0.0, 1.0, 1.0, 0.0, (-1.5, 1.5), name="b")
+    f = make_test_function(spec, Grid1D(-1.5, 1.5, 512))
+    l = 8 * f.grid.h
+    ul = mollify(f, l)
+    w = kernel_weights(l, f.grid.h)
+    for name in ("values", "d1", "d2"):
+        assert np.array_equal(getattr(ul, name), np.convolve(getattr(f, name), w, "same")), name
+    for order in (0, 1, 2):
+        c = ul.center_values(order)
+        assert c.shape == (f.grid.n,) and np.all(np.isfinite(c))
+        assert ul.center_values(order) is c
 
 
 def test_mollify_mass_and_sup():

@@ -2,8 +2,10 @@
 algebra, and the corpus runner."""
 
 import dataclasses
+from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from gnsparse import gn as gn_module
@@ -302,6 +304,39 @@ class TestRunCorpus:
         assert averaged[0] is not averaged[1]
         assert len(combined) == 1
         assert result.z_text == result.report.z_space.format()
+
+    @pytest.mark.parametrize("dim, mode", [(1, "pure"), (2, "pure"), (2, "pure-sum"), (2, "gradient")])
+    def test_case_evaluates_each_center_field_once(self, dim, mode, monkeypatch):
+        # the family build, its verification, T|u|, T|u''| and the GN norms
+        # all read the center fields that the sample at n stores
+        if dim == 1:
+            case = case_1d(BUMP, "L:1", "L:1")
+        else:
+            spec = default_corpus_2d()[0]
+            case = GNCase(spec=spec, j=1, k=2, x_space=P("L:2"), y_space=P("L:2"), mode=mode, n=128)
+        at_centers = Counter()
+        sample = gn_module._sample
+
+        def counting_sample(case, n):
+            u = sample(case, n)
+            if n != case.n:
+                return u
+            centers = u.grid.centers() if u.dim == 2 else [u.grid.centers()]
+            evaluate = u.evaluate
+
+            def counted(*args):
+                points, orders = args[: u.dim], args[u.dim :]
+                if all(p.shape == c.shape and np.array_equal(p, c) for p, c in zip(points, centers)):
+                    at_centers[orders] += 1
+                return evaluate(*args)
+
+            u.evaluate = counted
+            return u
+
+        monkeypatch.setattr(gn_module, "_sample", counting_sample)
+        result = run_case(case, CHECK_NAMES)
+        assert result.passed, result.verdicts
+        assert at_centers and max(at_centers.values()) == 1, at_centers
 
     def test_z_is_combined_on_first_use(self, monkeypatch):
         # building a case combines nothing; a combination that fails is the

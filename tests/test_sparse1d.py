@@ -26,6 +26,7 @@ from gnsparse.sparse1d import (
     coverage_report,
     default_k_min,
     factorized_bounds_report,
+    level_band,
     level_floor,
     level_index,
     observation_bounds_report,
@@ -104,6 +105,16 @@ class TestLevelIndex:
     def test_band_edges(self):
         assert band_edges(1) == (0.5, 4.0)
         assert band_edges(0) == (0.25, 2.0)
+
+    def test_level_band(self):
+        # a level's own band is [2^(k-1), 2^k), for an int or an integer array
+        assert level_band(1) == (1.0, 2.0)
+        assert level_band(-2) == (0.125, 0.25)
+        ks = np.arange(-30, 12)
+        lo, hi = level_band(ks)
+        assert lo.tolist() == [level_floor(k) for k in ks.tolist()]
+        assert hi.tolist() == [level_floor(k + 1) for k in ks.tolist()]
+        assert all(level_index(v) == k for v, k in zip(lo.tolist(), ks.tolist()))
 
 
 class TestEscapeInterval:

@@ -162,6 +162,20 @@ class TestBuild2D:
         with pytest.raises(CorpusConfigError):
             build_family_2d(u)
 
+    def test_window_exits_past_the_budget_name_the_function(self):
+        # u = A sin(pi (x + 1) / 2) cos^2(pi y / 2) vanishes on the edge of
+        # [-1, 1]^2, but d1 u does not: the top level's runs reach the ends
+        # of their lines
+        def ev(X, Y, jx, jy):
+            assert jy == 0
+            t = 0.5 * np.pi * (np.asarray(X, dtype=float) + 1.0)
+            wave = (np.sin(t), np.cos(t), -np.sin(t))[jx]
+            return 0.35 * (0.5 * np.pi) ** jx * wave * np.cos(0.5 * np.pi * np.asarray(Y, dtype=float)) ** 2
+
+        u = GridFunction2D(square_grid(64, -1.0, 1.0), ev, axis=1, label="edge-sine")
+        with pytest.raises(CorpusConfigError, match=r"eligible cells exit the window .*'edge-sine'"):
+            build_family_2d(u)
+
     def test_top_level_structure(self):
         spec = default_corpus_2d()[0]
         u = make_test_function(spec, grid_for_spec(spec, 128))
