@@ -145,23 +145,19 @@ def _abs_field(u, order: int, mode: str) -> np.ndarray:
 
     In 1D, at order 0 and in ``pure`` mode (along u.axis) this is u's own
     center field; the sums of the other modes read it for the partial along
-    u.axis and evaluate the others.
+    u.axis and evaluate all the others in one pass.
     """
     if u.dim == 1 or order == 0 or mode == "pure":
         return np.abs(u.center_values(order)).ravel()
-    X, Y = u.grid.centers()
-    own = (order, 0) if u.axis == 1 else (0, order)
-
-    def part(jx, jy):
-        if (jx, jy) == own:
-            return u.center_values(order)
-        return np.asarray(u.evaluate(X, Y, jx, jy), dtype=float)
-
     if mode == "pure-sum":
-        out = np.abs(part(order, 0)) + np.abs(part(0, order))
+        partials = [(order, 0), (0, order)]
     else:  # gradient: every multi-index of the given total order
-        out = sum(np.abs(part(jx, order - jx)) for jx in range(order + 1))
-    return out.ravel()
+        partials = [(jx, order - jx) for jx in range(order + 1)]
+    own = (order, 0) if u.axis == 1 else (0, order)
+    others = [p for p in partials if p != own]
+    fields = dict(zip(others, u.center_partials(others)))
+    fields[own] = u.center_values(order)
+    return sum(np.abs(fields[p]) for p in partials).ravel()
 
 
 def _cell_measure(u) -> float:

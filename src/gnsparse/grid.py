@@ -9,6 +9,10 @@ Two sampling conventions coexist deliberately:
   exact "step function on cells" representation makes the verified identities
   hold to rounding error instead of quadrature error.  A sampled function
   evaluates each center field once and every consumer reads that array.
+
+Whoever needs several derivative orders at one point set asks the
+evaluator for all of them in one call (node arrays, sup norms, interval
+quadrature), and a 2D lattice is evaluated a block of rows at a time.
 """
 
 from __future__ import annotations
@@ -47,21 +51,10 @@ class Grid1D:
 
 @dataclass(frozen=True)
 class Grid2D:
-    """Product of two 1D grids; axis 1 is x, axis 2 is y.
-
-    ``nodes()`` and ``centers()`` return the open grid pair, shapes (m, 1)
-    and (1, m): evaluators must broadcast them to the full (m, m) array, so
-    a product of 1D profiles costs O(m) profile evaluations, not O(m^2).
-    """
+    """Product of two 1D grids; axis 1 is x, axis 2 is y."""
 
     gx: Grid1D
     gy: Grid1D
-
-    def centers(self):
-        return np.meshgrid(self.gx.centers(), self.gy.centers(), indexing="ij", sparse=True)
-
-    def nodes(self):
-        return np.meshgrid(self.gx.nodes(), self.gy.nodes(), indexing="ij", sparse=True)
 
     @property
     def cell_area(self) -> float:
@@ -72,9 +65,10 @@ class GridFunction1D:
     """Node samples of u, u', u'', the center fields read so far, and the
     analytic evaluator behind them.
 
-    The evaluator takes a float or array and a derivative order (0..3); it
-    is what escape-interval bisection and interval quadrature consume, so
-    those computations are not limited to grid resolution.
+    The evaluator takes a float or array and a sequence of derivative
+    orders (0..3) and returns one array per order; it is what
+    escape-interval bisection and interval quadrature consume, so those
+    computations are not limited to grid resolution.
     """
 
     dim = 1
@@ -85,10 +79,8 @@ class GridFunction1D:
         self.evaluate = evaluate
         self.label = label
         self._centers = {}
-        x = grid.nodes()
-        self.values = np.asarray(evaluate(x, 0), dtype=float)
-        self.d1 = np.asarray(evaluate(x, 1), dtype=float)
-        self.d2 = np.asarray(evaluate(x, 2), dtype=float)
+        fields = evaluate(grid.nodes(), (0, 1, 2))
+        self.values, self.d1, self.d2 = (np.asarray(f, dtype=float) for f in fields)
         for name, arr in (("values", self.values), ("d1", self.d1), ("d2", self.d2)):
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"non-finite {name} in sampled function {label!r}")
@@ -96,27 +88,34 @@ class GridFunction1D:
     def center_values(self, order: int = 0) -> np.ndarray:
         """u^(order) at cell centers, evaluated on first use and kept read-only."""
         if order not in self._centers:
-            self._centers[order] = arr = np.asarray(self.evaluate(self.grid.centers(), order), dtype=float)
+            (field,) = self.evaluate(self.grid.centers(), (order,))
+            self._centers[order] = arr = np.asarray(field, dtype=float)
             arr.flags.writeable = False
         return self._centers[order]
 
-    def sup_norm(self, order: int = 0) -> float:
-        """Sup norm from a fixed fine probe, independent of grid resolution."""
+    def sup_norm(self, orders) -> tuple:
+        """Sup norms of u^(j) for each j in ``orders``, from one evaluator
+        call on a fixed fine probe, independent of grid resolution."""
         x = np.linspace(self.grid.a, self.grid.b, self.SUP_PROBE + 1)
-        return float(np.max(np.abs(self.evaluate(x, order))))
+        return tuple(float(np.max(np.abs(f))) for f in self.evaluate(x, orders))
 
 
 class GridFunction2D:
     """Node samples of u and its pure partials along one axis, the center
     fields read so far, and the evaluator behind them.
 
-    ``evaluate(x, y, jx, jy)`` returns the mixed partial of order (jx, jy);
-    the node arrays and center fields cover (0,0) and the pure partials
-    along ``axis``.
+    ``evaluate(x, y, partials)`` returns one array per mixed partial
+    ``(jx, jy)`` in ``partials``; it is called with an (r, 1) column of x
+    and a (1, m) row of y and must broadcast them to the full (r, m)
+    block, so a product of 1D profiles costs O(r + m) profile evaluations.
+    Every lattice is evaluated BLOCK_ROWS rows at a time, which bounds the
+    evaluator's temporaries.  The node arrays and center fields cover (0,0)
+    and the pure partials along ``axis``.
     """
 
     dim = 2
     SUP_PROBE = 512  # probe cells per side of sup_norm, as in GridFunction1D
+    BLOCK_ROWS = 64  # lattice rows per evaluator call
 
     def __init__(self, grid: Grid2D, evaluate, axis: int = 1, label: str = ""):
         if axis not in (1, 2):
@@ -126,35 +125,63 @@ class GridFunction2D:
         self.axis = axis
         self.label = label
         self._centers = {}
-        X, Y = grid.nodes()
-        self.values = np.asarray(evaluate(X, Y, 0, 0), dtype=float)
-        self.d1 = np.asarray(self._axis_partial(X, Y, 1), dtype=float)
-        self.d2 = np.asarray(self._axis_partial(X, Y, 2), dtype=float)
+        self.values, self.d1, self.d2 = self._sample(
+            grid.gx.nodes(), grid.gy.nodes(), [self._axis_partial(j) for j in (0, 1, 2)]
+        )
         for name, arr in (("values", self.values), ("d1", self.d1), ("d2", self.d2)):
-            if arr.shape != np.broadcast_shapes(X.shape, Y.shape):
-                raise ValueError(f"{name} of {label!r} has shape {arr.shape}: the evaluator must broadcast")
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"non-finite {name} in sampled function {label!r}")
 
-    def _axis_partial(self, X, Y, order):
-        """Pure partial of the given order along ``axis``; order 0 is u."""
-        if self.axis == 1:
-            return self.evaluate(X, Y, order, 0)
-        return self.evaluate(X, Y, 0, order)
+    def _axis_partial(self, order):
+        """The pure partial of the given order along ``axis``; order 0 is u."""
+        return (order, 0) if self.axis == 1 else (0, order)
+
+    def _blocks(self, x, y, partials):
+        """(rows, fields) per block of BLOCK_ROWS rows of the lattice x * y:
+        the partials on those rows, from one evaluator call."""
+        Y = y[None, :]
+        for start in range(0, len(x), self.BLOCK_ROWS):
+            rows = slice(start, start + self.BLOCK_ROWS)
+            X = x[rows, None]
+            fields = [np.asarray(f, dtype=float) for f in self.evaluate(X, Y, partials)]
+            for p, f in zip(partials, fields):
+                if f.shape != (len(X), len(y)):
+                    raise ValueError(
+                        f"partial {p} of {self.label!r} has shape {f.shape}: the evaluator must broadcast"
+                    )
+            yield rows, fields
+
+    def _sample(self, x, y, partials):
+        """The partials on the whole lattice x * y, filled block by block."""
+        out = [np.empty((len(x), len(y))) for _ in partials]
+        for rows, fields in self._blocks(x, y, partials):
+            for arr, f in zip(out, fields):
+                arr[rows] = f
+        return out
+
+    def center_partials(self, partials) -> list:
+        """The mixed partials ``(jx, jy)`` at cell centers, one array each,
+        from one pass over the lattice."""
+        return self._sample(self.grid.gx.centers(), self.grid.gy.centers(), partials)
 
     def center_values(self, order: int = 0) -> np.ndarray:
         """The pure partial along ``axis`` at cell centers, evaluated on first use and kept read-only."""
         if order not in self._centers:
-            self._centers[order] = arr = np.asarray(self._axis_partial(*self.grid.centers(), order), dtype=float)
+            self._centers[order] = arr = self.center_partials([self._axis_partial(order)])[0]
             arr.flags.writeable = False
         return self._centers[order]
 
-    def sup_norm(self, order: int = 0) -> float:
-        """Sup norm from a fixed fine probe, independent of grid resolution."""
+    def sup_norm(self, orders) -> tuple:
+        """Sup norms of the pure partial along ``axis`` for each order in
+        ``orders``, from one pass over a fixed fine probe, independent of
+        grid resolution."""
         x = np.linspace(self.grid.gx.a, self.grid.gx.b, self.SUP_PROBE + 1)
         y = np.linspace(self.grid.gy.a, self.grid.gy.b, self.SUP_PROBE + 1)
-        X, Y = np.meshgrid(x, y, indexing="ij", sparse=True)
-        return float(np.max(np.abs(self._axis_partial(X, Y, order))))
+        partials = [self._axis_partial(j) for j in orders]
+        sups = np.zeros(len(partials))
+        for _, fields in self._blocks(x, y, partials):
+            sups = np.maximum(sups, [np.max(np.abs(f)) for f in fields])
+        return tuple(float(s) for s in sups)
 
 
 def fd_consistency_error(f) -> float:
@@ -215,8 +242,10 @@ def quadrature_integral_2d(values, grid: Grid2D, region=None) -> float:
 
 
 def interval_integrals(fn, z, y, h_ref: float) -> np.ndarray:
-    """Trapezoid integrals of a callable over the intervals [z_i, y_i] at
-    sub-grid resolution, with one call of ``fn`` for all of them.
+    """Trapezoid integrals over the intervals [z_i, y_i] at sub-grid
+    resolution of each row a callable returns, with one call of ``fn`` for
+    all of them: ``fn(t)`` gives one row of integrand values per integrand
+    and the result has one row of integrals per integrand.
 
     Panel count scales with the interval length measured in reference grid
     steps, with a floor so that intervals shorter than one cell still get a
@@ -231,7 +260,7 @@ def interval_integrals(fn, z, y, h_ref: float) -> np.ndarray:
         i = degenerate[0]
         raise EmptyRegionError(f"degenerate interval ({z[i]}, {y[i]})")
     if z.size == 0:
-        return np.zeros(0)
+        return np.zeros((len(fn(z)), 0))
     panels = np.maximum(64, 8 * np.ceil((y - z) / h_ref).astype(np.int64))
     step = (y - z) / panels
     ends = np.cumsum(panels + 1)
@@ -240,5 +269,6 @@ def interval_integrals(fn, z, y, h_ref: float) -> np.ndarray:
     t = (np.arange(ends[-1]) - starts[owner]) * step[owner] + z[owner]
     t[ends - 1] = y
     v = np.asarray(fn(t), dtype=float)
-    sums = np.array([np.sum(v[a:b]) for a, b in zip(starts.tolist(), ends.tolist())])
-    return step * (sums - 0.5 * (v[starts] + v[ends - 1]))
+    bounds = list(zip(starts.tolist(), ends.tolist()))
+    sums = np.array([[np.sum(row[a:b]) for a, b in bounds] for row in v])
+    return step * (sums - 0.5 * (v[:, starts] + v[:, ends - 1]))

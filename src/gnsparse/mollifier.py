@@ -56,7 +56,11 @@ def mollify(u: GridFunction1D, l: float) -> GridFunction1D:
     fields = [np.convolve(arr, w, mode="same") for arr in (u.values, u.d1, u.d2)]
     nodes = grid.nodes()
 
-    def evaluate(x, order=0):
-        return np.interp(np.asarray(x, dtype=float), nodes, fields[order])
+    def evaluate(x, orders):
+        for j in orders:
+            if not 0 <= j < len(fields):
+                raise ValueError(f"derivative order {j} not available")
+        x = np.asarray(x, dtype=float)
+        return [np.interp(x, nodes, fields[j]) for j in orders]
 
     return GridFunction1D(grid, evaluate, f"{u.label}*phi_{l:g}")

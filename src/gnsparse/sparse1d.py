@@ -169,7 +169,7 @@ def _run_ends(u, nodes: np.ndarray, k, sign, first: np.ndarray, last: np.ndarray
         if wide.size == 0:
             break
         mid = 0.5 * (t_in[wide] + t_out[wide])
-        v = sign[wide] * np.asarray(u.evaluate(mid, 1), dtype=float)
+        v = sign[wide] * np.asarray(u.evaluate(mid, (1,))[0], dtype=float)
         inside = (v >= lo[wide]) & (v < hi[wide])
         t_in[wide[inside]] = mid[inside]
         t_out[wide[~inside]] = mid[~inside]
@@ -191,7 +191,7 @@ def default_k_min(u) -> int:
     The sup norm comes from a fixed fine probe so that the analyzed level
     range does not move when the grid is refined.
     """
-    return k_min_for_sup(u.sup_norm(order=1))
+    return k_min_for_sup(u.sup_norm((1,))[0])
 
 
 def resolved_k_min(u, min_cells: int = 4) -> int:
@@ -286,12 +286,12 @@ def build_family_1d(u, k_min: int, exit_fraction_limit: float = EXIT_FRACTION_LI
 def _interval_table(u, family: SparseFamily1D):
     """Per family interval: the interval, its node range [i0, i1), and the
     integrals of |u''| and of |u| over it, by analytic quadrature with one
-    evaluator call per order for the whole family."""
+    evaluator call for both orders and the whole family."""
     z = np.array([iv.z for iv in family.intervals], dtype=float)
     y = np.array([iv.y for iv in family.intervals], dtype=float)
-    int_d2, int_u = (
-        interval_integrals(lambda t, m=m: np.abs(u.evaluate(t, m)), z, y, u.grid.h).tolist() for m in (2, 0)
-    )
+    int_d2, int_u = interval_integrals(
+        lambda t: [np.abs(f) for f in u.evaluate(t, (2, 0))], z, y, u.grid.h
+    ).tolist()
     return zip(family.intervals, *family.node_ranges(), int_d2, int_u)
 
 

@@ -1,7 +1,6 @@
 """Closed-form test-function families and the default verification corpora.
 
-Families (all provide derivatives up to third order in closed form, each
-profile as one jet of orders 0..m):
+Families (all provide derivatives up to third order in closed form):
 
 * ``gaussian``        A * exp(-((x-c)/w)^2)
 * ``smooth-bump``     A * cos^4(pi (x-c) / (2 w)) on |x-c| < w, zero outside
@@ -17,6 +16,12 @@ never enters a modulus scan, keeps the classical shape).
 
 In 2D a spec is either a ``product`` of two 1D profiles or ``radial``
 (profile of r = sqrt(x^2+y^2)); only bump-type families may be radial.
+
+An evaluator takes the derivatives it should return as a sequence --
+``evaluate(x, orders)`` in 1D, ``evaluate(X, Y, partials)`` with ``(jx, jy)``
+pairs in 2D -- and returns one array per entry, in the order given, from
+one pass of the transcendental functions for all of them.  Each entry is
+the array a call for that entry alone returns.
 """
 
 from __future__ import annotations
@@ -77,80 +82,85 @@ class TestFunctionSpec:
 
 
 # ---------------------------------------------------------------------------
-# 1D profiles.  Each returns the jet [d^0, ..., d^m] of the profile at x,
-# from one pass of its transcendental functions.
+# 1D profiles.  Each takes a sequence of derivative orders and returns one
+# array per order, in the order given, from one pass of its transcendental
+# functions; it computes only the orders asked for.
 
 MAX_ORDER = 3
 
 
-def _gaussian(x, c, w, A, m):
+def _gaussian(x, c, w, A, orders):
     t = (np.asarray(x, dtype=float) - c) / w
     e = A * np.exp(-t * t)
-    orders = (
+    forms = (
         lambda: e,
         lambda: -2.0 * t * e / w,
         lambda: (4.0 * t * t - 2.0) * e / (w * w),
         lambda: (12.0 * t - 8.0 * t ** 3) * e / (w ** 3),
     )
-    return [d() for d in orders[: m + 1]]
+    return [forms[j]() for j in orders]
 
 
-def _bump(x, c, w, A, m):
+def _bump(x, c, w, A, orders):
     t = (np.asarray(x, dtype=float) - c) / w
     inside = np.abs(t) < 1.0
     th = _HALF_PI * t[inside]
-    cs, sn = np.cos(th), np.sin(th)
-    orders = (
+    cs = np.cos(th)
+    sn = np.sin(th) if any(orders) else None
+    forms = (
         lambda: A * cs ** 4,
         lambda: -4.0 * A * (_HALF_PI / w) * cs ** 3 * sn,
         lambda: A * (_HALF_PI / w) ** 2 * (12.0 * cs ** 2 * sn ** 2 - 4.0 * cs ** 4),
         lambda: A * (_HALF_PI / w) ** 3 * 8.0 * cs * sn * (5.0 * cs ** 2 - 3.0 * sn ** 2),
     )
-    jet = []
-    for d in orders[: m + 1]:
-        out = np.zeros_like(t)
-        out[inside] = d()
-        jet.append(out)
-    return jet
+    out = []
+    for j in orders:
+        d = np.zeros_like(t)
+        d[inside] = forms[j]()
+        out.append(d)
+    return out
 
 
-def _modulated(x, c, w, A, nu, m):
+def _modulated(x, c, w, A, nu, orders):
     x = np.asarray(x, dtype=float)
     ph = nu * (x - c)
-    C, S = np.cos(ph), np.sin(ph)
-    B = _bump(x, c, w, A, m)
-    orders = (
+    C = np.cos(ph)
+    S = np.sin(ph) if any(orders) else None
+    B = _bump(x, c, w, A, range(max(orders, default=-1) + 1))
+    forms = (
         lambda: B[0] * C,
         lambda: B[1] * C - B[0] * nu * S,
         lambda: B[2] * C - 2.0 * B[1] * nu * S - B[0] * nu * nu * C,
         lambda: B[3] * C - 3.0 * B[2] * nu * S - 3.0 * B[1] * nu * nu * C + B[0] * nu ** 3 * S,
     )
-    return [d() for d in orders[: m + 1]]
+    return [forms[j]() for j in orders]
 
 
-def _sine(x, c, A, nu, m):
+def _sine(x, c, A, nu, orders):
     ph = nu * (np.asarray(x, dtype=float) - c)
-    sn = np.sin(ph)
-    cs = np.cos(ph) if m else None
-    orders = (lambda: sn, lambda: cs, lambda: -sn, lambda: -cs)
-    return [A * nu ** j * d() for j, d in enumerate(orders[: m + 1])]
+    sn = np.sin(ph) if any(j % 2 == 0 for j in orders) else None
+    cs = np.cos(ph) if any(j % 2 for j in orders) else None
+    forms = (lambda: sn, lambda: cs, lambda: -sn, lambda: -cs)
+    return [A * nu ** j * forms[j]() for j in orders]
 
 
-def profile_jet(spec: TestFunctionSpec, x, m: int, component: int = 0):
-    """Derivatives 0..m of the (1D or per-axis) profile of ``spec`` at x."""
-    if not 0 <= m <= MAX_ORDER:
-        raise ValueError(f"derivative order {m} not available")
+def profile_jet(spec: TestFunctionSpec, x, orders, component: int = 0):
+    """The derivatives of the given orders of the (1D or per-axis) profile
+    of ``spec`` at x, one array per order."""
+    for j in orders:
+        if not 0 <= j <= MAX_ORDER:
+            raise ValueError(f"derivative order {j} not available")
     c = spec.centers()[component]
     w = spec.widths()[component]
     A = spec.amplitude if component == 0 else 1.0
     if spec.family == "gaussian":
-        return _gaussian(x, c, w, A, m)
+        return _gaussian(x, c, w, A, orders)
     if spec.family == "modulated-bump" and component == 0:
-        return _modulated(x, c, w, A, spec.frequency, m)
+        return _modulated(x, c, w, A, spec.frequency, orders)
     if spec.family in COMPACT_FAMILIES:
-        return _bump(x, c, w, A, m)
+        return _bump(x, c, w, A, orders)
     if spec.family == "sine-window":
-        return _sine(x, c, A, spec.frequency, m)
+        return _sine(x, c, A, spec.frequency, orders)
     raise CorpusConfigError(f"unknown family {spec.family!r}")
 
 
@@ -160,44 +170,55 @@ def profile_jet(spec: TestFunctionSpec, x, m: int, component: int = 0):
 _RADIAL_ORDERS = {(jx, jy) for jx in range(3) for jy in range(3 - jx)} | {(3, 0), (0, 3)}
 
 
-def _radial_partials(spec, X, Y, jx, jy):
-    """Mixed partials of P(r/w) up to total order 2 (plus pure order 3)."""
-    if (jx, jy) not in _RADIAL_ORDERS:
-        raise ValueError(f"radial partial of order ({jx},{jy}) not available")
-    order = jx + jy
+def _radial_partials(spec, X, Y, partials):
+    """Mixed partials (jx, jy) of P(r/w) up to total order 2 (plus pure
+    order 3), one array per partial, from one profile jet."""
+    for jx, jy in partials:
+        if (jx, jy) not in _RADIAL_ORDERS:
+            raise ValueError(f"radial partial of order ({jx},{jy}) not available")
+    top = max((jx + jy for jx, jy in partials), default=0)
     cx, cy = spec.centers()
     w = spec.widths()[0]
     dx = (np.asarray(X, dtype=float) - cx) / w
     dy = (np.asarray(Y, dtype=float) - cy) / w
     r = np.hypot(dx, dy)
     profile = _gaussian if spec.family == "gaussian" else _bump
-    P = profile(r, 0.0, 1.0, spec.amplitude, order)
-    if order == 0:
-        return P[0]
-    safe = r > 1e-12
-    rs = np.where(safe, r, 1.0)
-    # P'(s)/s has a finite limit at s=0 (the profile is even in s)
-    lim = -np.pi ** 2 * spec.amplitude if spec.family != "gaussian" else -2.0 * spec.amplitude
-    p1_over_s = np.where(safe, P[1] / rs, lim)
-    if order == 1:
-        return p1_over_s * (dx if jx == 1 else dy) / w
-    ex = np.where(safe, dx / rs, 0.0)
-    ey = np.where(safe, dy / rs, 0.0)
-    if order == 2:
-        if jx == 2 or jy == 2:
-            # at r=0 both pure second partials equal P''(0)/w^2
-            e2 = np.where(safe, (ex if jx == 2 else ey) ** 2, 1.0)
-            return (P[2] * e2 + p1_over_s * (1.0 - e2)) / w ** 2
-        cross = np.where(safe, ex * ey, 0.0)
-        return (P[2] - p1_over_s) * cross / w ** 2
-    e = np.where(safe, ex if jx == 3 else ey, 0.0)
-    q = np.where(safe, (P[2] - p1_over_s) / rs, 0.0)
-    return (P[3] * e ** 3 + 3.0 * q * e * (1.0 - e * e)) / w ** 3
+    # order 0 reads P; every higher order reads P', ..., P^(order) only
+    needed = sorted({0 for jx, jy in partials if jx + jy == 0} | set(range(1, top + 1)))
+    P = dict(zip(needed, profile(r, 0.0, 1.0, spec.amplitude, needed)))
+    if top >= 1:
+        safe = r > 1e-12
+        rs = np.where(safe, r, 1.0)
+        # P'(s)/s has a finite limit at s=0 (the profile is even in s)
+        lim = -np.pi ** 2 * spec.amplitude if spec.family != "gaussian" else -2.0 * spec.amplitude
+        p1_over_s = np.where(safe, P[1] / rs, lim)
+    if top >= 2:
+        ex = np.where(safe, dx / rs, 0.0)
+        ey = np.where(safe, dy / rs, 0.0)
+
+    def partial(jx, jy):
+        order = jx + jy
+        if order == 0:
+            return P[0]
+        if order == 1:
+            return p1_over_s * (dx if jx == 1 else dy) / w
+        if order == 2:
+            if jx == 2 or jy == 2:
+                # at r=0 both pure second partials equal P''(0)/w^2
+                e2 = np.where(safe, (ex if jx == 2 else ey) ** 2, 1.0)
+                return (P[2] * e2 + p1_over_s * (1.0 - e2)) / w ** 2
+            cross = np.where(safe, ex * ey, 0.0)
+            return (P[2] - p1_over_s) * cross / w ** 2
+        e = np.where(safe, ex if jx == 3 else ey, 0.0)
+        q = np.where(safe, (P[2] - p1_over_s) / rs, 0.0)
+        return (P[3] * e ** 3 + 3.0 * q * e * (1.0 - e * e)) / w ** 3
+
+    return [partial(jx, jy) for jx, jy in partials]
 
 
 def make_evaluator_1d(spec: TestFunctionSpec):
-    def evaluate(x, order=0):
-        return profile_jet(spec, x, order)[order]
+    def evaluate(x, orders):
+        return profile_jet(spec, x, orders)
 
     return evaluate
 
@@ -205,13 +226,17 @@ def make_evaluator_1d(spec: TestFunctionSpec):
 def make_evaluator_2d(spec: TestFunctionSpec):
     if spec.layout == "radial":
 
-        def evaluate(X, Y, jx=0, jy=0):
-            return _radial_partials(spec, X, Y, jx, jy)
+        def evaluate(X, Y, partials):
+            return _radial_partials(spec, X, Y, partials)
 
         return evaluate
 
-    def evaluate(X, Y, jx=0, jy=0):
-        return profile_jet(spec, X, jx, 0)[jx] * profile_jet(spec, Y, jy, 1)[jy]
+    def evaluate(X, Y, partials):
+        jxs = sorted({jx for jx, _ in partials})
+        jys = sorted({jy for _, jy in partials})
+        fx = dict(zip(jxs, profile_jet(spec, X, jxs, 0)))
+        fy = dict(zip(jys, profile_jet(spec, Y, jys, 1)))
+        return [fx[jx] * fy[jy] for jx, jy in partials]
 
     return evaluate
 

@@ -114,14 +114,14 @@ def test_criterion_02_pointwise_constant(corpus_1024):
     )
     u = make_test_function(sine, grid_for_spec(sine, 1024))
     x0 = float(u.grid.nodes()[512])
-    k = level_index(float(u.evaluate(x0, 1)))
+    k = level_index(float(u.evaluate(x0, (1,))[0]))
     fam = build_family_1d(u, default_k_min(u))
     (iv,) = [iv for iv in fam.intervals if (iv.k, iv.sign) == (k, 1) and iv.contains(x0)]
     a2, a0 = (
-        interval_integrals(lambda t: np.abs(u.evaluate(t, m)), iv.z, iv.y, u.grid.h)[0] / iv.length
-        for m in (2, 0)
+        interval_integrals(lambda t: [np.abs(f) for f in u.evaluate(t, (2, 0))], iv.z, iv.y, u.grid.h)[:, 0]
+        / iv.length
     )
-    spot = u.evaluate(x0, 1) ** 2 / (a2 * a0)
+    spot = u.evaluate(x0, (1,))[0] ** 2 / (a2 * a0)
     assert spot == pytest.approx(4.386, rel=0.02)
     criterion(
         2,
@@ -168,7 +168,7 @@ def test_criterion_05_operator_bounds(corpus_1024):
         cells = CellFamily.from_intervals(fam.intervals, grid)
         centers = grid.centers()
         for label, order in (("|u''|", 2), ("|u|", 0), ("1", None)):
-            f = np.ones(len(centers)) if order is None else np.abs(u.evaluate(centers, order))
+            f = np.ones(len(centers)) if order is None else np.abs(u.evaluate(centers, (order,))[0])
             for space in (l1, linf):
                 lhs, rhs, K, ok = operator_norm_check(space, cells, f, apply_sparse_operator(cells, f))
                 assert ok, f"{name} {label} {space.format()}: {lhs} > {rhs}"
@@ -199,7 +199,7 @@ def test_criterion_06_modular_contraction(corpus_1024):
     )
     for name, (u, fam) in corpus_1024.items():
         cells = CellFamily.from_intervals(fam.intervals, u.grid)
-        f = np.abs(u.evaluate(u.grid.centers(), 0))
+        f = np.abs(u.evaluate(u.grid.centers(), (0,))[0])
         tf = apply_sparse_operator(cells, f)
         for young in youngs:
             lhs, rhs, ok = modular_contraction_check(young, cells, f, tf)
@@ -211,7 +211,7 @@ def test_criterion_07_norm_engine(corpus_1024):
     # equimeasurability: the rearrangement preserves Lebesgue norms
     worst = 0.0
     for name, (u, _) in corpus_1024.items():
-        f = np.abs(u.evaluate(u.grid.centers(), 0))
+        f = np.abs(u.evaluate(u.grid.centers(), (0,))[0])
         h = u.grid.h
         prof = RearrangementProfile(f, h)
         m = int(round(prof.support_measure / h))
@@ -225,7 +225,7 @@ def test_criterion_07_norm_engine(corpus_1024):
 
     # Luxemburg of a power Young function is the Lebesgue norm
     u, _ = corpus_1024["b1"]
-    f = np.abs(u.evaluate(u.grid.centers(), 0))
+    f = np.abs(u.evaluate(u.grid.centers(), (0,))[0])
     for p in (Fraction(3, 2), Fraction(2)):
         lux = luxemburg_norm(f, u.grid.h, YoungFunction("pow", (p,)))
         leb = lebesgue_norm(f, u.grid.h, p)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gnsparse import (
     BoundaryContaminationWarning,
@@ -24,8 +26,12 @@ from gnsparse import (
 from gnsparse.errors import CorpusConfigError, EmptyRegionError
 from gnsparse.gn import _abs_field
 from gnsparse.mollifier import kernel_weights
+from gnsparse.sparse2d import field_sups
 from gnsparse.testfunctions import (
+    _RADIAL_ORDERS,
+    COMPACT_FAMILIES,
     FAMILIES,
+    MAX_ORDER,
     default_corpus_1d,
     default_corpus_2d,
     make_evaluator_1d,
@@ -96,7 +102,7 @@ def test_third_derivatives_consistent_with_fd_of_d2():
         f = make_test_function(spec, grid_for_spec(spec, 2048))
         h = f.grid.h
         x = f.grid.nodes()[1:-1]
-        d3 = f.evaluate(x, 3)
+        d3 = f.evaluate(x, (3,))[0]
         fd = (f.d2[2:] - f.d2[:-2]) / (2.0 * h)
         err = np.abs(d3 - fd)
         if spec.family in ("smooth-bump", "modulated-bump"):
@@ -110,68 +116,113 @@ def test_radial_2d_partials_match_fd():
     spec = default_corpus_2d()[3]
     assert spec.layout == "radial"
     f = make_test_function(spec, grid_for_spec(spec, 256))
-    X, Y = f.grid.nodes()
+    x, y = f.grid.gx.nodes(), f.grid.gy.nodes()
     h = f.grid.gx.h
     # mixed partial (1,1) against a cross difference of values
-    mixed = f.evaluate(X[1:-1], Y[:, 1:-1], 1, 1)
+    (mixed,) = f.evaluate(x[1:-1, None], y[None, 1:-1], [(1, 1)])
     cross = (
         f.values[2:, 2:] - f.values[2:, :-2] - f.values[:-2, 2:] + f.values[:-2, :-2]
     ) / (4.0 * h * h)
     assert np.max(np.abs(mixed - cross)) < 5e-3
 
 
-def test_grid2d_returns_open_grid():
-    g = Grid2D(Grid1D(-1.0, 1.0, 16), Grid1D(0.0, 3.0, 16))
-    X, Y = g.nodes()
-    assert X.shape == (17, 1) and Y.shape == (1, 17)
-    assert np.array_equal(X[:, 0], g.gx.nodes()) and np.array_equal(Y[0], g.gy.nodes())
-    Xc, Yc = g.centers()
-    assert Xc.shape == (16, 1) and Yc.shape == (1, 16)
-    assert np.array_equal(Xc[:, 0], g.gx.centers()) and np.array_equal(Yc[0], g.gy.centers())
+def test_lattice_is_evaluated_in_open_row_blocks():
+    g = Grid2D(Grid1D(-1.0, 1.0, 150), Grid1D(0.0, 3.0, 16))
+    blocks = []
+
+    def evaluate(X, Y, partials):
+        blocks.append((X, Y, tuple(partials)))
+        return [np.zeros(np.broadcast_shapes(X.shape, Y.shape)) for _ in partials]
+
+    u = GridFunction2D(g, evaluate, axis=2)
+    rows = GridFunction2D.BLOCK_ROWS
+    assert [X.shape for X, _, _ in blocks] == [(rows, 1), (rows, 1), (151 - 2 * rows, 1)]
+    assert np.array_equal(np.concatenate([X[:, 0] for X, _, _ in blocks]), g.gx.nodes())
+    for _, Y, partials in blocks:
+        assert Y.shape == (1, 17) and np.array_equal(Y[0], g.gy.nodes())
+        assert partials == ((0, 0), (0, 1), (0, 2))
+    blocks.clear()
+    u.center_values(1)
+    assert len(blocks) == 3 and all(p == ((0, 1),) for _, _, p in blocks)
+    assert np.array_equal(np.concatenate([X[:, 0] for X, _, _ in blocks]), g.gx.centers())
 
 
 def test_non_broadcasting_evaluator_rejected():
     g = Grid2D(Grid1D(0.0, 1.0, 16), Grid1D(0.0, 1.0, 16))
     with pytest.raises(ValueError, match="broadcast"):
-        GridFunction2D(g, lambda X, Y, jx, jy: np.zeros_like(X), label="x-only")
+        GridFunction2D(g, lambda X, Y, partials: [np.zeros_like(X) for _ in partials], label="x-only")
 
 
-class _DenseGrid2D(Grid2D):
-    """Grid2D sampled on full meshgrid arrays: the per-cell reference."""
-
-    def centers(self):
-        return np.meshgrid(self.gx.centers(), self.gy.centers(), indexing="ij")
-
-    def nodes(self):
-        return np.meshgrid(self.gx.nodes(), self.gy.nodes(), indexing="ij")
+def _dense_lattice(x, y):
+    return np.meshgrid(x, y, indexing="ij")
 
 
-def _dense_sup_norm(u, order, probe=512):
-    X, Y = np.meshgrid(
-        np.linspace(u.grid.gx.a, u.grid.gx.b, probe + 1),
-        np.linspace(u.grid.gy.a, u.grid.gy.b, probe + 1),
-        indexing="ij",
-    )
-    jx, jy = (order, 0) if u.axis == 1 else (0, order)
-    return float(np.max(np.abs(u.evaluate(X, Y, jx, jy))))
+def _dense_partials(u, order, mode):
+    """The partials _abs_field sums, for the pure partial of ``order``."""
+    own = (order, 0) if u.axis == 1 else (0, order)
+    if order == 0 or mode == "pure":
+        return [own]
+    if mode == "pure-sum":
+        return [(order, 0), (0, order)]
+    return [(jx, order - jx) for jx in range(order + 1)]
 
 
 @pytest.mark.parametrize("axis", (1, 2))
 @pytest.mark.parametrize("spec", default_corpus_2d(), ids=lambda s: s.name)
 def test_open_grid_matches_dense_evaluation(spec, axis):
+    # n + 1 = 129 and 257 node rows are not multiples of BLOCK_ROWS
     for n in (128, 256):
         u = make_test_function(spec, grid_for_spec(spec, n), axis=axis)
         g = u.grid
-        ref = GridFunction2D(_DenseGrid2D(g.gx, g.gy), u.evaluate, axis=axis)
-        for name in ("values", "d1", "d2"):
-            assert np.array_equal(getattr(u, name), getattr(ref, name)), name
+        pure = [(j, 0) if axis == 1 else (0, j) for j in (0, 1, 2)]
+        nodes = u.evaluate(*_dense_lattice(g.gx.nodes(), g.gy.nodes()), pure)
+        for name, want in zip(("values", "d1", "d2"), nodes):
+            assert np.array_equal(getattr(u, name), want), name
+        centers = _dense_lattice(g.gx.centers(), g.gy.centers())
+        probe = _dense_lattice(
+            np.linspace(g.gx.a, g.gx.b, u.SUP_PROBE + 1), np.linspace(g.gy.a, g.gy.b, u.SUP_PROBE + 1)
+        )
+        sups = [float(np.max(np.abs(f))) for f in u.evaluate(*probe, pure)]
+        assert u.sup_norm((0, 1, 2)) == tuple(sups)
         for order in (0, 1, 2):
-            assert np.array_equal(u.center_values(order), ref.center_values(order))
-            assert u.sup_norm(order) == _dense_sup_norm(u, order)
+            assert np.array_equal(u.center_values(order), u.evaluate(*centers, [pure[order]])[0])
+            assert u.sup_norm((order,)) == (sups[order],)
             for mode in ("pure", "pure-sum", "gradient"):
-                assert np.array_equal(
-                    _abs_field(u, order, mode), _abs_field(ref, order, mode)
-                ), (order, mode)
+                want = sum(np.abs(f) for f in u.evaluate(*centers, _dense_partials(u, order, mode)))
+                assert np.array_equal(_abs_field(u, order, mode), want.ravel()), (order, mode)
+
+
+def test_field_sups_make_one_pass_over_the_probe():
+    spec = default_corpus_2d()[3]
+    u = make_test_function(spec, grid_for_spec(spec, 128))
+    evaluate, calls = u.evaluate, []
+
+    def counted(X, Y, partials):
+        calls.append(tuple(partials))
+        return evaluate(X, Y, partials)
+
+    u.evaluate = counted
+    sups = field_sups(u)
+    assert len(calls) == math.ceil((u.SUP_PROBE + 1) / u.BLOCK_ROWS) == 9
+    assert set(calls) == {((0, 0), (1, 0), (2, 0))}
+    assert sups == tuple(u.sup_norm((j,))[0] for j in (0, 1, 2))
+
+
+def test_1d_sample_makes_one_evaluator_call():
+    spec = default_corpus_1d()[11]
+    evaluate, calls = make_evaluator_1d(spec), []
+
+    def counted(x, orders):
+        calls.append(tuple(orders))
+        return evaluate(x, orders)
+
+    u = GridFunction1D(grid_for_spec(spec, 256), counted)
+    assert calls == [(0, 1, 2)]
+    ref = make_test_function(spec, grid_for_spec(spec, 256))
+    for name in ("values", "d1", "d2"):
+        assert np.array_equal(getattr(u, name), getattr(ref, name)), name
+    assert u.sup_norm((2, 0)) == (ref.sup_norm((2,))[0], ref.sup_norm((0,))[0])
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("spec", [default_corpus_1d()[0], default_corpus_2d()[0]], ids=lambda s: s.name)
@@ -189,9 +240,13 @@ def test_center_values_are_stored_read_only(spec):
 def test_1d_order_out_of_range_raises(family):
     spec = next(s for s in default_corpus_1d() if s.family == family)
     evaluate = make_evaluator_1d(spec)
-    assert np.all(np.isfinite(evaluate(np.linspace(*spec.window, 9), 3)))
-    with pytest.raises(ValueError, match="order 4"):
-        evaluate(np.linspace(*spec.window, 9), 4)
+    x = np.linspace(*spec.window, 9)
+    assert np.all(np.isfinite(evaluate(x, (3,))[0]))
+    for bad in (4, -1):
+        with pytest.raises(ValueError, match=f"order {bad} not available"):
+            evaluate(x, (0, bad))
+    with pytest.raises(TypeError):
+        evaluate(x, 1)
 
 
 @pytest.mark.parametrize(
@@ -200,9 +255,53 @@ def test_1d_order_out_of_range_raises(family):
 def test_2d_order_out_of_range_raises(layout, orders):
     spec = next(s for s in default_corpus_2d() if s.layout == layout)
     evaluate = make_evaluator_2d(spec)
-    X, Y = grid_for_spec(spec, 16).centers()
+    g = grid_for_spec(spec, 16)
+    X, Y = g.gx.centers()[:, None], g.gy.centers()[None, :]
     with pytest.raises(ValueError, match="not available"):
-        evaluate(X, Y, *orders)
+        evaluate(X, Y, [(0, 0), orders])
+    with pytest.raises(TypeError):
+        evaluate(X, Y, (0, 0))
+
+
+@st.composite
+def evaluator_calls(draw):
+    """A random 1D, 2D product or 2D radial evaluator, points that cover its
+    support (and the radial center), and a random list of orders."""
+    layout = draw(st.sampled_from(["1d", "product", "radial"]))
+    families = ("gaussian",) + COMPACT_FAMILIES if layout == "radial" else FAMILIES
+    family = draw(st.sampled_from(families))
+    amplitude = draw(st.floats(-3.0, 3.0))
+    frequency = draw(st.floats(0.5, 6.0))
+    c = [draw(st.floats(-2.0, 2.0)) for _ in range(2)]
+    w = [draw(st.floats(0.3, 3.0)) for _ in range(2)]
+    if layout == "radial":
+        w[1] = w[0]
+
+    def points(axis, size):
+        return np.append(np.linspace(c[axis] - 1.5 * w[axis], c[axis] + 1.5 * w[axis], size), c[axis])
+
+    if layout == "1d":
+        spec = TestFunctionSpec(family, c[0], w[0], amplitude, frequency, (c[0] - 2.0 * w[0], c[0] + 2.0 * w[0]))
+        orders = draw(st.lists(st.integers(0, MAX_ORDER), min_size=1, max_size=6))
+        return make_evaluator_1d(spec), (points(0, 41),), orders
+    spec = TestFunctionSpec(
+        family, tuple(c), tuple(w), amplitude, frequency, ((-8.0, 8.0), (-8.0, 8.0)), layout=layout
+    )
+    allowed = sorted(_RADIAL_ORDERS) if layout == "radial" else [
+        (jx, jy) for jx in range(MAX_ORDER + 1) for jy in range(MAX_ORDER + 1)
+    ]
+    partials = draw(st.lists(st.sampled_from(allowed), min_size=1, max_size=6))
+    return make_evaluator_2d(spec), (points(0, 15)[:, None], points(1, 17)[None, :]), partials
+
+
+@settings(max_examples=80, derandomize=True, deadline=None, database=None)
+@given(evaluator_calls())
+def test_multi_order_call_equals_single_order_calls(call):
+    evaluate, points, orders = call
+    got = evaluate(*points, orders)
+    assert len(got) == len(orders)
+    for order, arr in zip(orders, got):
+        assert np.array_equal(arr, evaluate(*points, [order])[0]), order
 
 
 def test_unresolvable_width_rejected():
@@ -252,19 +351,24 @@ def test_quadrature_linearity():
 
 def test_quadrature_2d_product():
     g = Grid2D(Grid1D(0.0, math.pi, 256), Grid1D(0.0, 1.0, 256))
-    X, Y = g.nodes()
+    X, Y = g.gx.nodes()[:, None], g.gy.nodes()[None, :]
     vals = np.sin(X) * (3.0 * Y * Y)
     assert quadrature_integral_2d(vals, g) == pytest.approx(2.0, abs=1e-4)
 
 
 def test_interval_integral_matches_closed_form():
-    vals = interval_integrals(np.sin, [0.0, 0.0], [math.pi, 0.5 * math.pi], h_ref=0.01)
-    assert vals == pytest.approx([2.0, 1.0], abs=1e-6)
+    vals = interval_integrals(lambda t: [np.sin(t), np.cos(t)], [0.0, 0.0], [math.pi, 0.5 * math.pi], h_ref=0.01)
+    assert vals[0] == pytest.approx([2.0, 1.0], abs=1e-6)
+    assert vals[1] == pytest.approx([0.0, 1.0], abs=1e-6)
 
 
 def test_mollify_constant_one_and_warning():
     grid = Grid1D(-1.0, 1.0, 256)
-    one = GridFunction1D(grid, lambda x, m=0: np.ones_like(np.asarray(x, dtype=float)) if m == 0 else np.zeros_like(np.asarray(x, dtype=float)), label="one")
+    def evaluate(x, orders):
+        x = np.asarray(x, dtype=float)
+        return [np.ones_like(x) if m == 0 else np.zeros_like(x) for m in orders]
+
+    one = GridFunction1D(grid, evaluate, label="one")
     with pytest.warns(BoundaryContaminationWarning):
         ul = mollify(one, l=8 * grid.h)
     mid = grid.n // 2
@@ -283,6 +387,18 @@ def test_mollify_is_a_sampled_function():
         c = ul.center_values(order)
         assert c.shape == (f.grid.n,) and np.all(np.isfinite(c))
         assert ul.center_values(order) is c
+
+
+def test_mollified_evaluator_checks_the_order_range():
+    spec = TestFunctionSpec("smooth-bump", 0.0, 1.0, 1.0, 0.0, (-1.5, 1.5), name="b")
+    f = make_test_function(spec, Grid1D(-1.5, 1.5, 256))
+    ul = mollify(f, 8 * f.grid.h)
+    x = f.grid.centers()
+    d2, d0 = ul.evaluate(x, (2, 0))
+    assert np.array_equal(d2, ul.evaluate(x, (2,))[0]) and np.array_equal(d0, ul.center_values(0))
+    for bad in (-1, 3):
+        with pytest.raises(ValueError, match=f"derivative order {bad} not available"):
+            ul.evaluate(x, (0, bad))
 
 
 def test_mollify_mass_and_sup():
@@ -311,7 +427,9 @@ def test_mollify_linearity():
     f = make_test_function(spec, grid)
     g = make_test_function(spec2, grid)
     both = GridFunction1D(
-        grid, lambda x, m=0: 2.0 * f.evaluate(x, m) + g.evaluate(x, m), label="2f+g"
+        grid,
+        lambda x, orders: [2.0 * a + b for a, b in zip(f.evaluate(x, orders), g.evaluate(x, orders))],
+        label="2f+g",
     )
     lhs = mollify(both, l=8 * grid.h).values
     rhs = 2.0 * mollify(f, l=8 * grid.h).values + mollify(g, l=8 * grid.h).values

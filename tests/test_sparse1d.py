@@ -70,7 +70,7 @@ def gaussian_function(n=1200, window=(-6.0, 6.0)):
 
 def seed_interval(u, x, sign):
     """The default family's interval of node x's own (k, sign) that holds x."""
-    k = level_index(sign * float(u.evaluate(x, 1)))
+    k = level_index(sign * float(u.evaluate(x, (1,))[0]))
     fam = build_family_1d(u, default_k_min(u))
     (iv,) = [iv for iv in fam.intervals if (iv.k, iv.sign) == (k, sign) and iv.contains(x)]
     return iv
@@ -78,7 +78,7 @@ def seed_interval(u, x, sign):
 
 def interval_mean(u, iv, order):
     """Mean of |u^(order)| over an interval, by the family's quadrature."""
-    return interval_integrals(lambda t: np.abs(u.evaluate(t, order)), iv.z, iv.y, u.grid.h)[0] / iv.length
+    return interval_integrals(lambda t: [np.abs(u.evaluate(t, (order,))[0])], iv.z, iv.y, u.grid.h)[0, 0] / iv.length
 
 
 class TestLevelIndex:
@@ -343,7 +343,7 @@ class TestObservationBounds:
         bound_b = 32.0 / iv.length * interval_mean(u, iv, 0)
         assert bound_a == pytest.approx(4.0, abs=1e-3)
         assert bound_b == pytest.approx(72.0 / math.pi**2, abs=1e-3)
-        assert abs(u.evaluate(x0, 1)) <= min(bound_a, bound_b)
+        assert abs(u.evaluate(x0, (1,))[0]) <= min(bound_a, bound_b)
         worst_a, worst_b, ok = observation_bounds_report(u, build_family_1d(u, default_k_min(u)))
         assert ok and worst_a <= 1.0 and worst_b <= 1.0
 
@@ -404,7 +404,7 @@ def scalar_family_1d(u, k_min):
             elif (k, sign, left) not in found:
 
                 def inside(t, sign=sign, lo=lo, hi=hi):
-                    return lo <= sign * float(u.evaluate(t, 1)) < hi
+                    return lo <= sign * float(u.evaluate(t, (1,))[0]) < hi
 
                 z = bisect(inside, float(nodes[left]), float(nodes[left - 1]))
                 y = bisect(inside, float(nodes[right]), float(nodes[right + 1]))
@@ -471,7 +471,7 @@ class TestBatchedQuadrature:
         assert table
         for iv, _, _, int_d2, int_u in table:
             for m, got in ((2, int_d2), (0, int_u)):
-                want = scalar_interval_integral(lambda t: np.abs(u.evaluate(t, m)), iv.z, iv.y, u.grid.h)
+                want = scalar_interval_integral(lambda t: np.abs(u.evaluate(t, (m,))[0]), iv.z, iv.y, u.grid.h)
                 assert got == want, f"{spec.name} ({iv.z}, {iv.y}) order {m}: {got!r} != {want!r}"
 
     def test_one_call_for_all_intervals(self):
@@ -479,12 +479,31 @@ class TestBatchedQuadrature:
 
         def fn(t):
             calls.append(t.size)
-            return np.cos(t)
+            return [np.cos(t), np.exp(t)]
 
         z, y = [0.0, 1.0, -3.0], [0.5, 4.0, -2.999]
         got = interval_integrals(fn, z, y, 0.01)
         assert len(calls) == 1
-        assert got.tolist() == [scalar_interval_integral(np.cos, a, b, 0.01) for a, b in zip(z, y)]
+        assert got.shape == (2, 3)
+        for row, f in zip(got.tolist(), (np.cos, np.exp)):
+            assert row == [scalar_interval_integral(f, a, b, 0.01) for a, b in zip(z, y)]
+
+    def test_no_intervals_give_empty_rows(self):
+        got = interval_integrals(lambda t: [np.cos(t), np.sin(t)], [], [], 0.01)
+        assert got.shape == (2, 0)
+
+    def test_interval_table_makes_one_evaluator_call(self):
+        u = sine_function()
+        family = build_family_1d(u, default_k_min(u))
+        evaluate, calls = u.evaluate, []
+
+        def counted(x, orders):
+            calls.append(tuple(orders))
+            return evaluate(x, orders)
+
+        u.evaluate = counted
+        table = list(_interval_table(u, family))
+        assert len(table) == len(family.intervals) and calls == [(2, 0)]
 
     @pytest.mark.parametrize("y_bad", [0.05, 0.1], ids=["reversed", "empty"])
     def test_degenerate_interval_in_a_batch_raises(self, y_bad):

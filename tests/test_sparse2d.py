@@ -33,21 +33,18 @@ def square_grid(n=16, a=0.0, b=1.0):
 def ramp_function(slope=1.0, n=16):
     # u = slope * x: constant d1, zero d2; every offset of m steps moves
     # u by at most slope * m * h
-    def ev(X, Y, jx, jy):
+    def ev(X, Y, partials):
         X, _ = np.broadcast_arrays(np.asarray(X, dtype=float), Y)
-        if jx == 0 and jy == 0:
-            return slope * X
-        if jx == 1 and jy == 0:
-            return np.full_like(X, slope)
-        return np.zeros_like(X)
+        fields = {(0, 0): lambda: slope * X, (1, 0): lambda: np.full_like(X, slope)}
+        return [fields.get(p, lambda: np.zeros_like(X))() for p in partials]
 
     return GridFunction2D(square_grid(n), ev, axis=1)
 
 
 def constant_function(c=0.7, n=16):
-    def ev(X, Y, jx, jy):
+    def ev(X, Y, partials):
         X, _ = np.broadcast_arrays(np.asarray(X, dtype=float), Y)
-        return np.full_like(X, c) if jx == jy == 0 else np.zeros_like(X)
+        return [np.full_like(X, c) if p == (0, 0) else np.zeros_like(X) for p in partials]
 
     return GridFunction2D(square_grid(n), ev, axis=1)
 
@@ -87,7 +84,7 @@ class TestComputeDelta:
             amplitude=0.65, window=((-3.3, 3.3), (-3.3, 3.3)),
         )
         u = make_test_function(spec, grid_for_spec(spec, 128))
-        k_top = 0 if u.sup_norm(1) >= 0.5 else -1
+        k_top = 0 if u.sup_norm((1,))[0] >= 0.5 else -1
         bound = oscillation_bound(k_top, max(field_sups(u)))
         (res,) = compute_delta(u, [bound])
         assert res.admissible
@@ -166,11 +163,12 @@ class TestBuild2D:
         # u = A sin(pi (x + 1) / 2) cos^2(pi y / 2) vanishes on the edge of
         # [-1, 1]^2, but d1 u does not: the top level's runs reach the ends
         # of their lines
-        def ev(X, Y, jx, jy):
-            assert jy == 0
+        def ev(X, Y, partials):
+            assert all(jy == 0 for _, jy in partials)
             t = 0.5 * np.pi * (np.asarray(X, dtype=float) + 1.0)
-            wave = (np.sin(t), np.cos(t), -np.sin(t))[jx]
-            return 0.35 * (0.5 * np.pi) ** jx * wave * np.cos(0.5 * np.pi * np.asarray(Y, dtype=float)) ** 2
+            waves = (np.sin(t), np.cos(t), -np.sin(t))
+            envelope = np.cos(0.5 * np.pi * np.asarray(Y, dtype=float)) ** 2
+            return [0.35 * (0.5 * np.pi) ** jx * waves[jx] * envelope for jx, _ in partials]
 
         u = GridFunction2D(square_grid(64, -1.0, 1.0), ev, axis=1, label="edge-sine")
         with pytest.raises(CorpusConfigError, match=r"eligible cells exit the window .*'edge-sine'"):
