@@ -27,8 +27,6 @@ from .grid import (
 )
 from .testfunctions import (
     TestFunctionSpec,
-    default_corpus_1d,
-    default_corpus_2d,
     grid_for_spec,
     make_test_function,
 )

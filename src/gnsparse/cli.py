@@ -6,7 +6,9 @@ thresholds are the paper's constants, not settings.  The bundled default
 configuration encodes the full verification suite, so ``gnsparse`` with
 no arguments runs it.  Exit status: 0 when every verdict passes, 1 when at
 least one check fails (the first failure goes to stderr), 2 for
-configuration or write errors.
+configuration or write errors, 3 for an internal error: an exception that
+is not a GnsparseError, whose traceback goes to stderr and which leaves no
+report.
 """
 
 from __future__ import annotations
@@ -225,13 +227,16 @@ def main(argv=None) -> int:
         print(f"gnsparse: configuration error: {exc}", file=sys.stderr)
         return 2
 
-    results = run_corpus(config.cases, config.checks)
-    if config.format == "csv":
-        content = csv_report(results)
-        out_path = os.path.join(config.out_dir, "report.csv")
-    else:
-        content = text_report(results)
-        out_path = os.path.join(config.out_dir, "report.txt")
+    try:
+        results = run_corpus(config.cases, config.checks)
+        content = csv_report(results) if config.format == "csv" else text_report(results)
+    except Exception:  # package errors are verdicts already; this is a bug
+        import traceback  # imported here to keep it off every run's start-up
+
+        traceback.print_exc()
+        print("gnsparse: internal error; no report written", file=sys.stderr)
+        return 3
+    out_path = os.path.join(config.out_dir, "report.csv" if config.format == "csv" else "report.txt")
     try:
         os.makedirs(config.out_dir, exist_ok=True)
         atomic_write_text(out_path, content)

@@ -25,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import AdmissibilityError, ConstructionError
+from .errors import AdmissibilityError, ConstructionError, GnsparseError
 from .norms import cl_factorization_check, space_norm
 from .operator import (
     CellFamily,
@@ -371,14 +371,17 @@ def _cells_and_fields(u, family):
     if u.dim == 1:
         cells = CellFamily.from_intervals(family.intervals, u.grid)
     else:
-        labels = [(s.k, s.sign) for s in family.slabs]
-        cells = CellFamily.from_masks([s.mask for s in family.slabs], labels, u.grid.cell_area)
+        cells = CellFamily.from_masks([s.mask for s in family.slabs], u.grid.cell_area)
     f0, f2 = (np.abs(u.center_values(m)).ravel() for m in (0, 2))
     return cells, f0, f2, apply_sparse_operator(cells, f0), apply_sparse_operator(cells, f2)
 
 
 def run_case(case: GNCase, checks) -> CaseResult:
-    """Execute the selected checks for one case; errors become verdicts."""
+    """Execute the selected checks for one case.
+
+    A GnsparseError becomes an ``error`` verdict for the checks it cut
+    short; any other exception is a programming error and propagates.
+    """
     selected = [c for c in CHECK_NAMES if c in checks]
     result = CaseResult(case=case, z_text="", verdicts=())
     try:
@@ -453,14 +456,14 @@ def run_case(case: GNCase, checks) -> CaseResult:
                 bad = [msg for res in results if not res.ok for msg in res.failures]
                 verdict = f"fail: {bad[0]}" if bad else "pass"
             result.verdicts += ((name, verdict),)
-    except Exception as exc:  # recorded, never fatal to the run
+    except GnsparseError as exc:
         result.error = f"{type(exc).__name__}: {exc}"
         result.verdicts += tuple((name, "error") for name in selected[len(result.verdicts) :])
     return result
 
 
 def run_corpus(cases, checks):
-    """Ordered CaseResults, one per case; per-case failures are recorded.
+    """Ordered CaseResults, one per case; a case's GnsparseError is recorded.
 
     Cases are independent, so their order is the report order no matter
     how execution is scheduled; this runner keeps it sequential, which

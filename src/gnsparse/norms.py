@@ -71,9 +71,10 @@ def lorentz_norm(values, cell_measure: float, P, p) -> float:
         t1 = breaks[2:]
         mid = 0.5 * (t0 + t1)
         half = 0.5 * (t1 - t0)
-        ts = mid[:, None] + half[:, None] * _GL_X[None, :]
-        fss = A[:, None] / ts + v[:, None]
-        acc += float(np.sum(half[:, None] * _GL_W[None, :] * ts ** (alpha - 1.0) * fss**pf))
+        # one node at a time, so every temporary is plateau-sized
+        for x, w in zip(_GL_X, _GL_W):
+            ts = mid + half * x
+            acc += w * float(np.sum(half * ts ** (alpha - 1.0) * (A / ts + v) ** pf))
     # tail: f** = total/t for t > s0; converges since alpha < p for P > 1
     acc += total**pf * s0 ** (alpha - pf) / (pf - alpha)
     return float(acc ** (1.0 / pf))

@@ -24,9 +24,8 @@ class CellFamily:
     computed here once.
     """
 
-    def __init__(self, sets, labels, n_cells: int, cell_measure: float, dropped: int = 0):
+    def __init__(self, sets, n_cells: int, cell_measure: float, dropped: int = 0):
         self.sets = [np.asarray(s, dtype=np.int64) for s in sets]
-        self.labels = list(labels)
         self.n_cells = int(n_cells)
         self.cell_measure = float(cell_measure)
         self.dropped = int(dropped)
@@ -48,7 +47,7 @@ class CellFamily:
         carry no operator contribution at this resolution.
         """
         centers = grid.centers()
-        sets, labels = [], []
+        sets = []
         dropped = 0
         for iv in intervals:
             i0 = int(np.searchsorted(centers, iv.z, side="right"))
@@ -57,15 +56,15 @@ class CellFamily:
                 dropped += 1
                 continue
             sets.append(np.arange(i0, i1, dtype=np.int64))
-            labels.append((iv.k, iv.sign))
-        return cls(sets, labels, len(centers), grid.h, dropped)
+        return cls(sets, len(centers), grid.h, dropped)
 
     @classmethod
-    def from_masks(cls, masks, labels, cell_measure: float) -> "CellFamily":
-        sets, kept_labels = [], []
-        dropped = 0
-        n_cells = None
-        for mask, label in zip(masks, labels):
+    def from_masks(cls, masks, cell_measure: float) -> "CellFamily":
+        """The cells of each boolean mask; masks holding no cell are
+        dropped and counted."""
+        sets = []
+        dropped = n_cells = 0
+        for mask in masks:
             flat = np.asarray(mask, dtype=bool).ravel()
             n_cells = flat.size
             idx = np.nonzero(flat)[0]
@@ -73,10 +72,7 @@ class CellFamily:
                 dropped += 1
                 continue
             sets.append(idx)
-            kept_labels.append(label)
-        if n_cells is None:
-            n_cells = 0
-        return cls(sets, kept_labels, n_cells, cell_measure, dropped)
+        return cls(sets, n_cells, cell_measure, dropped)
 
 
 def apply_sparse_operator(family: CellFamily, values) -> np.ndarray:

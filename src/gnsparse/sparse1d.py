@@ -79,12 +79,11 @@ class SparseFamily1D:
     and the per-node covering counts fixed at build (``counts``) with their
     maximum (``max_overlap``)."""
 
-    def __init__(self, intervals, nodes, d1, k_min, k_max, window_exit_nodes, eligible_count, unanalyzed_count):
+    def __init__(self, intervals, nodes, d1, k_min, window_exit_nodes, eligible_count, unanalyzed_count):
         self.intervals = list(intervals)
         self.nodes = np.asarray(nodes, dtype=float)
         self.d1 = np.asarray(d1, dtype=float)
         self.k_min = k_min
-        self.k_max = k_max
         self.window_exit_nodes = list(window_exit_nodes)
         self.eligible_count = int(eligible_count)
         self.unanalyzed_count = int(unanalyzed_count)
@@ -215,23 +214,23 @@ def resolved_k_min(u, min_cells: int = 4) -> int:
     return floor
 
 
-def check_exit_budget(u, exits: int, eligible: int, what: str, limit: float = EXIT_FRACTION_LIMIT):
-    """Raise CorpusConfigError when more than ``limit`` of the eligible
-    nodes or cells (``what``) of u exit the window."""
-    if eligible and exits > limit * eligible:
+def check_exit_budget(u, exits: int, eligible: int, what: str):
+    """Raise CorpusConfigError when more than EXIT_FRACTION_LIMIT of the
+    eligible nodes or cells (``what``) of u exit the window."""
+    if eligible and exits > EXIT_FRACTION_LIMIT * eligible:
         raise CorpusConfigError(
             f"{exits} of {eligible} eligible {what} exit the window "
-            f"({exits / eligible:.1%} > {limit:.0%}); "
+            f"({exits / eligible:.1%} > {EXIT_FRACTION_LIMIT:.0%}); "
             f"function {u.label!r} is not sufficiently localized in its window"
         )
 
 
-def build_family_1d(u, k_min: int, exit_fraction_limit: float = EXIT_FRACTION_LIMIT) -> SparseFamily1D:
+def build_family_1d(u, k_min: int) -> SparseFamily1D:
     """Assemble the two-sign escape-interval family of u, one interval per
     seeded run, in (k, sign, z) order.
 
     Nodes whose interval would leave the window are excluded and recorded;
-    more than ``exit_fraction_limit`` of them is a corpus-configuration
+    more than EXIT_FRACTION_LIMIT of them is a corpus-configuration
     error (the window is too small for the function).
     """
     nodes = u.grid.nodes()
@@ -244,7 +243,6 @@ def build_family_1d(u, k_min: int, exit_fraction_limit: float = EXIT_FRACTION_LI
 
     runs_found = [np.zeros((0, 5), dtype=np.int64)]  # rows (k, sign, first, last, seed) of closed runs
     exit_nodes = []
-    k_max_seen = k_min
 
     for sign in (1, -1):
         g = sign * d1
@@ -252,7 +250,6 @@ def build_family_1d(u, k_min: int, exit_fraction_limit: float = EXIT_FRACTION_LI
         if not np.any(side):
             continue
         k_top = level_index(float(np.max(g[side])))
-        k_max_seen = max(k_max_seen, k_top)
         levels = np.arange(k_min, k_top + 1)[:, None]  # one row per level
         lo, hi = level_band(levels)
         seeds = (g >= lo) & (g < hi)
@@ -261,7 +258,7 @@ def build_family_1d(u, k_min: int, exit_fraction_limit: float = EXIT_FRACTION_LI
         k = levels[runs.line, 0]
         runs_found.append(np.column_stack([k, np.full_like(k, sign), runs.first, runs.last, runs.seed]))
 
-    check_exit_budget(u, len(exit_nodes), eligible_count, "nodes", exit_fraction_limit)
+    check_exit_budget(u, len(exit_nodes), eligible_count, "nodes")
 
     # the runs of one (k, sign) are disjoint, so sorting by first sorts by z
     runs = np.concatenate(runs_found, dtype=np.int64)
@@ -271,16 +268,7 @@ def build_family_1d(u, k_min: int, exit_fraction_limit: float = EXIT_FRACTION_LI
         EscapeInterval(z=float(a), y=float(b), k=int(kk), sign=int(s), seed=float(nodes[i]))
         for a, b, kk, s, i in zip(z, y, k, sign, seed)
     ]
-    return SparseFamily1D(
-        intervals,
-        nodes,
-        d1,
-        k_min,
-        k_max_seen,
-        exit_nodes,
-        eligible_count,
-        unanalyzed,
-    )
+    return SparseFamily1D(intervals, nodes, d1, k_min, exit_nodes, eligible_count, unanalyzed)
 
 
 def _interval_table(u, family: SparseFamily1D):

@@ -199,11 +199,6 @@ def oscillation_bound(k: int, big_m: float) -> float:
     return min(first, math.ldexp(1.0, 2 * k - 4) / big_m)
 
 
-def field_sups(u):
-    """The sup norms of u, d1 u and d1^2 u (fixed fine probe, one pass); M is their max."""
-    return u.sup_norm((0, 1, 2))
-
-
 def _check_compact_support(u):
     border = max(
         float(np.max(np.abs(u.values[0, :]))),
@@ -237,7 +232,7 @@ def build_family_2d(u) -> SparseFamily2D:
     abs_lines = np.abs(lines)
     n_line = lines.shape[1]
 
-    sups = field_sups(u)
+    sups = u.sup_norm((0, 1, 2))  # u, d1 u, d1^2 u on the fixed fine probe
     big_m = max(sups)
     sup_d1 = max(sups[1], float(np.max(np.abs(d1c))))
     if sup_d1 == 0.0:

@@ -1,4 +1,4 @@
-"""Closed-form test-function families and the default verification corpora.
+"""Closed-form test-function families, their evaluators and sampled grids.
 
 Families (all provide derivatives up to third order in closed form):
 
@@ -293,98 +293,3 @@ def grid_for_spec(spec: TestFunctionSpec, n: int):
     (ax, bx), (ay, by) = spec.window
     return Grid2D(Grid1D(float(ax), float(bx), n), Grid1D(float(ay), float(by), n))
 
-
-def _sine_spec(name, amplitude, frequency, center, half_periods):
-    """Sine window aligned so u' vanishes at both window edges."""
-    half = (half_periods + 0.5) * math.pi / frequency
-    return TestFunctionSpec(
-        family="sine-window",
-        center=center,
-        width=1.0 / frequency,
-        amplitude=amplitude,
-        frequency=frequency,
-        window=(center - half, center + half),
-        name=name,
-    )
-
-
-def default_corpus_1d():
-    """The bundled 1D corpus: 21 members spanning all four families.
-
-    Sine windows are aligned to quarter periods (u' = 0 at both edges) so
-    that every escape interval closes inside the window; gaussians get wide
-    windows for the same reason.
-    """
-    specs = [
-        TestFunctionSpec("gaussian", 0.0, 1.0, 1.0, 0.0, (-6.0, 6.0), name="g1"),
-        TestFunctionSpec("gaussian", 0.5, 0.8, 1.3, 0.0, (-6.0, 7.0), name="g2"),
-        TestFunctionSpec("gaussian", -1.0, 1.5, 0.7, 0.0, (-9.0, 7.0), name="g3"),
-        TestFunctionSpec("gaussian", 0.0, 2.0, 1.0, 0.0, (-11.0, 11.0), name="g4"),
-        TestFunctionSpec("gaussian", 1.2, 0.6, 0.9, 0.0, (-4.0, 6.0), name="g5"),
-        TestFunctionSpec("gaussian", -0.7, 1.1, 1.8, 0.0, (-7.5, 6.5), name="g6"),
-        TestFunctionSpec("smooth-bump", 0.0, 1.0, 1.0, 0.0, (-1.5, 1.5), name="b1"),
-        TestFunctionSpec("smooth-bump", 0.3, 2.0, 1.4, 0.0, (-2.6, 3.2), name="b2"),
-        TestFunctionSpec("smooth-bump", -0.8, 0.9, 0.8, 0.0, (-2.2, 1.0), name="b3"),
-        TestFunctionSpec("smooth-bump", 0.0, 3.0, 2.0, 0.0, (-4.0, 4.0), name="b4"),
-        TestFunctionSpec("smooth-bump", 0.5, 1.6, 1.1, 0.0, (-1.8, 2.8), name="b5"),
-        TestFunctionSpec("modulated-bump", 0.0, 2.0, 1.0, 3.0, (-2.6, 2.6), name="m1"),
-        TestFunctionSpec("modulated-bump", 0.0, 2.5, 1.0, 5.0, (-3.2, 3.2), name="m2"),
-        TestFunctionSpec("modulated-bump", 0.4, 1.8, 1.2, 4.0, (-2.0, 2.8), name="m3"),
-        TestFunctionSpec("modulated-bump", -0.5, 3.0, 0.9, 2.5, (-4.2, 3.2), name="m4"),
-        TestFunctionSpec("modulated-bump", 0.0, 2.2, 1.5, 6.0, (-2.9, 2.9), name="m5"),
-        _sine_spec("s1", 1.0, 1.0, 0.0, 1),
-        _sine_spec("s2", 1.0, 2.0, 0.0, 2),
-        _sine_spec("s3", 1.5, 1.0, 0.0, 0),
-        _sine_spec("s4", 0.8, 3.0, 0.2, 3),
-        _sine_spec("s5", 1.2, 1.5, -0.3, 1),
-    ]
-    return specs
-
-
-def default_corpus_2d():
-    """The bundled 2D corpus: six compactly supported bumps, tuned so the
-    top level passes the discrete continuity-modulus test at n = 128.
-
-    The tuning logic: the level-k modulus budget is
-    min(2^(k-4), 2^(2k-4)/M), which is maximized relative to the fields'
-    Lipschitz constants when max|d1| sits just above a dyadic threshold and
-    the sup norms of u, d1, d11 are balanced near 1.  Width ~3.4-3.65 with
-    amplitude <= 1 lands max|d1| in [0.55, 0.56) (level 0, budget 1/16) and
-    leaves one admissible grid step of transverse radius at n = 128.
-    """
-
-    def product(name, w, A, cx=0.0, cy=0.0, wy=None, pad=1.05):
-        wy = w if wy is None else wy
-        hx = pad * w + abs(cx)
-        hy = pad * wy + abs(cy)
-        half = max(hx, hy)
-        return TestFunctionSpec(
-            family="smooth-bump",
-            center=(cx, cy),
-            width=(w, wy),
-            amplitude=A,
-            window=((-half, half), (-half, half)),
-            layout="product",
-            name=name,
-        )
-
-    def radial(name, w, A, pad=1.05):
-        half = pad * w
-        return TestFunctionSpec(
-            family="smooth-bump",
-            center=(0.0, 0.0),
-            width=(w, w),
-            amplitude=A,
-            window=((-half, half), (-half, half)),
-            layout="radial",
-            name=name,
-        )
-
-    return [
-        product("p1", 3.65, 1.0),
-        product("p2", 3.4, 0.932),
-        product("p3", 3.65, 1.0, wy=3.2),
-        radial("r1", 3.5, 0.96),
-        product("p4", 3.4, 0.932, cx=0.2, cy=-0.3),
-        product("p5", 3.65, -1.0),
-    ]

@@ -38,13 +38,9 @@ from gnsparse.sparse1d import (
     verify_pointwise_1d,
 )
 from gnsparse.sparse2d import build_family_2d, verify_family_2d
-from gnsparse.testfunctions import (
-    TestFunctionSpec,
-    default_corpus_1d,
-    default_corpus_2d,
-    grid_for_spec,
-    make_test_function,
-)
+from gnsparse.testfunctions import TestFunctionSpec, grid_for_spec, make_test_function
+
+from corpus import members
 
 P = SpaceDescriptor.parse
 
@@ -58,7 +54,7 @@ def criterion(num, ok, detail):
 def corpus_1024():
     """(u, family at the default floor) for every 1D member at n = 1024."""
     out = {}
-    for spec in default_corpus_1d():
+    for spec in members(1):
         u = make_test_function(spec, grid_for_spec(spec, 1024))
         out[spec.name] = (u, build_family_1d(u, default_k_min(u)))
     return out
@@ -68,7 +64,7 @@ def corpus_1024():
 def corpus_2d():
     """(report at 128, report at 256) for every 2D member."""
     out = {}
-    for spec in default_corpus_2d():
+    for spec in members(2):
         reports = []
         for n in (128, 256):
             u = make_test_function(spec, grid_for_spec(spec, n))
@@ -79,7 +75,7 @@ def corpus_2d():
 
 def test_criterion_01_overlap_1d(corpus_1024):
     # max overlap of the 1D covering family is exactly bounded by 3
-    families = {spec.family for spec in default_corpus_1d()}
+    families = {spec.family for spec in members(1)}
     assert len(corpus_1024) >= 20
     assert families == {"gaussian", "smooth-bump", "modulated-bump", "sine-window"}
     worst = 0
@@ -95,7 +91,7 @@ def test_criterion_02_pointwise_constant(corpus_1024):
     # measured max over the grid-resolved levels moves < 1% under n -> 2n
     worst_ratio = 0.0
     worst_drift = 0.0
-    for spec in default_corpus_1d():
+    for spec in members(1):
         u1, _ = corpus_1024[spec.name]
         floor = resolved_k_min(u1)
         _, r1 = verify_pointwise_1d(u1, build_family_1d(u1, floor))
@@ -314,7 +310,7 @@ def test_criterion_10_exponent_algebra():
 def test_criterion_11_mollification_contracts():
     spaces = [P("L:1"), P("L:2"), P("Lor:2,2"), P("Orl:pow:2")]
     worst = 0.0
-    for spec in default_corpus_1d():
+    for spec in members(1):
         u = make_test_function(spec, grid_for_spec(spec, 1024))
         h = u.grid.h
         with warnings.catch_warnings():

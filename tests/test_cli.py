@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from gnsparse import gn as gn_module
-from gnsparse.cli import load_run_config, main
+from gnsparse.cli import main
 from gnsparse.gn import CHECK_NAMES, GNCase, run_corpus
 from gnsparse.grid import Grid1D
 from gnsparse.operator import CellFamily
@@ -26,6 +26,8 @@ from gnsparse.serialize import (
 )
 from gnsparse.spaces import SpaceDescriptor
 from gnsparse.testfunctions import TestFunctionSpec
+
+from corpus import run_config
 
 P = SpaceDescriptor.parse
 
@@ -149,15 +151,7 @@ class TestReportFormats:
 
 class TestConfigLoading:
     def test_tiny_config_parses(self, tmp_path):
-        class Args:
-            config = write_config(tmp_path)
-            out = "."
-            format = None
-            resolution = None
-            checks = None
-            seed = 0
-
-        config = load_run_config(Args)
+        config = run_config("--config", write_config(tmp_path))
         assert set(config.corpus) == {"pulse"}
         assert [c.x_space.format() for c in config.cases] == ["L:1", "L:2"]
         assert config.checks == ("overlap", "pointwise", "gn")
@@ -165,15 +159,7 @@ class TestConfigLoading:
         assert all(c.n == 256 for c in config.cases)
 
     def test_bundled_default_declares_the_full_corpus(self):
-        class Args:
-            config = None
-            out = "."
-            format = None
-            resolution = None
-            checks = None
-            seed = 0
-
-        config = load_run_config(Args)
+        config = run_config()
         assert len(config.cases) == 27
         assert config.checks == CHECK_NAMES
         kinds = {c.x_space.kind for c in config.cases}
@@ -314,6 +300,17 @@ class TestMainExitCodes:
         # the report still gets written so the failure can be inspected
         body = (tmp_path / "v" / "report.csv").read_text(encoding="utf-8")
         assert "fail: overlap" in body
+
+    def test_programming_error_exits_three_with_traceback(self, tmp_path, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ValueError("bug")
+
+        monkeypatch.setattr(gn_module, "verify_pointwise_1d", broken)
+        code = main(["--config", write_config(tmp_path), "--out", str(tmp_path / "e")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "Traceback" in err and "ValueError: bug" in err
+        assert not (tmp_path / "e").exists()
 
     def test_unwritable_out_dir(self, tmp_path, capsys):
         blocker = tmp_path / "file"

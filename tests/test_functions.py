@@ -26,17 +26,16 @@ from gnsparse import (
 from gnsparse.errors import CorpusConfigError, EmptyRegionError
 from gnsparse.gn import _abs_field
 from gnsparse.mollifier import kernel_weights
-from gnsparse.sparse2d import field_sups
 from gnsparse.testfunctions import (
     _RADIAL_ORDERS,
     COMPACT_FAMILIES,
     FAMILIES,
     MAX_ORDER,
-    default_corpus_1d,
-    default_corpus_2d,
     make_evaluator_1d,
     make_evaluator_2d,
 )
+
+from corpus import member, members
 
 
 def test_grid_invariants():
@@ -76,7 +75,7 @@ def test_sine_window_d2_and_fd_quartering():
     assert 3.5 <= ratio <= 4.5
 
 
-@pytest.mark.parametrize("spec", default_corpus_1d(), ids=lambda s: s.name)
+@pytest.mark.parametrize("spec", members(1), ids=lambda s: s.name)
 def test_fd_quartering_whole_corpus(spec):
     f1 = make_test_function(spec, grid_for_spec(spec, 1024))
     f2 = make_test_function(spec, grid_for_spec(spec, 2048))
@@ -84,7 +83,7 @@ def test_fd_quartering_whole_corpus(spec):
     assert 3.5 <= ratio <= 4.5
 
 
-@pytest.mark.parametrize("spec", default_corpus_2d(), ids=lambda s: s.name)
+@pytest.mark.parametrize("spec", members(2), ids=lambda s: s.name)
 def test_fd_quartering_2d_corpus(spec):
     f1 = make_test_function(spec, grid_for_spec(spec, 128))
     f2 = make_test_function(spec, grid_for_spec(spec, 256))
@@ -97,8 +96,7 @@ def test_third_derivatives_consistent_with_fd_of_d2():
     # difference of the analytic d2 for every family.  Compact bumps are only
     # C^3 globally (d4 jumps at the support edge), so a small collar around
     # the edge is excluded: there the central difference is first-order only.
-    corpus = default_corpus_1d()
-    for spec in corpus[:1] + corpus[6:7] + corpus[11:12] + corpus[16:17]:
+    for spec in (member(name) for name in ("g1", "b1", "m1", "s1")):
         f = make_test_function(spec, grid_for_spec(spec, 2048))
         h = f.grid.h
         x = f.grid.nodes()[1:-1]
@@ -113,7 +111,7 @@ def test_third_derivatives_consistent_with_fd_of_d2():
 
 
 def test_radial_2d_partials_match_fd():
-    spec = default_corpus_2d()[3]
+    spec = member("r1")
     assert spec.layout == "radial"
     f = make_test_function(spec, grid_for_spec(spec, 256))
     x, y = f.grid.gx.nodes(), f.grid.gy.nodes()
@@ -168,7 +166,7 @@ def _dense_partials(u, order, mode):
 
 
 @pytest.mark.parametrize("axis", (1, 2))
-@pytest.mark.parametrize("spec", default_corpus_2d(), ids=lambda s: s.name)
+@pytest.mark.parametrize("spec", members(2), ids=lambda s: s.name)
 def test_open_grid_matches_dense_evaluation(spec, axis):
     # n + 1 = 129 and 257 node rows are not multiples of BLOCK_ROWS
     for n in (128, 256):
@@ -192,8 +190,8 @@ def test_open_grid_matches_dense_evaluation(spec, axis):
                 assert np.array_equal(_abs_field(u, order, mode), want.ravel()), (order, mode)
 
 
-def test_field_sups_make_one_pass_over_the_probe():
-    spec = default_corpus_2d()[3]
+def test_sup_norm_makes_one_pass_over_the_probe():
+    spec = member("r1")
     u = make_test_function(spec, grid_for_spec(spec, 128))
     evaluate, calls = u.evaluate, []
 
@@ -202,14 +200,14 @@ def test_field_sups_make_one_pass_over_the_probe():
         return evaluate(X, Y, partials)
 
     u.evaluate = counted
-    sups = field_sups(u)
+    sups = u.sup_norm((0, 1, 2))
     assert len(calls) == math.ceil((u.SUP_PROBE + 1) / u.BLOCK_ROWS) == 9
     assert set(calls) == {((0, 0), (1, 0), (2, 0))}
     assert sups == tuple(u.sup_norm((j,))[0] for j in (0, 1, 2))
 
 
 def test_1d_sample_makes_one_evaluator_call():
-    spec = default_corpus_1d()[11]
+    spec = member("m1")
     evaluate, calls = make_evaluator_1d(spec), []
 
     def counted(x, orders):
@@ -225,7 +223,7 @@ def test_1d_sample_makes_one_evaluator_call():
     assert len(calls) == 2
 
 
-@pytest.mark.parametrize("spec", [default_corpus_1d()[0], default_corpus_2d()[0]], ids=lambda s: s.name)
+@pytest.mark.parametrize("spec", [member("g1"), member("p1")], ids=lambda s: s.name)
 def test_center_values_are_stored_read_only(spec):
     u = make_test_function(spec, grid_for_spec(spec, 64))
     for order in (0, 1, 2):
@@ -238,7 +236,7 @@ def test_center_values_are_stored_read_only(spec):
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_1d_order_out_of_range_raises(family):
-    spec = next(s for s in default_corpus_1d() if s.family == family)
+    spec = next(s for s in members(1) if s.family == family)
     evaluate = make_evaluator_1d(spec)
     x = np.linspace(*spec.window, 9)
     assert np.all(np.isfinite(evaluate(x, (3,))[0]))
@@ -253,7 +251,7 @@ def test_1d_order_out_of_range_raises(family):
     "layout, orders", [("product", (4, 0)), ("radial", (2, 1)), ("radial", (4, 0))]
 )
 def test_2d_order_out_of_range_raises(layout, orders):
-    spec = next(s for s in default_corpus_2d() if s.layout == layout)
+    spec = next(s for s in members(2) if s.layout == layout)
     evaluate = make_evaluator_2d(spec)
     g = grid_for_spec(spec, 16)
     X, Y = g.gx.centers()[:, None], g.gy.centers()[None, :]

@@ -10,7 +10,7 @@ import pytest
 
 from gnsparse import gn as gn_module
 from gnsparse import operator as operator_module
-from gnsparse.errors import AdmissibilityError, CorpusConfigError
+from gnsparse.errors import AdmissibilityError, ConstructionError, CorpusConfigError
 from gnsparse.gn import (
     CHECK_NAMES,
     GNCase,
@@ -22,13 +22,9 @@ from gnsparse.gn import (
 )
 from gnsparse.operator import CellFamily, apply_sparse_operator
 from gnsparse.spaces import SpaceDescriptor, cl_combine
-from gnsparse.testfunctions import (
-    TestFunctionSpec,
-    default_corpus_1d,
-    default_corpus_2d,
-    grid_for_spec,
-    make_test_function,
-)
+from gnsparse.testfunctions import TestFunctionSpec, grid_for_spec, make_test_function
+
+from corpus import member, members
 
 P = SpaceDescriptor.parse
 
@@ -69,7 +65,7 @@ class TestGNCase:
         assert case.theta == Fraction(1, 3)
 
     def test_case_id_includes_axis_for_2d(self):
-        spec = default_corpus_2d()[0]
+        spec = member("p1")
         case = GNCase(spec=spec, j=1, k=2, x_space=P("L:2"), y_space=P("L:2"), axis=2, n=128)
         assert "-ax2-" in case.case_id()
 
@@ -120,7 +116,7 @@ class TestGNRatio:
         assert reports[0].ratio == reports[1].ratio == reports[2].ratio
 
     def test_pure_lhs_below_gradient_lhs_in_2d(self):
-        spec = default_corpus_2d()[0]
+        spec = member("p1")
         pure = gn_ratio(GNCase(spec=spec, j=1, k=2, x_space=P("L:2"), y_space=P("L:2"), mode="pure", n=128))
         grad = gn_ratio(GNCase(spec=spec, j=1, k=2, x_space=P("L:2"), y_space=P("L:2"), mode="gradient", n=128))
         assert pure.lhs <= grad.lhs * (1.0 + 1e-6)
@@ -145,7 +141,7 @@ class TestFirstOrderChain:
         assert report.overlap <= 3
         assert report.pointwise_max <= 1.0
 
-    @pytest.mark.parametrize("spec", default_corpus_1d(), ids=lambda s: s.name)
+    @pytest.mark.parametrize("spec", members(1), ids=lambda s: s.name)
     def test_chain_holds_across_the_corpus(self, spec):
         grid = grid_for_spec(spec, 512)
         u = make_test_function(spec, grid)
@@ -153,10 +149,8 @@ class TestFirstOrderChain:
         assert report.ok, [l.name for l in report.links if not l.ok]
 
     def test_chain_rejects_2d_input(self):
-        spec = default_corpus_2d()[0]
+        spec = member("p1")
         u = make_test_function(spec, grid_for_spec(spec, 64))
-        from gnsparse.errors import ConstructionError
-
         with pytest.raises(ConstructionError):
             first_order_chain_check(u, P("L:1"), P("L:1"))
 
@@ -263,7 +257,7 @@ class TestRunCorpus:
         if dim == 1:
             case = case_1d(BUMP, "L:1", "L:1")
         else:
-            spec = default_corpus_2d()[0]
+            spec = member("p1")
             case = GNCase(spec=spec, j=1, k=2, x_space=P("L:2"), y_space=P("L:2"), n=128)
         built, averaged, combined = [], [], []
         inside_induction = []
@@ -314,7 +308,7 @@ class TestRunCorpus:
         if dim == 1:
             case = case_1d(BUMP, "L:1", "L:1")
         else:
-            spec = default_corpus_2d()[0]
+            spec = member("p1")
             case = GNCase(spec=spec, j=1, k=2, x_space=P("L:2"), y_space=P("L:2"), mode=mode, n=128)
         at_centers = Counter()
         sample = gn_module._sample
@@ -355,6 +349,23 @@ class TestRunCorpus:
         result = run_case(case, ("overlap", "gn"))
         assert result.error == "AdmissibilityError: refused"
         assert result.verdicts == (("overlap", "error"), ("gn", "error"))
+
+    def test_only_package_errors_become_verdicts(self, monkeypatch):
+        def raising(exc):
+            def check(*args, **kwargs):
+                raise exc
+
+            return check
+
+        case = case_1d(BUMP, "L:1", "L:1")
+        monkeypatch.setattr(gn_module, "verify_pointwise_1d", raising(ConstructionError("refused")))
+        result = run_case(case, ("overlap", "pointwise", "gn"))
+        assert result.error == "ConstructionError: refused"
+        assert result.verdicts == (("overlap", "pass"), ("pointwise", "error"), ("gn", "error"))
+        # anything else is a programming error and fails loudly
+        monkeypatch.setattr(gn_module, "verify_pointwise_1d", raising(ValueError("bug")))
+        with pytest.raises(ValueError, match="bug"):
+            run_case(case, ("overlap", "pointwise", "gn"))
 
     def test_overlap_limit_violation_is_named(self, monkeypatch):
         monkeypatch.setattr(gn_module, "OVERLAP_LIMIT_1D", 2)

@@ -1,6 +1,7 @@
 """Rearrangement profiles, space descriptors, norms, and their combination."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -366,6 +367,25 @@ class TestNorms:
         # sup t^(1/2) f**(t) sits at the end of the support, 4/sqrt(3)
         vals, mu = step_function()
         assert lorentz_norm(vals, mu, Fraction(2), INF) == pytest.approx(4.0 / math.sqrt(3.0), rel=1e-12)
+
+    def test_lorentz_temporaries_stay_plateau_sized(self):
+        # 300k distinct values make 300k plateaus.  The quadrature takes its
+        # 16 Gauss-Legendre nodes one at a time, so the call holds the
+        # profile and a few plateau-sized temporaries; a plateaus x 16 table
+        # of nodes would peak near 70 input sizes.
+        vals = np.random.default_rng(0).random(300_000) + 0.5
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            lorentz_norm(vals, 1e-3, Fraction(2), Fraction(2))
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert peak < 16 * vals.nbytes
 
     def test_luxemburg_power_matches_lebesgue(self):
         vals, mu = step_function()

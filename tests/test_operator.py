@@ -54,7 +54,7 @@ class TestRasterize:
 
     def test_empty_set_rejected(self):
         with pytest.raises(EmptyRegionError):
-            CellFamily([np.array([], dtype=int)], [(0, 1)], 8, 0.125)
+            CellFamily([np.array([], dtype=int)], 8, 0.125)
 
     def test_overlap_counting(self):
         grid, fam, _ = pair_family()

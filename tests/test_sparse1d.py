@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gnsparse.cli import load_run_config
+from gnsparse import sparse1d
 from gnsparse.errors import CorpusConfigError, EmptyRegionError
 from gnsparse.gn import MODULAR_YOUNGS
 from gnsparse.grid import Grid1D, interval_integrals
@@ -34,12 +34,17 @@ from gnsparse.sparse1d import (
     seeded_runs,
     verify_pointwise_1d,
 )
-from gnsparse.testfunctions import (
-    TestFunctionSpec,
-    default_corpus_1d,
-    grid_for_spec,
-    make_test_function,
-)
+from gnsparse.testfunctions import TestFunctionSpec, grid_for_spec, make_test_function
+
+from corpus import member, members
+
+
+def build_allowing_exits(u):
+    """The family of u at the default k_min with the window-exit budget
+    lifted, for tests that look at the exits themselves."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sparse1d, "EXIT_FRACTION_LIMIT", 1.0)
+        return build_family_1d(u, default_k_min(u))
 
 
 def sine_function(n=1024):
@@ -179,7 +184,7 @@ class TestEscapeInterval:
         assert i == 939
         with pytest.raises(CorpusConfigError):
             build_family_1d(u, default_k_min(u))
-        fam = build_family_1d(u, default_k_min(u), exit_fraction_limit=1.0)
+        fam = build_allowing_exits(u)
         assert i in fam.window_exit_nodes
         assert not any(iv.contains(u.grid.nodes()[i]) for iv in fam.intervals if iv.sign == -1 and iv.k == 0)
 
@@ -282,7 +287,7 @@ class TestResolvedFloor:
         assert resolved_k_min(u) >= default_k_min(u)
         assert resolved_k_min(u) == -5
 
-    @pytest.mark.parametrize("spec", default_corpus_1d(), ids=lambda s: s.name)
+    @pytest.mark.parametrize("spec", members(1), ids=lambda s: s.name)
     def test_corpus_resolved_families_stay_clean(self, spec):
         u = make_test_function(spec, grid_for_spec(spec, 1024))
         fam = build_family_1d(u, resolved_k_min(u))
@@ -294,7 +299,7 @@ class TestResolvedFloor:
         assert 0.0 < max_ratio <= 128.0
 
 
-@pytest.mark.parametrize("spec", default_corpus_1d(), ids=lambda s: s.name)
+@pytest.mark.parametrize("spec", members(1), ids=lambda s: s.name)
 def test_corpus_family_invariants(spec):
     u = make_test_function(spec, grid_for_spec(spec, 1024))
     fam = build_family_1d(u, default_k_min(u))
@@ -347,7 +352,7 @@ class TestObservationBounds:
         worst_a, worst_b, ok = observation_bounds_report(u, build_family_1d(u, default_k_min(u)))
         assert ok and worst_a <= 1.0 and worst_b <= 1.0
 
-    @pytest.mark.parametrize("spec", default_corpus_1d(), ids=lambda s: s.name)
+    @pytest.mark.parametrize("spec", members(1), ids=lambda s: s.name)
     def test_corpus_observation_report(self, spec):
         u = make_test_function(spec, grid_for_spec(spec, 1024))
         fam = build_family_1d(u, default_k_min(u))
@@ -423,19 +428,19 @@ def assert_matches_scalar_family(u, fam):
 
 
 class TestScalarOracle:
-    @pytest.mark.parametrize("spec", default_corpus_1d(), ids=lambda s: s.name)
+    @pytest.mark.parametrize("spec", members(1), ids=lambda s: s.name)
     def test_corpus(self, spec):
         u = make_test_function(spec, grid_for_spec(spec, 1024))
         assert_matches_scalar_family(u, build_family_1d(u, default_k_min(u)))
 
     def test_fine_grid(self):
-        spec = next(s for s in default_corpus_1d() if s.name == "m5")
+        spec = member("m5")
         u = make_test_function(spec, grid_for_spec(spec, 16384))
         assert_matches_scalar_family(u, build_family_1d(u, default_k_min(u)))
 
     def test_window_exits(self):
         u = gaussian_function(n=1024, window=(-1.2, 1.2))
-        fam = build_family_1d(u, default_k_min(u), exit_fraction_limit=1.0)
+        fam = build_allowing_exits(u)
         assert fam.window_exit_nodes
         assert_matches_scalar_family(u, fam)
 
@@ -452,19 +457,8 @@ def scalar_interval_integral(fn, z, y, h_ref):
     return float(step * (np.sum(v) - 0.5 * (v[0] + v[-1])))
 
 
-def default_cfg_specs_1d():
-    class Args:
-        config = None
-        resolution = checks = format = None
-        out = "."
-        seed = 0
-
-    specs = {c.spec.name: c.spec for c in load_run_config(Args).cases if c.dim == 1}
-    return [specs[name] for name in sorted(specs)]
-
-
 class TestBatchedQuadrature:
-    @pytest.mark.parametrize("spec", default_cfg_specs_1d(), ids=lambda s: s.name)
+    @pytest.mark.parametrize("spec", members(1), ids=lambda s: s.name)
     def test_default_cases_equal_the_scalar_oracle(self, spec):
         u = make_test_function(spec, grid_for_spec(spec, 1024))
         table = list(_interval_table(u, build_family_1d(u, default_k_min(u))))
@@ -549,7 +543,7 @@ def localized_functions(draw):
 @settings(max_examples=30, derandomize=True, deadline=None, database=None)
 @given(localized_functions())
 def test_random_families_match_oracle_and_cover(u):
-    fam = build_family_1d(u, default_k_min(u), exit_fraction_limit=1.0)
+    fam = build_allowing_exits(u)
     assert_matches_scalar_family(u, fam)
     assert fam.max_overlap <= 3
     uncovered, _ = coverage_report(fam)
@@ -560,7 +554,7 @@ def test_random_families_match_oracle_and_cover(u):
 @given(localized_functions())
 def test_random_families_bound_the_operator(u):
     # ||T|f|||_X <= K ||f||_X for |u''| and |u|, and rho(T|u|/K) <= rho(|u|)
-    fam = build_family_1d(u, default_k_min(u), exit_fraction_limit=1.0)
+    fam = build_allowing_exits(u)
     cells = CellFamily.from_intervals(fam.intervals, u.grid)
     f0, f2 = (np.abs(u.center_values(m)) for m in (0, 2))
     t0, t2 = apply_sparse_operator(cells, f0), apply_sparse_operator(cells, f2)

@@ -14,16 +14,12 @@ from gnsparse.sparse2d import (
     _shift_variation,
     build_family_2d,
     compute_delta,
-    field_sups,
     oscillation_bound,
     verify_family_2d,
 )
-from gnsparse.testfunctions import (
-    TestFunctionSpec,
-    default_corpus_2d,
-    grid_for_spec,
-    make_test_function,
-)
+from gnsparse.testfunctions import TestFunctionSpec, grid_for_spec, make_test_function
+
+from corpus import member, members
 
 
 def square_grid(n=16, a=0.0, b=1.0):
@@ -85,7 +81,7 @@ class TestComputeDelta:
         )
         u = make_test_function(spec, grid_for_spec(spec, 128))
         k_top = 0 if u.sup_norm((1,))[0] >= 0.5 else -1
-        bound = oscillation_bound(k_top, max(field_sups(u)))
+        bound = oscillation_bound(k_top, max(u.sup_norm((0, 1, 2))))
         (res,) = compute_delta(u, [bound])
         assert res.admissible
         assert res.delta == pytest.approx(res.steps * u.grid.gx.h)
@@ -125,7 +121,7 @@ def scalar_compute_delta(u, bound):
 
 @pytest.mark.parametrize("n", [128, 256])
 @pytest.mark.parametrize("axis", [1, 2])
-@pytest.mark.parametrize("spec", default_corpus_2d(), ids=lambda s: s.name)
+@pytest.mark.parametrize("spec", members(2), ids=lambda s: s.name)
 def test_one_ring_scan_equals_per_bound_scans(spec, n, axis):
     u = make_test_function(spec, grid_for_spec(spec, n), axis=axis)
     fam = build_family_2d(u)
@@ -175,7 +171,7 @@ class TestBuild2D:
             build_family_2d(u)
 
     def test_top_level_structure(self):
-        spec = default_corpus_2d()[0]
+        spec = member("p1")
         u = make_test_function(spec, grid_for_spec(spec, 128))
         fam = build_family_2d(u)
         assert fam.analyzed_levels() == [0]
@@ -189,7 +185,7 @@ class TestBuild2D:
             assert s.mask.any()
 
     def test_coarse_grid_skips_with_diagnostic(self):
-        spec = default_corpus_2d()[0]
+        spec = member("p1")
         u = make_test_function(spec, grid_for_spec(spec, 32))
         fam = build_family_2d(u)
         assert fam.analyzed_levels() == []
@@ -201,7 +197,7 @@ class TestBuild2D:
         assert "resolve" in top.diagnostic()
 
     def test_symmetric_member_along_second_axis(self):
-        spec = default_corpus_2d()[0]  # square window, equal widths
+        spec = member("p1")  # square window, equal widths
         u = make_test_function(spec, grid_for_spec(spec, 128), axis=2)
         fam = build_family_2d(u)
         rep = verify_family_2d(u, fam)
@@ -209,7 +205,7 @@ class TestBuild2D:
         assert rep.max_overlap >= 1
 
 
-@pytest.mark.parametrize("spec", default_corpus_2d(), ids=lambda s: s.name)
+@pytest.mark.parametrize("spec", members(2), ids=lambda s: s.name)
 def test_corpus_verification(spec):
     u = make_test_function(spec, grid_for_spec(spec, 128))
     fam = build_family_2d(u)
@@ -224,7 +220,7 @@ def test_corpus_verification(spec):
 
 
 class TestRefinementStability:
-    @pytest.mark.parametrize("spec", default_corpus_2d()[:3], ids=lambda s: s.name)
+    @pytest.mark.parametrize("spec", [member(name) for name in ("p1", "p2", "p3")], ids=lambda s: s.name)
     def test_ratio_stable_under_refinement(self, spec):
         reports = {}
         deltas = {}
@@ -244,7 +240,7 @@ class TestRefinementStability:
     def test_band_inclusion_margin(self):
         # every covered cell center sits in the widened band of its level,
         # checked directly against the sampled partial
-        spec = default_corpus_2d()[3]  # the radial member
+        spec = member("r1")  # the radial member
         u = make_test_function(spec, grid_for_spec(spec, 128))
         fam = build_family_2d(u)
         for s in fam.slabs:
@@ -290,7 +286,7 @@ def loop_slabs_2d(fam):
 # n = 64 analyzes no level of this corpus; n = 128 and 256 analyze the top
 # level with delta_steps 1 and 2
 @pytest.mark.parametrize("n, axis", [(128, 1), (128, 2), (256, 1)])
-@pytest.mark.parametrize("spec", default_corpus_2d(), ids=lambda s: s.name)
+@pytest.mark.parametrize("spec", members(2), ids=lambda s: s.name)
 def test_slabs_match_loop_reference(spec, n, axis):
     u = make_test_function(spec, grid_for_spec(spec, n), axis=axis)
     fam = build_family_2d(u)
