@@ -34,7 +34,9 @@ class ModularRangeError(GnsparseError):
 
 
 class YoungBracketError(GnsparseError):
-    """Luxemburg bisection could not bracket the unit-modular scale."""
+    """The Luxemburg solver found no bracket for the unit-modular scale:
+    the modular at max|f| is 0 or not finite, or the convexity bracket
+    leaves the floats."""
 
 
 class AdmissibilityError(GnsparseError):

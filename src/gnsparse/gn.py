@@ -140,15 +140,17 @@ class GNReport:
     stable: bool
 
 
-def _abs_field(u, order: int, mode: str) -> np.ndarray:
+def _abs_field(u, order: int, mode: str, read) -> np.ndarray:
     """|derivative expression| of the given total order at cell centers.
 
-    In 1D, at order 0 and in ``pure`` mode (along u.axis) this is u's own
-    center field; the sums of the other modes read it for the partial along
-    u.axis and evaluate all the others in one pass.
+    ``read(order)`` gives u's own center field of an order: u.center_values
+    keeps it for later readers, u.center_field drops it after use.  In 1D,
+    at order 0 and in ``pure`` mode (along u.axis) the expression is that
+    field; the sums of the other modes read it for the partial along u.axis
+    and evaluate all the others in one pass.
     """
     if u.dim == 1 or order == 0 or mode == "pure":
-        return np.abs(u.center_values(order)).ravel()
+        return np.abs(read(order)).ravel()
     if mode == "pure-sum":
         partials = [(order, 0), (0, order)]
     else:  # gradient: every multi-index of the given total order
@@ -156,7 +158,7 @@ def _abs_field(u, order: int, mode: str) -> np.ndarray:
     own = (order, 0) if u.axis == 1 else (0, order)
     others = [p for p in partials if p != own]
     fields = dict(zip(others, u.center_partials(others)))
-    fields[own] = u.center_values(order)
+    fields[own] = read(order)
     return sum(np.abs(fields[p]) for p in partials).ravel()
 
 
@@ -168,11 +170,12 @@ def _sample(case: GNCase, n: int):
     return make_test_function(case.spec, grid_for_spec(case.spec, n), axis=case.axis)
 
 
-def _norms_at(case: GNCase, z_space: SpaceDescriptor, u):
+def _norms_at(case: GNCase, z_space: SpaceDescriptor, u, read):
+    """The three norms of the GN ratio, each field read by ``read``."""
     mu = _cell_measure(u)
-    lhs = space_norm(z_space, _abs_field(u, case.j, case.mode), mu)
-    rhs_x = space_norm(case.x_space, _abs_field(u, case.k, case.mode), mu)
-    rhs_y = space_norm(case.y_space, _abs_field(u, 0, case.mode), mu)
+    lhs = space_norm(z_space, _abs_field(u, case.j, case.mode, read), mu)
+    rhs_x = space_norm(case.x_space, _abs_field(u, case.k, case.mode, read), mu)
+    rhs_y = space_norm(case.y_space, _abs_field(u, 0, case.mode, read), mu)
     return lhs, rhs_x, rhs_y
 
 
@@ -195,9 +198,11 @@ def gn_ratio(case: GNCase, u=None) -> GNReport:
     z_space = case.z_space
     if u is None:
         u = _sample(case, case.n)
-    lhs, rhs_x, rhs_y = _norms_at(case, z_space, u)
+    lhs, rhs_x, rhs_y = _norms_at(case, z_space, u, u.center_values)
     ratio = _ratio_of(lhs, rhs_x, rhs_y, case.theta)
-    lhs2, rhs_x2, rhs_y2 = _norms_at(case, z_space, _sample(case, 2 * case.n))
+    # the 2n sample is thrown away, so none of its fields is kept
+    fine = _sample(case, 2 * case.n)
+    lhs2, rhs_x2, rhs_y2 = _norms_at(case, z_space, fine, fine.center_field)
     refined = _ratio_of(lhs2, rhs_x2, rhs_y2, case.theta)
     if ratio == refined:
         drift = 0.0

@@ -85,11 +85,15 @@ class GridFunction1D:
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"non-finite {name} in sampled function {label!r}")
 
+    def center_field(self, order: int) -> np.ndarray:
+        """u^(order) at cell centers, evaluated afresh and not kept."""
+        (field,) = self.evaluate(self.grid.centers(), (order,))
+        return np.asarray(field, dtype=float)
+
     def center_values(self, order: int = 0) -> np.ndarray:
-        """u^(order) at cell centers, evaluated on first use and kept read-only."""
+        """center_field(order), evaluated on first use and kept read-only."""
         if order not in self._centers:
-            (field,) = self.evaluate(self.grid.centers(), (order,))
-            self._centers[order] = arr = np.asarray(field, dtype=float)
+            self._centers[order] = arr = self.center_field(order)
             arr.flags.writeable = False
         return self._centers[order]
 
@@ -164,10 +168,14 @@ class GridFunction2D:
         from one pass over the lattice."""
         return self._sample(self.grid.gx.centers(), self.grid.gy.centers(), partials)
 
+    def center_field(self, order: int) -> np.ndarray:
+        """The pure partial along ``axis`` at cell centers, evaluated afresh and not kept."""
+        return self.center_partials([self._axis_partial(order)])[0]
+
     def center_values(self, order: int = 0) -> np.ndarray:
-        """The pure partial along ``axis`` at cell centers, evaluated on first use and kept read-only."""
+        """center_field(order), evaluated on first use and kept read-only."""
         if order not in self._centers:
-            self._centers[order] = arr = self.center_partials([self._axis_partial(order)])[0]
+            self._centers[order] = arr = self.center_field(order)
             arr.flags.writeable = False
         return self._centers[order]
 

@@ -4,7 +4,8 @@ Lebesgue norms are direct cell sums.  Lorentz norms integrate
 t^(p/P - 1) f**(t)^p piecewise: the first plateau and the tail beyond the
 support measure have closed forms, and each interior plateau of f* makes
 f** smooth there, so fixed-order Gauss-Legendre is essentially exact.
-Orlicz norms are Luxemburg functionals found by bisection on the scale.
+Orlicz norms are Luxemburg functionals: the scale is bracketed by
+convexity and found by a secant in log-log coordinates.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from .spaces import INF, SpaceDescriptor, index_float
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
 
 LUXEMBURG_REL_TOL = 1e-8
-LUXEMBURG_MAX_DOUBLINGS = 200
 
 
 def lebesgue_norm(values, cell_measure: float, p) -> float:
@@ -97,8 +97,17 @@ def modular(young, values, cell_measure: float, scale: float = 1.0) -> float:
 def luxemburg_norm(values, cell_measure: float, young) -> float:
     """The Luxemburg functional inf{lambda > 0 : rho(f/lambda) <= 1}.
 
-    Bisection on lambda; the initial bracket doubles or halves from max|f|
-    and gives up after a fixed budget (YoungBracketError).
+    Returns ``hi`` with rho(f/hi) <= 1 after probing some ``lo`` with
+    rho(f/lo) > 1 and hi - lo <= LUXEMBURG_REL_TOL * hi.  Since phi(t)/t is
+    nondecreasing for a Young function, lambda * rho(f/lambda) is
+    nonincreasing, so the root lies between lam0 = max|f| and lam0 *
+    rho(f/lam0).  Inside that bracket a secant in (log lambda, log rho),
+    exact for powers, with Illinois halving of a stale end, converges in a
+    handful of modular evaluations.  An end whose modular overflowed or
+    underflowed, or a log-bracket that did not halve over three probes,
+    gets a bisection step in log lambda instead.  A modular at lam0 that
+    is 0 or not finite, or a bracket outside the floats, is a
+    YoungBracketError.
     """
     v = np.abs(np.asarray(values, dtype=float)).ravel()
     v = v[v > 0.0]
@@ -107,35 +116,60 @@ def luxemburg_norm(values, cell_measure: float, young) -> float:
 
     def rho(lam: float) -> float:
         try:
-            return float(np.sum(young(v / lam)) * cell_measure)
+            with np.errstate(over="ignore"):
+                return float(np.sum(young(v / lam)) * cell_measure)
         except OverflowError:
             return math.inf
 
-    lam = float(np.max(v))
-    r = rho(lam)
-    lo = hi = lam
-    if r > 1.0:
-        for _ in range(LUXEMBURG_MAX_DOUBLINGS):
-            hi *= 2.0
-            if rho(hi) <= 1.0:
-                break
-            lo = hi
+    lam0 = float(np.max(v))
+    r0 = rho(lam0)
+    edge = lam0 * r0
+    if not (0.0 < r0 < math.inf and 0.0 < edge < math.inf):
+        raise YoungBracketError(f"modular {r0} at scale {lam0} brackets no unit-modular scale")
+    lo, r_lo, hi, r_hi = (lam0, r0, edge, rho(edge)) if r0 > 1.0 else (edge, rho(edge), lam0, r0)
+    # rounding can put the edge on the wrong side of the root; nudge it across
+    step = 1e-12
+    while r_hi > 1.0 or not r_lo > 1.0:
+        if step > 0.5:
+            raise YoungBracketError(f"modular does not decrease across scale {edge}")
+        if r_hi > 1.0:
+            lo, r_lo = hi, r_hi
+            hi *= 1.0 + step
+            r_hi = rho(hi)
         else:
-            raise YoungBracketError(f"no upper bracket for the Luxemburg scale above {lam}")
-    else:
-        for _ in range(LUXEMBURG_MAX_DOUBLINGS):
-            lo *= 0.5
-            if rho(lo) > 1.0:
-                break
-            hi = lo
-        else:
-            raise YoungBracketError("modular stays at or below 1 down to vanishing scale")
+            hi, r_hi = lo, r_lo
+            lo *= 1.0 - step
+            r_lo = rho(lo)
+        step *= 2.0
+
+    def log(r: float) -> float:
+        return math.log(r) if 0.0 < r < math.inf else math.copysign(math.inf, r - 1.0)
+
+    y_lo, y_hi = log(r_lo), log(r_hi)
+    # Illinois halving needs two probes on one side before it can cross,
+    # so a bracket gets three probes to halve before a bisection step
+    widths = [math.inf] * 3  # log-bracket widths before the last three probes
+    last_lo = r0 <= 1.0  # whether the last probe became lo
     while hi - lo > LUXEMBURG_REL_TOL * hi:
-        mid = 0.5 * (lo + hi)
-        if rho(mid) > 1.0:
-            lo = mid
+        x_lo, x_hi = math.log(lo), math.log(hi)
+        width = x_hi - x_lo
+        if math.isinf(y_lo) or math.isinf(y_hi) or width > 0.5 * widths[0]:
+            x = x_lo + 0.5 * width
         else:
-            hi = mid
+            x = x_lo + width * y_lo / (y_lo - y_hi)
+        widths = widths[1:] + [width]
+        # at least half a tolerance inside, so a probe on the root closes the far side
+        gap = 0.5 * LUXEMBURG_REL_TOL * hi
+        lam = min(max(math.exp(x), lo + gap), hi - gap)
+        r = rho(lam)
+        if r > 1.0:
+            if last_lo:  # hi is stale
+                y_hi *= 0.5
+            lo, y_lo, last_lo = lam, log(r), True
+        else:
+            if not last_lo:  # lo is stale
+                y_lo *= 0.5
+            hi, y_hi, last_lo = lam, log(r), False
     return float(hi)
 
 

@@ -19,16 +19,13 @@ class RearrangementProfile:
         v = np.abs(np.asarray(values, dtype=float)).ravel()
         if cell_measure <= 0.0:
             raise ValueError("cell measure must be positive")
-        v = v[v > 0.0]
-        v = np.sort(v)[::-1]
+        v = np.sort(v[v > 0.0])[::-1]
         # merge equal-value runs into single plateaus
-        if v.size:
-            heights, counts = np.unique(v, return_counts=True)
-            self.heights = heights[::-1].copy()
-            self.widths = counts[::-1].astype(float) * cell_measure
-        else:
-            self.heights = np.zeros(0)
-            self.widths = np.zeros(0)
+        first = np.ones(v.size, dtype=bool)
+        first[1:] = v[1:] != v[:-1]
+        starts = np.flatnonzero(first)
+        self.heights = v[starts]
+        self.widths = np.diff(np.append(starts, v.size)).astype(float) * cell_measure
         self.cell_measure = float(cell_measure)
         self.breaks = np.concatenate([[0.0], np.cumsum(self.widths)])
         self.support_measure = float(self.breaks[-1])

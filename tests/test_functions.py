@@ -184,10 +184,12 @@ def test_open_grid_matches_dense_evaluation(spec, axis):
         assert u.sup_norm((0, 1, 2)) == tuple(sups)
         for order in (0, 1, 2):
             assert np.array_equal(u.center_values(order), u.evaluate(*centers, [pure[order]])[0])
+            assert np.array_equal(u.center_field(order), u.center_values(order))
             assert u.sup_norm((order,)) == (sups[order],)
             for mode in ("pure", "pure-sum", "gradient"):
                 want = sum(np.abs(f) for f in u.evaluate(*centers, _dense_partials(u, order, mode)))
-                assert np.array_equal(_abs_field(u, order, mode), want.ravel()), (order, mode)
+                for read in (u.center_values, u.center_field):
+                    assert np.array_equal(_abs_field(u, order, mode, read), want.ravel()), (order, mode)
 
 
 def test_sup_norm_makes_one_pass_over_the_probe():

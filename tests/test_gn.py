@@ -2,6 +2,7 @@
 algebra, and the corpus runner."""
 
 import dataclasses
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -126,6 +127,31 @@ class TestGNRatio:
         assert report.z_space == cl_combine(P("L:2"), P("L:2"), Fraction(1, 3))
         assert 0.0 < report.ratio < 10.0
         assert report.stable
+
+
+    def test_refinement_rerun_keeps_no_center_field(self):
+        # the rerun's 2n sample holds its three node fields; one center field
+        # at a time, its absolute value and the Luxemburg norm's temporaries
+        # come to about four more, and keeping the three center fields until
+        # the rerun ends adds two
+        spec = member("r1")
+        case = GNCase(spec=spec, j=1, k=2, x_space=P("Orl:pow:2"), y_space=P("Orl:pow:2"), n=128)
+        u = make_test_function(spec, grid_for_spec(spec, case.n))
+        for order in (0, case.j, case.k):
+            u.center_values(order)
+        field = (2 * case.n) ** 2 * 8  # bytes of one float64 field at 2n
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            gn_ratio(case, u)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert peak < 8 * field
 
 
 class TestFirstOrderChain:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from gnsparse.errors import AdmissibilityError, ModularRangeError, YoungBracketError, YoungInversionError
 from gnsparse.norms import (
+    LUXEMBURG_REL_TOL,
     cl_factorization_check,
     lebesgue_norm,
     lorentz_norm,
@@ -30,8 +31,10 @@ from gnsparse.spaces import (
     parse_index,
     young_equal,
 )
-from gnsparse.testfunctions import TestFunctionSpec, make_test_function
+from gnsparse.testfunctions import TestFunctionSpec, grid_for_spec, make_test_function
 from gnsparse.grid import Grid1D
+
+from corpus import members
 
 
 def step_function():
@@ -57,6 +60,30 @@ class TestRearrangement:
         assert prof.total_integral == pytest.approx(4.0, abs=1e-12)
         assert list(prof.heights) == [2.0, 1.0]
         assert list(prof.widths) == pytest.approx([1.0, 2.0], abs=1e-12)
+
+    @pytest.mark.parametrize("size", [1, 2, 7, 4096])
+    def test_plateaus_match_np_unique(self, size):
+        # one sort with run boundaries gives np.unique's plateaus bit for bit
+        rng = np.random.default_rng(size)
+        mu = 1.0 / 64.0
+        for vals in (
+            np.round(rng.normal(size=size) * 4.0) / 4.0,  # ties, zeros and signs
+            rng.normal(size=size) * (rng.random(size) < 0.5),  # distinct values and zeros
+            np.zeros(size),
+        ):
+            v = np.abs(vals)
+            heights, counts = np.unique(v[v > 0.0], return_counts=True)
+            heights = heights[::-1]
+            widths = counts[::-1].astype(float) * mu
+            want = {
+                "heights": heights,
+                "widths": widths,
+                "breaks": np.concatenate([[0.0], np.cumsum(widths)]),
+                "cum_integral": np.concatenate([[0.0], np.cumsum(heights * widths)]),
+            }
+            prof = RearrangementProfile(vals, mu)
+            for name, array in want.items():
+                assert np.array_equal(getattr(prof, name), array), name
 
     def test_star_values(self):
         vals, mu = step_function()
@@ -428,6 +455,131 @@ class TestNorms:
             luxemburg_norm(np.ones(4), 1.0, lambda t: np.zeros_like(t))
 
 
+def _product(x, y, theta):
+    return cl_combine(SpaceDescriptor.parse(f"Orl:{x}"), SpaceDescriptor.parse(f"Orl:{y}"), theta).young
+
+
+def bisection_luxemburg(values, cell_measure, young):
+    """The Luxemburg norm by bisection on lambda, the oracle that
+    norms.luxemburg_norm is checked against: double or halve from max|f|
+    (at most 200 times) to a bracket, then bisect down to LUXEMBURG_REL_TOL."""
+    v = np.abs(np.asarray(values, dtype=float)).ravel()
+    v = v[v > 0.0]
+    if v.size == 0:
+        return 0.0
+
+    def rho(lam):
+        try:
+            return float(np.sum(young(v / lam)) * cell_measure)
+        except OverflowError:
+            return math.inf
+
+    lo = hi = float(np.max(v))
+    if rho(lo) > 1.0:
+        for _ in range(200):
+            hi *= 2.0
+            if rho(hi) <= 1.0:
+                break
+            lo = hi
+        else:
+            raise YoungBracketError("no upper bracket")
+    else:
+        for _ in range(200):
+            lo *= 0.5
+            if rho(lo) > 1.0:
+                break
+            hi = lo
+        else:
+            raise YoungBracketError("no lower bracket")
+    while hi - lo > LUXEMBURG_REL_TOL * hi:
+        mid = 0.5 * (lo + hi)
+        if rho(mid) > 1.0:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+def counted(young):
+    """(young wrapped to count its calls, the list it appends one entry to
+    per call); luxemburg_norm calls young once per modular evaluation."""
+    calls = []
+
+    def call(t):
+        calls.append(t.size)
+        return young(t)
+
+    return call, calls
+
+
+def overflows_above(limit, young):
+    """young, raising OverflowError where an argument exceeds ``limit``."""
+
+    def call(t):
+        if np.max(t) > limit:
+            raise OverflowError(f"argument above {limit}")
+        return young(t)
+
+    return call
+
+
+class TestLuxemburgSolver:
+    YOUNG = {
+        "pow:1": YoungFunction("pow", (Fraction(1),)),
+        "pow:3/2": YoungFunction("pow", (Fraction(3, 2),)),
+        "pow:2": _POW2,
+        "pow:3": YoungFunction("pow", (Fraction(3),)),
+        "exp": _EXP,
+        "exp x pow:2": _EXP_POW2,
+        "pow:3 x exp": _product("pow:3", "exp", Fraction(3, 4)),
+        "powlog:2,1 x pow:2": YoungFunction("combined", factors=(_POWLOG, _POW2), theta=Fraction(1, 2)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(YOUNG))
+    def test_evaluations_on_corpus_fields(self, name):
+        # |u|, |u'| and |u''| of every bundled member at a 1D and a 2D grid
+        # size of the default suite's order: a power takes the convexity
+        # bracket, one exact secant step and one probe to close the far side
+        young = self.YOUNG[name]
+        budget = 5 if young.kind == "pow" else 10
+        for dim, n in ((1, 1024), (2, 64)):
+            for spec in members(dim):
+                u = make_test_function(spec, grid_for_spec(spec, n))
+                mu = u.grid.h if dim == 1 else u.grid.cell_area
+                for order in (0, 1, 2):
+                    call, calls = counted(young)
+                    luxemburg_norm(u.center_values(order), mu, call)
+                    assert len(calls) <= budget, (spec.name, order)
+
+    @pytest.mark.parametrize(
+        "young, mu",
+        [
+            (_EXP, 1e-6),  # the convexity bracket reaches e^(1e5)
+            (overflows_above(50.0, _POW2), 1e-4),
+            (overflows_above(50.0, _EXP_POW2), 1e-4),
+        ],
+        ids=["exp", "pow:2 capped", "exp x pow:2 capped"],
+    )
+    def test_overflowing_bracket_terminates(self, young, mu):
+        # the modular overflows on the low part of the bracket [max|f| rho0,
+        # max|f|], so the first probes bisect in log lambda
+        values = np.linspace(0.5, 1.0, 4)
+        oracle, oracle_calls = counted(young)
+        want = bisection_luxemburg(values, mu, oracle)
+        call, calls = counted(young)
+        got = luxemburg_norm(values, mu, call)
+        assert got == pytest.approx(want, rel=LUXEMBURG_REL_TOL)
+        assert len(calls) <= 2 * len(oracle_calls)
+        with pytest.raises(OverflowError):
+            young(values / (values.max() * modular(young, values, mu)))
+
+
+    def test_overflow_at_max_is_a_bracket_error(self):
+        # rho(max|f|) = inf leaves the convexity bracket without its far end
+        with pytest.raises(YoungBracketError):
+            luxemburg_norm(np.ones(4), 1.0, overflows_above(0.5, _POW2))
+
+
 class TestFactorization:
     def test_equal_inputs_give_equality(self):
         vals, mu = step_function()
@@ -484,10 +636,6 @@ class TestFactorization:
             )
 
 
-def _product(x, y, theta):
-    return cl_combine(SpaceDescriptor.parse(f"Orl:{x}"), SpaceDescriptor.parse(f"Orl:{y}"), theta).young
-
-
 @st.composite
 def young_products(draw):
     # exp x pow:q, or powlog:p,a x (exp or pow:q), either factor first
@@ -523,3 +671,37 @@ def test_combined_orlicz_properties(young, values, c, t):
     assert luxemburg_norm(c * f, mu, young) == pytest.approx(c * nf, rel=norm_tolerance(space))
     assert modular(young, f, mu, scale=nf) <= 1.0 + 1e-6
     assert young.inverse(young(t)) == pytest.approx(t, rel=1e-9)
+
+
+@st.composite
+def young_functions(draw):
+    kind = draw(st.sampled_from(["pow", "exp", "powlog", "combined"]))
+    if kind == "pow":
+        p = draw(st.sampled_from([Fraction(1), Fraction(3, 2), Fraction(2), Fraction(8)]))
+        return YoungFunction("pow", (p,))
+    if kind == "powlog":
+        p = draw(st.sampled_from([Fraction(1), Fraction(3, 2), Fraction(2)]))
+        return YoungFunction("powlog", (p, draw(st.sampled_from([Fraction(0), Fraction(1), Fraction(2)]))))
+    return _EXP if kind == "exp" else draw(young_products())
+
+
+@st.composite
+def positive_fields(draw):
+    # magnitudes log-uniform between two exponents in [-150, 150]
+    low = draw(st.integers(-150, 150))
+    high = draw(st.integers(low, 150))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return 10.0 ** rng.uniform(low, high, draw(st.integers(1, 4096)))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(young=young_functions(), values=positive_fields(), mu=st.sampled_from([1e-4, 1.0 / 64.0, 1.0, 10.0]))
+def test_luxemburg_matches_bisection_oracle(young, values, mu):
+    oracle, oracle_calls = counted(young)
+    want = bisection_luxemburg(values, mu, oracle)
+    call, calls = counted(young)
+    got = luxemburg_norm(values, mu, call)
+    assert got == pytest.approx(want, rel=LUXEMBURG_REL_TOL)
+    assert modular(young, values, mu, scale=got) <= 1.0
+    assert modular(young, values, mu, scale=got * (1.0 - LUXEMBURG_REL_TOL)) > 1.0
+    assert len(calls) <= len(oracle_calls)
