@@ -366,10 +366,6 @@ class CaseResult:
         return None
 
 
-def _needs_family(checks) -> bool:
-    return any(c in checks for c in ("overlap", "pointwise", "operator-norm", "modular"))
-
-
 def _cells_and_fields(u, family):
     """The family's cells, |u| and |u''| at cell centers (u's own center
     fields), and T|u|, T|u''|."""
@@ -381,6 +377,83 @@ def _cells_and_fields(u, family):
     return cells, f0, f2, apply_sparse_operator(cells, f0), apply_sparse_operator(cells, f2)
 
 
+@dataclass
+class _CaseRun:
+    """One method per name in CHECK_NAMES, each returning its verdict; the sample
+    at case.n, the family and the averaged fields are built on first read."""
+
+    case: GNCase
+    result: CaseResult
+
+    @cached_property
+    def u(self):
+        return _sample(self.case, self.case.n)
+
+    @cached_property
+    def family(self):
+        if self.case.dim == 1:
+            family = build_family_1d(self.u, default_k_min(self.u))
+            self.result.intervals = tuple(family.intervals)
+        else:
+            family = build_family_2d(self.u)
+            self.result.slabs = tuple(family.slabs)
+        return family
+
+    @cached_property
+    def fields(self):
+        return _cells_and_fields(self.u, self.family)
+
+    def overlap(self) -> str:
+        """Every point lies in at most 3 intervals (1D) or 5 slabs of one sign (2D)."""
+        family = self.family
+        self.result.overlap_max = worst = family.max_overlap
+        limit = OVERLAP_LIMIT_1D if self.case.dim == 1 else OVERLAP_LIMIT_2D
+        if worst <= limit:
+            return "pass"
+        at = tuple(int(i) for i in np.unravel_index(int(np.argmax(family.counts)), family.counts.shape))
+        where = f"node {at[0]} (x={float(family.nodes[at[0]])!r})" if self.case.dim == 1 else f"cell {at}"
+        return f"fail: overlap {worst} > {limit} at {where}"
+
+    def pointwise(self) -> str:
+        """u'^2 <= 128 (avg |u''|)(avg |u|) on covered nodes (1D); a finite ratio (2D)."""
+        if self.case.dim == 2:
+            self.result.pointwise_max = ratio = verify_family_2d(self.u, self.family).max_ratio
+            return "pass" if math.isfinite(ratio) else "fail: pointwise ratio is not finite"
+        self.result.pointwise_max = ratio = verify_pointwise_1d(self.u, self.family)[1]
+        bound = POINTWISE_CONSTANT * (1.0 + POINTWISE_SLACK)
+        return "pass" if ratio <= bound else f"fail: pointwise ratio {ratio!r} exceeds {bound!r}"
+
+    def operator_norm(self) -> str:
+        """||T f|| <= K ||f|| in L^1 and L^inf for f = |u''| and |u|."""
+        cells, f0, f2, t0, t2 = self.fields
+        for label, vec, tf in (("|u''|", f2, t2), ("|u|", f0, t0)):
+            for sp in (_L1, _LINF):
+                lhs, rhs, _, ok = operator_norm_check(sp, cells, vec, tf)
+                if not ok:
+                    return f"fail: {sp.format()} of T{label}: {lhs!r} > {rhs!r}"
+        return "pass"
+
+    def modular(self) -> str:
+        """rho(T|u| / K) <= rho(|u|) for each Young function rho of MODULAR_YOUNGS."""
+        cells, f0, _, t0, _ = self.fields
+        for young in MODULAR_YOUNGS:
+            lhs, rhs, ok = modular_contraction_check(young, cells, f0, t0)
+            if not ok:
+                return f"fail: modular of {young.describe()}: {lhs!r} > {rhs!r}"
+        return "pass"
+
+    def gn(self) -> str:
+        """The GN ratio is finite and moves at most 1% from n to 2n (``report.stable``)."""
+        self.result.report = report = gn_ratio(self.case, self.u)
+        return "pass" if report.stable else f"fail: ratio {report.ratio!r} drifts {report.drift!r} under refinement"
+
+    def induction(self) -> str:
+        """The exponent identities of the order induction hold at k = 3 and 4."""
+        x, y = self.case.x_space, self.case.y_space
+        bad = [msg for k in (3, 4) for msg in induction_identity_check(x, y, k).failures]
+        return f"fail: {bad[0]}" if bad else "pass"
+
+
 def run_case(case: GNCase, checks) -> CaseResult:
     """Execute the selected checks for one case.
 
@@ -389,78 +462,11 @@ def run_case(case: GNCase, checks) -> CaseResult:
     """
     selected = [c for c in CHECK_NAMES if c in checks]
     result = CaseResult(case=case, z_text="", verdicts=())
+    run = _CaseRun(case, result)
     try:
         result.z_text = case.z_space.format()
-        u = family = None
-        if _needs_family(selected):
-            u = _sample(case, case.n)
-            if case.dim == 1:
-                family = build_family_1d(u, default_k_min(u))
-                result.intervals = tuple(family.intervals)
-            else:
-                family = build_family_2d(u)
-                result.slabs = tuple(family.slabs)
-            if "operator-norm" in selected or "modular" in selected:
-                cells, f0, f2, t0, t2 = _cells_and_fields(u, family)
         for name in selected:
-            if name == "overlap":
-                counts, worst = family.counts, family.max_overlap
-                result.overlap_max = worst
-                limit = OVERLAP_LIMIT_1D if case.dim == 1 else OVERLAP_LIMIT_2D
-                if worst <= limit:
-                    verdict = "pass"
-                elif case.dim == 1:
-                    node = int(np.argmax(counts))
-                    x = float(family.nodes[node])
-                    verdict = f"fail: overlap {worst} > {limit} at node {node} (x={x!r})"
-                else:
-                    ix, iy = np.unravel_index(int(np.argmax(counts)), counts.shape)
-                    verdict = f"fail: overlap {worst} > {limit} at cell ({int(ix)}, {int(iy)})"
-            elif name == "pointwise":
-                if case.dim == 1:
-                    _, result.pointwise_max = verify_pointwise_1d(u, family)
-                    bound = POINTWISE_CONSTANT * (1.0 + POINTWISE_SLACK)
-                    if result.pointwise_max <= bound:
-                        verdict = "pass"
-                    else:
-                        verdict = f"fail: pointwise ratio {result.pointwise_max!r} exceeds {bound!r}"
-                else:
-                    result.pointwise_max = verify_family_2d(u, family).max_ratio
-                    if math.isfinite(result.pointwise_max):
-                        verdict = "pass"
-                    else:
-                        verdict = "fail: pointwise ratio is not finite"
-            elif name == "operator-norm":
-                verdict = "pass"
-                for label, vec, tf in (("|u''|", f2, t2), ("|u|", f0, t0)):
-                    for sp in (_L1, _LINF):
-                        lhs, rhs, _, ok = operator_norm_check(sp, cells, vec, tf)
-                        if not ok:
-                            verdict = f"fail: {sp.format()} of T{label}: {lhs!r} > {rhs!r}"
-                            break
-                    if not ok:
-                        break
-            elif name == "modular":
-                verdict = "pass"
-                for young in MODULAR_YOUNGS:
-                    lhs, rhs, ok = modular_contraction_check(young, cells, f0, t0)
-                    if not ok:
-                        verdict = f"fail: modular of {young.describe()}: {lhs!r} > {rhs!r}"
-                        break
-            elif name == "gn":
-                result.report = report = gn_ratio(case, u)
-                if math.isfinite(report.ratio) and report.stable:
-                    verdict = "pass"
-                else:
-                    verdict = f"fail: ratio {report.ratio!r} drifts {report.drift!r} under refinement"
-            elif name == "induction":
-                results = [
-                    induction_identity_check(case.x_space, case.y_space, 3),
-                    induction_identity_check(case.x_space, case.y_space, 4),
-                ]
-                bad = [msg for res in results if not res.ok for msg in res.failures]
-                verdict = f"fail: {bad[0]}" if bad else "pass"
-            result.verdicts += ((name, verdict),)
+            result.verdicts += ((name, getattr(run, name.replace("-", "_"))()),)
     except GnsparseError as exc:
         result.error = f"{type(exc).__name__}: {exc}"
         result.verdicts += tuple((name, "error") for name in selected[len(result.verdicts) :])

@@ -313,11 +313,8 @@ def build_family_2d(u) -> SparseFamily2D:
 
 @dataclass(frozen=True)
 class Family2DReport:
-    max_overlap: int
     max_ratio: float
     covered_cells: int
-    analyzed_levels: tuple
-    skipped_levels: tuple
 
 
 def verify_family_2d(u, family: SparseFamily2D) -> Family2DReport:
@@ -375,10 +372,4 @@ def verify_family_2d(u, family: SparseFamily2D) -> Family2DReport:
     np.divide(family.d1c**2, denom, out=ratios, where=covered)
     max_ratio = float(np.max(ratios)) if family.slabs else 0.0
 
-    return Family2DReport(
-        max_overlap=family.max_overlap,
-        max_ratio=max_ratio,
-        covered_cells=int(np.sum(covered)),
-        analyzed_levels=tuple(family.analyzed_levels()),
-        skipped_levels=tuple(sk.k for sk in family.skipped),
-    )
+    return Family2DReport(max_ratio=max_ratio, covered_cells=int(np.sum(covered)))

@@ -62,14 +62,15 @@ def corpus_1024():
 
 @pytest.fixture(scope="module")
 def corpus_2d():
-    """(report at 128, report at 256) for every 2D member."""
+    """((family, report) at 128, (family, report) at 256) for every 2D member."""
     out = {}
     for spec in members(2):
-        reports = []
+        runs = []
         for n in (128, 256):
             u = make_test_function(spec, grid_for_spec(spec, n))
-            reports.append(verify_family_2d(u, build_family_2d(u)))
-        out[spec.name] = tuple(reports)
+            family = build_family_2d(u)
+            runs.append((family, verify_family_2d(u, family)))
+        out[spec.name] = tuple(runs)
     return out
 
 
@@ -142,12 +143,12 @@ def test_criterion_04_overlap_2d(corpus_2d):
     assert len(corpus_2d) >= 5
     worst_overlap = 0
     worst_drift = 0.0
-    for name, (rep1, rep2) in corpus_2d.items():
-        assert rep1.max_overlap <= 5, f"{name}: overlap {rep1.max_overlap}"
+    for name, ((fam1, rep1), (_, rep2)) in corpus_2d.items():
+        assert fam1.max_overlap <= 5, f"{name}: overlap {fam1.max_overlap}"
         assert math.isfinite(rep1.max_ratio) and rep1.max_ratio > 0.0
         drift = abs(rep2.max_ratio - rep1.max_ratio) / rep1.max_ratio
         assert drift <= 0.05, f"{name}: drift {drift:.2%}"
-        worst_overlap = max(worst_overlap, rep1.max_overlap)
+        worst_overlap = max(worst_overlap, fam1.max_overlap)
         worst_drift = max(worst_drift, drift)
     criterion(
         4,

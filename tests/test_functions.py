@@ -145,6 +145,30 @@ def test_lattice_is_evaluated_in_open_row_blocks():
     assert np.array_equal(np.concatenate([X[:, 0] for X, _, _ in blocks]), g.gx.centers())
 
 
+@pytest.mark.parametrize("order, field", [(0, "values"), (1, "d1"), (2, "d2")])
+def test_non_finite_1d_sample_names_its_field(order, field):
+    def evaluate(x, orders):
+        out = [np.ones(np.shape(x)) for _ in orders]
+        out[list(orders).index(order)][-1] = np.nan
+        return out
+
+    with pytest.raises(ValueError, match=f"non-finite {field} in sampled function 'bad'"):
+        GridFunction1D(Grid1D(0.0, 1.0, 16), evaluate, label="bad")
+
+
+@pytest.mark.parametrize("order, field", [(0, "values"), (1, "d1"), (2, "d2")])
+def test_non_finite_2d_sample_names_its_field(order, field):
+    # the node samples are the pure partials along axis 2
+    def evaluate(X, Y, partials):
+        out = [np.ones(np.broadcast_shapes(X.shape, Y.shape)) for _ in partials]
+        out[list(partials).index((0, order))][0, -1] = np.inf
+        return out
+
+    g = Grid2D(Grid1D(0.0, 1.0, 16), Grid1D(0.0, 1.0, 16))
+    with pytest.raises(ValueError, match=f"non-finite {field} in sampled function 'bad'"):
+        GridFunction2D(g, evaluate, axis=2, label="bad")
+
+
 def test_non_broadcasting_evaluator_rejected():
     g = Grid2D(Grid1D(0.0, 1.0, 16), Grid1D(0.0, 1.0, 16))
     with pytest.raises(ValueError, match="broadcast"):

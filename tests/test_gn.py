@@ -2,7 +2,10 @@
 algebra, and the corpus runner."""
 
 import dataclasses
+import gc
+import os
 import tracemalloc
+import weakref
 from collections import Counter
 from fractions import Fraction
 
@@ -14,6 +17,7 @@ from gnsparse import operator as operator_module
 from gnsparse.errors import AdmissibilityError, ConstructionError, CorpusConfigError
 from gnsparse.gn import (
     CHECK_NAMES,
+    CaseResult,
     GNCase,
     first_order_chain_check,
     gn_ratio,
@@ -25,9 +29,10 @@ from gnsparse.operator import CellFamily, apply_sparse_operator
 from gnsparse.spaces import SpaceDescriptor, cl_combine
 from gnsparse.testfunctions import TestFunctionSpec, grid_for_spec, make_test_function
 
-from corpus import member, members
+from corpus import member, members, run_config
 
 P = SpaceDescriptor.parse
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 GAUSS = TestFunctionSpec(
     family="gaussian", center=0.0, width=1.0, amplitude=1.0, window=(-6.0, 6.0), name="gauss"
@@ -425,3 +430,89 @@ class TestRunCorpus:
         assert result.verdicts == (("induction", "pass"),)
         assert result.overlap_max is None
         assert result.report is None
+
+
+def default_case(dim):
+    """The first case of the bundled suite in ``dim`` dimensions."""
+    return next(case for case in run_config().cases if case.dim == dim)
+
+
+# the CaseResult fields each check fills; run alone, a check leaves the
+# others at their defaults
+FILLED = {
+    "overlap": ("overlap_max", "intervals", "slabs"),
+    "pointwise": ("pointwise_max", "intervals", "slabs"),
+    "operator-norm": ("intervals", "slabs"),
+    "modular": ("intervals", "slabs"),
+    "gn": ("report",),
+    "induction": (),
+}
+
+
+def comparable(result, field):
+    """A CaseResult field in a form that compares with ==: slab masks as bytes."""
+    value = getattr(result, field)
+    if field == "slabs":
+        return tuple(dataclasses.replace(s, mask=s.mask.tobytes()) for s in value)
+    return value
+
+
+class TestCheckMethods:
+    @pytest.fixture(scope="class", params=[1, 2], ids=["1d", "2d"])
+    def full_run(self, request):
+        case = default_case(request.param)
+        return case, run_case(case, CHECK_NAMES)
+
+    @pytest.mark.parametrize("name", CHECK_NAMES)
+    def test_check_alone_matches_the_full_run(self, full_run, name):
+        # each check builds what it reads on first use, so running it alone
+        # gives the verdict and the fields of the run with every check
+        case, full = full_run
+        assert full.passed, full.verdicts
+        family = full.intervals if case.dim == 1 else full.slabs
+        assert full.overlap_max and full.pointwise_max and full.report and family
+        alone = run_case(case, (name,))
+        assert alone.verdicts == ((name, "pass"),)
+        blank = CaseResult(case=case, z_text="", verdicts=())
+        for field in ("overlap_max", "pointwise_max", "report", "intervals", "slabs"):
+            source = full if field in FILLED[name] else blank
+            assert comparable(alone, field) == comparable(source, field), field
+
+    def test_samples_are_freed_when_the_case_returns(self, monkeypatch):
+        # a result keeps no sample alive, so the peak memory of a suite is
+        # that of its largest case, not the sum over the results it keeps
+        refs = []
+        sample = gn_module._sample
+
+        def recording(case, n):
+            u = sample(case, n)
+            refs.append(weakref.ref(u))
+            return u
+
+        monkeypatch.setattr(gn_module, "_sample", recording)
+        results = [run_case(default_case(dim), CHECK_NAMES) for dim in (1, 2)]
+        gc.collect()
+        assert all(result.passed for result in results)
+        assert len(refs) == 4  # n and the refinement rerun at 2n, per case
+        assert all(ref() is None for ref in refs)
+
+    def test_every_name_is_a_check_method(self):
+        for name in CHECK_NAMES:
+            method = getattr(gn_module._CaseRun, name.replace("-", "_"), None)
+            assert callable(method), name
+            assert method.__doc__, name
+
+    def test_docs_list_the_checks_in_order(self):
+        with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as handle:
+            readme = handle.read()
+        cfg_path = os.path.join(os.path.dirname(gn_module.__file__), "data", "default.cfg")
+        with open(cfg_path, encoding="utf-8") as handle:
+            cfg = handle.read()
+        for text in (readme, cfg):
+            lines = [line for line in text.splitlines() if line.startswith("checks =")]
+            assert lines
+            for line in lines:
+                assert tuple(part.strip() for part in line.partition("=")[2].split(",")) == CHECK_NAMES
+        section = readme.partition("\n## Checks\n")[2].partition("\n## ")[0]
+        rows = [line.split("|")[1].strip().strip("`") for line in section.splitlines() if line.startswith("| `")]
+        assert tuple(rows) == CHECK_NAMES

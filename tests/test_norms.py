@@ -170,6 +170,23 @@ class TestDescriptors:
         assert hash(SpaceDescriptor.parse("L:2")) == hash(SpaceDescriptor.parse("L:2"))
         assert SpaceDescriptor.parse("Orl:pow:2") == SpaceDescriptor.parse("Orl:pow:2")
 
+    def test_equal_orlicz_spaces_hash_equal(self):
+        # Orlicz equality compares Young functions by their inverses, so
+        # two forms of one function must hash alike too
+        P = SpaceDescriptor.parse
+        pairs = [
+            (P("Orl:powlog:2,0"), P("Orl:pow:2")),
+            (
+                cl_combine(P("Orl:exp"), P("Orl:pow:2"), Fraction(1, 3)),
+                cl_combine(P("Orl:pow:2"), P("Orl:exp"), Fraction(2, 3)),
+            ),
+        ]
+        for a, b in pairs:
+            assert a.format() != b.format()
+            assert a == b
+            assert hash(a) == hash(b)
+            assert len({a, b}) == 1
+
 
 class TestCombination:
     def test_lebesgue_harmonic(self):

@@ -144,7 +144,7 @@ class TestBuild2D:
         fam = build_family_2d(u)
         assert len(fam) == 0
         rep = verify_family_2d(u, fam)
-        assert rep.max_overlap == 0 and rep.max_ratio == 0.0
+        assert fam.max_overlap == 0 and rep.max_ratio == 0.0
 
     def test_noncompact_support_rejected(self):
         spec = TestFunctionSpec(
@@ -200,9 +200,9 @@ class TestBuild2D:
         spec = member("p1")  # square window, equal widths
         u = make_test_function(spec, grid_for_spec(spec, 128), axis=2)
         fam = build_family_2d(u)
-        rep = verify_family_2d(u, fam)
-        assert rep.analyzed_levels == (0,)
-        assert rep.max_overlap >= 1
+        verify_family_2d(u, fam)  # raises on any structural violation
+        assert fam.analyzed_levels() == [0]
+        assert fam.max_overlap >= 1
 
 
 @pytest.mark.parametrize("spec", members(2), ids=lambda s: s.name)
@@ -210,26 +210,26 @@ def test_corpus_verification(spec):
     u = make_test_function(spec, grid_for_spec(spec, 128))
     fam = build_family_2d(u)
     rep = verify_family_2d(u, fam)  # raises on any structural violation
-    assert rep.analyzed_levels == (0,)
-    assert 1 <= rep.max_overlap <= 5
+    assert fam.analyzed_levels() == [0]
+    assert 1 <= fam.max_overlap <= 5
     assert 0.0 < rep.max_ratio < 10.0
     plus = sum(s.mask.astype(int) for s in fam.slabs if s.sign > 0)
     minus = sum(s.mask.astype(int) for s in fam.slabs if s.sign < 0)
     assert np.array_equal(fam.counts, np.maximum(plus, minus))
-    assert fam.max_overlap == rep.max_overlap
+    assert fam.max_overlap == int(fam.counts.max())
 
 
 class TestRefinementStability:
     @pytest.mark.parametrize("spec", [member(name) for name in ("p1", "p2", "p3")], ids=lambda s: s.name)
     def test_ratio_stable_under_refinement(self, spec):
-        reports = {}
-        deltas = {}
+        reports, levels, deltas = {}, {}, {}
         for n in (128, 256):
             u = make_test_function(spec, grid_for_spec(spec, n))
             fam = build_family_2d(u)
             reports[n] = verify_family_2d(u, fam)
-            deltas[n] = {k: fam.deltas[k].delta for k in fam.analyzed_levels()}
-        assert reports[128].analyzed_levels == reports[256].analyzed_levels
+            levels[n] = fam.analyzed_levels()
+            deltas[n] = {k: fam.deltas[k].delta for k in levels[n]}
+        assert levels[128] == levels[256]
         # the admissible thickness is a physical length: the same at both
         # resolutions even though the step count doubles
         for k in deltas[128]:
