@@ -19,7 +19,7 @@ itself.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 
@@ -377,6 +377,26 @@ def _cells_and_fields(u, family):
     return cells, f0, f2, apply_sparse_operator(cells, f0), apply_sparse_operator(cells, f2)
 
 
+def _built_once(build):
+    """A read-only property that runs ``build`` on its first read and keeps
+    what it returns, or the GnsparseError it raises: a failed build is
+    raised again to every later reader and never runs twice."""
+    name = build.__name__
+
+    def read(run):
+        if name not in run.built:
+            try:
+                run.built[name] = build(run)
+            except GnsparseError as exc:
+                run.built[name] = exc
+        out = run.built[name]
+        if isinstance(out, GnsparseError):
+            raise out
+        return out
+
+    return property(read, doc=build.__doc__)
+
+
 @dataclass
 class _CaseRun:
     """One method per name in CHECK_NAMES, each returning its verdict; the sample
@@ -384,12 +404,13 @@ class _CaseRun:
 
     case: GNCase
     result: CaseResult
+    built: dict = field(default_factory=dict)
 
-    @cached_property
+    @_built_once
     def u(self):
         return _sample(self.case, self.case.n)
 
-    @cached_property
+    @_built_once
     def family(self):
         if self.case.dim == 1:
             family = build_family_1d(self.u, default_k_min(self.u))
@@ -399,7 +420,7 @@ class _CaseRun:
             self.result.slabs = tuple(family.slabs)
         return family
 
-    @cached_property
+    @_built_once
     def fields(self):
         return _cells_and_fields(self.u, self.family)
 
@@ -457,19 +478,28 @@ class _CaseRun:
 def run_case(case: GNCase, checks) -> CaseResult:
     """Execute the selected checks for one case.
 
-    A GnsparseError becomes an ``error`` verdict for the checks it cut
-    short; any other exception is a programming error and propagates.
+    A GnsparseError becomes an ``error`` verdict for the check it stopped,
+    and the other checks still run; ``result.error`` keeps the first one.
+    A failed sample or family build is an ``error`` for every check that
+    reads it, and a Z space that cannot be combined for every check.  Any
+    other exception is a programming error and propagates.
     """
     selected = [c for c in CHECK_NAMES if c in checks]
     result = CaseResult(case=case, z_text="", verdicts=())
     run = _CaseRun(case, result)
     try:
         result.z_text = case.z_space.format()
-        for name in selected:
-            result.verdicts += ((name, getattr(run, name.replace("-", "_"))()),)
     except GnsparseError as exc:
         result.error = f"{type(exc).__name__}: {exc}"
-        result.verdicts += tuple((name, "error") for name in selected[len(result.verdicts) :])
+        result.verdicts = tuple((name, "error") for name in selected)
+        return result
+    for name in selected:
+        try:
+            verdict = getattr(run, name.replace("-", "_"))()
+        except GnsparseError as exc:
+            result.error = result.error or f"{type(exc).__name__}: {exc}"
+            verdict = "error"
+        result.verdicts += ((name, verdict),)
     return result
 
 

@@ -18,6 +18,7 @@ quadrature), and a 2D lattice is evaluated a block of rows at a time.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -61,7 +62,40 @@ class Grid2D:
         return self.gx.h * self.gy.h
 
 
-class GridFunction1D:
+class _SampledFunction:
+    """What both sampled functions share: the node arrays ``values``, ``d1``
+    and ``d2`` of u and its first two derivatives, sampled together on the
+    first read of any of them, and the center fields read so far.  Every
+    node array and center field is checked finite when it is evaluated."""
+
+    def __init__(self, evaluate, label):
+        self.evaluate = evaluate
+        self.label = label
+        self._centers = {}
+
+    def _finite(self, name, field):
+        field = np.asarray(field, dtype=float)
+        if not np.all(np.isfinite(field)):
+            raise ValueError(f"non-finite {name} in sampled function {self.label!r}")
+        return field
+
+    @cached_property
+    def _nodes(self):
+        return tuple(self._finite(name, f) for name, f in zip(("values", "d1", "d2"), self._node_fields()))
+
+    values = property(lambda self: self._nodes[0])
+    d1 = property(lambda self: self._nodes[1])
+    d2 = property(lambda self: self._nodes[2])
+
+    def center_values(self, order: int = 0) -> np.ndarray:
+        """center_field(order), evaluated on first use and kept read-only."""
+        if order not in self._centers:
+            self._centers[order] = arr = self.center_field(order)
+            arr.flags.writeable = False
+        return self._centers[order]
+
+
+class GridFunction1D(_SampledFunction):
     """Node samples of u, u', u'', the center fields read so far, and the
     analytic evaluator behind them.
 
@@ -75,27 +109,16 @@ class GridFunction1D:
     SUP_PROBE = 8192  # probe cells of sup_norm, fixed so k_min does not move under refinement
 
     def __init__(self, grid: Grid1D, evaluate, label: str = ""):
+        super().__init__(evaluate, label)
         self.grid = grid
-        self.evaluate = evaluate
-        self.label = label
-        self._centers = {}
-        fields = evaluate(grid.nodes(), (0, 1, 2))
-        self.values, self.d1, self.d2 = (np.asarray(f, dtype=float) for f in fields)
-        for name, arr in (("values", self.values), ("d1", self.d1), ("d2", self.d2)):
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"non-finite {name} in sampled function {label!r}")
+
+    def _node_fields(self):
+        return self.evaluate(self.grid.nodes(), (0, 1, 2))
 
     def center_field(self, order: int) -> np.ndarray:
         """u^(order) at cell centers, evaluated afresh and not kept."""
         (field,) = self.evaluate(self.grid.centers(), (order,))
-        return np.asarray(field, dtype=float)
-
-    def center_values(self, order: int = 0) -> np.ndarray:
-        """center_field(order), evaluated on first use and kept read-only."""
-        if order not in self._centers:
-            self._centers[order] = arr = self.center_field(order)
-            arr.flags.writeable = False
-        return self._centers[order]
+        return self._finite(f"derivative {order} at centers", field)
 
     def sup_norm(self, orders) -> tuple:
         """Sup norms of u^(j) for each j in ``orders``, from one evaluator
@@ -104,7 +127,7 @@ class GridFunction1D:
         return tuple(float(np.max(np.abs(f))) for f in self.evaluate(x, orders))
 
 
-class GridFunction2D:
+class GridFunction2D(_SampledFunction):
     """Node samples of u and its pure partials along one axis, the center
     fields read so far, and the evaluator behind them.
 
@@ -124,17 +147,13 @@ class GridFunction2D:
     def __init__(self, grid: Grid2D, evaluate, axis: int = 1, label: str = ""):
         if axis not in (1, 2):
             raise ValueError(f"axis must be 1 or 2, got {axis}")
+        super().__init__(evaluate, label)
         self.grid = grid
-        self.evaluate = evaluate
         self.axis = axis
-        self.label = label
-        self._centers = {}
-        self.values, self.d1, self.d2 = self._sample(
-            grid.gx.nodes(), grid.gy.nodes(), [self._axis_partial(j) for j in (0, 1, 2)]
-        )
-        for name, arr in (("values", self.values), ("d1", self.d1), ("d2", self.d2)):
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"non-finite {name} in sampled function {label!r}")
+
+    def _node_fields(self):
+        partials = [self._axis_partial(j) for j in (0, 1, 2)]
+        return self._sample(self.grid.gx.nodes(), self.grid.gy.nodes(), partials)
 
     def _axis_partial(self, order):
         """The pure partial of the given order along ``axis``; order 0 is u."""
@@ -166,18 +185,12 @@ class GridFunction2D:
     def center_partials(self, partials) -> list:
         """The mixed partials ``(jx, jy)`` at cell centers, one array each,
         from one pass over the lattice."""
-        return self._sample(self.grid.gx.centers(), self.grid.gy.centers(), partials)
+        fields = self._sample(self.grid.gx.centers(), self.grid.gy.centers(), partials)
+        return [self._finite(f"partial {p} at centers", f) for p, f in zip(partials, fields)]
 
     def center_field(self, order: int) -> np.ndarray:
         """The pure partial along ``axis`` at cell centers, evaluated afresh and not kept."""
         return self.center_partials([self._axis_partial(order)])[0]
-
-    def center_values(self, order: int = 0) -> np.ndarray:
-        """center_field(order), evaluated on first use and kept read-only."""
-        if order not in self._centers:
-            self._centers[order] = arr = self.center_field(order)
-            arr.flags.writeable = False
-        return self._centers[order]
 
     def sup_norm(self, orders) -> tuple:
         """Sup norms of the pure partial along ``axis`` for each order in

@@ -133,6 +133,8 @@ def test_lattice_is_evaluated_in_open_row_blocks():
         return [np.zeros(np.broadcast_shapes(X.shape, Y.shape)) for _ in partials]
 
     u = GridFunction2D(g, evaluate, axis=2)
+    assert blocks == []  # the node arrays are sampled on first read
+    u.values
     rows = GridFunction2D.BLOCK_ROWS
     assert [X.shape for X, _, _ in blocks] == [(rows, 1), (rows, 1), (151 - 2 * rows, 1)]
     assert np.array_equal(np.concatenate([X[:, 0] for X, _, _ in blocks]), g.gx.nodes())
@@ -152,8 +154,11 @@ def test_non_finite_1d_sample_names_its_field(order, field):
         out[list(orders).index(order)][-1] = np.nan
         return out
 
+    u = GridFunction1D(Grid1D(0.0, 1.0, 16), evaluate, label="bad")
     with pytest.raises(ValueError, match=f"non-finite {field} in sampled function 'bad'"):
-        GridFunction1D(Grid1D(0.0, 1.0, 16), evaluate, label="bad")
+        u.values
+    with pytest.raises(ValueError, match=f"non-finite derivative {order} at centers in sampled function 'bad'"):
+        u.center_values(order)
 
 
 @pytest.mark.parametrize("order, field", [(0, "values"), (1, "d1"), (2, "d2")])
@@ -165,14 +170,18 @@ def test_non_finite_2d_sample_names_its_field(order, field):
         return out
 
     g = Grid2D(Grid1D(0.0, 1.0, 16), Grid1D(0.0, 1.0, 16))
+    u = GridFunction2D(g, evaluate, axis=2, label="bad")
     with pytest.raises(ValueError, match=f"non-finite {field} in sampled function 'bad'"):
-        GridFunction2D(g, evaluate, axis=2, label="bad")
+        u.values
+    with pytest.raises(ValueError, match=rf"non-finite partial \(0, {order}\) at centers in sampled function 'bad'"):
+        u.center_values(order)
 
 
 def test_non_broadcasting_evaluator_rejected():
     g = Grid2D(Grid1D(0.0, 1.0, 16), Grid1D(0.0, 1.0, 16))
+    u = GridFunction2D(g, lambda X, Y, partials: [np.zeros_like(X) for _ in partials], label="x-only")
     with pytest.raises(ValueError, match="broadcast"):
-        GridFunction2D(g, lambda X, Y, partials: [np.zeros_like(X) for _ in partials], label="x-only")
+        u.values
 
 
 def _dense_lattice(x, y):
@@ -241,6 +250,8 @@ def test_1d_sample_makes_one_evaluator_call():
         return evaluate(x, orders)
 
     u = GridFunction1D(grid_for_spec(spec, 256), counted)
+    assert calls == []
+    u.d2  # the first read of a node array samples all three
     assert calls == [(0, 1, 2)]
     ref = make_test_function(spec, grid_for_spec(spec, 256))
     for name in ("values", "d1", "d2"):

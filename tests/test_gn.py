@@ -14,6 +14,7 @@ import pytest
 
 from gnsparse import gn as gn_module
 from gnsparse import operator as operator_module
+from gnsparse import testfunctions as testfunctions_module
 from gnsparse.errors import AdmissibilityError, ConstructionError, CorpusConfigError
 from gnsparse.gn import (
     CHECK_NAMES,
@@ -135,10 +136,10 @@ class TestGNRatio:
 
 
     def test_refinement_rerun_keeps_no_center_field(self):
-        # the rerun's 2n sample holds its three node fields; one center field
-        # at a time, its absolute value and the Luxemburg norm's temporaries
-        # come to about four more, and keeping the three center fields until
-        # the rerun ends adds two
+        # the rerun's 2n sample holds no node field; one center field at a
+        # time, its absolute value and the Luxemburg norm's temporaries come
+        # to about four fields, sampling the three node fields adds three,
+        # and keeping the three center fields until the rerun ends two more
         spec = member("r1")
         case = GNCase(spec=spec, j=1, k=2, x_space=P("Orl:pow:2"), y_space=P("Orl:pow:2"), n=128)
         u = make_test_function(spec, grid_for_spec(spec, case.n))
@@ -156,7 +157,34 @@ class TestGNRatio:
         finally:
             if started:
                 tracemalloc.stop()
-        assert peak < 8 * field
+        assert peak < 5 * field
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_refinement_rerun_evaluates_no_node_field(self, dim, monkeypatch):
+        # the 2n sample is read only at cell centers
+        if dim == 1:
+            case = case_1d(BUMP, "L:1", "L:1", n=256)
+        else:
+            case = GNCase(spec=member("p1"), j=1, k=2, x_space=P("L:2"), y_space=P("L:2"), n=64)
+        sizes = []
+
+        def recording(make):
+            def make_recorded(spec):
+                evaluate = make(spec)
+
+                def recorded(*args):
+                    sizes.append(args[dim - 1].shape[-1])
+                    return evaluate(*args)
+
+                return recorded
+
+            return make_recorded
+
+        for name in ("make_evaluator_1d", "make_evaluator_2d"):
+            monkeypatch.setattr(testfunctions_module, name, recording(getattr(testfunctions_module, name)))
+        gn_ratio(case)
+        # the last axis of every lattice has one point per cell: n + 1 would be nodes
+        assert set(sizes) == {case.n, 2 * case.n}
 
 
 class TestFirstOrderChain:
@@ -392,7 +420,7 @@ class TestRunCorpus:
         monkeypatch.setattr(gn_module, "verify_pointwise_1d", raising(ConstructionError("refused")))
         result = run_case(case, ("overlap", "pointwise", "gn"))
         assert result.error == "ConstructionError: refused"
-        assert result.verdicts == (("overlap", "pass"), ("pointwise", "error"), ("gn", "error"))
+        assert result.verdicts == (("overlap", "pass"), ("pointwise", "error"), ("gn", "pass"))
         # anything else is a programming error and fails loudly
         monkeypatch.setattr(gn_module, "verify_pointwise_1d", raising(ValueError("bug")))
         with pytest.raises(ValueError, match="bug"):
@@ -406,9 +434,11 @@ class TestRunCorpus:
         assert name == "overlap"
         assert verdict.startswith("fail") and "node" in verdict
 
-    def test_case_error_is_recorded_and_run_continues(self):
+    def test_case_error_is_recorded_and_run_continues(self, monkeypatch):
         # a 2D gaussian never leaves the widened band, so the slab build
-        # refuses it; the runner must log that and keep going
+        # refuses it; the runner must log that and keep going.  The build
+        # runs once: the checks that read the family are errors, and the GN
+        # ratio, which does not, is still measured
         open_spec = TestFunctionSpec(
             family="gaussian",
             center=(0.0, 0.0),
@@ -419,10 +449,25 @@ class TestRunCorpus:
         )
         bad = GNCase(spec=open_spec, j=1, k=2, x_space=P("L:2"), y_space=P("L:2"), n=64)
         good = case_1d(BUMP, "L:1", "L:1")
-        results = run_corpus([bad, good], ("overlap", "gn"))
+        builds, original = [], gn_module.build_family_2d
+
+        def build(u):
+            builds.append(u)
+            return original(u)
+
+        monkeypatch.setattr(gn_module, "build_family_2d", build)
+        results = run_corpus([bad, good], CHECK_NAMES)
         assert not results[0].passed
-        assert results[0].error
-        assert all(verdict == "error" for _, verdict in results[0].verdicts)
+        assert results[0].error.startswith("CorpusConfigError: ")
+        verdicts = dict(results[0].verdicts)
+        assert {name for name, verdict in verdicts.items() if verdict == "error"} == {
+            "overlap",
+            "pointwise",
+            "operator-norm",
+            "modular",
+        }
+        assert results[0].report is not None and verdicts["gn"] != "error"
+        assert len(builds) == 1
         assert results[1].passed
 
     def test_selected_checks_only(self):

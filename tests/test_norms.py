@@ -383,6 +383,81 @@ class TestArrayBisection:
             luxemburg_norm(np.array([1.0, 0.01]), 0.5, young)
 
 
+def newton_solve(fn):
+    """The Newton kernel on ``fn``, each target started at itself."""
+    return lambda y: spaces_module._newton(fn, y, y)
+
+
+class TestNewtonKernel:
+    # each target is solved on its own, so a batch and its parts agree bit
+    # for bit; that is what lets one call serve a grid and its midpoints
+    _COMBINED_OF_COMBINED = YoungFunction(
+        "combined", factors=(_EXP_POW2, YoungFunction("pow", (Fraction(3),))), theta=Fraction(1, 2)
+    )
+    _LOG_T = np.concatenate([[-math.inf, math.inf, 0.0, -700.0], np.linspace(-60.0, 60.0, 41)])
+    # tanh is flat (slope exactly 0) from about 19 on, so a start at 20 takes
+    # an open fallback step to 18 and then bisects a bracket of width ~1e15
+    _TANH_TARGETS = np.array([-0.9, -0.5, 0.0, 0.3, 0.99, 0.999999])
+    CASES = {
+        "exp x pow:2": (newton_solve(_EXP_POW2._log_inverse), _LOG_T),
+        "combined of combined": (newton_solve(_COMBINED_OF_COMBINED._log_inverse), _LOG_T),
+        "powlog:2,1 inverse": (lambda y: _POWLOG._log_inverse(y)[0], _LOG_T[2:]),
+        "fallback and bisection": (
+            lambda y: spaces_module._newton(TestArrayBisection.bounded_log_inverse, y, np.full_like(y, 20.0)),
+            _TANH_TARGETS,
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_batch_equals_its_parts_bit_for_bit(self, name):
+        solve, targets = self.CASES[name]
+        whole = solve(targets)
+        for cuts in ([], [1], [2, 3], list(range(1, targets.size))):
+            parts = np.concatenate([solve(part) for part in np.split(targets, cuts)])
+            assert parts.tobytes() == whole.tobytes(), cuts
+
+    def test_flat_start_takes_the_fallback_and_bisection_steps(self):
+        iterates = []
+
+        def recorded(x):
+            iterates.append(float(x[0]))
+            return TestArrayBisection.bounded_log_inverse(x)
+
+        (x,) = spaces_module._newton(recorded, np.array([0.3]), np.array([20.0]))
+        assert math.tanh(x) == pytest.approx(0.3, rel=1e-13)
+        assert iterates[:2] == [20.0, 18.0]  # slope 0 at 20: a step of 2 towards the target
+        # then it halves the bracket [about -2e15, 18] down to Newton's range
+        bisections = [
+            x for i, x in enumerate(iterates) if any(x == 0.5 * (a + b) for a in iterates[:i] for b in iterates[:i])
+        ]
+        assert len(bisections) > 20
+
+    @pytest.mark.parametrize(
+        "factors, theta",
+        [
+            ((_EXP, _POW2), Fraction(1, 3)),
+            ((_EXP_POW2, YoungFunction("pow", (Fraction(3),))), Fraction(1, 2)),
+            ((_POWLOG, _POW2), Fraction(1, 2)),
+        ],
+        ids=["exp x pow:2", "combined of combined", "powlog:2,1 x pow:2"],
+    )
+    def test_combined_build_makes_one_forward_solve(self, factors, theta, monkeypatch):
+        # validation evaluates the grid and its midpoints in one call; a
+        # powlog factor adds its own inverse solves, inside that one and in
+        # the inverse check
+        calls, solve = [], spaces_module._newton
+
+        def counted(fn, targets, start):
+            calls.append(getattr(fn, "__self__", None))
+            return solve(fn, targets, start)
+
+        monkeypatch.setattr(spaces_module, "_newton", counted)
+        young = YoungFunction("combined", factors=factors, theta=theta)
+        assert [owner for owner in calls if owner is not None and owner.kind == "combined"] == [young]
+        if _POWLOG not in factors:
+            assert len(calls) == 1
+
+
 class TestNorms:
     def test_lebesgue_indicator(self):
         vals, mu = indicator(1024, 1024)  # chi_[0,4]
