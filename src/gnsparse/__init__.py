@@ -20,10 +20,7 @@ from .grid import (
     Grid2D,
     GridFunction1D,
     GridFunction2D,
-    fd_consistency_error,
     interval_integrals,
-    quadrature_integral,
-    quadrature_integral_2d,
 )
 from .testfunctions import (
     TestFunctionSpec,
@@ -53,7 +50,6 @@ from .sparse1d import (
     SparseFamily1D,
     build_family_1d,
     default_k_min,
-    resolved_k_min,
     verify_pointwise_1d,
 )
 from .sparse2d import (

@@ -2,8 +2,8 @@
 
 Two sampling conventions coexist deliberately:
 
-* node arrays (n+1 points) feed finite-difference consistency checks and the
-  composite trapezoid rule of :func:`quadrature_integral`;
+* node arrays (n+1 points) feed the escape-interval scan of the 1D build,
+  the 2D thickness scan and the mollifier;
 * cell-center samples (n points, midpoint rule) feed everything
   measure-theoretic -- rearrangements, norms, averaging operators -- where an
   exact "step function on cells" representation makes the verified identities
@@ -194,72 +194,36 @@ class GridFunction2D(_SampledFunction):
 
     def sup_norm(self, orders) -> tuple:
         """Sup norms of the pure partial along ``axis`` for each order in
-        ``orders``, from one pass over a fixed fine probe, independent of
-        grid resolution."""
+        ``orders`` on a fixed fine probe lattice, independent of grid
+        resolution.
+
+        The evaluator of a product f(x) g(y) carries its 1D factors as
+        ``evaluate.factors = (f, g)``, and a sup is then max|f^(jx)| *
+        max|g^(jy)| over the probe's two axes: rounding is monotone and
+        |a*b| = |a|*|b|, so this is the lattice maximum bit for bit.  The
+        attribute is in the function's ``__dict__``, which
+        ``functools.wraps`` copies to a wrapper.  Any other evaluator is
+        scanned over the lattice in one pass.
+        """
         x = np.linspace(self.grid.gx.a, self.grid.gx.b, self.SUP_PROBE + 1)
         y = np.linspace(self.grid.gy.a, self.grid.gy.b, self.SUP_PROBE + 1)
         partials = [self._axis_partial(j) for j in orders]
+        factors = getattr(self.evaluate, "factors", None)
+        if factors is not None:
+            sx = _factor_sups(factors[0], x, [jx for jx, _ in partials])
+            sy = _factor_sups(factors[1], y, [jy for _, jy in partials])
+            return tuple(float(sx[jx] * sy[jy]) for jx, jy in partials)
         sups = np.zeros(len(partials))
         for _, fields in self._blocks(x, y, partials):
             sups = np.maximum(sups, [np.max(np.abs(f)) for f in fields])
         return tuple(float(s) for s in sups)
 
 
-def fd_consistency_error(f) -> float:
-    """Max deviation of analytic d1 from the central difference of values.
-
-    Used by the O(h^2) refinement property: halving h quarters this number
-    for smooth functions.
-    """
-    if f.dim == 1:
-        h = f.grid.h
-        fd = (f.values[2:] - f.values[:-2]) / (2.0 * h)
-        return float(np.max(np.abs(f.d1[1:-1] - fd)))
-    if f.axis == 1:
-        h = f.grid.gx.h
-        fd = (f.values[2:, :] - f.values[:-2, :]) / (2.0 * h)
-        return float(np.max(np.abs(f.d1[1:-1, :] - fd)))
-    h = f.grid.gy.h
-    fd = (f.values[:, 2:] - f.values[:, :-2]) / (2.0 * h)
-    return float(np.max(np.abs(f.d1[:, 1:-1] - fd)))
-
-
-def quadrature_integral(f, region=None) -> float:
-    """Composite trapezoid integral of node samples over a node-index range.
-
-    ``f`` is a GridFunction1D or a pair ``(node_values, Grid1D)``.  ``region``
-    is ``None`` for the whole window or a contiguous ``(i0, i1)`` node-index
-    range with i0 < i1.
-    """
-    if isinstance(f, GridFunction1D):
-        vals, grid = f.values, f.grid
-    else:
-        vals, grid = np.asarray(f[0], dtype=float), f[1]
-    if region is None:
-        i0, i1 = 0, len(vals) - 1
-    else:
-        i0, i1 = region
-    if not i0 < i1:
-        raise EmptyRegionError(f"degenerate node range ({i0}, {i1})")
-    seg = vals[i0 : i1 + 1]
-    return float(grid.h * (np.sum(seg) - 0.5 * (seg[0] + seg[-1])))
-
-
-def quadrature_integral_2d(values, grid: Grid2D, region=None) -> float:
-    """Product-trapezoid integral of 2D node samples over index ranges."""
-    vals = np.asarray(values, dtype=float)
-    if region is None:
-        ri, rj = (0, vals.shape[0] - 1), (0, vals.shape[1] - 1)
-    else:
-        ri, rj = region
-    if not (ri[0] < ri[1] and rj[0] < rj[1]):
-        raise EmptyRegionError(f"degenerate node range {region}")
-    sub = vals[ri[0] : ri[1] + 1, rj[0] : rj[1] + 1]
-    wx = np.ones(sub.shape[0])
-    wx[0] = wx[-1] = 0.5
-    wy = np.ones(sub.shape[1])
-    wy[0] = wy[-1] = 0.5
-    return float(grid.cell_area * (wx @ sub @ wy))
+def _factor_sups(factor, t, orders) -> dict:
+    """max |factor^(j)| over the points t, per order j in ``orders``, from
+    one call of the 1D evaluator ``factor``."""
+    orders = sorted(set(orders))
+    return dict(zip(orders, (np.max(np.abs(f)) for f in factor(t, orders))))
 
 
 def interval_integrals(fn, z, y, h_ref: float) -> np.ndarray:

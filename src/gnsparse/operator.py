@@ -16,28 +16,39 @@ from .norms import modular, norm_tolerance, space_norm
 MODULAR_SLACK = 1e-6
 
 
-class CellFamily:
-    """Rasterized family: index arrays into a flattened cell grid.
+def flat_ranges(starts, stops) -> np.ndarray:
+    """The indices of the ranges [starts[i], stops[i]), concatenated in
+    range order; an empty range adds nothing."""
+    starts = np.asarray(starts, dtype=np.int64)
+    sizes = np.maximum(np.asarray(stops, dtype=np.int64) - starts, 0)
+    return np.arange(sizes.sum()) + np.repeat(starts - (np.cumsum(sizes) - sizes), sizes)
 
+
+class CellFamily:
+    """Rasterized family: one flat index into a flattened cell grid.
+
+    Set i holds the cells ``index[offsets[i] : offsets[i] + sizes[i]]``.
     The sets are fixed once built, so the per-cell set counts (``counts``)
     and their maximum, the overlap constant K (``max_overlap``), are
     computed here once.
     """
 
-    def __init__(self, sets, n_cells: int, cell_measure: float, dropped: int = 0):
-        self.sets = [np.asarray(s, dtype=np.int64) for s in sets]
+    def __init__(self, index, sizes, n_cells: int, cell_measure: float, dropped: int = 0):
+        self.index = np.asarray(index, dtype=np.int64)
+        self.sizes = np.asarray(sizes, dtype=np.int64)
+        if np.any(self.sizes <= 0):
+            raise EmptyRegionError("rasterized family contains an empty cell set")
+        self.offsets = np.cumsum(self.sizes) - self.sizes
         self.n_cells = int(n_cells)
         self.cell_measure = float(cell_measure)
         self.dropped = int(dropped)
-        self.counts = np.zeros(self.n_cells, dtype=np.int64)
-        for s in self.sets:
-            if s.size == 0:
-                raise EmptyRegionError("rasterized family contains an empty cell set")
-            self.counts[s] += 1
+        self.counts = np.bincount(self.index, minlength=self.n_cells)
+        if self.counts.size > self.n_cells:
+            raise ValueError(f"cell index {self.index.max()} out of range for {self.n_cells} cells")
         self.max_overlap = int(self.counts.max(initial=0))
 
     def __len__(self):
-        return len(self.sets)
+        return len(self.sizes)
 
     @classmethod
     def from_intervals(cls, intervals, grid) -> "CellFamily":
@@ -47,43 +58,34 @@ class CellFamily:
         carry no operator contribution at this resolution.
         """
         centers = grid.centers()
-        sets = []
-        dropped = 0
-        for iv in intervals:
-            i0 = int(np.searchsorted(centers, iv.z, side="right"))
-            i1 = int(np.searchsorted(centers, iv.y, side="left"))
-            if i1 <= i0:
-                dropped += 1
-                continue
-            sets.append(np.arange(i0, i1, dtype=np.int64))
-        return cls(sets, len(centers), grid.h, dropped)
+        z = np.array([iv.z for iv in intervals], dtype=float)
+        y = np.array([iv.y for iv in intervals], dtype=float)
+        i0 = np.searchsorted(centers, z, side="right")
+        i1 = np.searchsorted(centers, y, side="left")
+        kept = i1 > i0
+        return cls(flat_ranges(i0, i1), (i1 - i0)[kept], len(centers), grid.h, np.count_nonzero(~kept))
 
     @classmethod
     def from_masks(cls, masks, cell_measure: float) -> "CellFamily":
         """The cells of each boolean mask; masks holding no cell are
         dropped and counted."""
-        sets = []
-        dropped = n_cells = 0
-        for mask in masks:
-            flat = np.asarray(mask, dtype=bool).ravel()
-            n_cells = flat.size
-            idx = np.nonzero(flat)[0]
-            if idx.size == 0:
-                dropped += 1
-                continue
-            sets.append(idx)
-        return cls(sets, n_cells, cell_measure, dropped)
+        masks = list(masks)
+        sets = [np.flatnonzero(mask) for mask in masks]
+        sizes = np.array([s.size for s in sets], dtype=np.int64)
+        index = np.concatenate(sets) if sets else np.zeros(0, dtype=np.int64)
+        n_cells = np.size(masks[-1]) if masks else 0
+        return cls(index, sizes[sizes > 0], n_cells, cell_measure, np.count_nonzero(sizes == 0))
 
 
 def apply_sparse_operator(family: CellFamily, values) -> np.ndarray:
-    """T f on cells."""
+    """T f on cells: each set's mean, added to its cells in set order."""
     v = np.asarray(values, dtype=float).ravel()
     if v.size != family.n_cells:
         raise ValueError(f"expected {family.n_cells} cell values, got {v.size}")
-    out = np.zeros_like(v)
-    for s in family.sets:
-        out[s] += float(np.mean(v[s]))
-    return out
+    if not len(family):  # np.bincount with no weights at all counts in integers
+        return np.zeros_like(v)
+    means = np.add.reduceat(v[family.index], family.offsets) / family.sizes
+    return np.bincount(family.index, weights=np.repeat(means, family.sizes), minlength=family.n_cells)
 
 
 def operator_norm_check(space, family: CellFamily, values, tf):

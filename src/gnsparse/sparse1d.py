@@ -27,6 +27,7 @@ import numpy as np
 
 from .errors import ConstructionError, CorpusConfigError
 from .grid import interval_integrals
+from .operator import flat_ranges
 
 BISECT_TOL_FACTOR = 1e-3  # endpoint tolerance, in grid steps
 OVERLAP_LIMIT_1D = 3  # intervals of three adjacent levels at most cover a point
@@ -87,9 +88,7 @@ class SparseFamily1D:
         self.window_exit_nodes = list(window_exit_nodes)
         self.eligible_count = int(eligible_count)
         self.unanalyzed_count = int(unanalyzed_count)
-        self.counts = np.zeros(len(self.nodes), dtype=np.int64)
-        for i0, i1 in zip(*self.node_ranges()):
-            self.counts[i0:i1] += 1
+        self.counts = np.bincount(flat_ranges(*self.node_ranges()), minlength=len(self.nodes))
         self.max_overlap = int(self.counts.max(initial=0))
 
     def __len__(self):
@@ -193,27 +192,6 @@ def default_k_min(u) -> int:
     return k_min_for_sup(u.sup_norm((1,))[0])
 
 
-def resolved_k_min(u, min_cells: int = 4) -> int:
-    """Smallest level floor at which every escape interval spans >= min_cells.
-
-    Near the edge of a compact support the deepest level bands shrink below
-    the cell size, so their interval endpoints (and with them the location
-    of the worst pointwise ratio) jitter under refinement even though the
-    bound itself holds with a wide margin.  Raising the floor to the levels
-    the grid actually resolves gives per-level ratios that converge with h.
-    Never returns less than default_k_min(u).
-    """
-    floor = default_k_min(u)
-    family = build_family_1d(u, floor)
-    threshold = min_cells * u.grid.h
-    narrow = [iv.k for iv in family.intervals if iv.y - iv.z < threshold]
-    while narrow:
-        floor = max(narrow) + 1
-        family = build_family_1d(u, floor)
-        narrow = [iv.k for iv in family.intervals if iv.y - iv.z < threshold]
-    return floor
-
-
 def check_exit_budget(u, exits: int, eligible: int, what: str):
     """Raise CorpusConfigError when more than EXIT_FRACTION_LIMIT of the
     eligible nodes or cells (``what``) of u exit the window."""
@@ -271,33 +249,43 @@ def build_family_1d(u, k_min: int) -> SparseFamily1D:
     return SparseFamily1D(intervals, nodes, d1, k_min, exit_nodes, eligible_count, unanalyzed)
 
 
-def _interval_table(u, family: SparseFamily1D):
-    """Per family interval: the interval, its node range [i0, i1), and the
-    integrals of |u''| and of |u| over it, by analytic quadrature with one
-    evaluator call for both orders and the whole family."""
+def _interval_integrals(u, family: SparseFamily1D):
+    """The ends z, y of the family's intervals and the integrals of |u''|
+    and of |u| over each, by analytic quadrature with one evaluator call for
+    both orders and the whole family."""
     z = np.array([iv.z for iv in family.intervals], dtype=float)
     y = np.array([iv.y for iv in family.intervals], dtype=float)
-    int_d2, int_u = interval_integrals(
-        lambda t: [np.abs(f) for f in u.evaluate(t, (2, 0))], z, y, u.grid.h
-    ).tolist()
-    return zip(family.intervals, *family.node_ranges(), int_d2, int_u)
+    int_d2, int_u = interval_integrals(lambda t: [np.abs(f) for f in u.evaluate(t, (2, 0))], z, y, u.grid.h)
+    return z, y, int_d2, int_u
+
+
+def _interval_table(u, family: SparseFamily1D):
+    """Per family interval: the interval, its node range [i0, i1), and the
+    integrals of |u''| and of |u| over it."""
+    _, _, int_d2, int_u = _interval_integrals(u, family)
+    return zip(family.intervals, *family.node_ranges(), int_d2.tolist(), int_u.tolist())
 
 
 def verify_pointwise_1d(u, family: SparseFamily1D):
     """Per-node ratio u'(x)^2 / sum over covering intervals of the product
     of interval averages of |u''| and |u|; the paper bound for the max is 128.
+
+    Each node receives the products of its covering intervals in interval
+    order, so the sums are those of a loop over the intervals.
     """
     nodes = family.nodes
-    denom = np.zeros(len(nodes))
-    for iv, i0, i1, int_d2, int_u in _interval_table(u, family):
-        a2 = int_d2 / (iv.y - iv.z)
-        a0 = int_u / (iv.y - iv.z)
-        if a2 <= 0.0 or a0 < 0.0:
-            raise ConstructionError(
-                f"interval ({iv.z}, {iv.y}) has vanishing |u''| average; "
-                "u' cannot traverse a dyadic band with u'' = 0"
-            )
-        denom[i0:i1] += a2 * a0
+    z, y, int_d2, int_u = _interval_integrals(u, family)
+    a2 = int_d2 / (y - z)
+    a0 = int_u / (y - z)
+    vanishing = np.flatnonzero((a2 <= 0.0) | (a0 < 0.0))
+    if vanishing.size:
+        iv = family.intervals[vanishing[0]]
+        raise ConstructionError(
+            f"interval ({iv.z}, {iv.y}) has vanishing |u''| average; "
+            "u' cannot traverse a dyadic band with u'' = 0"
+        )
+    i0, i1 = family.node_ranges()
+    denom = np.bincount(flat_ranges(i0, i1), weights=np.repeat(a2 * a0, i1 - i0), minlength=len(nodes))
     covered = denom > 0.0
     ratios = np.zeros(len(nodes))
     np.divide(family.d1**2, denom, out=ratios, where=covered)

@@ -28,6 +28,7 @@ evaluating u at all.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -119,9 +120,8 @@ def _shift_variation(arr: np.ndarray, a: int, b: int) -> float:
     j0, j1 = max(0, -b), ny - max(0, b)
     if i0 >= i1 or j0 >= j1:
         return 0.0
-    base = arr[i0:i1, j0:j1]
-    shifted = arr[i0 + a : i1 + a, j0 + b : j1 + b]
-    return float(np.max(np.abs(shifted - base)))
+    diff = arr[i0 + a : i1 + a, j0 + b : j1 + b] - arr[i0:i1, j0:j1]
+    return float(max(diff.max(), -diff.min()))
 
 
 def _field_lattices(u):
@@ -137,6 +137,21 @@ def _field_lattices(u):
     )
 
 
+def _ring(m: int):
+    """The offsets (a, b) of the half plane a > 0 or (a = 0, b > 0) with
+    m < |(a, b)| <= m + 1, as two integer arrays."""
+    a, b = np.meshgrid(np.arange(m + 2), np.arange(-(m + 1), m + 2), indexing="ij")
+    r2 = a * a + b * b
+    keep = ((a > 0) | (b > 0)) & (m * m < r2) & (r2 <= (m + 1) ** 2)
+    return a[keep], b[keep]
+
+
+# The path bound is a sum of computed one-step differences; this relative
+# cushion covers the few units in the last place by which a computed
+# variation may exceed it.
+PATH_BOUND_CUSHION = 1e-12
+
+
 def compute_delta(u, bounds) -> list:
     """Per oscillation bound, the largest delta = m*h whose displacements
     keep all field oscillations within it, checked on the node and
@@ -147,6 +162,15 @@ def compute_delta(u, bounds) -> list:
     is no constraint and delta is its diameter.  The rings of offsets are
     scanned once for all bounds, out to the first ring whose cumulative
     worst oscillation exceeds the largest bound still open.
+
+    A shift is measured only if it can close a bound.  Along an L-shaped
+    lattice path, |f(x + (a,b)h) - f(x)| <= |a| v1x + |b| v1y, where v1x
+    and v1y are the field's one-step variations; a shift whose path bound
+    is at most the smallest open bound (the smallest bound >= the worst so
+    far) cannot change which bounds each ring closes, so it is skipped.
+    Each ring's shifts are measured in decreasing order of their path
+    bound, and a ring is left once its worst exceeds the largest open
+    bound, which closes every bound the scan still counts.
     """
     bounds = list(bounds)
     for bound in bounds:
@@ -158,27 +182,31 @@ def compute_delta(u, bounds) -> list:
         raise ConstructionError(f"anisotropic cells ({hx} x {hy}) have no common step")
     h = hx
 
-    var_one = max(
-        _shift_variation(f, a, b) for f in fields for a, b in ((1, 0), (0, 1))
-    )
+    v1 = np.array([[_shift_variation(f, 1, 0), _shift_variation(f, 0, 1)] for f in fields])
+    var_one = float(v1.max())
     global_range = max(float(np.max(f) - np.min(f)) for f in fields)
     m_cap = min(u.grid.gx.n, u.grid.gy.n)
     reach = max((b for b in bounds if b < global_range), default=-math.inf)
+    ascending = sorted(bounds)
 
     # worst[m - 1]: the largest oscillation over all offsets of length <= m
+    # that can close a bound (exactly that largest oscillation where it is
+    # at most reach)
     worst = [var_one]
     while len(worst) < m_cap and worst[-1] <= reach:
-        m, nxt = len(worst), len(worst) + 1
-        ring = [
-            (a, b)
-            for a in range(0, nxt + 1)
-            for b in range(-nxt, nxt + 1)
-            if (a > 0 or b > 0) and m * m < a * a + b * b <= nxt * nxt
-        ]
-        ring_worst = max(
-            (_shift_variation(f, a, b) for f in fields for a, b in ring), default=0.0
-        )
-        worst.append(max(worst[-1], ring_worst))
+        a, b = _ring(len(worst))
+        path = np.abs(a)[:, None] * v1[:, 0] + np.abs(b)[:, None] * v1[:, 1]  # [offset, field]
+        current = worst[-1]
+        smallest_open = ascending[bisect.bisect_left(ascending, current)]
+        for flat in np.argsort(-path, axis=None).tolist():
+            if path.flat[flat] * (1.0 + PATH_BOUND_CUSHION) <= smallest_open:
+                break
+            i, f = divmod(flat, len(fields))
+            current = max(current, _shift_variation(fields[f], int(a[i]), int(b[i])))
+            if current > reach:
+                break
+            smallest_open = ascending[bisect.bisect_left(ascending, current)]
+        worst.append(current)
 
     results = []
     for bound in bounds:

@@ -21,7 +21,8 @@ An evaluator takes the derivatives it should return as a sequence --
 ``evaluate(x, orders)`` in 1D, ``evaluate(X, Y, partials)`` with ``(jx, jy)``
 pairs in 2D -- and returns one array per entry, in the order given, from
 one pass of the transcendental functions for all of them.  Each entry is
-the array a call for that entry alone returns.
+the array a call for that entry alone returns.  A product evaluator also
+carries its two 1D factors, ``evaluate.factors``, for the sup probe.
 """
 
 from __future__ import annotations
@@ -231,13 +232,19 @@ def make_evaluator_2d(spec: TestFunctionSpec):
 
         return evaluate
 
+    def factor(component):
+        return lambda t, orders: profile_jet(spec, t, orders, component)
+
+    factor_x, factor_y = factor(0), factor(1)
+
     def evaluate(X, Y, partials):
         jxs = sorted({jx for jx, _ in partials})
         jys = sorted({jy for _, jy in partials})
-        fx = dict(zip(jxs, profile_jet(spec, X, jxs, 0)))
-        fy = dict(zip(jys, profile_jet(spec, Y, jys, 1)))
+        fx = dict(zip(jxs, factor_x(X, jxs)))
+        fy = dict(zip(jys, factor_y(Y, jys)))
         return [fx[jx] * fy[jy] for jx, jy in partials]
 
+    evaluate.factors = (factor_x, factor_y)
     return evaluate
 
 

@@ -1,0 +1,153 @@
+"""Plain per-item loops that the library's vectorized code is checked
+against, and numerical helpers that only tests use.
+
+Each loop does its work one set, one interval or one block at a time, the
+way the library did before it handled whole families in one pass.
+"""
+
+import numpy as np
+
+from gnsparse.errors import ConstructionError, EmptyRegionError
+from gnsparse.grid import GridFunction1D
+from gnsparse.sparse1d import _interval_table, build_family_1d, default_k_min
+
+
+def sets_of(cells):
+    """The cell sets of a CellFamily, one index array per set."""
+    return np.split(cells.index, cells.offsets[1:]) if len(cells) else []
+
+
+def loop_interval_sets(intervals, centers):
+    """Per interval, the cells whose center lies strictly inside it, from
+    one pair of searchsorted calls each; (sets, dropped) where intervals
+    that trap no center are dropped and counted."""
+    sets, dropped = [], 0
+    for iv in intervals:
+        i0 = int(np.searchsorted(centers, iv.z, side="right"))
+        i1 = int(np.searchsorted(centers, iv.y, side="left"))
+        if i1 <= i0:
+            dropped += 1
+            continue
+        sets.append(np.arange(i0, i1, dtype=np.int64))
+    return sets, dropped
+
+
+def loop_counts(sets, n_cells):
+    """Per cell, the number of sets holding it, one set at a time."""
+    counts = np.zeros(n_cells, dtype=np.int64)
+    for s in sets:
+        counts[s] += 1
+    return counts
+
+
+def loop_sparse_operator(sets, values):
+    """T f = sum over sets P of (mean_P f) chi_P, one np.mean per set."""
+    v = np.asarray(values, dtype=float).ravel()
+    out = np.zeros_like(v)
+    for s in sets:
+        out[s] += float(np.mean(v[s]))
+    return out
+
+
+def loop_pointwise_1d(u, family):
+    """verify_pointwise_1d's ratios, one interval slice at a time."""
+    denom = np.zeros(len(family.nodes))
+    for iv, i0, i1, int_d2, int_u in _interval_table(u, family):
+        a2 = int_d2 / (iv.y - iv.z)
+        a0 = int_u / (iv.y - iv.z)
+        if a2 <= 0.0 or a0 < 0.0:
+            raise ConstructionError(f"interval ({iv.z}, {iv.y}) has vanishing |u''| average")
+        denom[i0:i1] += a2 * a0
+    ratios = np.zeros(len(family.nodes))
+    np.divide(family.d1**2, denom, out=ratios, where=denom > 0.0)
+    return ratios
+
+
+def blocked_sup_norm(u, orders):
+    """A GridFunction2D's sups over its probe lattice, scanned block by
+    block through the evaluator."""
+    x = np.linspace(u.grid.gx.a, u.grid.gx.b, u.SUP_PROBE + 1)
+    y = np.linspace(u.grid.gy.a, u.grid.gy.b, u.SUP_PROBE + 1)
+    partials = [u._axis_partial(j) for j in orders]
+    sups = np.zeros(len(partials))
+    for _, fields in u._blocks(x, y, partials):
+        sups = np.maximum(sups, [np.max(np.abs(f)) for f in fields])
+    return tuple(float(s) for s in sups)
+
+
+def fd_consistency_error(f) -> float:
+    """Max deviation of analytic d1 from the central difference of values.
+
+    Used by the O(h^2) refinement property: halving h quarters this number
+    for smooth functions.
+    """
+    if f.dim == 1:
+        h = f.grid.h
+        fd = (f.values[2:] - f.values[:-2]) / (2.0 * h)
+        return float(np.max(np.abs(f.d1[1:-1] - fd)))
+    if f.axis == 1:
+        h = f.grid.gx.h
+        fd = (f.values[2:, :] - f.values[:-2, :]) / (2.0 * h)
+        return float(np.max(np.abs(f.d1[1:-1, :] - fd)))
+    h = f.grid.gy.h
+    fd = (f.values[:, 2:] - f.values[:, :-2]) / (2.0 * h)
+    return float(np.max(np.abs(f.d1[:, 1:-1] - fd)))
+
+
+def quadrature_integral(f, region=None) -> float:
+    """Composite trapezoid integral of node samples over a node-index range.
+
+    ``f`` is a GridFunction1D or a pair ``(node_values, Grid1D)``.  ``region``
+    is ``None`` for the whole window or a contiguous ``(i0, i1)`` node-index
+    range with i0 < i1.
+    """
+    if isinstance(f, GridFunction1D):
+        vals, grid = f.values, f.grid
+    else:
+        vals, grid = np.asarray(f[0], dtype=float), f[1]
+    if region is None:
+        i0, i1 = 0, len(vals) - 1
+    else:
+        i0, i1 = region
+    if not i0 < i1:
+        raise EmptyRegionError(f"degenerate node range ({i0}, {i1})")
+    seg = vals[i0 : i1 + 1]
+    return float(grid.h * (np.sum(seg) - 0.5 * (seg[0] + seg[-1])))
+
+
+def quadrature_integral_2d(values, grid, region=None) -> float:
+    """Product-trapezoid integral of 2D node samples over index ranges."""
+    vals = np.asarray(values, dtype=float)
+    if region is None:
+        ri, rj = (0, vals.shape[0] - 1), (0, vals.shape[1] - 1)
+    else:
+        ri, rj = region
+    if not (ri[0] < ri[1] and rj[0] < rj[1]):
+        raise EmptyRegionError(f"degenerate node range {region}")
+    sub = vals[ri[0] : ri[1] + 1, rj[0] : rj[1] + 1]
+    wx = np.ones(sub.shape[0])
+    wx[0] = wx[-1] = 0.5
+    wy = np.ones(sub.shape[1])
+    wy[0] = wy[-1] = 0.5
+    return float(grid.cell_area * (wx @ sub @ wy))
+
+
+def resolved_k_min(u, min_cells: int = 4) -> int:
+    """Smallest level floor at which every escape interval spans >= min_cells.
+
+    Near the edge of a compact support the deepest level bands shrink below
+    the cell size, so their interval endpoints (and with them the location
+    of the worst pointwise ratio) jitter under refinement even though the
+    bound itself holds with a wide margin.  Raising the floor to the levels
+    the grid actually resolves gives per-level ratios that converge with h.
+    Never returns less than default_k_min(u).
+    """
+    floor = default_k_min(u)
+    family = build_family_1d(u, floor)
+    threshold = min_cells * u.grid.h
+    narrow = [iv.k for iv in family.intervals if iv.y - iv.z < threshold]
+    while narrow:
+        floor = max(narrow) + 1
+        family = build_family_1d(u, floor)
+        narrow = [iv.k for iv in family.intervals if iv.y - iv.z < threshold]
+    return floor

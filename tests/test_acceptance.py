@@ -34,13 +34,13 @@ from gnsparse.sparse1d import (
     default_k_min,
     level_index,
     observation_bounds_report,
-    resolved_k_min,
     verify_pointwise_1d,
 )
 from gnsparse.sparse2d import build_family_2d, verify_family_2d
 from gnsparse.testfunctions import TestFunctionSpec, grid_for_spec, make_test_function
 
 from corpus import members
+from oracles import resolved_k_min
 
 P = SpaceDescriptor.parse
 

@@ -1,5 +1,6 @@
 """Tests for grids, test-function families, quadrature, and mollification."""
 
+import functools
 import math
 
 import numpy as np
@@ -15,13 +16,10 @@ from gnsparse import (
     GridFunction2D,
     TestFunctionSpec,
     UnresolvableFunctionError,
-    fd_consistency_error,
     grid_for_spec,
     interval_integrals,
     make_test_function,
     mollify,
-    quadrature_integral,
-    quadrature_integral_2d,
 )
 from gnsparse.errors import CorpusConfigError, EmptyRegionError
 from gnsparse.gn import _abs_field
@@ -36,6 +34,7 @@ from gnsparse.testfunctions import (
 )
 
 from corpus import member, members
+from oracles import blocked_sup_norm, fd_consistency_error, quadrature_integral, quadrature_integral_2d
 
 
 def test_grid_invariants():
@@ -239,6 +238,27 @@ def test_sup_norm_makes_one_pass_over_the_probe():
     assert len(calls) == math.ceil((u.SUP_PROBE + 1) / u.BLOCK_ROWS) == 9
     assert set(calls) == {((0, 0), (1, 0), (2, 0))}
     assert sups == tuple(u.sup_norm((j,))[0] for j in (0, 1, 2))
+
+
+@pytest.mark.parametrize("axis", (1, 2))
+@pytest.mark.parametrize("spec", [s for s in members(2) if s.layout == "product"], ids=lambda s: s.name)
+def test_product_sup_norm_equals_the_blocked_scan(spec, axis):
+    u = make_test_function(spec, grid_for_spec(spec, 128), axis=axis)
+    want = blocked_sup_norm(u, (0, 1, 2))
+    assert u.sup_norm((0, 1, 2)) == want
+    # a functools.wraps wrapper carries the factors along: the probe takes
+    # the same per-axis path and never calls the wrapper
+    evaluate, calls = u.evaluate, []
+
+    @functools.wraps(evaluate)
+    def wrapped(*args):
+        calls.append(args)
+        return evaluate(*args)
+
+    u.evaluate = wrapped
+    assert u.sup_norm((0, 1, 2)) == want
+    assert u.sup_norm((2, 0)) == (want[2], want[0])
+    assert calls == []
 
 
 def test_1d_sample_makes_one_evaluator_call():

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gnsparse.errors import EmptyRegionError
 from gnsparse.grid import Grid1D
@@ -18,6 +20,8 @@ from gnsparse.operator import (
 from gnsparse.sparse1d import EscapeInterval, build_family_1d, default_k_min
 from gnsparse.spaces import SpaceDescriptor, YoungFunction
 from gnsparse.testfunctions import TestFunctionSpec, grid_for_spec, make_test_function
+
+from oracles import loop_counts, loop_interval_sets, loop_sparse_operator, sets_of
 
 
 def iv(z, y, k=0, sign=1):
@@ -43,7 +47,7 @@ class TestRasterize:
         grid = Grid1D(0.0, 1.0, 8)  # centers at (2i+1)/16
         fam = CellFamily.from_intervals([iv(0.25, 0.75)], grid)
         assert len(fam) == 1
-        np.testing.assert_array_equal(fam.sets[0], [2, 3, 4, 5])
+        np.testing.assert_array_equal(sets_of(fam)[0], [2, 3, 4, 5])
 
     def test_degenerate_interval_dropped(self):
         grid = Grid1D(0.0, 1.0, 8)
@@ -54,7 +58,7 @@ class TestRasterize:
 
     def test_empty_set_rejected(self):
         with pytest.raises(EmptyRegionError):
-            CellFamily([np.array([], dtype=int)], 8, 0.125)
+            CellFamily(np.array([], dtype=int), [0], 8, 0.125)
 
     def test_overlap_counting(self):
         grid, fam, _ = pair_family()
@@ -63,6 +67,79 @@ class TestRasterize:
         assert int(np.max(counts)) == 2
         assert int(np.min(counts[: len(counts) // 2])) == 2
         assert int(np.max(counts[len(counts) // 2 :])) == 1
+
+    def test_out_of_range_cell_rejected(self):
+        with pytest.raises(ValueError, match="out of range"):
+            CellFamily([3, 8], [2], 8, 0.125)
+
+
+@st.composite
+def interval_families(draw):
+    """A grid on [0, 1] and intervals on it, some with an end on a cell
+    center and some trapping no center at all."""
+    n = draw(st.integers(8, 64))
+    grid = Grid1D(0.0, 1.0, n)
+    centers = grid.centers()
+    end = st.one_of(st.floats(-0.2, 1.2), st.integers(0, n - 1).map(lambda i: float(centers[i])))
+    intervals = []
+    for z, y in draw(st.lists(st.tuples(end, end), max_size=12)):
+        z, y = min(z, y), max(z, y)
+        intervals.append(iv(z, y) if z < y else iv(z, z + 0.3 / n))
+    return grid, intervals
+
+
+@st.composite
+def mask_families(draw):
+    """Random boolean masks of one shape, some of them empty."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (draw(st.integers(1, 24)), draw(st.integers(1, 24)))
+    densities = draw(st.lists(st.sampled_from([0.0, 0.05, 0.3, 0.9, 1.0]), min_size=1, max_size=10))
+    return [rng.random(shape) < p for p in densities]
+
+
+def cell_values(seed, n):
+    """Non-negative cell values over six decades, as T|f| receives them."""
+    rng = np.random.default_rng(seed)
+    return rng.random(n) * 10.0 ** rng.uniform(-3.0, 3.0, n)
+
+
+def assert_matches_loop(fam, sets, seed):
+    assert np.array_equal(fam.counts, loop_counts(sets, fam.n_cells))
+    assert fam.max_overlap == int(loop_counts(sets, fam.n_cells).max(initial=0))
+    f = cell_values(seed, fam.n_cells)
+    # segment sums run in order, np.mean sums pairwise: a few ulp apart
+    np.testing.assert_allclose(
+        apply_sparse_operator(fam, f), loop_sparse_operator(sets, f), rtol=4 * np.finfo(float).eps, atol=0.0
+    )
+
+
+class TestFlatFamilyAgainstLoops:
+    @settings(max_examples=80, derandomize=True, deadline=None, database=None)
+    @given(interval_families(), st.integers(0, 2**32 - 1))
+    def test_interval_family(self, family, seed):
+        grid, intervals = family
+        fam = CellFamily.from_intervals(intervals, grid)
+        sets, dropped = loop_interval_sets(intervals, grid.centers())
+        assert fam.dropped == dropped
+        assert len(fam) == len(sets)
+        assert all(np.array_equal(a, b) for a, b in zip(sets_of(fam), sets))
+        assert_matches_loop(fam, sets, seed)
+
+    @settings(max_examples=80, derandomize=True, deadline=None, database=None)
+    @given(mask_families(), st.integers(0, 2**32 - 1))
+    def test_mask_family(self, masks, seed):
+        fam = CellFamily.from_masks(masks, 0.25)
+        sets = [np.flatnonzero(m) for m in masks if m.any()]
+        assert fam.dropped == sum(1 for m in masks if not m.any())
+        assert fam.n_cells == masks[0].size
+        assert all(np.array_equal(a, b) for a, b in zip(sets_of(fam), sets))
+        assert_matches_loop(fam, sets, seed)
+
+    def test_empty_family(self):
+        fam = CellFamily.from_intervals([], Grid1D(0.0, 1.0, 8))
+        assert len(fam) == 0 and fam.max_overlap == 0
+        out = apply_sparse_operator(fam, np.ones(8))
+        assert out.dtype == float and np.array_equal(out, np.zeros(8))
 
 
 class TestApply:
@@ -77,7 +154,7 @@ class TestApply:
         grid = Grid1D(0.0, 2.0, 512)
         fam = CellFamily.from_intervals([iv(0.0, 1.0)], grid)
         chi = np.zeros(fam.n_cells)
-        chi[fam.sets[0]] = 1.0
+        chi[sets_of(fam)[0]] = 1.0
         np.testing.assert_allclose(apply_sparse_operator(fam, chi), chi, atol=1e-15)
 
     def test_linearity(self):
@@ -180,7 +257,7 @@ class TestModularContraction:
         grid = Grid1D(0.0, 2.0, 512)
         fam = CellFamily.from_intervals([iv(0.0, 1.0)], grid)
         chi = np.zeros(fam.n_cells)
-        chi[fam.sets[0]] = 1.0
+        chi[sets_of(fam)[0]] = 1.0
         lhs, rhs, ok = modular_contraction_check(YoungFunction("exp"), fam, chi, t_abs(fam, chi))
         assert ok
         assert lhs == pytest.approx(rhs, rel=1e-12)

@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gnsparse import sparse1d
-from gnsparse.errors import CorpusConfigError, EmptyRegionError
+from gnsparse.errors import ConstructionError, CorpusConfigError, EmptyRegionError
 from gnsparse.gn import MODULAR_YOUNGS
-from gnsparse.grid import Grid1D, interval_integrals
+from gnsparse.grid import Grid1D, GridFunction1D, interval_integrals
 from gnsparse.operator import (
     CellFamily,
     apply_sparse_operator,
@@ -20,6 +20,8 @@ from gnsparse.operator import (
 from gnsparse.spaces import SpaceDescriptor
 from gnsparse.sparse1d import (
     BISECT_TOL_FACTOR,
+    EscapeInterval,
+    SparseFamily1D,
     _interval_table,
     band_edges,
     build_family_1d,
@@ -30,13 +32,13 @@ from gnsparse.sparse1d import (
     level_floor,
     level_index,
     observation_bounds_report,
-    resolved_k_min,
     seeded_runs,
     verify_pointwise_1d,
 )
 from gnsparse.testfunctions import TestFunctionSpec, grid_for_spec, make_test_function
 
 from corpus import member, members
+from oracles import loop_pointwise_1d, resolved_k_min
 
 
 def build_allowing_exits(u):
@@ -335,6 +337,27 @@ class TestPointwiseBound:
         counts = fam.counts
         assert np.all(ratios[counts == 0] == 0.0)
         assert np.all(ratios[counts > 0] > 0.0)
+
+    @pytest.mark.parametrize("spec", members(1), ids=lambda s: s.name)
+    def test_corpus_ratios_equal_the_interval_loop(self, spec):
+        u = make_test_function(spec, grid_for_spec(spec, 1024))
+        fam = build_family_1d(u, default_k_min(u))
+        ratios, max_ratio = verify_pointwise_1d(u, fam)
+        assert np.array_equal(ratios, loop_pointwise_1d(u, fam))
+        assert max_ratio == float(np.max(ratios))
+
+    def test_vanishing_average_names_the_first_offending_interval(self):
+        # u'' vanishes on x > 0, so the second and third intervals fail
+        def evaluate(x, orders):
+            x = np.asarray(x, dtype=float)
+            return [np.where(x < 0.0, 1.0, 0.0) if j == 2 else np.ones_like(x) for j in orders]
+
+        u = GridFunction1D(Grid1D(-1.0, 1.0, 64), evaluate, label="kink")
+        ends = ((-0.5, -0.25), (0.25, 0.5), (0.6, 0.7))
+        intervals = [EscapeInterval(z, y, 0, 1, 0.5 * (z + y)) for z, y in ends]
+        fam = SparseFamily1D(intervals, u.grid.nodes(), u.d1, 0, [], 0, 0)
+        with pytest.raises(ConstructionError, match=r"interval \(0\.25, 0\.5\) has vanishing"):
+            verify_pointwise_1d(u, fam)
 
 
 class TestObservationBounds:

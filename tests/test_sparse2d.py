@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from gnsparse import sparse2d
 from gnsparse.errors import CorpusConfigError
 from gnsparse.grid import Grid1D, Grid2D, GridFunction2D
 from gnsparse.sparse1d import band_edges, level_floor
@@ -119,10 +120,14 @@ def scalar_compute_delta(u, bound):
     return DeltaResult(steps=m, delta=m * u.grid.gx.h, bound=bound, variation_at_one=var_one)
 
 
-@pytest.mark.parametrize("n", [128, 256])
-@pytest.mark.parametrize("axis", [1, 2])
-@pytest.mark.parametrize("spec", members(2), ids=lambda s: s.name)
-def test_one_ring_scan_equals_per_bound_scans(spec, n, axis):
+RING_SCAN_CASES = [(spec, axis, n) for spec in members(2) for axis in (1, 2) for n in (128, 256)]
+RING_SCAN_CASES.append((member("p1"), 1, 512))  # levels -1 and 0, with skipped shifts on both
+
+
+@pytest.mark.parametrize(
+    "spec, axis, n", RING_SCAN_CASES, ids=lambda v: v.name if isinstance(v, TestFunctionSpec) else str(v)
+)
+def test_one_ring_scan_equals_per_bound_scans(spec, axis, n, monkeypatch):
     u = make_test_function(spec, grid_for_spec(spec, n), axis=axis)
     fam = build_family_2d(u)
     assert fam.deltas
@@ -132,6 +137,16 @@ def test_one_ring_scan_equals_per_bound_scans(spec, n, axis):
     bounds = [res.bound for res in fam.deltas.values()]
     bounds = bounds[::-1] + bounds[:1] + [1e9]
     assert compute_delta(u, bounds) == [scalar_compute_delta(u, b) for b in bounds]
+    # the family built on the plain scans has the same skipped levels and slabs
+    monkeypatch.setattr(sparse2d, "compute_delta", lambda u, bounds: [scalar_compute_delta(u, b) for b in bounds])
+    ref = build_family_2d(u)
+    assert fam.skipped == ref.skipped
+    assert len(fam.slabs) == len(ref.slabs)
+    for s, r in zip(fam.slabs, ref.slabs):
+        assert (s.k, s.sign, s.delta, s.delta_steps, s.seed_cells, s.pieces) == (
+            r.k, r.sign, r.delta, r.delta_steps, r.seed_cells, r.pieces
+        )
+        assert np.array_equal(s.mask, r.mask)
 
 
 class TestBuild2D:
