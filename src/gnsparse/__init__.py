@@ -27,8 +27,7 @@ from .testfunctions import (
     grid_for_spec,
     make_test_function,
 )
-from .mollifier import BoundaryContaminationWarning, mollify
-from .rearrangement import RearrangementProfile, equimeasurable
+from .rearrangement import CellField
 from .spaces import (
     INF,
     SpaceDescriptor,

@@ -33,6 +33,7 @@ from .operator import (
     modular_contraction_check,
     operator_norm_check,
 )
+from .rearrangement import CellField
 from .sparse1d import (
     OVERLAP_LIMIT_1D,
     POINTWISE_SLACK,
@@ -140,8 +141,8 @@ class GNReport:
     stable: bool
 
 
-def _abs_field(u, order: int, mode: str, read) -> np.ndarray:
-    """|derivative expression| of the given total order at cell centers.
+def _abs_field(u, order: int, mode: str, read) -> CellField:
+    """The CellField |derivative expression| of a total order at cell centers.
 
     ``read(order)`` gives u's own center field of an order: u.center_values
     keeps it for later readers, u.center_field drops it after use.  In 1D,
@@ -150,7 +151,7 @@ def _abs_field(u, order: int, mode: str, read) -> np.ndarray:
     and evaluate all the others in one pass.
     """
     if u.dim == 1 or order == 0 or mode == "pure":
-        return np.abs(read(order)).ravel()
+        return CellField(read(order), _cell_measure(u))
     if mode == "pure-sum":
         partials = [(order, 0), (0, order)]
     else:  # gradient: every multi-index of the given total order
@@ -159,7 +160,7 @@ def _abs_field(u, order: int, mode: str, read) -> np.ndarray:
     others = [p for p in partials if p != own]
     fields = dict(zip(others, u.center_partials(others)))
     fields[own] = read(order)
-    return sum(np.abs(fields[p]) for p in partials).ravel()
+    return CellField(sum(np.abs(fields[p]) for p in partials), _cell_measure(u))
 
 
 def _cell_measure(u) -> float:
@@ -172,10 +173,9 @@ def _sample(case: GNCase, n: int):
 
 def _norms_at(case: GNCase, z_space: SpaceDescriptor, u, read):
     """The three norms of the GN ratio, each field read by ``read``."""
-    mu = _cell_measure(u)
-    lhs = space_norm(z_space, _abs_field(u, case.j, case.mode, read), mu)
-    rhs_x = space_norm(case.x_space, _abs_field(u, case.k, case.mode, read), mu)
-    rhs_y = space_norm(case.y_space, _abs_field(u, 0, case.mode, read), mu)
+    lhs = space_norm(z_space, _abs_field(u, case.j, case.mode, read))
+    rhs_x = space_norm(case.x_space, _abs_field(u, case.k, case.mode, read))
+    rhs_y = space_norm(case.y_space, _abs_field(u, 0, case.mode, read))
     return lhs, rhs_x, rhs_y
 
 
@@ -266,24 +266,21 @@ def first_order_chain_check(u, x_space: SpaceDescriptor, y_space: SpaceDescripto
         family = build_family_1d(u, default_k_min(u))
     cells, f0, f2, t0, t2 = _cells_and_fields(u, family)
     covered = cells.counts > 0
-    geo = np.sqrt(t2 * t0)
-    lhs_vec = np.where(covered, np.abs(u.center_values(1)), 0.0)
-    mu = u.grid.h
+    geo = CellField(np.sqrt(t2.values * t0.values), u.grid.h)
+    lhs_field = CellField(np.where(covered, u.center_values(1), 0.0), u.grid.h)
     root = math.sqrt(POINTWISE_CONSTANT)
 
-    denom = POINTWISE_CONSTANT * t2 * t0
+    denom = POINTWISE_CONSTANT * t2.values * t0.values
     pw = np.zeros_like(denom)
-    np.divide(lhs_vec**2, denom, out=pw, where=denom > 0.0)
+    np.divide(lhs_field.values**2, denom, out=pw, where=denom > 0.0)
     pointwise_max = float(np.max(pw)) if pw.size else 0.0
 
     links = []
-    lhs1 = space_norm(z_space, lhs_vec, mu)
-    rhs1 = root * space_norm(z_space, geo, mu)
+    lhs1 = space_norm(z_space, lhs_field)
+    rhs1 = root * space_norm(z_space, geo)
     links.append(ChainLink("pointwise-to-norm", lhs1, rhs1, lhs1 <= rhs1 * (1.0 + CHAIN_SLACK)))
 
-    lhs2, rhs2, ok2 = cl_factorization_check(
-        z_space, x_space, y_space, geo, t2, t0, Fraction(1, 2), mu
-    )
+    lhs2, rhs2, ok2 = cl_factorization_check(z_space, x_space, y_space, geo, t2, t0, Fraction(1, 2))
     links.append(ChainLink("factorization", lhs2, rhs2, ok2))
 
     lx, rx, K, okx = operator_norm_check(x_space, cells, f2, t2)
@@ -291,7 +288,7 @@ def first_order_chain_check(u, x_space: SpaceDescriptor, y_space: SpaceDescripto
     ly, ry, _, oky = operator_norm_check(y_space, cells, f0, t0)
     links.append(ChainLink("operator-y", ly, ry, oky))
 
-    rhs_end = root * K * math.sqrt(space_norm(x_space, f2, mu) * space_norm(y_space, f0, mu))
+    rhs_end = root * K * math.sqrt(space_norm(x_space, f2) * space_norm(y_space, f0))
     links.append(ChainLink("end-to-end", lhs1, rhs_end, lhs1 <= rhs_end * (1.0 + CHAIN_SLACK)))
 
     return ChainReport(links=tuple(links), overlap=K, pointwise_max=pointwise_max)
@@ -367,13 +364,13 @@ class CaseResult:
 
 
 def _cells_and_fields(u, family):
-    """The family's cells, |u| and |u''| at cell centers (u's own center
-    fields), and T|u|, T|u''|."""
+    """The family's cells, the fields |u| and |u''| at cell centers (read
+    from u's own center fields), and T|u|, T|u''|."""
     if u.dim == 1:
         cells = CellFamily.from_intervals(family.intervals, u.grid)
     else:
-        cells = CellFamily.from_masks([s.mask for s in family.slabs], u.grid.cell_area)
-    f0, f2 = (np.abs(u.center_values(m)).ravel() for m in (0, 2))
+        cells = CellFamily.from_masks([s.mask for s in family.slabs])
+    f0, f2 = (CellField(u.center_values(m), _cell_measure(u)) for m in (0, 2))
     return cells, f0, f2, apply_sparse_operator(cells, f0), apply_sparse_operator(cells, f2)
 
 

@@ -3,7 +3,7 @@
 Two sampling conventions coexist deliberately:
 
 * node arrays (n+1 points) feed the escape-interval scan of the 1D build,
-  the 2D thickness scan and the mollifier;
+  the 2D thickness scan and the tests' mollifier;
 * cell-center samples (n points, midpoint rule) feed everything
   measure-theoretic -- rearrangements, norms, averaging operators -- where an
   exact "step function on cells" representation makes the verified identities

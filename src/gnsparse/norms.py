@@ -1,6 +1,7 @@
 """Norm evaluation for the supported space descriptors.
 
-Lebesgue norms are direct cell sums.  Lorentz norms integrate
+Every norm reads a CellField, which holds |f| and the measure of its
+cells.  Lebesgue norms are direct cell sums.  Lorentz norms integrate
 t^(p/P - 1) f**(t)^p piecewise: the first plateau and the tail beyond the
 support measure have closed forms, and each interior plateau of f* makes
 f** smooth there, so fixed-order Gauss-Legendre is essentially exact.
@@ -15,7 +16,7 @@ import math
 import numpy as np
 
 from .errors import ModularRangeError, YoungBracketError
-from .rearrangement import RearrangementProfile
+from .rearrangement import CellField
 from .spaces import INF, SpaceDescriptor, index_float
 
 # 16-point Gauss-Legendre nodes and weights on [-1, 1]
@@ -24,26 +25,25 @@ _GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
 LUXEMBURG_REL_TOL = 1e-8
 
 
-def lebesgue_norm(values, cell_measure: float, p) -> float:
-    v = np.abs(np.asarray(values, dtype=float)).ravel()
+def lebesgue_norm(f: CellField, p) -> float:
+    v = f.values
     pf = index_float(p)
     if math.isinf(pf):
         return float(np.max(v)) if v.size else 0.0
-    return float(np.sum(v**pf) * cell_measure) ** (1.0 / pf)
+    return float(np.sum(v**pf) * f.cell_measure) ** (1.0 / pf)
 
 
-def lorentz_norm(values, cell_measure: float, P, p) -> float:
+def lorentz_norm(f: CellField, P, p) -> float:
     """||f|| = (int_0^inf (t^(1/P) f**(t))^p dt/t)^(1/p), sup form for p = inf."""
-    prof = RearrangementProfile(values, cell_measure)
-    if prof.is_zero:
+    if f.is_zero:
         return 0.0
     a = float(1 / P)  # exponent p/P splits as p*a
     pf = index_float(p)
-    heights = prof.heights
-    breaks = prof.breaks
-    cum = prof.cum_integral
-    s0 = prof.support_measure
-    total = prof.total_integral
+    heights = f.heights
+    breaks = f.breaks
+    cum = f.cum_integral
+    s0 = f.support_measure
+    total = f.total_integral
 
     if math.isinf(pf):
         # sup of t^(1/P) f**(t): segmentwise closed-form critical points
@@ -80,21 +80,20 @@ def lorentz_norm(values, cell_measure: float, P, p) -> float:
     return float(acc ** (1.0 / pf))
 
 
-def modular(young, values, cell_measure: float, scale: float = 1.0) -> float:
+def modular(young, f: CellField, scale: float = 1.0) -> float:
     """rho_phi(f/scale) = sum phi(|v|/scale) * measure; overflow is an error."""
-    v = np.abs(np.asarray(values, dtype=float)).ravel()
-    v = v[v > 0.0]
+    v = f.positive()
     if v.size == 0:
         return 0.0
     try:
-        return float(np.sum(young(v / scale)) * cell_measure)
+        return float(np.sum(young(v / scale)) * f.cell_measure)
     except OverflowError as exc:
         raise ModularRangeError(
             f"modular overflowed at scale {scale}: {exc}", argument=float(np.max(v) / scale)
         ) from None
 
 
-def luxemburg_norm(values, cell_measure: float, young) -> float:
+def luxemburg_norm(f: CellField, young) -> float:
     """The Luxemburg functional inf{lambda > 0 : rho(f/lambda) <= 1}.
 
     Returns ``hi`` with rho(f/hi) <= 1 after probing some ``lo`` with
@@ -109,15 +108,14 @@ def luxemburg_norm(values, cell_measure: float, young) -> float:
     is 0 or not finite, or a bracket outside the floats, is a
     YoungBracketError.
     """
-    v = np.abs(np.asarray(values, dtype=float)).ravel()
-    v = v[v > 0.0]
+    v = f.positive()
     if v.size == 0:
         return 0.0
 
     def rho(lam: float) -> float:
         try:
             with np.errstate(over="ignore"):
-                return float(np.sum(young(v / lam)) * cell_measure)
+                return float(np.sum(young(v / lam)) * f.cell_measure)
         except OverflowError:
             return math.inf
 
@@ -173,12 +171,12 @@ def luxemburg_norm(values, cell_measure: float, young) -> float:
     return float(hi)
 
 
-def space_norm(space: SpaceDescriptor, values, cell_measure: float) -> float:
+def space_norm(space: SpaceDescriptor, f: CellField) -> float:
     if space.kind == "lebesgue":
-        return lebesgue_norm(values, cell_measure, space.primary)
+        return lebesgue_norm(f, space.primary)
     if space.kind == "lorentz":
-        return lorentz_norm(values, cell_measure, space.primary, space.secondary)
-    return luxemburg_norm(values, cell_measure, space.young)
+        return lorentz_norm(f, space.primary, space.secondary)
+    return luxemburg_norm(f, space.young)
 
 
 def norm_tolerance(space: SpaceDescriptor) -> float:
@@ -192,11 +190,10 @@ def cl_factorization_check(
     z_space: SpaceDescriptor,
     x_space: SpaceDescriptor,
     y_space: SpaceDescriptor,
-    h_values,
-    f_values,
-    g_values,
+    h: CellField,
+    f: CellField,
+    g: CellField,
     theta,
-    cell_measure: float,
 ):
     """Verify ||h||_Z <= ||f||_X^theta ||g||_Y^(1-theta) given the pointwise
     factorization |h| <= |f|^theta |g|^(1-theta).
@@ -206,13 +203,10 @@ def cl_factorization_check(
     estimates work.  Returns (lhs, rhs, ok).
     """
     th = float(theta)
-    h = np.abs(np.asarray(h_values, dtype=float)).ravel()
-    f = np.abs(np.asarray(f_values, dtype=float)).ravel()
-    g = np.abs(np.asarray(g_values, dtype=float)).ravel()
-    dominated = f**th * g ** (1.0 - th)
-    if np.any(h > dominated * (1.0 + 1e-9) + 1e-300):
+    dominated = f.values**th * g.values ** (1.0 - th)
+    if np.any(h.values > dominated * (1.0 + 1e-9) + 1e-300):
         raise ValueError("pointwise factorization |h| <= |f|^theta |g|^(1-theta) fails")
-    lhs = space_norm(z_space, h, cell_measure)
-    rhs = space_norm(x_space, f, cell_measure) ** th * space_norm(y_space, g, cell_measure) ** (1.0 - th)
+    lhs = space_norm(z_space, h)
+    rhs = space_norm(x_space, f) ** th * space_norm(y_space, g) ** (1.0 - th)
     tol = max(norm_tolerance(z_space), norm_tolerance(x_space), norm_tolerance(y_space))
     return lhs, rhs, lhs <= rhs * (1.0 + tol)

@@ -4,6 +4,7 @@ Interval families (1D) and slab families (2D) rasterize to sets of grid
 cells by the center-in-open-set rule; the operator, its overlap constant K,
 and the norm and modular contraction checks all act on those cell sets, so
 the comparisons are exact convex-combination arithmetic up to rounding.
+T maps a CellField (which carries the cell measure) to a CellField.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import numpy as np
 
 from .errors import EmptyRegionError
 from .norms import modular, norm_tolerance, space_norm
+from .rearrangement import CellField
 
 MODULAR_SLACK = 1e-6
 
@@ -33,14 +35,13 @@ class CellFamily:
     computed here once.
     """
 
-    def __init__(self, index, sizes, n_cells: int, cell_measure: float, dropped: int = 0):
+    def __init__(self, index, sizes, n_cells: int, dropped: int = 0):
         self.index = np.asarray(index, dtype=np.int64)
         self.sizes = np.asarray(sizes, dtype=np.int64)
         if np.any(self.sizes <= 0):
             raise EmptyRegionError("rasterized family contains an empty cell set")
         self.offsets = np.cumsum(self.sizes) - self.sizes
         self.n_cells = int(n_cells)
-        self.cell_measure = float(cell_measure)
         self.dropped = int(dropped)
         self.counts = np.bincount(self.index, minlength=self.n_cells)
         if self.counts.size > self.n_cells:
@@ -63,10 +64,10 @@ class CellFamily:
         i0 = np.searchsorted(centers, z, side="right")
         i1 = np.searchsorted(centers, y, side="left")
         kept = i1 > i0
-        return cls(flat_ranges(i0, i1), (i1 - i0)[kept], len(centers), grid.h, np.count_nonzero(~kept))
+        return cls(flat_ranges(i0, i1), (i1 - i0)[kept], len(centers), np.count_nonzero(~kept))
 
     @classmethod
-    def from_masks(cls, masks, cell_measure: float) -> "CellFamily":
+    def from_masks(cls, masks) -> "CellFamily":
         """The cells of each boolean mask; masks holding no cell are
         dropped and counted."""
         masks = list(masks)
@@ -74,39 +75,40 @@ class CellFamily:
         sizes = np.array([s.size for s in sets], dtype=np.int64)
         index = np.concatenate(sets) if sets else np.zeros(0, dtype=np.int64)
         n_cells = np.size(masks[-1]) if masks else 0
-        return cls(index, sizes[sizes > 0], n_cells, cell_measure, np.count_nonzero(sizes == 0))
+        return cls(index, sizes[sizes > 0], n_cells, np.count_nonzero(sizes == 0))
 
 
-def apply_sparse_operator(family: CellFamily, values) -> np.ndarray:
+def apply_sparse_operator(family: CellFamily, f: CellField) -> CellField:
     """T f on cells: each set's mean, added to its cells in set order."""
-    v = np.asarray(values, dtype=float).ravel()
+    v = f.values
     if v.size != family.n_cells:
         raise ValueError(f"expected {family.n_cells} cell values, got {v.size}")
     if not len(family):  # np.bincount with no weights at all counts in integers
-        return np.zeros_like(v)
+        return CellField(np.zeros_like(v), f.cell_measure)
     means = np.add.reduceat(v[family.index], family.offsets) / family.sizes
-    return np.bincount(family.index, weights=np.repeat(means, family.sizes), minlength=family.n_cells)
+    tf = np.bincount(family.index, weights=np.repeat(means, family.sizes), minlength=family.n_cells)
+    return CellField(tf, f.cell_measure)
 
 
-def operator_norm_check(space, family: CellFamily, values, tf):
-    """||T|f|||_X versus K ||f||_X with K the exact cell overlap maximum.
+def operator_norm_check(space, family: CellFamily, f: CellField, tf: CellField):
+    """||T f||_X versus K ||f||_X with K the exact cell overlap maximum.
 
-    ``tf`` is T|f| on the family's cells.  Returns (lhs, rhs, K, ok).  Zero
+    ``tf`` is T f on the family's cells.  Returns (lhs, rhs, K, ok).  Zero
     input is a vacuous pass.
     """
     K = family.max_overlap
-    lhs = space_norm(space, tf, family.cell_measure)
-    rhs = K * space_norm(space, values, family.cell_measure)
+    lhs = space_norm(space, tf)
+    rhs = K * space_norm(space, f)
     ok = lhs <= rhs * (1.0 + norm_tolerance(space)) or lhs == 0.0
     return lhs, rhs, K, ok
 
 
-def modular_contraction_check(young, family: CellFamily, values, tf):
-    """rho(T|f| / K) <= rho(f) within slack; the convexity form of the bound.
+def modular_contraction_check(young, family: CellFamily, f: CellField, tf: CellField):
+    """rho(T f / K) <= rho(f) within slack; the convexity form of the bound.
 
-    ``tf`` is T|f| on the family's cells.  Returns (lhs, rhs, ok).
+    ``tf`` is T f on the family's cells.  Returns (lhs, rhs, ok).
     """
     K = family.max_overlap
-    lhs = modular(young, tf / K, family.cell_measure) if K else 0.0
-    rhs = modular(young, values, family.cell_measure)
+    lhs = modular(young, tf, scale=K) if K else 0.0
+    rhs = modular(young, f)
     return lhs, rhs, lhs <= rhs * (1.0 + MODULAR_SLACK)

@@ -1,89 +1,56 @@
-"""Decreasing rearrangement of a grid function with exact cell bookkeeping.
+"""|f| on grid cells with its decreasing rearrangement, built once per field.
 
-Cell values on a uniform grid make |f| a simple function, so f* is a right
-continuous step function whose plateau widths are integer multiples of the
-cell measure, and f**(t) = (1/t) * int_0^t f* is piecewise of the form
-(A + v t)/t.  Everything downstream (Lorentz norms, equimeasurability
-checks) evaluates these pieces in closed form.
+Every norm here is rearrangement invariant, so it reads f only through |f|
+and f* (Bennett-Sharpley, Interpolation of Operators, ch. 2).  Cell values
+on a uniform grid make |f| a simple function, so f* is a right continuous
+step function whose plateau widths are integer multiples of the cell
+measure, and f**(t) = (1/t) * int_0^t f* is piecewise of the form
+(A + v t)/t; Lorentz norms evaluate these pieces in closed form.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 
-class RearrangementProfile:
-    """f* and f** of |f| given by cell values with a common cell measure."""
+class CellField:
+    """|f| at the cells of a grid, each of measure ``cell_measure``.
+
+    ``values`` is the flat array of |f|, taken once here.  The plateaus of
+    f* (``heights``, ``widths``, ``breaks``, ``cum_integral``) and the
+    numbers read from them come from one sort on the first read of any of
+    them, and are kept; nothing else is cached.
+    """
 
     def __init__(self, values, cell_measure: float):
-        v = np.abs(np.asarray(values, dtype=float)).ravel()
-        if cell_measure <= 0.0:
-            raise ValueError("cell measure must be positive")
-        v = np.sort(v[v > 0.0])[::-1]
+        if not cell_measure > 0.0:
+            raise ValueError(f"cell measure must be positive, got {cell_measure!r}")
+        self.values = np.abs(np.asarray(values, dtype=float)).ravel()
+        self.cell_measure = float(cell_measure)
+
+    def positive(self) -> np.ndarray:
+        """The positive values in cell order, a new array on every call."""
+        return self.values[self.values > 0.0]
+
+    @cached_property
+    def _plateaus(self):
+        v = np.sort(self.positive())[::-1]
         # merge equal-value runs into single plateaus
         first = np.ones(v.size, dtype=bool)
         first[1:] = v[1:] != v[:-1]
         starts = np.flatnonzero(first)
-        self.heights = v[starts]
-        self.widths = np.diff(np.append(starts, v.size)).astype(float) * cell_measure
-        self.cell_measure = float(cell_measure)
-        self.breaks = np.concatenate([[0.0], np.cumsum(self.widths)])
-        self.support_measure = float(self.breaks[-1])
+        heights = v[starts]
+        widths = np.diff(np.append(starts, v.size)).astype(float) * self.cell_measure
         # integral of f* up to each break
-        self.cum_integral = np.concatenate([[0.0], np.cumsum(self.heights * self.widths)])
-        self.total_integral = float(self.cum_integral[-1])
+        cum_integral = np.concatenate([[0.0], np.cumsum(heights * widths)])
+        return heights, widths, np.concatenate([[0.0], np.cumsum(widths)]), cum_integral
 
-    @property
-    def is_zero(self) -> bool:
-        return self.heights.size == 0
-
-    def star(self, t):
-        """f*(t); right continuous, 0 beyond the support measure."""
-        t = np.asarray(t, dtype=float)
-        idx = np.searchsorted(self.breaks, t, side="right") - 1
-        out = np.zeros(t.shape)
-        inside = (idx >= 0) & (idx < len(self.heights))
-        out[inside] = self.heights[idx[inside]]
-        return out if out.shape else float(out)
-
-    def double_star(self, t):
-        """f**(t) = (1/t) int_0^t f*; equals ||f||_1 / t past the support."""
-        t = np.asarray(t, dtype=float)
-        if np.any(t <= 0.0):
-            raise ValueError("f** is defined for t > 0")
-        idx = np.searchsorted(self.breaks, t, side="right") - 1
-        idx = np.clip(idx, 0, len(self.heights))
-        out = np.empty(t.shape)
-        tail = idx >= len(self.heights)
-        out[tail] = self.total_integral / t[tail]
-        inner = ~tail
-        i = idx[inner]
-        partial = self.cum_integral[i] + (t[inner] - self.breaks[i]) * self.heights[i]
-        out[inner] = partial / t[inner]
-        return out if out.shape else float(out)
-
-    def distribution(self, s):
-        """Measure of {|f| > s}."""
-        s = np.asarray(s, dtype=float)
-        # heights ascend when reversed; count plateaus strictly above s
-        idx = np.searchsorted(-self.heights, -s, side="left")
-        out = self.breaks[idx]
-        return out if out.shape else float(out)
-
-
-def equimeasurable(values_a, measure_a, values_b, measure_b, rel_tol: float = 1e-9) -> bool:
-    """Whether two cell functions share a distribution function.
-
-    Compared at every plateau height of either profile, which determines a
-    step-valued distribution completely.
-    """
-    pa = RearrangementProfile(values_a, measure_a)
-    pb = RearrangementProfile(values_b, measure_b)
-    if pa.is_zero and pb.is_zero:
-        return True
-    probe = np.unique(np.concatenate([pa.heights, pb.heights]))
-    probe = np.concatenate([[0.0], probe, probe * (1.0 - 1e-12)])
-    da = pa.distribution(probe)
-    db = pb.distribution(probe)
-    scale = max(pa.support_measure, pb.support_measure)
-    return bool(np.all(np.abs(da - db) <= rel_tol * scale))
+    heights = property(lambda self: self._plateaus[0], doc="f* on each plateau, decreasing")
+    widths = property(lambda self: self._plateaus[1], doc="the measure of each plateau")
+    breaks = property(lambda self: self._plateaus[2], doc="0, then the right end of each plateau")
+    cum_integral = property(lambda self: self._plateaus[3], doc="int_0^t f* at each break t")
+    support_measure = property(lambda self: float(self.breaks[-1]), doc="the measure of {|f| > 0}")
+    total_integral = property(lambda self: float(self.cum_integral[-1]), doc="int |f|")
+    is_zero = property(lambda self: self.heights.size == 0, doc="whether f is 0 on every cell")

@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import io
 import os
-from collections import namedtuple
 
 import numpy as np
 
@@ -41,8 +40,6 @@ CSV_COLUMNS = (
     "tolerances",
 )
 
-IntervalRecord = namedtuple("IntervalRecord", "z y k sign")
-
 
 def format_float(value) -> str:
     return repr(float(value))
@@ -55,24 +52,6 @@ def tolerance_note() -> str:
         f" pointwise<={POINTWISE_CONSTANT:g}*(1+{POINTWISE_SLACK!r})"
         f" modular<=1+{MODULAR_SLACK!r} gn-drift<={STABILITY_TOL!r}"
     )
-
-
-def parse_intervals(text: str):
-    """Recover interval records from a structured-text report (or fragment)."""
-    records = []
-    for line in text.splitlines():
-        parts = line.split()
-        if parts[:1] == ["interval"]:
-            fields = dict(zip(parts[1::2], parts[2::2]))
-            records.append(
-                IntervalRecord(
-                    z=float(fields["z"]),
-                    y=float(fields["y"]),
-                    k=int(fields["k"]),
-                    sign=int(fields["sign"]),
-                )
-            )
-    return records
 
 
 def rle_encode(mask) -> str:
@@ -89,26 +68,6 @@ def rle_encode(mask) -> str:
     if flat[0]:
         runs.insert(0, 0)
     return f"{rows}x{cols}:" + ",".join(str(r) for r in runs)
-
-
-def rle_decode(text: str) -> np.ndarray:
-    shape_part, _, runs_part = text.partition(":")
-    rows_text, _, cols_text = shape_part.partition("x")
-    rows, cols = int(rows_text), int(cols_text)
-    out = np.zeros(rows * cols, dtype=bool)
-    pos = 0
-    bit = False
-    for token in runs_part.split(","):
-        if token == "":
-            continue
-        length = int(token)
-        if bit:
-            out[pos : pos + length] = True
-        pos += length
-        bit = not bit
-    if pos != out.size:
-        raise ValueError(f"run lengths cover {pos} cells of {out.size}")
-    return out.reshape(rows, cols)
 
 
 def _verdict_text(result) -> str:

@@ -354,7 +354,7 @@ def verify_family_2d(u, family: SparseFamily2D) -> Family2DReport:
     ratio (d1 u)^2 / sum of slab-average products is reported, never
     thresholded.
     """
-    uc, d2c = u.center_values(0), u.center_values(2)
+    abs_u, abs_d2 = np.abs(u.center_values(0)), np.abs(u.center_values(2))
     denom = np.zeros(family.d1c.shape)
 
     for s in family.slabs:
@@ -366,8 +366,8 @@ def verify_family_2d(u, family: SparseFamily2D) -> Family2DReport:
                 f"slab (k={s.k}, sign={s.sign}) leaves its widened band "
                 f"[{lo}, {hi}): values in [{np.min(g)}, {np.max(g)}]"
             )
-        a2 = float(np.mean(np.abs(d2c[s.mask])))
-        a0 = float(np.mean(np.abs(uc[s.mask])))
+        a2 = float(np.mean(abs_d2[s.mask]))
+        a0 = float(np.mean(abs_u[s.mask]))
         if a2 <= 0.0:
             raise ConstructionError(f"slab (k={s.k}, sign={s.sign}) has zero |d1^2 u| average")
         denom[s.mask] += a2 * a0

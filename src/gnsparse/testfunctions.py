@@ -11,7 +11,7 @@ The compact bump uses a raised-cosine profile rather than the classical
 exp(-1/(1-t^2)) shape: both are legitimate compactly supported C^2 bumps,
 but the raised cosine has third-derivative constants roughly an order of
 magnitude smaller, which is what makes the two-dimensional continuity-modulus
-construction resolvable at desk-scale grids (the mollifier kernel, which
+construction resolvable at desk-scale grids (the tests' mollifier kernel, which
 never enters a modulus scan, keeps the classical shape).
 
 In 2D a spec is either a ``product`` of two 1D profiles or ``radial``

@@ -1,4 +1,8 @@
-"""Discrete mollification with the classical compactly supported kernel."""
+"""Discrete mollification with the classical compactly supported kernel.
+
+Only the tests use it: acceptance criterion 11 checks that mollifying
+contracts every norm, and test_functions checks the kernel itself.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +10,7 @@ import warnings
 
 import numpy as np
 
-from .grid import Grid1D, GridFunction1D
+from gnsparse.grid import GridFunction1D
 
 
 class BoundaryContaminationWarning(UserWarning):

@@ -2,8 +2,12 @@
 against, and numerical helpers that only tests use.
 
 Each loop does its work one set, one interval or one block at a time, the
-way the library did before it handled whole families in one pass.
+way the library did before it handled whole families in one pass.  The
+readers of a CellField's rearrangement (f*, f**, the distribution function)
+and of a text report (interval records, slab masks) live here too.
 """
+
+from collections import namedtuple
 
 import numpy as np
 
@@ -151,3 +155,95 @@ def resolved_k_min(u, min_cells: int = 4) -> int:
         family = build_family_1d(u, floor)
         narrow = [iv.k for iv in family.intervals if iv.y - iv.z < threshold]
     return floor
+
+
+def star(f, t):
+    """f*(t) of a CellField; right continuous, 0 beyond the support measure."""
+    t = np.asarray(t, dtype=float)
+    idx = np.searchsorted(f.breaks, t, side="right") - 1
+    out = np.zeros(t.shape)
+    inside = (idx >= 0) & (idx < len(f.heights))
+    out[inside] = f.heights[idx[inside]]
+    return out if out.shape else float(out)
+
+
+def double_star(f, t):
+    """f**(t) = (1/t) int_0^t f* of a CellField; ||f||_1 / t past the support."""
+    t = np.asarray(t, dtype=float)
+    if np.any(t <= 0.0):
+        raise ValueError("f** is defined for t > 0")
+    idx = np.searchsorted(f.breaks, t, side="right") - 1
+    idx = np.clip(idx, 0, len(f.heights))
+    out = np.empty(t.shape)
+    tail = idx >= len(f.heights)
+    out[tail] = f.total_integral / t[tail]
+    inner = ~tail
+    i = idx[inner]
+    partial = f.cum_integral[i] + (t[inner] - f.breaks[i]) * f.heights[i]
+    out[inner] = partial / t[inner]
+    return out if out.shape else float(out)
+
+
+def distribution(f, s):
+    """The measure of {|f| > s} for a CellField."""
+    s = np.asarray(s, dtype=float)
+    # heights ascend when reversed; count plateaus strictly above s
+    idx = np.searchsorted(-f.heights, -s, side="left")
+    out = f.breaks[idx]
+    return out if out.shape else float(out)
+
+
+def equimeasurable(a, b, rel_tol: float = 1e-9) -> bool:
+    """Whether two CellFields share a distribution function.
+
+    Compared at every plateau height of either field, which determines a
+    step-valued distribution completely.
+    """
+    if a.is_zero and b.is_zero:
+        return True
+    probe = np.unique(np.concatenate([a.heights, b.heights]))
+    probe = np.concatenate([[0.0], probe, probe * (1.0 - 1e-12)])
+    scale = max(a.support_measure, b.support_measure)
+    return bool(np.all(np.abs(distribution(a, probe) - distribution(b, probe)) <= rel_tol * scale))
+
+
+IntervalRecord = namedtuple("IntervalRecord", "z y k sign")
+
+
+def parse_intervals(text: str):
+    """Recover interval records from a structured-text report (or fragment)."""
+    records = []
+    for line in text.splitlines():
+        parts = line.split()
+        if parts[:1] == ["interval"]:
+            fields = dict(zip(parts[1::2], parts[2::2]))
+            records.append(
+                IntervalRecord(
+                    z=float(fields["z"]),
+                    y=float(fields["y"]),
+                    k=int(fields["k"]),
+                    sign=int(fields["sign"]),
+                )
+            )
+    return records
+
+
+def rle_decode(text: str) -> np.ndarray:
+    """The boolean grid of serialize.rle_encode's 'RxC:a,b,c,...' text."""
+    shape_part, _, runs_part = text.partition(":")
+    rows_text, _, cols_text = shape_part.partition("x")
+    rows, cols = int(rows_text), int(cols_text)
+    out = np.zeros(rows * cols, dtype=bool)
+    pos = 0
+    bit = False
+    for token in runs_part.split(","):
+        if token == "":
+            continue
+        length = int(token)
+        if bit:
+            out[pos : pos + length] = True
+        pos += length
+        bit = not bit
+    if pos != out.size:
+        raise ValueError(f"run lengths cover {pos} cells of {out.size}")
+    return out.reshape(rows, cols)

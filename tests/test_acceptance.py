@@ -18,7 +18,6 @@ import pytest
 
 from gnsparse.gn import GNCase, first_order_chain_check, gn_ratio, induction_identity_check
 from gnsparse.grid import Grid1D, interval_integrals
-from gnsparse.mollifier import BoundaryContaminationWarning, mollify
 from gnsparse.norms import lebesgue_norm, lorentz_norm, luxemburg_norm, space_norm
 from gnsparse.operator import (
     CellFamily,
@@ -26,8 +25,7 @@ from gnsparse.operator import (
     modular_contraction_check,
     operator_norm_check,
 )
-from gnsparse.rearrangement import RearrangementProfile
-from gnsparse.serialize import IntervalRecord
+from gnsparse.rearrangement import CellField
 from gnsparse.spaces import SpaceDescriptor, YoungFunction, cl_combine
 from gnsparse.sparse1d import (
     build_family_1d,
@@ -40,7 +38,8 @@ from gnsparse.sparse2d import build_family_2d, verify_family_2d
 from gnsparse.testfunctions import TestFunctionSpec, grid_for_spec, make_test_function
 
 from corpus import members
-from oracles import resolved_k_min
+from mollifier import BoundaryContaminationWarning, mollify
+from oracles import IntervalRecord, resolved_k_min, star
 
 P = SpaceDescriptor.parse
 
@@ -165,7 +164,7 @@ def test_criterion_05_operator_bounds(corpus_1024):
         cells = CellFamily.from_intervals(fam.intervals, grid)
         centers = grid.centers()
         for label, order in (("|u''|", 2), ("|u|", 0), ("1", None)):
-            f = np.ones(len(centers)) if order is None else np.abs(u.evaluate(centers, (order,))[0])
+            f = CellField(np.ones(len(centers)) if order is None else u.evaluate(centers, (order,))[0], grid.h)
             for space in (l1, linf):
                 lhs, rhs, K, ok = operator_norm_check(space, cells, f, apply_sparse_operator(cells, f))
                 assert ok, f"{name} {label} {space.format()}: {lhs} > {rhs}"
@@ -174,7 +173,7 @@ def test_criterion_05_operator_bounds(corpus_1024):
     grid = Grid1D(0.0, 2.0, 512)
     pair = [IntervalRecord(z=0.0, y=1.0, k=0, sign=1), IntervalRecord(z=0.0, y=2.0, k=1, sign=1)]
     nested = CellFamily.from_intervals(pair, grid)
-    f = (grid.centers() < 1.0).astype(float)
+    f = CellField((grid.centers() < 1.0).astype(float), grid.h)
     lhs, rhs, K, ok = operator_norm_check(l1, nested, f, apply_sparse_operator(nested, f))
     assert ok and K == 2
     assert lhs == pytest.approx(rhs, rel=1e-12)
@@ -196,7 +195,7 @@ def test_criterion_06_modular_contraction(corpus_1024):
     )
     for name, (u, fam) in corpus_1024.items():
         cells = CellFamily.from_intervals(fam.intervals, u.grid)
-        f = np.abs(u.evaluate(u.grid.centers(), (0,))[0])
+        f = CellField(u.evaluate(u.grid.centers(), (0,))[0], u.grid.h)
         tf = apply_sparse_operator(cells, f)
         for young in youngs:
             lhs, rhs, ok = modular_contraction_check(young, cells, f, tf)
@@ -210,12 +209,12 @@ def test_criterion_07_norm_engine(corpus_1024):
     for name, (u, _) in corpus_1024.items():
         f = np.abs(u.evaluate(u.grid.centers(), (0,))[0])
         h = u.grid.h
-        prof = RearrangementProfile(f, h)
-        m = int(round(prof.support_measure / h))
-        star = prof.star(h * (np.arange(m) + 0.5))
+        field = CellField(f, h)
+        m = int(round(field.support_measure / h))
+        rearranged = star(field, h * (np.arange(m) + 0.5))
         for p in (1, 2, 4):
-            a = lebesgue_norm(star, h, Fraction(p))
-            b = lebesgue_norm(f, h, Fraction(p))
+            a = lebesgue_norm(CellField(rearranged, h), Fraction(p))
+            b = lebesgue_norm(field, Fraction(p))
             rel = abs(a - b) / b
             assert rel <= 1e-6, f"{name} p={p}: rel {rel}"
             worst = max(worst, rel)
@@ -224,17 +223,17 @@ def test_criterion_07_norm_engine(corpus_1024):
     u, _ = corpus_1024["b1"]
     f = np.abs(u.evaluate(u.grid.centers(), (0,))[0])
     for p in (Fraction(3, 2), Fraction(2)):
-        lux = luxemburg_norm(f, u.grid.h, YoungFunction("pow", (p,)))
-        leb = lebesgue_norm(f, u.grid.h, p)
+        lux = luxemburg_norm(CellField(f, u.grid.h), YoungFunction("pow", (p,)))
+        leb = lebesgue_norm(CellField(f, u.grid.h), p)
         assert lux == pytest.approx(leb, rel=1e-6)
 
     # closed forms on the unit indicator
     vals = np.zeros(1024)
     vals[:256] = 1.0
     mu = 1.0 / 256.0
-    lor = lorentz_norm(vals, mu, Fraction(2), Fraction(2))
+    lor = lorentz_norm(CellField(vals, mu), Fraction(2), Fraction(2))
     assert lor == pytest.approx(math.sqrt(2.0), rel=1e-6)
-    exp_norm = luxemburg_norm(vals, mu, YoungFunction("exp"))
+    exp_norm = luxemburg_norm(CellField(vals, mu), YoungFunction("exp"))
     assert exp_norm == pytest.approx(1.0 / math.log(2.0), rel=1e-6)
     criterion(
         7,
@@ -319,8 +318,8 @@ def test_criterion_11_mollification_contracts():
             warnings.simplefilter("ignore", BoundaryContaminationWarning)
             smoothed = mollify(u, 32.0 * h)
         for space in spaces:
-            a = space_norm(space, np.abs(smoothed.values), h)
-            b = space_norm(space, np.abs(u.values), h)
+            a = space_norm(space, CellField(smoothed.values, h))
+            b = space_norm(space, CellField(u.values, h))
             assert a <= b * (1.0 + 1e-6), f"{spec.name} {space.format()}: {a} > {b}"
             if b > 0:
                 worst = max(worst, a / b)

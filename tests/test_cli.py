@@ -18,8 +18,6 @@ from gnsparse.serialize import (
     CSV_COLUMNS,
     csv_report,
     format_float,
-    parse_intervals,
-    rle_decode,
     rle_encode,
     text_report,
     tolerance_note,
@@ -28,6 +26,7 @@ from gnsparse.spaces import SpaceDescriptor
 from gnsparse.testfunctions import TestFunctionSpec
 
 from corpus import run_config
+from oracles import parse_intervals, rle_decode
 
 P = SpaceDescriptor.parse
 

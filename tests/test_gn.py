@@ -2,6 +2,7 @@
 algebra, and the corpus runner."""
 
 import dataclasses
+import functools
 import gc
 import os
 import tracemalloc
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 
 from gnsparse import gn as gn_module
+from gnsparse import norms as norms_module
 from gnsparse import operator as operator_module
 from gnsparse import testfunctions as testfunctions_module
 from gnsparse.errors import AdmissibilityError, ConstructionError, CorpusConfigError
@@ -27,6 +29,7 @@ from gnsparse.gn import (
     run_corpus,
 )
 from gnsparse.operator import CellFamily, apply_sparse_operator
+from gnsparse.rearrangement import CellField
 from gnsparse.spaces import SpaceDescriptor, cl_combine
 from gnsparse.testfunctions import TestFunctionSpec, grid_for_spec, make_test_function
 
@@ -396,6 +399,59 @@ class TestRunCorpus:
         result = run_case(case, CHECK_NAMES)
         assert result.passed, result.verdicts
         assert at_centers and max(at_centers.values()) == 1, at_centers
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_case_takes_each_field_absolute_once_and_sorts_it_once(self, dim, monkeypatch):
+        # a field holds |f| from its constructor on: the norms, the operator
+        # and the GN steps neither take np.abs of its values nor wrap them
+        # in a new field, and no field is sorted into f* twice
+        if dim == 1:
+            case = case_1d(BUMP, "Lor:2,2", "Lor:3,2")
+        else:
+            x, y = P("Lor:2,2"), P("Lor:3,2")
+            case = GNCase(spec=member("p1"), j=1, k=2, x_space=x, y_space=y, mode="gradient", n=128)
+        fields, again, sorts = [], [], []
+
+        def of_a_field(array):
+            return isinstance(array, np.ndarray) and any(np.shares_memory(array, f.values) for f in fields)
+
+        init = CellField.__init__
+
+        def tracked(field, values, cell_measure):
+            if of_a_field(values):
+                again.append("CellField")
+            init(field, values, cell_measure)
+            fields.append(field)
+
+        build = CellField._plateaus.func
+
+        def counted(field):
+            sorts.append((field.values.tobytes(), field.cell_measure))
+            return build(field)
+
+        plateaus = functools.cached_property(counted)
+        plateaus.__set_name__(CellField, "_plateaus")
+
+        class Numpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            @staticmethod
+            def abs(x, *args, **kwargs):
+                if of_a_field(x):
+                    again.append("np.abs")
+                return np.abs(x, *args, **kwargs)
+
+        monkeypatch.setattr(CellField, "__init__", tracked)
+        monkeypatch.setattr(CellField, "_plateaus", plateaus)
+        for module in (norms_module, operator_module, gn_module):
+            monkeypatch.setattr(module, "np", Numpy())
+        result = run_case(case, CHECK_NAMES)
+        assert result.passed, result.verdicts
+        assert again == []
+        # Z, X and Y are Lorentz spaces: the GN norms sort three fields at n and three at 2n
+        assert len(sorts) >= 6, len(sorts)
+        assert len(set(sorts)) == len(sorts)
 
     def test_z_is_combined_on_first_use(self, monkeypatch):
         # building a case combines nothing; a combination that fails is the

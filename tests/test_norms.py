@@ -21,7 +21,7 @@ from gnsparse.norms import (
     space_norm,
 )
 from gnsparse import spaces as spaces_module
-from gnsparse.rearrangement import RearrangementProfile, equimeasurable
+from gnsparse.rearrangement import CellField
 from gnsparse.spaces import (
     INF,
     SpaceDescriptor,
@@ -35,6 +35,7 @@ from gnsparse.testfunctions import TestFunctionSpec, grid_for_spec, make_test_fu
 from gnsparse.grid import Grid1D
 
 from corpus import members
+from oracles import distribution, double_star, equimeasurable, star
 
 
 def step_function():
@@ -55,11 +56,11 @@ def indicator(measure_cells=256, total_cells=1024):
 class TestRearrangement:
     def test_step_profile(self):
         vals, mu = step_function()
-        prof = RearrangementProfile(vals, mu)
-        assert prof.support_measure == pytest.approx(3.0, abs=1e-12)
-        assert prof.total_integral == pytest.approx(4.0, abs=1e-12)
-        assert list(prof.heights) == [2.0, 1.0]
-        assert list(prof.widths) == pytest.approx([1.0, 2.0], abs=1e-12)
+        field = CellField(vals, mu)
+        assert field.support_measure == pytest.approx(3.0, abs=1e-12)
+        assert field.total_integral == pytest.approx(4.0, abs=1e-12)
+        assert list(field.heights) == [2.0, 1.0]
+        assert list(field.widths) == pytest.approx([1.0, 2.0], abs=1e-12)
 
     @pytest.mark.parametrize("size", [1, 2, 7, 4096])
     def test_plateaus_match_np_unique(self, size):
@@ -81,62 +82,105 @@ class TestRearrangement:
                 "breaks": np.concatenate([[0.0], np.cumsum(widths)]),
                 "cum_integral": np.concatenate([[0.0], np.cumsum(heights * widths)]),
             }
-            prof = RearrangementProfile(vals, mu)
+            field = CellField(vals, mu)
             for name, array in want.items():
-                assert np.array_equal(getattr(prof, name), array), name
+                assert np.array_equal(getattr(field, name), array), name
 
     def test_star_values(self):
         vals, mu = step_function()
-        prof = RearrangementProfile(vals, mu)
-        assert prof.star(0.0) == 2.0
-        assert prof.star(0.5) == 2.0
-        assert prof.star(1.0) == 1.0  # right continuous at the break
-        assert prof.star(2.9) == 1.0
-        assert prof.star(3.0) == 0.0
-        assert prof.star(7.0) == 0.0
+        field = CellField(vals, mu)
+        assert star(field, 0.0) == 2.0
+        assert star(field, 0.5) == 2.0
+        assert star(field, 1.0) == 1.0  # right continuous at the break
+        assert star(field, 2.9) == 1.0
+        assert star(field, 3.0) == 0.0
+        assert star(field, 7.0) == 0.0
 
     def test_double_star_values(self):
         vals, mu = step_function()
-        prof = RearrangementProfile(vals, mu)
-        assert prof.double_star(0.5) == pytest.approx(2.0)
-        assert prof.double_star(2.0) == pytest.approx(1.5)  # (2 + 1)/2
-        assert prof.double_star(4.0) == pytest.approx(1.0)  # ||f||_1 / t
-        assert prof.double_star(8.0) == pytest.approx(0.5)
+        field = CellField(vals, mu)
+        assert double_star(field, 0.5) == pytest.approx(2.0)
+        assert double_star(field, 2.0) == pytest.approx(1.5)  # (2 + 1)/2
+        assert double_star(field, 4.0) == pytest.approx(1.0)  # ||f||_1 / t
+        assert double_star(field, 8.0) == pytest.approx(0.5)
         with pytest.raises(ValueError):
-            prof.double_star(0.0)
+            double_star(field, 0.0)
 
     def test_distribution_values(self):
         vals, mu = step_function()
-        prof = RearrangementProfile(vals, mu)
-        assert prof.distribution(0.0) == pytest.approx(3.0)
-        assert prof.distribution(0.5) == pytest.approx(3.0)
-        assert prof.distribution(1.0) == pytest.approx(1.0)
-        assert prof.distribution(1.5) == pytest.approx(1.0)
-        assert prof.distribution(2.0) == 0.0
+        field = CellField(vals, mu)
+        assert distribution(field, 0.0) == pytest.approx(3.0)
+        assert distribution(field, 0.5) == pytest.approx(3.0)
+        assert distribution(field, 1.0) == pytest.approx(1.0)
+        assert distribution(field, 1.5) == pytest.approx(1.0)
+        assert distribution(field, 2.0) == 0.0
 
     def test_gaussian_star_matches_closed_form(self):
         # for f = exp(-x^2), {f > s} has measure 2 sqrt(-ln s), so
         # f*(t) = exp(-t^2/4)
         spec = TestFunctionSpec(family="gaussian", center=0.0, width=1.0, amplitude=1.0, window=(-6.0, 6.0))
         u = make_test_function(spec, Grid1D(-6.0, 6.0, 1024))
-        prof = RearrangementProfile(u.center_values(0), u.grid.h)
+        field = CellField(u.center_values(0), u.grid.h)
         for t in (0.5, 1.0, 2.0, 3.0):
-            assert prof.star(t) == pytest.approx(math.exp(-t * t / 4.0), abs=2e-2)
+            assert star(field, t) == pytest.approx(math.exp(-t * t / 4.0), abs=2e-2)
 
     def test_equimeasurable_under_shuffle(self):
         vals, mu = step_function()
         shuffled = np.random.default_rng(0).permutation(vals)
-        assert equimeasurable(vals, mu, shuffled, mu)
-        assert not equimeasurable(vals, mu, 2.0 * vals, mu)
+        assert equimeasurable(CellField(vals, mu), CellField(shuffled, mu))
+        assert not equimeasurable(CellField(vals, mu), CellField(2.0 * vals, mu))
 
     def test_norms_are_rearrangement_invariant(self):
         vals, mu = step_function()
         shuffled = np.random.default_rng(1).permutation(vals)
+        rng = np.random.default_rng(2)
+        signed = rng.normal(size=vals.size)
         for text in ("L:1", "L:2", "L:4", "L:inf", "Lor:2,2", "Orl:exp"):
             space = SpaceDescriptor.parse(text)
-            assert space_norm(space, vals, mu) == pytest.approx(
-                space_norm(space, shuffled, mu), rel=1e-12
+            assert space_norm(space, CellField(vals, mu)) == pytest.approx(
+                space_norm(space, CellField(shuffled, mu)), rel=1e-12
             )
+            # a field holds |f|, so flipping signs changes no bit of a norm
+            for f in (vals, signed):
+                flipped = f * rng.choice([-1.0, 1.0], size=f.size)
+                assert space_norm(space, CellField(flipped, mu)) == space_norm(space, CellField(f, mu))
+                assert space_norm(space, CellField(-f, mu)) == space_norm(space, CellField(f, mu))
+
+    @pytest.mark.parametrize("mu", [0.0, -0.25, math.nan])
+    @pytest.mark.parametrize("norm", ["lebesgue", "lorentz", "luxemburg", "modular"])
+    def test_non_positive_cell_measure_rejected(self, norm, mu):
+        # with a bare measure, L^2 at -0.25 came out complex, at 0 it was 0,
+        # and the modular went negative; a field cannot carry such a measure
+        young = YoungFunction("pow", (Fraction(2),))
+        evaluate = {
+            "lebesgue": lambda f: lebesgue_norm(f, Fraction(2)),
+            "lorentz": lambda f: lorentz_norm(f, Fraction(2), Fraction(2)),
+            "luxemburg": lambda f: luxemburg_norm(f, young),
+            "modular": lambda f: modular(young, f),
+        }[norm]
+        assert evaluate(CellField([1.0, 2.0, 0.5], 0.25)) > 0.0
+        with pytest.raises(ValueError, match="cell measure must be positive"):
+            evaluate(CellField([1.0, 2.0, 0.5], mu))
+
+    @settings(max_examples=40, derandomize=True, deadline=None, database=None)
+    @given(
+        values=st.lists(st.floats(-1e3, 1e3, allow_subnormal=False), min_size=1, max_size=200),
+        mu=st.sampled_from([1e-3, 1.0 / 64.0, 1.0]),
+    )
+    def test_profile_read_order_leaves_norms_bit_identical(self, values, mu):
+        # the profile is one sort of a copy: reading it first or last
+        # moves no value the Lebesgue and Luxemburg norms read
+        young = YoungFunction("pow", (Fraction(3, 2),))
+
+        def others(f):
+            return [lebesgue_norm(f, Fraction(3)), lebesgue_norm(f, INF), luxemburg_norm(f, young)]
+
+        first, last = CellField(values, mu), CellField(values, mu)
+        lorentz_first = lorentz_norm(first, Fraction(2), Fraction(2))
+        others_first, others_last = others(first), others(last)
+        lorentz_last = lorentz_norm(last, Fraction(2), Fraction(2))
+        assert repr(others_first) == repr(others_last)
+        assert repr(lorentz_first) == repr(lorentz_last)
 
 
 class TestDescriptors:
@@ -380,7 +424,7 @@ class TestArrayBisection:
         young = YoungFunction("combined", factors=(_EXP, _POW2), theta=Fraction(1, 3))
         monkeypatch.setattr(young, "_log_inverse", self.bounded_log_inverse)
         with pytest.raises(YoungInversionError):
-            luxemburg_norm(np.array([1.0, 0.01]), 0.5, young)
+            luxemburg_norm(CellField(np.array([1.0, 0.01]), 0.5), young)
 
 
 def newton_solve(fn):
@@ -461,31 +505,31 @@ class TestNewtonKernel:
 class TestNorms:
     def test_lebesgue_indicator(self):
         vals, mu = indicator(1024, 1024)  # chi_[0,4]
-        assert lebesgue_norm(vals, mu, Fraction(2)) == pytest.approx(2.0, rel=1e-12)
-        assert lebesgue_norm(vals, mu, Fraction(1)) == pytest.approx(4.0, rel=1e-12)
-        assert lebesgue_norm(vals, mu, INF) == 1.0
+        assert lebesgue_norm(CellField(vals, mu), Fraction(2)) == pytest.approx(2.0, rel=1e-12)
+        assert lebesgue_norm(CellField(vals, mu), Fraction(1)) == pytest.approx(4.0, rel=1e-12)
+        assert lebesgue_norm(CellField(vals, mu), INF) == 1.0
 
     def test_lorentz_indicator_sqrt2(self):
-        vals, mu = indicator()  # measure exactly 1
-        assert lorentz_norm(vals, mu, Fraction(2), Fraction(2)) == pytest.approx(math.sqrt(2.0), rel=1e-12)
+        f = CellField(*indicator())  # measure exactly 1
+        assert lorentz_norm(f, Fraction(2), Fraction(2)) == pytest.approx(math.sqrt(2.0), rel=1e-12)
 
     def test_lorentz_indicator_general_closed_form(self):
         # ||chi_E||^p = m^(p/P) (P/p + 1/(p - p/P)) for |E| = m
         vals, mu = indicator(512)  # m = 2
         P, p = Fraction(3, 2), Fraction(1)
         expected = 2.0 ** (2.0 / 3.0) * (1.5 + 3.0)
-        assert lorentz_norm(vals, mu, P, p) == pytest.approx(expected, rel=1e-12)
+        assert lorentz_norm(CellField(vals, mu), P, p) == pytest.approx(expected, rel=1e-12)
 
     def test_lorentz_step_oracle(self):
         # exact integral of (f**)^2 t^(2/2 - 1): 4 + int_1^3 ((1+t)/t)^2 + 16/3
         vals, mu = step_function()
         expected = math.sqrt(12.0 + 2.0 * math.log(3.0))
-        assert lorentz_norm(vals, mu, Fraction(2), Fraction(2)) == pytest.approx(expected, rel=1e-10)
+        assert lorentz_norm(CellField(vals, mu), Fraction(2), Fraction(2)) == pytest.approx(expected, rel=1e-10)
 
     def test_weak_lorentz_step_oracle(self):
         # sup t^(1/2) f**(t) sits at the end of the support, 4/sqrt(3)
-        vals, mu = step_function()
-        assert lorentz_norm(vals, mu, Fraction(2), INF) == pytest.approx(4.0 / math.sqrt(3.0), rel=1e-12)
+        f = CellField(*step_function())
+        assert lorentz_norm(f, Fraction(2), INF) == pytest.approx(4.0 / math.sqrt(3.0), rel=1e-12)
 
     def test_lorentz_temporaries_stay_plateau_sized(self):
         # 300k distinct values make 300k plateaus.  The quadrature takes its
@@ -499,7 +543,7 @@ class TestNorms:
         try:
             tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
-            lorentz_norm(vals, 1e-3, Fraction(2), Fraction(2))
+            lorentz_norm(CellField(vals, 1e-3), Fraction(2), Fraction(2))
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             if started:
@@ -509,17 +553,18 @@ class TestNorms:
     def test_luxemburg_power_matches_lebesgue(self):
         vals, mu = step_function()
         y = YoungFunction("pow", (Fraction(2),))
-        assert luxemburg_norm(vals, mu, y) == pytest.approx(lebesgue_norm(vals, mu, Fraction(2)), rel=1e-7)
+        f = CellField(vals, mu)
+        assert luxemburg_norm(f, y) == pytest.approx(lebesgue_norm(f, Fraction(2)), rel=1e-7)
 
     def test_luxemburg_exp_indicator(self):
         # rho(chi/lam) = e^(1/lam) - 1 = 1 at lam = 1/ln 2
-        vals, mu = indicator()
-        assert luxemburg_norm(vals, mu, YoungFunction("exp")) == pytest.approx(1.0 / math.log(2.0), rel=1e-6)
+        f = CellField(*indicator())
+        assert luxemburg_norm(f, YoungFunction("exp")) == pytest.approx(1.0 / math.log(2.0), rel=1e-6)
 
     def test_zero_function_all_spaces(self):
         z = np.zeros(64)
         for text in ("L:2", "L:inf", "Lor:2,2", "Orl:exp"):
-            assert space_norm(SpaceDescriptor.parse(text), z, 0.25) == 0.0
+            assert space_norm(SpaceDescriptor.parse(text), CellField(z, 0.25)) == 0.0
 
     @pytest.mark.parametrize("text", ["L:1", "L:2", "L:inf", "Lor:2,2", "Lor:3/2,1", "Lor:2,inf", "Orl:pow:2", "Orl:exp"])
     def test_norm_axioms(self, text):
@@ -528,23 +573,23 @@ class TestNorms:
         f = rng.normal(size=512)
         g = rng.normal(size=512)
         mu = 1.0 / 128.0
-        nf = space_norm(space, f, mu)
+        nf = space_norm(space, CellField(f, mu))
         # homogeneity
-        assert space_norm(space, 3.0 * f, mu) == pytest.approx(3.0 * nf, rel=1e-7)
+        assert space_norm(space, CellField(3.0 * f, mu)) == pytest.approx(3.0 * nf, rel=1e-7)
         # triangle inequality
-        assert space_norm(space, f + g, mu) <= (nf + space_norm(space, g, mu)) * (1.0 + 1e-7)
+        assert space_norm(space, CellField(f + g, mu)) <= (nf + space_norm(space, CellField(g, mu))) * (1.0 + 1e-7)
         # lattice property
-        assert space_norm(space, 0.5 * np.abs(f), mu) <= nf * (1.0 + 1e-7)
+        assert space_norm(space, CellField(0.5 * np.abs(f), mu)) <= nf * (1.0 + 1e-7)
 
     def test_modular_overflow_raises(self):
         with pytest.raises(ModularRangeError) as err:
-            modular(YoungFunction("exp"), np.array([1e6]), 1.0, scale=1e-3)
+            modular(YoungFunction("exp"), CellField(np.array([1e6]), 1.0), scale=1e-3)
         assert err.value.argument == pytest.approx(1e9)
 
     def test_luxemburg_bracket_guard(self):
         # a degenerate integrand that never pushes the modular above 1
         with pytest.raises(YoungBracketError):
-            luxemburg_norm(np.ones(4), 1.0, lambda t: np.zeros_like(t))
+            luxemburg_norm(CellField(np.ones(4), 1.0), lambda t: np.zeros_like(t))
 
 
 def _product(x, y, theta):
@@ -640,7 +685,7 @@ class TestLuxemburgSolver:
                 mu = u.grid.h if dim == 1 else u.grid.cell_area
                 for order in (0, 1, 2):
                     call, calls = counted(young)
-                    luxemburg_norm(u.center_values(order), mu, call)
+                    luxemburg_norm(CellField(u.center_values(order), mu), call)
                     assert len(calls) <= budget, (spec.name, order)
 
     @pytest.mark.parametrize(
@@ -659,24 +704,25 @@ class TestLuxemburgSolver:
         oracle, oracle_calls = counted(young)
         want = bisection_luxemburg(values, mu, oracle)
         call, calls = counted(young)
-        got = luxemburg_norm(values, mu, call)
+        got = luxemburg_norm(CellField(values, mu), call)
         assert got == pytest.approx(want, rel=LUXEMBURG_REL_TOL)
         assert len(calls) <= 2 * len(oracle_calls)
         with pytest.raises(OverflowError):
-            young(values / (values.max() * modular(young, values, mu)))
+            young(values / (values.max() * modular(young, CellField(values, mu))))
 
 
     def test_overflow_at_max_is_a_bracket_error(self):
         # rho(max|f|) = inf leaves the convexity bracket without its far end
         with pytest.raises(YoungBracketError):
-            luxemburg_norm(np.ones(4), 1.0, overflows_above(0.5, _POW2))
+            luxemburg_norm(CellField(np.ones(4), 1.0), overflows_above(0.5, _POW2))
 
 
 class TestFactorization:
     def test_equal_inputs_give_equality(self):
         vals, mu = step_function()
         x = SpaceDescriptor.parse("L:2")
-        lhs, rhs, ok = cl_factorization_check(x, x, x, vals, vals, vals, Fraction(1, 2), mu)
+        f = CellField(vals, mu)
+        lhs, rhs, ok = cl_factorization_check(x, x, x, f, f, f, Fraction(1, 2))
         assert ok
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
@@ -690,7 +736,8 @@ class TestFactorization:
         y = SpaceDescriptor.parse("L:4")
         z = cl_combine(x, y, Fraction(1, 2))
         assert z.format() == "L:8/3"
-        lhs, rhs, ok = cl_factorization_check(z, x, y, h, f, g, Fraction(1, 2), mu)
+        h, f, g = (CellField(v, mu) for v in (h, f, g))
+        lhs, rhs, ok = cl_factorization_check(z, x, y, h, f, g, Fraction(1, 2))
         assert ok and lhs <= rhs * (1.0 + 1e-9)
 
     def test_holder_lorentz(self):
@@ -702,14 +749,15 @@ class TestFactorization:
         x = SpaceDescriptor.parse("Lor:2,2")
         y = SpaceDescriptor.parse("Lor:4,4")
         z = cl_combine(x, y, Fraction(1, 2))
-        lhs, rhs, ok = cl_factorization_check(z, x, y, h, f, g, Fraction(1, 2), mu)
+        h, f, g = (CellField(v, mu) for v in (h, f, g))
+        lhs, rhs, ok = cl_factorization_check(z, x, y, h, f, g, Fraction(1, 2))
         assert ok
 
     def test_zero_numerator_passes(self):
         mu = 0.25
-        f = np.ones(16)
+        f = CellField(np.ones(16), mu)
         x = SpaceDescriptor.parse("L:2")
-        lhs, _, ok = cl_factorization_check(x, x, x, np.zeros(16), f, f, Fraction(1, 2), mu)
+        lhs, _, ok = cl_factorization_check(x, x, x, CellField(np.zeros(16), mu), f, f, Fraction(1, 2))
         assert ok and lhs == 0.0
 
     def test_pointwise_violation_rejected(self):
@@ -720,11 +768,10 @@ class TestFactorization:
                 SpaceDescriptor.parse("L:2"),
                 SpaceDescriptor.parse("L:2"),
                 SpaceDescriptor.parse("L:2"),
-                2.0 * f,
-                f,
-                f,
+                CellField(2.0 * f, mu),
+                CellField(f, mu),
+                CellField(f, mu),
                 Fraction(1, 2),
-                mu,
             )
 
 
@@ -759,9 +806,9 @@ def test_combined_orlicz_properties(young, values, c, t):
     space = SpaceDescriptor("orlicz", young=young)
     f = np.array(values)
     mu = 1.0 / 64.0
-    nf = luxemburg_norm(f, mu, young)
-    assert luxemburg_norm(c * f, mu, young) == pytest.approx(c * nf, rel=norm_tolerance(space))
-    assert modular(young, f, mu, scale=nf) <= 1.0 + 1e-6
+    nf = luxemburg_norm(CellField(f, mu), young)
+    assert luxemburg_norm(CellField(c * f, mu), young) == pytest.approx(c * nf, rel=norm_tolerance(space))
+    assert modular(young, CellField(f, mu), scale=nf) <= 1.0 + 1e-6
     assert young.inverse(young(t)) == pytest.approx(t, rel=1e-9)
 
 
@@ -792,8 +839,8 @@ def test_luxemburg_matches_bisection_oracle(young, values, mu):
     oracle, oracle_calls = counted(young)
     want = bisection_luxemburg(values, mu, oracle)
     call, calls = counted(young)
-    got = luxemburg_norm(values, mu, call)
+    got = luxemburg_norm(CellField(values, mu), call)
     assert got == pytest.approx(want, rel=LUXEMBURG_REL_TOL)
-    assert modular(young, values, mu, scale=got) <= 1.0
-    assert modular(young, values, mu, scale=got * (1.0 - LUXEMBURG_REL_TOL)) > 1.0
+    assert modular(young, CellField(values, mu), scale=got) <= 1.0
+    assert modular(young, CellField(values, mu), scale=got * (1.0 - LUXEMBURG_REL_TOL)) > 1.0
     assert len(calls) <= len(oracle_calls)

@@ -17,6 +17,7 @@ from gnsparse.operator import (
     modular_contraction_check,
     operator_norm_check,
 )
+from gnsparse.rearrangement import CellField
 from gnsparse.sparse1d import EscapeInterval, build_family_1d, default_k_min
 from gnsparse.spaces import SpaceDescriptor, YoungFunction
 from gnsparse.testfunctions import TestFunctionSpec, grid_for_spec, make_test_function
@@ -28,17 +29,12 @@ def iv(z, y, k=0, sign=1):
     return EscapeInterval(z=z, y=y, k=k, sign=sign, seed=0.5 * (z + y))
 
 
-def t_abs(fam, f):
-    # the T|f| the checks take from their caller
-    return apply_sparse_operator(fam, np.abs(f))
-
-
 def pair_family():
     # P1 = (0,1), P2 = (0,2) on [0,2]: K = 2, and for f = chi_(0,1):
     # Tf = 1.5 on (0,1), 0.5 on (1,2)
     grid = Grid1D(0.0, 2.0, 512)
     fam = CellFamily.from_intervals([iv(0.0, 1.0), iv(0.0, 2.0)], grid)
-    f = (grid.centers() < 1.0).astype(float)
+    f = CellField((grid.centers() < 1.0).astype(float), grid.h)
     return grid, fam, f
 
 
@@ -58,7 +54,7 @@ class TestRasterize:
 
     def test_empty_set_rejected(self):
         with pytest.raises(EmptyRegionError):
-            CellFamily(np.array([], dtype=int), [0], 8, 0.125)
+            CellFamily(np.array([], dtype=int), [0], 8)
 
     def test_overlap_counting(self):
         grid, fam, _ = pair_family()
@@ -70,7 +66,7 @@ class TestRasterize:
 
     def test_out_of_range_cell_rejected(self):
         with pytest.raises(ValueError, match="out of range"):
-            CellFamily([3, 8], [2], 8, 0.125)
+            CellFamily([3, 8], [2], 8)
 
 
 @st.composite
@@ -109,7 +105,10 @@ def assert_matches_loop(fam, sets, seed):
     f = cell_values(seed, fam.n_cells)
     # segment sums run in order, np.mean sums pairwise: a few ulp apart
     np.testing.assert_allclose(
-        apply_sparse_operator(fam, f), loop_sparse_operator(sets, f), rtol=4 * np.finfo(float).eps, atol=0.0
+        apply_sparse_operator(fam, CellField(f, 0.25)).values,
+        loop_sparse_operator(sets, f),
+        rtol=4 * np.finfo(float).eps,
+        atol=0.0,
     )
 
 
@@ -128,7 +127,7 @@ class TestFlatFamilyAgainstLoops:
     @settings(max_examples=80, derandomize=True, deadline=None, database=None)
     @given(mask_families(), st.integers(0, 2**32 - 1))
     def test_mask_family(self, masks, seed):
-        fam = CellFamily.from_masks(masks, 0.25)
+        fam = CellFamily.from_masks(masks)
         sets = [np.flatnonzero(m) for m in masks if m.any()]
         assert fam.dropped == sum(1 for m in masks if not m.any())
         assert fam.n_cells == masks[0].size
@@ -138,14 +137,14 @@ class TestFlatFamilyAgainstLoops:
     def test_empty_family(self):
         fam = CellFamily.from_intervals([], Grid1D(0.0, 1.0, 8))
         assert len(fam) == 0 and fam.max_overlap == 0
-        out = apply_sparse_operator(fam, np.ones(8))
+        out = apply_sparse_operator(fam, CellField(np.ones(8), 0.125)).values
         assert out.dtype == float and np.array_equal(out, np.zeros(8))
 
 
 class TestApply:
     def test_pair_family_action(self):
         grid, fam, f = pair_family()
-        tf = apply_sparse_operator(fam, f)
+        tf = apply_sparse_operator(fam, f).values
         half = fam.n_cells // 2
         np.testing.assert_allclose(tf[:half], 1.5, rtol=1e-12)
         np.testing.assert_allclose(tf[half:], 0.5, rtol=1e-12)
@@ -155,24 +154,26 @@ class TestApply:
         fam = CellFamily.from_intervals([iv(0.0, 1.0)], grid)
         chi = np.zeros(fam.n_cells)
         chi[sets_of(fam)[0]] = 1.0
-        np.testing.assert_allclose(apply_sparse_operator(fam, chi), chi, atol=1e-15)
+        np.testing.assert_allclose(apply_sparse_operator(fam, CellField(chi, grid.h)).values, chi, atol=1e-15)
 
     def test_linearity(self):
+        # T acts on fields, which are non-negative: additive and positively
+        # homogeneous on that cone
         grid, fam, f = pair_family()
         rng = np.random.default_rng(0)
-        g = rng.normal(size=fam.n_cells)
-        lhs = apply_sparse_operator(fam, 2.0 * f + 3.0 * g)
-        rhs = 2.0 * apply_sparse_operator(fam, f) + 3.0 * apply_sparse_operator(fam, g)
+        g = CellField(rng.normal(size=fam.n_cells), grid.h)
+        lhs = apply_sparse_operator(fam, CellField(2.0 * f.values + 3.0 * g.values, grid.h)).values
+        rhs = 2.0 * apply_sparse_operator(fam, f).values + 3.0 * apply_sparse_operator(fam, g).values
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
     def test_positivity(self):
         grid, fam, f = pair_family()
-        assert np.all(apply_sparse_operator(fam, np.abs(f) + 0.25) > 0.0)
+        assert np.all(apply_sparse_operator(fam, CellField(f.values + 0.25, grid.h)).values > 0.0)
 
     def test_wrong_cell_count_rejected(self):
         grid, fam, _ = pair_family()
         with pytest.raises(ValueError):
-            apply_sparse_operator(fam, np.ones(fam.n_cells + 1))
+            apply_sparse_operator(fam, CellField(np.ones(fam.n_cells + 1), grid.h))
 
 
 class TestOperatorNorm:
@@ -180,14 +181,16 @@ class TestOperatorNorm:
         # ||Tf||_1 = sum over P of int_P |f| reaches K||f||_1 exactly when
         # every cell of supp f is covered K times
         grid, fam, f = pair_family()
-        lhs, rhs, K, ok = operator_norm_check(SpaceDescriptor.parse("L:1"), fam, f, t_abs(fam, f))
+        tf = apply_sparse_operator(fam, f)
+        lhs, rhs, K, ok = operator_norm_check(SpaceDescriptor.parse("L:1"), fam, f, tf)
         assert ok and K == 2
         assert lhs == pytest.approx(2.0, rel=1e-12)
         assert rhs == pytest.approx(2.0, rel=1e-12)
 
     def test_sup_norm_bound(self):
         grid, fam, f = pair_family()
-        lhs, rhs, K, ok = operator_norm_check(SpaceDescriptor.parse("L:inf"), fam, f, t_abs(fam, f))
+        tf = apply_sparse_operator(fam, f)
+        lhs, rhs, K, ok = operator_norm_check(SpaceDescriptor.parse("L:inf"), fam, f, tf)
         assert ok
         assert lhs == pytest.approx(1.5, rel=1e-12)
         assert rhs == pytest.approx(2.0, rel=1e-12)
@@ -196,8 +199,9 @@ class TestOperatorNorm:
     def test_bound_across_spaces_random_input(self, text):
         grid, fam, _ = pair_family()
         rng = np.random.default_rng(11)
-        f = rng.normal(size=fam.n_cells)
-        lhs, rhs, K, ok = operator_norm_check(SpaceDescriptor.parse(text), fam, f, t_abs(fam, f))
+        f = CellField(rng.normal(size=fam.n_cells), grid.h)
+        tf = apply_sparse_operator(fam, f)
+        lhs, rhs, K, ok = operator_norm_check(SpaceDescriptor.parse(text), fam, f, tf)
         assert ok, f"{text}: {lhs} > {K} * {rhs / max(K, 1)}"
 
     def test_bound_on_built_sine_family(self):
@@ -213,15 +217,17 @@ class TestOperatorNorm:
         fam1d = build_family_1d(u, default_k_min(u))
         fam = CellFamily.from_intervals(fam1d.intervals, u.grid)
         assert fam.max_overlap <= 3
-        f = np.abs(u.center_values(2))
+        f = CellField(u.center_values(2), u.grid.h)
+        tf = apply_sparse_operator(fam, f)
         for text in ("L:1", "L:2", "Lor:2,2", "Orl:exp"):
-            lhs, rhs, K, ok = operator_norm_check(SpaceDescriptor.parse(text), fam, f, t_abs(fam, f))
+            lhs, rhs, K, ok = operator_norm_check(SpaceDescriptor.parse(text), fam, f, tf)
             assert ok, text
 
     def test_zero_input_vacuous(self):
         grid, fam, _ = pair_family()
-        zero = np.zeros(fam.n_cells)
-        lhs, rhs, K, ok = operator_norm_check(SpaceDescriptor.parse("L:2"), fam, zero, t_abs(fam, zero))
+        zero = CellField(np.zeros(fam.n_cells), grid.h)
+        tzero = apply_sparse_operator(fam, zero)
+        lhs, rhs, K, ok = operator_norm_check(SpaceDescriptor.parse("L:2"), fam, zero, tzero)
         assert ok and lhs == 0.0 and rhs == 0.0
 
 
@@ -230,14 +236,15 @@ class TestModularContraction:
         grid = Grid1D(0.0, 2.0, 512)
         fam = CellFamily.from_intervals([iv(0.0, 2.0)], grid)
         rng = np.random.default_rng(2)
-        f = np.abs(rng.normal(size=fam.n_cells))
+        f = CellField(rng.normal(size=fam.n_cells), grid.h)
         young = YoungFunction("pow", (Fraction(2),))
-        lhs, rhs, ok = modular_contraction_check(young, fam, f, t_abs(fam, f))
+        lhs, rhs, ok = modular_contraction_check(young, fam, f, apply_sparse_operator(fam, f))
         assert ok and lhs <= rhs
 
     def test_pair_family_exp_young(self):
         grid, fam, f = pair_family()
-        lhs, rhs, ok = modular_contraction_check(YoungFunction("exp"), fam, 2.0 * f, t_abs(fam, 2.0 * f))
+        f2 = CellField(2.0 * f.values, grid.h)
+        lhs, rhs, ok = modular_contraction_check(YoungFunction("exp"), fam, f2, apply_sparse_operator(fam, f2))
         assert ok
 
     def test_scale_by_overlap_is_required(self):
@@ -247,9 +254,8 @@ class TestModularContraction:
         young = YoungFunction("pow", (Fraction(2),))
         K = fam.max_overlap
         tf = apply_sparse_operator(fam, f)
-        mu = fam.cell_measure
-        assert modular(young, tf, mu) > modular(young, f, mu)
-        lhs, rhs, ok = modular_contraction_check(young, fam, f, t_abs(fam, f))
+        assert modular(young, tf) > modular(young, f)
+        lhs, rhs, ok = modular_contraction_check(young, fam, f, tf)
         assert ok and lhs <= rhs
 
     def test_indicator_equality(self):
@@ -258,6 +264,7 @@ class TestModularContraction:
         fam = CellFamily.from_intervals([iv(0.0, 1.0)], grid)
         chi = np.zeros(fam.n_cells)
         chi[sets_of(fam)[0]] = 1.0
-        lhs, rhs, ok = modular_contraction_check(YoungFunction("exp"), fam, chi, t_abs(fam, chi))
+        chi = CellField(chi, grid.h)
+        lhs, rhs, ok = modular_contraction_check(YoungFunction("exp"), fam, chi, apply_sparse_operator(fam, chi))
         assert ok
         assert lhs == pytest.approx(rhs, rel=1e-12)

@@ -25,12 +25,12 @@ def test_orlicz_combined_matches_the_reference(tmp_path, monkeypatch):
     evaluations = []
     solve = norms.luxemburg_norm
 
-    def counting(values, cell_measure, young):
+    def counting(f, young):
         def call(t):
             evaluations.append(t.size)
             return young(t)
 
-        return solve(values, cell_measure, call)
+        return solve(f, call)
 
     monkeypatch.setattr(norms, "luxemburg_norm", counting)
     solves, newton = [], spaces._newton
