@@ -141,17 +141,16 @@ class GNReport:
     stable: bool
 
 
-def _abs_field(u, order: int, mode: str, read) -> CellField:
+def _abs_field(u, order: int, mode: str, field) -> CellField:
     """The CellField |derivative expression| of a total order at cell centers.
 
-    ``read(order)`` gives u's own center field of an order: u.center_values
-    keeps it for later readers, u.center_field drops it after use.  In 1D,
-    at order 0 and in ``pure`` mode (along u.axis) the expression is that
-    field; the sums of the other modes read it for the partial along u.axis
-    and evaluate all the others in one pass.
+    ``field(order)`` gives the CellField of u's own center field of an
+    order.  In 1D, at order 0 and in ``pure`` mode (along u.axis) the
+    expression is that field; the sums of the other modes read its values
+    for the partial along u.axis and evaluate all the others in one pass.
     """
     if u.dim == 1 or order == 0 or mode == "pure":
-        return CellField(read(order), _cell_measure(u))
+        return field(order)
     if mode == "pure-sum":
         partials = [(order, 0), (0, order)]
     else:  # gradient: every multi-index of the given total order
@@ -159,8 +158,17 @@ def _abs_field(u, order: int, mode: str, read) -> CellField:
     own = (order, 0) if u.axis == 1 else (0, order)
     others = [p for p in partials if p != own]
     fields = dict(zip(others, u.center_partials(others)))
-    fields[own] = read(order)
-    return CellField(sum(np.abs(fields[p]) for p in partials), _cell_measure(u))
+    own_values = field(order).values  # already absolute
+    # a sum of absolute values needs no np.abs of its own
+    total = sum(own_values if p == own else np.abs(fields[p]).ravel() for p in partials)
+    return CellField.of_nonnegative(total, _cell_measure(u))
+
+
+def _fields_of(u, read):
+    """order -> the CellField of ``read(order)``, u's own center field of that
+    order: u.center_values keeps the field for later readers, u.center_field
+    drops it after use."""
+    return lambda order: CellField(read(order), _cell_measure(u))
 
 
 def _cell_measure(u) -> float:
@@ -171,11 +179,11 @@ def _sample(case: GNCase, n: int):
     return make_test_function(case.spec, grid_for_spec(case.spec, n), axis=case.axis)
 
 
-def _norms_at(case: GNCase, z_space: SpaceDescriptor, u, read):
-    """The three norms of the GN ratio, each field read by ``read``."""
-    lhs = space_norm(z_space, _abs_field(u, case.j, case.mode, read))
-    rhs_x = space_norm(case.x_space, _abs_field(u, case.k, case.mode, read))
-    rhs_y = space_norm(case.y_space, _abs_field(u, 0, case.mode, read))
+def _norms_at(case: GNCase, z_space: SpaceDescriptor, u, field):
+    """The three norms of the GN ratio, on u's center fields as ``field`` gives them."""
+    lhs = space_norm(z_space, _abs_field(u, case.j, case.mode, field))
+    rhs_x = space_norm(case.x_space, _abs_field(u, case.k, case.mode, field))
+    rhs_y = space_norm(case.y_space, _abs_field(u, 0, case.mode, field))
     return lhs, rhs_x, rhs_y
 
 
@@ -187,22 +195,24 @@ def _ratio_of(lhs: float, rhs_x: float, rhs_y: float, theta: Fraction) -> float:
     return 0.0 if lhs == 0.0 else math.inf
 
 
-def gn_ratio(case: GNCase, u=None) -> GNReport:
+def gn_ratio(case: GNCase, u=None, field=None) -> GNReport:
     """Empirical ratio at case.n plus a refinement rerun at 2n.
 
     ``u`` is the case's function already sampled at case.n, if the caller
-    has it; otherwise it is sampled here.  Zero functions give ratio 0 by
-    convention.  The stability flag compares the two resolutions at 1%
-    relative; norm failures propagate.
+    has it; otherwise it is sampled here.  ``field(order)``, if given, is
+    the caller's CellField of u's center field of an order, read instead of
+    a new one.  Zero functions give ratio 0 by convention.  The stability
+    flag compares the two resolutions at 1% relative; norm failures
+    propagate.
     """
     z_space = case.z_space
     if u is None:
         u = _sample(case, case.n)
-    lhs, rhs_x, rhs_y = _norms_at(case, z_space, u, u.center_values)
+    lhs, rhs_x, rhs_y = _norms_at(case, z_space, u, field or _fields_of(u, u.center_values))
     ratio = _ratio_of(lhs, rhs_x, rhs_y, case.theta)
     # the 2n sample is thrown away, so none of its fields is kept
     fine = _sample(case, 2 * case.n)
-    lhs2, rhs_x2, rhs_y2 = _norms_at(case, z_space, fine, fine.center_field)
+    lhs2, rhs_x2, rhs_y2 = _norms_at(case, z_space, fine, _fields_of(fine, fine.center_field))
     refined = _ratio_of(lhs2, rhs_x2, rhs_y2, case.theta)
     if ratio == refined:
         drift = 0.0
@@ -264,7 +274,7 @@ def first_order_chain_check(u, x_space: SpaceDescriptor, y_space: SpaceDescripto
     z_space = cl_combine(x_space, y_space, Fraction(1, 2))
     if family is None:
         family = build_family_1d(u, default_k_min(u))
-    cells, f0, f2, t0, t2 = _cells_and_fields(u, family)
+    cells, f0, f2, t0, t2 = _cells_and_fields(u, family, _fields_of(u, u.center_values))
     covered = cells.counts > 0
     geo = CellField(np.sqrt(t2.values * t0.values), u.grid.h)
     lhs_field = CellField(np.where(covered, u.center_values(1), 0.0), u.grid.h)
@@ -363,14 +373,14 @@ class CaseResult:
         return None
 
 
-def _cells_and_fields(u, family):
-    """The family's cells, the fields |u| and |u''| at cell centers (read
-    from u's own center fields), and T|u|, T|u''|."""
+def _cells_and_fields(u, family, field):
+    """The family's cells, the fields |u| and |u''| at cell centers as
+    ``field(order)`` gives them, and T|u|, T|u''|."""
     if u.dim == 1:
         cells = CellFamily.from_intervals(family.intervals, u.grid)
     else:
         cells = CellFamily.from_masks([s.mask for s in family.slabs])
-    f0, f2 = (CellField(u.center_values(m), _cell_measure(u)) for m in (0, 2))
+    f0, f2 = field(0), field(2)
     return cells, f0, f2, apply_sparse_operator(cells, f0), apply_sparse_operator(cells, f2)
 
 
@@ -397,7 +407,8 @@ def _built_once(build):
 @dataclass
 class _CaseRun:
     """One method per name in CHECK_NAMES, each returning its verdict; the sample
-    at case.n, the family and the averaged fields are built on first read."""
+    at case.n, its fields, the family and the averaged fields are built on
+    first read."""
 
     case: GNCase
     result: CaseResult
@@ -417,9 +428,21 @@ class _CaseRun:
             self.result.slabs = tuple(family.slabs)
         return family
 
+    def field(self, order: int) -> CellField:
+        """|u^(order)| at the cell centers at case.n.  Orders 0 and 2, which
+        the operator checks and the GN ratio both read, are built once and
+        kept; another order has one reader and is not kept."""
+        build = _fields_of(self.u, self.u.center_values)
+        if order not in (0, 2):
+            return build(order)
+        key = ("field", order)
+        if key not in self.built:
+            self.built[key] = build(order)
+        return self.built[key]
+
     @_built_once
     def fields(self):
-        return _cells_and_fields(self.u, self.family)
+        return _cells_and_fields(self.u, self.family, self.field)
 
     def overlap(self) -> str:
         """Every point lies in at most 3 intervals (1D) or 5 slabs of one sign (2D)."""
@@ -462,7 +485,7 @@ class _CaseRun:
 
     def gn(self) -> str:
         """The GN ratio is finite and moves at most 1% from n to 2n (``report.stable``)."""
-        self.result.report = report = gn_ratio(self.case, self.u)
+        self.result.report = report = gn_ratio(self.case, self.u, self.field)
         return "pass" if report.stable else f"fail: ratio {report.ratio!r} drifts {report.drift!r} under refinement"
 
     def induction(self) -> str:

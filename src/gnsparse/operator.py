@@ -84,10 +84,10 @@ def apply_sparse_operator(family: CellFamily, f: CellField) -> CellField:
     if v.size != family.n_cells:
         raise ValueError(f"expected {family.n_cells} cell values, got {v.size}")
     if not len(family):  # np.bincount with no weights at all counts in integers
-        return CellField(np.zeros_like(v), f.cell_measure)
+        return CellField.of_nonnegative(np.zeros_like(v), f.cell_measure)
     means = np.add.reduceat(v[family.index], family.offsets) / family.sizes
     tf = np.bincount(family.index, weights=np.repeat(means, family.sizes), minlength=family.n_cells)
-    return CellField(tf, f.cell_measure)
+    return CellField.of_nonnegative(tf, f.cell_measure)
 
 
 def operator_norm_check(space, family: CellFamily, f: CellField, tf: CellField):

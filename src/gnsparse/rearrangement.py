@@ -30,6 +30,14 @@ class CellField:
         self.values = np.abs(np.asarray(values, dtype=float)).ravel()
         self.cell_measure = float(cell_measure)
 
+    @classmethod
+    def of_nonnegative(cls, values: np.ndarray, cell_measure: float) -> "CellField":
+        """The field of a flat float array that has no negative entry, such as
+        an average of a field, kept as it is: no copy through np.abs."""
+        field = cls(values[:0], cell_measure)  # the constructor checks the measure
+        field.values = values
+        return field
+
     def positive(self) -> np.ndarray:
         """The positive values in cell order, a new array on every call."""
         return self.values[self.values > 0.0]

@@ -14,6 +14,8 @@ Indices are exact rationals (``3/2``) or ``inf``.  Combination follows the
 Calderon product rule: harmonic combination of indices for Lebesgue and
 Lorentz, and the inverse-factor product for Orlicz, where the combined
 Young function psi satisfies psi^{-1} = (phi_X^{-1})^theta (phi_Y^{-1})^{1-theta}.
+A combined function is kept as a flat product of non-combined leaves with
+exact weights, and cl_combine builds each distinct product once.
 """
 
 from __future__ import annotations
@@ -120,20 +122,77 @@ def _newton(fn, targets, start):
     raise YoungInversionError(f"Young-function inversion did not converge in {NEWTON_MAX_STEPS} steps")
 
 
+def _leaves_of(young: "YoungFunction", weight: Fraction):
+    """The leaves of young^weight with their exact weights: a combined
+    function's own leaves, each weight scaled by ``weight``, since
+    (X^a Y^(1-a))^b = X^(ab) Y^((1-a)b) (Lozanovskii; Maligranda, Orlicz
+    Spaces and Interpolation, 1989); any other function is its own leaf."""
+    if young.kind == "combined":
+        return tuple((leaf, weight * w) for leaf, w in young.leaves)
+    return ((young, weight),)
+
+
+def _product_leaves(a: "YoungFunction", b: "YoungFunction", theta: Fraction):
+    """The flat form of a^theta b^(1-theta): (leaf, exact weight) pairs, in
+    the order of first appearance, one per leaf ``describe()`` string, with
+    the weights summing to 1."""
+    merged = {}
+    for leaf, w in _leaves_of(a, theta) + _leaves_of(b, 1 - theta):
+        merged.setdefault(leaf.describe(), [leaf, 0])[1] += w
+    return tuple((leaf, w) for leaf, w in merged.values())
+
+
+class _SeedTable:
+    """Newton's starting points for log psi(t) of a combined Young function,
+    read off the (log t, log psi) table its validation solved.
+
+    Between knots the start is the cubic Hermite interpolant of the knots
+    and their slopes d(log psi)/d(log t) = 1/L'(log psi), where L is the
+    function's log-inverse; below the first knot and from the last on it
+    is the tangent line there.  Each piece is kept as a polynomial in the
+    distance from its left end, so a start is a few elementwise operations
+    on its own target, and a batch of targets gets bit for bit what its
+    parts get.
+    """
+
+    def __init__(self, log_t, log_psi, slope):
+        h = np.diff(log_t)
+        secant = np.diff(log_psi) / h
+        c2 = (3.0 * secant - 2.0 * slope[:-1] - slope[1:]) / h
+        c3 = (slope[:-1] + slope[1:] - 2.0 * secant) / h**2
+        # piece i covers knots[i-1] <= y < knots[i]; pieces 0 and m are the tangents
+        self.knots = log_t
+        self.left = np.concatenate([log_t[:1], log_t])
+        self.c0 = np.concatenate([log_psi[:1], log_psi])
+        self.c1 = np.concatenate([slope[:1], slope])
+        self.c2 = np.concatenate([[0.0], c2, [0.0]])
+        self.c3 = np.concatenate([[0.0], c3, [0.0]])
+
+    def __call__(self, y):
+        i = np.searchsorted(self.knots, y, side="right")
+        s = y - self.left[i]
+        with np.errstate(invalid="ignore"):  # an infinite target, which Newton keeps as it is
+            return self.c0[i] + s * (self.c1[i] + s * (self.c2[i] + s * self.c3[i]))
+
+
 class YoungFunction:
     """A Young function with a usable inverse.
 
-    ``kind`` is one of pow/powlog/exp/combined.  The ``powlog`` inverse and
+    ``kind`` is one of pow/powlog/exp/combined.  A combined function is
+    kept flat: ``leaves`` holds (leaf, exact Fraction weight) pairs of
+    non-combined functions, weights summing to 1, with psi^{-1} the
+    weighted product of the leaf inverses; a combined factor given to the
+    constructor is expanded into its leaves.  The ``powlog`` inverse and
     the forward value of a combined function are found by Newton's method
     (``_newton``) on the log-domain inverse ``_log_inverse``; everything
-    else is closed form.
+    else is closed form.  A combined function's forward solves start from
+    the table its validation solved (``_SeedTable``).
     """
 
     def __init__(self, kind, params=(), factors=None, theta=None):
         self.kind = kind
         self.params = tuple(params)
-        self.factors = factors
-        self.theta = theta
+        self._seed = None
         if kind == "pow":
             (p,) = params
             if p == INF or p < 1:
@@ -151,7 +210,11 @@ class YoungFunction:
         elif kind == "combined":
             if factors is None or theta is None:
                 raise AdmissibilityError("combined Young function needs factors and theta")
-            self._theta = float(theta)
+            self.leaves = _product_leaves(*factors, Fraction(theta))
+            # float weights: the last is 1 minus the others, as a two-leaf
+            # product theta, 1 - theta has always been evaluated
+            head = [float(w) for _, w in self.leaves[:-1]]
+            self._weights = head + [1.0 - sum(head)]
         else:
             raise AdmissibilityError(f"unknown Young function kind {kind!r}")
         self._validate()
@@ -176,8 +239,9 @@ class YoungFunction:
             out = np.zeros_like(t)
             nonzero = t != 0.0
             log_t = np.log(t[nonzero])
+            start = log_t if self._seed is None else self._seed(log_t)
             with np.errstate(over="ignore"):
-                out[nonzero] = np.exp(_newton(self._log_inverse, log_t, log_t))
+                out[nonzero] = np.exp(_newton(self._log_inverse, log_t, start))
         out = np.asarray(out)
         if np.any(np.isinf(out)):
             raise OverflowError("Young function overflowed")
@@ -193,8 +257,7 @@ class YoungFunction:
         elif self.kind == "exp":
             out = np.log1p(s)
         elif self.kind == "combined":
-            th = self._theta
-            out = np.asarray(self.factors[0].inverse(s)) ** th * np.asarray(self.factors[1].inverse(s)) ** (1.0 - th)
+            out = math.prod(np.asarray(leaf.inverse(s)) ** w for (leaf, _), w in zip(self.leaves, self._weights))
         else:
             out = s.copy()
             solve = (s != 0.0) & (s != math.inf)
@@ -223,10 +286,11 @@ class YoungFunction:
 
             x = _newton(log_phi, y, y / p)
             return x, 1.0 / log_phi(x)[1]
-        th = self._theta
-        out_a, slope_a = self.factors[0]._log_inverse(y)
-        out_b, slope_b = self.factors[1]._log_inverse(y)
-        return th * out_a + (1.0 - th) * out_b, th * slope_a + (1.0 - th) * slope_b
+        terms = [leaf._log_inverse(y) for leaf, _ in self.leaves]
+        return (
+            sum(w * out for w, (out, _) in zip(self._weights, terms)),
+            sum(w * slope for w, (_, slope) in zip(self._weights, terms)),
+        )
 
     def _validate(self, samples=40):
         """Check, on a log grid of ``samples`` points in [1e-3, 100], that the
@@ -234,10 +298,15 @@ class YoungFunction:
         relative) and consistent with its inverse (at 1e-6 relative).
 
         One forward evaluation covers the grid and its midpoints, so a
-        combined function makes one Newton solve here.
+        combined function makes one Newton solve here; it then keeps the
+        solved (log t, log psi) pairs and their slopes as its seed table.
         """
         ts = np.logspace(-3, 2, samples)
-        vals, mid = np.split(self(np.concatenate([ts, 0.5 * (ts[:-1] + ts[1:])])), [samples])
+        # the grid and its midpoints, interleaved in increasing order
+        grid = np.empty(2 * samples - 1)
+        grid[0::2], grid[1::2] = ts, 0.5 * (ts[:-1] + ts[1:])
+        values = self(grid)
+        vals, mid = values[0::2], values[1::2]
         if np.any(np.diff(vals) <= 0.0):
             raise AdmissibilityError(f"Young function {self.describe()} is not increasing")
         if np.any(mid > 0.5 * (vals[:-1] + vals[1:]) * (1.0 + 1e-9)):
@@ -245,6 +314,12 @@ class YoungFunction:
         back = self.inverse(vals)
         if np.max(np.abs(back - ts) / ts) > 1e-6:
             raise AdmissibilityError(f"Young function {self.describe()} inverse is inconsistent")
+        if self.kind == "combined":
+            with np.errstate(divide="ignore"):
+                log_psi = np.log(values)
+            solved = np.isfinite(log_psi)  # values that underflowed to 0 are left out
+            log_psi = log_psi[solved]
+            self._seed = _SeedTable(np.log(grid[solved]), log_psi, 1.0 / self._log_inverse(log_psi)[1])
 
     def describe(self) -> str:
         if self.kind == "pow":
@@ -253,7 +328,9 @@ class YoungFunction:
             return f"powlog:{format_index(self.params[0])},{self.params[1]}"
         if self.kind == "exp":
             return "exp"
-        return f"combined({self.factors[0].describe()},{self.factors[1].describe()};{self.theta})"
+        # the weights of all leaves but the last, which is 1 minus their sum
+        leaves = ",".join(leaf.describe() for leaf, _ in self.leaves)
+        return f"combined({leaves};{','.join(str(w) for _, w in self.leaves[:-1])})"
 
 
 class SpaceDescriptor:
@@ -348,11 +425,18 @@ class SpaceDescriptor:
 
 
 def young_equal(a: YoungFunction, b: YoungFunction, rel_tol: float = 1e-9) -> bool:
-    """Equality of Young functions through their inverses on a log grid."""
+    """Equality of Young functions through their inverses on a log grid;
+    a function is equal to itself at once."""
+    if a is b:
+        return True
     ss = np.logspace(-6.0, 6.0, 49)
     va = a.inverse(ss)
     vb = b.inverse(ss)
     return bool(np.all(np.abs(va - vb) <= rel_tol * np.maximum(va, vb)))
+
+
+# the combined Young functions cl_combine has built, by flat form
+_COMBINED: dict = {}
 
 
 def cl_combine(x: SpaceDescriptor, y: SpaceDescriptor, theta: Fraction) -> SpaceDescriptor:
@@ -361,7 +445,11 @@ def cl_combine(x: SpaceDescriptor, y: SpaceDescriptor, theta: Fraction) -> Space
     Only like kinds combine; mixing kinds raises AdmissibilityError.  Two
     Orlicz spaces whose Young functions have the same ``describe()`` string
     give X itself, by the identity X^theta X^(1-theta) = X; no combined
-    Young function is built for them.
+    Young function is built for them.  A combined Young function is built
+    and validated once per flat form (leaf ``describe()`` strings and exact
+    weights) in a process and kept in ``_COMBINED``, so a nested product
+    such as X^b (X^a Y^(1-a))^(1-b) returns the object built for
+    X^(b+a(1-b)) Y^((1-a)(1-b)); a build that raises keeps nothing.
     """
     theta = Fraction(theta)
     if not 0 <= theta <= 1:
@@ -387,4 +475,7 @@ def cl_combine(x: SpaceDescriptor, y: SpaceDescriptor, theta: Fraction) -> Space
         return SpaceDescriptor("orlicz", young=yb)
     if theta == 1:
         return SpaceDescriptor("orlicz", young=ya)
-    return SpaceDescriptor("orlicz", young=YoungFunction("combined", factors=(ya, yb), theta=theta))
+    key = tuple((leaf.describe(), w) for leaf, w in _product_leaves(ya, yb, theta))
+    if key not in _COMBINED:
+        _COMBINED[key] = YoungFunction("combined", factors=(ya, yb), theta=theta)
+    return SpaceDescriptor("orlicz", young=_COMBINED[key])

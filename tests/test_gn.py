@@ -16,6 +16,8 @@ import pytest
 from gnsparse import gn as gn_module
 from gnsparse import norms as norms_module
 from gnsparse import operator as operator_module
+from gnsparse import rearrangement as rearrangement_module
+from gnsparse import spaces as spaces_module
 from gnsparse import testfunctions as testfunctions_module
 from gnsparse.errors import AdmissibilityError, ConstructionError, CorpusConfigError
 from gnsparse.gn import (
@@ -263,6 +265,32 @@ class TestInductionIdentities:
         result = induction_identity_check(P("Orl:pow:2"), P("Orl:exp"), 4)
         assert result.ok, result.failures
 
+    def test_orlicz_identities_are_not_a_tautology(self, monkeypatch):
+        # both sides of a combined identity are interned by their flat form,
+        # so they are one object when the exponent rule is right; a wrong
+        # rule gives a different flat form, which the sampled comparison
+        # must reject
+        monkeypatch.setattr(spaces_module, "_COMBINED", {})
+        x, y = P("Orl:exp"), P("Orl:pow:2")
+        for k in (3, 4):
+            assert induction_identity_check(x, y, k).ok
+        rule = spaces_module._product_leaves
+
+        def swapped(a, b, theta):
+            # X^b (X^a Y^(1-a))^(1-b) read with the weights of X and Y exchanged
+            leaves = rule(a, b, theta)
+            if "combined" not in (a.kind, b.kind):
+                return leaves
+            (xa, wx), (ya, wy) = leaves
+            return ((xa, wy), (ya, wx))
+
+        monkeypatch.setattr(spaces_module, "_COMBINED", {})
+        monkeypatch.setattr(spaces_module, "_product_leaves", swapped)
+        for k in (3, 4):
+            result = induction_identity_check(x, y, k)
+            assert not result.ok
+            assert result.failures[0].startswith(f"step-down identity at k={k}")
+
     def test_starts_at_three(self):
         with pytest.raises(AdmissibilityError):
             induction_identity_check(P("L:1"), P("L:2"), 2)
@@ -404,13 +432,17 @@ class TestRunCorpus:
     def test_case_takes_each_field_absolute_once_and_sorts_it_once(self, dim, monkeypatch):
         # a field holds |f| from its constructor on: the norms, the operator
         # and the GN steps neither take np.abs of its values nor wrap them
-        # in a new field, and no field is sorted into f* twice
+        # in a new field, and no field is sorted into f* twice.  |u| and
+        # |u''| at n are built once for the operator checks and the GN
+        # ratio, and T f and the sums of absolute partials are stored
+        # without a copy through np.abs, so the 1D case takes 6 absolute
+        # values where it took 10, and the 2D gradient case 12 where it took 20
         if dim == 1:
             case = case_1d(BUMP, "Lor:2,2", "Lor:3,2")
         else:
             x, y = P("Lor:2,2"), P("Lor:3,2")
             case = GNCase(spec=member("p1"), j=1, k=2, x_space=x, y_space=y, mode="gradient", n=128)
-        fields, again, sorts = [], [], []
+        fields, again, sorts, absolute = [], [], [], []
 
         def of_a_field(array):
             return isinstance(array, np.ndarray) and any(np.shares_memory(array, f.values) for f in fields)
@@ -440,15 +472,18 @@ class TestRunCorpus:
             def abs(x, *args, **kwargs):
                 if of_a_field(x):
                     again.append("np.abs")
+                if np.size(x):
+                    absolute.append(np.size(x))
                 return np.abs(x, *args, **kwargs)
 
         monkeypatch.setattr(CellField, "__init__", tracked)
         monkeypatch.setattr(CellField, "_plateaus", plateaus)
-        for module in (norms_module, operator_module, gn_module):
+        for module in (norms_module, operator_module, gn_module, rearrangement_module):
             monkeypatch.setattr(module, "np", Numpy())
         result = run_case(case, CHECK_NAMES)
         assert result.passed, result.verdicts
         assert again == []
+        assert len(absolute) == {1: 6, 2: 12}[dim], absolute
         # Z, X and Y are Lorentz spaces: the GN norms sort three fields at n and three at 2n
         assert len(sorts) >= 6, len(sorts)
         assert len(set(sorts)) == len(sorts)

@@ -281,6 +281,58 @@ class TestCombination:
             assert z is x
             assert z.format() == "Orl:powlog:1,1"
 
+    def test_nested_product_is_the_direct_product(self, monkeypatch):
+        # X^(2/3) (X^(1/4) Y^(3/4))^(1/3) = X^(3/4) Y^(1/4): one flat form,
+        # one interned function, one text, one arithmetic
+        monkeypatch.setattr(spaces_module, "_COMBINED", {})
+        x, y = SpaceDescriptor.parse("Orl:exp"), SpaceDescriptor.parse("Orl:pow:2")
+        inner = cl_combine(x, y, Fraction(1, 4))
+        nested = cl_combine(x, inner, Fraction(2, 3))
+        direct = cl_combine(x, y, Fraction(3, 4))
+        assert nested.young is direct.young
+        assert len(spaces_module._COMBINED) == 2
+        assert direct.format() == "Orl:combined(exp,pow:2;3/4)"
+        # built afresh from the nested factors, outside the table
+        rebuilt = YoungFunction("combined", factors=(x.young, inner.young), theta=Fraction(2, 3))
+        assert rebuilt is not direct.young
+        assert rebuilt.describe() == direct.young.describe()
+        assert rebuilt.leaves == ((x.young, Fraction(3, 4)), (y.young, Fraction(1, 4)))
+        t = np.concatenate([[0.0, 1e-300], np.logspace(-12.0, 8.0, 101)])
+        assert rebuilt(t).tobytes() == direct.young(t).tobytes()
+        assert rebuilt.inverse(t).tobytes() == direct.young.inverse(t).tobytes()
+
+    def test_three_leaf_text_lists_all_but_the_last_weight(self):
+        pow3 = YoungFunction("pow", (Fraction(3),))
+        young = YoungFunction("combined", factors=(_EXP_POW2, pow3), theta=Fraction(1, 2))
+        assert young.leaves == ((_EXP, Fraction(1, 6)), (_POW2, Fraction(1, 3)), (pow3, Fraction(1, 2)))
+        assert young.describe() == "combined(exp,pow:2,pow:3;1/6,1/3)"
+
+    def test_a_build_that_raises_is_not_kept(self, monkeypatch):
+        monkeypatch.setattr(spaces_module, "_COMBINED", {})
+        x, y = SpaceDescriptor.parse("Orl:exp"), SpaceDescriptor.parse("Orl:pow:2")
+        validate = YoungFunction._validate
+
+        def refuse(young):
+            raise AdmissibilityError("refused")
+
+        monkeypatch.setattr(YoungFunction, "_validate", refuse)
+        with pytest.raises(AdmissibilityError, match="refused"):
+            cl_combine(x, y, Fraction(1, 3))
+        assert spaces_module._COMBINED == {}
+        monkeypatch.setattr(YoungFunction, "_validate", validate)
+        z = cl_combine(x, y, Fraction(1, 3))
+        assert list(spaces_module._COMBINED.values()) == [z.young]
+
+    def test_young_equal_is_immediate_for_one_object(self, monkeypatch):
+        young = YoungFunction("combined", factors=(_EXP, _POW2), theta=Fraction(1, 3))
+
+        def no_inverse(s):
+            raise AssertionError("young_equal sampled an inverse")
+
+        monkeypatch.setattr(young, "inverse", no_inverse)
+        assert young_equal(young, young)
+        assert SpaceDescriptor("orlicz", young=young) == SpaceDescriptor("orlicz", young=young)
+
     def test_idempotence(self):
         for text in ("L:2", "Lor:2,3", "Orl:pow:2", "Orl:exp"):
             x = SpaceDescriptor.parse(text)
@@ -450,6 +502,8 @@ class TestNewtonKernel:
             lambda y: spaces_module._newton(TestArrayBisection.bounded_log_inverse, y, np.full_like(y, 20.0)),
             _TANH_TARGETS,
         ),
+        # forward values start from the seed table, elementwise
+        "exp x pow:2 seeded forward": (_EXP_POW2, np.concatenate([[0.0, 1e-300], np.logspace(-12.0, 8.0, 41)])),
     }
 
     @pytest.mark.parametrize("name", sorted(CASES))
@@ -475,6 +529,27 @@ class TestNewtonKernel:
             x for i, x in enumerate(iterates) if any(x == 0.5 * (a + b) for a in iterates[:i] for b in iterates[:i])
         ]
         assert len(bisections) > 20
+
+    def test_seeded_forward_solves_take_fewer_steps(self, monkeypatch):
+        # a start read off the validation table is within about 1e-7 of the
+        # answer, so Newton ends after two evaluations where log t needs five
+        steps, solve = [], spaces_module._newton
+
+        def counted(fn, targets, start):
+            def evaluate(x):
+                steps[-1] += 1
+                return fn(x)
+
+            steps.append(0)
+            return solve(evaluate, targets, start)
+
+        monkeypatch.setattr(spaces_module, "_newton", counted)
+        t = np.geomspace(1e-3, 100.0, 1000)
+        seeded = _EXP_POW2(t)
+        monkeypatch.setattr(_EXP_POW2, "_seed", None)
+        cold = _EXP_POW2(t)
+        assert steps == [2, 5]
+        np.testing.assert_allclose(seeded, cold, rtol=1e-13, atol=0.0)
 
     @pytest.mark.parametrize(
         "factors, theta",

@@ -1,6 +1,7 @@
 """Sparse averaging operator: rasterization, action, norm and modular checks."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -169,6 +170,32 @@ class TestApply:
     def test_positivity(self):
         grid, fam, f = pair_family()
         assert np.all(apply_sparse_operator(fam, CellField(f.values + 0.25, grid.h)).values > 0.0)
+
+    def test_builds_one_field_sized_array(self):
+        # T f is stored as np.bincount returns it, with no copy through
+        # np.abs: a family of a few short sets on many cells leaves the
+        # result as the only array of the field's size
+        n_cells = 1 << 20
+        fam = CellFamily(np.arange(0, n_cells, 4096), np.full(16, 16), n_cells)
+        f = CellField(np.linspace(0.0, 1.0, n_cells), 1.0 / n_cells)
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            tf = apply_sparse_operator(fam, f)
+            after, peak = tracemalloc.get_traced_memory()
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert tf.values.size == n_cells and np.all(tf.values >= 0.0)
+        assert after - before >= f.values.nbytes
+        assert peak - before < 1.5 * f.values.nbytes
+
+    def test_nonnegative_field_checks_its_measure(self):
+        with pytest.raises(ValueError, match="positive"):
+            CellField.of_nonnegative(np.ones(4), 0.0)
 
     def test_wrong_cell_count_rejected(self):
         grid, fam, _ = pair_family()
