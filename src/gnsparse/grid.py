@@ -201,10 +201,16 @@ class GridFunction2D(_SampledFunction):
         ``evaluate.factors = (f, g)``, and a sup is then max|f^(jx)| *
         max|g^(jy)| over the probe's two axes: rounding is monotone and
         |a*b| = |a|*|b|, so this is the lattice maximum bit for bit.  The
-        attribute is in the function's ``__dict__``, which
-        ``functools.wraps`` copies to a wrapper.  Any other evaluator is
-        scanned over the lattice in one pass.
+        evaluator of a compactly supported radial u = P(r/w) carries its
+        profile as ``evaluate.profile = (P, w)``, and sups of orders up to
+        2 are the exact angular sups at each radius (``_radial_sups``).
+        These attributes are in the function's ``__dict__``, which
+        ``functools.wraps`` copies to a wrapper.  Any other evaluator, and
+        order 3, is scanned over the lattice in one pass.
         """
+        profile = getattr(self.evaluate, "profile", None)
+        if profile is not None and max(orders, default=0) <= 2:
+            return _radial_sups(*profile, orders)
         x = np.linspace(self.grid.gx.a, self.grid.gx.b, self.SUP_PROBE + 1)
         y = np.linspace(self.grid.gy.a, self.grid.gy.b, self.SUP_PROBE + 1)
         partials = [self._axis_partial(j) for j in orders]
@@ -226,6 +232,26 @@ def _factor_sups(factor, t, orders) -> dict:
     return dict(zip(orders, (np.max(np.abs(f)) for f in factor(t, orders))))
 
 
+def _radial_sups(profile, w: float, orders) -> tuple:
+    """Sups over the plane of the pure partials of u = P(r/w) along an axis,
+    per order in ``orders`` (0..2), from one call of the jet ``profile(s,
+    orders)`` of P on GridFunction1D.SUP_PROBE cells of s in [0, 1].
+
+    P vanishes from s = 1 on, and the support disc lies inside the window,
+    so every direction e is available at every radius.  With e the unit
+    vector of the point, the partials are P(s), P'(s) e_x / w and
+    (P''(s) e_x^2 + (P'(s)/s)(1 - e_x^2)) / w^2, whose sups over e are
+    |P|, |P'| / w and max(|P''|, |P'/s|) / w^2.  The limit of P'/s at
+    s = 0 is P''(0), which the |P''| term already holds.
+    """
+    s = np.linspace(0.0, 1.0, GridFunction1D.SUP_PROBE + 1)
+    jet = profile(s, range(max(orders, default=0) + 1))
+    peaks = [np.max(np.abs(p)) for p in jet]
+    if len(jet) > 2:
+        peaks[2] = max(peaks[2], np.max(np.abs(jet[1][1:] / s[1:])))
+    return tuple(float(peaks[j] / w**j) for j in orders)
+
+
 def interval_integrals(fn, z, y, h_ref: float) -> np.ndarray:
     """Trapezoid integrals over the intervals [z_i, y_i] at sub-grid
     resolution of each row a callable returns, with one call of ``fn`` for
@@ -235,8 +261,11 @@ def interval_integrals(fn, z, y, h_ref: float) -> np.ndarray:
     Panel count scales with the interval length measured in reference grid
     steps, with a floor so that intervals shorter than one cell still get a
     stable rule.  The nodes of each interval are those of ``np.linspace``
-    (node j is j*step + z, the last one is y) and each interval is summed on
-    its own, so every integral is the one a separate rule would give.
+    (node j is j*step + z, the last one is y).  One ``np.add.reduceat``
+    sums the nodes of every interval on their own, so an integral does not
+    depend on the other intervals of the call.  Its summation order is not
+    ``np.sum``'s (numpy adds the first node to a pairwise sum of the rest),
+    so the last bits can differ from a rule summed by ``np.sum``.
     """
     z = np.asarray(z, dtype=float).reshape(-1)
     y = np.asarray(y, dtype=float).reshape(-1)
@@ -254,6 +283,5 @@ def interval_integrals(fn, z, y, h_ref: float) -> np.ndarray:
     t = (np.arange(ends[-1]) - starts[owner]) * step[owner] + z[owner]
     t[ends - 1] = y
     v = np.asarray(fn(t), dtype=float)
-    bounds = list(zip(starts.tolist(), ends.tolist()))
-    sums = np.array([[np.sum(row[a:b]) for a, b in bounds] for row in v])
+    sums = np.add.reduceat(v, starts, axis=1)
     return step * (sums - 0.5 * (v[:, starts] + v[:, ends - 1]))

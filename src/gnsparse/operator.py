@@ -67,15 +67,18 @@ class CellFamily:
         return cls(flat_ranges(i0, i1), (i1 - i0)[kept], len(centers), np.count_nonzero(~kept))
 
     @classmethod
-    def from_masks(cls, masks) -> "CellFamily":
-        """The cells of each boolean mask; masks holding no cell are
-        dropped and counted."""
-        masks = list(masks)
-        sets = [np.flatnonzero(mask) for mask in masks]
+    def from_masks(cls, masks, grid) -> "CellFamily":
+        """The cells of each boolean mask over the cells [ix, iy] of a
+        Grid2D; masks holding no cell are dropped and counted."""
+        shape = (grid.gx.n, grid.gy.n)
+        sets = []
+        for mask in masks:
+            if np.shape(mask) != shape:
+                raise ValueError(f"mask of shape {np.shape(mask)} on a grid of {shape} cells")
+            sets.append(np.flatnonzero(mask))
         sizes = np.array([s.size for s in sets], dtype=np.int64)
         index = np.concatenate(sets) if sets else np.zeros(0, dtype=np.int64)
-        n_cells = np.size(masks[-1]) if masks else 0
-        return cls(index, sizes[sizes > 0], n_cells, np.count_nonzero(sizes == 0))
+        return cls(index, sizes[sizes > 0], shape[0] * shape[1], np.count_nonzero(sizes == 0))
 
 
 def apply_sparse_operator(family: CellFamily, f: CellField) -> CellField:

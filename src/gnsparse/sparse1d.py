@@ -77,7 +77,9 @@ class EscapeInterval:
 
 class SparseFamily1D:
     """Escape intervals in (k, sign, z) order, the bookkeeping of the build,
-    and the per-node covering counts fixed at build (``counts``) with their
+    and what is fixed at build: the interval ends as arrays ``z`` and ``y``,
+    per interval the index range [i0, i1) of the nodes strictly inside it
+    (``i0``, ``i1``), the per-node covering counts (``counts``) and their
     maximum (``max_overlap``)."""
 
     def __init__(self, intervals, nodes, d1, k_min, window_exit_nodes, eligible_count, unanalyzed_count):
@@ -88,17 +90,15 @@ class SparseFamily1D:
         self.window_exit_nodes = list(window_exit_nodes)
         self.eligible_count = int(eligible_count)
         self.unanalyzed_count = int(unanalyzed_count)
-        self.counts = np.bincount(flat_ranges(*self.node_ranges()), minlength=len(self.nodes))
+        self.z = np.array([iv.z for iv in self.intervals], dtype=float)
+        self.y = np.array([iv.y for iv in self.intervals], dtype=float)
+        self.i0 = np.searchsorted(self.nodes, self.z, side="right")
+        self.i1 = np.searchsorted(self.nodes, self.y, side="left")
+        self.counts = np.bincount(flat_ranges(self.i0, self.i1), minlength=len(self.nodes))
         self.max_overlap = int(self.counts.max(initial=0))
 
     def __len__(self):
         return len(self.intervals)
-
-    def node_ranges(self):
-        """Per interval, the index range [i0, i1) of the nodes strictly inside it."""
-        z = np.array([iv.z for iv in self.intervals], dtype=float)
-        y = np.array([iv.y for iv in self.intervals], dtype=float)
-        return np.searchsorted(self.nodes, z, side="right"), np.searchsorted(self.nodes, y, side="left")
 
 
 class SeededRuns(NamedTuple):
@@ -250,20 +250,17 @@ def build_family_1d(u, k_min: int) -> SparseFamily1D:
 
 
 def _interval_integrals(u, family: SparseFamily1D):
-    """The ends z, y of the family's intervals and the integrals of |u''|
-    and of |u| over each, by analytic quadrature with one evaluator call for
-    both orders and the whole family."""
-    z = np.array([iv.z for iv in family.intervals], dtype=float)
-    y = np.array([iv.y for iv in family.intervals], dtype=float)
-    int_d2, int_u = interval_integrals(lambda t: [np.abs(f) for f in u.evaluate(t, (2, 0))], z, y, u.grid.h)
-    return z, y, int_d2, int_u
+    """The integrals of |u''| and of |u| over each interval of the family,
+    by analytic quadrature with one evaluator call for both orders and the
+    whole family."""
+    return interval_integrals(lambda t: [np.abs(f) for f in u.evaluate(t, (2, 0))], family.z, family.y, u.grid.h)
 
 
 def _interval_table(u, family: SparseFamily1D):
     """Per family interval: the interval, its node range [i0, i1), and the
     integrals of |u''| and of |u| over it."""
-    _, _, int_d2, int_u = _interval_integrals(u, family)
-    return zip(family.intervals, *family.node_ranges(), int_d2.tolist(), int_u.tolist())
+    int_d2, int_u = _interval_integrals(u, family)
+    return zip(family.intervals, family.i0, family.i1, int_d2.tolist(), int_u.tolist())
 
 
 def verify_pointwise_1d(u, family: SparseFamily1D):
@@ -274,9 +271,10 @@ def verify_pointwise_1d(u, family: SparseFamily1D):
     order, so the sums are those of a loop over the intervals.
     """
     nodes = family.nodes
-    z, y, int_d2, int_u = _interval_integrals(u, family)
-    a2 = int_d2 / (y - z)
-    a0 = int_u / (y - z)
+    int_d2, int_u = _interval_integrals(u, family)
+    length = family.y - family.z
+    a2 = int_d2 / length
+    a0 = int_u / length
     vanishing = np.flatnonzero((a2 <= 0.0) | (a0 < 0.0))
     if vanishing.size:
         iv = family.intervals[vanishing[0]]
@@ -284,7 +282,7 @@ def verify_pointwise_1d(u, family: SparseFamily1D):
             f"interval ({iv.z}, {iv.y}) has vanishing |u''| average; "
             "u' cannot traverse a dyadic band with u'' = 0"
         )
-    i0, i1 = family.node_ranges()
+    i0, i1 = family.i0, family.i1
     denom = np.bincount(flat_ranges(i0, i1), weights=np.repeat(a2 * a0, i1 - i0), minlength=len(nodes))
     covered = denom > 0.0
     ratios = np.zeros(len(nodes))

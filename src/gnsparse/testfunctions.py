@@ -21,8 +21,9 @@ An evaluator takes the derivatives it should return as a sequence --
 ``evaluate(x, orders)`` in 1D, ``evaluate(X, Y, partials)`` with ``(jx, jy)``
 pairs in 2D -- and returns one array per entry, in the order given, from
 one pass of the transcendental functions for all of them.  Each entry is
-the array a call for that entry alone returns.  A product evaluator also
-carries its two 1D factors, ``evaluate.factors``, for the sup probe.
+the array a call for that entry alone returns.  For the sup probe, a
+product evaluator also carries its two 1D factors, ``evaluate.factors``,
+and a compact radial one its profile jet and width, ``evaluate.profile``.
 """
 
 from __future__ import annotations
@@ -171,6 +172,12 @@ def profile_jet(spec: TestFunctionSpec, x, orders, component: int = 0):
 _RADIAL_ORDERS = {(jx, jy) for jx in range(3) for jy in range(3 - jx)} | {(3, 0), (0, 3)}
 
 
+def _radial_profile(spec):
+    """The jet ``P(s, orders)`` of the profile P with u = P(r/w)."""
+    shape = _gaussian if spec.family == "gaussian" else _bump
+    return lambda s, orders: shape(s, 0.0, 1.0, spec.amplitude, orders)
+
+
 def _radial_partials(spec, X, Y, partials):
     """Mixed partials (jx, jy) of P(r/w) up to total order 2 (plus pure
     order 3), one array per partial, from one profile jet."""
@@ -183,10 +190,9 @@ def _radial_partials(spec, X, Y, partials):
     dx = (np.asarray(X, dtype=float) - cx) / w
     dy = (np.asarray(Y, dtype=float) - cy) / w
     r = np.hypot(dx, dy)
-    profile = _gaussian if spec.family == "gaussian" else _bump
     # order 0 reads P; every higher order reads P', ..., P^(order) only
     needed = sorted({0 for jx, jy in partials if jx + jy == 0} | set(range(1, top + 1)))
-    P = dict(zip(needed, profile(r, 0.0, 1.0, spec.amplitude, needed)))
+    P = dict(zip(needed, _radial_profile(spec)(r, needed)))
     if top >= 1:
         safe = r > 1e-12
         rs = np.where(safe, r, 1.0)
@@ -230,6 +236,8 @@ def make_evaluator_2d(spec: TestFunctionSpec):
         def evaluate(X, Y, partials):
             return _radial_partials(spec, X, Y, partials)
 
+        if spec.family in COMPACT_FAMILIES:
+            evaluate.profile = (_radial_profile(spec), spec.widths()[0])
         return evaluate
 
     def factor(component):

@@ -14,6 +14,7 @@ import numpy as np
 from gnsparse.errors import ConstructionError, EmptyRegionError
 from gnsparse.grid import GridFunction1D
 from gnsparse.sparse1d import _interval_table, build_family_1d, default_k_min
+from gnsparse.testfunctions import TestFunctionSpec, profile_jet
 
 
 def sets_of(cells):
@@ -77,6 +78,28 @@ def blocked_sup_norm(u, orders):
     for _, fields in u._blocks(x, y, partials):
         sups = np.maximum(sups, [np.max(np.abs(f)) for f in fields])
     return tuple(float(s) for s in sups)
+
+
+def radial_profile_sup_norm(spec, orders):
+    """The sups over the plane of the pure partials of a compactly supported
+    radial spec u = P(r/w), one order at a time, from the cos^4 profile P on
+    GridFunction1D.SUP_PROBE cells of s in [0, 1]: at each radius the sup
+    over directions is |P| (order 0), |P'| / w (order 1) and
+    max(|P''|, |P'/s|) / w^2 (order 2), where P'/s takes at s = 0 the limit
+    -pi^2 A that the radial evaluator uses."""
+    s = np.linspace(0.0, 1.0, GridFunction1D.SUP_PROBE + 1)
+    w = spec.widths()[0]
+    shape = TestFunctionSpec("smooth-bump", 0.0, 1.0, spec.amplitude)  # P, as a 1D profile
+    sups = []
+    for j in orders:
+        (p,) = profile_jet(shape, s, (j,))
+        peak = float(np.max(np.abs(p)))
+        if j == 2:
+            (p1,) = profile_jet(shape, s, (1,))
+            slope = np.concatenate([[-np.pi**2 * spec.amplitude], p1[1:] / s[1:]])
+            peak = max(peak, float(np.max(np.abs(slope))))
+        sups.append(peak / w**j)
+    return tuple(sups)
 
 
 def fd_consistency_error(f) -> float:

@@ -200,6 +200,26 @@ class TestMainExitCodes:
         body = (tmp_path / "r" / "report.csv").read_text(encoding="utf-8")
         assert "-n128," in body and "-n256," not in body
 
+    def test_coarse_resolution_override_reports_every_case(self, tmp_path, capsys):
+        # at n = 64 the 2D thickness scan admits no level, so the 2D
+        # families hold no slab; their cases still get verdicts, and only
+        # the 1D members too narrow for the grid fail, as package errors
+        out = tmp_path / "coarse"
+        code = main(["--out", str(out), "--format", "text", "--resolution", "64"])
+        assert code == 1
+        assert "3 of 27 cases failed" in capsys.readouterr().err
+        verdicts = {}
+        for line in (out / "report.txt").read_text(encoding="utf-8").splitlines():
+            if line.startswith("case "):
+                case_id = line.split()[1]
+                verdicts[case_id] = []
+            elif line.startswith("  verdict "):
+                verdicts[case_id].append(line.split()[1:])
+        two_d = [case_id for case_id in verdicts if "-ax" in case_id]
+        assert len(two_d) == 6
+        for case_id in two_d:
+            assert verdicts[case_id] == [[name, "pass"] for name in CHECK_NAMES], case_id
+
     def test_checks_override(self, tmp_path):
         code = main(
             ["--config", write_config(tmp_path), "--out", str(tmp_path / "c"), "--checks", "overlap"]

@@ -32,7 +32,13 @@ from gnsparse.testfunctions import (
 
 from corpus import member, members
 from mollifier import BoundaryContaminationWarning, kernel_weights, mollify
-from oracles import blocked_sup_norm, fd_consistency_error, quadrature_integral, quadrature_integral_2d
+from oracles import (
+    blocked_sup_norm,
+    fd_consistency_error,
+    quadrature_integral,
+    quadrature_integral_2d,
+    radial_profile_sup_norm,
+)
 
 
 def test_grid_invariants():
@@ -210,7 +216,14 @@ def test_open_grid_matches_dense_evaluation(spec, axis):
         probe = _dense_lattice(
             np.linspace(g.gx.a, g.gx.b, u.SUP_PROBE + 1), np.linspace(g.gy.a, g.gy.b, u.SUP_PROBE + 1)
         )
-        sups = [float(np.max(np.abs(f))) for f in u.evaluate(*probe, pure)]
+        scanned = [float(np.max(np.abs(f))) for f in u.evaluate(*probe, pure)]
+        if spec.layout == "radial":
+            # the exact angular sups of the profile; the lattice misses the
+            # sup by at most the probe's resolution
+            sups = radial_profile_sup_norm(spec, (0, 1, 2))
+            assert all(lattice <= sup * (1.0 + 1e-6) for lattice, sup in zip(scanned, sups))
+        else:
+            sups = scanned
         assert u.sup_norm((0, 1, 2)) == tuple(sups)
         for order in (0, 1, 2):
             assert np.array_equal(u.center_values(order), u.evaluate(*centers, [pure[order]])[0])
@@ -223,11 +236,19 @@ def test_open_grid_matches_dense_evaluation(spec, axis):
                     assert np.array_equal(field.values, want.ravel()), (order, mode)
 
 
+GAUSSIAN_RADIAL = TestFunctionSpec(
+    "gaussian", (0.2, -0.1), (0.5, 0.5), 0.8, 0.0, ((-3.0, 3.0), (-3.0, 3.0)), layout="radial", name="gr"
+)
+
+
 def test_sup_norm_makes_one_pass_over_the_probe():
-    spec = member("r1")
+    # a gaussian radial spec is cut off by its window, so its sups are scanned
+    spec = GAUSSIAN_RADIAL
     u = make_test_function(spec, grid_for_spec(spec, 128))
+    assert not hasattr(u.evaluate, "profile")
     evaluate, calls = u.evaluate, []
 
+    @functools.wraps(evaluate)
     def counted(X, Y, partials):
         calls.append(tuple(partials))
         return evaluate(X, Y, partials)
@@ -237,6 +258,51 @@ def test_sup_norm_makes_one_pass_over_the_probe():
     assert len(calls) == math.ceil((u.SUP_PROBE + 1) / u.BLOCK_ROWS) == 9
     assert set(calls) == {((0, 0), (1, 0), (2, 0))}
     assert sups == tuple(u.sup_norm((j,))[0] for j in (0, 1, 2))
+    assert sups == blocked_sup_norm(u, (0, 1, 2))
+
+
+@pytest.mark.parametrize("axis", (1, 2))
+def test_radial_probe_makes_no_lattice_call(axis):
+    # r1's sups come from its profile, also through a functools.wraps
+    # wrapper, which carries the profile along; order 3 is still scanned
+    spec = member("r1")
+    u = make_test_function(spec, grid_for_spec(spec, 128), axis=axis)
+    want = radial_profile_sup_norm(spec, (0, 1, 2))
+    evaluate, calls = u.evaluate, []
+
+    @functools.wraps(evaluate)
+    def wrapped(*args):
+        calls.append(args[2])
+        return evaluate(*args)
+
+    u.evaluate = wrapped
+    assert u.sup_norm((0, 1, 2)) == want
+    assert u.sup_norm((2, 0)) == (want[2], want[0])
+    assert calls == []
+    assert u.sup_norm((3,)) == blocked_sup_norm(u, (3,))
+    assert calls and all(partials == [u._axis_partial(3)] for partials in calls)
+
+
+@st.composite
+def compact_radial_specs(draw):
+    """A compact radial spec whose support disc lies inside its window."""
+    w = draw(st.floats(0.3, 2.0))
+    c = (draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0)))
+    margins = [draw(st.floats(0.01, 1.0)) for _ in range(4)]
+    window = tuple((ci - w - lo, ci + w + hi) for ci, lo, hi in zip(c, margins[::2], margins[1::2]))
+    family = draw(st.sampled_from(COMPACT_FAMILIES))
+    amplitude = draw(st.floats(-3.0, 3.0))
+    return TestFunctionSpec(family, c, (w, w), amplitude, 2.0, window, layout="radial")
+
+
+@settings(max_examples=12, derandomize=True, deadline=None, database=None)
+@given(compact_radial_specs(), st.sampled_from([1, 2]))
+def test_radial_profile_sups_bound_the_lattice_scan(spec, axis):
+    u = make_test_function(spec, grid_for_spec(spec, 64), axis=axis)
+    want = radial_profile_sup_norm(spec, (0, 1, 2))
+    assert u.sup_norm((0, 1, 2)) == want
+    scanned = blocked_sup_norm(u, (0, 1, 2))
+    assert all(lattice <= sup * (1.0 + 1e-6) for lattice, sup in zip(scanned, want))
 
 
 @pytest.mark.parametrize("axis", (1, 2))

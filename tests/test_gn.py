@@ -164,6 +164,31 @@ class TestGNRatio:
                 tracemalloc.stop()
         assert peak < 5 * field
 
+    @pytest.mark.parametrize("axis", [1, 2])
+    def test_gradient_fields_are_summed_in_place(self, axis):
+        # the partials evaluated for a gradient field are made absolute and
+        # summed in their own arrays: with the own field and the norms'
+        # temporaries the rerun peaks at about four fields of 2n, where a
+        # copy per partial and per partial sum made five
+        spaces = dict(x_space=P("L:2"), y_space=P("L:2"))
+        case = GNCase(spec=member("p1"), j=1, k=2, mode="gradient", axis=axis, n=256, **spaces)
+        u = make_test_function(case.spec, grid_for_spec(case.spec, case.n), axis=axis)
+        for order in (0, case.j, case.k):
+            u.center_values(order)
+        field = (2 * case.n) ** 2 * 8  # bytes of one float64 field at 2n
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            gn_ratio(case, u)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert peak < 4.5 * field
+
     @pytest.mark.parametrize("dim", [1, 2])
     def test_refinement_rerun_evaluates_no_node_field(self, dim, monkeypatch):
         # the 2n sample is read only at cell centers
@@ -487,6 +512,25 @@ class TestRunCorpus:
         # Z, X and Y are Lorentz spaces: the GN norms sort three fields at n and three at 2n
         assert len(sorts) >= 6, len(sorts)
         assert len(set(sorts)) == len(sorts)
+
+    def test_induction_runs_once_per_space_pair(self, monkeypatch):
+        # the induction verdict depends on X and Y alone: the bundled suite's
+        # 27 cases hold 7 pairs, each checked at k = 3 and 4, and every case
+        # gets the verdict a run of its own gives
+        cases = run_config().cases
+        alone = [run_case(case, ("induction",)).verdicts for case in cases]
+        calls = []
+
+        def counted(x, y, k):
+            calls.append((x.format(), y.format(), k))
+            return induction_identity_check(x, y, k)
+
+        monkeypatch.setattr(gn_module, "induction_identity_check", counted)
+        results = run_corpus(cases, ("induction",))
+        assert [result.verdicts for result in results] == alone
+        pairs = {(case.x_space.format(), case.y_space.format()) for case in cases}
+        assert len(pairs) == 7
+        assert sorted(calls) == sorted((x, y, k) for x, y in pairs for k in (3, 4))
 
     def test_z_is_combined_on_first_use(self, monkeypatch):
         # building a case combines nothing; a combination that fails is the

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gnsparse.errors import EmptyRegionError
-from gnsparse.grid import Grid1D
+from gnsparse.grid import Grid1D, Grid2D
 from gnsparse.norms import modular, space_norm
 from gnsparse.operator import (
     CellFamily,
@@ -87,11 +87,12 @@ def interval_families(draw):
 
 @st.composite
 def mask_families(draw):
-    """Random boolean masks of one shape, some of them empty."""
+    """A 2D grid and random boolean masks over its cells, some of them
+    empty (or none at all)."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    shape = (draw(st.integers(1, 24)), draw(st.integers(1, 24)))
-    densities = draw(st.lists(st.sampled_from([0.0, 0.05, 0.3, 0.9, 1.0]), min_size=1, max_size=10))
-    return [rng.random(shape) < p for p in densities]
+    grid = Grid2D(Grid1D(0.0, 1.0, draw(st.integers(8, 24))), Grid1D(0.0, 2.0, draw(st.integers(8, 24))))
+    densities = draw(st.lists(st.sampled_from([0.0, 0.05, 0.3, 0.9, 1.0]), max_size=10))
+    return grid, [rng.random((grid.gx.n, grid.gy.n)) < p for p in densities]
 
 
 def cell_values(seed, n):
@@ -127,13 +128,28 @@ class TestFlatFamilyAgainstLoops:
 
     @settings(max_examples=80, derandomize=True, deadline=None, database=None)
     @given(mask_families(), st.integers(0, 2**32 - 1))
-    def test_mask_family(self, masks, seed):
-        fam = CellFamily.from_masks(masks)
+    def test_mask_family(self, family, seed):
+        grid, masks = family
+        fam = CellFamily.from_masks(masks, grid)
         sets = [np.flatnonzero(m) for m in masks if m.any()]
         assert fam.dropped == sum(1 for m in masks if not m.any())
-        assert fam.n_cells == masks[0].size
+        assert fam.n_cells == grid.gx.n * grid.gy.n
+        assert len(fam) == len(sets)
         assert all(np.array_equal(a, b) for a, b in zip(sets_of(fam), sets))
         assert_matches_loop(fam, sets, seed)
+
+    def test_no_masks_cover_the_grid(self):
+        # a slab family with no slab still averages over all the grid's cells
+        grid = Grid2D(Grid1D(0.0, 1.0, 8), Grid1D(0.0, 1.0, 16))
+        fam = CellFamily.from_masks([], grid)
+        assert len(fam) == 0 and fam.n_cells == 128 and fam.max_overlap == 0
+        out = apply_sparse_operator(fam, CellField(np.ones((8, 16)), 1.0 / 128)).values
+        assert np.array_equal(out, np.zeros(128))
+
+    def test_mask_of_another_shape_is_rejected(self):
+        grid = Grid2D(Grid1D(0.0, 1.0, 8), Grid1D(0.0, 1.0, 16))
+        with pytest.raises(ValueError, match="shape"):
+            CellFamily.from_masks([np.ones((16, 8), dtype=bool)], grid)
 
     def test_empty_family(self):
         fam = CellFamily.from_intervals([], Grid1D(0.0, 1.0, 8))

@@ -469,28 +469,44 @@ class TestScalarOracle:
         assert_matches_scalar_family(u, fam)
 
 
-def scalar_interval_integral(fn, z, y, h_ref):
+def scalar_interval_integral(fn, z, y, h_ref, with_bound=False):
     """Reference quadrature, one interval and one call of ``fn`` at a time:
-    the trapezoid rule on ``np.linspace`` nodes with the batched panel rule."""
+    the trapezoid rule on ``np.linspace`` nodes with the batched panel rule.
+
+    With ``with_bound``, also the distance by which a sum of the same nodes
+    in another order may differ: 2 (panels + 1) eps step sum |v|.
+    """
     if not y > z:
         raise EmptyRegionError(f"degenerate interval ({z}, {y})")
     panels = max(64, 8 * int(math.ceil((y - z) / h_ref)))
     t = np.linspace(z, y, panels + 1)
     v = np.asarray(fn(t), dtype=float)
     step = (y - z) / panels
-    return float(step * (np.sum(v) - 0.5 * (v[0] + v[-1])))
+    value = float(step * (np.sum(v) - 0.5 * (v[0] + v[-1])))
+    if not with_bound:
+        return value
+    return value, 2.0 * (panels + 1) * np.finfo(float).eps * step * float(np.sum(np.abs(v)))
+
+
+def assert_matches_scalar_rule(got, fn, z, y, h_ref, what=""):
+    want, bound = scalar_interval_integral(fn, z, y, h_ref, with_bound=True)
+    assert abs(got - want) <= bound, f"{what} ({z}, {y}): {got!r} vs {want!r}, bound {bound!r}"
 
 
 class TestBatchedQuadrature:
     @pytest.mark.parametrize("spec", members(1), ids=lambda s: s.name)
     def test_default_cases_equal_the_scalar_oracle(self, spec):
+        # equal up to summation order, within the bound fixed by the oracle
         u = make_test_function(spec, grid_for_spec(spec, 1024))
         table = list(_interval_table(u, build_family_1d(u, default_k_min(u))))
         assert table
         for iv, _, _, int_d2, int_u in table:
             for m, got in ((2, int_d2), (0, int_u)):
-                want = scalar_interval_integral(lambda t: np.abs(u.evaluate(t, (m,))[0]), iv.z, iv.y, u.grid.h)
-                assert got == want, f"{spec.name} ({iv.z}, {iv.y}) order {m}: {got!r} != {want!r}"
+
+                def fn(t, m=m):
+                    return np.abs(u.evaluate(t, (m,))[0])
+
+                assert_matches_scalar_rule(got, fn, iv.z, iv.y, u.grid.h, f"{spec.name} order {m}")
 
     def test_one_call_for_all_intervals(self):
         calls = []
@@ -504,7 +520,34 @@ class TestBatchedQuadrature:
         assert len(calls) == 1
         assert got.shape == (2, 3)
         for row, f in zip(got.tolist(), (np.cos, np.exp)):
-            assert row == [scalar_interval_integral(f, a, b, 0.01) for a, b in zip(z, y)]
+            for value, a, b in zip(row, z, y):
+                assert_matches_scalar_rule(value, f, a, b, 0.01)
+
+    def test_an_interval_does_not_depend_on_its_batch(self):
+        # each interval is summed on its own: alone it gives the same bits
+        rng = np.random.default_rng(5)
+        z = rng.uniform(-3.0, 3.0, 40)
+        y = z + rng.uniform(1e-3, 2.0, 40)
+
+        def fn(t):
+            return [np.cos(3.0 * t) * np.exp(t), np.abs(np.sin(7.0 * t))]
+
+        got = interval_integrals(fn, z, y, 0.01)
+        for i in range(z.size):
+            assert np.array_equal(interval_integrals(fn, z[i : i + 1], y[i : i + 1], 0.01)[:, 0], got[:, i])
+
+    def test_no_per_interval_sum(self, monkeypatch):
+        # one reduction for the whole batch, no np.sum call per interval
+        calls = []
+        real_sum = np.sum
+
+        def counted_sum(*args, **kwargs):
+            calls.append(args)
+            return real_sum(*args, **kwargs)
+
+        monkeypatch.setattr(np, "sum", counted_sum)
+        interval_integrals(lambda t: [np.cos(t)], np.arange(50.0), np.arange(50.0) + 0.5, 0.01)
+        assert calls == []
 
     def test_no_intervals_give_empty_rows(self):
         got = interval_integrals(lambda t: [np.cos(t), np.sin(t)], [], [], 0.01)
