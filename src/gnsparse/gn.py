@@ -25,10 +25,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import AdmissibilityError, ConstructionError, GnsparseError
+from .errors import AdmissibilityError, ConstructionError, GnsparseError, UnresolvableFunctionError
 from .norms import cl_factorization_check, space_norm
 from .operator import (
-    CellFamily,
     apply_sparse_operator,
     modular_contraction_check,
     operator_norm_check,
@@ -257,7 +256,7 @@ class ChainReport:
         raise KeyError(name)
 
 
-def first_order_chain_check(u, x_space: SpaceDescriptor, y_space: SpaceDescriptor, family=None) -> ChainReport:
+def first_order_chain_check(u, x_space: SpaceDescriptor, y_space: SpaceDescriptor) -> ChainReport:
     """||u' chi_cov||_Z <= sqrt(128) K ||u''||_X^(1/2) ||u||_Y^(1/2), link by link.
 
     With T the sparse averaging operator of the escape-interval family and
@@ -276,9 +275,8 @@ def first_order_chain_check(u, x_space: SpaceDescriptor, y_space: SpaceDescripto
     if u.dim != 1:
         raise ConstructionError("the chained first-order route runs on 1D functions")
     z_space = cl_combine(x_space, y_space, Fraction(1, 2))
-    if family is None:
-        family = build_family_1d(u, default_k_min(u))
-    cells, f0, f2, t0, t2 = _cells_and_fields(u, family, _fields_of(u, u.center_values))
+    family = build_family_1d(u, default_k_min(u))
+    cells, f0, f2, t0, t2 = _cells_and_fields(family, _fields_of(u, u.center_values))
     covered = cells.counts > 0
     geo = CellField(np.sqrt(t2.values * t0.values), u.grid.h)
     lhs_field = CellField(np.where(covered, u.center_values(1), 0.0), u.grid.h)
@@ -377,14 +375,10 @@ class CaseResult:
         return None
 
 
-def _cells_and_fields(u, family, field):
+def _cells_and_fields(family, field):
     """The family's cells, the fields |u| and |u''| at cell centers as
     ``field(order)`` gives them, and T|u|, T|u''|."""
-    if u.dim == 1:
-        cells = CellFamily.from_intervals(family.intervals, u.grid)
-    else:
-        cells = CellFamily.from_masks([s.mask for s in family.slabs], u.grid)
-    f0, f2 = field(0), field(2)
+    cells, f0, f2 = family.cells, field(0), field(2)
     return cells, f0, f2, apply_sparse_operator(cells, f0), apply_sparse_operator(cells, f2)
 
 
@@ -431,6 +425,9 @@ class _CaseRun:
         else:
             family = build_family_2d(self.u)
             self.result.slabs = tuple(family.slabs)
+            if not family.slabs and family.skipped:
+                # no level resolved: the family's checks would hold vacuously
+                raise UnresolvableFunctionError(family.skipped[0].diagnostic())
         return family
 
     def field(self, order: int) -> CellField:
@@ -447,18 +444,19 @@ class _CaseRun:
 
     @_built_once
     def fields(self):
-        return _cells_and_fields(self.u, self.family, self.field)
+        return _cells_and_fields(self.family, self.field)
 
     def overlap(self) -> str:
-        """Every point lies in at most 3 intervals (1D) or 5 slabs of one sign (2D)."""
-        family = self.family
-        self.result.overlap_max = worst = family.max_overlap
+        """Every cell lies in at most 3 intervals (1D) or 5 slabs (2D) of the family."""
+        cells = self.family.cells
+        self.result.overlap_max = worst = cells.max_overlap
         limit = OVERLAP_LIMIT_1D if self.case.dim == 1 else OVERLAP_LIMIT_2D
         if worst <= limit:
             return "pass"
-        at = tuple(int(i) for i in np.unravel_index(int(np.argmax(family.counts)), family.counts.shape))
-        where = f"node {at[0]} (x={float(family.nodes[at[0]])!r})" if self.case.dim == 1 else f"cell {at}"
-        return f"fail: overlap {worst} > {limit} at {where}"
+        i = int(np.argmax(cells.counts))
+        if self.case.dim == 1:
+            return f"fail: overlap {worst} > {limit} at cell {i} (x={float(self.u.grid.centers()[i])!r})"
+        return f"fail: overlap {worst} > {limit} at cell {divmod(i, self.u.grid.gy.n)}"
 
     def pointwise(self) -> str:
         """u'^2 <= 128 (avg |u''|)(avg |u|) on covered nodes (1D); a finite ratio (2D)."""

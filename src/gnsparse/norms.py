@@ -46,20 +46,17 @@ def lorentz_norm(f: CellField, P, p) -> float:
     total = f.total_integral
 
     if math.isinf(pf):
-        # sup of t^(1/P) f**(t): segmentwise closed-form critical points
-        best = heights[0] * breaks[1] ** a  # first plateau: increasing in t
-        for i in range(1, len(heights)):
-            A = cum[i] - breaks[i] * heights[i]  # f** = (A + v t)/t on the plateau
-            v = heights[i]
-            t0, t1 = breaks[i], breaks[i + 1]
-            cand = [t0, t1]
-            if v > 0.0 and a < 1.0:
-                t_star = (1.0 - a) * A / (a * v) if A > 0.0 else None
-                if t_star and t0 < t_star < t1:
-                    cand.append(t_star)
-            for t in cand:
-                best = max(best, t ** (a - 1.0) * (A + v * t))
-        best = max(best, s0 ** (a - 1.0) * total)  # tail decreases: sup at s0
+        # sup of t^(1/P) f**(t): the first plateau increases in t and the
+        # tail decreases; on each later plateau f** = (A + v t)/t, whose
+        # candidates are the plateau's ends and its critical point (1-a)A/(av)
+        A = cum[1:-1] - breaks[1:-1] * heights[1:]
+        v = heights[1:]
+        t0, t1 = breaks[1:-1], breaks[2:]
+        t_star = (1.0 - a) * A / (a * v)
+        t_star = np.where((A > 0.0) & (t0 < t_star) & (t_star < t1), t_star, t0)
+        best = max(heights[0] * breaks[1] ** a, s0 ** (a - 1.0) * total)
+        for t in (t0, t1, t_star):
+            best = max(best, float(np.max(t ** (a - 1.0) * (A + v * t), initial=0.0)))
         return float(best)
 
     alpha = pf * a  # the dt-exponent is alpha - 1

@@ -1,7 +1,8 @@
 """The sparse averaging operator T f = sum over sets P of (mean_P f) * chi_P.
 
 Interval families (1D) and slab families (2D) rasterize to sets of grid
-cells by the center-in-open-set rule; the operator, its overlap constant K,
+cells by the center-in-open-set rule, once per build, and keep the result as
+``family.cells``: the overlap verdict, the operator, its overlap constant K,
 and the norm and modular contraction checks all act on those cell sets, so
 the comparisons are exact convex-combination arithmetic up to rounding.
 T maps a CellField (which carries the cell measure) to a CellField.
@@ -51,6 +52,20 @@ class CellFamily:
     def __len__(self):
         return len(self.sizes)
 
+    def means(self, values) -> np.ndarray:
+        """The mean of the flat cell array ``values`` over each set, each
+        set's cells summed in order."""
+        if not len(self):  # np.add.reduceat takes no empty offsets
+            return np.zeros(0)
+        return np.add.reduceat(values[self.index], self.offsets) / self.sizes
+
+    def scatter(self, per_set) -> np.ndarray:
+        """The flat cell array sum over sets i of per_set[i] * chi_(set i);
+        each cell receives its sets' values in set order."""
+        if not len(self):  # np.bincount with no weights at all counts in integers
+            return np.zeros(self.n_cells)
+        return np.bincount(self.index, weights=np.repeat(per_set, self.sizes), minlength=self.n_cells)
+
     @classmethod
     def from_intervals(cls, intervals, grid) -> "CellFamily":
         """Cells whose center lies strictly inside (z, y), per interval.
@@ -86,11 +101,7 @@ def apply_sparse_operator(family: CellFamily, f: CellField) -> CellField:
     v = f.values
     if v.size != family.n_cells:
         raise ValueError(f"expected {family.n_cells} cell values, got {v.size}")
-    if not len(family):  # np.bincount with no weights at all counts in integers
-        return CellField.of_nonnegative(np.zeros_like(v), f.cell_measure)
-    means = np.add.reduceat(v[family.index], family.offsets) / family.sizes
-    tf = np.bincount(family.index, weights=np.repeat(means, family.sizes), minlength=family.n_cells)
-    return CellField.of_nonnegative(tf, f.cell_measure)
+    return CellField.of_nonnegative(family.scatter(family.means(v)), f.cell_measure)
 
 
 def operator_norm_check(space, family: CellFamily, f: CellField, tf: CellField):

@@ -182,11 +182,12 @@ class YoungFunction:
     kept flat: ``leaves`` holds (leaf, exact Fraction weight) pairs of
     non-combined functions, weights summing to 1, with psi^{-1} the
     weighted product of the leaf inverses; a combined factor given to the
-    constructor is expanded into its leaves.  The ``powlog`` inverse and
-    the forward value of a combined function are found by Newton's method
-    (``_newton``) on the log-domain inverse ``_log_inverse``; everything
-    else is closed form.  A combined function's forward solves start from
-    the table its validation solved (``_SeedTable``).
+    constructor is expanded into its leaves.  Every inverse is exp of the
+    log-domain inverse ``_log_inverse``; the ``powlog`` one and the forward
+    value of a combined function are found by Newton's method
+    (``_newton``), and everything else is closed form.  A combined
+    function's forward solves start from the table its validation solved
+    (``_SeedTable``).
     """
 
     def __init__(self, kind, params=(), factors=None, theta=None):
@@ -248,21 +249,14 @@ class YoungFunction:
         return out if out.shape else float(out)
 
     def inverse(self, s):
-        """The generalized inverse phi^{-1}(s) = sup{t : phi(t) <= s}."""
+        """The generalized inverse phi^{-1}(s) = sup{t : phi(t) <= s}, as
+        exp of the log-domain inverse; 0 and inf map to themselves."""
         s = np.asarray(s, dtype=float)
         if np.any(s < 0.0):
             raise ValueError("inverse takes nonnegative arguments")
-        if self.kind == "pow":
-            out = s ** (1.0 / self._p)
-        elif self.kind == "exp":
-            out = np.log1p(s)
-        elif self.kind == "combined":
-            out = math.prod(np.asarray(leaf.inverse(s)) ** w for (leaf, _), w in zip(self.leaves, self._weights))
-        else:
-            out = s.copy()
-            solve = (s != 0.0) & (s != math.inf)
-            out[solve] = np.exp(self._log_inverse(np.log(s[solve]))[0])
-        out = np.asarray(out)
+        out = s.copy()
+        solve = (s != 0.0) & (s != math.inf)
+        out[solve] = np.exp(self._log_inverse(np.log(s[solve]))[0])
         return out if out.shape else float(out)
 
     def _log_inverse(self, y):
@@ -292,8 +286,8 @@ class YoungFunction:
             sum(w * slope for w, (_, slope) in zip(self._weights, terms)),
         )
 
-    def _validate(self, samples=40):
-        """Check, on a log grid of ``samples`` points in [1e-3, 100], that the
+    def _validate(self):
+        """Check, on a log grid of 40 points in [1e-3, 100], that the
         function is increasing, midpoint convex between neighbours (at 1e-9
         relative) and consistent with its inverse (at 1e-6 relative).
 
@@ -301,9 +295,9 @@ class YoungFunction:
         combined function makes one Newton solve here; it then keeps the
         solved (log t, log psi) pairs and their slopes as its seed table.
         """
-        ts = np.logspace(-3, 2, samples)
+        ts = np.logspace(-3, 2, 40)
         # the grid and its midpoints, interleaved in increasing order
-        grid = np.empty(2 * samples - 1)
+        grid = np.empty(2 * ts.size - 1)
         grid[0::2], grid[1::2] = ts, 0.5 * (ts[:-1] + ts[1:])
         values = self(grid)
         vals, mid = values[0::2], values[1::2]
@@ -424,15 +418,15 @@ class SpaceDescriptor:
         return hash((self.kind, self.primary, self.secondary))
 
 
-def young_equal(a: YoungFunction, b: YoungFunction, rel_tol: float = 1e-9) -> bool:
-    """Equality of Young functions through their inverses on a log grid;
-    a function is equal to itself at once."""
+def young_equal(a: YoungFunction, b: YoungFunction) -> bool:
+    """Equality of Young functions through their inverses on a log grid, at
+    1e-9 relative; a function is equal to itself at once."""
     if a is b:
         return True
     ss = np.logspace(-6.0, 6.0, 49)
     va = a.inverse(ss)
     vb = b.inverse(ss)
-    return bool(np.all(np.abs(va - vb) <= rel_tol * np.maximum(va, vb)))
+    return bool(np.all(np.abs(va - vb) <= 1e-9 * np.maximum(va, vb)))
 
 
 # the combined Young functions cl_combine has built, by flat form

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import ConstructionError, CorpusConfigError
 from .grid import interval_integrals
-from .operator import flat_ranges
+from .operator import CellFamily, flat_ranges
 
 BISECT_TOL_FACTOR = 1e-3  # endpoint tolerance, in grid steps
 OVERLAP_LIMIT_1D = 3  # intervals of three adjacent levels at most cover a point
@@ -76,15 +76,15 @@ class EscapeInterval:
 
 
 class SparseFamily1D:
-    """Escape intervals in (k, sign, z) order, the bookkeeping of the build,
-    and what is fixed at build: the interval ends as arrays ``z`` and ``y``,
-    per interval the index range [i0, i1) of the nodes strictly inside it
-    (``i0``, ``i1``), the per-node covering counts (``counts``) and their
-    maximum (``max_overlap``)."""
+    """Escape intervals in (k, sign, z) order on a Grid1D, the bookkeeping of
+    the build, and what is fixed at build: the interval ends as arrays ``z``
+    and ``y``, per interval the index range [i0, i1) of the nodes strictly
+    inside it (``i0``, ``i1``), and the intervals rasterized to the grid's
+    cells (``cells``), whose counts and maximum are the family's overlap."""
 
-    def __init__(self, intervals, nodes, d1, k_min, window_exit_nodes, eligible_count, unanalyzed_count):
+    def __init__(self, intervals, grid, d1, k_min, window_exit_nodes, eligible_count, unanalyzed_count):
         self.intervals = list(intervals)
-        self.nodes = np.asarray(nodes, dtype=float)
+        self.nodes = grid.nodes()
         self.d1 = np.asarray(d1, dtype=float)
         self.k_min = k_min
         self.window_exit_nodes = list(window_exit_nodes)
@@ -94,8 +94,7 @@ class SparseFamily1D:
         self.y = np.array([iv.y for iv in self.intervals], dtype=float)
         self.i0 = np.searchsorted(self.nodes, self.z, side="right")
         self.i1 = np.searchsorted(self.nodes, self.y, side="left")
-        self.counts = np.bincount(flat_ranges(self.i0, self.i1), minlength=len(self.nodes))
-        self.max_overlap = int(self.counts.max(initial=0))
+        self.cells = CellFamily.from_intervals(self.intervals, grid)
 
     def __len__(self):
         return len(self.intervals)
@@ -246,7 +245,7 @@ def build_family_1d(u, k_min: int) -> SparseFamily1D:
         EscapeInterval(z=float(a), y=float(b), k=int(kk), sign=int(s), seed=float(nodes[i]))
         for a, b, kk, s, i in zip(z, y, k, sign, seed)
     ]
-    return SparseFamily1D(intervals, nodes, d1, k_min, exit_nodes, eligible_count, unanalyzed)
+    return SparseFamily1D(intervals, u.grid, d1, k_min, exit_nodes, eligible_count, unanalyzed)
 
 
 def _interval_integrals(u, family: SparseFamily1D):
@@ -293,7 +292,8 @@ def verify_pointwise_1d(u, family: SparseFamily1D):
 
 def coverage_report(family: SparseFamily1D):
     """(uncovered eligible non-exit node indices, covered mask)."""
-    covered = family.counts > 0
+    covered = np.zeros(len(family.nodes), dtype=bool)
+    covered[flat_ranges(family.i0, family.i1)] = True
     should = np.abs(family.d1) >= level_floor(family.k_min)
     should[family.window_exit_nodes] = False
     uncovered = np.nonzero(should & ~covered)[0]

@@ -35,9 +35,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConstructionError, CorpusConfigError
+from .operator import CellFamily
 from .sparse1d import check_exit_budget, k_min_for_sup, level_band, level_floor, level_index, seeded_runs
 
-OVERLAP_LIMIT_2D = 5  # per sign: slabs of five adjacent levels at most cover a cell
+OVERLAP_LIMIT_2D = 5  # slabs of five adjacent levels of one sign at most cover a cell
 
 
 @dataclass(frozen=True)
@@ -84,9 +85,8 @@ class SlabSet:
 @dataclass
 class SparseFamily2D:
     """The slabs of one build, its bookkeeping, the center field d1c of the
-    partial it is built from, and the per-cell covering counts fixed at
-    build: per sign (``plus_counts``, ``minus_counts``), their cellwise max
-    (``counts``) and its maximum (``max_overlap``)."""
+    partial it is built from, and the slab masks as one family of cells
+    (``cells``), whose counts and maximum are the family's overlap."""
 
     axis: int
     slabs: list
@@ -96,15 +96,8 @@ class SparseFamily2D:
     exit_cells: list
     eligible_count: int
     d1c: np.ndarray
+    cells: CellFamily
     deltas: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.plus_counts = np.zeros(self.d1c.shape, dtype=np.int64)
-        self.minus_counts = np.zeros(self.d1c.shape, dtype=np.int64)
-        for s in self.slabs:
-            (self.plus_counts if s.sign > 0 else self.minus_counts)[s.mask] += 1
-        self.counts = np.maximum(self.plus_counts, self.minus_counts)
-        self.max_overlap = int(self.counts.max(initial=0))
 
     def __len__(self):
         return len(self.slabs)
@@ -264,7 +257,7 @@ def build_family_2d(u) -> SparseFamily2D:
     big_m = max(sups)
     sup_d1 = max(sups[1], float(np.max(np.abs(d1c))))
     if sup_d1 == 0.0:
-        return SparseFamily2D(axis, [], [], 0, 0, [], 0, d1c)
+        return SparseFamily2D(axis, [], [], 0, 0, [], 0, d1c, CellFamily.from_masks([], u.grid))
     k_top = level_index(sup_d1)
     k_min = k_min_for_sup(sups[1])
 
@@ -335,6 +328,7 @@ def build_family_2d(u) -> SparseFamily2D:
         exit_cells=exit_cells,
         eligible_count=eligible_count,
         d1c=d1c,
+        cells=CellFamily.from_masks([s.mask for s in slabs], u.grid),
         deltas=deltas,
     )
 
@@ -348,15 +342,13 @@ class Family2DReport:
 def verify_family_2d(u, family: SparseFamily2D) -> Family2DReport:
     """Structural checks (raise ConstructionError) plus the reported ratio.
 
-    Checks: per-sign overlap <= 5, disjointness of the two sign unions,
+    Checks: overlap <= 5, disjointness of the two sign unions,
     widened band inclusion at every covered cell center, and coverage of
     every non-exiting seed cell of each analyzed level.  The pointwise
     ratio (d1 u)^2 / sum of slab-average products is reported, never
     thresholded.
     """
-    abs_u, abs_d2 = np.abs(u.center_values(0)), np.abs(u.center_values(2))
-    denom = np.zeros(family.d1c.shape)
-
+    cells = family.cells
     for s in family.slabs:
         g = s.sign * family.d1c[s.mask]
         lo = math.ldexp(1.0, s.k - 3)
@@ -366,15 +358,19 @@ def verify_family_2d(u, family: SparseFamily2D) -> Family2DReport:
                 f"slab (k={s.k}, sign={s.sign}) leaves its widened band "
                 f"[{lo}, {hi}): values in [{np.min(g)}, {np.max(g)}]"
             )
-        a2 = float(np.mean(abs_d2[s.mask]))
-        a0 = float(np.mean(abs_u[s.mask]))
-        if a2 <= 0.0:
-            raise ConstructionError(f"slab (k={s.k}, sign={s.sign}) has zero |d1^2 u| average")
-        denom[s.mask] += a2 * a0
 
-    if family.max_overlap > OVERLAP_LIMIT_2D:
-        raise ConstructionError(f"per-sign overlap {family.max_overlap} exceeds {OVERLAP_LIMIT_2D}")
-    if np.any((family.plus_counts > 0) & (family.minus_counts > 0)):
+    a2 = cells.means(np.abs(u.center_values(2)).ravel())
+    a0 = cells.means(np.abs(u.center_values(0)).ravel())
+    zero = np.flatnonzero(a2 <= 0.0)
+    if zero.size:
+        s = family.slabs[zero[0]]
+        raise ConstructionError(f"slab (k={s.k}, sign={s.sign}) has zero |d1^2 u| average")
+    denom = cells.scatter(a2 * a0).reshape(family.d1c.shape)
+
+    if cells.max_overlap > OVERLAP_LIMIT_2D:
+        raise ConstructionError(f"overlap {cells.max_overlap} exceeds {OVERLAP_LIMIT_2D}")
+    # a cell held by slabs of both signs has |sum of signs| < count
+    if np.any(np.abs(cells.scatter([s.sign for s in family.slabs])) < cells.counts):
         raise ConstructionError("positive and negative slab unions intersect")
 
     exit_set = {(i, j, k, sign) for (i, j, k, sign) in family.exit_cells}

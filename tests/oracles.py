@@ -230,6 +230,30 @@ def equimeasurable(a, b, rel_tol: float = 1e-9) -> bool:
     return bool(np.all(np.abs(distribution(a, probe) - distribution(b, probe)) <= rel_tol * scale))
 
 
+def loop_weak_lorentz_norm(f, P) -> float:
+    """The Lor:P,inf norm sup t^(1/P) f**(t) of a CellField, one plateau at a
+    time: the first plateau's right end, each later plateau's two ends and
+    its interior critical point, and the support measure for the tail."""
+    if f.is_zero:
+        return 0.0
+    a = float(1 / P)
+    heights, breaks, cum = f.heights, f.breaks, f.cum_integral
+    best = heights[0] * breaks[1] ** a  # first plateau: increasing in t
+    for i in range(1, len(heights)):
+        A = cum[i] - breaks[i] * heights[i]  # f** = (A + v t)/t on the plateau
+        v = heights[i]
+        t0, t1 = breaks[i], breaks[i + 1]
+        cand = [t0, t1]
+        if v > 0.0 and a < 1.0:
+            t_star = (1.0 - a) * A / (a * v) if A > 0.0 else None
+            if t_star and t0 < t_star < t1:
+                cand.append(t_star)
+        for t in cand:
+            best = max(best, t ** (a - 1.0) * (A + v * t))
+    best = max(best, f.support_measure ** (a - 1.0) * f.total_integral)  # tail decreases: sup at s0
+    return float(best)
+
+
 IntervalRecord = namedtuple("IntervalRecord", "z y k sign")
 
 

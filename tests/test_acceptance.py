@@ -80,7 +80,7 @@ def test_criterion_01_overlap_1d(corpus_1024):
     assert families == {"gaussian", "smooth-bump", "modulated-bump", "sine-window"}
     worst = 0
     for name, (u, fam) in corpus_1024.items():
-        overlap = fam.max_overlap
+        overlap = fam.cells.max_overlap
         assert overlap <= 3, f"{name}: overlap {overlap}"
         worst = max(worst, overlap)
     criterion(1, worst <= 3, f"{len(corpus_1024)} members, max overlap {worst} <= 3")
@@ -143,16 +143,16 @@ def test_criterion_04_overlap_2d(corpus_2d):
     worst_overlap = 0
     worst_drift = 0.0
     for name, ((fam1, rep1), (_, rep2)) in corpus_2d.items():
-        assert fam1.max_overlap <= 5, f"{name}: overlap {fam1.max_overlap}"
+        assert fam1.cells.max_overlap <= 5, f"{name}: overlap {fam1.cells.max_overlap}"
         assert math.isfinite(rep1.max_ratio) and rep1.max_ratio > 0.0
         drift = abs(rep2.max_ratio - rep1.max_ratio) / rep1.max_ratio
         assert drift <= 0.05, f"{name}: drift {drift:.2%}"
-        worst_overlap = max(worst_overlap, fam1.max_overlap)
+        worst_overlap = max(worst_overlap, fam1.cells.max_overlap)
         worst_drift = max(worst_drift, drift)
     criterion(
         4,
         True,
-        f"{len(corpus_2d)} members, per-sign overlap {worst_overlap} <= 5, "
+        f"{len(corpus_2d)} members, overlap {worst_overlap} <= 5, "
         f"ratio drift {worst_drift:.2%} <= 5% under n -> 2n",
     )
 
@@ -161,7 +161,7 @@ def test_criterion_05_operator_bounds(corpus_1024):
     l1, linf = P("L:1"), P("L:inf")
     for name, (u, fam) in corpus_1024.items():
         grid = u.grid
-        cells = CellFamily.from_intervals(fam.intervals, grid)
+        cells = fam.cells
         centers = grid.centers()
         for label, order in (("|u''|", 2), ("|u|", 0), ("1", None)):
             f = CellField(np.ones(len(centers)) if order is None else u.evaluate(centers, (order,))[0], grid.h)
@@ -194,7 +194,7 @@ def test_criterion_06_modular_contraction(corpus_1024):
         YoungFunction("exp"),
     )
     for name, (u, fam) in corpus_1024.items():
-        cells = CellFamily.from_intervals(fam.intervals, u.grid)
+        cells = fam.cells
         f = CellField(u.evaluate(u.grid.centers(), (0,))[0], u.grid.h)
         tf = apply_sparse_operator(cells, f)
         for young in youngs:

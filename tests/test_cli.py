@@ -201,24 +201,32 @@ class TestMainExitCodes:
         assert "-n128," in body and "-n256," not in body
 
     def test_coarse_resolution_override_reports_every_case(self, tmp_path, capsys):
-        # at n = 64 the 2D thickness scan admits no level, so the 2D
-        # families hold no slab; their cases still get verdicts, and only
-        # the 1D members too narrow for the grid fail, as package errors
+        # at n = 64 the 2D thickness scan admits no level, so no 2D family
+        # holds a slab: the checks that read the family are errors naming
+        # the top skipped level, while the GN ratio and the induction, which
+        # do not, still pass; three 1D members are too narrow for the grid
         out = tmp_path / "coarse"
         code = main(["--out", str(out), "--format", "text", "--resolution", "64"])
         assert code == 1
-        assert "3 of 27 cases failed" in capsys.readouterr().err
-        verdicts = {}
+        assert "9 of 27 cases failed" in capsys.readouterr().err
+        verdicts, errors = {}, {}
         for line in (out / "report.txt").read_text(encoding="utf-8").splitlines():
             if line.startswith("case "):
                 case_id = line.split()[1]
                 verdicts[case_id] = []
             elif line.startswith("  verdict "):
                 verdicts[case_id].append(line.split()[1:])
+            elif line.startswith("  error "):
+                errors[case_id] = line[len("  error ") :]
         two_d = [case_id for case_id in verdicts if "-ax" in case_id]
         assert len(two_d) == 6
+        family_checks = ("overlap", "pointwise", "operator-norm", "modular")
         for case_id in two_d:
-            assert verdicts[case_id] == [[name, "pass"] for name in CHECK_NAMES], case_id
+            assert verdicts[case_id] == [
+                [name, "error" if name in family_checks else "pass"] for name in CHECK_NAMES
+            ], case_id
+            assert errors[case_id].startswith("UnresolvableFunctionError: level "), case_id
+            assert "cells per side would resolve it" in errors[case_id]
 
     def test_checks_override(self, tmp_path):
         code = main(
@@ -315,7 +323,7 @@ class TestMainExitCodes:
         code = main(["--config", write_config(tmp_path), "--out", str(tmp_path / "v")])
         assert code == 1
         err = capsys.readouterr().err
-        assert "overlap" in err and "node" in err
+        assert "overlap" in err and "cell" in err
         # the report still gets written so the failure can be inspected
         body = (tmp_path / "v" / "report.csv").read_text(encoding="utf-8")
         assert "fail: overlap" in body

@@ -5,6 +5,7 @@ import dataclasses
 import functools
 import gc
 import os
+import re
 import tracemalloc
 import weakref
 from collections import Counter
@@ -30,7 +31,7 @@ from gnsparse.gn import (
     run_case,
     run_corpus,
 )
-from gnsparse.operator import CellFamily, apply_sparse_operator
+from gnsparse.operator import CellFamily, apply_sparse_operator, operator_norm_check
 from gnsparse.rearrangement import CellField
 from gnsparse.spaces import SpaceDescriptor, cl_combine
 from gnsparse.testfunctions import TestFunctionSpec, grid_for_spec, make_test_function
@@ -50,6 +51,20 @@ BUMP = TestFunctionSpec(
 
 def case_1d(spec, x, y, j=1, k=2, mode="pure", n=256):
     return GNCase(spec=spec, j=j, k=k, x_space=P(x), y_space=P(y), mode=mode, n=n)
+
+
+def record_families(monkeypatch):
+    """Wrap gn's two family builds; the returned list receives every family
+    they build."""
+    families = []
+    for name in ("build_family_1d", "build_family_2d"):
+
+        def recorded(*args, build=getattr(gn_module, name)):
+            families.append(build(*args))
+            return families[-1]
+
+        monkeypatch.setattr(gn_module, name, recorded)
+    return families
 
 
 class TestGNCase:
@@ -562,12 +577,62 @@ class TestRunCorpus:
             run_case(case, ("overlap", "pointwise", "gn"))
 
     def test_overlap_limit_violation_is_named(self, monkeypatch):
+        # the verdict names a cell, and its center, where the family's cell
+        # count is its maximum
+        families = record_families(monkeypatch)
         monkeypatch.setattr(gn_module, "OVERLAP_LIMIT_1D", 2)
         result = run_case(case_1d(BUMP, "L:1", "L:1"), ("overlap",))
         assert not result.passed
         name, verdict = result.first_failure()
         assert name == "overlap"
-        assert verdict.startswith("fail") and "node" in verdict
+        match = re.fullmatch(r"fail: overlap (\d+) > 2 at cell (\d+) \(x=(.+)\)", verdict)
+        cell = int(match[2])
+        assert float(match[3]) == grid_for_spec(BUMP, 256).centers()[cell]
+        (family,) = families
+        assert int(match[1]) == family.cells.max_overlap == family.cells.counts[cell]
+
+    def test_overlap_limit_violation_names_a_2d_cell(self, monkeypatch):
+        families = record_families(monkeypatch)
+        monkeypatch.setattr(gn_module, "OVERLAP_LIMIT_2D", 0)
+        case = GNCase(spec=member("p1"), j=1, k=2, x_space=P("L:2"), y_space=P("L:2"), n=128)
+        name, verdict = run_case(case, ("overlap",)).first_failure()
+        assert name == "overlap"
+        match = re.fullmatch(r"fail: overlap (\d+) > 0 at cell \((\d+), (\d+)\)", verdict)
+        (family,) = families
+        cell = np.ravel_multi_index((int(match[2]), int(match[3])), family.d1c.shape)
+        assert int(match[1]) == family.cells.max_overlap == family.cells.counts[cell]
+
+    def test_default_suite_overlap_is_the_operator_constant(self, monkeypatch):
+        # on every bundled case the reported overlap-max is the overlap of
+        # the family's cells, which is the K the operator-norm check uses
+        families, constants = record_families(monkeypatch), []
+
+        def check(space, cells, f, tf):
+            out = operator_norm_check(space, cells, f, tf)
+            constants.append(out[2])
+            return out
+
+        monkeypatch.setattr(gn_module, "operator_norm_check", check)
+        cases = run_config().cases
+        assert len(cases) == 27
+        for case in cases:
+            families.clear()
+            constants.clear()
+            result = run_case(case, CHECK_NAMES)
+            assert result.passed, result.verdicts
+            (family,) = families
+            assert len(constants) == 4
+            assert {result.overlap_max} == {family.cells.max_overlap} == set(constants), case.case_id()
+
+    def test_zero_2d_function_passes_with_no_slab(self):
+        # the zero function has no level to skip, so its empty family is no error
+        spec = TestFunctionSpec(
+            family="smooth-bump", center=(0.0, 0.0), width=(1.0, 1.0),
+            amplitude=0.0, window=((-1.5, 1.5), (-1.5, 1.5)), name="zero",
+        )
+        result = run_case(GNCase(spec=spec, j=1, k=2, x_space=P("L:2"), y_space=P("L:2"), n=32), CHECK_NAMES)
+        assert result.passed, result.verdicts
+        assert result.slabs == () and result.overlap_max == 0
 
     def test_case_error_is_recorded_and_run_continues(self, monkeypatch):
         # a 2D gaussian never leaves the widened band, so the slab build

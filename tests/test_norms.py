@@ -35,7 +35,7 @@ from gnsparse.testfunctions import TestFunctionSpec, grid_for_spec, make_test_fu
 from gnsparse.grid import Grid1D
 
 from corpus import members
-from oracles import distribution, double_star, equimeasurable, star
+from oracles import distribution, double_star, equimeasurable, loop_weak_lorentz_norm, star
 
 
 def step_function():
@@ -919,3 +919,21 @@ def test_luxemburg_matches_bisection_oracle(young, values, mu):
     assert modular(young, CellField(values, mu), scale=got) <= 1.0
     assert modular(young, CellField(values, mu), scale=got * (1.0 - LUXEMBURG_REL_TOL)) > 1.0
     assert len(calls) <= len(oracle_calls)
+
+
+@st.composite
+def cell_fields(draw):
+    # a few repeated levels make plateaus wider than one cell; some cells are 0
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 2048))
+    levels = 10.0 ** rng.uniform(-3.0, 3.0, draw(st.integers(1, 64)))
+    values = rng.choice(np.append(levels, 0.0), n) * rng.choice([1.0, -1.0], n)
+    return CellField(values, draw(st.sampled_from([1e-4, 1.0 / 64.0, 1.0, 10.0])))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(f=cell_fields(), P=st.sampled_from([Fraction(101, 100), Fraction(3, 2), Fraction(2), Fraction(5)]))
+def test_weak_lorentz_norm_matches_the_plateau_loop(f, P):
+    want = loop_weak_lorentz_norm(f, P)
+    got = lorentz_norm(f, P, INF)
+    assert abs(got - want) <= 1e-15 * want

@@ -104,7 +104,10 @@ def cell_values(seed, n):
 def assert_matches_loop(fam, sets, seed):
     assert np.array_equal(fam.counts, loop_counts(sets, fam.n_cells))
     assert fam.max_overlap == int(loop_counts(sets, fam.n_cells).max(initial=0))
+    # scattering one per set counts the sets at each cell
+    assert np.array_equal(fam.scatter(np.ones(len(fam))), fam.counts)
     f = cell_values(seed, fam.n_cells)
+    np.testing.assert_allclose(fam.means(f), [np.mean(f[s]) for s in sets], rtol=4 * np.finfo(float).eps, atol=0.0)
     # segment sums run in order, np.mean sums pairwise: a few ulp apart
     np.testing.assert_allclose(
         apply_sparse_operator(fam, CellField(f, 0.25)).values,
@@ -156,6 +159,8 @@ class TestFlatFamilyAgainstLoops:
         assert len(fam) == 0 and fam.max_overlap == 0
         out = apply_sparse_operator(fam, CellField(np.ones(8), 0.125)).values
         assert out.dtype == float and np.array_equal(out, np.zeros(8))
+        assert fam.means(np.ones(8)).shape == (0,)
+        assert fam.scatter([]).dtype == float and np.array_equal(fam.scatter([]), np.zeros(8))
 
 
 class TestApply:

@@ -12,7 +12,6 @@ from gnsparse.errors import ConstructionError, CorpusConfigError, EmptyRegionErr
 from gnsparse.gn import MODULAR_YOUNGS
 from gnsparse.grid import Grid1D, GridFunction1D, interval_integrals
 from gnsparse.operator import (
-    CellFamily,
     apply_sparse_operator,
     modular_contraction_check,
     operator_norm_check,
@@ -200,7 +199,7 @@ class TestFamilyConstruction:
         assert fam.window_exit_nodes == []
         uncovered, _ = coverage_report(fam)
         assert uncovered.size == 0
-        assert fam.max_overlap == 3  # attained: levels k-1, k, k+1 all cover x ~ 0.9
+        assert fam.cells.max_overlap == 3  # attained: levels k-1, k, k+1 all cover x ~ 0.9
 
     def test_overlap_three_attained_near_stated_point(self):
         u = sine_function()
@@ -297,7 +296,7 @@ class TestResolvedFloor:
         assert min(iv.y - iv.z for iv in fam.intervals) >= 4 * u.grid.h
         uncovered, _ = coverage_report(fam)
         assert uncovered.size == 0
-        assert fam.max_overlap <= 3
+        assert fam.cells.max_overlap <= 3
         _, max_ratio = verify_pointwise_1d(u, fam)
         assert 0.0 < max_ratio <= 128.0
 
@@ -309,9 +308,10 @@ def test_corpus_family_invariants(spec):
     assert len(fam.window_exit_nodes) <= 0.01 * max(fam.eligible_count, 1)
     uncovered, _ = coverage_report(fam)
     assert uncovered.size == 0
-    inside = [(fam.nodes > iv.z) & (fam.nodes < iv.y) for iv in fam.intervals]
-    assert np.array_equal(fam.counts, np.sum(inside, axis=0))
-    assert fam.max_overlap <= 3
+    centers = u.grid.centers()
+    inside = [(centers > iv.z) & (centers < iv.y) for iv in fam.intervals]
+    assert np.array_equal(fam.cells.counts, np.sum(inside, axis=0))
+    assert fam.cells.max_overlap <= 3
     _, max_ratio = verify_pointwise_1d(u, fam)
     assert 0.0 < max_ratio <= 128.0
 
@@ -335,9 +335,9 @@ class TestPointwiseBound:
         fam = build_family_1d(u, k_min=-6)
         ratios, max_ratio = verify_pointwise_1d(u, fam)
         assert max_ratio <= 128.0
-        counts = fam.counts
-        assert np.all(ratios[counts == 0] == 0.0)
-        assert np.all(ratios[counts > 0] > 0.0)
+        _, covered = coverage_report(fam)
+        assert np.all(ratios[~covered] == 0.0)
+        assert np.all(ratios[covered] > 0.0)
 
     @pytest.mark.parametrize("spec", members(1), ids=lambda s: s.name)
     def test_corpus_ratios_equal_the_interval_loop(self, spec):
@@ -356,7 +356,7 @@ class TestPointwiseBound:
         u = GridFunction1D(Grid1D(-1.0, 1.0, 64), evaluate, label="kink")
         ends = ((-0.5, -0.25), (0.25, 0.5), (0.6, 0.7))
         intervals = [EscapeInterval(z, y, 0, 1, 0.5 * (z + y)) for z, y in ends]
-        fam = SparseFamily1D(intervals, u.grid.nodes(), u.d1, 0, [], 0, 0)
+        fam = SparseFamily1D(intervals, u.grid, u.d1, 0, [], 0, 0)
         with pytest.raises(ConstructionError, match=r"interval \(0\.25, 0\.5\) has vanishing"):
             verify_pointwise_1d(u, fam)
 
@@ -612,7 +612,7 @@ def localized_functions(draw):
 def test_random_families_match_oracle_and_cover(u):
     fam = build_allowing_exits(u)
     assert_matches_scalar_family(u, fam)
-    assert fam.max_overlap <= 3
+    assert fam.cells.max_overlap <= 3
     uncovered, _ = coverage_report(fam)
     assert uncovered.size == 0
 
@@ -621,8 +621,7 @@ def test_random_families_match_oracle_and_cover(u):
 @given(localized_functions())
 def test_random_families_bound_the_operator(u):
     # ||T|f|||_X <= K ||f||_X for |u''| and |u|, and rho(T|u|/K) <= rho(|u|)
-    fam = build_allowing_exits(u)
-    cells = CellFamily.from_intervals(fam.intervals, u.grid)
+    cells = build_allowing_exits(u).cells
     f0, f2 = (CellField(u.center_values(m), u.grid.h) for m in (0, 2))
     t0, t2 = apply_sparse_operator(cells, f0), apply_sparse_operator(cells, f2)
     for text in ("L:1", "L:inf", "Lor:3/2,2", "Orl:pow:2"):

@@ -159,7 +159,7 @@ class TestBuild2D:
         fam = build_family_2d(u)
         assert len(fam) == 0
         rep = verify_family_2d(u, fam)
-        assert fam.max_overlap == 0 and rep.max_ratio == 0.0
+        assert fam.cells.max_overlap == 0 and rep.max_ratio == 0.0
 
     def test_noncompact_support_rejected(self):
         spec = TestFunctionSpec(
@@ -217,7 +217,7 @@ class TestBuild2D:
         fam = build_family_2d(u)
         verify_family_2d(u, fam)  # raises on any structural violation
         assert fam.analyzed_levels() == [0]
-        assert fam.max_overlap >= 1
+        assert fam.cells.max_overlap >= 1
 
 
 @pytest.mark.parametrize("spec", members(2), ids=lambda s: s.name)
@@ -226,12 +226,13 @@ def test_corpus_verification(spec):
     fam = build_family_2d(u)
     rep = verify_family_2d(u, fam)  # raises on any structural violation
     assert fam.analyzed_levels() == [0]
-    assert 1 <= fam.max_overlap <= 5
+    assert 1 <= fam.cells.max_overlap <= 5
     assert 0.0 < rep.max_ratio < 10.0
     plus = sum(s.mask.astype(int) for s in fam.slabs if s.sign > 0)
     minus = sum(s.mask.astype(int) for s in fam.slabs if s.sign < 0)
-    assert np.array_equal(fam.counts, np.maximum(plus, minus))
-    assert fam.max_overlap == int(fam.counts.max())
+    assert not np.any((plus > 0) & (minus > 0))
+    assert np.array_equal(fam.cells.counts.reshape(plus.shape), plus + minus)
+    assert fam.cells.max_overlap == int(fam.cells.counts.max())
 
 
 class TestRefinementStability:
