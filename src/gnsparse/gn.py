@@ -461,7 +461,7 @@ class _CaseRun:
     def pointwise(self) -> str:
         """u'^2 <= 128 (avg |u''|)(avg |u|) on covered nodes (1D); a finite ratio (2D)."""
         if self.case.dim == 2:
-            self.result.pointwise_max = ratio = verify_family_2d(self.u, self.family).max_ratio
+            self.result.pointwise_max = ratio = verify_family_2d(self.family, self.field(0), self.field(2)).max_ratio
             return "pass" if math.isfinite(ratio) else "fail: pointwise ratio is not finite"
         self.result.pointwise_max = ratio = verify_pointwise_1d(self.u, self.family)[1]
         bound = POINTWISE_CONSTANT * (1.0 + POINTWISE_SLACK)

@@ -46,18 +46,11 @@ def lorentz_norm(f: CellField, P, p) -> float:
     total = f.total_integral
 
     if math.isinf(pf):
-        # sup of t^(1/P) f**(t): the first plateau increases in t and the
-        # tail decreases; on each later plateau f** = (A + v t)/t, whose
-        # candidates are the plateau's ends and its critical point (1-a)A/(av)
-        A = cum[1:-1] - breaks[1:-1] * heights[1:]
-        v = heights[1:]
-        t0, t1 = breaks[1:-1], breaks[2:]
-        t_star = (1.0 - a) * A / (a * v)
-        t_star = np.where((A > 0.0) & (t0 < t_star) & (t_star < t1), t_star, t0)
-        best = max(heights[0] * breaks[1] ** a, s0 ** (a - 1.0) * total)
-        for t in (t0, t1, t_star):
-            best = max(best, float(np.max(t ** (a - 1.0) * (A + v * t), initial=0.0)))
-        return float(best)
+        # sup of t^(1/P) f**(t) = t^(a-1) int_0^t f*: the first plateau
+        # increases in t and the tail decreases; on each later plateau
+        # t^(a-1) (A + v t) has its one critical point at a minimum, so the
+        # sup is at a break
+        return float(np.max(breaks[1:] ** (a - 1.0) * cum[1:]))
 
     alpha = pf * a  # the dt-exponent is alpha - 1
     acc = heights[0] ** pf * breaks[1] ** alpha / alpha
@@ -83,7 +76,11 @@ def modular(young, f: CellField, scale: float = 1.0) -> float:
     if v.size == 0:
         return 0.0
     try:
-        return float(np.sum(young(v / scale)) * f.cell_measure)
+        with np.errstate(over="ignore"):  # an overflow raises below, with no warning first
+            rho = float(np.sum(young(v / scale)) * f.cell_measure)
+        if math.isinf(rho):
+            raise OverflowError("the sum is not finite")
+        return rho
     except OverflowError as exc:
         raise ModularRangeError(
             f"modular overflowed at scale {scale}: {exc}", argument=float(np.max(v) / scale)

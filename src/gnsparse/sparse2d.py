@@ -36,6 +36,7 @@ import numpy as np
 
 from .errors import ConstructionError, CorpusConfigError
 from .operator import CellFamily
+from .rearrangement import CellField
 from .sparse1d import check_exit_budget, k_min_for_sup, level_band, level_floor, level_index, seeded_runs
 
 OVERLAP_LIMIT_2D = 5  # slabs of five adjacent levels of one sign at most cover a cell
@@ -339,12 +340,15 @@ class Family2DReport:
     covered_cells: int
 
 
-def verify_family_2d(u, family: SparseFamily2D) -> Family2DReport:
+def verify_family_2d(family: SparseFamily2D, f0: CellField, f2: CellField) -> Family2DReport:
     """Structural checks (raise ConstructionError) plus the reported ratio.
 
-    Checks: overlap <= 5, disjointness of the two sign unions,
-    widened band inclusion at every covered cell center, and coverage of
-    every non-exiting seed cell of each analyzed level.  The pointwise
+    ``f0`` and ``f2`` are the fields |u| and |d1^2 u| of the function the
+    family was built from.  Checks: widened band inclusion at every covered
+    cell center, a positive |d1^2 u| average on every slab, overlap <= 5,
+    and coverage of every non-exiting seed cell of each analyzed level.
+    The band check also makes the two sign unions disjoint, since it puts
+    sign * d1 u >= 2^(k-3) > 0 on every cell of every slab.  The pointwise
     ratio (d1 u)^2 / sum of slab-average products is reported, never
     thresholded.
     """
@@ -359,8 +363,8 @@ def verify_family_2d(u, family: SparseFamily2D) -> Family2DReport:
                 f"[{lo}, {hi}): values in [{np.min(g)}, {np.max(g)}]"
             )
 
-    a2 = cells.means(np.abs(u.center_values(2)).ravel())
-    a0 = cells.means(np.abs(u.center_values(0)).ravel())
+    a2 = cells.means(f2.values)
+    a0 = cells.means(f0.values)
     zero = np.flatnonzero(a2 <= 0.0)
     if zero.size:
         s = family.slabs[zero[0]]
@@ -369,27 +373,21 @@ def verify_family_2d(u, family: SparseFamily2D) -> Family2DReport:
 
     if cells.max_overlap > OVERLAP_LIMIT_2D:
         raise ConstructionError(f"overlap {cells.max_overlap} exceeds {OVERLAP_LIMIT_2D}")
-    # a cell held by slabs of both signs has |sum of signs| < count
-    if np.any(np.abs(cells.scatter([s.sign for s in family.slabs])) < cells.counts):
-        raise ConstructionError("positive and negative slab unions intersect")
 
-    exit_set = {(i, j, k, sign) for (i, j, k, sign) in family.exit_cells}
+    # a cell is a seed of its own level and sign only, so one grid marks every exit
+    exited = np.zeros(family.d1c.shape, dtype=bool)
+    for i, j, _, _ in family.exit_cells:
+        exited[i, j] = True
     for s in family.slabs:
         g = s.sign * family.d1c
         lo, hi = level_band(s.k)
-        own = (g >= lo) & (g < hi)
-        missing = own & ~s.mask
+        missing = (g >= lo) & (g < hi) & ~s.mask & ~exited
         if np.any(missing):
-            bad = [
-                (int(i), int(j))
-                for i, j in zip(*np.nonzero(missing))
-                if (int(i), int(j), s.k, s.sign) not in exit_set
-            ]
-            if bad:
-                raise ConstructionError(
-                    f"{len(bad)} seed cells of level {s.k} sign {s.sign} are not in "
-                    f"their own slab, first at {bad[0]}"
-                )
+            first = tuple(int(x) for x in np.argwhere(missing)[0])
+            raise ConstructionError(
+                f"{np.count_nonzero(missing)} seed cells of level {s.k} sign {s.sign} are not in "
+                f"their own slab, first at {first}"
+            )
 
     covered = denom > 0.0
     ratios = np.zeros(family.d1c.shape)

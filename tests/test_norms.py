@@ -660,6 +660,13 @@ class TestNorms:
         with pytest.raises(ModularRangeError) as err:
             modular(YoungFunction("exp"), CellField(np.array([1e6]), 1.0), scale=1e-3)
         assert err.value.argument == pytest.approx(1e9)
+        # a power overflows in numpy, whose warning must not come out first
+        with pytest.raises(ModularRangeError) as err:
+            modular(YoungFunction("pow", (Fraction(3),)), CellField(np.array([1e200, 1.0]), 0.5))
+        assert err.value.argument == pytest.approx(1e200)
+        # every value is finite, their sum is not
+        with pytest.raises(ModularRangeError, match="the sum is not finite"):
+            modular(YoungFunction("pow", (Fraction(3),)), CellField(np.full(1000, 1e102), 1.0))
 
     def test_luxemburg_bracket_guard(self):
         # a degenerate integrand that never pushes the modular above 1

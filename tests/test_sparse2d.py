@@ -1,14 +1,17 @@
 """Admissible slab thickness, 2D family construction, and its verification."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from gnsparse import sparse2d
-from gnsparse.errors import CorpusConfigError
+from gnsparse.errors import ConstructionError, CorpusConfigError
 from gnsparse.grid import Grid1D, Grid2D, GridFunction2D
-from gnsparse.sparse1d import band_edges, level_floor
+from gnsparse.operator import CellFamily
+from gnsparse.rearrangement import CellField
+from gnsparse.sparse1d import band_edges, level_band, level_floor
 from gnsparse.sparse2d import (
     DeltaResult,
     _field_lattices,
@@ -21,6 +24,11 @@ from gnsparse.sparse2d import (
 from gnsparse.testfunctions import TestFunctionSpec, grid_for_spec, make_test_function
 
 from corpus import member, members
+
+
+def verify(u, fam):
+    """verify_family_2d on the fields |u| and |d1^2 u| a case reads."""
+    return verify_family_2d(fam, *(CellField(u.center_values(order), u.grid.cell_area) for order in (0, 2)))
 
 
 def square_grid(n=16, a=0.0, b=1.0):
@@ -158,8 +166,8 @@ class TestBuild2D:
         u = make_test_function(spec, grid_for_spec(spec, 32))
         fam = build_family_2d(u)
         assert len(fam) == 0
-        rep = verify_family_2d(u, fam)
-        assert fam.cells.max_overlap == 0 and rep.max_ratio == 0.0
+        rep = verify(u, fam)
+        assert fam.cells.max_overlap == 0 and rep.max_ratio == 0.0 and rep.covered_cells == 0
 
     def test_noncompact_support_rejected(self):
         spec = TestFunctionSpec(
@@ -215,7 +223,7 @@ class TestBuild2D:
         spec = member("p1")  # square window, equal widths
         u = make_test_function(spec, grid_for_spec(spec, 128), axis=2)
         fam = build_family_2d(u)
-        verify_family_2d(u, fam)  # raises on any structural violation
+        verify(u, fam)  # raises on any structural violation
         assert fam.analyzed_levels() == [0]
         assert fam.cells.max_overlap >= 1
 
@@ -224,7 +232,7 @@ class TestBuild2D:
 def test_corpus_verification(spec):
     u = make_test_function(spec, grid_for_spec(spec, 128))
     fam = build_family_2d(u)
-    rep = verify_family_2d(u, fam)  # raises on any structural violation
+    rep = verify(u, fam)  # raises on any structural violation
     assert fam.analyzed_levels() == [0]
     assert 1 <= fam.cells.max_overlap <= 5
     assert 0.0 < rep.max_ratio < 10.0
@@ -235,6 +243,57 @@ def test_corpus_verification(spec):
     assert fam.cells.max_overlap == int(fam.cells.counts.max())
 
 
+
+class TestVerify2DFailures:
+    """Each structural check of verify_family_2d fires on a family edited to break it."""
+
+    @pytest.fixture(scope="class")
+    def p1(self):
+        spec = member("p1")
+        u = make_test_function(spec, grid_for_spec(spec, 128))
+        return u, build_family_2d(u)
+
+    @staticmethod
+    def edited(u, fam, slabs, **changes):
+        """fam with these slabs, and its cells rebuilt from their masks."""
+        cells = CellFamily.from_masks([s.mask for s in slabs], u.grid)
+        return dataclasses.replace(fam, slabs=slabs, cells=cells, **changes)
+
+    def test_slab_copied_under_the_other_sign_leaves_its_band(self, p1):
+        # a cell held by slabs of both signs fails the band check, which is
+        # what makes the two sign unions disjoint
+        u, fam = p1
+        first = fam.slabs[0]
+        assert (first.k, first.sign) == (0, 1)
+        flipped = dataclasses.replace(first, sign=-first.sign)
+        with pytest.raises(ConstructionError, match=r"slab \(k=0, sign=-1\) leaves its widened band"):
+            verify(u, self.edited(u, fam, [*fam.slabs, flipped]))
+
+    def test_seed_cell_missing_from_its_slab_is_named_unless_it_exited(self, p1):
+        u, fam = p1
+        slab = fam.slabs[0]
+        lo, hi = level_band(slab.k)
+        g = slab.sign * fam.d1c
+        i, j = (int(x) for x in np.argwhere((g >= lo) & (g < hi) & slab.mask)[0])
+        mask = slab.mask.copy()
+        mask[i, j] = False
+        slabs = [dataclasses.replace(slab, mask=mask), *fam.slabs[1:]]
+        with pytest.raises(
+            ConstructionError,
+            match=rf"^1 seed cells of level {slab.k} sign {slab.sign} are not in their own slab, first at \({i}, {j}\)$",
+        ):
+            verify(u, self.edited(u, fam, slabs))
+        exited = self.edited(u, fam, slabs, exit_cells=[(i, j, slab.k, slab.sign)])
+        assert verify(u, exited).covered_cells == verify(u, fam).covered_cells - 1
+
+    def test_zero_second_derivative_average(self, p1):
+        u, fam = p1
+        f0 = CellField(u.center_values(0), u.grid.cell_area)
+        f2 = CellField(np.zeros(fam.d1c.size), u.grid.cell_area)
+        with pytest.raises(ConstructionError, match=r"zero \|d1\^2 u\| average"):
+            verify_family_2d(fam, f0, f2)
+
+
 class TestRefinementStability:
     @pytest.mark.parametrize("spec", [member(name) for name in ("p1", "p2", "p3")], ids=lambda s: s.name)
     def test_ratio_stable_under_refinement(self, spec):
@@ -242,7 +301,7 @@ class TestRefinementStability:
         for n in (128, 256):
             u = make_test_function(spec, grid_for_spec(spec, n))
             fam = build_family_2d(u)
-            reports[n] = verify_family_2d(u, fam)
+            reports[n] = verify(u, fam)
             levels[n] = fam.analyzed_levels()
             deltas[n] = {k: fam.deltas[k].delta for k in levels[n]}
         assert levels[128] == levels[256]
