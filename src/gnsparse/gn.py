@@ -213,9 +213,17 @@ def gn_ratio(case: GNCase, u=None, field=None) -> GNReport:
         u = _sample(case, case.n)
     lhs, rhs_x, rhs_y = _norms_at(case, z_space, u, field or _fields_of(u, u.center_values))
     ratio = _ratio_of(lhs, rhs_x, rhs_y, case.theta)
-    # the 2n sample is thrown away, so none of its fields is kept
+    # the 2n sample is thrown away, so none of its fields is kept: in 1D the
+    # three orders come from one evaluator call and each is dropped once
+    # read; a 2D lattice is evaluated per order, so that at most one 2n
+    # field is held besides the norms' temporaries
     fine = _sample(case, 2 * case.n)
-    lhs2, rhs_x2, rhs_y2 = _norms_at(case, z_space, fine, _fields_of(fine, fine.center_field))
+    if fine.dim == 1:
+        orders = (0, case.j, case.k)
+        read = dict(zip(orders, fine.center_fields(orders))).pop
+    else:
+        read = fine.center_field
+    lhs2, rhs_x2, rhs_y2 = _norms_at(case, z_space, fine, _fields_of(fine, read))
     refined = _ratio_of(lhs2, rhs_x2, rhs_y2, case.theta)
     if ratio == refined:
         drift = 0.0
@@ -406,16 +414,32 @@ def _built_once(build):
 class _CaseRun:
     """One method per name in CHECK_NAMES, each returning its verdict; the sample
     at case.n, its fields, the family and the averaged fields are built on
-    first read."""
+    first read.  ``checks`` are the selected names: the sample evaluates
+    every center field they read in one pass."""
 
     case: GNCase
     result: CaseResult
     inductions: dict
+    checks: tuple
     built: dict = field(default_factory=dict)
 
     @_built_once
     def u(self):
-        return _sample(self.case, self.case.n)
+        u = _sample(self.case, self.case.n)
+        u.keep_centers(self.center_orders())
+        return u
+
+    def center_orders(self) -> set:
+        """The orders of u's own center fields that the selected checks read:
+        the GN ratio's three, |u| and |u''| for T, and in 2D 0, 1 and 2 for
+        the family build and its verification."""
+        checks = set(self.checks)
+        orders = {0, self.case.j, self.case.k} if "gn" in checks else set()
+        if checks & {"operator-norm", "modular"}:
+            orders |= {0, 2}
+        if self.case.dim == 2 and checks & {"overlap", "pointwise", "operator-norm", "modular"}:
+            orders |= {0, 1, 2}
+        return orders
 
     @_built_once
     def family(self):
@@ -517,7 +541,7 @@ def run_case(case: GNCase, checks, inductions=None) -> CaseResult:
     """
     selected = [c for c in CHECK_NAMES if c in checks]
     result = CaseResult(case=case, z_text="", verdicts=())
-    run = _CaseRun(case, result, {} if inductions is None else inductions)
+    run = _CaseRun(case, result, {} if inductions is None else inductions, tuple(selected))
     try:
         result.z_text = case.z_space.format()
     except GnsparseError as exc:

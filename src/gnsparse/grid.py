@@ -12,7 +12,8 @@ Two sampling conventions coexist deliberately:
 
 Whoever needs several derivative orders at one point set asks the
 evaluator for all of them in one call (node arrays, sup norms, interval
-quadrature), and a 2D lattice is evaluated a block of rows at a time.
+quadrature, the center fields a case reads), and a 2D lattice is evaluated
+a block of rows at a time.
 """
 
 from __future__ import annotations
@@ -89,10 +90,21 @@ class _SampledFunction:
 
     def center_values(self, order: int = 0) -> np.ndarray:
         """center_field(order), evaluated on first use and kept read-only."""
-        if order not in self._centers:
-            self._centers[order] = arr = self.center_field(order)
-            arr.flags.writeable = False
+        self.keep_centers((order,))
         return self._centers[order]
+
+    def keep_centers(self, orders) -> None:
+        """Evaluate the center fields of the orders not kept yet, in one
+        evaluator pass, and keep them read-only for center_values."""
+        missing = [order for order in dict.fromkeys(orders) if order not in self._centers]
+        if missing:
+            for order, arr in zip(missing, self.center_fields(missing)):
+                arr.flags.writeable = False
+                self._centers[order] = arr
+
+    def center_field(self, order: int) -> np.ndarray:
+        """The center field of one order, evaluated afresh and not kept."""
+        return self.center_fields((order,))[0]
 
 
 class GridFunction1D(_SampledFunction):
@@ -115,10 +127,11 @@ class GridFunction1D(_SampledFunction):
     def _node_fields(self):
         return self.evaluate(self.grid.nodes(), (0, 1, 2))
 
-    def center_field(self, order: int) -> np.ndarray:
-        """u^(order) at cell centers, evaluated afresh and not kept."""
-        (field,) = self.evaluate(self.grid.centers(), (order,))
-        return self._finite(f"derivative {order} at centers", field)
+    def center_fields(self, orders) -> list:
+        """u^(order) at cell centers for each order, from one evaluator call,
+        evaluated afresh and not kept."""
+        fields = self.evaluate(self.grid.centers(), tuple(orders))
+        return [self._finite(f"derivative {order} at centers", f) for order, f in zip(orders, fields)]
 
     def sup_norm(self, orders) -> tuple:
         """Sup norms of u^(j) for each j in ``orders``, from one evaluator
@@ -188,9 +201,10 @@ class GridFunction2D(_SampledFunction):
         fields = self._sample(self.grid.gx.centers(), self.grid.gy.centers(), partials)
         return [self._finite(f"partial {p} at centers", f) for p, f in zip(partials, fields)]
 
-    def center_field(self, order: int) -> np.ndarray:
-        """The pure partial along ``axis`` at cell centers, evaluated afresh and not kept."""
-        return self.center_partials([self._axis_partial(order)])[0]
+    def center_fields(self, orders) -> list:
+        """The pure partials along ``axis`` of the given orders at cell
+        centers, from one pass over the lattice, evaluated afresh and not kept."""
+        return self.center_partials([self._axis_partial(order) for order in orders])
 
     def sup_norm(self, orders) -> tuple:
         """Sup norms of the pure partial along ``axis`` for each order in

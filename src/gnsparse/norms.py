@@ -1,17 +1,25 @@
 """Norm evaluation for the supported space descriptors.
 
 Every norm reads a CellField, which holds |f| and the measure of its
-cells.  Lebesgue norms are direct cell sums.  Lorentz norms integrate
-t^(p/P - 1) f**(t)^p piecewise: the first plateau and the tail beyond the
-support measure have closed forms, and each interior plateau of f* makes
-f** smooth there, so fixed-order Gauss-Legendre is essentially exact.
-Orlicz norms are Luxemburg functionals: the scale is bracketed by
-convexity and found by a secant in log-log coordinates.
+cells, and is evaluated in closed form wherever one exists.  Lebesgue
+norms are cell sums, taken scale-free as M (sum (|f|/M)^p mu)^(1/p) with
+M = max|f|, so no p-th power overflows or underflows wholesale.  An
+Orlicz space of a power, ``Orl:pow:p``, is L^p: the Luxemburg functional
+of t^p is the L^p norm (Rao-Ren, Theory of Orlicz Spaces, 1991), so it is
+evaluated as one.  Lorentz norms integrate t^(q/P - 1) f**(t)^q
+piecewise: the first plateau and the tail beyond the support measure have
+closed forms, and on each interior plateau f** = v + A/t (Bennett-
+Sharpley, Interpolation of Operators, ch. 2), so for an integer q the
+plateau integral is a finite binomial sum; for any other q, fixed-order
+Gauss-Legendre is essentially exact there.  Every other Orlicz norm is a
+Luxemburg functional: the scale is bracketed by convexity and found by a
+secant in log-log coordinates.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -21,16 +29,23 @@ from .spaces import INF, SpaceDescriptor, index_float
 
 # 16-point Gauss-Legendre nodes and weights on [-1, 1]
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
+# the binomial plateau sum takes q + 1 passes over the plateaus against the
+# quadrature's 16, so it serves every integer q up to 15
+BINOMIAL_MAX_Q = 15
 
 LUXEMBURG_REL_TOL = 1e-8
 
 
 def lebesgue_norm(f: CellField, p) -> float:
+    """(int |f|^p)^(1/p) as M (sum (|f|/M)^p mu)^(1/p), M = max|f|; max|f| for p = inf."""
     v = f.values
+    top = float(np.max(v)) if v.size else 0.0
     pf = index_float(p)
-    if math.isinf(pf):
-        return float(np.max(v)) if v.size else 0.0
-    return float(np.sum(v**pf) * f.cell_measure) ** (1.0 / pf)
+    if top == 0.0 or math.isinf(pf):
+        return top
+    w = v / top
+    w **= pf
+    return top * float(np.sum(w) * f.cell_measure) ** (1.0 / pf)
 
 
 def lorentz_norm(f: CellField, P, p) -> float:
@@ -55,19 +70,60 @@ def lorentz_norm(f: CellField, P, p) -> float:
     alpha = pf * a  # the dt-exponent is alpha - 1
     acc = heights[0] ** pf * breaks[1] ** alpha / alpha
     if len(heights) > 1:
+        # f** = v + A/t on the plateau [t0, t1] of height v
         A = cum[1:-1] - breaks[1:-1] * heights[1:]
         v = heights[1:]
-        t0 = breaks[1:-1]
-        t1 = breaks[2:]
-        mid = 0.5 * (t0 + t1)
-        half = 0.5 * (t1 - t0)
-        # one node at a time, so every temporary is plateau-sized
-        for x, w in zip(_GL_X, _GL_W):
-            ts = mid + half * x
-            acc += w * float(np.sum(half * ts ** (alpha - 1.0) * (A / ts + v) ** pf))
+        if Fraction(p).denominator == 1 and p <= BINOMIAL_MAX_Q:
+            acc += _binomial_plateaus(breaks[1:], A, v, int(p), Fraction(p) / Fraction(P))
+        else:
+            acc += _quadrature_plateaus(breaks[1:], A, v, pf, alpha)
     # tail: f** = total/t for t > s0; converges since alpha < p for P > 1
     acc += total**pf * s0 ** (alpha - pf) / (pf - alpha)
     return float(acc ** (1.0 / pf))
+
+
+def _binomial_plateaus(t, A, v, q: int, alpha: Fraction) -> float:
+    """The sum over the plateaus [t[i], t[i+1]] of int t^(alpha-1) (v + A/t)^q dt.
+
+    Expanded, the integrand is sum_i C(q,i) A^i v^(q-i) t^(b-1) with b =
+    alpha - i, whose integral is (t1^b - t0^b)/b, or log(t1/t0) where b = 0.
+    Every term is nonnegative, so none cancels another.  Each power of the
+    breaks is taken once and differenced, and the terms are summed by
+    Horner's rule in A from i = q down, so every temporary is
+    plateau-sized.
+    """
+    # alpha is exact, so b = 0 is found exactly: a b that only rounds to
+    # near 0 would turn (t1^b - t0^b)/b into rounding noise
+    log_term = alpha.numerator if alpha.denominator == 1 else -1
+    acc = np.zeros_like(A)
+    v_pow = np.ones_like(v)  # v^(q-i)
+    for i in range(q, -1, -1):
+        coef = float(math.comb(q, i))
+        if i == log_term:
+            term = np.diff(np.log(t))
+        else:
+            b = float(alpha - i)
+            term = np.diff(t**b)
+            coef /= b
+        term *= coef
+        term *= v_pow
+        acc *= A
+        acc += term
+        v_pow *= v
+    return float(np.sum(acc))
+
+
+def _quadrature_plateaus(t, A, v, pf: float, alpha: float) -> float:
+    """The same sum by 16-point Gauss-Legendre on each plateau, for any q."""
+    t0, t1 = t[:-1], t[1:]
+    mid = 0.5 * (t0 + t1)
+    half = 0.5 * (t1 - t0)
+    acc = 0.0
+    # one node at a time, so every temporary is plateau-sized
+    for x, w in zip(_GL_X, _GL_W):
+        ts = mid + half * x
+        acc += w * float(np.sum(half * ts ** (alpha - 1.0) * (A / ts + v) ** pf))
+    return acc
 
 
 def modular(young, f: CellField, scale: float = 1.0) -> float:
@@ -95,12 +151,16 @@ def luxemburg_norm(f: CellField, young) -> float:
     nondecreasing for a Young function, lambda * rho(f/lambda) is
     nonincreasing, so the root lies between lam0 = max|f| and lam0 *
     rho(f/lam0).  Inside that bracket a secant in (log lambda, log rho),
-    exact for powers, with Illinois halving of a stale end, converges in a
-    handful of modular evaluations.  An end whose modular overflowed or
-    underflowed, or a log-bracket that did not halve over three probes,
-    gets a bisection step in log lambda instead.  A modular at lam0 that
-    is 0 or not finite, or a bracket outside the floats, is a
-    YoungBracketError.
+    exact for powers, converges in a handful of modular evaluations.  When
+    two probes in a row fall on one side, the other end is stale and its
+    log rho is scaled down by Anderson-Bjorck's factor 1 - y/y_prev of the
+    two probes' log rho, or halved where that factor is not positive.  An
+    end whose modular overflowed or underflowed, or a log-bracket that did
+    not halve over three probes, gets a bisection step in log lambda
+    instead; the last does not apply right after a probe that cut |log rho|
+    a hundredfold on its side, since the secant is then closing in on the
+    root from that side.  A modular at lam0 that is 0 or not finite, or a
+    bracket outside the floats, is a YoungBracketError.
     """
     v = f.positive()
     if v.size == 0:
@@ -138,14 +198,15 @@ def luxemburg_norm(f: CellField, young) -> float:
         return math.log(r) if 0.0 < r < math.inf else math.copysign(math.inf, r - 1.0)
 
     y_lo, y_hi = log(r_lo), log(r_hi)
-    # Illinois halving needs two probes on one side before it can cross,
+    # scaling a stale end needs two probes on one side before it can cross,
     # so a bracket gets three probes to halve before a bisection step
     widths = [math.inf] * 3  # log-bracket widths before the last three probes
     last_lo = r0 <= 1.0  # whether the last probe became lo
+    closing = False  # whether the last probe cut |log rho| a hundredfold on its side
     while hi - lo > LUXEMBURG_REL_TOL * hi:
         x_lo, x_hi = math.log(lo), math.log(hi)
         width = x_hi - x_lo
-        if math.isinf(y_lo) or math.isinf(y_hi) or width > 0.5 * widths[0]:
+        if math.isinf(y_lo) or math.isinf(y_hi) or (width > 0.5 * widths[0] and not closing):
             x = x_lo + 0.5 * width
         else:
             x = x_lo + width * y_lo / (y_lo - y_hi)
@@ -154,14 +215,22 @@ def luxemburg_norm(f: CellField, young) -> float:
         gap = 0.5 * LUXEMBURG_REL_TOL * hi
         lam = min(max(math.exp(x), lo + gap), hi - gap)
         r = rho(lam)
-        if r > 1.0:
-            if last_lo:  # hi is stale
-                y_hi *= 0.5
-            lo, y_lo, last_lo = lam, log(r), True
+        y, to_lo = log(r), r > 1.0
+        prev = y_lo if to_lo else y_hi  # the end this probe replaces
+        finite = math.isfinite(y) and math.isfinite(prev) and prev != 0.0
+        closing = to_lo == last_lo and finite and abs(y) < 0.01 * abs(prev)
+        if to_lo == last_lo:  # the other end is stale
+            factor = 1.0 - y / prev if finite else 0.0
+            factor = factor if factor > 0.0 else 0.5
+            if to_lo:
+                y_hi *= factor
+            else:
+                y_lo *= factor
+        if to_lo:
+            lo, y_lo = lam, y
         else:
-            if not last_lo:  # lo is stale
-                y_lo *= 0.5
-            hi, y_hi, last_lo = lam, log(r), False
+            hi, y_hi = lam, y
+        last_lo = to_lo
     return float(hi)
 
 
@@ -170,6 +239,8 @@ def space_norm(space: SpaceDescriptor, f: CellField) -> float:
         return lebesgue_norm(f, space.primary)
     if space.kind == "lorentz":
         return lorentz_norm(f, space.primary, space.secondary)
+    if space.young.kind == "pow":  # the Luxemburg functional of t^p is the L^p norm
+        return lebesgue_norm(f, space.young.params[0])
     return luxemburg_norm(f, space.young)
 
 

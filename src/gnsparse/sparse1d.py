@@ -126,14 +126,17 @@ def seeded_runs(g: np.ndarray, seeds: np.ndarray, k) -> SeededRuns:
     holding a seed are returned, in row-major order, as are exit seeds.
     """
     lo, hi = band_edges(np.reshape(k, (-1, 1)))
-    in_band = np.zeros((seeds.shape[0], seeds.shape[1] + 2), dtype=np.int8)
+    width = seeds.shape[1]
+    in_band = np.zeros((seeds.shape[0], width + 2), dtype=np.int8)
     in_band[:, 1:-1] = (g >= lo) & (g < hi)
     step = np.diff(in_band, axis=1)
-    line, first = np.nonzero(step == 1)
-    last = np.nonzero(step == -1)[1] - 1
-    seed_line, seed_index = np.nonzero(seeds)
-    width = seeds.shape[1]
-    run = np.searchsorted(line * width + first, seed_line * width + seed_index, side="right") - 1
+    # row-major flat indices split by the row width: on these arrays
+    # np.flatnonzero and divmod take a fraction of a 2-D np.nonzero
+    line, first = np.divmod(np.flatnonzero(step == 1), width + 1)
+    last = np.flatnonzero(step == -1) % (width + 1) - 1
+    seed_flat = np.flatnonzero(seeds)
+    seed_line, seed_index = np.divmod(seed_flat, width)
+    run = np.searchsorted(line * width + first, seed_flat, side="right") - 1
     exits = ((first == 0) | (last == width - 1))[run]
     kept, head = np.unique(run[~exits], return_index=True)
     return SeededRuns(

@@ -468,6 +468,30 @@ class TestRunCorpus:
         assert result.passed, result.verdicts
         assert at_centers and max(at_centers.values()) == 1, at_centers
 
+    def test_1d_case_evaluates_the_centers_once_per_resolution(self, monkeypatch):
+        # every center order the checks read at n comes from one evaluator
+        # call, and so do the GN rerun's three orders at 2n
+        case = case_1d(BUMP, "L:1", "L:1")
+        calls = Counter()
+        sample = gn_module._sample
+
+        def counting_sample(case, n):
+            u = sample(case, n)
+            centers, evaluate = u.grid.centers(), u.evaluate
+
+            def counted(x, orders):
+                if x.shape == centers.shape and np.array_equal(x, centers):
+                    calls[n] += 1
+                return evaluate(x, orders)
+
+            u.evaluate = counted
+            return u
+
+        monkeypatch.setattr(gn_module, "_sample", counting_sample)
+        result = run_case(case, CHECK_NAMES)
+        assert result.passed, result.verdicts
+        assert calls == {case.n: 1, 2 * case.n: 1}
+
     @pytest.mark.parametrize("dim", [1, 2])
     def test_case_takes_each_field_absolute_once_and_sorts_it_once(self, dim, monkeypatch):
         # a field holds |f| from its constructor on: the norms, the operator

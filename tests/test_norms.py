@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -35,7 +36,14 @@ from gnsparse.testfunctions import TestFunctionSpec, grid_for_spec, make_test_fu
 from gnsparse.grid import Grid1D
 
 from corpus import members
-from oracles import distribution, double_star, equimeasurable, loop_weak_lorentz_norm, star
+from oracles import (
+    distribution,
+    double_star,
+    equimeasurable,
+    loop_weak_lorentz_norm,
+    quadrature_lorentz_norm,
+    star,
+)
 
 
 def step_function():
@@ -607,10 +615,10 @@ class TestNorms:
         assert lorentz_norm(f, Fraction(2), INF) == pytest.approx(4.0 / math.sqrt(3.0), rel=1e-12)
 
     def test_lorentz_temporaries_stay_plateau_sized(self):
-        # 300k distinct values make 300k plateaus.  The quadrature takes its
-        # 16 Gauss-Legendre nodes one at a time, so the call holds the
-        # profile and a few plateau-sized temporaries; a plateaus x 16 table
-        # of nodes would peak near 70 input sizes.
+        # 300k distinct values make 300k plateaus.  The binomial sum of an
+        # integer q takes its q + 1 terms one at a time, so the call holds
+        # the profile and a few plateau-sized temporaries; a plateaus x 16
+        # table of quadrature nodes would peak near 70 input sizes.
         vals = np.random.default_rng(0).random(300_000) + 0.5
         started = not tracemalloc.is_tracing()
         if started:
@@ -625,11 +633,61 @@ class TestNorms:
                 tracemalloc.stop()
         assert peak < 16 * vals.nbytes
 
+    def test_quadrature_temporaries_stay_plateau_sized(self):
+        # the twin of the test above for a q that is not an integer: the
+        # quadrature takes its 16 Gauss-Legendre nodes one at a time
+        vals = np.random.default_rng(0).random(300_000) + 0.5
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            lorentz_norm(CellField(vals, 1e-3), Fraction(2), Fraction(5, 2))
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert peak < 16 * vals.nbytes
+
     def test_luxemburg_power_matches_lebesgue(self):
         vals, mu = step_function()
         y = YoungFunction("pow", (Fraction(2),))
         f = CellField(vals, mu)
         assert luxemburg_norm(f, y) == pytest.approx(lebesgue_norm(f, Fraction(2)), rel=1e-7)
+
+    @pytest.mark.parametrize("p", [Fraction(1), Fraction(3, 2), Fraction(2), Fraction(9, 4), Fraction(8), Fraction(100)])
+    def test_orlicz_power_is_lebesgue(self, p):
+        rng = np.random.default_rng(11)
+        for mu in (1e-4, 1.0 / 64.0, 10.0):
+            f = CellField(rng.normal(size=777) * 10.0 ** rng.uniform(-3.0, 3.0, 777), mu)
+            space = SpaceDescriptor.parse(f"Orl:pow:{p}")
+            got = space_norm(space, f)
+            assert got == space_norm(SpaceDescriptor("lebesgue", primary=p), f)
+            assert got == pytest.approx(luxemburg_norm(f, space.young), rel=1e-7)
+
+    def test_large_power_of_large_values_is_finite(self):
+        # (1e10)^50 overflows a double; the scale-free sum does not
+        f = CellField(1e10 * np.arange(1, 65) / 64.0, 1.0 / 64.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lebesgue = space_norm(SpaceDescriptor.parse("L:50"), f)
+            orlicz = space_norm(SpaceDescriptor.parse("Orl:pow:50"), f)
+            secant = luxemburg_norm(f, YoungFunction("pow", (Fraction(50),)))
+        assert math.isfinite(lebesgue) and lebesgue == orlicz
+        assert lebesgue == pytest.approx(secant, rel=1e-7)
+
+    @pytest.mark.parametrize(
+        "text", ["L:1", "L:3/2", "L:2", "L:50", "L:300", "Orl:pow:2", "Orl:pow:7/2", "Orl:pow:100"]
+    )
+    @pytest.mark.parametrize("c", [1e-6, 3e-4, 0.7, 1.9e3, 1e6])
+    def test_power_norms_are_homogeneous(self, text, c):
+        space = SpaceDescriptor.parse(text)
+        rng = np.random.default_rng(12)
+        values = rng.normal(size=512) * 10.0 ** rng.uniform(-2.0, 2.0, 512)
+        nf = space_norm(space, CellField(values, 1.0 / 128.0))
+        assert math.isfinite(nf) and nf > 0.0
+        assert space_norm(space, CellField(c * values, 1.0 / 128.0)) == pytest.approx(c * nf, rel=1e-12)
 
     def test_luxemburg_exp_indicator(self):
         # rho(chi/lam) = e^(1/lam) - 1 = 1 at lam = 1/ln 2
@@ -792,6 +850,22 @@ class TestLuxemburgSolver:
         with pytest.raises(OverflowError):
             young(values / (values.max() * modular(young, CellField(values, mu))))
 
+    # the largest number of modular evaluations over the fields below
+    EXP_EVALUATIONS = {1e-4: 9, 1e-3: 7, 1.0 / 1024.0: 7, 0.1: 7}
+
+    @pytest.mark.parametrize("mu", sorted(EXP_EVALUATIONS))
+    def test_exp_evaluations_at_small_total_measure(self, mu):
+        # at cell measure 1e-4 the convexity bracket's low end has rho near
+        # e^8, where log rho is far from linear in log lambda and the secant
+        # lands next to the high end probe after probe
+        rng = np.random.default_rng(0)
+        for _ in range(20):
+            f = CellField(rng.random(1024), mu)
+            call, calls = counted(_EXP)
+            got = luxemburg_norm(f, call)
+            assert len(calls) <= self.EXP_EVALUATIONS[mu]
+            assert modular(_EXP, f, scale=got) <= 1.0
+            assert modular(_EXP, f, scale=got * (1.0 - LUXEMBURG_REL_TOL)) > 1.0
 
     def test_overflow_at_max_is_a_bracket_error(self):
         # rho(max|f|) = inf leaves the convexity bracket without its far end
@@ -929,13 +1003,13 @@ def test_luxemburg_matches_bisection_oracle(young, values, mu):
 
 
 @st.composite
-def cell_fields(draw):
+def cell_fields(draw, measures=(1e-4, 1.0 / 64.0, 1.0, 10.0)):
     # a few repeated levels make plateaus wider than one cell; some cells are 0
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = draw(st.integers(1, 2048))
     levels = 10.0 ** rng.uniform(-3.0, 3.0, draw(st.integers(1, 64)))
     values = rng.choice(np.append(levels, 0.0), n) * rng.choice([1.0, -1.0], n)
-    return CellField(values, draw(st.sampled_from([1e-4, 1.0 / 64.0, 1.0, 10.0])))
+    return CellField(values, draw(st.sampled_from(measures)))
 
 
 @settings(max_examples=200, derandomize=True, deadline=None, database=None)
@@ -944,3 +1018,18 @@ def test_weak_lorentz_norm_matches_the_plateau_loop(f, P):
     want = loop_weak_lorentz_norm(f, P)
     got = lorentz_norm(f, P, INF)
     assert abs(got - want) <= 1e-15 * want
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(
+    f=cell_fields(measures=(1e-6, 1e-4, 1.0 / 64.0, 1.0, 10.0, 1e4)),
+    P=st.sampled_from([Fraction(101, 100), Fraction(3, 2), Fraction(2), Fraction(9, 4), Fraction(3)]),
+    q=st.integers(1, 15),
+)
+# the log term: p/P - i = 0 for some i
+@example(f=CellField(np.repeat([3.0, 2.0, 0.5, 0.0], [5, 40, 300, 7]), 1e-6), P=Fraction(2), q=2)
+@example(f=CellField(np.repeat([3.0, 2.0, 0.5, 0.0], [5, 40, 300, 7]), 1e4), P=Fraction(3, 2), q=3)
+@example(f=CellField(np.repeat([7.0, 1.0, 0.25], [1, 2, 2000]), 1.0), P=Fraction(9, 4), q=9)
+def test_binomial_lorentz_matches_the_quadrature(f, P, q):
+    want = quadrature_lorentz_norm(f, P, q)
+    assert lorentz_norm(f, P, Fraction(q)) == pytest.approx(want, rel=1e-13)

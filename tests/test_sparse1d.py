@@ -38,7 +38,7 @@ from gnsparse.sparse1d import (
 from gnsparse.testfunctions import TestFunctionSpec, grid_for_spec, make_test_function
 
 from corpus import member, members
-from oracles import loop_pointwise_1d, resolved_k_min
+from oracles import loop_pointwise_1d, nonzero_seeded_runs, resolved_k_min
 
 
 def build_allowing_exits(u):
@@ -591,6 +591,33 @@ def test_seeded_runs_per_row_levels_equal_per_level_calls(seed):
         for field, sizes in (("line", "first"), ("exit_line", "exit_index")):
             want = np.concatenate([np.full(getattr(r, sizes).size, row) for row, r in enumerate(single)])
             assert np.array_equal(getattr(batched, field), want), field
+
+
+@st.composite
+def run_inputs(draw):
+    # lines of sign*u' crossing dyadic bands, with one g row for all lines
+    # or one each, one level for all lines or one each, and lines whose
+    # first or last entry lies in the band, so that runs reach either end
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows, width = draw(st.integers(1, 6)), draw(st.integers(1, 60))
+    k = rng.integers(-3, 4, (rows, 1)) if draw(st.booleans()) else int(rng.integers(-3, 4))
+    g_rows = 1 if draw(st.booleans()) else rows
+    g = rng.choice([1.0, -1.0], (g_rows, width)) * 2.0 ** rng.uniform(-6.0, 6.0, (g_rows, width))
+    for end in (0, -1):
+        if draw(st.booleans()):
+            g[:, end] = 2.0 ** (np.min(k) - 0.5)
+    lo, hi = level_band(np.reshape(k, (-1, 1)))
+    seeds = (g >= lo) & (g < hi) & (rng.random((rows, width)) < draw(st.sampled_from([0.3, 1.0])))
+    return g, seeds, k
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(run_inputs())
+def test_seeded_runs_match_the_nonzero_oracle(inputs):
+    got, want = seeded_runs(*inputs), nonzero_seeded_runs(*inputs)
+    for field in got._fields:
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.dtype == b.dtype and np.array_equal(a, b), field
 
 
 @st.composite
