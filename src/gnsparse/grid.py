@@ -1,17 +1,15 @@
 """Uniform grids, sampled functions with analytic derivatives, and quadrature.
 
-Two sampling conventions coexist deliberately:
-
-* node arrays (n+1 points) feed the escape-interval scan of the 1D build,
-  the 2D thickness scan and the tests' mollifier;
-* cell-center samples (n points, midpoint rule) feed everything
-  measure-theoretic -- rearrangements, norms, averaging operators -- where an
-  exact "step function on cells" representation makes the verified identities
-  hold to rounding error instead of quadrature error.  A sampled function
-  evaluates each center field once and every consumer reads that array.
+Cell-center samples (n points per axis, midpoint rule) feed everything
+measure-theoretic -- rearrangements, norms, averaging operators, and every
+2D family -- where an exact "step function on cells" representation makes
+the verified identities hold to rounding error instead of quadrature error.
+A sampled function evaluates each center field once and every consumer
+reads that array.  Only the 1D build also samples node arrays (n+1
+points), for its escape-interval scan; a 2D function has no node lattice.
 
 Whoever needs several derivative orders at one point set asks the
-evaluator for all of them in one call (node arrays, sup norms, interval
+evaluator for all of them in one call (1D node arrays, sup norms, interval
 quadrature, the center fields a case reads), and a 2D lattice is evaluated
 a block of rows at a time.
 """
@@ -64,10 +62,8 @@ class Grid2D:
 
 
 class _SampledFunction:
-    """What both sampled functions share: the node arrays ``values``, ``d1``
-    and ``d2`` of u and its first two derivatives, sampled together on the
-    first read of any of them, and the center fields read so far.  Every
-    node array and center field is checked finite when it is evaluated."""
+    """What both sampled functions share: the center fields read so far,
+    each checked finite when it is evaluated."""
 
     def __init__(self, evaluate, label):
         self.evaluate = evaluate
@@ -79,14 +75,6 @@ class _SampledFunction:
         if not np.all(np.isfinite(field)):
             raise ValueError(f"non-finite {name} in sampled function {self.label!r}")
         return field
-
-    @cached_property
-    def _nodes(self):
-        return tuple(self._finite(name, f) for name, f in zip(("values", "d1", "d2"), self._node_fields()))
-
-    values = property(lambda self: self._nodes[0])
-    d1 = property(lambda self: self._nodes[1])
-    d2 = property(lambda self: self._nodes[2])
 
     def center_values(self, order: int = 0) -> np.ndarray:
         """center_field(order), evaluated on first use and kept read-only."""
@@ -108,8 +96,9 @@ class _SampledFunction:
 
 
 class GridFunction1D(_SampledFunction):
-    """Node samples of u, u', u'', the center fields read so far, and the
-    analytic evaluator behind them.
+    """The node arrays ``values``, ``d1`` and ``d2`` of u, u' and u'',
+    sampled together and checked finite on the first read of any of them,
+    the center fields read so far, and the analytic evaluator behind them.
 
     The evaluator takes a float or array and a sequence of derivative
     orders (0..3) and returns one array per order; it is what
@@ -124,8 +113,14 @@ class GridFunction1D(_SampledFunction):
         super().__init__(evaluate, label)
         self.grid = grid
 
-    def _node_fields(self):
-        return self.evaluate(self.grid.nodes(), (0, 1, 2))
+    @cached_property
+    def _nodes(self):
+        fields = self.evaluate(self.grid.nodes(), (0, 1, 2))
+        return tuple(self._finite(name, f) for name, f in zip(("values", "d1", "d2"), fields))
+
+    values = property(lambda self: self._nodes[0])
+    d1 = property(lambda self: self._nodes[1])
+    d2 = property(lambda self: self._nodes[2])
 
     def center_fields(self, orders) -> list:
         """u^(order) at cell centers for each order, from one evaluator call,
@@ -141,16 +136,16 @@ class GridFunction1D(_SampledFunction):
 
 
 class GridFunction2D(_SampledFunction):
-    """Node samples of u and its pure partials along one axis, the center
-    fields read so far, and the evaluator behind them.
+    """The center fields of u and its pure partials along one axis read so
+    far, and the evaluator behind them.
 
     ``evaluate(x, y, partials)`` returns one array per mixed partial
     ``(jx, jy)`` in ``partials``; it is called with an (r, 1) column of x
     and a (1, m) row of y and must broadcast them to the full (r, m)
     block, so a product of 1D profiles costs O(r + m) profile evaluations.
     Every lattice is evaluated BLOCK_ROWS rows at a time, which bounds the
-    evaluator's temporaries.  The node arrays and center fields cover (0,0)
-    and the pure partials along ``axis``.
+    evaluator's temporaries.  The center fields cover (0,0) and the pure
+    partials along ``axis``.
     """
 
     dim = 2
@@ -163,10 +158,6 @@ class GridFunction2D(_SampledFunction):
         super().__init__(evaluate, label)
         self.grid = grid
         self.axis = axis
-
-    def _node_fields(self):
-        partials = [self._axis_partial(j) for j in (0, 1, 2)]
-        return self._sample(self.grid.gx.nodes(), self.grid.gy.nodes(), partials)
 
     def _axis_partial(self, order):
         """The pure partial of the given order along ``axis``; order 0 is u."""
@@ -187,19 +178,15 @@ class GridFunction2D(_SampledFunction):
                     )
             yield rows, fields
 
-    def _sample(self, x, y, partials):
-        """The partials on the whole lattice x * y, filled block by block."""
+    def center_partials(self, partials) -> list:
+        """The mixed partials ``(jx, jy)`` at cell centers, one array each,
+        filled block by block in one pass over the lattice."""
+        x, y = self.grid.gx.centers(), self.grid.gy.centers()
         out = [np.empty((len(x), len(y))) for _ in partials]
         for rows, fields in self._blocks(x, y, partials):
             for arr, f in zip(out, fields):
                 arr[rows] = f
-        return out
-
-    def center_partials(self, partials) -> list:
-        """The mixed partials ``(jx, jy)`` at cell centers, one array each,
-        from one pass over the lattice."""
-        fields = self._sample(self.grid.gx.centers(), self.grid.gy.centers(), partials)
-        return [self._finite(f"partial {p} at centers", f) for p, f in zip(partials, fields)]
+        return [self._finite(f"partial {p} at centers", f) for p, f in zip(partials, out)]
 
     def center_fields(self, orders) -> list:
         """The pure partials along ``axis`` of the given orders at cell

@@ -11,9 +11,10 @@ piecewise: the first plateau and the tail beyond the support measure have
 closed forms, and on each interior plateau f** = v + A/t (Bennett-
 Sharpley, Interpolation of Operators, ch. 2), so for an integer q the
 plateau integral is a finite binomial sum; for any other q, fixed-order
-Gauss-Legendre is essentially exact there.  Every other Orlicz norm is a
-Luxemburg functional: the scale is bracketed by convexity and found by a
-secant in log-log coordinates.
+Gauss-Legendre in log t, on pieces no wider than a factor 2, is
+essentially exact there.  Every other Orlicz norm is a Luxemburg
+functional: the scale is bracketed by convexity and found by a secant in
+log-log coordinates.
 """
 
 from __future__ import annotations
@@ -114,15 +115,27 @@ def _binomial_plateaus(t, A, v, q: int, alpha: Fraction) -> float:
 
 
 def _quadrature_plateaus(t, A, v, pf: float, alpha: float) -> float:
-    """The same sum by 16-point Gauss-Legendre on each plateau, for any q."""
-    t0, t1 = t[:-1], t[1:]
-    mid = 0.5 * (t0 + t1)
-    half = 0.5 * (t1 - t0)
+    """The same sum for any q: int t^alpha (v + A/t)^q d(log t) by 16-point
+    Gauss-Legendre in log t, which moves the pole of A/t at t = 0 out to
+    -inf, on equal pieces in log t no wider than a factor 2 in t, across
+    which t^alpha stays in one rule's reach.  Every t is a break after the
+    first plateau, so log t is finite."""
+    s = np.log(t)
+    half = np.diff(s)
+    pieces = np.ceil(half / math.log(2.0))
+    half /= 2.0 * pieces
+    s0 = s[:-1]
     acc = 0.0
-    # one node at a time, so every temporary is plateau-sized
-    for x, w in zip(_GL_X, _GL_W):
-        ts = mid + half * x
-        acc += w * float(np.sum(half * ts ** (alpha - 1.0) * (A / ts + v) ** pf))
+    # piece j of every plateau that has one, a node at a time, so every
+    # temporary is plateau-sized
+    for j in range(int(np.max(pieces, initial=0))):
+        if j:
+            on = pieces > j
+            s0, half, A, v, pieces = s0[on], half[on], A[on], v[on], pieces[on]
+        mid = s0 + (2 * j + 1) * half
+        for x, w in zip(_GL_X, _GL_W):
+            ts = np.exp(mid + half * x)
+            acc += w * float(np.sum(half * ts**alpha * (A / ts + v) ** pf))
     return acc
 
 

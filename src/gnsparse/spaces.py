@@ -185,7 +185,9 @@ class YoungFunction:
     constructor is expanded into its leaves.  Every inverse is exp of the
     log-domain inverse ``_log_inverse``; the ``powlog`` one and the forward
     value of a combined function are found by Newton's method
-    (``_newton``), and everything else is closed form.  A combined
+    (``_newton``), and everything else is closed form.  Only ``powlog`` and
+    combined functions are validated on a grid (``_validate``): t^p (p >=
+    1) and e^t - 1 are Young functions in closed form.  A combined
     function's forward solves start from the table its validation solved
     (``_SeedTable``).
     """
@@ -218,7 +220,8 @@ class YoungFunction:
             self._weights = head + [1.0 - sum(head)]
         else:
             raise AdmissibilityError(f"unknown Young function kind {kind!r}")
-        self._validate()
+        if kind in ("powlog", "combined"):
+            self._validate()
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)

@@ -119,16 +119,10 @@ def _shift_variation(arr: np.ndarray, a: int, b: int) -> float:
 
 
 def _field_lattices(u):
-    """The three controlled fields on both sampling lattices (u's node
-    arrays and its stored center fields)."""
-    return (
-        u.values,
-        u.d1,
-        u.d2,
-        u.center_values(0),
-        u.center_values(1),
-        u.center_values(2),
-    )
+    """The three controlled fields u, d1 u and d1^2 u at the cell centers,
+    kept on u from one evaluator pass."""
+    u.keep_centers((0, 1, 2))
+    return tuple(u.center_values(order) for order in (0, 1, 2))
 
 
 def _ring(m: int):
@@ -148,8 +142,8 @@ PATH_BOUND_CUSHION = 1e-12
 
 def compute_delta(u, bounds) -> list:
     """Per oscillation bound, the largest delta = m*h whose displacements
-    keep all field oscillations within it, checked on the node and
-    cell-center lattices.
+    keep all field oscillations within it, checked on the cell-center
+    lattice.
 
     Displacements are all integer offsets with Euclidean length <= m.  When
     even the global range of every field fits a bound, the window itself
@@ -221,15 +215,15 @@ def oscillation_bound(k: int, big_m: float) -> float:
     return min(first, math.ldexp(1.0, 2 * k - 4) / big_m)
 
 
-def _check_compact_support(u):
-    border = max(
-        float(np.max(np.abs(u.values[0, :]))),
-        float(np.max(np.abs(u.values[-1, :]))),
-        float(np.max(np.abs(u.values[:, 0]))),
-        float(np.max(np.abs(u.values[:, -1]))),
-    )
-    scale = max(float(np.max(np.abs(u.values))), 1e-300)
-    if border > 1e-9 * scale:
+def _check_compact_support(u, sup_u: float):
+    """Refuse a u that does not vanish on its window's boundary: u is
+    evaluated on the window's four boundary lines of nodes, in two calls,
+    and compared with its sup norm ``sup_u``."""
+    x, y = u.grid.gx.nodes(), u.grid.gy.nodes()
+    (rows,) = u.evaluate(x[:, None], y[[0, -1]][None, :], [(0, 0)])
+    (cols,) = u.evaluate(x[[0, -1]][:, None], y[None, :], [(0, 0)])
+    border = max(float(np.max(np.abs(rows))), float(np.max(np.abs(cols))))
+    if border > 1e-9 * max(sup_u, 1e-300):
         raise CorpusConfigError(
             f"function {u.label!r} is not compactly supported inside its window "
             f"(boundary magnitude {border:.3e})"
@@ -245,7 +239,8 @@ def build_family_2d(u) -> SparseFamily2D:
     Window-exiting seeds follow the same EXIT_FRACTION_LIMIT as the 1D build.
     """
     axis = u.axis
-    _check_compact_support(u)
+    sups = u.sup_norm((0, 1, 2))  # u, d1 u, d1^2 u on the fixed fine probe
+    _check_compact_support(u, sups[0])
 
     d1c = u.center_values(1)
 
@@ -254,7 +249,6 @@ def build_family_2d(u) -> SparseFamily2D:
     abs_lines = np.abs(lines)
     n_line = lines.shape[1]
 
-    sups = u.sup_norm((0, 1, 2))  # u, d1 u, d1^2 u on the fixed fine probe
     big_m = max(sups)
     sup_d1 = max(sups[1], float(np.max(np.abs(d1c))))
     if sup_d1 == 0.0:

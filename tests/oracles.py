@@ -126,7 +126,8 @@ def radial_profile_sup_norm(spec, orders):
 
 
 def fd_consistency_error(f) -> float:
-    """Max deviation of analytic d1 from the central difference of values.
+    """Max deviation of analytic d1 from the central difference of values:
+    the node arrays in 1D, the center fields in 2D.
 
     Used by the O(h^2) refinement property: halving h quarters this number
     for smooth functions.
@@ -135,13 +136,14 @@ def fd_consistency_error(f) -> float:
         h = f.grid.h
         fd = (f.values[2:] - f.values[:-2]) / (2.0 * h)
         return float(np.max(np.abs(f.d1[1:-1] - fd)))
+    values, d1 = f.center_values(0), f.center_values(1)
     if f.axis == 1:
         h = f.grid.gx.h
-        fd = (f.values[2:, :] - f.values[:-2, :]) / (2.0 * h)
-        return float(np.max(np.abs(f.d1[1:-1, :] - fd)))
+        fd = (values[2:, :] - values[:-2, :]) / (2.0 * h)
+        return float(np.max(np.abs(d1[1:-1, :] - fd)))
     h = f.grid.gy.h
-    fd = (f.values[:, 2:] - f.values[:, :-2]) / (2.0 * h)
-    return float(np.max(np.abs(f.d1[:, 1:-1] - fd)))
+    fd = (values[:, 2:] - values[:, :-2]) / (2.0 * h)
+    return float(np.max(np.abs(d1[:, 1:-1] - fd)))
 
 
 def quadrature_integral(f, region=None) -> float:

@@ -117,13 +117,12 @@ def test_radial_2d_partials_match_fd():
     spec = member("r1")
     assert spec.layout == "radial"
     f = make_test_function(spec, grid_for_spec(spec, 256))
-    x, y = f.grid.gx.nodes(), f.grid.gy.nodes()
+    x, y = f.grid.gx.centers(), f.grid.gy.centers()
     h = f.grid.gx.h
-    # mixed partial (1,1) against a cross difference of values
+    # mixed partial (1,1) against a cross difference of the center values
     (mixed,) = f.evaluate(x[1:-1, None], y[None, 1:-1], [(1, 1)])
-    cross = (
-        f.values[2:, 2:] - f.values[2:, :-2] - f.values[:-2, 2:] + f.values[:-2, :-2]
-    ) / (4.0 * h * h)
+    u = f.center_values(0)
+    cross = (u[2:, 2:] - u[2:, :-2] - u[:-2, 2:] + u[:-2, :-2]) / (4.0 * h * h)
     assert np.max(np.abs(mixed - cross)) < 5e-3
 
 
@@ -136,18 +135,17 @@ def test_lattice_is_evaluated_in_open_row_blocks():
         return [np.zeros(np.broadcast_shapes(X.shape, Y.shape)) for _ in partials]
 
     u = GridFunction2D(g, evaluate, axis=2)
-    assert blocks == []  # the node arrays are sampled on first read
-    u.values
-    rows = GridFunction2D.BLOCK_ROWS
-    assert [X.shape for X, _, _ in blocks] == [(rows, 1), (rows, 1), (151 - 2 * rows, 1)]
-    assert np.array_equal(np.concatenate([X[:, 0] for X, _, _ in blocks]), g.gx.nodes())
-    for _, Y, partials in blocks:
-        assert Y.shape == (1, 17) and np.array_equal(Y[0], g.gy.nodes())
-        assert partials == ((0, 0), (0, 1), (0, 2))
-    blocks.clear()
+    assert blocks == []  # the center fields are sampled on first read
     u.center_values(1)
-    assert len(blocks) == 3 and all(p == ((0, 1),) for _, _, p in blocks)
+    rows = GridFunction2D.BLOCK_ROWS
+    assert [X.shape for X, _, _ in blocks] == [(rows, 1), (rows, 1), (150 - 2 * rows, 1)]
     assert np.array_equal(np.concatenate([X[:, 0] for X, _, _ in blocks]), g.gx.centers())
+    for _, Y, partials in blocks:
+        assert Y.shape == (1, 16) and np.array_equal(Y[0], g.gy.centers())
+        assert partials == ((0, 1),)
+    blocks.clear()
+    u.keep_centers((0, 1, 2))  # one pass for the orders not kept yet
+    assert len(blocks) == 3 and all(p == ((0, 0), (0, 2)) for _, _, p in blocks)
 
 
 @pytest.mark.parametrize("order, field", [(0, "values"), (1, "d1"), (2, "d2")])
@@ -164,9 +162,9 @@ def test_non_finite_1d_sample_names_its_field(order, field):
         u.center_values(order)
 
 
-@pytest.mark.parametrize("order, field", [(0, "values"), (1, "d1"), (2, "d2")])
-def test_non_finite_2d_sample_names_its_field(order, field):
-    # the node samples are the pure partials along axis 2
+@pytest.mark.parametrize("order", (0, 1, 2))
+def test_non_finite_2d_sample_names_its_field(order):
+    # the center fields are the pure partials along axis 2
     def evaluate(X, Y, partials):
         out = [np.ones(np.broadcast_shapes(X.shape, Y.shape)) for _ in partials]
         out[list(partials).index((0, order))][0, -1] = np.inf
@@ -174,8 +172,6 @@ def test_non_finite_2d_sample_names_its_field(order, field):
 
     g = Grid2D(Grid1D(0.0, 1.0, 16), Grid1D(0.0, 1.0, 16))
     u = GridFunction2D(g, evaluate, axis=2, label="bad")
-    with pytest.raises(ValueError, match=f"non-finite {field} in sampled function 'bad'"):
-        u.values
     with pytest.raises(ValueError, match=rf"non-finite partial \(0, {order}\) at centers in sampled function 'bad'"):
         u.center_values(order)
 
@@ -184,7 +180,7 @@ def test_non_broadcasting_evaluator_rejected():
     g = Grid2D(Grid1D(0.0, 1.0, 16), Grid1D(0.0, 1.0, 16))
     u = GridFunction2D(g, lambda X, Y, partials: [np.zeros_like(X) for _ in partials], label="x-only")
     with pytest.raises(ValueError, match="broadcast"):
-        u.values
+        u.center_values(0)
 
 
 def _dense_lattice(x, y):
@@ -204,14 +200,10 @@ def _dense_partials(u, order, mode):
 @pytest.mark.parametrize("axis", (1, 2))
 @pytest.mark.parametrize("spec", members(2), ids=lambda s: s.name)
 def test_open_grid_matches_dense_evaluation(spec, axis):
-    # n + 1 = 129 and 257 node rows are not multiples of BLOCK_ROWS
     for n in (128, 256):
         u = make_test_function(spec, grid_for_spec(spec, n), axis=axis)
         g = u.grid
         pure = [(j, 0) if axis == 1 else (0, j) for j in (0, 1, 2)]
-        nodes = u.evaluate(*_dense_lattice(g.gx.nodes(), g.gy.nodes()), pure)
-        for name, want in zip(("values", "d1", "d2"), nodes):
-            assert np.array_equal(getattr(u, name), want), name
         centers = _dense_lattice(g.gx.centers(), g.gy.centers())
         probe = _dense_lattice(
             np.linspace(g.gx.a, g.gx.b, u.SUP_PROBE + 1), np.linspace(g.gy.a, g.gy.b, u.SUP_PROBE + 1)

@@ -364,6 +364,11 @@ class TestRunCorpus:
         assert result.pointwise_max is not None and result.pointwise_max <= 128.0
         assert result.intervals
 
+    def test_all_checks_pass_in_a_large_orlicz_power(self):
+        case = GNCase(spec=member("b1"), j=1, k=2, x_space=P("Orl:pow:200"), y_space=P("Orl:pow:200"))
+        result = run_case(case, CHECK_NAMES)
+        assert dict(result.verdicts) == {name: "pass" for name in CHECK_NAMES}
+
     @pytest.mark.parametrize("checks", [CHECK_NAMES, ("gn",)])
     def test_case_samples_once_per_resolution(self, checks, monkeypatch):
         # the family build and the GN ratio share the sample at n; only the

@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 from gnsparse.errors import AdmissibilityError, ModularRangeError, YoungBracketError, YoungInversionError
 from gnsparse.norms import (
     LUXEMBURG_REL_TOL,
+    _binomial_plateaus,
+    _quadrature_plateaus,
     cl_factorization_check,
     lebesgue_norm,
     lorentz_norm,
@@ -666,6 +668,14 @@ class TestNorms:
             assert got == space_norm(SpaceDescriptor("lebesgue", primary=p), f)
             assert got == pytest.approx(luxemburg_norm(f, space.young), rel=1e-7)
 
+    @pytest.mark.parametrize("p", [107, 113, 155, 1000])
+    def test_large_orlicz_power_parses_and_is_lebesgue(self, p):
+        # t^p leaves the floats on a fixed grid of [1e-3, 100] from p = 107,
+        # so powers are not validated on one
+        space = SpaceDescriptor.parse(f"Orl:pow:{p}")
+        f = CellField(np.random.default_rng(13).random(1024), 1.0 / 1024.0)
+        assert space_norm(space, f) == space_norm(SpaceDescriptor.parse(f"L:{p}"), f)
+
     def test_large_power_of_large_values_is_finite(self):
         # (1e10)^50 overflows a double; the scale-free sum does not
         f = CellField(1e10 * np.arange(1, 65) / 64.0, 1.0 / 64.0)
@@ -1033,3 +1043,24 @@ def test_weak_lorentz_norm_matches_the_plateau_loop(f, P):
 def test_binomial_lorentz_matches_the_quadrature(f, P, q):
     want = quadrature_lorentz_norm(f, P, q)
     assert lorentz_norm(f, P, Fraction(q)) == pytest.approx(want, rel=1e-13)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(
+    f=cell_fields(measures=(1e-4, 1e-2, 1.0, 1e2)),
+    P=st.sampled_from([Fraction(101, 100), Fraction(3, 2), Fraction(2), Fraction(9, 4), Fraction(3)]),
+    q=st.integers(1, 15),
+)
+# a plateau of ratio 6 next to the pole of f** at t = 0, and one of ratio 667
+@example(f=CellField(np.repeat([2.0, 1.0], [1, 5]), 1.0), P=Fraction(3), q=15)
+@example(f=CellField(np.repeat([7.0, 1.0, 0.25], [1, 2, 2000]), 1.0), P=Fraction(3), q=5)
+def test_log_quadrature_matches_the_binomial_sum(f, P, q):
+    # an integer q takes the binomial sum in lorentz_norm; here it is forced
+    # through the quadrature that every other q takes, on the same plateaus
+    t = f.breaks[1:]
+    A = f.cum_integral[1:-1] - f.breaks[1:-1] * f.heights[1:]
+    v = f.heights[1:]
+    alpha = Fraction(q) / P
+    want = _binomial_plateaus(t, A, v, q, alpha)
+    got = _quadrature_plateaus(t, A, v, float(q), float(alpha))
+    assert abs(got - want) <= 1e-13 * want

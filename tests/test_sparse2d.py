@@ -1,6 +1,7 @@
 """Admissible slab thickness, 2D family construction, and its verification."""
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -177,6 +178,36 @@ class TestBuild2D:
         u = make_test_function(spec, grid_for_spec(spec, 64))
         with pytest.raises(CorpusConfigError):
             build_family_2d(u)
+
+    def test_support_is_checked_on_the_boundary_nodes(self):
+        # u is 1 on the window's boundary and 0 everywhere else, so every
+        # center field it gives is 0
+        def ev(X, Y, partials):
+            X, Y = np.broadcast_arrays(np.asarray(X, dtype=float), Y)
+            edge = (X == 0.0) | (X == 1.0) | (Y == 0.0) | (Y == 1.0)
+            return [np.where(edge, 1.0, 0.0) if p == (0, 0) else np.zeros_like(X) for p in partials]
+
+        u = GridFunction2D(square_grid(16), ev, axis=1, label="rim")
+        assert not np.any(u.center_values(0))
+        with pytest.raises(CorpusConfigError, match=r"'rim' is not compactly supported"):
+            build_family_2d(u)
+
+    @pytest.mark.parametrize("name", ("p1", "r1"))
+    def test_only_the_boundary_is_evaluated_on_nodes(self, name):
+        spec = member(name)
+        n = 128
+        u = make_test_function(spec, grid_for_spec(spec, n))
+        evaluate, node_calls = u.evaluate, []
+
+        @functools.wraps(evaluate)
+        def recorded(X, Y, partials):
+            if n + 1 in (np.shape(X)[0], np.shape(Y)[1]):
+                node_calls.append((np.shape(X), np.shape(Y), tuple(partials)))
+            return evaluate(X, Y, partials)
+
+        u.evaluate = recorded
+        build_family_2d(u)
+        assert node_calls == [((n + 1, 1), (1, 2), ((0, 0),)), ((2, 1), (1, n + 1), ((0, 0),))]
 
     def test_window_exits_past_the_budget_name_the_function(self):
         # u = A sin(pi (x + 1) / 2) cos^2(pi y / 2) vanishes on the edge of
