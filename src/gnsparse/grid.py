@@ -5,13 +5,14 @@ measure-theoretic -- rearrangements, norms, averaging operators, and every
 2D family -- where an exact "step function on cells" representation makes
 the verified identities hold to rounding error instead of quadrature error.
 A sampled function evaluates each center field once and every consumer
-reads that array.  Only the 1D build also samples node arrays (n+1
-points), for its escape-interval scan; a 2D function has no node lattice.
+reads that array.  Only the 1D build also samples a node array (n+1
+points), of u', for its escape-interval scan; each node order is sampled
+on its own first read, and a 2D function has no node lattice.
 
 Whoever needs several derivative orders at one point set asks the
-evaluator for all of them in one call (1D node arrays, sup norms, interval
-quadrature, the center fields a case reads), and a 2D lattice is evaluated
-a block of rows at a time.
+evaluator for all of them in one call (sup norms, interval quadrature, the
+center fields a case reads), and a 2D lattice is evaluated a block of rows
+at a time.
 """
 
 from __future__ import annotations
@@ -97,8 +98,8 @@ class _SampledFunction:
 
 class GridFunction1D(_SampledFunction):
     """The node arrays ``values``, ``d1`` and ``d2`` of u, u' and u'',
-    sampled together and checked finite on the first read of any of them,
-    the center fields read so far, and the analytic evaluator behind them.
+    each sampled and checked finite on its own first read, the center
+    fields read so far, and the analytic evaluator behind them.
 
     The evaluator takes a float or array and a sequence of derivative
     orders (0..3) and returns one array per order; it is what
@@ -113,14 +114,13 @@ class GridFunction1D(_SampledFunction):
         super().__init__(evaluate, label)
         self.grid = grid
 
-    @cached_property
-    def _nodes(self):
-        fields = self.evaluate(self.grid.nodes(), (0, 1, 2))
-        return tuple(self._finite(name, f) for name, f in zip(("values", "d1", "d2"), fields))
+    def _node_field(self, order, name):
+        (field,) = self.evaluate(self.grid.nodes(), (order,))
+        return self._finite(name, field)
 
-    values = property(lambda self: self._nodes[0])
-    d1 = property(lambda self: self._nodes[1])
-    d2 = property(lambda self: self._nodes[2])
+    values = cached_property(lambda self: self._node_field(0, "values"))
+    d1 = cached_property(lambda self: self._node_field(1, "d1"))
+    d2 = cached_property(lambda self: self._node_field(2, "d2"))
 
     def center_fields(self, orders) -> list:
         """u^(order) at cell centers for each order, from one evaluator call,

@@ -19,6 +19,7 @@ log-log coordinates.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -28,8 +29,6 @@ from .errors import ModularRangeError, YoungBracketError
 from .rearrangement import CellField
 from .spaces import INF, SpaceDescriptor, index_float
 
-# 16-point Gauss-Legendre nodes and weights on [-1, 1]
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
 # the binomial plateau sum takes q + 1 passes over the plateaus against the
 # quadrature's 16, so it serves every integer q up to 15
 BINOMIAL_MAX_Q = 15
@@ -114,6 +113,13 @@ def _binomial_plateaus(t, A, v, q: int, alpha: Fraction) -> float:
     return float(np.sum(acc))
 
 
+@functools.cache
+def _gauss_legendre():
+    """16-point Gauss-Legendre nodes and weights on [-1, 1], computed on
+    first use: numpy.polynomial is not imported until a quadrature runs."""
+    return np.polynomial.legendre.leggauss(16)
+
+
 def _quadrature_plateaus(t, A, v, pf: float, alpha: float) -> float:
     """The same sum for any q: int t^alpha (v + A/t)^q d(log t) by 16-point
     Gauss-Legendre in log t, which moves the pole of A/t at t = 0 out to
@@ -133,7 +139,7 @@ def _quadrature_plateaus(t, A, v, pf: float, alpha: float) -> float:
             on = pieces > j
             s0, half, A, v, pieces = s0[on], half[on], A[on], v[on], pieces[on]
         mid = s0 + (2 * j + 1) * half
-        for x, w in zip(_GL_X, _GL_W):
+        for x, w in zip(*_gauss_legendre()):
             ts = np.exp(mid + half * x)
             acc += w * float(np.sum(half * ts**alpha * (A / ts + v) ** pf))
     return acc

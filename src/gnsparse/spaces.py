@@ -15,7 +15,8 @@ Calderon product rule: harmonic combination of indices for Lebesgue and
 Lorentz, and the inverse-factor product for Orlicz, where the combined
 Young function psi satisfies psi^{-1} = (phi_X^{-1})^theta (phi_Y^{-1})^{1-theta}.
 A combined function is kept as a flat product of non-combined leaves with
-exact weights, and cl_combine builds each distinct product once.
+exact weights; cl_combine builds each distinct product once, and the
+product is validated on its first evaluation.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import AdmissibilityError, YoungInversionError
+from .errors import AdmissibilityError, GnsparseError, YoungInversionError
 
 INF = Fraction(-1)  # sentinel; never a legal index value itself
 
@@ -187,15 +188,22 @@ class YoungFunction:
     value of a combined function are found by Newton's method
     (``_newton``), and everything else is closed form.  Only ``powlog`` and
     combined functions are validated on a grid (``_validate``): t^p (p >=
-    1) and e^t - 1 are Young functions in closed form.  A combined
-    function's forward solves start from the table its validation solved
-    (``_SeedTable``).
+    1) and e^t - 1 are Young functions in closed form.  A ``powlog``
+    function is validated when it is built.  A combined function is
+    validated by ``validate``, which its first evaluation (forward or
+    inverse) calls, so a product that is only compared by its flat form
+    is never solved; a refusal is kept and raised again at every later
+    evaluation.  Its forward solves start from the table its validation
+    solved (``_SeedTable``).
     """
 
     def __init__(self, kind, params=(), factors=None, theta=None):
         self.kind = kind
         self.params = tuple(params)
         self._seed = None
+        # True once validated (or needing no check), the GnsparseError that
+        # refused it, or None while a combined function is unchecked
+        self._checked = True
         if kind == "pow":
             (p,) = params
             if p == INF or p < 1:
@@ -218,12 +226,27 @@ class YoungFunction:
             # product theta, 1 - theta has always been evaluated
             head = [float(w) for _, w in self.leaves[:-1]]
             self._weights = head + [1.0 - sum(head)]
+            self._checked = None
         else:
             raise AdmissibilityError(f"unknown Young function kind {kind!r}")
-        if kind in ("powlog", "combined"):
+        if kind == "powlog":
             self._validate()
 
+    def validate(self):
+        """Validate a combined function on the first call, and raise the
+        GnsparseError that refused it, kept, at this and every later call;
+        any other kind was validated when it was built."""
+        if self._checked is None:
+            try:
+                self._validate()
+                self._checked = True
+            except GnsparseError as exc:
+                self._checked = exc
+        if self._checked is not True:
+            raise self._checked
+
     def __call__(self, t):
+        self.validate()
         t = np.asarray(t, dtype=float)
         if np.any(t < 0.0):
             raise ValueError("Young functions take nonnegative arguments")
@@ -254,6 +277,7 @@ class YoungFunction:
     def inverse(self, s):
         """The generalized inverse phi^{-1}(s) = sup{t : phi(t) <= s}, as
         exp of the log-domain inverse; 0 and inf map to themselves."""
+        self.validate()
         s = np.asarray(s, dtype=float)
         if np.any(s < 0.0):
             raise ValueError("inverse takes nonnegative arguments")
@@ -274,49 +298,57 @@ class YoungFunction:
             with np.errstate(divide="ignore", invalid="ignore"):
                 return np.where(big, np.log(la), y), np.where(big, np.exp(y - la) / la, 1.0)
         if self.kind == "powlog":
-            # x = log t solves p x + a log log(e + e^x) = y
-            p, a = self._p, self._a
-
-            def log_phi(x):
-                lx = np.logaddexp(1.0, x)
-                return p * x + a * np.log(lx), p + a * np.exp(x - lx) / lx
-
-            x = _newton(log_phi, y, y / p)
-            return x, 1.0 / log_phi(x)[1]
+            # x = log t solves log phi(e^x) = y
+            x = _newton(self._log_powlog, y, y / self._p)
+            return x, 1.0 / self._log_powlog(x)[1]
         terms = [leaf._log_inverse(y) for leaf, _ in self.leaves]
         return (
             sum(w * out for w, (out, _) in zip(self._weights, terms)),
             sum(w * slope for w, (_, slope) in zip(self._weights, terms)),
         )
 
+    def _log_powlog(self, x):
+        """log phi(e^x) = p x + a log log(e + e^x) of a ``powlog`` function
+        and its derivative in x, for a 1-D array x."""
+        p, a = self._p, self._a
+        lx = np.logaddexp(1.0, x)
+        return p * x + a * np.log(lx), p + a * np.exp(x - lx) / lx
+
     def _validate(self):
         """Check, on a log grid of 40 points in [1e-3, 100], that the
         function is increasing, midpoint convex between neighbours (at 1e-9
         relative) and consistent with its inverse (at 1e-6 relative).
 
-        One forward evaluation covers the grid and its midpoints, so a
-        combined function makes one Newton solve here; it then keeps the
-        solved (log t, log psi) pairs and their slopes as its seed table.
+        The checks read log phi, so no value leaves the floats: a ``powlog``
+        function's is closed form, and a combined function's comes from one
+        Newton solve over the grid and its midpoints, whose (log t, log
+        psi) pairs and slopes it then keeps as its seed table.
         """
         ts = np.logspace(-3, 2, 40)
         # the grid and its midpoints, interleaved in increasing order
         grid = np.empty(2 * ts.size - 1)
         grid[0::2], grid[1::2] = ts, 0.5 * (ts[:-1] + ts[1:])
-        values = self(grid)
-        vals, mid = values[0::2], values[1::2]
+        log_grid = np.log(grid)
+        if self.kind == "powlog":
+            log_values = self._log_powlog(log_grid)[0]
+        else:
+            log_values = _newton(self._log_inverse, log_grid, log_grid)
+        vals, mid = log_values[0::2], log_values[1::2]
         if np.any(np.diff(vals) <= 0.0):
             raise AdmissibilityError(f"Young function {self.describe()} is not increasing")
-        if np.any(mid > 0.5 * (vals[:-1] + vals[1:]) * (1.0 + 1e-9)):
+        if np.any(mid > np.logaddexp(vals[:-1], vals[1:]) - math.log(2.0) + math.log1p(1e-9)):
             raise AdmissibilityError(f"Young function {self.describe()} fails midpoint convexity")
-        back = self.inverse(vals)
-        if np.max(np.abs(back - ts) / ts) > 1e-6:
+        back = self._log_inverse(vals)[0]
+        if np.max(np.abs(np.expm1(back - log_grid[0::2]))) > 1e-6:
             raise AdmissibilityError(f"Young function {self.describe()} inverse is inconsistent")
         if self.kind == "combined":
-            with np.errstate(divide="ignore"):
-                log_psi = np.log(values)
-            solved = np.isfinite(log_psi)  # values that underflowed to 0 are left out
+            # the knots are the logs of the values a forward call returns;
+            # values that underflow to 0 or overflow are left out
+            with np.errstate(over="ignore", divide="ignore"):
+                log_psi = np.log(np.exp(log_values))
+            solved = np.isfinite(log_psi)
             log_psi = log_psi[solved]
-            self._seed = _SeedTable(np.log(grid[solved]), log_psi, 1.0 / self._log_inverse(log_psi)[1])
+            self._seed = _SeedTable(log_grid[solved], log_psi, 1.0 / self._log_inverse(log_psi)[1])
 
     def describe(self) -> str:
         if self.kind == "pow":
@@ -443,10 +475,14 @@ def cl_combine(x: SpaceDescriptor, y: SpaceDescriptor, theta: Fraction) -> Space
     Orlicz spaces whose Young functions have the same ``describe()`` string
     give X itself, by the identity X^theta X^(1-theta) = X; no combined
     Young function is built for them.  A combined Young function is built
-    and validated once per flat form (leaf ``describe()`` strings and exact
-    weights) in a process and kept in ``_COMBINED``, so a nested product
-    such as X^b (X^a Y^(1-a))^(1-b) returns the object built for
-    X^(b+a(1-b)) Y^((1-a)(1-b)); a build that raises keeps nothing.
+    once per flat form (leaf ``describe()`` strings and exact weights) in a
+    process and kept in ``_COMBINED``, so a nested product such as
+    X^b (X^a Y^(1-a))^(1-b) returns the object built for
+    X^(b+a(1-b)) Y^((1-a)(1-b)).  It is not validated here: a product of
+    Young functions is one (Maligranda, Orlicz Spaces and Interpolation,
+    1989), and the numerical check runs on its first evaluation
+    (``YoungFunction.validate``), so a product that is only compared by
+    its flat form costs no Newton solve.
     """
     theta = Fraction(theta)
     if not 0 <= theta <= 1:

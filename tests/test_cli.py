@@ -287,6 +287,22 @@ class TestMainExitCodes:
         assert code == 2
         assert "Lorentz" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("p", [100, 107, 113, 155, 300])
+    def test_large_powlog_index_runs_every_check(self, tmp_path, p):
+        # t^p log(e + t) leaves the floats on [1e-3, 100] from p = 107; it
+        # is validated in the log domain, so the space is accepted and every
+        # check of a case with it, alone or against a power, passes
+        text = TINY_CONFIG.replace("overlap, pointwise, gn", ", ".join(CHECK_NAMES))
+        text = text.replace("X = L:1\nY = L:1", f"X = Orl:powlog:{p},1\nY = Orl:powlog:{p},1")
+        text = text.replace("X = L:2\nY = L:2", f"X = Orl:powlog:{p},1\nY = Orl:pow:2")
+        assert main(["--config", write_config(tmp_path, text), "--out", str(tmp_path)]) == 0
+
+    def test_refused_powlog_is_a_config_error(self, tmp_path, capsys):
+        bad = TINY_CONFIG.replace("X = L:1\nY = L:1", "X = Orl:powlog:3/2,-10\nY = Orl:powlog:3/2,-10")
+        code = main(["--config", write_config(tmp_path, bad), "--out", str(tmp_path)])
+        assert code == 2
+        assert "powlog:3/2,-10 is not increasing" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "section",
         ["[case third]\nfunction = pulse\nX = L:2\nY = L:2", "[limits]\nmax-overlap-1d = 2"],
@@ -358,3 +374,12 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert "--checks" in proc.stdout and "--seed" in proc.stdout
+
+    def test_start_up_leaves_numpy_polynomial_unloaded(self, source_env):
+        # only the Lorentz quadrature reads Gauss-Legendre nodes, on first use
+        code = "import sys, gnsparse.cli; print('numpy.polynomial' in sys.modules)"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=source_env
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"

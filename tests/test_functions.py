@@ -157,7 +157,7 @@ def test_non_finite_1d_sample_names_its_field(order, field):
 
     u = GridFunction1D(Grid1D(0.0, 1.0, 16), evaluate, label="bad")
     with pytest.raises(ValueError, match=f"non-finite {field} in sampled function 'bad'"):
-        u.values
+        getattr(u, field)
     with pytest.raises(ValueError, match=f"non-finite derivative {order} at centers in sampled function 'bad'"):
         u.center_values(order)
 
@@ -318,7 +318,7 @@ def test_product_sup_norm_equals_the_blocked_scan(spec, axis):
     assert calls == []
 
 
-def test_1d_sample_makes_one_evaluator_call():
+def test_1d_node_arrays_sample_once_each():
     spec = member("m1")
     evaluate, calls = make_evaluator_1d(spec), []
 
@@ -328,13 +328,17 @@ def test_1d_sample_makes_one_evaluator_call():
 
     u = GridFunction1D(grid_for_spec(spec, 256), counted)
     assert calls == []
-    u.d2  # the first read of a node array samples all three
-    assert calls == [(0, 1, 2)]
+    u.d1  # the first read of a node array samples that order alone
+    assert calls == [(1,)]
+    # each order is what a joint evaluation of all three gives
+    joint = evaluate(grid_for_spec(spec, 256).nodes(), (0, 1, 2))
+    for order, name in enumerate(("values", "d1", "d2")):
+        assert np.array_equal(getattr(u, name), joint[order]), name
+        assert getattr(u, name) is getattr(u, name)
+    assert calls == [(1,), (0,), (2,)]
     ref = make_test_function(spec, grid_for_spec(spec, 256))
-    for name in ("values", "d1", "d2"):
-        assert np.array_equal(getattr(u, name), getattr(ref, name)), name
     assert u.sup_norm((2, 0)) == (ref.sup_norm((2,))[0], ref.sup_norm((0,))[0])
-    assert len(calls) == 2
+    assert len(calls) == 4
 
 
 @pytest.mark.parametrize("spec", [member("g1"), member("p1")], ids=lambda s: s.name)

@@ -331,6 +331,20 @@ class TestInductionIdentities:
             assert not result.ok
             assert result.failures[0].startswith(f"step-down identity at k={k}")
 
+    def test_orlicz_products_are_compared_unsolved(self, monkeypatch):
+        # both sides of every identity are one interned object, compared
+        # without an evaluation: no product is validated or solved
+        monkeypatch.setattr(spaces_module, "_COMBINED", {})
+
+        def refuse(*args):
+            raise AssertionError("a product was validated or solved")
+
+        monkeypatch.setattr(spaces_module.YoungFunction, "_validate", refuse)
+        monkeypatch.setattr(spaces_module, "_newton", refuse)
+        for k in (3, 4):
+            assert induction_identity_check(P("Orl:exp"), P("Orl:pow:2"), k).ok
+        assert len(spaces_module._COMBINED) == 5
+
     def test_starts_at_three(self):
         with pytest.raises(AdmissibilityError):
             induction_identity_check(P("L:1"), P("L:2"), 2)
@@ -587,6 +601,23 @@ class TestRunCorpus:
         result = run_case(case, ("overlap", "gn"))
         assert result.error == "AdmissibilityError: refused"
         assert result.verdicts == (("overlap", "error"), ("gn", "error"))
+
+    def test_z_that_fails_validation_stops_every_check(self, monkeypatch):
+        # a product is validated on its first evaluation; Z is validated
+        # when the case first reads it, so every check of the case stops
+        monkeypatch.setattr(spaces_module, "_COMBINED", {})
+
+        def refuse(young):
+            raise AdmissibilityError("refused")
+
+        monkeypatch.setattr(spaces_module.YoungFunction, "_validate", refuse)
+        case = case_1d(BUMP, "Orl:exp", "Orl:pow:2")
+        for _ in range(2):
+            with pytest.raises(AdmissibilityError, match="refused"):
+                case.z_space
+        result = run_case(case, CHECK_NAMES)
+        assert result.error == "AdmissibilityError: refused"
+        assert result.verdicts == tuple((name, "error") for name in CHECK_NAMES)
 
     def test_only_package_errors_become_verdicts(self, monkeypatch):
         def raising(exc):

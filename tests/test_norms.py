@@ -320,18 +320,64 @@ class TestCombination:
     def test_a_build_that_raises_is_not_kept(self, monkeypatch):
         monkeypatch.setattr(spaces_module, "_COMBINED", {})
         x, y = SpaceDescriptor.parse("Orl:exp"), SpaceDescriptor.parse("Orl:pow:2")
-        validate = YoungFunction._validate
+        build = YoungFunction.__init__
 
-        def refuse(young):
+        def refuse(young, *args, **kwargs):
             raise AdmissibilityError("refused")
 
-        monkeypatch.setattr(YoungFunction, "_validate", refuse)
+        monkeypatch.setattr(YoungFunction, "__init__", refuse)
         with pytest.raises(AdmissibilityError, match="refused"):
             cl_combine(x, y, Fraction(1, 3))
         assert spaces_module._COMBINED == {}
-        monkeypatch.setattr(YoungFunction, "_validate", validate)
+        monkeypatch.setattr(YoungFunction, "__init__", build)
         z = cl_combine(x, y, Fraction(1, 3))
         assert list(spaces_module._COMBINED.values()) == [z.young]
+        # kept unvalidated: its first evaluation validates it
+        assert z.young._checked is None
+
+    def test_first_evaluation_validates_once(self, monkeypatch):
+        validations, validate = [], YoungFunction._validate
+
+        def counted(young):
+            validations.append(young.kind)
+            return validate(young)
+
+        monkeypatch.setattr(YoungFunction, "_validate", counted)
+        for method in ("__call__", "inverse"):
+            young = YoungFunction("combined", factors=(_EXP, _POW2), theta=Fraction(1, 3))
+            assert validations == []
+            evaluate = getattr(young, method)
+            first = evaluate(np.array([0.5, 2.0]))
+            assert validations == ["combined"]
+            assert evaluate(np.array([0.5, 2.0])).tobytes() == first.tobytes()
+            young.validate()
+            young.inverse(3.0)
+            young(3.0)
+            assert validations == ["combined"]
+            validations.clear()
+        # the other kinds are validated, or need no check, when built
+        YoungFunction("powlog", (Fraction(2), Fraction(1)))(2.0)
+        assert validations == ["powlog"]
+
+    def test_a_refused_validation_raises_at_every_evaluation(self, monkeypatch):
+        monkeypatch.setattr(spaces_module, "_COMBINED", {})
+        refusals = []
+
+        def refuse(young):
+            refusals.append(young.describe())
+            raise AdmissibilityError("refused")
+
+        monkeypatch.setattr(YoungFunction, "_validate", refuse)
+        x, y = SpaceDescriptor.parse("Orl:exp"), SpaceDescriptor.parse("Orl:pow:2")
+        young = cl_combine(x, y, Fraction(1, 3)).young
+        for evaluate in (lambda: young(1.0), lambda: young.inverse(1.0), young.validate) * 2:
+            with pytest.raises(AdmissibilityError, match="refused"):
+                evaluate()
+        # the refusal is kept with the interned function and not retried
+        assert cl_combine(x, y, Fraction(1, 3)).young is young
+        with pytest.raises(AdmissibilityError, match="refused"):
+            young_equal(young, _EXP)
+        assert refusals == ["combined(exp,pow:2;1/3)"]
 
     def test_young_equal_is_immediate_for_one_object(self, monkeypatch):
         young = YoungFunction("combined", factors=(_EXP, _POW2), theta=Fraction(1, 3))
@@ -459,6 +505,7 @@ class TestArrayBisection:
         with pytest.raises(YoungInversionError, match="did not converge"):
             spaces_module._newton(self.bounded_log_inverse, np.array([0.5, 2.0]), np.zeros(2))
         young = YoungFunction("combined", factors=(_EXP, _POW2), theta=Fraction(1, 3))
+        young.validate()  # on the real inverse, before it is replaced
         monkeypatch.setattr(young, "_log_inverse", self.bounded_log_inverse)
         assert young(1.0) == 1.0  # log t = 0 = tanh(0)
         with pytest.raises(YoungInversionError, match="did not converge"):
@@ -484,6 +531,7 @@ class TestArrayBisection:
         # an OverflowError in the modular reads as rho = inf; a solver
         # failure must not be mistaken for one
         young = YoungFunction("combined", factors=(_EXP, _POW2), theta=Fraction(1, 3))
+        young.validate()  # on the real inverse, before it is replaced
         monkeypatch.setattr(young, "_log_inverse", self.bounded_log_inverse)
         with pytest.raises(YoungInversionError):
             luxemburg_norm(CellField(np.array([1.0, 0.01]), 0.5), young)
@@ -571,9 +619,9 @@ class TestNewtonKernel:
         ids=["exp x pow:2", "combined of combined", "powlog:2,1 x pow:2"],
     )
     def test_combined_build_makes_one_forward_solve(self, factors, theta, monkeypatch):
-        # validation evaluates the grid and its midpoints in one call; a
-        # powlog factor adds its own inverse solves, inside that one and in
-        # the inverse check
+        # building solves nothing; validation evaluates the grid and its
+        # midpoints in one forward solve, and a powlog factor adds its own
+        # inverse solves, inside that one and in the inverse check
         calls, solve = [], spaces_module._newton
 
         def counted(fn, targets, start):
@@ -582,6 +630,8 @@ class TestNewtonKernel:
 
         monkeypatch.setattr(spaces_module, "_newton", counted)
         young = YoungFunction("combined", factors=factors, theta=theta)
+        assert calls == []
+        young.validate()
         assert [owner for owner in calls if owner is not None and owner.kind == "combined"] == [young]
         if _POWLOG not in factors:
             assert len(calls) == 1
@@ -675,6 +725,23 @@ class TestNorms:
         space = SpaceDescriptor.parse(f"Orl:pow:{p}")
         f = CellField(np.random.default_rng(13).random(1024), 1.0 / 1024.0)
         assert space_norm(space, f) == space_norm(SpaceDescriptor.parse(f"L:{p}"), f)
+
+    @pytest.mark.parametrize("p", [100, 107, 113, 155, 300])
+    def test_large_powlog_index_is_validated_in_the_log_domain(self, p):
+        # t^p log(e + t) goes subnormal at 1e-3 from p = 107 and overflows
+        # at 100 from p = 155; its validation reads log phi, which does not
+        young = SpaceDescriptor.parse(f"Orl:powlog:{p},1").young
+        t = np.geomspace(0.1, 10.0, 9)
+        np.testing.assert_allclose(young.inverse(young(t)), t, rtol=1e-12)
+        f = CellField(np.random.default_rng(13).random(1024), 1.0 / 1024.0)
+        norm = space_norm(SpaceDescriptor("orlicz", young=young), f)
+        # t^p <= phi(t) <= log(e + top) t^p on [0, top], where f / ||f||
+        # lies for top = max f / ||f||_p, since ||f||_p <= ||f||
+        lebesgue = lebesgue_norm(f, Fraction(p))
+        top = float(np.max(f.values)) / lebesgue
+        assert lebesgue * (1.0 - 1e-7) <= norm <= lebesgue * math.log(math.e + top) ** (1.0 / p)
+        product = _product(f"powlog:{p},1", "pow:2", Fraction(1, 2))
+        assert product.inverse(product(t)) == pytest.approx(t, rel=1e-9)
 
     def test_large_power_of_large_values_is_finite(self):
         # (1e10)^50 overflows a double; the scale-free sum does not
