@@ -11,8 +11,8 @@ from .errors import (
     EmptyRegionError,
     GnsparseError,
     ModularRangeError,
+    NormRangeError,
     UnresolvableFunctionError,
-    YoungBracketError,
     YoungInversionError,
 )
 from .grid import (

@@ -33,10 +33,9 @@ class ModularRangeError(GnsparseError):
         self.argument = argument
 
 
-class YoungBracketError(GnsparseError):
-    """The Luxemburg solver found no bracket for the unit-modular scale:
-    the modular at max|f| is 0 or not finite, or the convexity bracket
-    leaves the floats."""
+class NormRangeError(GnsparseError):
+    """A Luxemburg norm lies above the largest float or below the smallest
+    normal one."""
 
 
 class AdmissibilityError(GnsparseError):
@@ -48,7 +47,8 @@ class ConfigError(GnsparseError):
 
 
 class YoungInversionError(GnsparseError):
-    """A Young-function inversion got a NaN target or did not converge.
+    """A Newton solve got a NaN target or did not converge: a Young
+    function's inverse or forward value, or a Luxemburg norm's scale.
 
     Distinct from OverflowError, which means a value too large for a float.
     """

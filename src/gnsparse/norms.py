@@ -13,8 +13,9 @@ Sharpley, Interpolation of Operators, ch. 2), so for an integer q the
 plateau integral is a finite binomial sum; for any other q, fixed-order
 Gauss-Legendre in log t, on pieces no wider than a factor 2, is
 essentially exact there.  Every other Orlicz norm is a Luxemburg
-functional: the scale is bracketed by convexity and found by a secant in
-log-log coordinates.
+functional, found by one Newton solve in log lambda on the Young
+function's log-domain pair (log phi(e^x), its slope), with the kernel
+that inverts Young functions.
 """
 
 from __future__ import annotations
@@ -25,9 +26,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ModularRangeError, YoungBracketError
+from .errors import ModularRangeError, NormRangeError
 from .rearrangement import CellField
-from .spaces import INF, SpaceDescriptor, index_float
+from .spaces import INF, SpaceDescriptor, _newton, index_float
 
 # the binomial plateau sum takes q + 1 passes over the plateaus against the
 # quadrature's 16, so it serves every integer q up to 15
@@ -163,94 +164,38 @@ def modular(young, f: CellField, scale: float = 1.0) -> float:
 
 
 def luxemburg_norm(f: CellField, young) -> float:
-    """The Luxemburg functional inf{lambda > 0 : rho(f/lambda) <= 1}.
+    """The Luxemburg functional inf{lambda > 0 : rho(f/lambda) <= 1} of a
+    YoungFunction ``young``.
 
-    Returns ``hi`` with rho(f/hi) <= 1 after probing some ``lo`` with
-    rho(f/lo) > 1 and hi - lo <= LUXEMBURG_REL_TOL * hi.  Since phi(t)/t is
-    nondecreasing for a Young function, lambda * rho(f/lambda) is
-    nonincreasing, so the root lies between lam0 = max|f| and lam0 *
-    rho(f/lam0).  Inside that bracket a secant in (log lambda, log rho),
-    exact for powers, converges in a handful of modular evaluations.  When
-    two probes in a row fall on one side, the other end is stale and its
-    log rho is scaled down by Anderson-Bjorck's factor 1 - y/y_prev of the
-    two probes' log rho, or halved where that factor is not positive.  An
-    end whose modular overflowed or underflowed, or a log-bracket that did
-    not halve over three probes, gets a bisection step in log lambda
-    instead; the last does not apply right after a probe that cut |log rho|
-    a hundredfold on its side, since the secant is then closing in on the
-    root from that side.  A modular at lam0 that is 0 or not finite, or a
-    bracket outside the floats, is a YoungBracketError.
+    x = -log lambda solves log sum mu phi(|f| e^x) = 0, one Newton solve
+    (``spaces._newton``) on ``young._log_phi``: the sum is a log-sum-exp and
+    its slope the phi-weighted mean elasticity, so no value leaves the
+    floats.  It starts at the root for a field constant on its support,
+    log phi^{-1}(1/|supp f|) - log max|f|, one step from the answer for a
+    power.  The result e^-x is nudged up by LUXEMBURG_REL_TOL/100, so that
+    rho(f/result) <= 1; one outside the normal floats is a NormRangeError.
     """
     v = f.positive()
     if v.size == 0:
         return 0.0
+    young.validate()
+    log_v = np.log(v)
+    log_mu = math.log(f.cell_measure)
+    start = young._log_inverse(np.array([-math.log(v.size) - log_mu]))[0] - np.max(log_v)
 
-    def rho(lam: float) -> float:
-        try:
-            with np.errstate(over="ignore"):
-                return float(np.sum(young(v / lam)) * f.cell_measure)
-        except OverflowError:
-            return math.inf
+    def log_modular(x):
+        log_phi, elasticity = young._log_phi(log_v + x[0])
+        top = np.max(log_phi)
+        w = np.exp(log_phi - top)
+        total = np.sum(w)
+        return np.array([top + math.log(total) + log_mu]), np.array([np.dot(w, elasticity) / total])
 
-    lam0 = float(np.max(v))
-    r0 = rho(lam0)
-    edge = lam0 * r0
-    if not (0.0 < r0 < math.inf and 0.0 < edge < math.inf):
-        raise YoungBracketError(f"modular {r0} at scale {lam0} brackets no unit-modular scale")
-    lo, r_lo, hi, r_hi = (lam0, r0, edge, rho(edge)) if r0 > 1.0 else (edge, rho(edge), lam0, r0)
-    # rounding can put the edge on the wrong side of the root; nudge it across
-    step = 1e-12
-    while r_hi > 1.0 or not r_lo > 1.0:
-        if step > 0.5:
-            raise YoungBracketError(f"modular does not decrease across scale {edge}")
-        if r_hi > 1.0:
-            lo, r_lo = hi, r_hi
-            hi *= 1.0 + step
-            r_hi = rho(hi)
-        else:
-            hi, r_hi = lo, r_lo
-            lo *= 1.0 - step
-            r_lo = rho(lo)
-        step *= 2.0
-
-    def log(r: float) -> float:
-        return math.log(r) if 0.0 < r < math.inf else math.copysign(math.inf, r - 1.0)
-
-    y_lo, y_hi = log(r_lo), log(r_hi)
-    # scaling a stale end needs two probes on one side before it can cross,
-    # so a bracket gets three probes to halve before a bisection step
-    widths = [math.inf] * 3  # log-bracket widths before the last three probes
-    last_lo = r0 <= 1.0  # whether the last probe became lo
-    closing = False  # whether the last probe cut |log rho| a hundredfold on its side
-    while hi - lo > LUXEMBURG_REL_TOL * hi:
-        x_lo, x_hi = math.log(lo), math.log(hi)
-        width = x_hi - x_lo
-        if math.isinf(y_lo) or math.isinf(y_hi) or (width > 0.5 * widths[0] and not closing):
-            x = x_lo + 0.5 * width
-        else:
-            x = x_lo + width * y_lo / (y_lo - y_hi)
-        widths = widths[1:] + [width]
-        # at least half a tolerance inside, so a probe on the root closes the far side
-        gap = 0.5 * LUXEMBURG_REL_TOL * hi
-        lam = min(max(math.exp(x), lo + gap), hi - gap)
-        r = rho(lam)
-        y, to_lo = log(r), r > 1.0
-        prev = y_lo if to_lo else y_hi  # the end this probe replaces
-        finite = math.isfinite(y) and math.isfinite(prev) and prev != 0.0
-        closing = to_lo == last_lo and finite and abs(y) < 0.01 * abs(prev)
-        if to_lo == last_lo:  # the other end is stale
-            factor = 1.0 - y / prev if finite else 0.0
-            factor = factor if factor > 0.0 else 0.5
-            if to_lo:
-                y_hi *= factor
-            else:
-                y_lo *= factor
-        if to_lo:
-            lo, y_lo = lam, y
-        else:
-            hi, y_hi = lam, y
-        last_lo = to_lo
-    return float(hi)
+    (x,), _ = _newton(log_modular, np.zeros(1), start)
+    with np.errstate(over="ignore"):
+        norm = float(np.exp(-x)) * (1.0 + 0.01 * LUXEMBURG_REL_TOL)
+    if not np.finfo(float).tiny <= norm < math.inf:
+        raise NormRangeError(f"Luxemburg norm of Orl:{young.describe()}, exp({-x}), is outside the normal floats")
+    return norm
 
 
 def space_norm(space: SpaceDescriptor, f: CellField) -> float:

@@ -75,7 +75,9 @@ def _newton(fn, targets, start):
     """Solve fn(x) = y for every target y of a 1-D array, all targets at once.
 
     ``fn`` maps a 1-D array x to (value, derivative) elementwise and must be
-    increasing.  Each target keeps a bracket (lo, hi), open at first, that
+    increasing.  Returns the solutions and the derivative of fn at each
+    one's last evaluation (NaN for an infinite target, which is never
+    evaluated).  Each target keeps a bracket (lo, hi), open at first, that
     every evaluation tightens.  A target is done when its Newton step is at
     most NEWTON_REL_TOL*max(1, |x|), when fn hits it exactly, or when its
     bracket is that narrow.  Otherwise a Newton step that leaves the bracket
@@ -93,6 +95,7 @@ def _newton(fn, targets, start):
     if np.any(np.isnan(y)):
         raise YoungInversionError("cannot invert a Young function at NaN")
     out = np.where(np.isinf(y), y, start)
+    out_slope = np.full_like(out, math.nan)
     # the targets still active: their places in out, targets, iterates, brackets
     active = np.flatnonzero(np.isfinite(y))
     y, x = y[active], out[active]
@@ -100,7 +103,7 @@ def _newton(fn, targets, start):
     hi = np.full_like(y, math.inf)
     for _ in range(NEWTON_MAX_STEPS):
         if active.size == 0:
-            return out
+            return out, out_slope
         value, slope = fn(x)
         r = value - y
         lo = np.where(r < 0.0, x, lo)
@@ -118,6 +121,7 @@ def _newton(fn, targets, start):
             x_new[fallback] = x[fallback] - 2.0 * np.sign(r[fallback])
             x_new[closed] = 0.5 * (lo[closed] + hi[closed])
         out[active] = x_new
+        out_slope[active] = slope
         keep = ~(converged | (hi - lo <= tol))
         active, y, x, lo, hi = active[keep], y[keep], x_new[keep], lo[keep], hi[keep]
     raise YoungInversionError(f"Young-function inversion did not converge in {NEWTON_MAX_STEPS} steps")
@@ -172,8 +176,7 @@ class _SeedTable:
     def __call__(self, y):
         i = np.searchsorted(self.knots, y, side="right")
         s = y - self.left[i]
-        with np.errstate(invalid="ignore"):  # an infinite target, which Newton keeps as it is
-            return self.c0[i] + s * (self.c1[i] + s * (self.c2[i] + s * self.c3[i]))
+        return self.c0[i] + s * (self.c1[i] + s * (self.c2[i] + s * self.c3[i]))
 
 
 class YoungFunction:
@@ -183,10 +186,12 @@ class YoungFunction:
     kept flat: ``leaves`` holds (leaf, exact Fraction weight) pairs of
     non-combined functions, weights summing to 1, with psi^{-1} the
     weighted product of the leaf inverses; a combined factor given to the
-    constructor is expanded into its leaves.  Every inverse is exp of the
-    log-domain inverse ``_log_inverse``; the ``powlog`` one and the forward
-    value of a combined function are found by Newton's method
-    (``_newton``), and everything else is closed form.  Only ``powlog`` and
+    constructor is expanded into its leaves.  Each function has the
+    log-domain pair ``_log_phi(x)`` = (log phi(e^x), d log phi / d log t)
+    and ``_log_inverse(y)`` = (log phi^{-1}(e^y), its slope).  The
+    ``powlog`` inverse and the combined forward value are Newton solves
+    (``_newton``) of the other, the rest closed form, and every value is
+    exp of its log but the faster t^p and e^t - 1.  Only ``powlog`` and
     combined functions are validated on a grid (``_validate``): t^p (p >=
     1) and e^t - 1 are Young functions in closed form.  A ``powlog``
     function is validated when it is built.  A combined function is
@@ -250,26 +255,16 @@ class YoungFunction:
         t = np.asarray(t, dtype=float)
         if np.any(t < 0.0):
             raise ValueError("Young functions take nonnegative arguments")
-        if self.kind == "pow":
-            out = t**self._p
-        elif self.kind == "powlog":
-            out = t**self._p * np.log(math.e + t) ** self._a
-        elif self.kind == "exp":
-            with np.errstate(over="raise"):
-                try:
-                    out = np.expm1(t)
-                except FloatingPointError:
-                    raise OverflowError(f"exp Young function overflowed at t = {np.max(t)}")
-        else:
-            # psi(t) = e^x where log psi^{-1}(e^x) = log t; values below the
-            # smallest float underflow to 0
-            out = np.zeros_like(t)
-            nonzero = t != 0.0
-            log_t = np.log(t[nonzero])
-            start = log_t if self._seed is None else self._seed(log_t)
-            with np.errstate(over="ignore"):
-                out[nonzero] = np.exp(_newton(self._log_inverse, log_t, start))
-        out = np.asarray(out)
+        with np.errstate(over="ignore"):  # a value above the largest float raises below
+            if self.kind == "pow":
+                out = t**self._p
+            elif self.kind == "exp":
+                out = np.expm1(t)
+            else:
+                # exp of log phi; values below the smallest float underflow to 0
+                out = t.copy()
+                solve = (t != 0.0) & (t != math.inf)
+                out[solve] = np.exp(self._log_phi(np.log(t[solve]))[0])
         if np.any(np.isinf(out)):
             raise OverflowError("Young function overflowed")
         return out if out.shape else float(out)
@@ -299,20 +294,38 @@ class YoungFunction:
                 return np.where(big, np.log(la), y), np.where(big, np.exp(y - la) / la, 1.0)
         if self.kind == "powlog":
             # x = log t solves log phi(e^x) = y
-            x = _newton(self._log_powlog, y, y / self._p)
-            return x, 1.0 / self._log_powlog(x)[1]
+            x, slope = _newton(self._log_phi, y, y / self._p)
+            return x, 1.0 / slope
         terms = [leaf._log_inverse(y) for leaf, _ in self.leaves]
         return (
             sum(w * out for w, (out, _) in zip(self._weights, terms)),
             sum(w * slope for w, (_, slope) in zip(self._weights, terms)),
         )
 
-    def _log_powlog(self, x):
-        """log phi(e^x) = p x + a log log(e + e^x) of a ``powlog`` function
-        and its derivative in x, for a 1-D array x."""
-        p, a = self._p, self._a
-        lx = np.logaddexp(1.0, x)
-        return p * x + a * np.log(lx), p + a * np.exp(x - lx) / lx
+    def _log_phi(self, x):
+        """log phi(e^x) and its derivative in x, the elasticity
+        d log phi / d log t, for a 1-D array x of finite logs."""
+        if self.kind == "pow":
+            return self._p * x, np.full_like(x, self._p)
+        if self.kind == "exp":
+            # log(e^u - 1) = u + log(1 - e^-u) at u = e^x, and its slope
+            # u / (1 - e^-u); below x = -40 they are x and 1 to within 1e-17,
+            # and far below u underflows to 0, so those places keep x and 1
+            big = x >= -40.0
+            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                u = np.exp(x)
+                rest = -np.expm1(-u)
+                return np.where(big, u + np.log(rest), x), np.where(big, u / rest, 1.0)
+        if self.kind == "powlog":
+            # p x + a log log(e + e^x)
+            p, a = self._p, self._a
+            lx = np.logaddexp(1.0, x)
+            return p * x + a * np.log(lx), p + a * np.exp(x - lx) / lx
+        # combined: z = log psi(e^x) solves log psi^{-1}(e^z) = x, from the
+        # validation table's start
+        start = x if self._seed is None else self._seed(x)
+        z, slope = _newton(self._log_inverse, x, start)
+        return z, 1.0 / slope
 
     def _validate(self):
         """Check, on a log grid of 40 points in [1e-3, 100], that the
@@ -329,10 +342,7 @@ class YoungFunction:
         grid = np.empty(2 * ts.size - 1)
         grid[0::2], grid[1::2] = ts, 0.5 * (ts[:-1] + ts[1:])
         log_grid = np.log(grid)
-        if self.kind == "powlog":
-            log_values = self._log_powlog(log_grid)[0]
-        else:
-            log_values = _newton(self._log_inverse, log_grid, log_grid)
+        log_values, slopes = self._log_phi(log_grid)
         vals, mid = log_values[0::2], log_values[1::2]
         if np.any(np.diff(vals) <= 0.0):
             raise AdmissibilityError(f"Young function {self.describe()} is not increasing")
@@ -342,13 +352,7 @@ class YoungFunction:
         if np.max(np.abs(np.expm1(back - log_grid[0::2]))) > 1e-6:
             raise AdmissibilityError(f"Young function {self.describe()} inverse is inconsistent")
         if self.kind == "combined":
-            # the knots are the logs of the values a forward call returns;
-            # values that underflow to 0 or overflow are left out
-            with np.errstate(over="ignore", divide="ignore"):
-                log_psi = np.log(np.exp(log_values))
-            solved = np.isfinite(log_psi)
-            log_psi = log_psi[solved]
-            self._seed = _SeedTable(log_grid[solved], log_psi, 1.0 / self._log_inverse(log_psi)[1])
+            self._seed = _SeedTable(log_grid, log_values, slopes)
 
     def describe(self) -> str:
         if self.kind == "pow":

@@ -22,18 +22,18 @@ def test_orlicz_combined_matches_the_reference(tmp_path, monkeypatch):
     text = workloads.config_text("orlicz-combined", ROOT)
     config = tmp_path / "orlicz-combined.cfg"
     config.write_text(text, encoding="utf-8")
-    evaluations = []
-    solve = norms.luxemburg_norm
+    # the Luxemburg norms' outer solves, called from norms, and the inner
+    # solves of the Young functions, called from spaces
+    outer, newton = [], spaces._newton
 
-    def counting(f, young):
-        def call(t):
-            evaluations.append(t.size)
-            return young(t)
+    def counted_outer(fn, targets, start):
+        def evaluate(x):
+            outer.append(x.size)
+            return fn(x)
 
-        return solve(f, call)
+        return newton(evaluate, targets, start)
 
-    monkeypatch.setattr(norms, "luxemburg_norm", counting)
-    solves, steps, newton = [], [], spaces._newton
+    solves, steps = [], []
 
     def counted_newton(fn, targets, start):
         def evaluate(x):
@@ -50,6 +50,7 @@ def test_orlicz_combined_matches_the_reference(tmp_path, monkeypatch):
             validations.append(young.describe())
         return validate(young)
 
+    monkeypatch.setattr(norms, "_newton", counted_outer)
     monkeypatch.setattr(spaces, "_newton", counted_newton)
     monkeypatch.setattr(spaces.YoungFunction, "_validate", counted_validate)
     # products built earlier in the process would be reused, so start empty
@@ -59,16 +60,19 @@ def test_orlicz_combined_matches_the_reference(tmp_path, monkeypatch):
     with open(reference.reference_path("orlicz-combined"), encoding="utf-8") as handle:
         stored = reference.parse_report(handle.read())
     assert reference.compare(report, stored, workloads.windows_1d(text)) == {}
-    # 24 Luxemburg norms; bisection on the scale took 689 modular evaluations
-    assert len(evaluations) <= 160
+    # 16 Luxemburg norms, 5 log-modular evaluations each; the secant on the
+    # scale that the Newton solve replaced took 93 modular evaluations, and
+    # bisection 689
+    assert len(outer) <= 80
     # a product is validated on its first evaluation: each case's Z, and
     # none of the induction's products at weights 1/3, 2/3, 1/4, 3/4 and
     # 1/2, which are compared by flat form only (20 when every build was
     # validated)
     assert len(validations) == len(set(validations)) == 4
-    # one solve per validation (4) plus the Luxemburg norms' probes of
-    # combined functions (46); 66 when every build was validated
-    assert len(solves) <= 50
-    # forward solves start from the validation table: 201 evaluations when
-    # every build was validated, 446 cold
-    assert len(steps) <= 114
+    # one solve per validation (4) plus one forward solve per log-modular
+    # evaluation of a combined function (40); the secant made 50, and 66
+    # when every build was validated
+    assert len(solves) <= 44
+    # forward solves start from the validation table: 101 evaluations (114
+    # under the secant, 201 when every build was validated, 446 cold)
+    assert len(steps) <= 101
