@@ -26,7 +26,7 @@ class ConstructionError(GnsparseError):
 
 
 class ModularRangeError(GnsparseError):
-    """A Young function overflowed while evaluating a modular."""
+    """A modular lies above the largest float."""
 
     def __init__(self, message, argument=None):
         super().__init__(message)
@@ -48,7 +48,8 @@ class ConfigError(GnsparseError):
 
 class YoungInversionError(GnsparseError):
     """A Newton solve got a NaN target or did not converge: a Young
-    function's inverse or forward value, or a Luxemburg norm's scale.
+    function's inverse or forward value, or a Luxemburg norm's scale, whose
+    loop also raises on a slope that is not positive and finite.
 
     Distinct from OverflowError, which means a value too large for a float.
     """

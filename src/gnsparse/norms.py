@@ -13,9 +13,12 @@ Sharpley, Interpolation of Operators, ch. 2), so for an integer q the
 plateau integral is a finite binomial sum; for any other q, fixed-order
 Gauss-Legendre in log t, on pieces no wider than a factor 2, is
 essentially exact there.  Every other Orlicz norm is a Luxemburg
-functional, found by one Newton solve in log lambda on the Young
-function's log-domain pair (log phi(e^x), its slope), with the kernel
-that inverts Young functions.
+functional, found by one Newton loop in x = -log lambda on the cell levels
+log phi(|f| e^x): they are closed form for exp and powlog, and for a
+combined function they are unknowns of the same loop, updated from its
+closed-form log-inverse, so no Young-function solve is nested in it.  A
+modular is a linear sum, taken again as a log-sum-exp only where that
+overflows.
 """
 
 from __future__ import annotations
@@ -26,9 +29,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ModularRangeError, NormRangeError
+from .errors import ModularRangeError, NormRangeError, YoungInversionError
 from .rearrangement import CellField
-from .spaces import INF, SpaceDescriptor, _newton, index_float
+from .spaces import INF, NEWTON_MAX_STEPS, NEWTON_REL_TOL, SpaceDescriptor, index_float
 
 # the binomial plateau sum takes q + 1 passes over the plateaus against the
 # quadrature's 16, so it serves every integer q up to 15
@@ -147,33 +150,53 @@ def _quadrature_plateaus(t, A, v, pf: float, alpha: float) -> float:
 
 
 def modular(young, f: CellField, scale: float = 1.0) -> float:
-    """rho_phi(f/scale) = sum phi(|v|/scale) * measure; overflow is an error."""
+    """rho_phi(f/scale) = sum phi(|v|/scale) * measure.
+
+    The sum is linear, and only where it overflows (a value of phi, or the
+    sum) is it taken again as a log-sum-exp of ``young._log_phi``, so a
+    modular in the floats whose terms are not, such as exp(800) * 1e-300,
+    is returned; one outside the floats is a ModularRangeError.
+    """
     v = f.positive()
     if v.size == 0:
         return 0.0
     try:
-        with np.errstate(over="ignore"):  # an overflow raises below, with no warning first
+        with np.errstate(over="ignore"):  # an overflow is redone below, with no warning first
             rho = float(np.sum(young(v / scale)) * f.cell_measure)
-        if math.isinf(rho):
-            raise OverflowError("the sum is not finite")
+        if not math.isinf(rho):
+            return rho
+    except OverflowError:
+        pass
+    log_phi = young._log_phi(np.log(v) - math.log(scale))[0]
+    log_rho = float(np.max(log_phi))
+    if log_rho < math.inf:
+        log_rho += math.log(float(np.sum(np.exp(log_phi - log_rho)))) + math.log(f.cell_measure)
+    with np.errstate(over="ignore"):
+        rho = float(np.exp(log_rho))
+    if rho < math.inf:
         return rho
-    except OverflowError as exc:
-        raise ModularRangeError(
-            f"modular overflowed at scale {scale}: {exc}", argument=float(np.max(v) / scale)
-        ) from None
+    raise ModularRangeError(
+        f"modular overflowed at scale {scale}: the sum is not finite, log rho = {log_rho!r}",
+        argument=float(np.max(v)) / scale,
+    )
 
 
 def luxemburg_norm(f: CellField, young) -> float:
     """The Luxemburg functional inf{lambda > 0 : rho(f/lambda) <= 1} of a
     YoungFunction ``young``.
 
-    x = -log lambda solves log sum mu phi(|f| e^x) = 0, one Newton solve
-    (``spaces._newton``) on ``young._log_phi``: the sum is a log-sum-exp and
-    its slope the phi-weighted mean elasticity, so no value leaves the
-    floats.  It starts at the root for a field constant on its support,
-    log phi^{-1}(1/|supp f|) - log max|f|, one step from the answer for a
-    power.  The result e^-x is nudged up by LUXEMBURG_REL_TOL/100, so that
-    rho(f/result) <= 1; one outside the normal floats is a NormRangeError.
+    x = -log lambda solves log sum mu phi(|f| e^x) = 0, by one Newton loop
+    (``_log_modular_root``) on the cell levels z = log phi(|f| e^x): the
+    sum is a log-sum-exp of the levels, so no value leaves the floats.
+    Where log phi is closed form (``young._log_phi``: exp, powlog, pow) the
+    levels follow x.  A combined function's levels are unknowns of the same
+    loop, solved against its closed-form log-inverse (``young._log_inverse``)
+    with no inner solve.  x starts at the root for a field constant on its
+    support, log phi^{-1}(1/|supp f|) - log max|f|, one step from the answer
+    for a power; there every top cell's level is -log |supp f|, and a
+    combined function's other levels start from its seed table.  The result
+    e^-x is nudged up by LUXEMBURG_REL_TOL/100, so that rho(f/result) <= 1;
+    one outside the normal floats is a NormRangeError.
     """
     v = f.positive()
     if v.size == 0:
@@ -181,21 +204,92 @@ def luxemburg_norm(f: CellField, young) -> float:
     young.validate()
     log_v = np.log(v)
     log_mu = math.log(f.cell_measure)
-    start = young._log_inverse(np.array([-math.log(v.size) - log_mu]))[0] - np.max(log_v)
+    log_top = float(np.max(log_v))
+    top_level = -math.log(v.size) - log_mu
+    x = float(young._log_inverse(np.array([top_level]))[0][0]) - log_top
 
-    def log_modular(x):
-        log_phi, elasticity = young._log_phi(log_v + x[0])
-        top = np.max(log_phi)
-        w = np.exp(log_phi - top)
-        total = np.sum(w)
-        return np.array([top + math.log(total) + log_mu]), np.array([np.dot(w, elasticity) / total])
+    if young.kind == "combined":
+        z = young._log_phi_start(log_v + x)
+        z[log_v == log_top] = top_level
 
-    (x,), _ = _newton(log_modular, np.zeros(1), start)
+        def levels(x, z):
+            log_t, dlog_t = young._log_inverse(z)
+            if not dlog_t.min() > 0.0:
+                raise YoungInversionError(f"Orl:{young.describe()} has a log-inverse slope that is not positive")
+            return z, 1.0 / dlog_t, (log_t - log_v) - x
+
+    else:
+        z = None
+
+        def levels(x, z):
+            return (*young._log_phi(log_v + x), None)
+
+    x = _log_modular_root(levels, log_v, log_mu, x, z)
     with np.errstate(over="ignore"):
         norm = float(np.exp(-x)) * (1.0 + 0.01 * LUXEMBURG_REL_TOL)
     if not np.finfo(float).tiny <= norm < math.inf:
         raise NormRangeError(f"Luxemburg norm of Orl:{young.describe()}, exp({-x}), is outside the normal floats")
     return norm
+
+
+def _log_modular_root(levels, log_v, log_mu: float, x: float, z):
+    """The root in x of R = log sum_k mu e^(z_k) = 0, where z_k is the level
+    log phi(|f_k| e^x) of a cell with log|f_k| = ``log_v[k]``: Newton's
+    method, in Python floats for the scalar x.
+
+    ``levels(x, z)`` returns the levels, their elasticities e_k =
+    d log phi / d log t and residuals r_k.  Where the levels are exact
+    (r is None), R is log rho at x and increasing, and each step is a
+    bracketed Newton step on it: a step that leaves the bracket is replaced
+    by its midpoint, or by a step of 2 towards the root while that side is
+    open.  Otherwise the levels are unknowns too, with r_k = L(z_k) -
+    log|f_k| - x for the log-inverse L, and one Newton step on the coupled
+    system moves both: with p = softmax(z), dx = (sum p e r - R) / sum p e
+    and dz_k = (dx - r_k) e_k.  The loop ends when |dx| <= NEWTON_REL_TOL*
+    max(1, |x|) and every level's step, in its log-argument, |dz_k| / e_k,
+    is within NEWTON_REL_TOL*max(1, |x|, |log|f_k||), the rounding scale
+    of r_k; or, for exact levels, when R is 0 or the bracket is that
+    narrow.  A slope sum p e that is not positive and finite, or a loop not
+    done in NEWTON_MAX_STEPS evaluations, raises YoungInversionError.
+    """
+    lo, hi = -math.inf, math.inf
+    # an overflow or a NaN ends in a slope that is not finite, which raises
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(NEWTON_MAX_STEPS):
+            z, e, r = levels(x, z)
+            top = float(z.max())
+            w = np.exp(z - top)
+            total = float(w.sum())
+            log_rho = top + math.log(total) + log_mu
+            slope = float(np.dot(w, e)) / total
+            if not 0.0 < slope < math.inf:
+                raise YoungInversionError(f"the log-modular slope is {slope}, not positive and finite")
+            tol = NEWTON_REL_TOL * max(1.0, abs(x))
+            if r is None:
+                if log_rho < 0.0:
+                    lo = x
+                elif log_rho > 0.0:
+                    hi = x
+                step = -log_rho / slope
+                if log_rho == 0.0 or abs(step) <= tol:
+                    return x + step
+                x_new = x + step
+                if not lo < x_new < hi:
+                    x_new = 0.5 * (lo + hi) if math.isfinite(lo + hi) else x - math.copysign(2.0, log_rho)
+                if hi - lo <= tol:
+                    return x_new
+                x = x_new
+            else:
+                w *= e
+                step = (float(np.dot(w, r)) / total - log_rho) / slope
+                move = step - r  # each level's step in its log-argument
+                if abs(step) <= tol:
+                    scale = np.maximum(np.abs(log_v), max(1.0, abs(x)))
+                    if np.all(np.abs(move) <= NEWTON_REL_TOL * scale):
+                        return x + step
+                x += step
+                z = z + move * e
+    raise YoungInversionError(f"the Luxemburg norm's Newton loop did not converge in {NEWTON_MAX_STEPS} steps")
 
 
 def space_norm(space: SpaceDescriptor, f: CellField) -> float:

@@ -321,11 +321,14 @@ class YoungFunction:
             p, a = self._p, self._a
             lx = np.logaddexp(1.0, x)
             return p * x + a * np.log(lx), p + a * np.exp(x - lx) / lx
-        # combined: z = log psi(e^x) solves log psi^{-1}(e^z) = x, from the
-        # validation table's start
-        start = x if self._seed is None else self._seed(x)
-        z, slope = _newton(self._log_inverse, x, start)
+        # combined: z = log psi(e^x) solves log psi^{-1}(e^z) = x
+        z, slope = _newton(self._log_inverse, x, self._log_phi_start(x))
         return z, 1.0 / slope
+
+    def _log_phi_start(self, x):
+        """Newton's start for a combined function's log psi(e^x): read off
+        its validation table, or x itself before there is one."""
+        return x if self._seed is None else self._seed(x)
 
     def _validate(self):
         """Check, on a log grid of 40 points in [1e-3, 100], that the

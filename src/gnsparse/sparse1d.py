@@ -258,13 +258,6 @@ def _interval_integrals(u, family: SparseFamily1D):
     return interval_integrals(lambda t: [np.abs(f) for f in u.evaluate(t, (2, 0))], family.z, family.y, u.grid.h)
 
 
-def _interval_table(u, family: SparseFamily1D):
-    """Per family interval: the interval, its node range [i0, i1), and the
-    integrals of |u''| and of |u| over it."""
-    int_d2, int_u = _interval_integrals(u, family)
-    return zip(family.intervals, family.i0, family.i1, int_d2.tolist(), int_u.tolist())
-
-
 def verify_pointwise_1d(u, family: SparseFamily1D):
     """Per-node ratio u'(x)^2 / sum over covering intervals of the product
     of interval averages of |u''| and |u|; the paper bound for the max is 128.
@@ -301,45 +294,3 @@ def coverage_report(family: SparseFamily1D):
     should[family.window_exit_nodes] = False
     uncovered = np.nonzero(should & ~covered)[0]
     return uncovered, covered
-
-
-def observation_bounds_report(u, family: SparseFamily1D):
-    """Run both observation bounds at every family seed with its own interval.
-
-    Every analyzed non-exit node is interior to its own escape interval, and
-    within one (k, sign) those intervals coincide, so checking each distinct
-    interval against all its in-level interior nodes covers every node the
-    family makes a claim about.  Returns (worst slack a, worst slack b,
-    all_pass) where the worst slacks are max over nodes of lhs/rhs.
-    """
-    worst_a = 0.0
-    worst_b = 0.0
-    for iv, i0, i1, int_d2, int_u in _interval_table(u, family):
-        bound_a = 4.0 * int_d2
-        bound_b = 32.0 / iv.length**2 * int_u
-        g = iv.sign * family.d1[i0:i1]
-        lo, hi = level_band(iv.k)
-        own = (g >= lo) & (g < hi)
-        if not np.any(own):
-            continue
-        vmax = float(np.max(g[own]))
-        worst_a = max(worst_a, vmax / bound_a)
-        worst_b = max(worst_b, vmax / bound_b)
-    return worst_a, worst_b, max(worst_a, worst_b) <= 1.0 + POINTWISE_SLACK
-
-
-def factorized_bounds_report(u, family: SparseFamily1D):
-    """The sum-form restatement: at every covered node x,
-    |u'(x)| <= 4 * sum over covering P of int_P |u''|, and
-    |u'(x)| <= 96 / |P|^2 * int_P |u| for every covering P.
-    """
-    sum_d2 = np.zeros(len(family.nodes))
-    ok_b = True
-    for iv, i0, i1, int_d2, int_u in _interval_table(u, family):
-        sum_d2[i0:i1] += int_d2
-        bound = 96.0 / iv.length**2 * int_u * (1.0 + POINTWISE_SLACK)
-        if np.any(np.abs(family.d1[i0:i1]) > bound):
-            ok_b = False
-    covered = sum_d2 > 0.0
-    ok_a = bool(np.all(np.abs(family.d1[covered]) <= 4.0 * sum_d2[covered] * (1.0 + POINTWISE_SLACK)))
-    return ok_a, ok_b

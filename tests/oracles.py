@@ -4,7 +4,8 @@ against, and numerical helpers that only tests use.
 Each loop does its work one set, one interval or one block at a time, the
 way the library did before it handled whole families in one pass.  The
 readers of a CellField's rearrangement (f*, f**, the distribution function)
-and of a text report (interval records, slab masks) live here too.
+and of a text report (interval records, slab masks) live here too, with the
+1D observation bounds (a) and (b) and their sum form, which no report runs.
 """
 
 from collections import namedtuple
@@ -13,7 +14,15 @@ import numpy as np
 
 from gnsparse.errors import ConstructionError, EmptyRegionError
 from gnsparse.grid import GridFunction1D
-from gnsparse.sparse1d import SeededRuns, _interval_table, band_edges, build_family_1d, default_k_min
+from gnsparse.sparse1d import (
+    POINTWISE_SLACK,
+    SeededRuns,
+    _interval_integrals,
+    band_edges,
+    build_family_1d,
+    default_k_min,
+    level_band,
+)
 from gnsparse.testfunctions import TestFunctionSpec, profile_jet
 
 
@@ -54,10 +63,59 @@ def loop_sparse_operator(sets, values):
     return out
 
 
+def interval_table(u, family):
+    """Per family interval: the interval, its node range [i0, i1), and the
+    integrals of |u''| and of |u| over it."""
+    int_d2, int_u = _interval_integrals(u, family)
+    return zip(family.intervals, family.i0, family.i1, int_d2.tolist(), int_u.tolist())
+
+
+def observation_bounds_report(u, family):
+    """Run both observation bounds at every family seed with its own interval.
+
+    Every analyzed non-exit node is interior to its own escape interval, and
+    within one (k, sign) those intervals coincide, so checking each distinct
+    interval against all its in-level interior nodes covers every node the
+    family makes a claim about.  Returns (worst slack a, worst slack b,
+    all_pass) where the worst slacks are max over nodes of lhs/rhs.
+    """
+    worst_a = 0.0
+    worst_b = 0.0
+    for iv, i0, i1, int_d2, int_u in interval_table(u, family):
+        bound_a = 4.0 * int_d2
+        bound_b = 32.0 / iv.length**2 * int_u
+        g = iv.sign * family.d1[i0:i1]
+        lo, hi = level_band(iv.k)
+        own = (g >= lo) & (g < hi)
+        if not np.any(own):
+            continue
+        vmax = float(np.max(g[own]))
+        worst_a = max(worst_a, vmax / bound_a)
+        worst_b = max(worst_b, vmax / bound_b)
+    return worst_a, worst_b, max(worst_a, worst_b) <= 1.0 + POINTWISE_SLACK
+
+
+def factorized_bounds_report(u, family):
+    """The sum-form restatement: at every covered node x,
+    |u'(x)| <= 4 * sum over covering P of int_P |u''|, and
+    |u'(x)| <= 96 / |P|^2 * int_P |u| for every covering P.
+    """
+    sum_d2 = np.zeros(len(family.nodes))
+    ok_b = True
+    for iv, i0, i1, int_d2, int_u in interval_table(u, family):
+        sum_d2[i0:i1] += int_d2
+        bound = 96.0 / iv.length**2 * int_u * (1.0 + POINTWISE_SLACK)
+        if np.any(np.abs(family.d1[i0:i1]) > bound):
+            ok_b = False
+    covered = sum_d2 > 0.0
+    ok_a = bool(np.all(np.abs(family.d1[covered]) <= 4.0 * sum_d2[covered] * (1.0 + POINTWISE_SLACK)))
+    return ok_a, ok_b
+
+
 def loop_pointwise_1d(u, family):
     """verify_pointwise_1d's ratios, one interval slice at a time."""
     denom = np.zeros(len(family.nodes))
-    for iv, i0, i1, int_d2, int_u in _interval_table(u, family):
+    for iv, i0, i1, int_d2, int_u in interval_table(u, family):
         a2 = int_d2 / (iv.y - iv.z)
         a0 = int_u / (iv.y - iv.z)
         if a2 <= 0.0 or a0 < 0.0:

@@ -31,7 +31,6 @@ from gnsparse.sparse1d import (
     build_family_1d,
     default_k_min,
     level_index,
-    observation_bounds_report,
     verify_pointwise_1d,
 )
 from gnsparse.sparse2d import build_family_2d, verify_family_2d
@@ -39,7 +38,7 @@ from gnsparse.testfunctions import TestFunctionSpec, grid_for_spec, make_test_fu
 
 from corpus import members
 from mollifier import BoundaryContaminationWarning, mollify
-from oracles import IntervalRecord, resolved_k_min, star
+from oracles import IntervalRecord, observation_bounds_report, resolved_k_min, star
 
 P = SpaceDescriptor.parse
 

@@ -375,11 +375,18 @@ class TestEntryPoint:
         assert proc.returncode == 0
         assert "--checks" in proc.stdout and "--seed" in proc.stdout
 
-    def test_start_up_leaves_numpy_polynomial_unloaded(self, source_env):
-        # only the Lorentz quadrature reads Gauss-Legendre nodes, on first use
-        code = "import sys, gnsparse.cli; print('numpy.polynomial' in sys.modules)"
+    def test_start_up_imports_no_scipy_or_numpy_polynomial(self, source_env):
+        # set-up is the import and the bundled config's load: only the Lorentz
+        # quadrature reads Gauss-Legendre nodes, on first use, and scipy is
+        # not a dependency
+        code = (
+            "import sys\n"
+            "from gnsparse import cli\n"
+            "assert cli.load_run_config(cli._build_parser().parse_args([])).corpus\n"
+            "print(sorted(m for m in ('scipy', 'numpy.polynomial') if m in sys.modules))"
+        )
         proc = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=source_env
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        assert proc.stdout.strip() == "[]"

@@ -802,6 +802,20 @@ class TestNorms:
         with pytest.raises(ModularRangeError, match="the sum is not finite"):
             modular(YoungFunction("pow", (Fraction(3),)), CellField(np.full(1000, 1e102), 1.0))
 
+    def test_modular_outside_the_floats_term_by_term(self):
+        # e^800 and the sum of 1000 terms of 1e306 overflow a double; at
+        # these cell measures the modulars, 2.7e47 and 1e299, do not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = modular(YoungFunction("exp"), CellField(np.array([800.0]), 1e-300))
+            assert got == pytest.approx(math.exp(800.0 - 300.0 * math.log(10.0)), rel=1e-12)
+            got = modular(YoungFunction("pow", (Fraction(3),)), CellField(np.full(1000, 1e102), 1e-10))
+            assert got == pytest.approx(1e299, rel=1e-12)
+            # a modular outside the floats still raises, at an argument beyond them too
+            with pytest.raises(ModularRangeError) as err:
+                modular(YoungFunction("exp"), CellField(np.array([1e300]), 1.0), scale=1e-300)
+            assert err.value.argument == math.inf
+
 
 def _product(x, y, theta):
     return cl_combine(SpaceDescriptor.parse(f"Orl:{x}"), SpaceDescriptor.parse(f"Orl:{y}"), theta).young
@@ -851,18 +865,18 @@ def bisection_luxemburg(values, cell_measure, young):
 
 def outer_evaluations(monkeypatch):
     """A list that gets one entry per luxemburg_norm call from here on: the
-    number of log-modular evaluations its Newton solve made."""
-    counts, solve = [], norms_module._newton
+    number of level evaluations its Newton loop made."""
+    counts, solve = [], norms_module._log_modular_root
 
-    def counted(fn, targets, start):
-        def evaluate(x):
+    def counted(levels, *args):
+        def evaluate(x, z):
             counts[-1] += 1
-            return fn(x)
+            return levels(x, z)
 
         counts.append(0)
-        return solve(evaluate, targets, start)
+        return solve(evaluate, *args)
 
-    monkeypatch.setattr(norms_module, "_newton", counted)
+    monkeypatch.setattr(norms_module, "_log_modular_root", counted)
     return counts
 
 
@@ -883,8 +897,8 @@ class TestLuxemburgSolver:
         # |u|, |u'| and |u''| of every bundled member at a 1D and a 2D grid
         # size of the default suite's order: a power takes one exact Newton
         # step from the flat-field start and one evaluation to confirm it;
-        # the others took at most 6 (exp), 5 (exp products) and 4
-        # (powlog:2,1 x pow:2) when measured
+        # the others took at most 6 (exp) and 5 (products, whose levels are
+        # solved in the same loop) when measured
         young = self.YOUNG[name]
         budget = 2 if young.kind == "pow" else 6
         evaluations = outer_evaluations(monkeypatch)
@@ -924,6 +938,55 @@ class TestLuxemburgSolver:
                 root = 2.5 / young.inverse(0.01 / mu)
                 assert got == pytest.approx(root * (1.0 + 0.01 * LUXEMBURG_REL_TOL), rel=1e-12, abs=0.0)
         assert max(evaluations) <= 2
+
+    def test_combined_norm_makes_no_inner_solve(self, monkeypatch):
+        # a combined function's levels are unknowns of the norm's own loop,
+        # updated from its closed-form log-inverse: no Newton kernel runs
+        spec = members(1)[0]
+        u = make_test_function(spec, grid_for_spec(spec, 1024))
+        f = CellField(u.center_values(0), u.grid.h)
+        assert f.values.size == 1024
+        _EXP_POW2.validate()
+        calls, solve = [], spaces_module._newton
+
+        def counted(fn, targets, start):
+            calls.append(fn)
+            return solve(fn, targets, start)
+
+        monkeypatch.setattr(spaces_module, "_newton", counted)
+        got = luxemburg_norm(f, _EXP_POW2)
+        assert calls == []
+        monkeypatch.undo()
+        assert got == pytest.approx(bisection_luxemburg(f.values, f.cell_measure, _EXP_POW2), rel=LUXEMBURG_REL_TOL)
+
+    @pytest.mark.parametrize("name", ["exp x pow:2", "pow:3 x exp", "powlog:2,1 x pow:2"])
+    def test_combined_norms_of_large_fields_match_the_oracle(self, name):
+        young = self.YOUNG[name]
+        spec = members(1)[1]
+        u = make_test_function(spec, grid_for_spec(spec, 16384))
+        rng = np.random.default_rng(17)
+        fields = [CellField(u.center_values(2), u.grid.h), CellField(rng.random(16384) * 1e3, 1e-4)]
+        for f in fields:
+            assert f.values.size == 16384
+            want = bisection_luxemburg(f.values, f.cell_measure, young)
+            assert luxemburg_norm(f, young) == pytest.approx(want, rel=LUXEMBURG_REL_TOL, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "elasticity, match",
+        [(1.0, "did not converge"), (math.inf, "slope is inf"), (math.nan, "slope is nan"), (0.0, "slope is 0")],
+    )
+    def test_loop_failures_are_inversion_errors(self, elasticity, match):
+        # residuals that never settle, or a slope sum p e that is not
+        # positive and finite, end the loop with no numpy warning
+        rng = np.random.default_rng(0)
+
+        def levels(x, z):
+            return z, np.full_like(z, elasticity), rng.normal(size=z.size)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(YoungInversionError, match=match):
+                norms_module._log_modular_root(levels, np.zeros(4), 0.0, 0.0, np.zeros(4))
 
     def test_norm_outside_the_floats_is_a_range_error(self):
         # exp at cell measure 1e300 puts the scale near 1e300 max|f|, and at

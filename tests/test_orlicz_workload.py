@@ -22,18 +22,18 @@ def test_orlicz_combined_matches_the_reference(tmp_path, monkeypatch):
     text = workloads.config_text("orlicz-combined", ROOT)
     config = tmp_path / "orlicz-combined.cfg"
     config.write_text(text, encoding="utf-8")
-    # the Luxemburg norms' outer solves, called from norms, and the inner
-    # solves of the Young functions, called from spaces
-    outer, newton = [], spaces._newton
+    # the level evaluations of the Luxemburg norms' loops, in norms, and the
+    # solves of the Young functions, in spaces
+    outer, root = [], norms._log_modular_root
 
-    def counted_outer(fn, targets, start):
-        def evaluate(x):
-            outer.append(x.size)
-            return fn(x)
+    def counted_outer(levels, *args):
+        def evaluate(x, z):
+            outer.append(x)
+            return levels(x, z)
 
-        return newton(evaluate, targets, start)
+        return root(evaluate, *args)
 
-    solves, steps = [], []
+    solves, steps, newton = [], [], spaces._newton
 
     def counted_newton(fn, targets, start):
         def evaluate(x):
@@ -50,7 +50,7 @@ def test_orlicz_combined_matches_the_reference(tmp_path, monkeypatch):
             validations.append(young.describe())
         return validate(young)
 
-    monkeypatch.setattr(norms, "_newton", counted_outer)
+    monkeypatch.setattr(norms, "_log_modular_root", counted_outer)
     monkeypatch.setattr(spaces, "_newton", counted_newton)
     monkeypatch.setattr(spaces.YoungFunction, "_validate", counted_validate)
     # products built earlier in the process would be reused, so start empty
@@ -60,8 +60,8 @@ def test_orlicz_combined_matches_the_reference(tmp_path, monkeypatch):
     with open(reference.reference_path("orlicz-combined"), encoding="utf-8") as handle:
         stored = reference.parse_report(handle.read())
     assert reference.compare(report, stored, workloads.windows_1d(text)) == {}
-    # 16 Luxemburg norms, 5 log-modular evaluations each; the secant on the
-    # scale that the Newton solve replaced took 93 modular evaluations, and
+    # 16 Luxemburg norms, 5 level evaluations each; the secant on the scale
+    # that the Newton solve replaced took 93 modular evaluations, and
     # bisection 689
     assert len(outer) <= 80
     # a product is validated on its first evaluation: each case's Z, and
@@ -69,10 +69,10 @@ def test_orlicz_combined_matches_the_reference(tmp_path, monkeypatch):
     # 1/2, which are compared by flat form only (20 when every build was
     # validated)
     assert len(validations) == len(set(validations)) == 4
-    # one solve per validation (4) plus one forward solve per log-modular
-    # evaluation of a combined function (40); the secant made 50, and 66
-    # when every build was validated
-    assert len(solves) <= 44
-    # forward solves start from the validation table: 101 evaluations (114
-    # under the secant, 201 when every build was validated, 446 cold)
-    assert len(steps) <= 101
+    # one solve per validation and none on the norm path, whose loop solves
+    # a product's levels itself; a forward solve per log-modular evaluation
+    # made 44, the secant 50, and 66 when every build was validated
+    assert len(solves) == 4
+    # the validations' solves: 21 evaluations (101 with the norms' forward
+    # solves, 114 under the secant, 201 when every build was validated)
+    assert len(steps) <= 21

@@ -22,23 +22,27 @@ from gnsparse.sparse1d import (
     BISECT_TOL_FACTOR,
     EscapeInterval,
     SparseFamily1D,
-    _interval_table,
     band_edges,
     build_family_1d,
     coverage_report,
     default_k_min,
-    factorized_bounds_report,
     level_band,
     level_floor,
     level_index,
-    observation_bounds_report,
     seeded_runs,
     verify_pointwise_1d,
 )
 from gnsparse.testfunctions import TestFunctionSpec, grid_for_spec, make_test_function
 
 from corpus import member, members
-from oracles import loop_pointwise_1d, nonzero_seeded_runs, resolved_k_min
+from oracles import (
+    factorized_bounds_report,
+    interval_table,
+    loop_pointwise_1d,
+    nonzero_seeded_runs,
+    observation_bounds_report,
+    resolved_k_min,
+)
 
 
 def build_allowing_exits(u):
@@ -498,7 +502,7 @@ class TestBatchedQuadrature:
     def test_default_cases_equal_the_scalar_oracle(self, spec):
         # equal up to summation order, within the bound fixed by the oracle
         u = make_test_function(spec, grid_for_spec(spec, 1024))
-        table = list(_interval_table(u, build_family_1d(u, default_k_min(u))))
+        table = list(interval_table(u, build_family_1d(u, default_k_min(u))))
         assert table
         for iv, _, _, int_d2, int_u in table:
             for m, got in ((2, int_d2), (0, int_u)):
@@ -563,7 +567,7 @@ class TestBatchedQuadrature:
             return evaluate(x, orders)
 
         u.evaluate = counted
-        table = list(_interval_table(u, family))
+        table = list(interval_table(u, family))
         assert len(table) == len(family.intervals) and calls == [(2, 0)]
 
     @pytest.mark.parametrize("y_bad", [0.05, 0.1], ids=["reversed", "empty"])
