@@ -21,7 +21,7 @@ import random
 import sys
 from dataclasses import dataclass
 
-from .errors import AdmissibilityError, ConfigError, CorpusConfigError
+from .errors import ConfigError, CorpusConfigError, GnsparseError
 from .gn import CHECK_NAMES, GNCase, run_corpus
 from .serialize import atomic_write_text, csv_report, text_report
 from .spaces import SpaceDescriptor
@@ -203,7 +203,9 @@ def load_run_config(args) -> RunConfig:
                     n=n,
                 )
             )
-        except AdmissibilityError as exc:
+        except ConfigError:
+            raise
+        except GnsparseError as exc:  # a space that does not parse or fails its check
             raise ConfigError(f"case {label!r}: {exc}") from exc
     if not cases:
         raise ConfigError("config declares no cases")

@@ -108,12 +108,9 @@ class GNCase:
 
     @cached_property
     def z_space(self) -> SpaceDescriptor:
-        """Z = X^theta Y^(1-theta), combined and validated on first use; an
-        inadmissible combination raises there, not when the case is built."""
-        z = cl_combine(self.x_space, self.y_space, self.theta)
-        if z.kind == "orlicz":
-            z.young.validate()
-        return z
+        """Z = X^theta Y^(1-theta), combined on first use; an inadmissible
+        combination raises there, not when the case is built."""
+        return cl_combine(self.x_space, self.y_space, self.theta)
 
     def case_id(self) -> str:
         name = self.spec.name or self.spec.family

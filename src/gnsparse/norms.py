@@ -6,9 +6,10 @@ norms are cell sums, taken scale-free as M (sum (|f|/M)^p mu)^(1/p) with
 M = max|f|, so no p-th power overflows or underflows wholesale.  An
 Orlicz space of a power, ``Orl:pow:p``, is L^p: the Luxemburg functional
 of t^p is the L^p norm (Rao-Ren, Theory of Orlicz Spaces, 1991), so it is
-evaluated as one.  Lorentz norms integrate t^(q/P - 1) f**(t)^q
-piecewise: the first plateau and the tail beyond the support measure have
-closed forms, and on each interior plateau f** = v + A/t (Bennett-
+evaluated as one.  Lorentz norms of finite q are scale-free too, M ||f/M||
+with M = f*(0), and integrate t^(q/P - 1) f**(t)^q piecewise: the first
+plateau and the tail beyond the support measure have closed forms, and
+on each interior plateau f** = v + A/t (Bennett-
 Sharpley, Interpolation of Operators, ch. 2), so for an integer q the
 plateau integral is a finite binomial sum; for any other q, fixed-order
 Gauss-Legendre in log t, on pieces no wider than a factor 2, is
@@ -31,7 +32,7 @@ import numpy as np
 
 from .errors import ModularRangeError, NormRangeError, YoungInversionError
 from .rearrangement import CellField
-from .spaces import INF, NEWTON_MAX_STEPS, NEWTON_REL_TOL, SpaceDescriptor, index_float
+from .spaces import INF, NEWTON_MAX_STEPS, NEWTON_REL_TOL, SpaceDescriptor, format_index, index_float
 
 # the binomial plateau sum takes q + 1 passes over the plateaus against the
 # quadrature's 16, so it serves every integer q up to 15
@@ -53,7 +54,13 @@ def lebesgue_norm(f: CellField, p) -> float:
 
 
 def lorentz_norm(f: CellField, P, p) -> float:
-    """||f|| = (int_0^inf (t^(1/P) f**(t))^p dt/t)^(1/p), sup form for p = inf."""
+    """||f|| = (int_0^inf (t^(1/P) f**(t))^p dt/t)^(1/p), sup form for p = inf.
+
+    For finite p it is taken scale-free as M ||f/M|| with M = f*(0) =
+    max|f|, so no p-th power of a value leaves the floats.  A norm of a
+    nonzero f that is still not a positive finite float, as at extreme
+    cell measures, is a NormRangeError.
+    """
     if f.is_zero:
         return 0.0
     a = float(1 / P)  # exponent p/P splits as p*a
@@ -61,46 +68,56 @@ def lorentz_norm(f: CellField, P, p) -> float:
     heights = f.heights
     breaks = f.breaks
     cum = f.cum_integral
-    s0 = f.support_measure
-    total = f.total_integral
+    s0 = breaks[-1]  # the support's measure, a numpy float: its powers do not raise
+    top = float(heights[0])
 
-    if math.isinf(pf):
-        # sup of t^(1/P) f**(t) = t^(a-1) int_0^t f*: the first plateau
-        # increases in t and the tail decreases; on each later plateau
-        # t^(a-1) (A + v t) has its one critical point at a minimum, so the
-        # sup is at a break
-        return float(np.max(breaks[1:] ** (a - 1.0) * cum[1:]))
-
-    alpha = pf * a  # the dt-exponent is alpha - 1
-    acc = heights[0] ** pf * breaks[1] ** alpha / alpha
-    if len(heights) > 1:
-        # f** = v + A/t on the plateau [t0, t1] of height v
-        A = cum[1:-1] - breaks[1:-1] * heights[1:]
-        v = heights[1:]
-        if Fraction(p).denominator == 1 and p <= BINOMIAL_MAX_Q:
-            acc += _binomial_plateaus(breaks[1:], A, v, int(p), Fraction(p) / Fraction(P))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        if math.isinf(pf):
+            # sup of t^(1/P) f**(t) = t^(a-1) int_0^t f*: the first plateau
+            # increases in t and the tail decreases; on each later plateau
+            # t^(a-1) (A + v t) has its one critical point at a minimum, so
+            # the sup is at a break
+            norm = float(np.max(breaks[1:] ** (a - 1.0) * cum[1:]))
         else:
-            acc += _quadrature_plateaus(breaks[1:], A, v, pf, alpha)
-    # tail: f** = total/t for t > s0; converges since alpha < p for P > 1
-    acc += total**pf * s0 ** (alpha - pf) / (pf - alpha)
-    return float(acc ** (1.0 / pf))
+            alpha = pf * a  # the dt-exponent is alpha - 1
+            acc = breaks[1] ** alpha / alpha  # f*/M is 1 on the first plateau
+            if len(heights) > 1:
+                # f** = v + A/t on the plateau [t0, t1] of height v, so
+                # f**/M = v/M + (A/M)/t; the helpers divide v as they go
+                A = cum[1:-1] - breaks[1:-1] * heights[1:]
+                A /= top
+                v = heights[1:]
+                if Fraction(p).denominator == 1 and p <= BINOMIAL_MAX_Q:
+                    acc += _binomial_plateaus(breaks[1:], A, v, top, int(p), Fraction(p) / Fraction(P))
+                else:
+                    acc += _quadrature_plateaus(breaks[1:], A, v, top, pf, alpha)
+            # tail: f** = total/t for t > s0; converges since alpha < p for
+            # P > 1; total/(M s0) <= 1 is the mean of f/M on the support
+            acc += (cum[-1] / (top * s0)) ** pf * s0**alpha / (pf - alpha)
+            norm = top * float(acc ** (1.0 / pf))
+    if not 0.0 < norm < math.inf:
+        raise NormRangeError(
+            f"Lorentz norm of Lor:{format_index(P)},{format_index(p)} is {norm}, not a positive finite float"
+        )
+    return norm
 
 
-def _binomial_plateaus(t, A, v, q: int, alpha: Fraction) -> float:
-    """The sum over the plateaus [t[i], t[i+1]] of int t^(alpha-1) (v + A/t)^q dt.
+def _binomial_plateaus(t, A, v, top: float, q: int, alpha: Fraction) -> float:
+    """The sum over the plateaus [t[i], t[i+1]] of int t^(alpha-1) (v/top + A/t)^q dt.
 
-    Expanded, the integrand is sum_i C(q,i) A^i v^(q-i) t^(b-1) with b =
-    alpha - i, whose integral is (t1^b - t0^b)/b, or log(t1/t0) where b = 0.
-    Every term is nonnegative, so none cancels another.  Each power of the
-    breaks is taken once and differenced, and the terms are summed by
-    Horner's rule in A from i = q down, so every temporary is
-    plateau-sized.
+    Expanded, the integrand is sum_i C(q,i) A^i (v/top)^(q-i) t^(b-1) with
+    b = alpha - i, whose integral is (t1^b - t0^b)/b, or log(t1/t0) where
+    b = 0.  Every term is nonnegative, so none cancels another.  Each power
+    of the breaks is taken once and differenced, and the terms are summed
+    by Horner's rule in A from i = q down, so every temporary is
+    plateau-sized; v is divided by ``top`` as its powers are taken, with no
+    copy.
     """
     # alpha is exact, so b = 0 is found exactly: a b that only rounds to
     # near 0 would turn (t1^b - t0^b)/b into rounding noise
     log_term = alpha.numerator if alpha.denominator == 1 else -1
     acc = np.zeros_like(A)
-    v_pow = np.ones_like(v)  # v^(q-i)
+    v_pow = np.ones_like(v)  # (v/top)^(q-i)
     for i in range(q, -1, -1):
         coef = float(math.comb(q, i))
         if i == log_term:
@@ -113,7 +130,8 @@ def _binomial_plateaus(t, A, v, q: int, alpha: Fraction) -> float:
         term *= v_pow
         acc *= A
         acc += term
-        v_pow *= v
+        v_pow *= v  # at most top, as v_pow <= 1 and v <= top
+        v_pow /= top
     return float(np.sum(acc))
 
 
@@ -124,8 +142,8 @@ def _gauss_legendre():
     return np.polynomial.legendre.leggauss(16)
 
 
-def _quadrature_plateaus(t, A, v, pf: float, alpha: float) -> float:
-    """The same sum for any q: int t^alpha (v + A/t)^q d(log t) by 16-point
+def _quadrature_plateaus(t, A, v, top: float, pf: float, alpha: float) -> float:
+    """The same sum for any q: int t^alpha (v/top + A/t)^q d(log t) by 16-point
     Gauss-Legendre in log t, which moves the pole of A/t at t = 0 out to
     -inf, on equal pieces in log t no wider than a factor 2 in t, across
     which t^alpha stays in one rule's reach.  Every t is a break after the
@@ -145,7 +163,7 @@ def _quadrature_plateaus(t, A, v, pf: float, alpha: float) -> float:
         mid = s0 + (2 * j + 1) * half
         for x, w in zip(*_gauss_legendre()):
             ts = np.exp(mid + half * x)
-            acc += w * float(np.sum(half * ts**alpha * (A / ts + v) ** pf))
+            acc += w * float(np.sum(half * ts**alpha * (A / ts + v / top) ** pf))
     return acc
 
 
@@ -194,23 +212,24 @@ def luxemburg_norm(f: CellField, young) -> float:
     with no inner solve.  x starts at the root for a field constant on its
     support, log phi^{-1}(1/|supp f|) - log max|f|, one step from the answer
     for a power; there every top cell's level is -log |supp f|, and a
-    combined function's other levels start from its seed table.  The result
+    combined function's other levels start on the tangent of log phi at
+    the top cells, z = top + (log|f| - log max|f|) / L'(top), with the
+    slope L' of the log-inverse that gave x its start.  The result
     e^-x is nudged up by LUXEMBURG_REL_TOL/100, so that rho(f/result) <= 1;
     one outside the normal floats is a NormRangeError.
     """
     v = f.positive()
     if v.size == 0:
         return 0.0
-    young.validate()
     log_v = np.log(v)
     log_mu = math.log(f.cell_measure)
     log_top = float(np.max(log_v))
     top_level = -math.log(v.size) - log_mu
-    x = float(young._log_inverse(np.array([top_level]))[0][0]) - log_top
+    log_t, dlog_t = young._log_inverse(np.array([top_level]))
+    x = float(log_t[0]) - log_top
 
     if young.kind == "combined":
-        z = young._log_phi_start(log_v + x)
-        z[log_v == log_top] = top_level
+        z = top_level + (log_v - log_top) / float(dlog_t[0])
 
         def levels(x, z):
             log_t, dlog_t = young._log_inverse(z)

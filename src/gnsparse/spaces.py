@@ -15,8 +15,8 @@ Calderon product rule: harmonic combination of indices for Lebesgue and
 Lorentz, and the inverse-factor product for Orlicz, where the combined
 Young function psi satisfies psi^{-1} = (phi_X^{-1})^theta (phi_Y^{-1})^{1-theta}.
 A combined function is kept as a flat product of non-combined leaves with
-exact weights; cl_combine builds each distinct product once, and the
-product is validated on its first evaluation.
+exact weights; cl_combine builds each distinct product once, and, a
+product of Young functions being one, never checks it numerically.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import AdmissibilityError, GnsparseError, YoungInversionError
+from .errors import AdmissibilityError, YoungInversionError
 
 INF = Fraction(-1)  # sentinel; never a legal index value itself
 
@@ -83,9 +83,12 @@ def _newton(fn, targets, start):
     bracket is that narrow.  Otherwise a Newton step that leaves the bracket
     (or a derivative that is not positive) is replaced by the bracket's
     midpoint, or by a step of 2 towards the target while that side is
-    open.  Infinite targets give infinite answers.  A NaN target, or a
-    target not met within NEWTON_MAX_STEPS evaluations, raises
-    YoungInversionError.
+    open.  Once the bracket is closed, a Newton step longer than half the
+    step before it is replaced by the midpoint too (the rule of rtsafe,
+    Numerical Recipes, 9.4): where the function's elasticity bends, Newton
+    can bounce inside the bracket without shrinking it.  Infinite targets
+    give infinite answers.  A NaN target, or a target not met within
+    NEWTON_MAX_STEPS evaluations, raises YoungInversionError.
 
     Each step evaluates ``fn`` on the unfinished targets only, and no
     target's iterates depend on another's, so a batch gives bit for bit
@@ -101,6 +104,7 @@ def _newton(fn, targets, start):
     y, x = y[active], out[active]
     lo = np.full_like(y, -math.inf)
     hi = np.full_like(y, math.inf)
+    last = np.full_like(y, math.inf)  # each target's previous step
     for _ in range(NEWTON_MAX_STEPS):
         if active.size == 0:
             return out, out_slope
@@ -115,15 +119,18 @@ def _newton(fn, targets, start):
         x_new = x + step
         tol = NEWTON_REL_TOL * np.maximum(1.0, np.abs(x))
         converged = (r == 0.0) | (rising & (np.abs(step) <= tol))
-        fallback = ~converged & ~(rising & (lo < x_new) & (x_new < hi))
+        closed = np.isfinite(lo) & np.isfinite(hi)
+        slow = closed & (np.abs(step) > 0.5 * np.abs(last))
+        fallback = ~converged & (slow | ~(rising & (lo < x_new) & (x_new < hi)))
         if fallback.any():
-            closed = fallback & np.isfinite(lo) & np.isfinite(hi)
+            closed &= fallback
             x_new[fallback] = x[fallback] - 2.0 * np.sign(r[fallback])
             x_new[closed] = 0.5 * (lo[closed] + hi[closed])
         out[active] = x_new
         out_slope[active] = slope
         keep = ~(converged | (hi - lo <= tol))
-        active, y, x, lo, hi = active[keep], y[keep], x_new[keep], lo[keep], hi[keep]
+        last = x_new - x
+        active, y, x, lo, hi, last = active[keep], y[keep], x_new[keep], lo[keep], hi[keep], last[keep]
     raise YoungInversionError(f"Young-function inversion did not converge in {NEWTON_MAX_STEPS} steps")
 
 
@@ -147,38 +154,6 @@ def _product_leaves(a: "YoungFunction", b: "YoungFunction", theta: Fraction):
     return tuple((leaf, w) for leaf, w in merged.values())
 
 
-class _SeedTable:
-    """Newton's starting points for log psi(t) of a combined Young function,
-    read off the (log t, log psi) table its validation solved.
-
-    Between knots the start is the cubic Hermite interpolant of the knots
-    and their slopes d(log psi)/d(log t) = 1/L'(log psi), where L is the
-    function's log-inverse; below the first knot and from the last on it
-    is the tangent line there.  Each piece is kept as a polynomial in the
-    distance from its left end, so a start is a few elementwise operations
-    on its own target, and a batch of targets gets bit for bit what its
-    parts get.
-    """
-
-    def __init__(self, log_t, log_psi, slope):
-        h = np.diff(log_t)
-        secant = np.diff(log_psi) / h
-        c2 = (3.0 * secant - 2.0 * slope[:-1] - slope[1:]) / h
-        c3 = (slope[:-1] + slope[1:] - 2.0 * secant) / h**2
-        # piece i covers knots[i-1] <= y < knots[i]; pieces 0 and m are the tangents
-        self.knots = log_t
-        self.left = np.concatenate([log_t[:1], log_t])
-        self.c0 = np.concatenate([log_psi[:1], log_psi])
-        self.c1 = np.concatenate([slope[:1], slope])
-        self.c2 = np.concatenate([[0.0], c2, [0.0]])
-        self.c3 = np.concatenate([[0.0], c3, [0.0]])
-
-    def __call__(self, y):
-        i = np.searchsorted(self.knots, y, side="right")
-        s = y - self.left[i]
-        return self.c0[i] + s * (self.c1[i] + s * (self.c2[i] + s * self.c3[i]))
-
-
 class YoungFunction:
     """A Young function with a usable inverse.
 
@@ -191,24 +166,16 @@ class YoungFunction:
     and ``_log_inverse(y)`` = (log phi^{-1}(e^y), its slope).  The
     ``powlog`` inverse and the combined forward value are Newton solves
     (``_newton``) of the other, the rest closed form, and every value is
-    exp of its log but the faster t^p and e^t - 1.  Only ``powlog`` and
-    combined functions are validated on a grid (``_validate``): t^p (p >=
-    1) and e^t - 1 are Young functions in closed form.  A ``powlog``
-    function is validated when it is built.  A combined function is
-    validated by ``validate``, which its first evaluation (forward or
-    inverse) calls, so a product that is only compared by its flat form
-    is never solved; a refusal is kept and raised again at every later
-    evaluation.  Its forward solves start from the table its validation
-    solved (``_SeedTable``).
+    exp of its log but the faster t^p and e^t - 1.  Only a ``powlog``
+    function is validated on a grid (``_validate``), when it is built: its
+    parameters come from outside the program.  t^p (p >= 1) and e^t - 1
+    are Young functions in closed form, and a combined function is one by
+    the theorem ``cl_combine`` cites.
     """
 
     def __init__(self, kind, params=(), factors=None, theta=None):
         self.kind = kind
         self.params = tuple(params)
-        self._seed = None
-        # True once validated (or needing no check), the GnsparseError that
-        # refused it, or None while a combined function is unchecked
-        self._checked = True
         if kind == "pow":
             (p,) = params
             if p == INF or p < 1:
@@ -221,6 +188,7 @@ class YoungFunction:
             if p == 1 and a < 0:
                 raise AdmissibilityError("power-log with p = 1 needs a >= 0 for convexity")
             self._p, self._a = float(p), float(a)
+            self._validate()  # its parameters come from outside the program
         elif kind == "exp":
             pass
         elif kind == "combined":
@@ -231,27 +199,10 @@ class YoungFunction:
             # product theta, 1 - theta has always been evaluated
             head = [float(w) for _, w in self.leaves[:-1]]
             self._weights = head + [1.0 - sum(head)]
-            self._checked = None
         else:
             raise AdmissibilityError(f"unknown Young function kind {kind!r}")
-        if kind == "powlog":
-            self._validate()
-
-    def validate(self):
-        """Validate a combined function on the first call, and raise the
-        GnsparseError that refused it, kept, at this and every later call;
-        any other kind was validated when it was built."""
-        if self._checked is None:
-            try:
-                self._validate()
-                self._checked = True
-            except GnsparseError as exc:
-                self._checked = exc
-        if self._checked is not True:
-            raise self._checked
 
     def __call__(self, t):
-        self.validate()
         t = np.asarray(t, dtype=float)
         if np.any(t < 0.0):
             raise ValueError("Young functions take nonnegative arguments")
@@ -272,7 +223,6 @@ class YoungFunction:
     def inverse(self, s):
         """The generalized inverse phi^{-1}(s) = sup{t : phi(t) <= s}, as
         exp of the log-domain inverse; 0 and inf map to themselves."""
-        self.validate()
         s = np.asarray(s, dtype=float)
         if np.any(s < 0.0):
             raise ValueError("inverse takes nonnegative arguments")
@@ -296,11 +246,20 @@ class YoungFunction:
             # x = log t solves log phi(e^x) = y
             x, slope = _newton(self._log_phi, y, y / self._p)
             return x, 1.0 / slope
-        terms = [leaf._log_inverse(y) for leaf, _ in self.leaves]
-        return (
-            sum(w * out for w, (out, _) in zip(self._weights, terms)),
-            sum(w * slope for w, (_, slope) in zip(self._weights, terms)),
-        )
+        # the weighted sum of the leaves' terms, accumulated in place; a
+        # power's slope 1/p is a constant
+        log_t, slope = np.zeros_like(y), np.zeros_like(y)
+        for (leaf, _), w in zip(self.leaves, self._weights):
+            if leaf.kind == "pow":
+                term = y / leaf._p
+                slope += w * (1.0 / leaf._p)
+            else:
+                term, leaf_slope = leaf._log_inverse(y)
+                leaf_slope *= w
+                slope += leaf_slope
+            term *= w
+            log_t += term
+        return log_t, slope
 
     def _log_phi(self, x):
         """log phi(e^x) and its derivative in x, the elasticity
@@ -322,30 +281,22 @@ class YoungFunction:
             lx = np.logaddexp(1.0, x)
             return p * x + a * np.log(lx), p + a * np.exp(x - lx) / lx
         # combined: z = log psi(e^x) solves log psi^{-1}(e^z) = x
-        z, slope = _newton(self._log_inverse, x, self._log_phi_start(x))
+        z, slope = _newton(self._log_inverse, x, x)
         return z, 1.0 / slope
-
-    def _log_phi_start(self, x):
-        """Newton's start for a combined function's log psi(e^x): read off
-        its validation table, or x itself before there is one."""
-        return x if self._seed is None else self._seed(x)
 
     def _validate(self):
         """Check, on a log grid of 40 points in [1e-3, 100], that the
         function is increasing, midpoint convex between neighbours (at 1e-9
         relative) and consistent with its inverse (at 1e-6 relative).
 
-        The checks read log phi, so no value leaves the floats: a ``powlog``
-        function's is closed form, and a combined function's comes from one
-        Newton solve over the grid and its midpoints, whose (log t, log
-        psi) pairs and slopes it then keeps as its seed table.
+        The checks read log phi, so no value leaves the floats.
         """
         ts = np.logspace(-3, 2, 40)
         # the grid and its midpoints, interleaved in increasing order
         grid = np.empty(2 * ts.size - 1)
         grid[0::2], grid[1::2] = ts, 0.5 * (ts[:-1] + ts[1:])
         log_grid = np.log(grid)
-        log_values, slopes = self._log_phi(log_grid)
+        log_values = self._log_phi(log_grid)[0]
         vals, mid = log_values[0::2], log_values[1::2]
         if np.any(np.diff(vals) <= 0.0):
             raise AdmissibilityError(f"Young function {self.describe()} is not increasing")
@@ -354,8 +305,6 @@ class YoungFunction:
         back = self._log_inverse(vals)[0]
         if np.max(np.abs(np.expm1(back - log_grid[0::2]))) > 1e-6:
             raise AdmissibilityError(f"Young function {self.describe()} inverse is inconsistent")
-        if self.kind == "combined":
-            self._seed = _SeedTable(log_grid, log_values, slopes)
 
     def describe(self) -> str:
         if self.kind == "pow":
@@ -485,11 +434,10 @@ def cl_combine(x: SpaceDescriptor, y: SpaceDescriptor, theta: Fraction) -> Space
     once per flat form (leaf ``describe()`` strings and exact weights) in a
     process and kept in ``_COMBINED``, so a nested product such as
     X^b (X^a Y^(1-a))^(1-b) returns the object built for
-    X^(b+a(1-b)) Y^((1-a)(1-b)).  It is not validated here: a product of
-    Young functions is one (Maligranda, Orlicz Spaces and Interpolation,
-    1989), and the numerical check runs on its first evaluation
-    (``YoungFunction.validate``), so a product that is only compared by
-    its flat form costs no Newton solve.
+    X^(b+a(1-b)) Y^((1-a)(1-b)).  It is not checked numerically: psi^{-1}
+    is a weighted geometric mean of concave increasing functions, so it is
+    concave and psi is a Young function (Lozanovskii; Maligranda, Orlicz
+    Spaces and Interpolation, 1989).  Building one solves nothing.
     """
     theta = Fraction(theta)
     if not 0 <= theta <= 1:

@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 
 from gnsparse import gn as gn_module
+from gnsparse import spaces
 from gnsparse.cli import main
+from gnsparse.errors import YoungInversionError
 from gnsparse.gn import CHECK_NAMES, GNCase, run_corpus
 from gnsparse.grid import Grid1D
 from gnsparse.operator import CellFamily
@@ -302,6 +304,29 @@ class TestMainExitCodes:
         code = main(["--config", write_config(tmp_path, bad), "--out", str(tmp_path)])
         assert code == 2
         assert "powlog:3/2,-10 is not increasing" in capsys.readouterr().err
+
+    def test_young_function_that_fails_its_check_is_a_config_error(self, tmp_path, capsys, monkeypatch):
+        # any package error while a case's spaces are read, not only an
+        # AdmissibilityError, is a configuration error: exit 2, no report
+        def refuse(young):
+            raise YoungInversionError("Young-function inversion did not converge in 100 steps")
+
+        monkeypatch.setattr(spaces.YoungFunction, "_validate", refuse)
+        text = TINY_CONFIG.replace("X = L:1\nY = L:1", "X = Orl:powlog:2,1\nY = Orl:powlog:2,1")
+        code = main(["--config", write_config(tmp_path, text), "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "did not converge" in err
+        assert not (tmp_path / "report.csv").exists()
+
+    @pytest.mark.parametrize("a", [15, 19])
+    def test_sharply_bending_powlog_runs_every_check(self, tmp_path, a):
+        # t log(e + t)^a bends its elasticity sharply for a large a; its
+        # inverse is a bracketed Newton solve that must still converge
+        text = TINY_CONFIG.replace("overlap, pointwise, gn", ", ".join(CHECK_NAMES))
+        text = text.replace("X = L:1\nY = L:1", f"X = Orl:powlog:1,{a}\nY = Orl:powlog:1,{a}")
+        text = text.replace("X = L:2\nY = L:2", f"X = Orl:powlog:1,{a}\nY = Orl:exp")
+        assert main(["--config", write_config(tmp_path, text), "--out", str(tmp_path)]) == 0
 
     @pytest.mark.parametrize(
         "section",

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from gnsparse.errors import AdmissibilityError, GnsparseError, ModularRangeError, NormRangeError, YoungInversionError
@@ -196,7 +196,21 @@ class TestRearrangement:
 
 class TestDescriptors:
     @pytest.mark.parametrize(
-        "text", ["L:2", "L:inf", "L:3/2", "Lor:2,2", "Lor:3/2,1", "Lor:2,inf", "Orl:pow:2", "Orl:powlog:2,1", "Orl:exp"]
+        "text",
+        [
+            "L:2",
+            "L:inf",
+            "L:3/2",
+            "Lor:2,2",
+            "Lor:3/2,1",
+            "Lor:2,inf",
+            "Orl:pow:2",
+            "Orl:powlog:2,1",
+            # t log(e + t)^a bends its elasticity sharply for a large a
+            "Orl:powlog:1,15",
+            "Orl:powlog:1,19",
+            "Orl:exp",
+        ],
     )
     def test_round_trip(self, text):
         assert SpaceDescriptor.parse(text).format() == text
@@ -333,52 +347,6 @@ class TestCombination:
         monkeypatch.setattr(YoungFunction, "__init__", build)
         z = cl_combine(x, y, Fraction(1, 3))
         assert list(spaces_module._COMBINED.values()) == [z.young]
-        # kept unvalidated: its first evaluation validates it
-        assert z.young._checked is None
-
-    def test_first_evaluation_validates_once(self, monkeypatch):
-        validations, validate = [], YoungFunction._validate
-
-        def counted(young):
-            validations.append(young.kind)
-            return validate(young)
-
-        monkeypatch.setattr(YoungFunction, "_validate", counted)
-        for method in ("__call__", "inverse"):
-            young = YoungFunction("combined", factors=(_EXP, _POW2), theta=Fraction(1, 3))
-            assert validations == []
-            evaluate = getattr(young, method)
-            first = evaluate(np.array([0.5, 2.0]))
-            assert validations == ["combined"]
-            assert evaluate(np.array([0.5, 2.0])).tobytes() == first.tobytes()
-            young.validate()
-            young.inverse(3.0)
-            young(3.0)
-            assert validations == ["combined"]
-            validations.clear()
-        # the other kinds are validated, or need no check, when built
-        YoungFunction("powlog", (Fraction(2), Fraction(1)))(2.0)
-        assert validations == ["powlog"]
-
-    def test_a_refused_validation_raises_at_every_evaluation(self, monkeypatch):
-        monkeypatch.setattr(spaces_module, "_COMBINED", {})
-        refusals = []
-
-        def refuse(young):
-            refusals.append(young.describe())
-            raise AdmissibilityError("refused")
-
-        monkeypatch.setattr(YoungFunction, "_validate", refuse)
-        x, y = SpaceDescriptor.parse("Orl:exp"), SpaceDescriptor.parse("Orl:pow:2")
-        young = cl_combine(x, y, Fraction(1, 3)).young
-        for evaluate in (lambda: young(1.0), lambda: young.inverse(1.0), young.validate) * 2:
-            with pytest.raises(AdmissibilityError, match="refused"):
-                evaluate()
-        # the refusal is kept with the interned function and not retried
-        assert cl_combine(x, y, Fraction(1, 3)).young is young
-        with pytest.raises(AdmissibilityError, match="refused"):
-            young_equal(young, _EXP)
-        assert refusals == ["combined(exp,pow:2;1/3)"]
 
     def test_young_equal_is_immediate_for_one_object(self, monkeypatch):
         young = YoungFunction("combined", factors=(_EXP, _POW2), theta=Fraction(1, 3))
@@ -463,11 +431,19 @@ class TestArrayBisection:
             np.concatenate([_BISECTION_TARGETS[:2], _BISECTION_TARGETS[2::20]]),
         ),
         "powlog inverse": (_POWLOG, "inverse", _BISECTION_TARGETS),
+        # t log(e + t)^a for a large a: Newton bounced inside a closed
+        # bracket, so powlog:1,15 failed its build check and powlog:1,19
+        # inverted no s near 6e4, which the targets include; parsed in the
+        # test, so that a refusal fails this case alone
+        "powlog:1,15 inverse": ("Orl:powlog:1,15", "inverse", _BISECTION_TARGETS),
+        "powlog:1,19 inverse": ("Orl:powlog:1,19", "inverse", _BISECTION_TARGETS),
     }
 
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_matches_scalar_loop(self, name):
         young, method, targets = self.CASES[name]
+        if isinstance(young, str):
+            young = SpaceDescriptor.parse(young).young
         evaluate = getattr(young, method)
         # a forward value inverts the inverse and vice versa
         closed_form = young.inverse if method == "__call__" else young
@@ -506,7 +482,6 @@ class TestArrayBisection:
         with pytest.raises(YoungInversionError, match="did not converge"):
             spaces_module._newton(self.bounded_log_inverse, np.array([0.5, 2.0]), np.zeros(2))
         young = YoungFunction("combined", factors=(_EXP, _POW2), theta=Fraction(1, 3))
-        young.validate()  # on the real inverse, before it is replaced
         monkeypatch.setattr(young, "_log_inverse", self.bounded_log_inverse)
         assert young(1.0) == 1.0  # log t = 0 = tanh(0)
         with pytest.raises(YoungInversionError, match="did not converge"):
@@ -532,7 +507,6 @@ class TestArrayBisection:
         # an OverflowError in the modular reads as rho = inf; a solver
         # failure must not be mistaken for one
         young = YoungFunction("combined", factors=(_EXP, _POW2), theta=Fraction(1, 3))
-        young.validate()  # on the real inverse, before it is replaced
         monkeypatch.setattr(young, "_log_inverse", self.bounded_log_inverse)
         with pytest.raises(YoungInversionError):
             luxemburg_norm(CellField(np.array([1.0, 0.01]), 0.5), young)
@@ -559,7 +533,7 @@ class TestNewtonKernel:
         "combined of combined": (newton_solve(_COMBINED_OF_COMBINED._log_inverse), _LOG_T),
         "powlog:2,1 inverse": (lambda y: _POWLOG._log_inverse(y)[0], _LOG_T[2:]),
         "fallback and bisection": (newton_solve(TestArrayBisection.bounded_log_inverse, 20.0), _TANH_TARGETS),
-        # forward values start from the seed table, elementwise
+        # forward values, each started at its own log t
         "exp x pow:2 seeded forward": (_EXP_POW2, np.concatenate([[0.0, 1e-300], np.logspace(-12.0, 8.0, 41)])),
     }
 
@@ -587,53 +561,6 @@ class TestNewtonKernel:
         ]
         assert len(bisections) > 20
 
-    def test_seeded_forward_solves_take_fewer_steps(self, monkeypatch):
-        # a start read off the validation table is within about 1e-7 of the
-        # answer, so Newton ends after two evaluations where log t needs five
-        steps, solve = [], spaces_module._newton
-
-        def counted(fn, targets, start):
-            def evaluate(x):
-                steps[-1] += 1
-                return fn(x)
-
-            steps.append(0)
-            return solve(evaluate, targets, start)
-
-        monkeypatch.setattr(spaces_module, "_newton", counted)
-        t = np.geomspace(1e-3, 100.0, 1000)
-        seeded = _EXP_POW2(t)
-        monkeypatch.setattr(_EXP_POW2, "_seed", None)
-        cold = _EXP_POW2(t)
-        assert steps == [2, 5]
-        np.testing.assert_allclose(seeded, cold, rtol=1e-13, atol=0.0)
-
-    @pytest.mark.parametrize(
-        "factors, theta",
-        [
-            ((_EXP, _POW2), Fraction(1, 3)),
-            ((_EXP_POW2, YoungFunction("pow", (Fraction(3),))), Fraction(1, 2)),
-            ((_POWLOG, _POW2), Fraction(1, 2)),
-        ],
-        ids=["exp x pow:2", "combined of combined", "powlog:2,1 x pow:2"],
-    )
-    def test_combined_build_makes_one_forward_solve(self, factors, theta, monkeypatch):
-        # building solves nothing; validation evaluates the grid and its
-        # midpoints in one forward solve, and a powlog factor adds its own
-        # inverse solves, inside that one and in the inverse check
-        calls, solve = [], spaces_module._newton
-
-        def counted(fn, targets, start):
-            calls.append(getattr(fn, "__self__", None))
-            return solve(fn, targets, start)
-
-        monkeypatch.setattr(spaces_module, "_newton", counted)
-        young = YoungFunction("combined", factors=factors, theta=theta)
-        assert calls == []
-        young.validate()
-        assert [owner for owner in calls if owner is not None and owner.kind == "combined"] == [young]
-        if _POWLOG not in factors:
-            assert len(calls) == 1
 
 
 class TestNorms:
@@ -764,6 +691,27 @@ class TestNorms:
         nf = space_norm(space, CellField(values, 1.0 / 128.0))
         assert math.isfinite(nf) and nf > 0.0
         assert space_norm(space, CellField(c * values, 1.0 / 128.0)) == pytest.approx(c * nf, rel=1e-12)
+
+    @pytest.mark.parametrize("text", ["Lor:2,2", "Lor:3/2,5/2", "Lor:2,60", "Lor:101/100,15", "Lor:2,inf"])
+    @pytest.mark.parametrize("c", [1e-300, 1e-6, 1e6, 1e300])
+    def test_lorentz_norms_are_homogeneous(self, text, c):
+        # taken as M ||f/M||, M = max|f|: no p-th power of a value leaves
+        # the floats, though (1e6)^60 and (1e-6)^60 do
+        space = SpaceDescriptor.parse(text)
+        values = np.random.default_rng(12).random(512)
+        nf = space_norm(space, CellField(values, 1.0 / 128.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scaled = space_norm(space, CellField(c * values, 1.0 / 128.0))
+        assert scaled == pytest.approx(c * nf, rel=1e-12)
+
+    @pytest.mark.parametrize("mu", [1e-300, 1e300])
+    def test_lorentz_norm_outside_the_floats_is_a_range_error(self, mu):
+        # the 30th power of the breaks, which are measures, leaves the floats
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NormRangeError, match="Lor:2,60"):
+                lorentz_norm(CellField(np.linspace(0.0, 1e-6, 257), mu), Fraction(2), Fraction(60))
 
     def test_luxemburg_exp_indicator(self):
         # rho(chi/lam) = e^(1/lam) - 1 = 1 at lam = 1/ln 2
@@ -946,7 +894,6 @@ class TestLuxemburgSolver:
         u = make_test_function(spec, grid_for_spec(spec, 1024))
         f = CellField(u.center_values(0), u.grid.h)
         assert f.values.size == 1024
-        _EXP_POW2.validate()
         calls, solve = [], spaces_module._newton
 
         def counted(fn, targets, start):
@@ -1110,6 +1057,49 @@ def test_combined_orlicz_properties(young, values, c, t):
 
 
 @st.composite
+def young_leaf_texts(draw):
+    # pow:p, exp or powlog:p,a, with p >= 1; a powlog that its build check
+    # refuses is not drawn
+    kind = draw(st.sampled_from(["pow", "exp", "powlog"]))
+    if kind == "exp":
+        return "Orl:exp"
+    p = 1 + Fraction(draw(st.integers(0, 400)), draw(st.sampled_from([1, 2, 3])))
+    if kind == "pow":
+        return f"Orl:pow:{p}"
+    text = f"Orl:powlog:{p},{Fraction(draw(st.integers(-20, 100)), draw(st.sampled_from([1, 2, 4])))}"
+    try:
+        SpaceDescriptor.parse(text)
+    except AdmissibilityError:
+        reject()
+    return text
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(
+    leaves=st.lists(young_leaf_texts(), min_size=2, max_size=3),
+    weights=st.lists(st.fractions(0, 1, max_denominator=16), min_size=2, max_size=2),
+)
+# three powlog leaves at flat weights 5/8, 1/8, 1/4, one of them bending
+# sharply: the Newton kernel once bounced inside its bracket on this one
+@example(
+    leaves=["Orl:powlog:142/3,5", "Orl:powlog:139/2,25/2", "Orl:powlog:1,19"],
+    weights=[Fraction(5, 6), Fraction(3, 4)],
+)
+@example(leaves=["Orl:powlog:1,15", "Orl:exp"], weights=[Fraction(1, 2), Fraction(1, 2)])
+def test_a_product_of_young_functions_is_one(leaves, weights):
+    # psi^{-1} = prod (phi_i^{-1})^(w_i) is a weighted geometric mean of
+    # concave increasing functions, so it is concave and psi is a Young
+    # function (Lozanovskii; Maligranda, Orlicz Spaces and Interpolation,
+    # 1989).  Products are not checked at run time; this checks the
+    # theorem with the grid check a powlog function gets when it is built
+    spaces = [SpaceDescriptor.parse(text) for text in leaves]
+    z = spaces[0]
+    for space, theta in zip(spaces[1:], weights):
+        z = cl_combine(z, space, theta)
+    z.young._validate()
+
+
+@st.composite
 def young_functions(draw):
     kind = draw(st.sampled_from(["pow", "exp", "powlog", "combined"]))
     if kind == "pow":
@@ -1239,6 +1229,6 @@ def test_log_quadrature_matches_the_binomial_sum(f, P, q):
     A = f.cum_integral[1:-1] - f.breaks[1:-1] * f.heights[1:]
     v = f.heights[1:]
     alpha = Fraction(q) / P
-    want = _binomial_plateaus(t, A, v, q, alpha)
-    got = _quadrature_plateaus(t, A, v, float(q), float(alpha))
+    want = _binomial_plateaus(t, A, v, 1.0, q, alpha)
+    got = _quadrature_plateaus(t, A, v, 1.0, float(q), float(alpha))
     assert abs(got - want) <= 1e-13 * want
