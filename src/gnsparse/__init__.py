@@ -35,7 +35,6 @@ from .spaces import (
     cl_combine,
     index_float,
     parse_index,
-    young_equal,
 )
 from .norms import cl_factorization_check, luxemburg_norm, modular, space_norm
 from .operator import (

@@ -35,8 +35,8 @@ class ModularRangeError(GnsparseError):
 
 class NormRangeError(GnsparseError):
     """A Luxemburg norm lies above the largest float or below the smallest
-    normal one, or a Lorentz norm of a nonzero field is not a positive
-    finite float."""
+    normal one, or a Lebesgue or Lorentz norm of a nonzero field is not a
+    positive finite float."""
 
 
 class AdmissibilityError(GnsparseError):

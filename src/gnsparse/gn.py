@@ -334,7 +334,7 @@ def induction_identity_check(x_space: SpaceDescriptor, y_space: SpaceDescriptor,
       (B)  X^((j-1)/(k-1)) V^((k-j)/(k-1)) =  X^(j/k) Y^((k-j)/k)   (1 < j < k-1)
 
     Both sides are assembled by repeated cl_combine and compared as
-    descriptors (exact rationals; Orlicz through sampled inverses).
+    descriptors (exact rationals; Orlicz by their Young functions' keys).
     Failures are reported with the offending parameters, not raised.
     """
     if k < 3:

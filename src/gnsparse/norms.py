@@ -42,15 +42,26 @@ LUXEMBURG_REL_TOL = 1e-8
 
 
 def lebesgue_norm(f: CellField, p) -> float:
-    """(int |f|^p)^(1/p) as M (sum (|f|/M)^p mu)^(1/p), M = max|f|; max|f| for p = inf."""
+    """(int |f|^p)^(1/p) as M (sum (|f|/M)^p mu)^(1/p), M = max|f|; max|f| for p = inf.
+
+    A norm of a nonzero f that is not a positive finite float, as at
+    extreme cell measures, is a NormRangeError.
+    """
     v = f.values
     top = float(np.max(v)) if v.size else 0.0
     pf = index_float(p)
-    if top == 0.0 or math.isinf(pf):
+    if top == 0.0:
         return top
-    w = v / top
-    w **= pf
-    return top * float(np.sum(w) * f.cell_measure) ** (1.0 / pf)
+    if math.isinf(pf):
+        norm = top
+    else:
+        w = v / top
+        w **= pf
+        with np.errstate(over="ignore"):  # a sum beyond the floats raises below
+            norm = top * float(np.sum(w) * f.cell_measure) ** (1.0 / pf)
+    if not 0.0 < norm < math.inf:
+        raise NormRangeError(f"Lebesgue norm of L:{format_index(p)} is {norm}, not a positive finite float")
+    return norm
 
 
 def lorentz_norm(f: CellField, P, p) -> float:

@@ -50,10 +50,13 @@ class CellField:
         first[1:] = v[1:] != v[:-1]
         starts = np.flatnonzero(first)
         heights = v[starts]
-        widths = np.diff(np.append(starts, v.size)).astype(float) * self.cell_measure
-        # integral of f* up to each break
-        cum_integral = np.concatenate([[0.0], np.cumsum(heights * widths)])
-        return heights, widths, np.concatenate([[0.0], np.cumsum(widths)]), cum_integral
+        # a measure or integral beyond the largest float is inf here, with
+        # no warning: the norms that read it raise NormRangeError
+        with np.errstate(over="ignore"):
+            widths = np.diff(np.append(starts, v.size)).astype(float) * self.cell_measure
+            # integral of f* up to each break
+            cum_integral = np.concatenate([[0.0], np.cumsum(heights * widths)])
+            return heights, widths, np.concatenate([[0.0], np.cumsum(widths)]), cum_integral
 
     heights = property(lambda self: self._plateaus[0], doc="f* on each plateau, decreasing")
     widths = property(lambda self: self._plateaus[1], doc="the measure of each plateau")

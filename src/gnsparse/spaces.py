@@ -7,16 +7,20 @@ Three kinds are supported, written in a compact text form:
                      p in [1, inf]; L^{1,1} and L^{inf,inf} normalize to
                      the matching Lebesgue space
   ``Orl:pow:p``      Orlicz with Young function t^p
-  ``Orl:powlog:p,a`` Orlicz with t^p * log(e + t)^a
+  ``Orl:powlog:p,a`` Orlicz with t^p * log(e + t)^a; a = 0 normalizes to
+                     ``Orl:pow:p``
   ``Orl:exp``        Orlicz with e^t - 1
 
-Indices are exact rationals (``3/2``) or ``inf``.  Combination follows the
-Calderon product rule: harmonic combination of indices for Lebesgue and
-Lorentz, and the inverse-factor product for Orlicz, where the combined
-Young function psi satisfies psi^{-1} = (phi_X^{-1})^theta (phi_Y^{-1})^{1-theta}.
+Indices are exact rationals (``3/2``) within the floats, or ``inf``.
+Combination follows the Calderon product rule: harmonic combination of
+indices for Lebesgue and Lorentz, and the inverse-factor product for
+Orlicz, where the combined Young function psi satisfies
+psi^{-1} = (phi_X^{-1})^theta (phi_Y^{-1})^{1-theta}.
 A combined function is kept as a flat product of non-combined leaves with
 exact weights; cl_combine builds each distinct product once, and, a
-product of Young functions being one, never checks it numerically.
+product of Young functions being one, never checks it numerically.  Two
+descriptors are equal when their kinds, indices and Young-function keys
+are, exactly.
 """
 
 from __future__ import annotations
@@ -31,14 +35,25 @@ from .errors import AdmissibilityError, YoungInversionError
 INF = Fraction(-1)  # sentinel; never a legal index value itself
 
 
+def parse_rational(text: str, what: str) -> Fraction:
+    """The exact rational written ``text``, or an AdmissibilityError naming
+    ``what`` when it does not parse or lies beyond the largest float, where
+    no norm can read it."""
+    try:
+        value = Fraction(text)
+        float(value)
+    except OverflowError:
+        raise AdmissibilityError(f"{what} {text} lies beyond the largest float") from None
+    except (ValueError, ZeroDivisionError) as exc:
+        raise AdmissibilityError(f"bad {what} {text!r}: {exc}") from None
+    return value
+
+
 def parse_index(text: str) -> Fraction:
     text = text.strip()
     if text in ("inf", "Inf", "INF", "oo"):
         return INF
-    try:
-        value = Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise AdmissibilityError(f"bad index {text!r}: {exc}") from None
+    value = parse_rational(text, "index")
     if value < 1:
         raise AdmissibilityError(f"index {text} is below 1")
     return value
@@ -146,11 +161,11 @@ def _leaves_of(young: "YoungFunction", weight: Fraction):
 
 def _product_leaves(a: "YoungFunction", b: "YoungFunction", theta: Fraction):
     """The flat form of a^theta b^(1-theta): (leaf, exact weight) pairs, in
-    the order of first appearance, one per leaf ``describe()`` string, with
-    the weights summing to 1."""
+    the order of first appearance, one per leaf ``key``, with the weights
+    summing to 1."""
     merged = {}
     for leaf, w in _leaves_of(a, theta) + _leaves_of(b, 1 - theta):
-        merged.setdefault(leaf.describe(), [leaf, 0])[1] += w
+        merged.setdefault(leaf.key, [leaf, 0])[1] += w
     return tuple((leaf, w) for leaf, w in merged.values())
 
 
@@ -161,7 +176,9 @@ class YoungFunction:
     kept flat: ``leaves`` holds (leaf, exact Fraction weight) pairs of
     non-combined functions, weights summing to 1, with psi^{-1} the
     weighted product of the leaf inverses; a combined factor given to the
-    constructor is expanded into its leaves.  Each function has the
+    constructor is expanded into its leaves.  ``key`` is the function's
+    exact identity: ``(kind, *params)`` for a leaf, and for a product its
+    leaves and weights, unordered.  Each function has the
     log-domain pair ``_log_phi(x)`` = (log phi(e^x), d log phi / d log t)
     and ``_log_inverse(y)`` = (log phi^{-1}(e^y), its slope).  The
     ``powlog`` inverse and the combined forward value are Newton solves
@@ -176,6 +193,7 @@ class YoungFunction:
     def __init__(self, kind, params=(), factors=None, theta=None):
         self.kind = kind
         self.params = tuple(params)
+        self.key = (kind, *self.params)
         if kind == "pow":
             (p,) = params
             if p == INF or p < 1:
@@ -199,6 +217,12 @@ class YoungFunction:
             # product theta, 1 - theta has always been evaluated
             head = [float(w) for _, w in self.leaves[:-1]]
             self._weights = head + [1.0 - sum(head)]
+            # the leaves' (key, weight) pairs, unordered; a power's inverse
+            # is s^(1/p), so the powers are one, s to the sum of their w/p
+            self.key = (
+                frozenset((leaf.key, w) for leaf, w in self.leaves if leaf.kind != "pow"),
+                sum(w / leaf.params[0] for leaf, w in self.leaves if leaf.kind == "pow"),
+            )
         else:
             raise AdmissibilityError(f"unknown Young function kind {kind!r}")
 
@@ -372,10 +396,9 @@ class SpaceDescriptor:
                 parts = params.split(",")
                 if len(parts) != 2:
                     raise AdmissibilityError(f"power-log descriptor needs p,a: {text!r}")
-                return cls(
-                    "orlicz",
-                    young=YoungFunction("powlog", (parse_index(parts[0]), Fraction(parts[1]))),
-                )
+                p, a = parse_index(parts[0]), parse_rational(parts[1], "power-log exponent")
+                # t^p log(e + t)^0 is t^p
+                return cls("orlicz", young=YoungFunction("powlog", (p, a)) if a else YoungFunction("pow", (p,)))
             if sub == "exp":
                 return cls("orlicz", young=YoungFunction("exp"))
             raise AdmissibilityError(f"unknown Orlicz form {sub!r} in {text!r}")
@@ -391,36 +414,19 @@ class SpaceDescriptor:
     def __repr__(self):
         return f"SpaceDescriptor({self.format()!r})"
 
+    def _identity(self):
+        return self.kind, self.primary, self.secondary, None if self.young is None else self.young.key
+
     def __eq__(self, other):
         if not isinstance(other, SpaceDescriptor):
             return NotImplemented
-        if self.kind != other.kind:
-            return False
-        if self.kind == "lebesgue":
-            return self.primary == other.primary
-        if self.kind == "lorentz":
-            return self.primary == other.primary and self.secondary == other.secondary
-        return young_equal(self.young, other.young)
+        return self._identity() == other._identity()
 
     def __hash__(self):
-        # equal Young functions differ in form (powlog:2,0 is pow:2): hash the kind
-        if self.kind == "orlicz":
-            return hash(self.kind)
-        return hash((self.kind, self.primary, self.secondary))
+        return hash(self._identity())
 
 
-def young_equal(a: YoungFunction, b: YoungFunction) -> bool:
-    """Equality of Young functions through their inverses on a log grid, at
-    1e-9 relative; a function is equal to itself at once."""
-    if a is b:
-        return True
-    ss = np.logspace(-6.0, 6.0, 49)
-    va = a.inverse(ss)
-    vb = b.inverse(ss)
-    return bool(np.all(np.abs(va - vb) <= 1e-9 * np.maximum(va, vb)))
-
-
-# the combined Young functions cl_combine has built, by flat form
+# the combined Young functions cl_combine has built, by ordered flat form
 _COMBINED: dict = {}
 
 
@@ -428,11 +434,13 @@ def cl_combine(x: SpaceDescriptor, y: SpaceDescriptor, theta: Fraction) -> Space
     """The space Z with Z = X^theta Y^(1-theta) in the Calderon product sense.
 
     Only like kinds combine; mixing kinds raises AdmissibilityError.  Two
-    Orlicz spaces whose Young functions have the same ``describe()`` string
-    give X itself, by the identity X^theta X^(1-theta) = X; no combined
-    Young function is built for them.  A combined Young function is built
-    once per flat form (leaf ``describe()`` strings and exact weights) in a
-    process and kept in ``_COMBINED``, so a nested product such as
+    Orlicz spaces whose Young functions have the same ``key`` give X
+    itself, by the identity X^theta X^(1-theta) = X; no combined Young
+    function is built for them.  A combined Young function is built once
+    per ordered flat form (leaf keys and exact weights, in the order the
+    factors give them) in a process and kept in ``_COMBINED``, so its text
+    follows its own factors whatever was built before, and a nested
+    product such as
     X^b (X^a Y^(1-a))^(1-b) returns the object built for
     X^(b+a(1-b)) Y^((1-a)(1-b)).  It is not checked numerically: psi^{-1}
     is a weighted geometric mean of concave increasing functions, so it is
@@ -452,7 +460,7 @@ def cl_combine(x: SpaceDescriptor, y: SpaceDescriptor, theta: Fraction) -> Space
         p = harmonic_combine(x.secondary, y.secondary, theta)
         return SpaceDescriptor("lorentz", primary=P, secondary=p)
     ya, yb = x.young, y.young
-    if ya.describe() == yb.describe():
+    if ya.key == yb.key:
         return x
     if ya.kind == "pow" and yb.kind == "pow":
         # (s^(1/p))^theta (s^(1/q))^(1-theta) = s^(1/r) with harmonic r
@@ -463,7 +471,7 @@ def cl_combine(x: SpaceDescriptor, y: SpaceDescriptor, theta: Fraction) -> Space
         return SpaceDescriptor("orlicz", young=yb)
     if theta == 1:
         return SpaceDescriptor("orlicz", young=ya)
-    key = tuple((leaf.describe(), w) for leaf, w in _product_leaves(ya, yb, theta))
+    key = tuple((leaf.key, w) for leaf, w in _product_leaves(ya, yb, theta))
     if key not in _COMBINED:
         _COMBINED[key] = YoungFunction("combined", factors=(ya, yb), theta=theta)
     return SpaceDescriptor("orlicz", young=_COMBINED[key])

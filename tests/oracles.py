@@ -313,6 +313,15 @@ def equimeasurable(a, b, rel_tol: float = 1e-9) -> bool:
     return bool(np.all(np.abs(distribution(a, probe) - distribution(b, probe)) <= rel_tol * scale))
 
 
+def young_inverses_agree(a, b, rel_tol: float = 1e-9) -> bool:
+    """Whether two Young functions have the same inverse, sampled on 49
+    points of a log grid in [1e-6, 1e6] at ``rel_tol`` relative: the
+    numerical counterpart of comparing their keys."""
+    ss = np.logspace(-6.0, 6.0, 49)
+    va, vb = a.inverse(ss), b.inverse(ss)
+    return bool(np.all(np.abs(va - vb) <= rel_tol * np.maximum(va, vb)))
+
+
 def loop_weak_lorentz_norm(f, P) -> float:
     """The Lor:P,inf norm sup t^(1/P) f**(t) of a CellField, one plateau at a
     time: the first plateau's right end, each later plateau's two ends and

@@ -305,6 +305,30 @@ class TestMainExitCodes:
         assert code == 2
         assert "powlog:3/2,-10 is not increasing" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "space, named",
+        [
+            ("Orl:powlog:2,1/0", "'1/0'"),
+            ("Orl:powlog:2,abc", "'abc'"),
+            ("Orl:powlog:2,1e400", "exponent 1e400 lies beyond the largest float"),
+            ("L:1e999", "index 1e999 lies beyond the largest float"),
+            ("Lor:2,1e999", "index 1e999"),
+            ("Lor:1e999,2", "index 1e999"),
+            ("Orl:pow:1e999", "index 1e999"),
+            ("Orl:powlog:1e999,1", "index 1e999"),
+        ],
+    )
+    def test_malformed_or_overflowing_descriptor_is_a_config_error(self, tmp_path, capsys, space, named):
+        # a number that does not parse, or that no norm can read, is refused
+        # when the config is read: exit 2, not a traceback at exit 1 or 3
+        bad = TINY_CONFIG.replace("X = L:1\nY = L:1", f"X = {space}\nY = {space}")
+        code = main(["--config", write_config(tmp_path, bad), "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and named in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "report.csv").exists()
+
     def test_young_function_that_fails_its_check_is_a_config_error(self, tmp_path, capsys, monkeypatch):
         # any package error while a case's spaces are read, not only an
         # AdmissibilityError, is a configuration error: exit 2, no report

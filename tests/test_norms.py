@@ -32,8 +32,8 @@ from gnsparse.spaces import (
     YoungFunction,
     cl_combine,
     harmonic_combine,
+    index_float,
     parse_index,
-    young_equal,
 )
 from gnsparse.testfunctions import TestFunctionSpec, grid_for_spec, make_test_function
 from gnsparse.grid import Grid1D
@@ -46,6 +46,7 @@ from oracles import (
     loop_weak_lorentz_norm,
     quadrature_lorentz_norm,
     star,
+    young_inverses_agree,
 )
 
 
@@ -72,6 +73,13 @@ class TestRearrangement:
         assert field.total_integral == pytest.approx(4.0, abs=1e-12)
         assert list(field.heights) == [2.0, 1.0]
         assert list(field.widths) == pytest.approx([1.0, 2.0], abs=1e-12)
+
+    def test_plateaus_beyond_the_floats_read_inf_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            field = CellField(np.full(4, 1e300), 1e300)
+            assert field.total_integral == math.inf
+            assert list(field.heights) == [1e300]
 
     @pytest.mark.parametrize("size", [1, 2, 7, 4096])
     def test_plateaus_match_np_unique(self, size):
@@ -221,7 +229,26 @@ class TestDescriptors:
 
     @pytest.mark.parametrize(
         "text",
-        ["L:1/2", "L:0", "Lor:1,2", "Lor:inf,2", "Lor:2", "Orl:pow:inf", "Orl:none", "X:2", "Orl:powlog:1,-1"],
+        [
+            "L:1/2",
+            "L:0",
+            "Lor:1,2",
+            "Lor:inf,2",
+            "Lor:2",
+            "Orl:pow:inf",
+            "Orl:none",
+            "X:2",
+            "Orl:powlog:1,-1",
+            # numbers that do not parse, or that no norm can read
+            "Orl:powlog:2,1/0",
+            "Orl:powlog:2,abc",
+            "Orl:powlog:2,1e400",
+            "L:1e999",
+            "Lor:2,1e999",
+            "Lor:1e999,2",
+            "Orl:pow:1e999",
+            "Orl:powlog:1e999,1",
+        ],
     )
     def test_inadmissible_rejected(self, text):
         with pytest.raises(AdmissibilityError):
@@ -230,6 +257,18 @@ class TestDescriptors:
     def test_index_parsing_is_exact(self):
         assert parse_index("3/2") == Fraction(3, 2)
         assert parse_index("inf") == INF
+
+    def test_index_cap_is_the_largest_float(self):
+        # the largest index a float holds parses and evaluates
+        assert space_norm(SpaceDescriptor.parse("L:1e308"), CellField(np.ones(3), 1.0 / 3.0)) == 1.0
+        with pytest.raises(AdmissibilityError, match="index 1e999 lies beyond the largest float"):
+            parse_index("1e999")
+
+    def test_powlog_with_exponent_zero_is_the_power(self):
+        # t^p log(e + t)^0 is t^p: it parses as Orl:pow:p, text and all
+        for a in ("0", "0/7", "-0"):
+            z = SpaceDescriptor.parse(f"Orl:powlog:3/2,{a}")
+            assert z.young.kind == "pow" and z.format() == "Orl:pow:3/2"
 
     def test_equality_and_hash(self):
         a = SpaceDescriptor.parse("Lor:2,2")
@@ -240,21 +279,31 @@ class TestDescriptors:
         assert SpaceDescriptor.parse("Orl:pow:2") == SpaceDescriptor.parse("Orl:pow:2")
 
     def test_equal_orlicz_spaces_hash_equal(self):
-        # Orlicz equality compares Young functions by their inverses, so
-        # two forms of one function must hash alike too
+        # Orlicz equality compares Young-function keys: a product's is
+        # unordered, and powlog:p,0 parses as pow:p, so two routes to one
+        # function are equal and hash alike, whatever their texts
         P = SpaceDescriptor.parse
-        pairs = [
-            (P("Orl:powlog:2,0"), P("Orl:pow:2")),
-            (
-                cl_combine(P("Orl:exp"), P("Orl:pow:2"), Fraction(1, 3)),
-                cl_combine(P("Orl:pow:2"), P("Orl:exp"), Fraction(2, 3)),
-            ),
-        ]
-        for a, b in pairs:
-            assert a.format() != b.format()
-            assert a == b
-            assert hash(a) == hash(b)
-            assert len({a, b}) == 1
+        a, b = P("Orl:powlog:2,0"), P("Orl:pow:2")
+        assert a.format() == b.format() == "Orl:pow:2"
+        c = cl_combine(P("Orl:exp"), P("Orl:pow:2"), Fraction(1, 3))
+        d = cl_combine(P("Orl:pow:2"), P("Orl:exp"), Fraction(2, 3))
+        assert c.format() != d.format()
+        for x, y in ((a, b), (c, d)):
+            assert x == y
+            assert hash(x) == hash(y)
+            assert len({x, y}) == 1
+
+    def test_nearby_young_functions_are_not_equal(self):
+        # another function, though its inverse is within 1e-9 of t^2's on
+        # the oracle's grid
+        P = SpaceDescriptor.parse
+        assert P("Orl:powlog:2,1/1000000000") != P("Orl:pow:2")
+        assert young_inverses_agree(P("Orl:powlog:2,1/1000000000").young, P("Orl:pow:2").young)
+
+    def test_orlicz_spaces_hash_apart(self):
+        # unlike Orlicz spaces hash apart
+        spaces = [SpaceDescriptor.parse(text) for text in ("Orl:exp", "Orl:pow:2", "Orl:pow:3")]
+        assert len({hash(space) for space in spaces}) == 3
 
 
 class TestCombination:
@@ -276,10 +325,25 @@ class TestCombination:
         assert z.format() == "Orl:pow:3/2"
 
     def test_orlicz_generic_inverse_product(self):
+        # the generic product of pow:1 and pow:3 has the inverse of pow:3/2
         a = YoungFunction("pow", (Fraction(1),))
         b = YoungFunction("pow", (Fraction(3),))
         gen = YoungFunction("combined", factors=(a, b), theta=Fraction(1, 2))
-        assert young_equal(gen, YoungFunction("pow", (Fraction(3, 2),)))
+        s = np.logspace(-6.0, 6.0, 49)
+        assert gen.inverse(s) == pytest.approx(s ** (2.0 / 3.0), rel=1e-12)
+        assert young_inverses_agree(gen, YoungFunction("pow", (Fraction(3, 2),)))
+
+    def test_power_leaves_of_a_product_count_as_one(self):
+        # exp^(1/2) pow:2^(1/4) pow:3^(1/4) has the inverse of
+        # exp^(1/2) pow:12/5^(1/2): s^(1/8 + 1/12) = (s^(5/12))^(1/2)
+        P = SpaceDescriptor.parse
+        three = cl_combine(cl_combine(P("Orl:exp"), P("Orl:pow:2"), Fraction(2, 3)), P("Orl:pow:3"), Fraction(3, 4))
+        two = cl_combine(P("Orl:pow:12/5"), P("Orl:exp"), Fraction(1, 2))
+        assert three.format() == "Orl:combined(exp,pow:2,pow:3;1/2,1/4)"
+        assert three == two and hash(three) == hash(two)
+        assert young_inverses_agree(three.young, two.young)
+        # the same weights on another power are another function
+        assert three != cl_combine(P("Orl:pow:2"), P("Orl:exp"), Fraction(1, 2))
 
     def test_mixed_kind_combination_rejected(self):
         with pytest.raises(AdmissibilityError):
@@ -348,15 +412,17 @@ class TestCombination:
         z = cl_combine(x, y, Fraction(1, 3))
         assert list(spaces_module._COMBINED.values()) == [z.young]
 
-    def test_young_equal_is_immediate_for_one_object(self, monkeypatch):
-        young = YoungFunction("combined", factors=(_EXP, _POW2), theta=Fraction(1, 3))
-
+    def test_descriptor_equality_samples_no_inverse(self, monkeypatch):
+        # two objects of one product compare by key: no inverse is read
         def no_inverse(s):
-            raise AssertionError("young_equal sampled an inverse")
+            raise AssertionError("equality sampled an inverse")
 
-        monkeypatch.setattr(young, "inverse", no_inverse)
-        assert young_equal(young, young)
-        assert SpaceDescriptor("orlicz", young=young) == SpaceDescriptor("orlicz", young=young)
+        monkeypatch.setattr(YoungFunction, "inverse", no_inverse)
+        a = YoungFunction("combined", factors=(_EXP, _POW2), theta=Fraction(1, 3))
+        b = YoungFunction("combined", factors=(_POW2, _EXP), theta=Fraction(2, 3))
+        assert a is not b
+        assert SpaceDescriptor("orlicz", young=a) == SpaceDescriptor("orlicz", young=b)
+        assert SpaceDescriptor("orlicz", young=a) != SpaceDescriptor("orlicz", young=_EXP)
 
     def test_idempotence(self):
         for text in ("L:2", "Lor:2,3", "Orl:pow:2", "Orl:exp"):
@@ -712,6 +778,19 @@ class TestNorms:
             warnings.simplefilter("error")
             with pytest.raises(NormRangeError, match="Lor:2,60"):
                 lorentz_norm(CellField(np.linspace(0.0, 1e-6, 257), mu), Fraction(2), Fraction(60))
+
+    @pytest.mark.parametrize(
+        "text, named",
+        [("L:1", "L:1"), ("L:2", "L:2"), ("Orl:pow:2", "L:2"), ("Lor:2,2", "Lor:2,2"), ("Lor:2,inf", "Lor:2,inf")],
+    )
+    def test_norm_beyond_the_floats_is_a_range_error(self, text, named):
+        # |f| = 1e300 on 4 cells of measure 1e300: the norm and the integral
+        # of f* leave the floats, which is a NormRangeError, with no numpy
+        # warning on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NormRangeError, match=named):
+                space_norm(SpaceDescriptor.parse(text), CellField(np.full(4, 1e300), 1e300))
 
     def test_luxemburg_exp_indicator(self):
         # rho(chi/lam) = e^(1/lam) - 1 = 1 at lam = 1/ln 2
@@ -1097,6 +1176,103 @@ def test_a_product_of_young_functions_is_one(leaves, weights):
     for space, theta in zip(spaces[1:], weights):
         z = cl_combine(z, space, theta)
     z.young._validate()
+
+
+# index and exponent texts that parse, that do not, and that parse to a
+# number no norm can read; the exponents are coarse, since the sampled
+# oracle cannot tell apart functions within 1e-9 (powlog:2,1/1000000000
+# and pow:2 are pinned in TestDescriptors instead)
+_INDEX_TEXTS = ["1", "3/2", "6/4", "2", "4/2", "5/2", "3", "inf", "1/2", "1e999", "1/0", "abc"]
+_EXPONENT_TEXTS = ["0", "0/5", "1", "2/2", "1/2", "-1/2", "2", "1e999", "1/0", "abc"]
+_FAMILIES = ["L", "Lor", "Orl"]
+
+
+@st.composite
+def descriptor_texts(draw, family):
+    index = st.sampled_from(_INDEX_TEXTS)
+    if family == "L":
+        return f"L:{draw(index)}"
+    if family == "Lor":
+        return f"Lor:{draw(index)},{draw(index)}"
+    kind = draw(st.sampled_from(["pow", "powlog", "powlog", "exp"]))
+    if kind == "pow":
+        return f"Orl:pow:{draw(index)}"
+    if kind == "powlog":
+        return f"Orl:powlog:{draw(index)},{draw(st.sampled_from(_EXPONENT_TEXTS))}"
+    return "Orl:exp"
+
+
+def _parse_or_none(text):
+    """The descriptor of ``text``, or None where it is refused; any other
+    exception propagates."""
+    try:
+        return SpaceDescriptor.parse(text)
+    except AdmissibilityError:
+        return None
+
+
+@st.composite
+def descriptor_chains(draw, family):
+    """Up to 4 descriptor texts of one family, the ones that parse combined
+    in a nested chain at random weights, each factor on a random side;
+    None when every text is refused."""
+    texts = draw(st.lists(descriptor_texts(family), min_size=1, max_size=4))
+    z = None
+    for y in filter(None, map(_parse_or_none, texts)):
+        if z is None:
+            z = y
+        # Lor:1,1 and Lor:inf,inf are Lebesgue spaces, which do not combine with Lorentz ones
+        elif y.kind == z.kind:
+            theta = draw(st.fractions(0, 1, max_denominator=6))
+            z = cl_combine(z, y, theta) if draw(st.booleans()) else cl_combine(y, z, 1 - theta)
+    return z
+
+
+@st.composite
+def descriptor_pairs(draw):
+    """Two chains: half the first ones are Orlicz, and the second is of the
+    first's family two times in three."""
+    family = draw(st.sampled_from(["Orl"] + _FAMILIES))
+    other = draw(st.sampled_from([family] * 3 + _FAMILIES))
+    return draw(descriptor_chains(family)), draw(descriptor_chains(other))
+
+
+def _same_space(a, b) -> bool:
+    """The oracle: like kinds, with equal indices as floats, or Young
+    functions whose sampled inverses agree."""
+    if a.kind != b.kind:
+        return False
+    if a.kind == "orlicz":
+        return young_inverses_agree(a.young, b.young)
+    pairs = ((a.primary, b.primary), (a.secondary, b.secondary))
+    return all(index_float(u) == index_float(v) for u, v in pairs if u is not None)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None, database=None)
+@given(spaces=descriptor_pairs(), theta=st.fractions(0, 1, max_denominator=6))
+@example(spaces=(SpaceDescriptor.parse("Orl:powlog:2,0"), SpaceDescriptor.parse("Orl:pow:2")), theta=Fraction(1, 2))
+@example(spaces=(SpaceDescriptor.parse("Orl:exp"), SpaceDescriptor.parse("Orl:powlog:2,1")), theta=Fraction(1, 3))
+@example(spaces=(SpaceDescriptor.parse("Lor:1,1"), SpaceDescriptor.parse("L:1")), theta=Fraction(1, 2))
+def test_descriptor_equality_is_the_sampled_oracle(spaces, theta):
+    # every drawn text parses or is refused with an AdmissibilityError;
+    # descriptors are equal exactly where the oracle says so and equal ones
+    # hash alike, on the draws and on products of them: a product does not
+    # depend on its factors' order, and X^t (X^(1/2) Y^(1/2))^(1-t) is
+    # X^((1+t)/2) Y^((1-t)/2)
+    a, b = spaces
+    if a is None or b is None:
+        return
+    pairs = [(a, b)]
+    if a.kind == b.kind:
+        ab, ba = cl_combine(a, b, theta), cl_combine(b, a, 1 - theta)
+        nested = cl_combine(a, cl_combine(a, b, Fraction(1, 2)), theta)
+        direct = cl_combine(a, b, (1 + theta) / 2)
+        assert ab == ba and nested == direct
+        pairs += [(ab, ba), (nested, direct), (ab, a), (ab, b), (nested, ab)]
+    for x, y in pairs:
+        assert (x == y) == _same_space(x, y)
+        if x == y:
+            assert hash(x) == hash(y)
 
 
 @st.composite
