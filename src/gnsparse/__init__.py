@@ -44,7 +44,6 @@ from .operator import (
     operator_norm_check,
 )
 from .sparse1d import (
-    EscapeInterval,
     SparseFamily1D,
     build_family_1d,
     default_k_min,

@@ -367,7 +367,7 @@ class CaseResult:
     report: GNReport = None
     overlap_max: int = None
     pointwise_max: float = None
-    intervals: tuple = ()  # 1D escape intervals, when a family was built
+    intervals: object = ()  # 1D interval table (SparseFamily1D.intervals), when a family was built
     slabs: tuple = ()  # 2D slab sets, when a family was built
     error: str = ""
 
@@ -445,7 +445,7 @@ class _CaseRun:
     def family(self):
         if self.case.dim == 1:
             family = build_family_1d(self.u, default_k_min(self.u))
-            self.result.intervals = tuple(family.intervals)
+            self.result.intervals = family.intervals
         else:
             family = build_family_2d(self.u)
             self.result.slabs = tuple(family.slabs)

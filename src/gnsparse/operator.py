@@ -1,7 +1,8 @@
 """The sparse averaging operator T f = sum over sets P of (mean_P f) * chi_P.
 
-Interval families (1D) and slab families (2D) rasterize to sets of grid
-cells by the center-in-open-set rule, once per build, and keep the result as
+Interval families (1D), given as arrays of interval ends, and slab families
+(2D), given as boolean cell masks, rasterize to sets of grid cells by the
+center-in-open-set rule, once per build, and keep the result as
 ``family.cells``: the overlap verdict, the operator, its overlap constant K,
 and the norm and modular contraction checks all act on those cell sets, so
 the comparisons are exact convex-combination arithmetic up to rounding.
@@ -67,15 +68,14 @@ class CellFamily:
         return np.bincount(self.index, weights=np.repeat(per_set, self.sizes), minlength=self.n_cells)
 
     @classmethod
-    def from_intervals(cls, intervals, grid) -> "CellFamily":
-        """Cells whose center lies strictly inside (z, y), per interval.
+    def from_intervals(cls, z, y, grid) -> "CellFamily":
+        """Cells whose center lies strictly inside (z[i], y[i]), per
+        interval i of the end arrays ``z`` and ``y``.
 
         Intervals that trap no cell center are dropped and counted; they
         carry no operator contribution at this resolution.
         """
         centers = grid.centers()
-        z = np.array([iv.z for iv in intervals], dtype=float)
-        y = np.array([iv.y for iv in intervals], dtype=float)
         i0 = np.searchsorted(centers, z, side="right")
         i1 = np.searchsorted(centers, y, side="left")
         kept = i1 > i0

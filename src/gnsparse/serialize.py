@@ -136,13 +136,11 @@ def text_report(results) -> str:
             lines.append(f"  family overlap-max {overlap} pointwise-max {pointwise}")
         for name, verdict in result.verdicts:
             lines.append(f"  verdict {name} {verdict}")
-        if result.intervals:
-            lines.append(f"  intervals {len(result.intervals)}")
-            for iv in result.intervals:
-                lines.append(
-                    f"  interval z {format_float(iv.z)} y {format_float(iv.y)}"
-                    f" k {int(iv.k)} sign {int(iv.sign)}"
-                )
+        table = result.intervals
+        if len(table):
+            lines.append(f"  intervals {len(table)}")
+            for z, y, k, sign in zip(table.z.tolist(), table.y.tolist(), table.k.tolist(), table.sign.tolist()):
+                lines.append(f"  interval z {format_float(z)} y {format_float(y)} k {k} sign {sign}")
         if result.slabs:
             lines.append(f"  slabs {len(result.slabs)}")
             for slab in result.slabs:

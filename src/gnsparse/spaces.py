@@ -26,6 +26,7 @@ are, exactly.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -35,10 +36,19 @@ from .errors import AdmissibilityError, YoungInversionError
 INF = Fraction(-1)  # sentinel; never a legal index value itself
 
 
+DECIMAL_EXPONENT_LIMIT = 1000  # no float needs a decimal exponent beyond this in magnitude
+
+
 def parse_rational(text: str, what: str) -> Fraction:
     """The exact rational written ``text``, or an AdmissibilityError naming
     ``what`` when it does not parse or lies beyond the largest float, where
-    no norm can read it."""
+    no norm can read it.  A decimal exponent beyond DECIMAL_EXPONENT_LIMIT
+    is refused first: Fraction would expand it into an exact integer."""
+    exponent = re.search(r"[eE][-+]?0*(\d+)\s*\Z", text.replace("_", ""))
+    if exponent and (
+        len(exponent[1]) > len(str(DECIMAL_EXPONENT_LIMIT)) or int(exponent[1]) > DECIMAL_EXPONENT_LIMIT
+    ):
+        raise AdmissibilityError(f"{what} {text} has a decimal exponent beyond {DECIMAL_EXPONENT_LIMIT} in magnitude")
     try:
         value = Fraction(text)
         float(value)
@@ -313,20 +323,27 @@ class YoungFunction:
         function is increasing, midpoint convex between neighbours (at 1e-9
         relative) and consistent with its inverse (at 1e-6 relative).
 
-        The checks read log phi, so no value leaves the floats.
+        The checks read log phi, so no value leaves the floats unless log phi
+        does, on the grid or in the inverse's Newton solve: that refuses it.
         """
         ts = np.logspace(-3, 2, 40)
         # the grid and its midpoints, interleaved in increasing order
         grid = np.empty(2 * ts.size - 1)
         grid[0::2], grid[1::2] = ts, 0.5 * (ts[:-1] + ts[1:])
         log_grid = np.log(grid)
-        log_values = self._log_phi(log_grid)[0]
-        vals, mid = log_values[0::2], log_values[1::2]
-        if np.any(np.diff(vals) <= 0.0):
-            raise AdmissibilityError(f"Young function {self.describe()} is not increasing")
-        if np.any(mid > np.logaddexp(vals[:-1], vals[1:]) - math.log(2.0) + math.log1p(1e-9)):
-            raise AdmissibilityError(f"Young function {self.describe()} fails midpoint convexity")
-        back = self._log_inverse(vals)[0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            log_values = self._log_phi(log_grid)[0]
+            if not np.all(np.isfinite(log_values)):
+                raise AdmissibilityError(f"Young function {self.describe()} has log values beyond the floats")
+            vals, mid = log_values[0::2], log_values[1::2]
+            if np.any(np.diff(vals) <= 0.0):
+                raise AdmissibilityError(f"Young function {self.describe()} is not increasing")
+            if np.any(mid > np.logaddexp(vals[:-1], vals[1:]) - math.log(2.0) + math.log1p(1e-9)):
+                raise AdmissibilityError(f"Young function {self.describe()} fails midpoint convexity")
+            try:
+                back = self._log_inverse(vals)[0]
+            except YoungInversionError as exc:
+                raise AdmissibilityError(f"Young function {self.describe()} has no inverse: {exc}") from None
         if np.max(np.abs(np.expm1(back - log_grid[0::2]))) > 1e-6:
             raise AdmissibilityError(f"Young function {self.describe()} inverse is inconsistent")
 

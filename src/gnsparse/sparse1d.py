@@ -14,13 +14,13 @@ window exits.
 :func:`seeded_runs` finds the runs of one sign along every line of a
 sampled array at once, for one level or one level per line: the 1D build
 scans all levels of a sign in one call, and the 2D slab build in
-:mod:`gnsparse.sparse2d` shares it.
+:mod:`gnsparse.sparse2d` shares it.  A family is one table of columns z, y,
+k and sign, which the rasterization, the checks and the report read.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -59,42 +59,28 @@ def band_edges(k):
     return np.ldexp(1.0, k - 2), np.ldexp(1.0, k + 1)
 
 
-@dataclass(frozen=True)
-class EscapeInterval:
-    z: float
-    y: float
-    k: int
-    sign: int
-    seed: float
-
-    @property
-    def length(self) -> float:
-        return self.y - self.z
-
-    def contains(self, x) -> bool:
-        return self.z < x < self.y
-
-
 class SparseFamily1D:
     """Escape intervals in (k, sign, z) order on a Grid1D, the bookkeeping of
-    the build, and what is fixed at build: the interval ends as arrays ``z``
-    and ``y``, per interval the index range [i0, i1) of the nodes strictly
-    inside it (``i0``, ``i1``), and the intervals rasterized to the grid's
-    cells (``cells``), whose counts and maximum are the family's overlap."""
+    the build, and what is fixed at build: the interval table ``intervals``
+    (a record array with columns z, y, k and sign, one row per interval;
+    read it by column, since row access builds one record object per row),
+    its interval ends ``z`` and ``y``, per interval the index range [i0, i1)
+    of the nodes strictly inside it (``i0``, ``i1``), and the intervals
+    rasterized to the grid's cells (``cells``), whose counts and maximum
+    are the family's overlap."""
 
-    def __init__(self, intervals, grid, d1, k_min, window_exit_nodes, eligible_count, unanalyzed_count):
-        self.intervals = list(intervals)
+    def __init__(self, k, sign, z, y, grid, d1, k_min, window_exit_nodes, eligible_count, unanalyzed_count):
+        self.intervals = np.rec.fromarrays([z, y, k, sign], names="z,y,k,sign")
+        self.z, self.y = self.intervals.z, self.intervals.y
         self.nodes = grid.nodes()
         self.d1 = np.asarray(d1, dtype=float)
         self.k_min = k_min
         self.window_exit_nodes = list(window_exit_nodes)
         self.eligible_count = int(eligible_count)
         self.unanalyzed_count = int(unanalyzed_count)
-        self.z = np.array([iv.z for iv in self.intervals], dtype=float)
-        self.y = np.array([iv.y for iv in self.intervals], dtype=float)
         self.i0 = np.searchsorted(self.nodes, self.z, side="right")
         self.i1 = np.searchsorted(self.nodes, self.y, side="left")
-        self.cells = CellFamily.from_intervals(self.intervals, grid)
+        self.cells = CellFamily.from_intervals(self.z, self.y, grid)
 
     def __len__(self):
         return len(self.intervals)
@@ -103,15 +89,14 @@ class SparseFamily1D:
 class SeededRuns(NamedTuple):
     """The in-band runs of one sign that hold a seed, along lines.
 
-    A run that closes inside its line gives its line, its first and last
-    in-band index and its first seed index.  A run that reaches an end of
-    its line gives instead its seeds, each with its line.
+    A run that closes inside its line gives its line and its first and last
+    in-band index.  A run that reaches an end of its line gives instead its
+    seeds, each with its line.
     """
 
     line: np.ndarray
     first: np.ndarray
     last: np.ndarray
-    seed: np.ndarray
     exit_line: np.ndarray
     exit_index: np.ndarray
 
@@ -138,12 +123,12 @@ def seeded_runs(g: np.ndarray, seeds: np.ndarray, k) -> SeededRuns:
     seed_line, seed_index = np.divmod(seed_flat, width)
     run = np.searchsorted(line * width + first, seed_flat, side="right") - 1
     exits = ((first == 0) | (last == width - 1))[run]
-    kept, head = np.unique(run[~exits], return_index=True)
+    closed = run[~exits]  # non-decreasing, as seeds are row-major; np.unique would import numpy.ma
+    kept = closed[np.diff(closed, prepend=-1) > 0]
     return SeededRuns(
         line[kept],
         first[kept],
         last[kept],
-        seed_index[~exits][head],
         seed_line[exits],
         seed_index[exits],
     )
@@ -221,7 +206,7 @@ def build_family_1d(u, k_min: int) -> SparseFamily1D:
     eligible_count = int(np.sum(eligible))
     unanalyzed = int(np.sum((np.abs(d1) > 0.0) & ~eligible))
 
-    runs_found = [np.zeros((0, 5), dtype=np.int64)]  # rows (k, sign, first, last, seed) of closed runs
+    runs_found = [np.zeros((0, 4), dtype=np.int64)]  # rows (k, sign, first, last) of closed runs
     exit_nodes = []
 
     for sign in (1, -1):
@@ -236,19 +221,15 @@ def build_family_1d(u, k_min: int) -> SparseFamily1D:
         runs = seeded_runs(g[None], seeds, levels)
         exit_nodes.extend(runs.exit_index.tolist())
         k = levels[runs.line, 0]
-        runs_found.append(np.column_stack([k, np.full_like(k, sign), runs.first, runs.last, runs.seed]))
+        runs_found.append(np.column_stack([k, np.full_like(k, sign), runs.first, runs.last]))
 
     check_exit_budget(u, len(exit_nodes), eligible_count, "nodes")
 
     # the runs of one (k, sign) are disjoint, so sorting by first sorts by z
     runs = np.concatenate(runs_found, dtype=np.int64)
-    k, sign, first, last, seed = runs[np.lexsort((runs[:, 2], runs[:, 1], runs[:, 0]))].T
+    k, sign, first, last = runs[np.lexsort((runs[:, 2], runs[:, 1], runs[:, 0]))].T
     z, y = _run_ends(u, nodes, k, sign, first, last)
-    intervals = [
-        EscapeInterval(z=float(a), y=float(b), k=int(kk), sign=int(s), seed=float(nodes[i]))
-        for a, b, kk, s, i in zip(z, y, k, sign, seed)
-    ]
-    return SparseFamily1D(intervals, u.grid, d1, k_min, exit_nodes, eligible_count, unanalyzed)
+    return SparseFamily1D(k, sign, z, y, u.grid, d1, k_min, exit_nodes, eligible_count, unanalyzed)
 
 
 def _interval_integrals(u, family: SparseFamily1D):
@@ -272,9 +253,9 @@ def verify_pointwise_1d(u, family: SparseFamily1D):
     a0 = int_u / length
     vanishing = np.flatnonzero((a2 <= 0.0) | (a0 < 0.0))
     if vanishing.size:
-        iv = family.intervals[vanishing[0]]
+        i = vanishing[0]
         raise ConstructionError(
-            f"interval ({iv.z}, {iv.y}) has vanishing |u''| average; "
+            f"interval {i} ({family.z[i]}, {family.y[i]}) has vanishing |u''| average; "
             "u' cannot traverse a dyadic band with u'' = 0"
         )
     i0, i1 = family.i0, family.i1

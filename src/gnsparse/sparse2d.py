@@ -23,7 +23,10 @@ the out-of-band centers next to them, because the bisection stops at a
 bracket of BISECT_TOL_FACTOR > 0 grid steps and returns its midpoint.  So
 the cells inside the interval are exactly the run, and the build takes the
 runs from :func:`~gnsparse.sparse1d.seeded_runs` without bisecting or
-evaluating u at all.
+evaluating u at all.  Seeds whose run reaches the window's edge are window
+exits; a cell seeds one level and sign only, so the family marks them all
+in one boolean mask over the cells (``exits``), which the exit budget counts
+and the coverage check reads.
 """
 
 from __future__ import annotations
@@ -85,8 +88,9 @@ class SlabSet:
 
 @dataclass
 class SparseFamily2D:
-    """The slabs of one build, its bookkeeping, the center field d1c of the
-    partial it is built from, and the slab masks as one family of cells
+    """The slabs of one build, its bookkeeping, the window exits as one
+    boolean mask over the cells [ix, iy] (``exits``), the center field d1c of
+    the partial it is built from, and the slab masks as one family of cells
     (``cells``), whose counts and maximum are the family's overlap."""
 
     axis: int
@@ -94,7 +98,7 @@ class SparseFamily2D:
     skipped: list
     k_min: int
     k_top: int
-    exit_cells: list
+    exits: np.ndarray  # bool over cells, indexed [ix, iy]
     eligible_count: int
     d1c: np.ndarray
     cells: CellFamily
@@ -246,13 +250,15 @@ def build_family_2d(u) -> SparseFamily2D:
 
     # canonical orientation: one row per grid line along the axis
     lines = d1c.T if axis == 1 else d1c
+    exits = np.zeros(d1c.shape, dtype=bool)  # window-exit seed cells, [ix, iy]
+    exited = exits.T if axis == 1 else exits  # the same mask, one row per line
     abs_lines = np.abs(lines)
     n_line = lines.shape[1]
 
     big_m = max(sups)
     sup_d1 = max(sups[1], float(np.max(np.abs(d1c))))
     if sup_d1 == 0.0:
-        return SparseFamily2D(axis, [], [], 0, 0, [], 0, d1c, CellFamily.from_masks([], u.grid))
+        return SparseFamily2D(axis, [], [], 0, 0, exits, 0, d1c, CellFamily.from_masks([], u.grid))
     k_top = level_index(sup_d1)
     k_min = k_min_for_sup(sups[1])
 
@@ -260,7 +266,6 @@ def build_family_2d(u) -> SparseFamily2D:
 
     slabs = []
     skipped = []
-    exit_cells = []
 
     def own_cells(k):
         lo, hi = level_band(k)
@@ -293,8 +298,7 @@ def build_family_2d(u) -> SparseFamily2D:
             if not np.any(seeds):
                 continue
             runs = seeded_runs(g, seeds, k)
-            for j, i in zip(runs.exit_line.tolist(), runs.exit_index.tolist()):
-                exit_cells.append((i, j, k, sign) if axis == 1 else (j, i, k, sign))
+            exited[runs.exit_line, runs.exit_index] = True
             if runs.first.size == 0:
                 continue
             mask = np.zeros(lines.shape, dtype=bool)
@@ -312,7 +316,7 @@ def build_family_2d(u) -> SparseFamily2D:
                 )
             )
 
-    check_exit_budget(u, len(exit_cells), eligible_count, "cells")
+    check_exit_budget(u, np.count_nonzero(exits), eligible_count, "cells")
 
     return SparseFamily2D(
         axis=axis,
@@ -320,7 +324,7 @@ def build_family_2d(u) -> SparseFamily2D:
         skipped=skipped,
         k_min=k_min,
         k_top=k_top,
-        exit_cells=exit_cells,
+        exits=exits,
         eligible_count=eligible_count,
         d1c=d1c,
         cells=CellFamily.from_masks([s.mask for s in slabs], u.grid),
@@ -368,14 +372,10 @@ def verify_family_2d(family: SparseFamily2D, f0: CellField, f2: CellField) -> Fa
     if cells.max_overlap > OVERLAP_LIMIT_2D:
         raise ConstructionError(f"overlap {cells.max_overlap} exceeds {OVERLAP_LIMIT_2D}")
 
-    # a cell is a seed of its own level and sign only, so one grid marks every exit
-    exited = np.zeros(family.d1c.shape, dtype=bool)
-    for i, j, _, _ in family.exit_cells:
-        exited[i, j] = True
     for s in family.slabs:
         g = s.sign * family.d1c
         lo, hi = level_band(s.k)
-        missing = (g >= lo) & (g < hi) & ~s.mask & ~exited
+        missing = (g >= lo) & (g < hi) & ~s.mask & ~family.exits
         if np.any(missing):
             first = tuple(int(x) for x in np.argwhere(missing)[0])
             raise ConstructionError(

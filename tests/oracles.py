@@ -8,7 +8,6 @@ and of a text report (interval records, slab masks) live here too, with the
 1D observation bounds (a) and (b) and their sum form, which no report runs.
 """
 
-from collections import namedtuple
 
 import numpy as np
 
@@ -31,14 +30,14 @@ def sets_of(cells):
     return np.split(cells.index, cells.offsets[1:]) if len(cells) else []
 
 
-def loop_interval_sets(intervals, centers):
-    """Per interval, the cells whose center lies strictly inside it, from
-    one pair of searchsorted calls each; (sets, dropped) where intervals
-    that trap no center are dropped and counted."""
+def loop_interval_sets(z, y, centers):
+    """Per interval (z[i], y[i]), the cells whose center lies strictly
+    inside it, from one pair of searchsorted calls each; (sets, dropped)
+    where intervals that trap no center are dropped and counted."""
     sets, dropped = [], 0
-    for iv in intervals:
-        i0 = int(np.searchsorted(centers, iv.z, side="right"))
-        i1 = int(np.searchsorted(centers, iv.y, side="left"))
+    for a, b in zip(z, y):
+        i0 = int(np.searchsorted(centers, a, side="right"))
+        i1 = int(np.searchsorted(centers, b, side="left"))
         if i1 <= i0:
             dropped += 1
             continue
@@ -64,8 +63,8 @@ def loop_sparse_operator(sets, values):
 
 
 def interval_table(u, family):
-    """Per family interval: the interval, its node range [i0, i1), and the
-    integrals of |u''| and of |u| over it."""
+    """Per family interval: its row of the interval table, its node range
+    [i0, i1), and the integrals of |u''| and of |u| over it."""
     int_d2, int_u = _interval_integrals(u, family)
     return zip(family.intervals, family.i0, family.i1, int_d2.tolist(), int_u.tolist())
 
@@ -83,7 +82,7 @@ def observation_bounds_report(u, family):
     worst_b = 0.0
     for iv, i0, i1, int_d2, int_u in interval_table(u, family):
         bound_a = 4.0 * int_d2
-        bound_b = 32.0 / iv.length**2 * int_u
+        bound_b = 32.0 / (iv.y - iv.z) ** 2 * int_u
         g = iv.sign * family.d1[i0:i1]
         lo, hi = level_band(iv.k)
         own = (g >= lo) & (g < hi)
@@ -104,7 +103,7 @@ def factorized_bounds_report(u, family):
     ok_b = True
     for iv, i0, i1, int_d2, int_u in interval_table(u, family):
         sum_d2[i0:i1] += int_d2
-        bound = 96.0 / iv.length**2 * int_u * (1.0 + POINTWISE_SLACK)
+        bound = 96.0 / (iv.y - iv.z) ** 2 * int_u * (1.0 + POINTWISE_SLACK)
         if np.any(np.abs(family.d1[i0:i1]) > bound):
             ok_b = False
     covered = sum_d2 > 0.0
@@ -139,12 +138,11 @@ def nonzero_seeded_runs(g, seeds, k):
     width = seeds.shape[1]
     run = np.searchsorted(line * width + first, seed_line * width + seed_index, side="right") - 1
     exits = ((first == 0) | (last == width - 1))[run]
-    kept, head = np.unique(run[~exits], return_index=True)
+    kept = np.unique(run[~exits])
     return SeededRuns(
         line[kept],
         first[kept],
         last[kept],
-        seed_index[~exits][head],
         seed_line[exits],
         seed_index[exits],
     )
@@ -255,11 +253,11 @@ def resolved_k_min(u, min_cells: int = 4) -> int:
     floor = default_k_min(u)
     family = build_family_1d(u, floor)
     threshold = min_cells * u.grid.h
-    narrow = [iv.k for iv in family.intervals if iv.y - iv.z < threshold]
-    while narrow:
-        floor = max(narrow) + 1
+    narrow = family.intervals.k[family.y - family.z < threshold]
+    while narrow.size:
+        floor = int(narrow.max()) + 1
         family = build_family_1d(u, floor)
-        narrow = [iv.k for iv in family.intervals if iv.y - iv.z < threshold]
+        narrow = family.intervals.k[family.y - family.z < threshold]
     return floor
 
 
@@ -383,25 +381,16 @@ def quadrature_lorentz_norm(f, P, p) -> float:
     acc += f.total_integral**pf * f.support_measure ** (alpha - pf) / (pf - alpha)
     return float(acc ** (1.0 / pf))
 
-IntervalRecord = namedtuple("IntervalRecord", "z y k sign")
-
-
 def parse_intervals(text: str):
-    """Recover interval records from a structured-text report (or fragment)."""
-    records = []
+    """Recover the interval table, a record array with columns z, y, k and
+    sign, from a structured-text report (or fragment)."""
+    rows = []
     for line in text.splitlines():
         parts = line.split()
         if parts[:1] == ["interval"]:
             fields = dict(zip(parts[1::2], parts[2::2]))
-            records.append(
-                IntervalRecord(
-                    z=float(fields["z"]),
-                    y=float(fields["y"]),
-                    k=int(fields["k"]),
-                    sign=int(fields["sign"]),
-                )
-            )
-    return records
+            rows.append((float(fields["z"]), float(fields["y"]), int(fields["k"]), int(fields["sign"])))
+    return np.rec.fromrecords(rows, dtype=[("z", float), ("y", float), ("k", np.int64), ("sign", np.int64)])
 
 
 def rle_decode(text: str) -> np.ndarray:

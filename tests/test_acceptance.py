@@ -38,7 +38,7 @@ from gnsparse.testfunctions import TestFunctionSpec, grid_for_spec, make_test_fu
 
 from corpus import members
 from mollifier import BoundaryContaminationWarning, mollify
-from oracles import IntervalRecord, observation_bounds_report, resolved_k_min, star
+from oracles import observation_bounds_report, resolved_k_min, star
 
 P = SpaceDescriptor.parse
 
@@ -112,11 +112,9 @@ def test_criterion_02_pointwise_constant(corpus_1024):
     x0 = float(u.grid.nodes()[512])
     k = level_index(float(u.evaluate(x0, (1,))[0]))
     fam = build_family_1d(u, default_k_min(u))
-    (iv,) = [iv for iv in fam.intervals if (iv.k, iv.sign) == (k, 1) and iv.contains(x0)]
-    a2, a0 = (
-        interval_integrals(lambda t: [np.abs(f) for f in u.evaluate(t, (2, 0))], iv.z, iv.y, u.grid.h)[:, 0]
-        / iv.length
-    )
+    iv = fam.intervals
+    ((z, y),) = np.column_stack([iv.z, iv.y])[(iv.k == k) & (iv.sign == 1) & (iv.z < x0) & (x0 < iv.y)]
+    a2, a0 = interval_integrals(lambda t: [np.abs(f) for f in u.evaluate(t, (2, 0))], z, y, u.grid.h)[:, 0] / (y - z)
     spot = u.evaluate(x0, (1,))[0] ** 2 / (a2 * a0)
     assert spot == pytest.approx(4.386, rel=0.02)
     criterion(
@@ -171,8 +169,7 @@ def test_criterion_05_operator_bounds(corpus_1024):
 
     # L1 equality witness: nested pair, input the inner indicator
     grid = Grid1D(0.0, 2.0, 512)
-    pair = [IntervalRecord(z=0.0, y=1.0, k=0, sign=1), IntervalRecord(z=0.0, y=2.0, k=1, sign=1)]
-    nested = CellFamily.from_intervals(pair, grid)
+    nested = CellFamily.from_intervals([0.0, 0.0], [1.0, 2.0], grid)
     f = CellField((grid.centers() < 1.0).astype(float), grid.h)
     lhs, rhs, K, ok = operator_norm_check(l1, nested, f, apply_sparse_operator(nested, f))
     assert ok and K == 2

@@ -137,10 +137,10 @@ class TestReportFormats:
 
     def test_intervals_round_trip_into_a_family(self, results):
         text = text_report(results[:1])
-        records = parse_intervals(text)
-        assert records and all(rec.z < rec.y for rec in records)
+        table = parse_intervals(text)
+        assert len(table) and np.all(table.z < table.y)
         grid = Grid1D(*BUMP.window, 256)
-        family = CellFamily.from_intervals(records, grid)
+        family = CellFamily.from_intervals(table.z, table.y, grid)
         assert family.max_overlap == results[0].overlap_max
 
     def test_reports_are_deterministic(self, results):
@@ -316,6 +316,10 @@ class TestMainExitCodes:
             ("Lor:1e999,2", "index 1e999"),
             ("Orl:pow:1e999", "index 1e999"),
             ("Orl:powlog:1e999,1", "index 1e999"),
+            ("Orl:powlog:1e308,1", "has log values beyond the floats"),
+            ("Orl:powlog:2,1e308", "has no inverse"),
+            ("L:1e4000000", "index 1e4000000 has a decimal exponent beyond"),
+            ("Orl:powlog:2,1e-4000000", "exponent 1e-4000000 has a decimal exponent beyond"),
         ],
     )
     def test_malformed_or_overflowing_descriptor_is_a_config_error(self, tmp_path, capsys, space, named):

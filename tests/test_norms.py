@@ -1,6 +1,7 @@
 """Rearrangement profiles, space descriptors, norms, and their combination."""
 
 import math
+import time
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -27,6 +28,7 @@ from gnsparse import norms as norms_module
 from gnsparse import spaces as spaces_module
 from gnsparse.rearrangement import CellField
 from gnsparse.spaces import (
+    DECIMAL_EXPONENT_LIMIT,
     INF,
     SpaceDescriptor,
     YoungFunction,
@@ -34,6 +36,7 @@ from gnsparse.spaces import (
     harmonic_combine,
     index_float,
     parse_index,
+    parse_rational,
 )
 from gnsparse.testfunctions import TestFunctionSpec, grid_for_spec, make_test_function
 from gnsparse.grid import Grid1D
@@ -253,6 +256,43 @@ class TestDescriptors:
     def test_inadmissible_rejected(self, text):
         with pytest.raises(AdmissibilityError):
             SpaceDescriptor.parse(text)
+
+    @pytest.mark.parametrize(
+        "text, refused",
+        [
+            ("Orl:powlog:1e308,1", "has log values beyond the floats"),
+            ("Orl:powlog:2,1e308", "has no inverse"),
+        ],
+    )
+    def test_powlog_near_the_largest_float_is_refused_without_warning(self, text, refused):
+        # log phi overflows on the validation grid, or at a Newton iterate
+        # of its inverse: a package error naming the function, not a numpy
+        # warning that warnings-as-errors would turn into a traceback
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(AdmissibilityError, match=refused) as caught:
+                SpaceDescriptor.parse(text)
+        assert isinstance(caught.value, GnsparseError)
+        assert "Young function powlog:" in str(caught.value)
+
+    @pytest.mark.parametrize("text", ["L:1e4000000", "Orl:powlog:2,1e-4000000", "L:1e1_001", "Lor:2,1E+99999"])
+    def test_huge_decimal_exponent_is_refused_at_once(self, text):
+        # Fraction would expand the exponent into an exact integer first:
+        # 1e4000000 took seconds before it was refused
+        start = time.perf_counter()
+        with pytest.raises(AdmissibilityError, match=f"decimal exponent beyond {DECIMAL_EXPONENT_LIMIT}"):
+            SpaceDescriptor.parse(text)
+        assert time.perf_counter() - start < 0.1
+
+    def test_decimal_exponents_within_the_limit_parse_exactly(self):
+        assert SpaceDescriptor.parse("L:1e308").primary == Fraction(10) ** 308
+        assert SpaceDescriptor.parse("Lor:3/2,2").format() == "Lor:3/2,2"
+        young = SpaceDescriptor.parse("Orl:powlog:2,1e-300").young
+        assert young.params == (Fraction(2), Fraction(1, 10**300))
+        # at the limit the float check decides, as it did before
+        with pytest.raises(AdmissibilityError, match="lies beyond the largest float"):
+            parse_index(f"1e{DECIMAL_EXPONENT_LIMIT}")
+        assert parse_rational(f"1e-{DECIMAL_EXPONENT_LIMIT}", "x") == Fraction(1, 10**DECIMAL_EXPONENT_LIMIT)
 
     def test_index_parsing_is_exact(self):
         assert parse_index("3/2") == Fraction(3, 2)

@@ -19,22 +19,18 @@ from gnsparse.operator import (
     operator_norm_check,
 )
 from gnsparse.rearrangement import CellField
-from gnsparse.sparse1d import EscapeInterval, build_family_1d, default_k_min
+from gnsparse.sparse1d import build_family_1d, default_k_min
 from gnsparse.spaces import SpaceDescriptor, YoungFunction
 from gnsparse.testfunctions import TestFunctionSpec, grid_for_spec, make_test_function
 
 from oracles import loop_counts, loop_interval_sets, loop_sparse_operator, sets_of
 
 
-def iv(z, y, k=0, sign=1):
-    return EscapeInterval(z=z, y=y, k=k, sign=sign, seed=0.5 * (z + y))
-
-
 def pair_family():
     # P1 = (0,1), P2 = (0,2) on [0,2]: K = 2, and for f = chi_(0,1):
     # Tf = 1.5 on (0,1), 0.5 on (1,2)
     grid = Grid1D(0.0, 2.0, 512)
-    fam = CellFamily.from_intervals([iv(0.0, 1.0), iv(0.0, 2.0)], grid)
+    fam = CellFamily.from_intervals([0.0, 0.0], [1.0, 2.0], grid)
     f = CellField((grid.centers() < 1.0).astype(float), grid.h)
     return grid, fam, f
 
@@ -42,14 +38,14 @@ def pair_family():
 class TestRasterize:
     def test_center_in_open_interval_rule(self):
         grid = Grid1D(0.0, 1.0, 8)  # centers at (2i+1)/16
-        fam = CellFamily.from_intervals([iv(0.25, 0.75)], grid)
+        fam = CellFamily.from_intervals([0.25], [0.75], grid)
         assert len(fam) == 1
         np.testing.assert_array_equal(sets_of(fam)[0], [2, 3, 4, 5])
 
     def test_degenerate_interval_dropped(self):
         grid = Grid1D(0.0, 1.0, 8)
         # (0.23, 0.29) contains no cell center (nearest are 0.1875, 0.3125)
-        fam = CellFamily.from_intervals([iv(0.23, 0.29), iv(0.25, 0.75)], grid)
+        fam = CellFamily.from_intervals([0.23, 0.25], [0.29, 0.75], grid)
         assert len(fam) == 1
         assert fam.dropped == 1
 
@@ -72,17 +68,18 @@ class TestRasterize:
 
 @st.composite
 def interval_families(draw):
-    """A grid on [0, 1] and intervals on it, some with an end on a cell
-    center and some trapping no center at all."""
+    """A grid on [0, 1] and the end arrays z, y of intervals on it, some with
+    an end on a cell center and some trapping no center at all."""
     n = draw(st.integers(8, 64))
     grid = Grid1D(0.0, 1.0, n)
     centers = grid.centers()
     end = st.one_of(st.floats(-0.2, 1.2), st.integers(0, n - 1).map(lambda i: float(centers[i])))
-    intervals = []
-    for z, y in draw(st.lists(st.tuples(end, end), max_size=12)):
-        z, y = min(z, y), max(z, y)
-        intervals.append(iv(z, y) if z < y else iv(z, z + 0.3 / n))
-    return grid, intervals
+    z, y = [], []
+    for a, b in draw(st.lists(st.tuples(end, end), max_size=12)):
+        a, b = min(a, b), max(a, b)
+        z.append(a)
+        y.append(b if a < b else a + 0.3 / n)
+    return grid, np.array(z, dtype=float), np.array(y, dtype=float)
 
 
 @st.composite
@@ -121,9 +118,9 @@ class TestFlatFamilyAgainstLoops:
     @settings(max_examples=80, derandomize=True, deadline=None, database=None)
     @given(interval_families(), st.integers(0, 2**32 - 1))
     def test_interval_family(self, family, seed):
-        grid, intervals = family
-        fam = CellFamily.from_intervals(intervals, grid)
-        sets, dropped = loop_interval_sets(intervals, grid.centers())
+        grid, z, y = family
+        fam = CellFamily.from_intervals(z, y, grid)
+        sets, dropped = loop_interval_sets(z, y, grid.centers())
         assert fam.dropped == dropped
         assert len(fam) == len(sets)
         assert all(np.array_equal(a, b) for a, b in zip(sets_of(fam), sets))
@@ -155,7 +152,7 @@ class TestFlatFamilyAgainstLoops:
             CellFamily.from_masks([np.ones((16, 8), dtype=bool)], grid)
 
     def test_empty_family(self):
-        fam = CellFamily.from_intervals([], Grid1D(0.0, 1.0, 8))
+        fam = CellFamily.from_intervals([], [], Grid1D(0.0, 1.0, 8))
         assert len(fam) == 0 and fam.max_overlap == 0
         out = apply_sparse_operator(fam, CellField(np.ones(8), 0.125)).values
         assert out.dtype == float and np.array_equal(out, np.zeros(8))
@@ -173,7 +170,7 @@ class TestApply:
 
     def test_indicator_of_set_is_fixed_by_its_average(self):
         grid = Grid1D(0.0, 2.0, 512)
-        fam = CellFamily.from_intervals([iv(0.0, 1.0)], grid)
+        fam = CellFamily.from_intervals([0.0], [1.0], grid)
         chi = np.zeros(fam.n_cells)
         chi[sets_of(fam)[0]] = 1.0
         np.testing.assert_allclose(apply_sparse_operator(fam, CellField(chi, grid.h)).values, chi, atol=1e-15)
@@ -263,7 +260,7 @@ class TestOperatorNorm:
         )
         u = make_test_function(spec, grid_for_spec(spec, 1024))
         fam1d = build_family_1d(u, default_k_min(u))
-        fam = CellFamily.from_intervals(fam1d.intervals, u.grid)
+        fam = CellFamily.from_intervals(fam1d.z, fam1d.y, u.grid)
         assert fam.max_overlap <= 3
         f = CellField(u.center_values(2), u.grid.h)
         tf = apply_sparse_operator(fam, f)
@@ -282,7 +279,7 @@ class TestOperatorNorm:
 class TestModularContraction:
     def test_single_set_is_jensen(self):
         grid = Grid1D(0.0, 2.0, 512)
-        fam = CellFamily.from_intervals([iv(0.0, 2.0)], grid)
+        fam = CellFamily.from_intervals([0.0], [2.0], grid)
         rng = np.random.default_rng(2)
         f = CellField(rng.normal(size=fam.n_cells), grid.h)
         young = YoungFunction("pow", (Fraction(2),))
@@ -309,7 +306,7 @@ class TestModularContraction:
     def test_indicator_equality(self):
         # Tf = f for the indicator of a single set: contraction is equality
         grid = Grid1D(0.0, 2.0, 512)
-        fam = CellFamily.from_intervals([iv(0.0, 1.0)], grid)
+        fam = CellFamily.from_intervals([0.0], [1.0], grid)
         chi = np.zeros(fam.n_cells)
         chi[sets_of(fam)[0]] = 1.0
         chi = CellField(chi, grid.h)

@@ -14,6 +14,8 @@ import subprocess
 import sys
 import textwrap
 
+import pytest
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CHILD = os.path.join(ROOT, "perfbench", "child.py")
 
@@ -75,13 +77,18 @@ def installed_span_names():
     return names
 
 
-def test_traced_child_fills_every_hook(tmp_path):
+@pytest.fixture(scope="module")
+def traced_run(tmp_path_factory):
+    """The traced child's result and the text report it wrote, from one run
+    of the small suite above."""
+    tmp_path = tmp_path_factory.mktemp("hooks")
     config = tmp_path / "hooks.cfg"
     config.write_text(CONFIG, encoding="utf-8")
     result_path = tmp_path / "result.json"
+    out = tmp_path / "out"
     proc = subprocess.run(
         [sys.executable, CHILD, str(result_path), "traced",
-         "--config", str(config), "--format", "text", "--out", str(tmp_path / "out")],
+         "--config", str(config), "--format", "text", "--out", str(out)],
         cwd=ROOT,
         capture_output=True,
         text=True,
@@ -89,6 +96,11 @@ def test_traced_child_fills_every_hook(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     result = json.loads(result_path.read_text(encoding="utf-8"))
+    return result, (out / "report.txt").read_text(encoding="utf-8")
+
+
+def test_traced_child_fills_every_hook(traced_run):
+    result, _ = traced_run
     assert result["status"] == 0
 
     expected = installed_span_names()
@@ -99,3 +111,13 @@ def test_traced_child_fills_every_hook(tmp_path):
     counts = result["counts"]
     for name in ("sparse1d.intervals", "sparse2d.levels_analyzed", "sparse2d.covered_cells"):
         assert counts.get(name, 0) > 0, name
+
+
+def test_traced_interval_count_is_the_reported_one(traced_run):
+    # child.py counts len(family.intervals) per 1D build; each case builds
+    # its family once and the text report lists every interval of it
+    result, report = traced_run
+    lines = report.splitlines()
+    listed = sum(1 for line in lines if line.startswith("  interval "))
+    assert listed == sum(int(line.split()[1]) for line in lines if line.startswith("  intervals "))
+    assert result["counts"]["sparse1d.intervals"] == listed > 0

@@ -20,7 +20,6 @@ from gnsparse.rearrangement import CellField
 from gnsparse.spaces import SpaceDescriptor
 from gnsparse.sparse1d import (
     BISECT_TOL_FACTOR,
-    EscapeInterval,
     SparseFamily1D,
     band_edges,
     build_family_1d,
@@ -80,16 +79,17 @@ def gaussian_function(n=1200, window=(-6.0, 6.0)):
 
 
 def seed_interval(u, x, sign):
-    """The default family's interval of node x's own (k, sign) that holds x."""
+    """The default family's interval of node x's own (k, sign) that holds
+    x, as its row of the interval table."""
     k = level_index(sign * float(u.evaluate(x, (1,))[0]))
-    fam = build_family_1d(u, default_k_min(u))
-    (iv,) = [iv for iv in fam.intervals if (iv.k, iv.sign) == (k, sign) and iv.contains(x)]
-    return iv
+    iv = build_family_1d(u, default_k_min(u)).intervals
+    (row,) = np.flatnonzero((iv.k == k) & (iv.sign == sign) & (iv.z < x) & (x < iv.y))
+    return iv[row]
 
 
 def interval_mean(u, iv, order):
     """Mean of |u^(order)| over an interval, by the family's quadrature."""
-    return interval_integrals(lambda t: [np.abs(u.evaluate(t, (order,))[0])], iv.z, iv.y, u.grid.h)[0, 0] / iv.length
+    return interval_integrals(lambda t: [np.abs(u.evaluate(t, (order,))[0])], iv.z, iv.y, u.grid.h)[0, 0] / (iv.y - iv.z)
 
 
 class TestLevelIndex:
@@ -192,7 +192,8 @@ class TestEscapeInterval:
             build_family_1d(u, default_k_min(u))
         fam = build_allowing_exits(u)
         assert i in fam.window_exit_nodes
-        assert not any(iv.contains(u.grid.nodes()[i]) for iv in fam.intervals if iv.sign == -1 and iv.k == 0)
+        x, iv = u.grid.nodes()[i], fam.intervals
+        assert not np.any((iv.sign == -1) & (iv.k == 0) & (iv.z < x) & (x < iv.y))
 
 
 class TestFamilyConstruction:
@@ -208,9 +209,10 @@ class TestFamilyConstruction:
     def test_overlap_three_attained_near_stated_point(self):
         u = sine_function()
         fam = build_family_1d(u, k_min=-6)
-        covering = [iv for iv in fam.intervals if iv.contains(0.9)]
-        assert sorted(iv.k for iv in covering) == [-1, 0, 1]
-        assert all(iv.sign == 1 for iv in covering)
+        iv = fam.intervals
+        covering = iv[(iv.z < 0.9) & (0.9 < iv.y)]
+        assert sorted(covering.k.tolist()) == [-1, 0, 1]
+        assert np.all(covering.sign == 1)
 
     def test_same_level_intervals_are_disjoint(self):
         u = sine_function()
@@ -359,9 +361,9 @@ class TestPointwiseBound:
 
         u = GridFunction1D(Grid1D(-1.0, 1.0, 64), evaluate, label="kink")
         ends = ((-0.5, -0.25), (0.25, 0.5), (0.6, 0.7))
-        intervals = [EscapeInterval(z, y, 0, 1, 0.5 * (z + y)) for z, y in ends]
-        fam = SparseFamily1D(intervals, u.grid, u.d1, 0, [], 0, 0)
-        with pytest.raises(ConstructionError, match=r"interval \(0\.25, 0\.5\) has vanishing"):
+        z, y = np.array(ends).T
+        fam = SparseFamily1D(np.zeros(3, dtype=int), np.ones(3, dtype=int), z, y, u.grid, u.d1, 0, [], 0, 0)
+        with pytest.raises(ConstructionError, match=r"interval 1 \(0\.25, 0\.5\) has vanishing"):
             verify_pointwise_1d(u, fam)
 
 
@@ -372,8 +374,8 @@ class TestObservationBounds:
         u = sine_function()
         x0 = float(u.grid.nodes()[512])
         iv = seed_interval(u, x0, 1)
-        bound_a = 4.0 * iv.length * interval_mean(u, iv, 2)
-        bound_b = 32.0 / iv.length * interval_mean(u, iv, 0)
+        bound_a = 4.0 * (iv.y - iv.z) * interval_mean(u, iv, 2)
+        bound_b = 32.0 / (iv.y - iv.z) * interval_mean(u, iv, 0)
         assert bound_a == pytest.approx(4.0, abs=1e-3)
         assert bound_b == pytest.approx(72.0 / math.pi**2, abs=1e-3)
         assert abs(u.evaluate(x0, (1,))[0]) <= min(bound_a, bound_b)
@@ -589,7 +591,7 @@ def test_seeded_runs_per_row_levels_equal_per_level_calls(seed):
         batched = seeded_runs(g[None], seeds, levels[:, None])
         single = [seeded_runs(g[None], seeds[row][None], k) for row, k in enumerate(levels.tolist())]
         assert batched.first.size and batched.exit_index.size
-        for field in ("first", "last", "seed", "exit_index"):
+        for field in ("first", "last", "exit_index"):
             want = np.concatenate([getattr(r, field) for r in single])
             assert np.array_equal(getattr(batched, field), want), field
         for field, sizes in (("line", "first"), ("exit_line", "exit_index")):

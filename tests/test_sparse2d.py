@@ -229,7 +229,7 @@ class TestBuild2D:
         u = make_test_function(spec, grid_for_spec(spec, 128))
         fam = build_family_2d(u)
         assert fam.analyzed_levels() == [0]
-        assert fam.exit_cells == []
+        assert fam.exits.shape == fam.d1c.shape and not fam.exits.any()
         signs = sorted(s.sign for s in fam.slabs if s.k == 0)
         assert signs == [-1, 1]
         for s in fam.slabs:
@@ -314,7 +314,9 @@ class TestVerify2DFailures:
             match=rf"^1 seed cells of level {slab.k} sign {slab.sign} are not in their own slab, first at \({i}, {j}\)$",
         ):
             verify(u, self.edited(u, fam, slabs))
-        exited = self.edited(u, fam, slabs, exit_cells=[(i, j, slab.k, slab.sign)])
+        exits = fam.exits.copy()
+        exits[i, j] = True
+        exited = self.edited(u, fam, slabs, exits=exits)
         assert verify(u, exited).covered_cells == verify(u, fam).covered_cells - 1
 
     def test_zero_second_derivative_average(self, p1):
