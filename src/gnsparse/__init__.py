@@ -22,11 +22,7 @@ from .grid import (
     GridFunction2D,
     interval_integrals,
 )
-from .testfunctions import (
-    TestFunctionSpec,
-    grid_for_spec,
-    make_test_function,
-)
+from .testfunctions import TestFunctionSpec, make_test_function
 from .rearrangement import CellField
 from .spaces import (
     INF,

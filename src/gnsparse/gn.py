@@ -42,7 +42,7 @@ from .sparse1d import (
 )
 from .sparse2d import OVERLAP_LIMIT_2D, build_family_2d, verify_family_2d
 from .spaces import INF, SpaceDescriptor, YoungFunction, cl_combine
-from .testfunctions import TestFunctionSpec, grid_for_spec, make_test_function
+from .testfunctions import TestFunctionSpec, make_test_function
 
 MODES = ("pure", "gradient", "pure-sum")
 CHECK_NAMES = ("overlap", "pointwise", "operator-norm", "modular", "gn", "induction")
@@ -164,22 +164,14 @@ def _abs_field(u, order: int, mode: str, field) -> CellField:
     total = np.add(terms[0], terms[1], out=terms[1] if terms[0] is own_values else terms[0])
     for term in terms[2:]:
         np.add(total, term, out=total)
-    return CellField.of_nonnegative(total, _cell_measure(u))
+    return CellField.of_nonnegative(total, u.cell_measure)
 
 
 def _fields_of(u, read):
     """order -> the CellField of ``read(order)``, u's own center field of that
     order: u.center_values keeps the field for later readers, u.center_field
     drops it after use."""
-    return lambda order: CellField(read(order), _cell_measure(u))
-
-
-def _cell_measure(u) -> float:
-    return u.grid.h if u.dim == 1 else u.grid.cell_area
-
-
-def _sample(case: GNCase, n: int):
-    return make_test_function(case.spec, grid_for_spec(case.spec, n), axis=case.axis)
+    return lambda order: CellField(read(order), u.cell_measure)
 
 
 def _norms_at(case: GNCase, z_space: SpaceDescriptor, u, field):
@@ -210,14 +202,14 @@ def gn_ratio(case: GNCase, u=None, field=None) -> GNReport:
     """
     z_space = case.z_space
     if u is None:
-        u = _sample(case, case.n)
+        u = make_test_function(case.spec, case.n, axis=case.axis)
     lhs, rhs_x, rhs_y = _norms_at(case, z_space, u, field or _fields_of(u, u.center_values))
     ratio = _ratio_of(lhs, rhs_x, rhs_y, case.theta)
     # the 2n sample is thrown away, so none of its fields is kept: in 1D the
     # three orders come from one evaluator call and each is dropped once
     # read; a 2D lattice is evaluated per order, so that at most one 2n
     # field is held besides the norms' temporaries
-    fine = _sample(case, 2 * case.n)
+    fine = make_test_function(case.spec, 2 * case.n, axis=case.axis)
     if fine.dim == 1:
         orders = (0, case.j, case.k)
         read = dict(zip(orders, fine.center_fields(orders))).pop
@@ -286,8 +278,8 @@ def first_order_chain_check(u, x_space: SpaceDescriptor, y_space: SpaceDescripto
     family = build_family_1d(u, default_k_min(u))
     cells, f0, f2, t0, t2 = _cells_and_fields(family, _fields_of(u, u.center_values))
     covered = cells.counts > 0
-    geo = CellField(np.sqrt(t2.values * t0.values), u.grid.h)
-    lhs_field = CellField(np.where(covered, u.center_values(1), 0.0), u.grid.h)
+    geo = CellField(np.sqrt(t2.values * t0.values), u.cell_measure)
+    lhs_field = CellField(np.where(covered, u.center_values(1), 0.0), u.cell_measure)
     root = math.sqrt(POINTWISE_CONSTANT)
 
     denom = POINTWISE_CONSTANT * t2.values * t0.values
@@ -425,7 +417,7 @@ class _CaseRun:
 
     @_built_once
     def u(self):
-        u = _sample(self.case, self.case.n)
+        u = make_test_function(self.case.spec, self.case.n, axis=self.case.axis)
         u.keep_centers(self.center_orders())
         return u
 

@@ -5,9 +5,10 @@ measure-theoretic -- rearrangements, norms, averaging operators, and every
 2D family -- where an exact "step function on cells" representation makes
 the verified identities hold to rounding error instead of quadrature error.
 A sampled function evaluates each center field once and every consumer
-reads that array.  Only the 1D build also samples a node array (n+1
-points), of u', for its escape-interval scan; each node order is sampled
-on its own first read, and a 2D function has no node lattice.
+reads that array, and it carries its cell measure (h in 1D, the cell area
+in 2D) for the fields built from them.  Only the 1D build also samples a
+node array (n+1 points), ``d1`` of u', for its escape-interval scan, on
+its first read; a 2D function has no node lattice.
 
 Whoever needs several derivative orders at one point set asks the
 evaluator for all of them in one call (sup norms, interval quadrature, the
@@ -97,9 +98,9 @@ class _SampledFunction:
 
 
 class GridFunction1D(_SampledFunction):
-    """The node arrays ``values``, ``d1`` and ``d2`` of u, u' and u'',
-    each sampled and checked finite on its own first read, the center
-    fields read so far, and the analytic evaluator behind them.
+    """The node array ``d1`` of u', sampled and checked finite on its first
+    read, the center fields read so far, the cell measure h, and the
+    analytic evaluator behind them.
 
     The evaluator takes a float or array and a sequence of derivative
     orders (0..3) and returns one array per order; it is what
@@ -113,14 +114,13 @@ class GridFunction1D(_SampledFunction):
     def __init__(self, grid: Grid1D, evaluate, label: str = ""):
         super().__init__(evaluate, label)
         self.grid = grid
+        self.cell_measure = grid.h
 
-    def _node_field(self, order, name):
-        (field,) = self.evaluate(self.grid.nodes(), (order,))
-        return self._finite(name, field)
-
-    values = cached_property(lambda self: self._node_field(0, "values"))
-    d1 = cached_property(lambda self: self._node_field(1, "d1"))
-    d2 = cached_property(lambda self: self._node_field(2, "d2"))
+    @cached_property
+    def d1(self) -> np.ndarray:
+        """u' at the n + 1 nodes, the input of the escape-interval scan."""
+        (field,) = self.evaluate(self.grid.nodes(), (1,))
+        return self._finite("d1", field)
 
     def center_fields(self, orders) -> list:
         """u^(order) at cell centers for each order, from one evaluator call,
@@ -137,7 +137,7 @@ class GridFunction1D(_SampledFunction):
 
 class GridFunction2D(_SampledFunction):
     """The center fields of u and its pure partials along one axis read so
-    far, and the evaluator behind them.
+    far, the cell measure (the cell area), and the evaluator behind them.
 
     ``evaluate(x, y, partials)`` returns one array per mixed partial
     ``(jx, jy)`` in ``partials``; it is called with an (r, 1) column of x
@@ -157,6 +157,7 @@ class GridFunction2D(_SampledFunction):
             raise ValueError(f"axis must be 1 or 2, got {axis}")
         super().__init__(evaluate, label)
         self.grid = grid
+        self.cell_measure = grid.cell_area
         self.axis = axis
 
     def _axis_partial(self, order):

@@ -1,4 +1,4 @@
-"""Closed-form test-function families, their evaluators and sampled grids.
+"""Closed-form test-function families, their evaluators and their samples.
 
 Families (all provide derivatives up to third order in closed form):
 
@@ -24,12 +24,16 @@ one pass of the transcendental functions for all of them.  Each entry is
 the array a call for that entry alone returns.  For the sup probe, a
 product evaluator also carries its two 1D factors, ``evaluate.factors``,
 and a compact radial one its profile jet and width, ``evaluate.profile``.
+
+A spec refuses numbers that are not finite and a window that does not
+increase when it is built.  ``make_test_function(spec, n, axis)`` samples
+it on the grid of n cells per axis over its own window.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,6 +73,15 @@ class TestFunctionSpec:
             raise CorpusConfigError(f"unknown layout {self.layout!r}")
         if self.dim == 2 and self.layout == "radial" and self.family not in COMPACT_FAMILIES and self.family != "gaussian":
             raise CorpusConfigError(f"family {self.family!r} has no radial form")
+        # a nan parameter samples the zero function or a nan field, and a
+        # window that is not finite and increasing has no grid
+        numbers = (self.centers(), self.widths(), (self.amplitude,), (self.frequency,))
+        for key, values in zip(("center", "width", "amplitude", "frequency"), numbers):
+            if not all(map(math.isfinite, values)):
+                raise CorpusConfigError(f"{key} {getattr(self, key)!r} is not finite")
+        for a, b in self.windows():
+            if not -math.inf < a < b < math.inf:
+                raise CorpusConfigError(f"window {self.window!r} is not a finite increasing pair")
 
     @property
     def dim(self) -> int:
@@ -81,6 +94,11 @@ class TestFunctionSpec:
     def widths(self):
         w = self.width
         return (float(w[0]), float(w[1])) if isinstance(w, (tuple, list)) else (float(w), float(w))
+
+    def windows(self):
+        """The (a, b) pair of each axis: one in 1D, two in 2D."""
+        pairs = self.window if self.dim == 2 else (self.window,)
+        return tuple((float(a), float(b)) for a, b in pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -256,39 +274,27 @@ def make_evaluator_2d(spec: TestFunctionSpec):
     return evaluate
 
 
-def make_test_function(spec: TestFunctionSpec, grid, axis: int = 1):
-    """Sample a spec on a grid, rejecting unresolvable or ill-posed setups."""
-    if spec.dim == 1:
-        if not isinstance(grid, Grid1D):
-            raise CorpusConfigError("1D spec requires a Grid1D")
-        wa, wb = spec.window
-        if not (math.isclose(wa, grid.a) and math.isclose(wb, grid.b)):
-            raise CorpusConfigError(
-                f"grid window [{grid.a}, {grid.b}] does not match spec window {spec.window}"
-            )
-        if spec.widths()[0] <= 4.0 * grid.h:
-            raise UnresolvableFunctionError(
-                f"width {spec.widths()[0]} <= 4h = {4.0 * grid.h} for {spec.name or spec.family}"
-            )
-        _check_support(spec, 0)
-        return GridFunction1D(grid, make_evaluator_1d(spec), label=spec.name or spec.family)
-
-    if not isinstance(grid, Grid2D):
-        raise CorpusConfigError("2D spec requires a Grid2D")
-    for comp, g in ((0, grid.gx), (1, grid.gy)):
+def make_test_function(spec: TestFunctionSpec, n: int, axis: int = 1):
+    """Sample a spec on the grid of n cells per axis over its window, with
+    ``axis`` the 2D axis of its pure partials; a width of at most 4h, or a
+    compact support that reaches the window's edge, is refused."""
+    label = spec.name or spec.family
+    axes = [Grid1D(a, b, n) for a, b in spec.windows()]
+    for comp, g in enumerate(axes):
         if spec.widths()[comp] <= 4.0 * g.h:
-            raise UnresolvableFunctionError(
-                f"width {spec.widths()[comp]} <= 4h on axis {comp + 1} for {spec.name or spec.family}"
-            )
+            where = f" on axis {comp + 1}" if spec.dim == 2 else ""
+            raise UnresolvableFunctionError(f"width {spec.widths()[comp]} <= 4h = {4.0 * g.h}{where} for {label}")
         _check_support(spec, comp)
-    return GridFunction2D(grid, make_evaluator_2d(spec), axis=axis, label=spec.name or spec.family)
+    if spec.dim == 1:
+        return GridFunction1D(axes[0], make_evaluator_1d(spec), label=label)
+    return GridFunction2D(Grid2D(*axes), make_evaluator_2d(spec), axis=axis, label=label)
 
 
 def _check_support(spec: TestFunctionSpec, component: int):
     """Compact families must be supported strictly inside the window."""
     if spec.family not in COMPACT_FAMILIES:
         return
-    window = spec.window[component] if spec.dim == 2 else spec.window
+    window = spec.windows()[component]
     c = spec.centers()[component]
     if spec.layout == "radial" and spec.dim == 2:
         w = spec.widths()[0]
@@ -299,12 +305,3 @@ def _check_support(spec: TestFunctionSpec, component: int):
             f"support [{c - w}, {c + w}] not strictly inside window {window} "
             f"for {spec.name or spec.family}"
         )
-
-
-def grid_for_spec(spec: TestFunctionSpec, n: int):
-    if spec.dim == 1:
-        a, b = spec.window
-        return Grid1D(float(a), float(b), n)
-    (ax, bx), (ay, by) = spec.window
-    return Grid2D(Grid1D(float(ax), float(bx), n), Grid1D(float(ay), float(by), n))
-

@@ -47,8 +47,10 @@ def mollify(u: GridFunction1D, l: float) -> GridFunction1D:
     grid = u.grid
     w = kernel_weights(l, grid.h)
     m = (len(w) - 1) // 2
+    nodes = grid.nodes()
+    samples = u.evaluate(nodes, (0, 1, 2))
 
-    support = np.nonzero(np.abs(u.values) > 1e-14)[0]
+    support = np.nonzero(np.abs(samples[0]) > 1e-14)[0]
     if support.size and (support[0] < m or support[-1] > grid.n - m):
         warnings.warn(
             f"support of {u.label!r} is within l = {l} of the window boundary; "
@@ -57,8 +59,7 @@ def mollify(u: GridFunction1D, l: float) -> GridFunction1D:
             stacklevel=2,
         )
 
-    fields = [np.convolve(arr, w, mode="same") for arr in (u.values, u.d1, u.d2)]
-    nodes = grid.nodes()
+    fields = [np.convolve(arr, w, mode="same") for arr in samples]
 
     def evaluate(x, orders):
         for j in orders:

@@ -183,14 +183,15 @@ def radial_profile_sup_norm(spec, orders):
 
 def fd_consistency_error(f) -> float:
     """Max deviation of analytic d1 from the central difference of values:
-    the node arrays in 1D, the center fields in 2D.
+    the node samples in 1D, the center fields in 2D.
 
     Used by the O(h^2) refinement property: halving h quarters this number
     for smooth functions.
     """
     if f.dim == 1:
         h = f.grid.h
-        fd = (f.values[2:] - f.values[:-2]) / (2.0 * h)
+        (values,) = f.evaluate(f.grid.nodes(), (0,))
+        fd = (values[2:] - values[:-2]) / (2.0 * h)
         return float(np.max(np.abs(f.d1[1:-1] - fd)))
     values, d1 = f.center_values(0), f.center_values(1)
     if f.axis == 1:
@@ -210,7 +211,7 @@ def quadrature_integral(f, region=None) -> float:
     range with i0 < i1.
     """
     if isinstance(f, GridFunction1D):
-        vals, grid = f.values, f.grid
+        vals, grid = f.evaluate(f.grid.nodes(), (0,))[0], f.grid
     else:
         vals, grid = np.asarray(f[0], dtype=float), f[1]
     if region is None:

@@ -34,7 +34,7 @@ from gnsparse.sparse1d import (
     verify_pointwise_1d,
 )
 from gnsparse.sparse2d import build_family_2d, verify_family_2d
-from gnsparse.testfunctions import TestFunctionSpec, grid_for_spec, make_test_function
+from gnsparse.testfunctions import TestFunctionSpec, make_test_function
 
 from corpus import members
 from mollifier import BoundaryContaminationWarning, mollify
@@ -53,7 +53,7 @@ def corpus_1024():
     """(u, family at the default floor) for every 1D member at n = 1024."""
     out = {}
     for spec in members(1):
-        u = make_test_function(spec, grid_for_spec(spec, 1024))
+        u = make_test_function(spec, 1024)
         out[spec.name] = (u, build_family_1d(u, default_k_min(u)))
     return out
 
@@ -65,9 +65,9 @@ def corpus_2d():
     for spec in members(2):
         runs = []
         for n in (128, 256):
-            u = make_test_function(spec, grid_for_spec(spec, n))
+            u = make_test_function(spec, n)
             family = build_family_2d(u)
-            fields = (CellField(u.center_values(order), u.grid.cell_area) for order in (0, 2))
+            fields = (CellField(u.center_values(order), u.cell_measure) for order in (0, 2))
             runs.append((family, verify_family_2d(family, *fields)))
         out[spec.name] = tuple(runs)
     return out
@@ -96,7 +96,7 @@ def test_criterion_02_pointwise_constant(corpus_1024):
         floor = resolved_k_min(u1)
         _, r1 = verify_pointwise_1d(u1, build_family_1d(u1, floor))
         assert r1 <= 128.0 * 1.02, f"{spec.name}: ratio {r1}"
-        u2 = make_test_function(spec, grid_for_spec(spec, 2048))
+        u2 = make_test_function(spec, 2048)
         _, r2 = verify_pointwise_1d(u2, build_family_1d(u2, floor))
         drift = abs(r2 - r1) / r1
         assert drift < 0.01, f"{spec.name}: drift {drift:.2%}"
@@ -108,7 +108,7 @@ def test_criterion_02_pointwise_constant(corpus_1024):
         family="sine-window", center=0.0, width=1.0, amplitude=1.0, frequency=1.0,
         window=(-1.5 * math.pi, 1.5 * math.pi), name="spot",
     )
-    u = make_test_function(sine, grid_for_spec(sine, 1024))
+    u = make_test_function(sine, 1024)
     x0 = float(u.grid.nodes()[512])
     k = level_index(float(u.evaluate(x0, (1,))[0]))
     fam = build_family_1d(u, default_k_min(u))
@@ -257,7 +257,7 @@ def test_criterion_09_gn_l1_headline():
     assert math.isfinite(report.ratio) and report.ratio > 0.0
     assert report.drift <= 0.01 and report.stable
 
-    u = make_test_function(bump, grid_for_spec(bump, 1024))
+    u = make_test_function(bump, 1024)
     chain = first_order_chain_check(u, P("L:1"), P("L:1"))
     assert chain.ok, [link.name for link in chain.links if not link.ok]
     criterion(
@@ -308,15 +308,16 @@ def test_criterion_11_mollification_contracts():
     spaces = [P("L:1"), P("L:2"), P("Lor:2,2"), P("Orl:pow:2")]
     worst = 0.0
     for spec in members(1):
-        u = make_test_function(spec, grid_for_spec(spec, 1024))
+        u = make_test_function(spec, 1024)
         h = u.grid.h
         with warnings.catch_warnings():
             # members filling their window legitimately touch the kernel radius
             warnings.simplefilter("ignore", BoundaryContaminationWarning)
             smoothed = mollify(u, 32.0 * h)
+        (smoothed0,), (u0,) = (g.evaluate(u.grid.nodes(), (0,)) for g in (smoothed, u))
         for space in spaces:
-            a = space_norm(space, CellField(smoothed.values, h))
-            b = space_norm(space, CellField(u.values, h))
+            a = space_norm(space, CellField(smoothed0, h))
+            b = space_norm(space, CellField(u0, h))
             assert a <= b * (1.0 + 1e-6), f"{spec.name} {space.format()}: {a} > {b}"
             if b > 0:
                 worst = max(worst, a / b)

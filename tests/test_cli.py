@@ -2,17 +2,22 @@
 
 import csv
 import io
+import math
+import os
+import re
 import subprocess
 import sys
 import textwrap
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gnsparse import gn as gn_module
 from gnsparse import spaces
 from gnsparse.cli import main
-from gnsparse.errors import YoungInversionError
+from gnsparse.errors import ConfigError, YoungInversionError
 from gnsparse.gn import CHECK_NAMES, GNCase, run_corpus
 from gnsparse.grid import Grid1D
 from gnsparse.operator import CellFamily
@@ -31,6 +36,7 @@ from corpus import run_config
 from oracles import parse_intervals, rle_decode
 
 P = SpaceDescriptor.parse
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 BUMP = TestFunctionSpec(
     family="smooth-bump", center=0.0, width=1.0, amplitude=1.0, window=(-1.5, 1.5), name="bump"
@@ -71,6 +77,58 @@ def write_config(tmp_path, text=TINY_CONFIG, name="run.cfg"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     return str(path)
+
+
+# one function with every numeric key set, and a case over it
+PROBE_KEYS = dict(
+    family="modulated-bump", center="0.0", width="1.0", amplitude="1.0", frequency="3.0", window="-1.5, 1.5"
+)
+
+
+def probe_config(**keys):
+    lines = "".join(f"{key} = {value}\n" for key, value in dict(PROBE_KEYS, **keys).items())
+    run = f"[run]\nresolution-1d = 256\nchecks = {', '.join(CHECK_NAMES)}\n"
+    return f"{run}\n[function:probe]\n{lines}\n[case:only]\nfunction = probe\nX = L:2\nY = L:2\n"
+
+
+@st.composite
+def probe_numbers(draw):
+    """The numeric keys of a 1D or 2D function: a set of keys that may draw
+    nan or an infinity, finite floats for the others, and window pairs in
+    either order."""
+    dim = draw(st.sampled_from([1, 2]))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    open_keys = draw(st.sets(st.sampled_from(["center", "width", "amplitude", "frequency", "window"])))
+
+    def numbers(key, count):
+        number = st.one_of(finite, st.sampled_from([math.nan, math.inf, -math.inf])) if key in open_keys else finite
+        return [draw(number) for _ in range(count)]
+
+    values = {key: numbers(key, dim) for key in ("center", "width")}
+    values.update({key: numbers(key, 1) for key in ("amplitude", "frequency")})
+    values["window"] = [numbers("window", 2) for _ in range(dim)]
+    return values
+
+
+@settings(max_examples=80, derandomize=True, deadline=None, database=None)
+@given(probe_numbers(), st.sampled_from(["gaussian", "sine-window", "modulated-bump"]))
+def test_spec_numbers_are_finite_and_windows_increase(tmp_path_factory, numbers, family):
+    # a nan center or width samples u = 0, which passes every verdict; the
+    # config is refused exactly when a number is not finite or a window
+    # does not increase
+    keys = {key: ", ".join(map(repr, numbers[key])) for key in ("center", "width", "amplitude", "frequency")}
+    keys["window"] = "; ".join(f"{a!r}, {b!r}" for a, b in numbers["window"])
+    path = tmp_path_factory.mktemp("probe") / "probe.cfg"
+    path.write_text(probe_config(family=family, **keys), encoding="utf-8")
+    pairs = numbers["window"]
+    flat = [x for key in ("center", "width", "amplitude", "frequency") for x in numbers[key]] + sum(pairs, [])
+    refused = not all(map(math.isfinite, flat)) or not all(a < b for a, b in pairs)
+    argv = ["--config", str(path)]
+    if refused:
+        with pytest.raises(ConfigError, match="function 'probe'"):
+            run_config(*argv)
+    else:
+        assert run_config(*argv).corpus["probe"].windows() == tuple(map(tuple, pairs))
 
 
 class TestMaskEncoding:
@@ -408,6 +466,37 @@ class TestMainExitCodes:
         assert "Traceback" in err and "ValueError: bug" in err
         assert not (tmp_path / "e").exists()
 
+    @pytest.mark.parametrize(
+        "keys",
+        [
+            dict(width="nan"),
+            dict(center="nan"),
+            dict(family="gaussian", center="0.0, nan", width="0.5, 0.5", window="-2.0, 2.0; -2.0, 2.0"),
+            dict(amplitude="nan"),
+            dict(amplitude="inf"),
+            dict(frequency="nan"),
+            dict(frequency="inf"),
+            dict(family="sine-window", frequency="nan"),
+            dict(family="sine-window", frequency="inf"),
+            dict(window="1.5, -1.5"),
+            dict(window="nan, 1.5"),
+            dict(window="-inf, 1.5"),
+        ],
+        ids=lambda keys: "-".join(f"{key}={value}" for key, value in keys.items()),
+    )
+    def test_non_finite_spec_number_is_a_config_error(self, tmp_path, capsys, keys):
+        # these sampled u = 0 and passed, raised a ValueError traceback
+        # (exit 3), or became an unresolvable-function verdict (exit 1)
+        code = main(["--config", write_config(tmp_path, probe_config(**keys)), "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "function 'probe'" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "report.csv").exists()
+
+    def test_probe_config_passes_every_check(self, tmp_path):
+        assert main(["--config", write_config(tmp_path, probe_config()), "--out", str(tmp_path)]) == 0
+
     def test_unwritable_out_dir(self, tmp_path, capsys):
         blocker = tmp_path / "file"
         blocker.write_text("x", encoding="utf-8")
@@ -427,6 +516,17 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert "--checks" in proc.stdout and "--seed" in proc.stdout
+
+    def test_readme_example_runs(self, source_env, tmp_path):
+        with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as handle:
+            (example,) = re.findall(r"```python\n(.*?)```", handle.read(), re.S)
+        proc = subprocess.run(
+            [sys.executable, "-c", example], capture_output=True, text=True, timeout=120, env=source_env, cwd=tmp_path
+        )
+        assert proc.returncode == 0, proc.stderr
+        overlap, ratio = proc.stdout.split()
+        assert overlap == "3"
+        assert math.isfinite(float(ratio)) and float(ratio) > 0.0
 
     def test_start_up_imports_no_scipy_or_numpy_polynomial(self, source_env):
         # set-up is the import and the bundled config's load: only the Lorentz

@@ -15,7 +15,6 @@ from gnsparse import (
     GridFunction2D,
     TestFunctionSpec,
     UnresolvableFunctionError,
-    grid_for_spec,
     interval_integrals,
     make_test_function,
 )
@@ -54,16 +53,17 @@ def test_grid_invariants():
 
 def test_gaussian_closed_form():
     spec = TestFunctionSpec("gaussian", 0.0, 1.0, 1.0, 0.0, (-6.0, 6.0))
-    f = make_test_function(spec, Grid1D(-6.0, 6.0, 1024))
+    f = make_test_function(spec, 1024)
     x = f.grid.nodes()
-    assert np.allclose(f.values, np.exp(-x * x), rtol=0, atol=1e-15)
+    (values,) = f.evaluate(x, (0,))
+    assert np.allclose(values, np.exp(-x * x), rtol=0, atol=1e-15)
     assert np.allclose(f.d1, -2.0 * x * np.exp(-x * x), rtol=0, atol=1e-14)
 
 
 def test_zero_amplitude_bump_is_zero():
     spec = TestFunctionSpec("smooth-bump", 0.0, 1.0, 0.0, 0.0, (-1.5, 1.5))
-    f = make_test_function(spec, Grid1D(-1.5, 1.5, 64))
-    assert np.all(f.values == 0.0)
+    f = make_test_function(spec, 64)
+    assert np.all(f.evaluate(f.grid.nodes(), (0,))[0] == 0.0)
     assert np.all(f.d1 == 0.0)
 
 
@@ -71,25 +71,25 @@ def test_sine_window_d2_and_fd_quartering():
     spec = TestFunctionSpec(
         "sine-window", 0.0, 1.0, 1.0, 1.0, (-math.pi, math.pi)
     )
-    f1 = make_test_function(spec, Grid1D(-math.pi, math.pi, 1024))
-    assert np.allclose(f1.d2, -np.sin(f1.grid.nodes()), atol=1e-14)
-    f2 = make_test_function(spec, Grid1D(-math.pi, math.pi, 2048))
+    f1 = make_test_function(spec, 1024)
+    assert np.allclose(f1.evaluate(f1.grid.nodes(), (2,))[0], -np.sin(f1.grid.nodes()), atol=1e-14)
+    f2 = make_test_function(spec, 2048)
     ratio = fd_consistency_error(f1) / fd_consistency_error(f2)
     assert 3.5 <= ratio <= 4.5
 
 
 @pytest.mark.parametrize("spec", members(1), ids=lambda s: s.name)
 def test_fd_quartering_whole_corpus(spec):
-    f1 = make_test_function(spec, grid_for_spec(spec, 1024))
-    f2 = make_test_function(spec, grid_for_spec(spec, 2048))
+    f1 = make_test_function(spec, 1024)
+    f2 = make_test_function(spec, 2048)
     ratio = fd_consistency_error(f1) / fd_consistency_error(f2)
     assert 3.5 <= ratio <= 4.5
 
 
 @pytest.mark.parametrize("spec", members(2), ids=lambda s: s.name)
 def test_fd_quartering_2d_corpus(spec):
-    f1 = make_test_function(spec, grid_for_spec(spec, 128))
-    f2 = make_test_function(spec, grid_for_spec(spec, 256))
+    f1 = make_test_function(spec, 128)
+    f2 = make_test_function(spec, 256)
     ratio = fd_consistency_error(f1) / fd_consistency_error(f2)
     assert 3.5 <= ratio <= 4.5
 
@@ -100,11 +100,12 @@ def test_third_derivatives_consistent_with_fd_of_d2():
     # C^3 globally (d4 jumps at the support edge), so a small collar around
     # the edge is excluded: there the central difference is first-order only.
     for spec in (member(name) for name in ("g1", "b1", "m1", "s1")):
-        f = make_test_function(spec, grid_for_spec(spec, 2048))
+        f = make_test_function(spec, 2048)
         h = f.grid.h
         x = f.grid.nodes()[1:-1]
         d3 = f.evaluate(x, (3,))[0]
-        fd = (f.d2[2:] - f.d2[:-2]) / (2.0 * h)
+        (d2,) = f.evaluate(f.grid.nodes(), (2,))
+        fd = (d2[2:] - d2[:-2]) / (2.0 * h)
         err = np.abs(d3 - fd)
         if spec.family in ("smooth-bump", "modulated-bump"):
             c, w = spec.centers()[0], spec.widths()[0]
@@ -116,7 +117,7 @@ def test_third_derivatives_consistent_with_fd_of_d2():
 def test_radial_2d_partials_match_fd():
     spec = member("r1")
     assert spec.layout == "radial"
-    f = make_test_function(spec, grid_for_spec(spec, 256))
+    f = make_test_function(spec, 256)
     x, y = f.grid.gx.centers(), f.grid.gy.centers()
     h = f.grid.gx.h
     # mixed partial (1,1) against a cross difference of the center values
@@ -148,16 +149,17 @@ def test_lattice_is_evaluated_in_open_row_blocks():
     assert len(blocks) == 3 and all(p == ((0, 0), (0, 2)) for _, _, p in blocks)
 
 
-@pytest.mark.parametrize("order, field", [(0, "values"), (1, "d1"), (2, "d2")])
-def test_non_finite_1d_sample_names_its_field(order, field):
+@pytest.mark.parametrize("order", (0, 1, 2))
+def test_non_finite_1d_sample_names_its_field(order):
     def evaluate(x, orders):
         out = [np.ones(np.shape(x)) for _ in orders]
         out[list(orders).index(order)][-1] = np.nan
         return out
 
     u = GridFunction1D(Grid1D(0.0, 1.0, 16), evaluate, label="bad")
-    with pytest.raises(ValueError, match=f"non-finite {field} in sampled function 'bad'"):
-        getattr(u, field)
+    if order == 1:  # u' is the one node array
+        with pytest.raises(ValueError, match="non-finite d1 in sampled function 'bad'"):
+            u.d1
     with pytest.raises(ValueError, match=f"non-finite derivative {order} at centers in sampled function 'bad'"):
         u.center_values(order)
 
@@ -201,7 +203,7 @@ def _dense_partials(u, order, mode):
 @pytest.mark.parametrize("spec", members(2), ids=lambda s: s.name)
 def test_open_grid_matches_dense_evaluation(spec, axis):
     for n in (128, 256):
-        u = make_test_function(spec, grid_for_spec(spec, n), axis=axis)
+        u = make_test_function(spec, n, axis=axis)
         g = u.grid
         pure = [(j, 0) if axis == 1 else (0, j) for j in (0, 1, 2)]
         centers = _dense_lattice(g.gx.centers(), g.gy.centers())
@@ -236,7 +238,7 @@ GAUSSIAN_RADIAL = TestFunctionSpec(
 def test_sup_norm_makes_one_pass_over_the_probe():
     # a gaussian radial spec is cut off by its window, so its sups are scanned
     spec = GAUSSIAN_RADIAL
-    u = make_test_function(spec, grid_for_spec(spec, 128))
+    u = make_test_function(spec, 128)
     assert not hasattr(u.evaluate, "profile")
     evaluate, calls = u.evaluate, []
 
@@ -258,7 +260,7 @@ def test_radial_probe_makes_no_lattice_call(axis):
     # r1's sups come from its profile, also through a functools.wraps
     # wrapper, which carries the profile along; order 3 is still scanned
     spec = member("r1")
-    u = make_test_function(spec, grid_for_spec(spec, 128), axis=axis)
+    u = make_test_function(spec, 128, axis=axis)
     want = radial_profile_sup_norm(spec, (0, 1, 2))
     evaluate, calls = u.evaluate, []
 
@@ -290,7 +292,7 @@ def compact_radial_specs(draw):
 @settings(max_examples=12, derandomize=True, deadline=None, database=None)
 @given(compact_radial_specs(), st.sampled_from([1, 2]))
 def test_radial_profile_sups_bound_the_lattice_scan(spec, axis):
-    u = make_test_function(spec, grid_for_spec(spec, 64), axis=axis)
+    u = make_test_function(spec, 64, axis=axis)
     want = radial_profile_sup_norm(spec, (0, 1, 2))
     assert u.sup_norm((0, 1, 2)) == want
     scanned = blocked_sup_norm(u, (0, 1, 2))
@@ -300,7 +302,7 @@ def test_radial_profile_sups_bound_the_lattice_scan(spec, axis):
 @pytest.mark.parametrize("axis", (1, 2))
 @pytest.mark.parametrize("spec", [s for s in members(2) if s.layout == "product"], ids=lambda s: s.name)
 def test_product_sup_norm_equals_the_blocked_scan(spec, axis):
-    u = make_test_function(spec, grid_for_spec(spec, 128), axis=axis)
+    u = make_test_function(spec, 128, axis=axis)
     want = blocked_sup_norm(u, (0, 1, 2))
     assert u.sup_norm((0, 1, 2)) == want
     # a functools.wraps wrapper carries the factors along: the probe takes
@@ -326,24 +328,29 @@ def test_1d_node_arrays_sample_once_each():
         calls.append(tuple(orders))
         return evaluate(x, orders)
 
-    u = GridFunction1D(grid_for_spec(spec, 256), counted)
+    ref = make_test_function(spec, 256)
+    u = GridFunction1D(ref.grid, counted)
     assert calls == []
-    u.d1  # the first read of a node array samples that order alone
+    u.d1  # the first read of the node array samples u' alone
     assert calls == [(1,)]
-    # each order is what a joint evaluation of all three gives
-    joint = evaluate(grid_for_spec(spec, 256).nodes(), (0, 1, 2))
-    for order, name in enumerate(("values", "d1", "d2")):
-        assert np.array_equal(getattr(u, name), joint[order]), name
-        assert getattr(u, name) is getattr(u, name)
-    assert calls == [(1,), (0,), (2,)]
-    ref = make_test_function(spec, grid_for_spec(spec, 256))
+    # it is what a joint evaluation of three orders gives, and it is kept
+    joint = evaluate(ref.grid.nodes(), (0, 1, 2))
+    assert np.array_equal(u.d1, joint[1])
+    assert u.d1 is u.d1
+    assert calls == [(1,)]
     assert u.sup_norm((2, 0)) == (ref.sup_norm((2,))[0], ref.sup_norm((0,))[0])
-    assert len(calls) == 4
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("spec", [member("g1"), member("p1")], ids=lambda s: s.name)
+def test_sample_carries_its_cell_measure(spec):
+    u = make_test_function(spec, 64)
+    assert u.cell_measure == (u.grid.h if spec.dim == 1 else u.grid.gx.h * u.grid.gy.h)
 
 
 @pytest.mark.parametrize("spec", [member("g1"), member("p1")], ids=lambda s: s.name)
 def test_center_values_are_stored_read_only(spec):
-    u = make_test_function(spec, grid_for_spec(spec, 64))
+    u = make_test_function(spec, 64)
     for order in (0, 1, 2):
         first = u.center_values(order)
         assert u.center_values(order) is first
@@ -371,7 +378,7 @@ def test_1d_order_out_of_range_raises(family):
 def test_2d_order_out_of_range_raises(layout, orders):
     spec = next(s for s in members(2) if s.layout == layout)
     evaluate = make_evaluator_2d(spec)
-    g = grid_for_spec(spec, 16)
+    g = make_test_function(spec, 16).grid
     X, Y = g.gx.centers()[:, None], g.gy.centers()[None, :]
     with pytest.raises(ValueError, match="not available"):
         evaluate(X, Y, [(0, 0), orders])
@@ -423,13 +430,13 @@ def test_multi_order_call_equals_single_order_calls(call):
 def test_unresolvable_width_rejected():
     spec = TestFunctionSpec("gaussian", 0.0, 0.01, 1.0, 0.0, (-6.0, 6.0))
     with pytest.raises(UnresolvableFunctionError):
-        make_test_function(spec, Grid1D(-6.0, 6.0, 64))
+        make_test_function(spec, 64)
 
 
 def test_bump_support_must_fit_window():
     spec = TestFunctionSpec("smooth-bump", 0.0, 2.0, 1.0, 0.0, (-1.5, 1.5))
     with pytest.raises(CorpusConfigError):
-        make_test_function(spec, Grid1D(-1.5, 1.5, 64))
+        make_test_function(spec, 64)
 
 
 def test_quadrature_indicator_mass():
@@ -488,17 +495,18 @@ def test_mollify_constant_one_and_warning():
     with pytest.warns(BoundaryContaminationWarning):
         ul = mollify(one, l=8 * grid.h)
     mid = grid.n // 2
-    assert ul.values[mid] == pytest.approx(1.0, abs=1e-12)
+    assert ul.evaluate(grid.nodes(), (0,))[0][mid] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_mollify_is_a_sampled_function():
     spec = TestFunctionSpec("smooth-bump", 0.0, 1.0, 1.0, 0.0, (-1.5, 1.5), name="b")
-    f = make_test_function(spec, Grid1D(-1.5, 1.5, 512))
+    f = make_test_function(spec, 512)
     l = 8 * f.grid.h
     ul = mollify(f, l)
     w = kernel_weights(l, f.grid.h)
-    for name in ("values", "d1", "d2"):
-        assert np.array_equal(getattr(ul, name), np.convolve(getattr(f, name), w, "same")), name
+    nodes = f.grid.nodes()
+    for order, (got, field) in enumerate(zip(ul.evaluate(nodes, (0, 1, 2)), f.evaluate(nodes, (0, 1, 2)))):
+        assert np.array_equal(got, np.convolve(field, w, "same")), order
     for order in (0, 1, 2):
         c = ul.center_values(order)
         assert c.shape == (f.grid.n,) and np.all(np.isfinite(c))
@@ -507,7 +515,7 @@ def test_mollify_is_a_sampled_function():
 
 def test_mollified_evaluator_checks_the_order_range():
     spec = TestFunctionSpec("smooth-bump", 0.0, 1.0, 1.0, 0.0, (-1.5, 1.5), name="b")
-    f = make_test_function(spec, Grid1D(-1.5, 1.5, 256))
+    f = make_test_function(spec, 256)
     ul = mollify(f, 8 * f.grid.h)
     x = f.grid.centers()
     d2, d0 = ul.evaluate(x, (2, 0))
@@ -519,34 +527,37 @@ def test_mollified_evaluator_checks_the_order_range():
 
 def test_mollify_mass_and_sup():
     spec = TestFunctionSpec("smooth-bump", 0.0, 1.0, 1.0, 0.0, (-1.5, 1.5), name="b")
-    f = make_test_function(spec, Grid1D(-1.5, 1.5, 1024))
+    f = make_test_function(spec, 1024)
     ul = mollify(f, l=8 * f.grid.h)
     assert quadrature_integral(ul) == pytest.approx(quadrature_integral(f), rel=1e-6)
-    assert np.max(np.abs(ul.values)) <= np.max(np.abs(f.values)) * (1 + 1e-12)
+    (u0,), (ul0,) = (g.evaluate(f.grid.nodes(), (0,)) for g in (f, ul))
+    assert np.max(np.abs(ul0)) <= np.max(np.abs(u0)) * (1 + 1e-12)
     # positivity preservation
-    assert np.min(ul.values) >= -1e-15
+    assert np.min(ul0) >= -1e-15
 
 
 def test_mollify_l2_contraction():
     spec = TestFunctionSpec("smooth-bump", 0.0, 1.0, 1.0, 0.0, (-1.5, 1.5), name="b")
-    f = make_test_function(spec, Grid1D(-1.5, 1.5, 1024))
+    f = make_test_function(spec, 1024)
     ul = mollify(f, l=8 * f.grid.h)
-    l2 = math.sqrt(quadrature_integral((f.values**2, f.grid)))
-    l2_m = math.sqrt(quadrature_integral((ul.values**2, f.grid)))
+    (u0,), (ul0,) = (g.evaluate(f.grid.nodes(), (0,)) for g in (f, ul))
+    l2 = math.sqrt(quadrature_integral((u0**2, f.grid)))
+    l2_m = math.sqrt(quadrature_integral((ul0**2, f.grid)))
     assert l2_m <= l2 * (1 + 1e-6)
 
 
 def test_mollify_linearity():
-    grid = Grid1D(-1.5, 1.5, 512)
     spec = TestFunctionSpec("smooth-bump", 0.0, 1.0, 1.0, 0.0, (-1.5, 1.5))
     spec2 = TestFunctionSpec("smooth-bump", 0.2, 0.8, 0.7, 0.0, (-1.5, 1.5))
-    f = make_test_function(spec, grid)
-    g = make_test_function(spec2, grid)
+    f = make_test_function(spec, 512)
+    g = make_test_function(spec2, 512)
+    grid = f.grid
     both = GridFunction1D(
         grid,
         lambda x, orders: [2.0 * a + b for a, b in zip(f.evaluate(x, orders), g.evaluate(x, orders))],
         label="2f+g",
     )
-    lhs = mollify(both, l=8 * grid.h).values
-    rhs = 2.0 * mollify(f, l=8 * grid.h).values + mollify(g, l=8 * grid.h).values
+    nodes = grid.nodes()
+    lhs = mollify(both, l=8 * grid.h).evaluate(nodes, (0,))[0]
+    rhs = 2.0 * mollify(f, l=8 * grid.h).evaluate(nodes, (0,))[0] + mollify(g, l=8 * grid.h).evaluate(nodes, (0,))[0]
     assert np.max(np.abs(lhs - rhs)) < 1e-12

@@ -35,7 +35,7 @@ from gnsparse.gn import (
 from gnsparse.operator import CellFamily, apply_sparse_operator, operator_norm_check
 from gnsparse.rearrangement import CellField
 from gnsparse.spaces import SpaceDescriptor, cl_combine
-from gnsparse.testfunctions import TestFunctionSpec, grid_for_spec, make_test_function
+from gnsparse.testfunctions import TestFunctionSpec, make_test_function
 
 from corpus import member, members, run_config
 
@@ -166,7 +166,7 @@ class TestGNRatio:
         # and keeping the three center fields until the rerun ends two more
         spec = member("r1")
         case = GNCase(spec=spec, j=1, k=2, x_space=P("Orl:pow:2"), y_space=P("Orl:pow:2"), n=128)
-        u = make_test_function(spec, grid_for_spec(spec, case.n))
+        u = make_test_function(spec, case.n)
         for order in (0, case.j, case.k):
             u.center_values(order)
         field = (2 * case.n) ** 2 * 8  # bytes of one float64 field at 2n
@@ -191,7 +191,7 @@ class TestGNRatio:
         # copy per partial and per partial sum made five
         spaces = dict(x_space=P("L:2"), y_space=P("L:2"))
         case = GNCase(spec=member("p1"), j=1, k=2, mode="gradient", axis=axis, n=256, **spaces)
-        u = make_test_function(case.spec, grid_for_spec(case.spec, case.n), axis=axis)
+        u = make_test_function(case.spec, case.n, axis=axis)
         for order in (0, case.j, case.k):
             u.center_values(order)
         field = (2 * case.n) ** 2 * 8  # bytes of one float64 field at 2n
@@ -238,8 +238,7 @@ class TestGNRatio:
 
 class TestFirstOrderChain:
     def test_chain_links_on_the_bump(self):
-        grid = grid_for_spec(BUMP, 512)
-        u = make_test_function(BUMP, grid)
+        u = make_test_function(BUMP, 512)
         report = first_order_chain_check(u, P("L:1"), P("L:1"))
         names = [link.name for link in report.links]
         assert names == ["pointwise-to-norm", "factorization", "operator-x", "operator-y", "end-to-end"]
@@ -251,14 +250,13 @@ class TestFirstOrderChain:
 
     @pytest.mark.parametrize("spec", members(1), ids=lambda s: s.name)
     def test_chain_holds_across_the_corpus(self, spec):
-        grid = grid_for_spec(spec, 512)
-        u = make_test_function(spec, grid)
+        u = make_test_function(spec, 512)
         report = first_order_chain_check(u, P("L:2"), P("L:1"))
         assert report.ok, [l.name for l in report.links if not l.ok]
 
     def test_chain_rejects_2d_input(self):
         spec = member("p1")
-        u = make_test_function(spec, grid_for_spec(spec, 64))
+        u = make_test_function(spec, 64)
         with pytest.raises(ConstructionError):
             first_order_chain_check(u, P("L:1"), P("L:1"))
 
@@ -393,9 +391,9 @@ class TestRunCorpus:
         # refinement rerun samples again, at 2n
         sampled = []
 
-        def counting(spec, grid, **kwargs):
-            sampled.append(grid.n)
-            return make_test_function(spec, grid, **kwargs)
+        def counting(spec, n, **kwargs):
+            sampled.append(n)
+            return make_test_function(spec, n, **kwargs)
 
         case = case_1d(BUMP, "L:1", "L:1")
         monkeypatch.setattr(gn_module, "make_test_function", counting)
@@ -464,10 +462,9 @@ class TestRunCorpus:
             spec = member("p1")
             case = GNCase(spec=spec, j=1, k=2, x_space=P("L:2"), y_space=P("L:2"), mode=mode, n=128)
         at_centers = Counter()
-        sample = gn_module._sample
 
-        def counting_sample(case, n):
-            u = sample(case, n)
+        def counting_sample(spec, n, axis=1):
+            u = make_test_function(spec, n, axis)
             if n != case.n:
                 return u
             if u.dim == 1:
@@ -486,7 +483,7 @@ class TestRunCorpus:
             u.evaluate = counted
             return u
 
-        monkeypatch.setattr(gn_module, "_sample", counting_sample)
+        monkeypatch.setattr(gn_module, "make_test_function", counting_sample)
         result = run_case(case, CHECK_NAMES)
         assert result.passed, result.verdicts
         assert at_centers and max(at_centers.values()) == 1, at_centers
@@ -496,10 +493,9 @@ class TestRunCorpus:
         # call, and so do the GN rerun's three orders at 2n
         case = case_1d(BUMP, "L:1", "L:1")
         calls = Counter()
-        sample = gn_module._sample
 
-        def counting_sample(case, n):
-            u = sample(case, n)
+        def counting_sample(spec, n, axis=1):
+            u = make_test_function(spec, n, axis)
             centers, evaluate = u.grid.centers(), u.evaluate
 
             def counted(x, orders):
@@ -510,7 +506,7 @@ class TestRunCorpus:
             u.evaluate = counted
             return u
 
-        monkeypatch.setattr(gn_module, "_sample", counting_sample)
+        monkeypatch.setattr(gn_module, "make_test_function", counting_sample)
         result = run_case(case, CHECK_NAMES)
         assert result.passed, result.verdicts
         assert calls == {case.n: 1, 2 * case.n: 1}
@@ -634,7 +630,7 @@ class TestRunCorpus:
         assert name == "overlap"
         match = re.fullmatch(r"fail: overlap (\d+) > 2 at cell (\d+) \(x=(.+)\)", verdict)
         cell = int(match[2])
-        assert float(match[3]) == grid_for_spec(BUMP, 256).centers()[cell]
+        assert float(match[3]) == make_test_function(BUMP, 256).grid.centers()[cell]
         (family,) = families
         assert int(match[1]) == family.cells.max_overlap == family.cells.counts[cell]
 
@@ -777,14 +773,13 @@ class TestCheckMethods:
         # a result keeps no sample alive, so the peak memory of a suite is
         # that of its largest case, not the sum over the results it keeps
         refs = []
-        sample = gn_module._sample
 
-        def recording(case, n):
-            u = sample(case, n)
+        def recording(spec, n, axis=1):
+            u = make_test_function(spec, n, axis)
             refs.append(weakref.ref(u))
             return u
 
-        monkeypatch.setattr(gn_module, "_sample", recording)
+        monkeypatch.setattr(gn_module, "make_test_function", recording)
         results = [run_case(default_case(dim), CHECK_NAMES) for dim in (1, 2)]
         gc.collect()
         assert all(result.passed for result in results)

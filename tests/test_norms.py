@@ -38,7 +38,7 @@ from gnsparse.spaces import (
     parse_index,
     parse_rational,
 )
-from gnsparse.testfunctions import TestFunctionSpec, grid_for_spec, make_test_function
+from gnsparse.testfunctions import TestFunctionSpec, make_test_function
 from gnsparse.grid import Grid1D
 
 from corpus import members
@@ -141,7 +141,7 @@ class TestRearrangement:
         # for f = exp(-x^2), {f > s} has measure 2 sqrt(-ln s), so
         # f*(t) = exp(-t^2/4)
         spec = TestFunctionSpec(family="gaussian", center=0.0, width=1.0, amplitude=1.0, window=(-6.0, 6.0))
-        u = make_test_function(spec, Grid1D(-6.0, 6.0, 1024))
+        u = make_test_function(spec, 1024)
         field = CellField(u.center_values(0), u.grid.h)
         for t in (0.5, 1.0, 2.0, 3.0):
             assert star(field, t) == pytest.approx(math.exp(-t * t / 4.0), abs=2e-2)
@@ -971,8 +971,8 @@ class TestLuxemburgSolver:
         evaluations = outer_evaluations(monkeypatch)
         for dim, n in ((1, 1024), (2, 64)):
             for spec in members(dim):
-                u = make_test_function(spec, grid_for_spec(spec, n))
-                mu = u.grid.h if dim == 1 else u.grid.cell_area
+                u = make_test_function(spec, n)
+                mu = u.cell_measure
                 for order in (0, 1, 2):
                     luxemburg_norm(CellField(u.center_values(order), mu), young)
                     assert evaluations[-1] <= budget, (spec.name, order)
@@ -1010,7 +1010,7 @@ class TestLuxemburgSolver:
         # a combined function's levels are unknowns of the norm's own loop,
         # updated from its closed-form log-inverse: no Newton kernel runs
         spec = members(1)[0]
-        u = make_test_function(spec, grid_for_spec(spec, 1024))
+        u = make_test_function(spec, 1024)
         f = CellField(u.center_values(0), u.grid.h)
         assert f.values.size == 1024
         calls, solve = [], spaces_module._newton
@@ -1029,7 +1029,7 @@ class TestLuxemburgSolver:
     def test_combined_norms_of_large_fields_match_the_oracle(self, name):
         young = self.YOUNG[name]
         spec = members(1)[1]
-        u = make_test_function(spec, grid_for_spec(spec, 16384))
+        u = make_test_function(spec, 16384)
         rng = np.random.default_rng(17)
         fields = [CellField(u.center_values(2), u.grid.h), CellField(rng.random(16384) * 1e3, 1e-4)]
         for f in fields:

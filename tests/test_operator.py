@@ -21,7 +21,7 @@ from gnsparse.operator import (
 from gnsparse.rearrangement import CellField
 from gnsparse.sparse1d import build_family_1d, default_k_min
 from gnsparse.spaces import SpaceDescriptor, YoungFunction
-from gnsparse.testfunctions import TestFunctionSpec, grid_for_spec, make_test_function
+from gnsparse.testfunctions import TestFunctionSpec, make_test_function
 
 from oracles import loop_counts, loop_interval_sets, loop_sparse_operator, sets_of
 
@@ -258,7 +258,7 @@ class TestOperatorNorm:
             frequency=1.0,
             window=(-1.5 * math.pi, 1.5 * math.pi),
         )
-        u = make_test_function(spec, grid_for_spec(spec, 1024))
+        u = make_test_function(spec, 1024)
         fam1d = build_family_1d(u, default_k_min(u))
         fam = CellFamily.from_intervals(fam1d.z, fam1d.y, u.grid)
         assert fam.max_overlap <= 3

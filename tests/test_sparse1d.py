@@ -31,7 +31,7 @@ from gnsparse.sparse1d import (
     seeded_runs,
     verify_pointwise_1d,
 )
-from gnsparse.testfunctions import TestFunctionSpec, grid_for_spec, make_test_function
+from gnsparse.testfunctions import TestFunctionSpec, make_test_function
 
 from corpus import member, members
 from oracles import (
@@ -63,7 +63,7 @@ def sine_function(n=1024):
         window=(-1.5 * math.pi, 1.5 * math.pi),
         name="sin",
     )
-    return make_test_function(spec, grid_for_spec(spec, n))
+    return make_test_function(spec, n)
 
 
 def gaussian_function(n=1200, window=(-6.0, 6.0)):
@@ -75,7 +75,7 @@ def gaussian_function(n=1200, window=(-6.0, 6.0)):
         window=window,
         name="gauss",
     )
-    return make_test_function(spec, Grid1D(window[0], window[1], n))
+    return make_test_function(spec, n)
 
 
 def seed_interval(u, x, sign):
@@ -267,7 +267,7 @@ class TestResolvedFloor:
             window=(-2.2, 1.0),
             name="bump",
         )
-        return make_test_function(spec, grid_for_spec(spec, n))
+        return make_test_function(spec, n)
 
     def test_raises_floor_past_edge_slivers(self):
         u = self.bump()
@@ -297,7 +297,7 @@ class TestResolvedFloor:
 
     @pytest.mark.parametrize("spec", members(1), ids=lambda s: s.name)
     def test_corpus_resolved_families_stay_clean(self, spec):
-        u = make_test_function(spec, grid_for_spec(spec, 1024))
+        u = make_test_function(spec, 1024)
         fam = build_family_1d(u, resolved_k_min(u))
         assert min(iv.y - iv.z for iv in fam.intervals) >= 4 * u.grid.h
         uncovered, _ = coverage_report(fam)
@@ -309,7 +309,7 @@ class TestResolvedFloor:
 
 @pytest.mark.parametrize("spec", members(1), ids=lambda s: s.name)
 def test_corpus_family_invariants(spec):
-    u = make_test_function(spec, grid_for_spec(spec, 1024))
+    u = make_test_function(spec, 1024)
     fam = build_family_1d(u, default_k_min(u))
     assert len(fam.window_exit_nodes) <= 0.01 * max(fam.eligible_count, 1)
     uncovered, _ = coverage_report(fam)
@@ -347,7 +347,7 @@ class TestPointwiseBound:
 
     @pytest.mark.parametrize("spec", members(1), ids=lambda s: s.name)
     def test_corpus_ratios_equal_the_interval_loop(self, spec):
-        u = make_test_function(spec, grid_for_spec(spec, 1024))
+        u = make_test_function(spec, 1024)
         fam = build_family_1d(u, default_k_min(u))
         ratios, max_ratio = verify_pointwise_1d(u, fam)
         assert np.array_equal(ratios, loop_pointwise_1d(u, fam))
@@ -384,7 +384,7 @@ class TestObservationBounds:
 
     @pytest.mark.parametrize("spec", members(1), ids=lambda s: s.name)
     def test_corpus_observation_report(self, spec):
-        u = make_test_function(spec, grid_for_spec(spec, 1024))
+        u = make_test_function(spec, 1024)
         fam = build_family_1d(u, default_k_min(u))
         worst_a, worst_b, ok = observation_bounds_report(u, fam)
         assert ok, f"worst a = {worst_a}, worst b = {worst_b}"
@@ -460,12 +460,12 @@ def assert_matches_scalar_family(u, fam):
 class TestScalarOracle:
     @pytest.mark.parametrize("spec", members(1), ids=lambda s: s.name)
     def test_corpus(self, spec):
-        u = make_test_function(spec, grid_for_spec(spec, 1024))
+        u = make_test_function(spec, 1024)
         assert_matches_scalar_family(u, build_family_1d(u, default_k_min(u)))
 
     def test_fine_grid(self):
         spec = member("m5")
-        u = make_test_function(spec, grid_for_spec(spec, 16384))
+        u = make_test_function(spec, 16384)
         assert_matches_scalar_family(u, build_family_1d(u, default_k_min(u)))
 
     def test_window_exits(self):
@@ -503,7 +503,7 @@ class TestBatchedQuadrature:
     @pytest.mark.parametrize("spec", members(1), ids=lambda s: s.name)
     def test_default_cases_equal_the_scalar_oracle(self, spec):
         # equal up to summation order, within the bound fixed by the oracle
-        u = make_test_function(spec, grid_for_spec(spec, 1024))
+        u = make_test_function(spec, 1024)
         table = list(interval_table(u, build_family_1d(u, default_k_min(u))))
         assert table
         for iv, _, _, int_d2, int_u in table:
@@ -637,7 +637,7 @@ def localized_functions(draw):
     reach = st.floats(1.05, 2.0) if family == "smooth-bump" else st.floats(2.5, 6.0)
     window = (center - draw(reach) * width, center + draw(reach) * width)
     spec = TestFunctionSpec(family, center, width, amplitude, 0.0, window, name="random")
-    return make_test_function(spec, grid_for_spec(spec, draw(st.integers(64, 2048))))
+    return make_test_function(spec, draw(st.integers(64, 2048)))
 
 
 @settings(max_examples=30, derandomize=True, deadline=None, database=None)

@@ -22,14 +22,14 @@ from gnsparse.sparse2d import (
     oscillation_bound,
     verify_family_2d,
 )
-from gnsparse.testfunctions import TestFunctionSpec, grid_for_spec, make_test_function
+from gnsparse.testfunctions import TestFunctionSpec, make_test_function
 
 from corpus import member, members
 
 
 def verify(u, fam):
     """verify_family_2d on the fields |u| and |d1^2 u| a case reads."""
-    return verify_family_2d(fam, *(CellField(u.center_values(order), u.grid.cell_area) for order in (0, 2)))
+    return verify_family_2d(fam, *(CellField(u.center_values(order), u.cell_measure) for order in (0, 2)))
 
 
 def square_grid(n=16, a=0.0, b=1.0):
@@ -89,7 +89,7 @@ class TestComputeDelta:
             family="gaussian", center=(0.0, 0.0), width=(2.2, 2.2),
             amplitude=0.65, window=((-3.3, 3.3), (-3.3, 3.3)),
         )
-        u = make_test_function(spec, grid_for_spec(spec, 128))
+        u = make_test_function(spec, 128)
         k_top = 0 if u.sup_norm((1,))[0] >= 0.5 else -1
         bound = oscillation_bound(k_top, max(u.sup_norm((0, 1, 2))))
         (res,) = compute_delta(u, [bound])
@@ -137,7 +137,7 @@ RING_SCAN_CASES.append((member("p1"), 1, 512))  # levels -1 and 0, with skipped 
     "spec, axis, n", RING_SCAN_CASES, ids=lambda v: v.name if isinstance(v, TestFunctionSpec) else str(v)
 )
 def test_one_ring_scan_equals_per_bound_scans(spec, axis, n, monkeypatch):
-    u = make_test_function(spec, grid_for_spec(spec, n), axis=axis)
+    u = make_test_function(spec, n, axis=axis)
     fam = build_family_2d(u)
     assert fam.deltas
     for k, res in fam.deltas.items():
@@ -164,7 +164,7 @@ class TestBuild2D:
             family="smooth-bump", center=(0.0, 0.0), width=(1.0, 1.0),
             amplitude=0.0, window=((-1.5, 1.5), (-1.5, 1.5)),
         )
-        u = make_test_function(spec, grid_for_spec(spec, 32))
+        u = make_test_function(spec, 32)
         fam = build_family_2d(u)
         assert len(fam) == 0
         rep = verify(u, fam)
@@ -175,7 +175,7 @@ class TestBuild2D:
             family="gaussian", center=(0.0, 0.0), width=(2.2, 2.2),
             amplitude=0.65, window=((-3.3, 3.3), (-3.3, 3.3)),
         )
-        u = make_test_function(spec, grid_for_spec(spec, 64))
+        u = make_test_function(spec, 64)
         with pytest.raises(CorpusConfigError):
             build_family_2d(u)
 
@@ -196,7 +196,7 @@ class TestBuild2D:
     def test_only_the_boundary_is_evaluated_on_nodes(self, name):
         spec = member(name)
         n = 128
-        u = make_test_function(spec, grid_for_spec(spec, n))
+        u = make_test_function(spec, n)
         evaluate, node_calls = u.evaluate, []
 
         @functools.wraps(evaluate)
@@ -226,7 +226,7 @@ class TestBuild2D:
 
     def test_top_level_structure(self):
         spec = member("p1")
-        u = make_test_function(spec, grid_for_spec(spec, 128))
+        u = make_test_function(spec, 128)
         fam = build_family_2d(u)
         assert fam.analyzed_levels() == [0]
         assert fam.exits.shape == fam.d1c.shape and not fam.exits.any()
@@ -240,7 +240,7 @@ class TestBuild2D:
 
     def test_coarse_grid_skips_with_diagnostic(self):
         spec = member("p1")
-        u = make_test_function(spec, grid_for_spec(spec, 32))
+        u = make_test_function(spec, 32)
         fam = build_family_2d(u)
         assert fam.analyzed_levels() == []
         assert any(sk.k == fam.k_top for sk in fam.skipped)
@@ -252,7 +252,7 @@ class TestBuild2D:
 
     def test_symmetric_member_along_second_axis(self):
         spec = member("p1")  # square window, equal widths
-        u = make_test_function(spec, grid_for_spec(spec, 128), axis=2)
+        u = make_test_function(spec, 128, axis=2)
         fam = build_family_2d(u)
         verify(u, fam)  # raises on any structural violation
         assert fam.analyzed_levels() == [0]
@@ -261,7 +261,7 @@ class TestBuild2D:
 
 @pytest.mark.parametrize("spec", members(2), ids=lambda s: s.name)
 def test_corpus_verification(spec):
-    u = make_test_function(spec, grid_for_spec(spec, 128))
+    u = make_test_function(spec, 128)
     fam = build_family_2d(u)
     rep = verify(u, fam)  # raises on any structural violation
     assert fam.analyzed_levels() == [0]
@@ -281,7 +281,7 @@ class TestVerify2DFailures:
     @pytest.fixture(scope="class")
     def p1(self):
         spec = member("p1")
-        u = make_test_function(spec, grid_for_spec(spec, 128))
+        u = make_test_function(spec, 128)
         return u, build_family_2d(u)
 
     @staticmethod
@@ -321,8 +321,8 @@ class TestVerify2DFailures:
 
     def test_zero_second_derivative_average(self, p1):
         u, fam = p1
-        f0 = CellField(u.center_values(0), u.grid.cell_area)
-        f2 = CellField(np.zeros(fam.d1c.size), u.grid.cell_area)
+        f0 = CellField(u.center_values(0), u.cell_measure)
+        f2 = CellField(np.zeros(fam.d1c.size), u.cell_measure)
         with pytest.raises(ConstructionError, match=r"zero \|d1\^2 u\| average"):
             verify_family_2d(fam, f0, f2)
 
@@ -332,7 +332,7 @@ class TestRefinementStability:
     def test_ratio_stable_under_refinement(self, spec):
         reports, levels, deltas = {}, {}, {}
         for n in (128, 256):
-            u = make_test_function(spec, grid_for_spec(spec, n))
+            u = make_test_function(spec, n)
             fam = build_family_2d(u)
             reports[n] = verify(u, fam)
             levels[n] = fam.analyzed_levels()
@@ -349,7 +349,7 @@ class TestRefinementStability:
         # every covered cell center sits in the widened band of its level,
         # checked directly against the sampled partial
         spec = member("r1")  # the radial member
-        u = make_test_function(spec, grid_for_spec(spec, 128))
+        u = make_test_function(spec, 128)
         fam = build_family_2d(u)
         for s in fam.slabs:
             g = s.sign * fam.d1c[s.mask]
@@ -396,7 +396,7 @@ def loop_slabs_2d(fam):
 @pytest.mark.parametrize("n, axis", [(128, 1), (128, 2), (256, 1)])
 @pytest.mark.parametrize("spec", members(2), ids=lambda s: s.name)
 def test_slabs_match_loop_reference(spec, n, axis):
-    u = make_test_function(spec, grid_for_spec(spec, n), axis=axis)
+    u = make_test_function(spec, n, axis=axis)
     fam = build_family_2d(u)
     expected = loop_slabs_2d(fam)
     assert [(s.k, s.sign, s.pieces) for s in fam.slabs] == [(k, sign, p) for k, sign, _, p in expected]
