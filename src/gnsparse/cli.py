@@ -62,7 +62,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--seed",
         type=int,
         default=0,
-        help="shuffle case execution order with this seed (0 keeps declared order)",
+        help="shuffle the cases with this seed, which orders the report and the work queue "
+        "(0 keeps declared order)",
     )
     return parser
 

@@ -32,6 +32,7 @@ from .operator import (
     modular_contraction_check,
     operator_norm_check,
 )
+from .parallel import run_ordered
 from .rearrangement import CellField
 from .sparse1d import (
     OVERLAP_LIMIT_1D,
@@ -508,16 +509,25 @@ class _CaseRun:
         return "pass" if report.stable else f"fail: ratio {report.ratio!r} drifts {report.drift!r} under refinement"
 
     def induction(self) -> str:
-        """The exponent identities of the order induction hold at k = 3 and 4.
+        """The exponent identities of the order induction hold at k = 3 and 4."""
+        verdict = _induction_of(self.inductions, self.case.x_space, self.case.y_space)
+        if isinstance(verdict, GnsparseError):
+            raise verdict
+        return verdict
 
-        The verdict is a function of X and Y alone, so it is kept in
-        ``inductions`` under their descriptors and checked once per pair."""
-        x, y = self.case.x_space, self.case.y_space
-        key = (x.format(), y.format())
-        if key not in self.inductions:
+
+def _induction_of(inductions: dict, x: SpaceDescriptor, y: SpaceDescriptor):
+    """The induction verdict of the pair (X, Y), or the GnsparseError that
+    stopped it.  It is a function of X and Y alone, so it is kept in
+    ``inductions`` under their descriptors and checked once per pair."""
+    key = (x.format(), y.format())
+    if key not in inductions:
+        try:
             bad = [msg for k in (3, 4) for msg in induction_identity_check(x, y, k).failures]
-            self.inductions[key] = f"fail: {bad[0]}" if bad else "pass"
-        return self.inductions[key]
+            inductions[key] = f"fail: {bad[0]}" if bad else "pass"
+        except GnsparseError as exc:
+            inductions[key] = exc
+    return inductions[key]
 
 
 def run_case(case: GNCase, checks, inductions=None) -> CaseResult:
@@ -554,14 +564,22 @@ def run_corpus(cases, checks):
     """Ordered CaseResults, one per case; a case's GnsparseError is recorded.
 
     Cases are independent, so their order is the report order no matter
-    how execution is scheduled; this runner keeps it sequential, which
-    also makes reruns byte-for-byte reproducible.  The induction check
-    runs once per distinct (X, Y) pair of the run, whose cases share its
-    verdict.
+    how execution is scheduled: ``parallel.run_ordered`` spreads a long
+    enough run over the CPUs, heaviest cases (n**dim) first, and returns
+    the results in case order, so reruns stay byte-for-byte reproducible.
+    The induction check runs once per distinct (X, Y) pair of the run,
+    whose cases share its verdict; every pair is checked before any case
+    runs, because a forked worker fills only its own copy of the verdicts.
     """
     checks = tuple(checks)
     unknown = [c for c in checks if c not in CHECK_NAMES]
     if unknown:
         raise ValueError(f"unknown checks: {', '.join(unknown)}")
+    cases = list(cases)
     inductions = {}
-    return [run_case(case, checks, inductions) for case in cases]
+    if "induction" in checks:
+        for case in cases:
+            _induction_of(inductions, case.x_space, case.y_space)
+    return run_ordered(
+        lambda case: run_case(case, checks, inductions), cases, weight=lambda case: case.n**case.dim
+    )

@@ -590,6 +590,12 @@ class TestRunCorpus:
         assert len(pairs) == 7
         assert sorted(calls) == sorted((x, y, k) for x, y in pairs for k in (3, 4))
 
+    def test_induction_runs_once_per_space_pair_across_processes(self, monkeypatch, forced_fork):
+        # a forked worker fills only its own copy of the verdicts, and its
+        # calls are not counted here: every pair is checked before the fork
+        self.test_induction_runs_once_per_space_pair(monkeypatch)
+        assert forced_fork
+
     def test_z_is_combined_on_first_use(self, monkeypatch):
         # building a case combines nothing; a combination that fails is the
         # case's error verdict
