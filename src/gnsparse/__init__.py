@@ -36,6 +36,7 @@ from .norms import cl_factorization_check, luxemburg_norm, modular, space_norm
 from .operator import (
     CellFamily,
     apply_sparse_operator,
+    majorization_ratio,
     modular_contraction_check,
     operator_norm_check,
 )

@@ -17,7 +17,7 @@ import os
 import numpy as np
 
 from .gn import POINTWISE_CONSTANT, STABILITY_TOL
-from .operator import MODULAR_SLACK
+from .operator import MAJORIZATION_SLACK
 from .sparse1d import OVERLAP_LIMIT_1D, POINTWISE_SLACK
 from .sparse2d import OVERLAP_LIMIT_2D
 
@@ -50,7 +50,7 @@ def tolerance_note() -> str:
     return (
         f"overlap<={OVERLAP_LIMIT_1D}|{OVERLAP_LIMIT_2D}"
         f" pointwise<={POINTWISE_CONSTANT:g}*(1+{POINTWISE_SLACK!r})"
-        f" modular<=1+{MODULAR_SLACK!r} gn-drift<={STABILITY_TOL!r}"
+        f" majorization<=1+{MAJORIZATION_SLACK!r} gn-drift<={STABILITY_TOL!r}"
     )
 
 

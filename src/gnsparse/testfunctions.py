@@ -25,9 +25,10 @@ the array a call for that entry alone returns.  For the sup probe, a
 product evaluator also carries its two 1D factors, ``evaluate.factors``,
 and a compact radial one its profile jet and width, ``evaluate.profile``.
 
-A spec refuses numbers that are not finite and a window that does not
-increase when it is built.  ``make_test_function(spec, n, axis)`` samples
-it on the grid of n cells per axis over its own window.
+A spec refuses numbers that are not finite, a window that does not
+increase and a radial spec with two different widths when it is built.
+``make_test_function(spec, n, axis)`` samples it on the grid of n cells
+per axis over its own window.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ class TestFunctionSpec:
 
     1D: center/width are floats and window is (a, b).
     2D: center/width are pairs, window is ((ax, bx), (ay, by)) and ``layout``
-    selects product or radial structure (radial uses width[0]).
+    selects product or radial structure (radial takes one width).
     """
 
     __test__ = False  # not a pytest class despite the name
@@ -82,6 +83,8 @@ class TestFunctionSpec:
         for a, b in self.windows():
             if not -math.inf < a < b < math.inf:
                 raise CorpusConfigError(f"window {self.window!r} is not a finite increasing pair")
+        if self.dim == 2 and self.layout == "radial" and len(set(self.widths())) > 1:
+            raise CorpusConfigError(f"a radial spec has one width, got {self.width!r}")
 
     @property
     def dim(self) -> int:
@@ -295,11 +298,7 @@ def _check_support(spec: TestFunctionSpec, component: int):
     if spec.family not in COMPACT_FAMILIES:
         return
     window = spec.windows()[component]
-    c = spec.centers()[component]
-    if spec.layout == "radial" and spec.dim == 2:
-        w = spec.widths()[0]
-    else:
-        w = spec.widths()[component]
+    c, w = spec.centers()[component], spec.widths()[component]
     if c - w <= window[0] or c + w >= window[1]:
         raise CorpusConfigError(
             f"support [{c - w}, {c + w}] not strictly inside window {window} "

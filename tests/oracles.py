@@ -5,14 +5,19 @@ Each loop does its work one set, one interval or one block at a time, the
 way the library did before it handled whole families in one pass.  The
 readers of a CellField's rearrangement (f*, f**, the distribution function)
 and of a text report (interval records, slab masks) live here too, with the
-1D observation bounds (a) and (b) and their sum form, which no report runs.
+1D observation bounds (a) and (b) and their sum form, which no report runs,
+the per-space and per-Young-function bounds on T that the majorization
+certificate implies, and the dyadic maximal operator T is contrasted with.
 """
 
+from fractions import Fraction
 
 import numpy as np
 
 from gnsparse.errors import ConstructionError, EmptyRegionError
 from gnsparse.grid import GridFunction1D
+from gnsparse.norms import modular, norm_tolerance, space_norm
+from gnsparse.spaces import SpaceDescriptor, YoungFunction
 from gnsparse.sparse1d import (
     POINTWISE_SLACK,
     SeededRuns,
@@ -59,6 +64,44 @@ def loop_sparse_operator(sets, values):
     out = np.zeros_like(v)
     for s in sets:
         out[s] += float(np.mean(v[s]))
+    return out
+
+
+# spaces and Young functions in which a passing majorization certificate is
+# checked directly, by the norm engine
+BOUND_SPACES = tuple(
+    SpaceDescriptor.parse(text) for text in ("L:1", "L:2", "L:inf", "Lor:2,2", "Lor:3/2,1", "Orl:pow:2", "Orl:exp")
+)
+BOUND_YOUNGS = tuple(YoungFunction("pow", (Fraction(p),)) for p in ("1", "3/2", "2", "3")) + (YoungFunction("exp"),)
+
+
+def space_bound(space, cells, f, tf):
+    """||T f||_X against K ||f||_X in the one space X, within the space's
+    norm tolerance, with ``tf`` = T f and K the overlap constant of the
+    CellFamily ``cells``: (lhs, rhs, ok).  A zero T f passes."""
+    lhs, rhs = space_norm(space, tf), cells.max_overlap * space_norm(space, f)
+    return lhs, rhs, lhs <= rhs * (1.0 + norm_tolerance(space)) or lhs == 0.0
+
+
+def modular_bound(young, cells, f, tf, slack=1e-6):
+    """rho(T f / K) against rho(f) for the one Young function rho, within a
+    relative ``slack``: (lhs, rhs, ok)."""
+    K = cells.max_overlap
+    lhs = modular(young, tf, scale=K) if K else 0.0
+    rhs = modular(young, f)
+    return lhs, rhs, lhs <= rhs * (1.0 + slack)
+
+
+def dyadic_maximal_operator(values):
+    """M f on 2^L cells: at each cell, the largest mean of |f| over the dyadic
+    blocks of cells that hold it, from pairwise means level by level."""
+    means = np.abs(np.asarray(values, dtype=float))
+    if means.size & (means.size - 1):
+        raise ValueError(f"{means.size} cells is not a power of 2")
+    out, size = means.copy(), 1
+    while means.size > 1:
+        means, size = 0.5 * (means[0::2] + means[1::2]), 2 * size
+        np.maximum(out, np.repeat(means, size), out=out)
     return out
 
 

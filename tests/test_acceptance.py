@@ -38,7 +38,7 @@ from gnsparse.testfunctions import TestFunctionSpec, make_test_function
 
 from corpus import members
 from mollifier import BoundaryContaminationWarning, mollify
-from oracles import observation_bounds_report, resolved_k_min, star
+from oracles import BOUND_YOUNGS, modular_bound, observation_bounds_report, resolved_k_min, space_bound, star
 
 P = SpaceDescriptor.parse
 
@@ -156,48 +156,57 @@ def test_criterion_04_overlap_2d(corpus_2d):
 
 
 def test_criterion_05_operator_bounds(corpus_1024):
+    # the majorization certificate, then the L1 and Linf bounds it implies
     l1, linf = P("L:1"), P("L:inf")
+    worst = 0.0
     for name, (u, fam) in corpus_1024.items():
         grid = u.grid
         cells = fam.cells
         centers = grid.centers()
         for label, order in (("|u''|", 2), ("|u|", 0), ("1", None)):
             f = CellField(np.ones(len(centers)) if order is None else u.evaluate(centers, (order,))[0], grid.h)
+            tf = apply_sparse_operator(cells, f)
+            ratio, ok = operator_norm_check(cells, f, tf)
+            assert ok, f"{name} {label}: majorization ratio {ratio}"
+            worst = max(worst, ratio)
             for space in (l1, linf):
-                lhs, rhs, K, ok = operator_norm_check(space, cells, f, apply_sparse_operator(cells, f))
+                lhs, rhs, ok = space_bound(space, cells, f, tf)
                 assert ok, f"{name} {label} {space.format()}: {lhs} > {rhs}"
 
     # L1 equality witness: nested pair, input the inner indicator
     grid = Grid1D(0.0, 2.0, 512)
     nested = CellFamily.from_intervals([0.0, 0.0], [1.0, 2.0], grid)
     f = CellField((grid.centers() < 1.0).astype(float), grid.h)
-    lhs, rhs, K, ok = operator_norm_check(l1, nested, f, apply_sparse_operator(nested, f))
-    assert ok and K == 2
+    tf = apply_sparse_operator(nested, f)
+    assert operator_norm_check(nested, f, tf) == (1.0, True) and nested.max_overlap == 2
+    lhs, rhs, ok = space_bound(l1, nested, f, tf)
+    assert ok
     assert lhs == pytest.approx(rhs, rel=1e-12)
     criterion(
         5,
         True,
-        f"averaging operator bounded by K in L1 and Linf on all {len(corpus_1024)} families; "
-        f"L1 equality {lhs:.12f} = K||f||_1 on the nested-pair indicator",
+        f"int_0^t (Tf)* <= K int_0^t f* on all {len(corpus_1024)} families (worst ratio {worst:.6f}), "
+        f"so T is bounded by K in L1 and Linf; L1 equality {lhs:.12f} = K||f||_1 on the nested-pair indicator",
     )
 
 
 def test_criterion_06_modular_contraction(corpus_1024):
-    youngs = (
-        YoungFunction("pow", (Fraction(1),)),
-        YoungFunction("pow", (Fraction(3, 2),)),
-        YoungFunction("pow", (Fraction(2),)),
-        YoungFunction("pow", (Fraction(3),)),
-        YoungFunction("exp"),
-    )
+    # the certificate on |u|, then rho(Tu/K) <= rho(u) for five Young functions
     for name, (u, fam) in corpus_1024.items():
         cells = fam.cells
         f = CellField(u.evaluate(u.grid.centers(), (0,))[0], u.grid.h)
         tf = apply_sparse_operator(cells, f)
-        for young in youngs:
-            lhs, rhs, ok = modular_contraction_check(young, cells, f, tf)
-            assert ok, f"{name} {young.kind}: {lhs} > {rhs}"
-    criterion(6, True, f"rho(Tu/K) <= rho(u) for 5 Young functions on all {len(corpus_1024)} families")
+        ratio, ok = modular_contraction_check(cells, f, tf)
+        assert ok, f"{name}: majorization ratio {ratio}"
+        for young in BOUND_YOUNGS:
+            lhs, rhs, ok = modular_bound(young, cells, f, tf)
+            assert ok, f"{name} {young.describe()}: {lhs} > {rhs}"
+    criterion(
+        6,
+        True,
+        f"rho(Tu/K) <= rho(u) for every Young function, and directly for {len(BOUND_YOUNGS)}, "
+        f"on all {len(corpus_1024)} families",
+    )
 
 
 def test_criterion_07_norm_engine(corpus_1024):

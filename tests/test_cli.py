@@ -131,6 +131,28 @@ def test_spec_numbers_are_finite_and_windows_increase(tmp_path_factory, numbers,
         assert run_config(*argv).corpus["probe"].windows() == tuple(map(tuple, pairs))
 
 
+RADIAL_KEYS = dict(
+    family="smooth-bump", center="0.0, 0.0", window="-3.675, 3.675 ; -3.675, 3.675", layout="radial"
+)
+
+
+@pytest.mark.parametrize("width", ["3.5, 1.0", "3.5, 0.01", "1.0, 3.5"])
+def test_radial_spec_with_two_widths_is_a_config_error(tmp_path, capsys, width):
+    # a radial profile reads one width, so a second one would be ignored
+    # by the sample yet read by the 4h resolution check
+    config = write_config(tmp_path, probe_config(width=width, **RADIAL_KEYS))
+    assert main(["--config", config, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "radial spec has one width" in err
+    assert not (tmp_path / "report.csv").exists()
+
+
+@pytest.mark.parametrize("width", ["3.5, 3.5", "3.5"])
+def test_radial_spec_with_one_width_loads(tmp_path, width):
+    spec = run_config("--config", write_config(tmp_path, probe_config(width=width, **RADIAL_KEYS))).corpus["probe"]
+    assert spec.layout == "radial" and spec.widths() == (3.5, 3.5)
+
+
 class TestMaskEncoding:
     def test_round_trip_random_masks(self):
         rng = np.random.default_rng(3)
@@ -182,7 +204,7 @@ class TestReportFormats:
 
     def test_tolerance_note_reports_the_constants(self):
         assert tolerance_note() == (
-            "overlap<=3|5 pointwise<=128*(1+0.02) modular<=1+1e-06 gn-drift<=0.01"
+            "overlap<=3|5 pointwise<=128*(1+0.02) majorization<=1+1e-12 gn-drift<=0.01"
         )
 
     def test_text_report_structure(self, results):

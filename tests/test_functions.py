@@ -433,6 +433,14 @@ def test_unresolvable_width_rejected():
         make_test_function(spec, 64)
 
 
+def test_radial_spec_takes_one_width():
+    window = ((-3.675, 3.675), (-3.675, 3.675))
+    with pytest.raises(CorpusConfigError, match="radial spec has one width"):
+        TestFunctionSpec("smooth-bump", (0.0, 0.0), (3.5, 1.0), 1.0, 0.0, window, layout="radial")
+    # the product layout reads both widths
+    assert TestFunctionSpec("smooth-bump", (0.0, 0.0), (3.5, 1.0), 1.0, 0.0, window).widths() == (3.5, 1.0)
+
+
 def test_bump_support_must_fit_window():
     spec = TestFunctionSpec("smooth-bump", 0.0, 2.0, 1.0, 0.0, (-1.5, 1.5))
     with pytest.raises(CorpusConfigError):

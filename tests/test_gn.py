@@ -656,10 +656,9 @@ class TestRunCorpus:
         # the family's cells, which is the K the operator-norm check uses
         families, constants = record_families(monkeypatch), []
 
-        def check(space, cells, f, tf):
-            out = operator_norm_check(space, cells, f, tf)
-            constants.append(out[2])
-            return out
+        def check(cells, f, tf):
+            constants.append(cells.max_overlap)
+            return operator_norm_check(cells, f, tf)
 
         monkeypatch.setattr(gn_module, "operator_norm_check", check)
         cases = run_config().cases
@@ -670,8 +669,25 @@ class TestRunCorpus:
             result = run_case(case, CHECK_NAMES)
             assert result.passed, result.verdicts
             (family,) = families
-            assert len(constants) == 4
+            assert len(constants) == 2
             assert {result.overlap_max} == {family.cells.max_overlap} == set(constants), case.case_id()
+
+    def test_understated_constant_fails_every_default_1d_case(self, monkeypatch):
+        # with K lowered by one, int_0^t (T f)* <= K int_0^t f* breaks on
+        # every bundled 1D case, for |u''| (operator-norm) and |u| (modular)
+        def understated(*args, build=gn_module.build_family_1d):
+            family = build(*args)
+            family.cells.max_overlap -= 1
+            return family
+
+        monkeypatch.setattr(gn_module, "build_family_1d", understated)
+        cases = [case for case in run_config().cases if case.dim == 1]
+        assert len(cases) == 21
+        for case in cases:
+            verdicts = dict(run_case(case, ("operator-norm", "modular")).verdicts)
+            for name, label in (("operator-norm", "T|u''|"), ("modular", "T|u|")):
+                match = re.fullmatch(rf"fail: {re.escape(label)} majorization ratio (\S+) > 1\+1e-12", verdicts[name])
+                assert match and float(match[1]) > 1.4, (case.case_id(), verdicts[name])
 
     def test_zero_2d_function_passes_with_no_slab(self):
         # the zero function has no level to skip, so its empty family is no error

@@ -1,4 +1,5 @@
-"""Sparse averaging operator: rasterization, action, norm and modular checks."""
+"""Sparse averaging operator: rasterization, action, and the majorization
+certificate with the norm and modular bounds it implies."""
 
 import math
 import tracemalloc
@@ -11,10 +12,12 @@ from hypothesis import strategies as st
 
 from gnsparse.errors import EmptyRegionError
 from gnsparse.grid import Grid1D, Grid2D
-from gnsparse.norms import modular, space_norm
+from gnsparse.norms import modular
 from gnsparse.operator import (
+    MAJORIZATION_SLACK,
     CellFamily,
     apply_sparse_operator,
+    majorization_ratio,
     modular_contraction_check,
     operator_norm_check,
 )
@@ -23,7 +26,16 @@ from gnsparse.sparse1d import build_family_1d, default_k_min
 from gnsparse.spaces import SpaceDescriptor, YoungFunction
 from gnsparse.testfunctions import TestFunctionSpec, make_test_function
 
-from oracles import loop_counts, loop_interval_sets, loop_sparse_operator, sets_of
+from oracles import (
+    BOUND_SPACES,
+    dyadic_maximal_operator,
+    loop_counts,
+    loop_interval_sets,
+    loop_sparse_operator,
+    modular_bound,
+    sets_of,
+    space_bound,
+)
 
 
 def pair_family():
@@ -221,33 +233,97 @@ class TestApply:
             apply_sparse_operator(fam, CellField(np.ones(fam.n_cells + 1), grid.h))
 
 
+def single_set_indicator():
+    # T chi_P = chi_P for the one set P = (0, 1) on [0, 2], with K = 1
+    grid = Grid1D(0.0, 2.0, 512)
+    fam = CellFamily.from_intervals([0.0], [1.0], grid)
+    chi = np.zeros(fam.n_cells)
+    chi[sets_of(fam)[0]] = 1.0
+    return grid, fam, CellField(chi, grid.h)
+
+
+class TestMajorizationCertificate:
+    def test_equality_witnesses_read_exactly_one(self):
+        # int_0^t (Tf)* = K int_0^t f* at the end of the support: the
+        # nested pair on its inner indicator, one set on its own indicator,
+        # and one set over every cell on a constant field
+        grid, pair, inner = pair_family()
+        _, single, chi = single_set_indicator()
+        whole = CellFamily.from_intervals([0.0], [2.0], grid)
+        constant = CellField(np.full(whole.n_cells, 0.7), grid.h)
+        for fam, f in ((pair, inner), (single, chi), (whole, constant)):
+            tf = apply_sparse_operator(fam, f)
+            assert majorization_ratio(f, tf, fam.max_overlap) == 1.0
+            assert operator_norm_check(fam, f, tf) == (1.0, True)
+            assert modular_contraction_check(fam, f, tf) == (1.0, True)
+
+    def test_empty_family_reads_zero(self):
+        grid = Grid1D(0.0, 1.0, 8)
+        fam = CellFamily.from_intervals([], [], grid)
+        f = CellField(np.ones(8), grid.h)
+        assert majorization_ratio(f, apply_sparse_operator(fam, f), fam.max_overlap) == 0.0
+
+    def test_understated_constant_fails(self):
+        # K - 1 in place of K: the nested pair's indicator reads 2 / 1
+        grid, fam, f = pair_family()
+        tf = apply_sparse_operator(fam, f)
+        assert majorization_ratio(f, tf, fam.max_overlap - 1) == 2.0
+        fam.max_overlap -= 1
+        assert operator_norm_check(fam, f, tf) == (2.0, False)
+        assert modular_contraction_check(fam, f, tf) == (2.0, False)
+
+    def test_slack_is_the_only_cushion(self):
+        grid, fam, f = pair_family()
+        tf = apply_sparse_operator(fam, f)
+        over = CellField.of_nonnegative(tf.values * (1.0 + 4 * MAJORIZATION_SLACK), grid.h)
+        ratio, ok = operator_norm_check(fam, f, over)
+        assert not ok and ratio == pytest.approx(1.0 + 4 * MAJORIZATION_SLACK, rel=1e-15)
+
+    def test_ratio_is_the_cumulative_integral_ratio_at_every_break(self):
+        # the cell-boundary maximum equals the maximum over every break of
+        # both rearrangements, read from the CellField plateaus
+        grid, fam, _ = pair_family()
+        rng = np.random.default_rng(5)
+        f = CellField(np.round(rng.random(fam.n_cells), 1), grid.h)
+        tf = apply_sparse_operator(fam, f)
+        t = np.union1d(f.breaks, tf.breaks)[1:]
+        lhs = np.interp(t, tf.breaks, tf.cum_integral)
+        rhs = fam.max_overlap * np.interp(t, f.breaks, f.cum_integral)
+        assert majorization_ratio(f, tf, fam.max_overlap) == pytest.approx(float(np.max(lhs / rhs)), rel=1e-12)
+
+
 class TestOperatorNorm:
+    """A passing certificate, then each norm bound it implies, checked directly."""
+
     def test_l1_equality_at_overlap_constant(self):
         # ||Tf||_1 = sum over P of int_P |f| reaches K||f||_1 exactly when
         # every cell of supp f is covered K times
         grid, fam, f = pair_family()
         tf = apply_sparse_operator(fam, f)
-        lhs, rhs, K, ok = operator_norm_check(SpaceDescriptor.parse("L:1"), fam, f, tf)
-        assert ok and K == 2
+        assert operator_norm_check(fam, f, tf)[1] and fam.max_overlap == 2
+        lhs, rhs, ok = space_bound(SpaceDescriptor.parse("L:1"), fam, f, tf)
+        assert ok
         assert lhs == pytest.approx(2.0, rel=1e-12)
         assert rhs == pytest.approx(2.0, rel=1e-12)
 
     def test_sup_norm_bound(self):
         grid, fam, f = pair_family()
         tf = apply_sparse_operator(fam, f)
-        lhs, rhs, K, ok = operator_norm_check(SpaceDescriptor.parse("L:inf"), fam, f, tf)
+        lhs, rhs, ok = space_bound(SpaceDescriptor.parse("L:inf"), fam, f, tf)
         assert ok
         assert lhs == pytest.approx(1.5, rel=1e-12)
         assert rhs == pytest.approx(2.0, rel=1e-12)
 
-    @pytest.mark.parametrize("text", ["L:1", "L:2", "L:inf", "Lor:2,2", "Lor:3/2,1", "Orl:pow:2", "Orl:exp"])
-    def test_bound_across_spaces_random_input(self, text):
+    @pytest.mark.parametrize("space", BOUND_SPACES, ids=lambda space: space.format())
+    def test_bound_across_spaces_random_input(self, space):
         grid, fam, _ = pair_family()
         rng = np.random.default_rng(11)
         f = CellField(rng.normal(size=fam.n_cells), grid.h)
         tf = apply_sparse_operator(fam, f)
-        lhs, rhs, K, ok = operator_norm_check(SpaceDescriptor.parse(text), fam, f, tf)
-        assert ok, f"{text}: {lhs} > {K} * {rhs / max(K, 1)}"
+        ratio, ok = operator_norm_check(fam, f, tf)
+        assert ok and ratio <= 1.0
+        lhs, rhs, ok = space_bound(space, fam, f, tf)
+        assert ok, f"{space.format()}: {lhs} > {rhs}"
 
     def test_bound_on_built_sine_family(self):
         spec = TestFunctionSpec(
@@ -264,52 +340,80 @@ class TestOperatorNorm:
         assert fam.max_overlap <= 3
         f = CellField(u.center_values(2), u.grid.h)
         tf = apply_sparse_operator(fam, f)
+        assert operator_norm_check(fam, f, tf)[1]
         for text in ("L:1", "L:2", "Lor:2,2", "Orl:exp"):
-            lhs, rhs, K, ok = operator_norm_check(SpaceDescriptor.parse(text), fam, f, tf)
-            assert ok, text
+            assert space_bound(SpaceDescriptor.parse(text), fam, f, tf)[2], text
 
     def test_zero_input_vacuous(self):
         grid, fam, _ = pair_family()
         zero = CellField(np.zeros(fam.n_cells), grid.h)
         tzero = apply_sparse_operator(fam, zero)
-        lhs, rhs, K, ok = operator_norm_check(SpaceDescriptor.parse("L:2"), fam, zero, tzero)
-        assert ok and lhs == 0.0 and rhs == 0.0
+        # a zero field reads 0 and passes both checks
+        assert majorization_ratio(zero, tzero, fam.max_overlap) == 0.0
+        assert operator_norm_check(fam, zero, tzero) == (0.0, True)
+        assert modular_contraction_check(fam, zero, tzero) == (0.0, True)
+        assert space_bound(SpaceDescriptor.parse("L:2"), fam, zero, tzero) == (0.0, 0.0, True)
 
 
 class TestModularContraction:
+    """A passing certificate, then rho(T f / K) <= rho(f), checked directly."""
+
     def test_single_set_is_jensen(self):
         grid = Grid1D(0.0, 2.0, 512)
         fam = CellFamily.from_intervals([0.0], [2.0], grid)
         rng = np.random.default_rng(2)
         f = CellField(rng.normal(size=fam.n_cells), grid.h)
-        young = YoungFunction("pow", (Fraction(2),))
-        lhs, rhs, ok = modular_contraction_check(young, fam, f, apply_sparse_operator(fam, f))
+        tf = apply_sparse_operator(fam, f)
+        assert modular_contraction_check(fam, f, tf)[1]
+        lhs, rhs, ok = modular_bound(YoungFunction("pow", (Fraction(2),)), fam, f, tf)
         assert ok and lhs <= rhs
 
     def test_pair_family_exp_young(self):
         grid, fam, f = pair_family()
         f2 = CellField(2.0 * f.values, grid.h)
-        lhs, rhs, ok = modular_contraction_check(YoungFunction("exp"), fam, f2, apply_sparse_operator(fam, f2))
-        assert ok
+        tf = apply_sparse_operator(fam, f2)
+        assert modular_contraction_check(fam, f2, tf)[1]
+        assert modular_bound(YoungFunction("exp"), fam, f2, tf)[2]
 
     def test_scale_by_overlap_is_required(self):
-        # without dividing by K the modular genuinely grows: the check
+        # without dividing by K the modular genuinely grows: the bound
         # compares rho(Tf/K), not rho(Tf)
         grid, fam, f = pair_family()
         young = YoungFunction("pow", (Fraction(2),))
-        K = fam.max_overlap
         tf = apply_sparse_operator(fam, f)
         assert modular(young, tf) > modular(young, f)
-        lhs, rhs, ok = modular_contraction_check(young, fam, f, tf)
+        assert modular_contraction_check(fam, f, tf)[1]
+        lhs, rhs, ok = modular_bound(young, fam, f, tf)
         assert ok and lhs <= rhs
 
     def test_indicator_equality(self):
         # Tf = f for the indicator of a single set: contraction is equality
-        grid = Grid1D(0.0, 2.0, 512)
-        fam = CellFamily.from_intervals([0.0], [1.0], grid)
-        chi = np.zeros(fam.n_cells)
-        chi[sets_of(fam)[0]] = 1.0
-        chi = CellField(chi, grid.h)
-        lhs, rhs, ok = modular_contraction_check(YoungFunction("exp"), fam, chi, apply_sparse_operator(fam, chi))
+        _, fam, chi = single_set_indicator()
+        tf = apply_sparse_operator(fam, chi)
+        assert modular_contraction_check(fam, chi, tf) == (1.0, True)
+        lhs, rhs, ok = modular_bound(YoungFunction("exp"), fam, chi, tf)
         assert ok
         assert lhs == pytest.approx(rhs, rel=1e-12)
+
+
+def test_dyadic_maximal_operator_of_a_spike():
+    # the dyadic blocks holding cell 0 have sizes 1, 2, 4 and 8
+    assert dyadic_maximal_operator([-8.0, 0, 0, 0, 0, 0, 0, 0]).tolist() == [8, 4, 2, 2, 1, 1, 1, 1]
+    with pytest.raises(ValueError, match="power of 2"):
+        dyadic_maximal_operator(np.ones(6))
+
+
+def test_maximal_operator_grows_where_the_averaging_operator_stays_bounded():
+    # T is bounded by K on every r.i. space, L1 included; the dyadic maximal
+    # operator M is not bounded on L1.  On |u''| of a bump of width w, T's
+    # certificate stays at most 1 while M's ratio (K = 1) grows like log(1/w)
+    t_ratios, m_ratios = [], []
+    for w in (0.4, 0.1, 0.025, 0.00625):
+        spec = TestFunctionSpec("smooth-bump", 0.0, w, 1.0, 0.0, (-1.5, 1.5))
+        u = make_test_function(spec, round(1024 * 0.4 / w))
+        cells = build_family_1d(u, default_k_min(u)).cells
+        f = CellField(u.center_values(2), u.grid.h)
+        t_ratios.append(operator_norm_check(cells, f, apply_sparse_operator(cells, f))[0])
+        m_ratios.append(majorization_ratio(f, CellField.of_nonnegative(dyadic_maximal_operator(f.values), u.grid.h), 1))
+    assert max(t_ratios) <= 1.0
+    assert all(b - a >= 0.9 for a, b in zip(m_ratios, m_ratios[1:])), m_ratios

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from gnsparse import sparse1d
 from gnsparse.errors import ConstructionError, CorpusConfigError, EmptyRegionError
-from gnsparse.gn import MODULAR_YOUNGS
 from gnsparse.grid import Grid1D, GridFunction1D, interval_integrals
 from gnsparse.operator import (
     apply_sparse_operator,
@@ -35,12 +34,15 @@ from gnsparse.testfunctions import TestFunctionSpec, make_test_function
 
 from corpus import member, members
 from oracles import (
+    BOUND_YOUNGS,
     factorized_bounds_report,
     interval_table,
     loop_pointwise_1d,
+    modular_bound,
     nonzero_seeded_runs,
     observation_bounds_report,
     resolved_k_min,
+    space_bound,
 )
 
 
@@ -653,15 +655,20 @@ def test_random_families_match_oracle_and_cover(u):
 @settings(max_examples=30, derandomize=True, deadline=None, database=None)
 @given(localized_functions())
 def test_random_families_bound_the_operator(u):
-    # ||T|f|||_X <= K ||f||_X for |u''| and |u|, and rho(T|u|/K) <= rho(|u|)
+    # int_0^t (T f)* <= K int_0^t f* for |u''| and |u|, and the bounds it
+    # implies: ||T f||_X <= K ||f||_X, and rho(T|u|/K) <= rho(|u|)
     cells = build_allowing_exits(u).cells
     f0, f2 = (CellField(u.center_values(m), u.grid.h) for m in (0, 2))
     t0, t2 = apply_sparse_operator(cells, f0), apply_sparse_operator(cells, f2)
+    for f, tf in ((f2, t2), (f0, t0)):
+        ratio, ok = operator_norm_check(cells, f, tf)
+        assert ok, f"majorization ratio {ratio!r}"
+    assert modular_contraction_check(cells, f0, t0)[1]
     for text in ("L:1", "L:inf", "Lor:3/2,2", "Orl:pow:2"):
         space = SpaceDescriptor.parse(text)
         for f, tf in ((f2, t2), (f0, t0)):
-            lhs, rhs, _, ok = operator_norm_check(space, cells, f, tf)
+            lhs, rhs, ok = space_bound(space, cells, f, tf)
             assert ok, f"{text}: {lhs!r} > {rhs!r}"
-    for young in MODULAR_YOUNGS:
-        lhs, rhs, ok = modular_contraction_check(young, cells, f0, t0)
+    for young in BOUND_YOUNGS:
+        lhs, rhs, ok = modular_bound(young, cells, f0, t0)
         assert ok, f"{young.describe()}: {lhs!r} > {rhs!r}"
