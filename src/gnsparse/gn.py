@@ -9,11 +9,11 @@ with Z = X^(j/k) Y^(1-j/k) the Calderon-Lozanovskii product of the two
 spaces.  gn_ratio measures the three norms on one test function and
 reports the empirical ratio, a lower witness for the best constant.
 first_order_chain_check walks the sparse-averaging route to the
-(j, k) = (1, 2) case link by link.  induction_identity_check covers the
-exponent algebra that reduces higher orders to that case, through the
-cl_combine rules of gnsparse.spaces, and run_corpus drives everything over
-a case list, attaching structural verdicts from the sparse construction
-itself.
+(j, k) = (1, 2) case link by link, on a case's own family and fields.
+induction_identity_check covers the exponent algebra that reduces higher
+orders to that case, through the cl_combine rules of gnsparse.spaces, and
+run_corpus drives everything over a case list, attaching structural
+verdicts from the sparse construction itself.
 """
 
 from __future__ import annotations
@@ -87,6 +87,8 @@ class GNCase:
             )
         if self.n < 8:
             raise AdmissibilityError(f"resolution {self.n} is too small to mean anything")
+        if self.dim == 2 and self.spec.layout == "radial" and self.mode == "gradient" and self.k == 3:
+            raise AdmissibilityError("a radial function has no mixed third partials for k = 3 gradient mode")
 
     @property
     def dim(self) -> int:
@@ -246,7 +248,7 @@ class ChainReport:
         raise KeyError(name)
 
 
-def first_order_chain_check(u, x_space: SpaceDescriptor, y_space: SpaceDescriptor) -> ChainReport:
+def first_order_chain_check(u, fields, x_space: SpaceDescriptor, y_space: SpaceDescriptor) -> ChainReport:
     """||u' chi_cov||_Z <= sqrt(128) K ||u''||_X^(1/2) ||u||_Y^(1/2), link by link.
 
     With T the sparse averaging operator of the escape-interval family and
@@ -259,14 +261,15 @@ def first_order_chain_check(u, x_space: SpaceDescriptor, y_space: SpaceDescripto
       (3) operator-x / operator-y:  ||T f||_X <= K ||f||_X and likewise in Y;
       (4) end-to-end: the composition of the three.
 
-    Discrete cell means stand in for exact interval averages, so the two
-    pointwise-based links carry a 2% cushion.  Z is X^(1/2) Y^(1/2).
+    ``fields`` is (cells, |u|, |u''|, T|u|, T|u''|) on u's family, as a
+    case's ``_CaseRun.fields`` builds them.  Discrete cell means stand in
+    for exact interval averages, so the two pointwise-based links carry a
+    2% cushion.  Z is X^(1/2) Y^(1/2).
     """
     if u.dim != 1:
         raise ConstructionError("the chained first-order route runs on 1D functions")
     z_space = cl_combine(x_space, y_space, Fraction(1, 2))
-    family = build_family_1d(u, default_k_min(u))
-    cells, f0, f2, t0, t2 = _cells_and_fields(family, _fields_of(u, u.center_values))
+    cells, f0, f2, t0, t2 = fields
     covered = cells.counts > 0
     geo = CellField(np.sqrt(t2.values * t0.values), u.cell_measure)
     lhs_field = CellField(np.where(covered, u.center_values(1), 0.0), u.cell_measure)
@@ -366,13 +369,6 @@ class CaseResult:
         return None
 
 
-def _cells_and_fields(family, field):
-    """The family's cells, the fields |u| and |u''| at cell centers as
-    ``field(order)`` gives them, and T|u|, T|u''|."""
-    cells, f0, f2 = family.cells, field(0), field(2)
-    return cells, f0, f2, apply_sparse_operator(cells, f0), apply_sparse_operator(cells, f2)
-
-
 def _built_once(build):
     """A read-only property that runs ``build`` on its first read and keeps
     what it returns, or the GnsparseError it raises: a failed build is
@@ -393,36 +389,27 @@ def _built_once(build):
     return property(read, doc=build.__doc__)
 
 
+def _certified(label: str, certificate) -> str:
+    """The verdict of a (ratio, ok) majorization certificate of T f, f = ``label``."""
+    ratio, ok = certificate
+    return "pass" if ok else f"fail: T{label} majorization ratio {ratio!r} > 1+{MAJORIZATION_SLACK!r}"
+
+
 @dataclass
 class _CaseRun:
-    """One method per name in CHECK_NAMES, each returning its verdict; the sample
-    at case.n, its fields, the family and the averaged fields are built on
-    first read.  ``checks`` are the selected names: the sample evaluates
-    every center field they read in one pass."""
+    """One method per name in CHECK_NAMES, each returning its verdict.  The
+    sample at case.n, the family, the averaged fields and the certificate of
+    T|u| are built once, on first read: ``operator-norm`` and ``modular``
+    read the one |u| certificate, and the chain check takes ``fields``."""
 
     case: GNCase
     result: CaseResult
     inductions: dict
-    checks: tuple
     built: dict = field(default_factory=dict)
 
     @_built_once
     def u(self):
-        u = make_test_function(self.case.spec, self.case.n, axis=self.case.axis)
-        u.keep_centers(self.center_orders())
-        return u
-
-    def center_orders(self) -> set:
-        """The orders of u's own center fields that the selected checks read:
-        the GN ratio's three, |u| and |u''| for T, and in 2D 0, 1 and 2 for
-        the family build and its verification."""
-        checks = set(self.checks)
-        orders = {0, self.case.j, self.case.k} if "gn" in checks else set()
-        if checks & {"operator-norm", "modular"}:
-            orders |= {0, 2}
-        if self.case.dim == 2 and checks & {"overlap", "pointwise", "operator-norm", "modular"}:
-            orders |= {0, 1, 2}
-        return orders
+        return make_test_function(self.case.spec, self.case.n, axis=self.case.axis)
 
     @_built_once
     def family(self):
@@ -438,9 +425,12 @@ class _CaseRun:
         return family
 
     def field(self, order: int) -> CellField:
-        """|u^(order)| at the cell centers at case.n.  Orders 0 and 2, which
-        the operator checks and the GN ratio both read, are built once and
-        kept; another order has one reader and is not kept."""
+        """|u^(order)| at the cell centers at case.n.  The first read keeps
+        u's center fields of the case's orders 0, 2, j and k, from one
+        evaluator pass.  Orders 0 and 2, which the operator checks and the
+        GN ratio both read, are built once and kept; another order has one
+        reader and is not kept."""
+        self.u.keep_centers((0, 2, self.case.j, self.case.k))
         build = _fields_of(self.u, self.u.center_values)
         if order not in (0, 2):
             return build(order)
@@ -451,7 +441,15 @@ class _CaseRun:
 
     @_built_once
     def fields(self):
-        return _cells_and_fields(self.family, self.field)
+        """The family's cells, |u| and |u''| at the cell centers, and T|u|, T|u''|."""
+        cells, f0, f2 = self.family.cells, self.field(0), self.field(2)
+        return cells, f0, f2, apply_sparse_operator(cells, f0), apply_sparse_operator(cells, f2)
+
+    @_built_once
+    def u_certificate(self):
+        """(ratio, ok) of the majorization of T|u| by K|u|."""
+        cells, f0, _, t0, _ = self.fields
+        return modular_contraction_check(cells, f0, t0)
 
     def overlap(self) -> str:
         """Every cell lies in at most 3 intervals (1D) or 5 slabs (2D) of the family."""
@@ -477,19 +475,14 @@ class _CaseRun:
     def operator_norm(self) -> str:
         """||T f||_X <= K ||f||_X in every r.i. space X for f = |u''| and |u|:
         int_0^t (T f)* <= K int_0^t f* at every t."""
-        cells, f0, f2, t0, t2 = self.fields
-        for label, vec, tf in (("|u''|", f2, t2), ("|u|", f0, t0)):
-            ratio, ok = operator_norm_check(cells, vec, tf)
-            if not ok:
-                return f"fail: T{label} majorization ratio {ratio!r} > 1+{MAJORIZATION_SLACK!r}"
-        return "pass"
+        cells, _, f2, _, t2 = self.fields
+        verdict = _certified("|u''|", operator_norm_check(cells, f2, t2))
+        return verdict if verdict != "pass" else _certified("|u|", self.u_certificate)
 
     def modular(self) -> str:
         """rho(T|u| / K) <= rho(|u|) for every Young function rho, by the
-        majorization of T|u| by K|u|."""
-        cells, f0, _, t0, _ = self.fields
-        ratio, ok = modular_contraction_check(cells, f0, t0)
-        return "pass" if ok else f"fail: T|u| majorization ratio {ratio!r} > 1+{MAJORIZATION_SLACK!r}"
+        majorization of T|u| by K|u|: the certificate operator-norm reads."""
+        return _certified("|u|", self.u_certificate)
 
     def gn(self) -> str:
         """The GN ratio is finite and moves at most 1% from n to 2n (``report.stable``)."""
@@ -531,7 +524,7 @@ def run_case(case: GNCase, checks, inductions=None) -> CaseResult:
     """
     selected = [c for c in CHECK_NAMES if c in checks]
     result = CaseResult(case=case, z_text="", verdicts=())
-    run = _CaseRun(case, result, {} if inductions is None else inductions, tuple(selected))
+    run = _CaseRun(case, result, {} if inductions is None else inductions)
     try:
         result.z_text = case.z_space.format()
     except GnsparseError as exc:

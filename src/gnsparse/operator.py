@@ -8,7 +8,9 @@ center-in-open-set rule, once per build, and keep the result as
 constant K act on those cell sets.  T maps a CellField (which carries the
 cell measure) to a CellField.  T's matrix sum_P |P|^-1 chi_P chi_P^T is
 symmetric and nonnegative with row sums at most K, so T / K is doubly
-substochastic: int_0^t (T f)* <= K int_0^t f* for every t.
+substochastic: int_0^t (T f)* <= K int_0^t f* for every t.  That one
+certificate bounds T in every r.i. space and contracts every modular, so
+``modular_contraction_check`` is ``operator_norm_check`` by another name.
 """
 
 from __future__ import annotations
@@ -120,16 +122,13 @@ def majorization_ratio(f: CellField, tf: CellField, K: int) -> float:
 
 
 def operator_norm_check(family: CellFamily, f: CellField, tf: CellField):
-    """||T f||_X <= K ||f||_X in every r.i. space X (Calderon; Bennett-Sharpley,
-    Interpolation of Operators, 1988, ch. 2-3), certified by majorization.
-    ``tf`` is T f on the family's cells; returns (ratio, ok)."""
+    """The majorization certificate of T f by K f, as (ratio, ok).  It is
+    ||T f||_X <= K ||f||_X in every r.i. space X (Calderon; Bennett-Sharpley,
+    Interpolation of Operators, 1988, ch. 2-3), and rho(T f / K) <= rho(f)
+    for every Young function rho (Hardy-Littlewood-Polya): one ratio
+    certifies both.  ``tf`` is T f on the family's cells."""
     ratio = majorization_ratio(f, tf, family.max_overlap)
     return ratio, ratio <= 1.0 + MAJORIZATION_SLACK
 
 
-def modular_contraction_check(family: CellFamily, f: CellField, tf: CellField):
-    """rho(T f / K) <= rho(f) for every Young function rho, by
-    Hardy-Littlewood-Polya, certified by majorization.  ``tf`` is T f on the
-    family's cells; returns (ratio, ok)."""
-    ratio = majorization_ratio(f, tf, family.max_overlap)
-    return ratio, ratio <= 1.0 + MAJORIZATION_SLACK
+modular_contraction_check = operator_norm_check  # the same certificate, read for the modular claim

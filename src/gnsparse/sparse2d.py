@@ -246,7 +246,7 @@ def build_family_2d(u) -> SparseFamily2D:
     sups = u.sup_norm((0, 1, 2))  # u, d1 u, d1^2 u on the fixed fine probe
     _check_compact_support(u, sups[0])
 
-    d1c = u.center_values(1)
+    d1c = _field_lattices(u)[1]  # the thickness scan reads all three fields
 
     # canonical orientation: one row per grid line along the axis
     lines = d1c.T if axis == 1 else d1c

@@ -26,7 +26,8 @@ product evaluator also carries its two 1D factors, ``evaluate.factors``,
 and a compact radial one its profile jet and width, ``evaluate.profile``.
 
 A spec refuses numbers that are not finite, a window that does not
-increase and a radial spec with two different widths when it is built.
+increase, a radial spec with two different widths, and a 1D spec with a
+second center or width or a radial layout, when it is built.
 ``make_test_function(spec, n, axis)`` samples it on the grid of n cells
 per axis over its own window.
 """
@@ -51,7 +52,7 @@ _HALF_PI = 0.5 * np.pi
 class TestFunctionSpec:
     """Parameters of one corpus member; ``window`` decides the dimension.
 
-    1D: center/width are floats and window is (a, b).
+    1D: center/width are floats, window is (a, b) and layout is product.
     2D: center/width are pairs, window is ((ax, bx), (ay, by)) and ``layout``
     selects product or radial structure (radial takes one width).
     """
@@ -85,6 +86,10 @@ class TestFunctionSpec:
                 raise CorpusConfigError(f"window {self.window!r} is not a finite increasing pair")
         if self.dim == 2 and self.layout == "radial" and len(set(self.widths())) > 1:
             raise CorpusConfigError(f"a radial spec has one width, got {self.width!r}")
+        pairs = [key for key in ("center", "width") if isinstance(getattr(self, key), (tuple, list))]
+        if self.dim == 1 and (pairs or self.layout == "radial"):
+            got = f"{pairs[0]} {getattr(self, pairs[0])!r}" if pairs else "layout 'radial'"
+            raise CorpusConfigError(f"a 1D spec takes one center, one width and the product layout, got {got}")
 
     @property
     def dim(self) -> int:

@@ -36,7 +36,7 @@ from gnsparse.sparse1d import (
 from gnsparse.sparse2d import build_family_2d, verify_family_2d
 from gnsparse.testfunctions import TestFunctionSpec, make_test_function
 
-from corpus import members
+from corpus import case_run, members
 from mollifier import BoundaryContaminationWarning, mollify
 from oracles import BOUND_YOUNGS, modular_bound, observation_bounds_report, resolved_k_min, space_bound, star
 
@@ -262,12 +262,13 @@ def test_criterion_09_gn_l1_headline():
     bump = TestFunctionSpec(
         family="smooth-bump", center=0.0, width=1.0, amplitude=1.0, window=(-1.5, 1.5), name="headline"
     )
-    report = gn_ratio(GNCase(spec=bump, j=1, k=2, x_space=P("L:1"), y_space=P("L:1"), n=1024))
+    case = GNCase(spec=bump, j=1, k=2, x_space=P("L:1"), y_space=P("L:1"), n=1024)
+    report = gn_ratio(case)
     assert math.isfinite(report.ratio) and report.ratio > 0.0
     assert report.drift <= 0.01 and report.stable
 
-    u = make_test_function(bump, 1024)
-    chain = first_order_chain_check(u, P("L:1"), P("L:1"))
+    run = case_run(case)
+    chain = first_order_chain_check(run.u, run.fields, P("L:1"), P("L:1"))
     assert chain.ok, [link.name for link in chain.links if not link.ok]
     criterion(
         9,

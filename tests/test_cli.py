@@ -94,8 +94,8 @@ def probe_config(**keys):
 @st.composite
 def probe_numbers(draw):
     """The numeric keys of a 1D or 2D function: a set of keys that may draw
-    nan or an infinity, finite floats for the others, and window pairs in
-    either order."""
+    nan or an infinity, finite floats for the others, one or two centers and
+    widths whatever the dimension, and window pairs in either order."""
     dim = draw(st.sampled_from([1, 2]))
     finite = st.floats(allow_nan=False, allow_infinity=False)
     open_keys = draw(st.sets(st.sampled_from(["center", "width", "amplitude", "frequency", "window"])))
@@ -104,7 +104,7 @@ def probe_numbers(draw):
         number = st.one_of(finite, st.sampled_from([math.nan, math.inf, -math.inf])) if key in open_keys else finite
         return [draw(number) for _ in range(count)]
 
-    values = {key: numbers(key, dim) for key in ("center", "width")}
+    values = {key: numbers(key, draw(st.sampled_from([1, 2]))) for key in ("center", "width")}
     values.update({key: numbers(key, 1) for key in ("amplitude", "frequency")})
     values["window"] = [numbers("window", 2) for _ in range(dim)]
     return values
@@ -113,9 +113,10 @@ def probe_numbers(draw):
 @settings(max_examples=80, derandomize=True, deadline=None, database=None)
 @given(probe_numbers(), st.sampled_from(["gaussian", "sine-window", "modulated-bump"]))
 def test_spec_numbers_are_finite_and_windows_increase(tmp_path_factory, numbers, family):
-    # a nan center or width samples u = 0, which passes every verdict; the
-    # config is refused exactly when a number is not finite or a window
-    # does not increase
+    # a nan center or width samples u = 0, which passes every verdict, and
+    # a 1D function would ignore a second center or width; the config is
+    # refused exactly when a number is not finite, a window does not
+    # increase or a 1D function has two centers or widths
     keys = {key: ", ".join(map(repr, numbers[key])) for key in ("center", "width", "amplitude", "frequency")}
     keys["window"] = "; ".join(f"{a!r}, {b!r}" for a, b in numbers["window"])
     path = tmp_path_factory.mktemp("probe") / "probe.cfg"
@@ -123,6 +124,7 @@ def test_spec_numbers_are_finite_and_windows_increase(tmp_path_factory, numbers,
     pairs = numbers["window"]
     flat = [x for key in ("center", "width", "amplitude", "frequency") for x in numbers[key]] + sum(pairs, [])
     refused = not all(map(math.isfinite, flat)) or not all(a < b for a, b in pairs)
+    refused |= len(pairs) == 1 and max(len(numbers["center"]), len(numbers["width"])) == 2
     argv = ["--config", str(path)]
     if refused:
         with pytest.raises(ConfigError, match="function 'probe'"):
@@ -151,6 +153,41 @@ def test_radial_spec_with_two_widths_is_a_config_error(tmp_path, capsys, width):
 def test_radial_spec_with_one_width_loads(tmp_path, width):
     spec = run_config("--config", write_config(tmp_path, probe_config(width=width, **RADIAL_KEYS))).corpus["probe"]
     assert spec.layout == "radial" and spec.widths() == (3.5, 3.5)
+
+
+def test_1d_spec_with_a_radial_layout_is_a_config_error(tmp_path, capsys):
+    # a 1D function has no radius; the layout would be ignored
+    config = write_config(tmp_path, probe_config(layout="radial"))
+    assert main(["--config", config, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "function 'probe': a 1D spec takes one center, one width and the product layout" in err
+    assert "got layout 'radial'" in err
+
+
+def radial_third_order_config(mode, j=1):
+    lines = "".join(f"{key} = {value}\n" for key, value in dict(RADIAL_KEYS, width="3.5").items())
+    return (
+        f"[run]\nresolution-2d = 64\nchecks = {', '.join(CHECK_NAMES)}\n\n[function:disc]\n{lines}\n"
+        f"[case:third]\nfunction = disc\nj = {j}\nk = 3\nmode = {mode}\nX = L:2\nY = L:2\n"
+    )
+
+
+@pytest.mark.parametrize("j", [1, 2])
+def test_radial_third_order_gradient_case_is_a_config_error(tmp_path, capsys, j):
+    # k = 3 gradient mode sums the mixed partials (1,2) and (2,1), which the
+    # radial evaluator does not have: the case is refused when it is built,
+    # not stopped mid-run as an internal error with no report
+    config = write_config(tmp_path, radial_third_order_config("gradient", j))
+    assert main(["--config", config, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error: case 'third'" in err and "mixed third partials" in err
+    assert not (tmp_path / "report.csv").exists()
+
+
+@pytest.mark.parametrize("mode", ["pure", "pure-sum"])
+def test_radial_third_order_pure_cases_load(tmp_path, mode):
+    (case,) = run_config("--config", write_config(tmp_path, radial_third_order_config(mode))).cases
+    assert (case.spec.layout, case.mode, case.k) == ("radial", mode, 3)
 
 
 class TestMaskEncoding:

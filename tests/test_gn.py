@@ -32,12 +32,12 @@ from gnsparse.gn import (
     run_case,
     run_corpus,
 )
-from gnsparse.operator import CellFamily, apply_sparse_operator, operator_norm_check
+from gnsparse.operator import CellFamily, apply_sparse_operator, majorization_ratio, operator_norm_check
 from gnsparse.rearrangement import CellField
 from gnsparse.spaces import SpaceDescriptor, cl_combine
 from gnsparse.testfunctions import TestFunctionSpec, make_test_function
 
-from corpus import member, members, run_config
+from corpus import case_run, member, members, run_config
 
 P = SpaceDescriptor.parse
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -238,8 +238,8 @@ class TestGNRatio:
 
 class TestFirstOrderChain:
     def test_chain_links_on_the_bump(self):
-        u = make_test_function(BUMP, 512)
-        report = first_order_chain_check(u, P("L:1"), P("L:1"))
+        run = case_run(case_1d(BUMP, "L:1", "L:1", n=512))
+        report = first_order_chain_check(run.u, run.fields, P("L:1"), P("L:1"))
         names = [link.name for link in report.links]
         assert names == ["pointwise-to-norm", "factorization", "operator-x", "operator-y", "end-to-end"]
         for link in report.links:
@@ -250,15 +250,26 @@ class TestFirstOrderChain:
 
     @pytest.mark.parametrize("spec", members(1), ids=lambda s: s.name)
     def test_chain_holds_across_the_corpus(self, spec):
-        u = make_test_function(spec, 512)
-        report = first_order_chain_check(u, P("L:2"), P("L:1"))
+        run = case_run(case_1d(spec, "L:2", "L:1", n=512))
+        report = first_order_chain_check(run.u, run.fields, P("L:2"), P("L:1"))
         assert report.ok, [l.name for l in report.links if not l.ok]
 
     def test_chain_rejects_2d_input(self):
         spec = member("p1")
         u = make_test_function(spec, 64)
         with pytest.raises(ConstructionError):
-            first_order_chain_check(u, P("L:1"), P("L:1"))
+            first_order_chain_check(u, (), P("L:1"), P("L:1"))
+
+    def test_case_and_its_chain_build_one_family(self, monkeypatch):
+        # the chain reads the case's fields, so the family behind the
+        # case's verdicts is the one it walks
+        families = record_families(monkeypatch)
+        run = case_run(case_1d(BUMP, "L:1", "L:1", n=512))
+        for name in CHECK_NAMES:
+            assert getattr(run, name.replace("-", "_"))() == "pass", name
+        report = first_order_chain_check(run.u, run.fields, P("L:1"), P("L:1"))
+        assert report.ok and len(families) == 1
+        assert report.overlap == families[0].cells.max_overlap
 
 
 class TestLorentzParameterSolve:
@@ -653,14 +664,16 @@ class TestRunCorpus:
 
     def test_default_suite_overlap_is_the_operator_constant(self, monkeypatch):
         # on every bundled case the reported overlap-max is the overlap of
-        # the family's cells, which is the K the operator-norm check uses
-        families, constants = record_families(monkeypatch), []
+        # the family's cells, which is the K both certificates use: |u''|
+        # through operator_norm_check, |u| through modular_contraction_check
+        families, constants = record_families(monkeypatch), Counter()
+        for name in ("operator_norm_check", "modular_contraction_check"):
 
-        def check(cells, f, tf):
-            constants.append(cells.max_overlap)
-            return operator_norm_check(cells, f, tf)
+            def check(cells, f, tf, name=name):
+                constants[name, cells.max_overlap] += 1
+                return operator_norm_check(cells, f, tf)
 
-        monkeypatch.setattr(gn_module, "operator_norm_check", check)
+            monkeypatch.setattr(gn_module, name, check)
         cases = run_config().cases
         assert len(cases) == 27
         for case in cases:
@@ -669,8 +682,24 @@ class TestRunCorpus:
             result = run_case(case, CHECK_NAMES)
             assert result.passed, result.verdicts
             (family,) = families
-            assert len(constants) == 2
-            assert {result.overlap_max} == {family.cells.max_overlap} == set(constants), case.case_id()
+            K = family.cells.max_overlap
+            assert result.overlap_max == K, case.case_id()
+            assert constants == {("operator_norm_check", K): 1, ("modular_contraction_check", K): 1}
+
+    def test_both_majorization_verdicts_read_one_u_certificate(self, monkeypatch):
+        # operator-norm certifies |u''| and |u|, modular |u|: the |u|
+        # majorization is made once and both verdicts read it
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return majorization_ratio(*args)
+
+        monkeypatch.setattr(operator_module, "majorization_ratio", counted)
+        for case in (case_1d(BUMP, "L:1", "L:1"), default_case(2)):
+            calls.clear()
+            assert run_case(case, CHECK_NAMES).passed
+            assert len(calls) == 2
 
     def test_understated_constant_fails_every_default_1d_case(self, monkeypatch):
         # with K lowered by one, int_0^t (T f)* <= K int_0^t f* breaks on
