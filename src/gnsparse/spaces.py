@@ -17,7 +17,7 @@ indices for Lebesgue and Lorentz, and the inverse-factor product for
 Orlicz, where the combined Young function psi satisfies
 psi^{-1} = (phi_X^{-1})^theta (phi_Y^{-1})^{1-theta}.
 A combined function is kept as a flat product of non-combined leaves with
-exact weights; cl_combine builds each distinct product once, and, a
+exact weights; cl_combine builds it from its two factors, and, a
 product of Young functions being one, never checks it numerically.  Two
 descriptors are equal when their kinds, indices and Young-function keys
 are, exactly.
@@ -443,23 +443,17 @@ class SpaceDescriptor:
         return hash(self._identity())
 
 
-# the combined Young functions cl_combine has built, by ordered flat form
-_COMBINED: dict = {}
-
-
 def cl_combine(x: SpaceDescriptor, y: SpaceDescriptor, theta: Fraction) -> SpaceDescriptor:
     """The space Z with Z = X^theta Y^(1-theta) in the Calderon product sense.
 
     Only like kinds combine; mixing kinds raises AdmissibilityError.  Two
     Orlicz spaces whose Young functions have the same ``key`` give X
     itself, by the identity X^theta X^(1-theta) = X; no combined Young
-    function is built for them.  A combined Young function is built once
-    per ordered flat form (leaf keys and exact weights, in the order the
-    factors give them) in a process and kept in ``_COMBINED``, so its text
-    follows its own factors whatever was built before, and a nested
-    product such as
-    X^b (X^a Y^(1-a))^(1-b) returns the object built for
-    X^(b+a(1-b)) Y^((1-a)(1-b)).  It is not checked numerically: psi^{-1}
+    function is built for them.  Any other pair builds its combined Young
+    function afresh.  That function is kept flat, so its text follows its
+    own factors, and a nested product such as X^b (X^a Y^(1-a))^(1-b)
+    equals, and reads as, X^(b+a(1-b)) Y^((1-a)(1-b)), since descriptors
+    compare by key.  It is not checked numerically: psi^{-1}
     is a weighted geometric mean of concave increasing functions, so it is
     concave and psi is a Young function (Lozanovskii; Maligranda, Orlicz
     Spaces and Interpolation, 1989).  Building one solves nothing.
@@ -488,7 +482,4 @@ def cl_combine(x: SpaceDescriptor, y: SpaceDescriptor, theta: Fraction) -> Space
         return SpaceDescriptor("orlicz", young=yb)
     if theta == 1:
         return SpaceDescriptor("orlicz", young=ya)
-    key = tuple((leaf.key, w) for leaf, w in _product_leaves(ya, yb, theta))
-    if key not in _COMBINED:
-        _COMBINED[key] = YoungFunction("combined", factors=(ya, yb), theta=theta)
-    return SpaceDescriptor("orlicz", young=_COMBINED[key])
+    return SpaceDescriptor("orlicz", young=YoungFunction("combined", factors=(ya, yb), theta=theta))

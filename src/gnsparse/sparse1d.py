@@ -2,7 +2,10 @@
 
 For each sign s and level k, the nodes with 2^(k-1) <= s*u' < 2^k seed
 maximal open intervals on which s*u' stays inside the widened band
-[2^(k-2), 2^(k+1)).  Such an interval is fixed by the maximal run of
+[2^(k-2), 2^(k+1)).  The level of a positive value is its binary exponent,
+so the builds read one integer level map (:func:`levels_of`) and every band
+test is an integer comparison: the own band is level == k, the widened band
+|level - k| <= 1.  Such an interval is fixed by the maximal run of
 consecutive in-band nodes that holds its seed: each end lies between the
 run's outermost node and the out-of-band node next to it, where it is found
 by bisection.  So within one (k, sign) the intervals are disjoint, one per
@@ -33,6 +36,7 @@ BISECT_TOL_FACTOR = 1e-3  # endpoint tolerance, in grid steps
 OVERLAP_LIMIT_1D = 3  # intervals of three adjacent levels at most cover a point
 POINTWISE_SLACK = 0.02  # quadrature cushion on the pointwise and observation bounds
 EXIT_FRACTION_LIMIT = 0.01  # share of eligible nodes (or 2D cells) that may exit the window
+NO_LEVEL = -(2**30)  # the level of a sample that is not positive; far below every band
 
 
 def level_index(v: float) -> int:
@@ -47,16 +51,11 @@ def level_floor(k: int) -> float:
     return math.ldexp(1.0, k - 1)
 
 
-def level_band(k):
-    """A level's own band [2^(k-1), 2^k) for level k (or each level of an
-    integer array)."""
-    return np.ldexp(1.0, k - 1), np.ldexp(1.0, k)
-
-
-def band_edges(k):
-    """The widened escape band [2^(k-2), 2^(k+1)) for level k (or each level
-    of an integer array)."""
-    return np.ldexp(1.0, k - 2), np.ldexp(1.0, k + 1)
+def levels_of(g) -> np.ndarray:
+    """The level of each sample of g: the unique k with 2^(k-1) <= g < 2^k,
+    which is g's binary exponent, where g > 0, and NO_LEVEL elsewhere."""
+    g = np.asarray(g, dtype=float)
+    return np.where(g > 0.0, np.frexp(g)[1], NO_LEVEL)
 
 
 class SparseFamily1D:
@@ -101,19 +100,20 @@ class SeededRuns(NamedTuple):
     exit_index: np.ndarray
 
 
-def seeded_runs(g: np.ndarray, seeds: np.ndarray, k) -> SeededRuns:
+def seeded_runs(levels: np.ndarray, seeds: np.ndarray, k) -> SeededRuns:
     """Maximal runs along each row inside the widened band of the row's level.
 
     ``seeds`` is a boolean array with one row per line, True only at in-band
-    entries.  ``g`` holds sign*u' samples and ``k`` the levels; both
-    broadcast against ``seeds`` row-wise: ``g`` is one row per line or one
-    row for all, ``k`` one level for all rows or one per row.  Only runs
-    holding a seed are returned, in row-major order, as are exit seeds.
+    entries.  ``levels`` holds the levels (:func:`levels_of`) of sign*u'
+    samples and ``k`` the band levels; both broadcast against ``seeds``
+    row-wise: ``levels`` is one row per line or one row for all, ``k`` one
+    level for all rows or one per row.  An entry is in band when its level
+    is within one of its row's.  Only runs holding a seed are returned, in
+    row-major order, as are exit seeds.
     """
-    lo, hi = band_edges(np.reshape(k, (-1, 1)))
     width = seeds.shape[1]
     in_band = np.zeros((seeds.shape[0], width + 2), dtype=np.int8)
-    in_band[:, 1:-1] = (g >= lo) & (g < hi)
+    in_band[:, 1:-1] = np.abs(levels - np.reshape(k, (-1, 1))) <= 1
     step = np.diff(in_band, axis=1)
     # row-major flat indices split by the row width: on these arrays
     # np.flatnonzero and divmod take a fraction of a 2-D np.nonzero
@@ -145,7 +145,7 @@ def _run_ends(u, nodes: np.ndarray, k, sign, first: np.ndarray, last: np.ndarray
     bracket, so it lies strictly between those two nodes.
     """
     tol = float(nodes[1] - nodes[0]) * BISECT_TOL_FACTOR
-    lo, hi = band_edges(np.tile(k, 2))
+    k = np.tile(k, 2)
     sign = np.tile(sign, 2)
     t_in = nodes[np.concatenate([first, last])]
     t_out = nodes[np.concatenate([first - 1, last + 1])]
@@ -155,7 +155,7 @@ def _run_ends(u, nodes: np.ndarray, k, sign, first: np.ndarray, last: np.ndarray
             break
         mid = 0.5 * (t_in[wide] + t_out[wide])
         v = sign[wide] * np.asarray(u.evaluate(mid, (1,))[0], dtype=float)
-        inside = (v >= lo[wide]) & (v < hi[wide])
+        inside = np.abs(levels_of(v) - k[wide]) <= 1
         t_in[wide[inside]] = mid[inside]
         t_out[wide[~inside]] = mid[~inside]
     ends = 0.5 * (t_in + t_out)
@@ -200,25 +200,21 @@ def build_family_1d(u, k_min: int) -> SparseFamily1D:
     """
     nodes = u.grid.nodes()
     d1 = np.asarray(u.d1, dtype=float)
-    thr = level_floor(k_min)
+    lev = levels_of(np.abs(d1))
 
-    eligible = np.abs(d1) >= thr
-    eligible_count = int(np.sum(eligible))
-    unanalyzed = int(np.sum((np.abs(d1) > 0.0) & ~eligible))
+    eligible_count = int(np.count_nonzero(lev >= k_min))
+    unanalyzed = int(np.count_nonzero(lev > NO_LEVEL)) - eligible_count
 
     runs_found = [np.zeros((0, 4), dtype=np.int64)]  # rows (k, sign, first, last) of closed runs
     exit_nodes = []
 
     for sign in (1, -1):
-        g = sign * d1
-        side = eligible & (g > 0.0)
-        if not np.any(side):
+        signed = np.where(sign * d1 > 0.0, lev, NO_LEVEL)
+        k_top = int(np.max(signed))
+        if k_top < k_min:
             continue
-        k_top = level_index(float(np.max(g[side])))
         levels = np.arange(k_min, k_top + 1)[:, None]  # one row per level
-        lo, hi = level_band(levels)
-        seeds = (g >= lo) & (g < hi)
-        runs = seeded_runs(g[None], seeds, levels)
+        runs = seeded_runs(signed[None], signed == levels, levels)
         exit_nodes.extend(runs.exit_index.tolist())
         k = levels[runs.line, 0]
         runs_found.append(np.column_stack([k, np.full_like(k, sign), runs.first, runs.last]))
@@ -271,7 +267,7 @@ def coverage_report(family: SparseFamily1D):
     """(uncovered eligible non-exit node indices, covered mask)."""
     covered = np.zeros(len(family.nodes), dtype=bool)
     covered[flat_ranges(family.i0, family.i1)] = True
-    should = np.abs(family.d1) >= level_floor(family.k_min)
+    should = levels_of(np.abs(family.d1)) >= family.k_min
     should[family.window_exit_nodes] = False
     uncovered = np.nonzero(should & ~covered)[0]
     return uncovered, covered

@@ -23,10 +23,14 @@ the out-of-band centers next to them, because the bisection stops at a
 bracket of BISECT_TOL_FACTOR > 0 grid steps and returns its midpoint.  So
 the cells inside the interval are exactly the run, and the build takes the
 runs from :func:`~gnsparse.sparse1d.seeded_runs` without bisecting or
-evaluating u at all.  Seeds whose run reaches the window's edge are window
-exits; a cell seeds one level and sign only, so the family marks them all
-in one boolean mask over the cells (``exits``), which the exit budget counts
-and the coverage check reads.
+evaluating u at all.  The build reads one level map of |d1 u| at the
+centers, the binary exponents of :func:`~gnsparse.sparse1d.levels_of`, and
+the two signed maps taken from it once: the seed counts, the eligible count
+and each slab's seeds and runs are integer comparisons on them.  Seeds
+whose run reaches the window's edge are window exits; a cell seeds one
+level and sign only, so the family marks them all in one boolean mask over
+the cells (``exits``), which the exit budget counts and the coverage check
+reads.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ import numpy as np
 from .errors import ConstructionError, CorpusConfigError
 from .operator import CellFamily
 from .rearrangement import CellField
-from .sparse1d import check_exit_budget, k_min_for_sup, level_band, level_floor, level_index, seeded_runs
+from .sparse1d import NO_LEVEL, check_exit_budget, k_min_for_sup, level_index, levels_of, seeded_runs
 
 OVERLAP_LIMIT_2D = 5  # slabs of five adjacent levels of one sign at most cover a cell
 
@@ -252,7 +256,6 @@ def build_family_2d(u) -> SparseFamily2D:
     lines = d1c.T if axis == 1 else d1c
     exits = np.zeros(d1c.shape, dtype=bool)  # window-exit seed cells, [ix, iy]
     exited = exits.T if axis == 1 else exits  # the same mask, one row per line
-    abs_lines = np.abs(lines)
     n_line = lines.shape[1]
 
     big_m = max(sups)
@@ -262,16 +265,15 @@ def build_family_2d(u) -> SparseFamily2D:
     k_top = level_index(sup_d1)
     k_min = k_min_for_sup(sups[1])
 
-    eligible_count = int(np.sum(np.abs(d1c) >= level_floor(k_min)))
+    lev = levels_of(np.abs(lines))
+    signed = {sign: np.where(sign * lines > 0.0, lev, NO_LEVEL) for sign in (1, -1)}
+    counts = np.bincount(lev[lev >= k_min] - k_min, minlength=k_top - k_min + 1)
+    eligible_count = int(np.sum(counts))
 
     slabs = []
     skipped = []
 
-    def own_cells(k):
-        lo, hi = level_band(k)
-        return (abs_lines >= lo) & (abs_lines < hi)
-
-    seed_counts = {k: int(np.sum(own_cells(k))) for k in range(k_top, k_min - 1, -1)}
+    seed_counts = {k: int(counts[k - k_min]) for k in range(k_top, k_min - 1, -1)}
     levels = [k for k, count in seed_counts.items() if count]
     results = compute_delta(u, [oscillation_bound(k, big_m) for k in levels])
     deltas = dict(zip(levels, results))
@@ -291,13 +293,11 @@ def build_family_2d(u) -> SparseFamily2D:
                 )
             )
             continue
-        own = own_cells(k)
-        for sign in (1, -1):
-            g = sign * lines
-            seeds = own & (g > 0.0)
+        for sign, levs in signed.items():
+            seeds = levs == k
             if not np.any(seeds):
                 continue
-            runs = seeded_runs(g, seeds, k)
+            runs = seeded_runs(levs, seeds, k)
             exited[runs.exit_line, runs.exit_index] = True
             if runs.first.size == 0:
                 continue
@@ -343,12 +343,13 @@ def verify_family_2d(family: SparseFamily2D, f0: CellField, f2: CellField) -> Fa
 
     ``f0`` and ``f2`` are the fields |u| and |d1^2 u| of the function the
     family was built from.  Checks: widened band inclusion at every covered
-    cell center, a positive |d1^2 u| average on every slab, overlap <= 5,
-    and coverage of every non-exiting seed cell of each analyzed level.
-    The band check also makes the two sign unions disjoint, since it puts
-    sign * d1 u >= 2^(k-3) > 0 on every cell of every slab.  The pointwise
-    ratio (d1 u)^2 / sum of slab-average products is reported, never
-    thresholded.
+    cell center, a positive |d1^2 u| average on every slab, and coverage of
+    every non-exiting seed cell of each analyzed level, read from the level
+    maps (:func:`~gnsparse.sparse1d.levels_of`) of the two signs of d1 u.
+    The overlap bound is the ``overlap`` verdict's.  The band check also
+    makes the two sign unions disjoint, since it puts sign * d1 u >=
+    2^(k-3) > 0 on every cell of every slab.  The pointwise ratio
+    (d1 u)^2 / sum of slab-average products is reported, never thresholded.
     """
     cells = family.cells
     for s in family.slabs:
@@ -369,13 +370,9 @@ def verify_family_2d(family: SparseFamily2D, f0: CellField, f2: CellField) -> Fa
         raise ConstructionError(f"slab (k={s.k}, sign={s.sign}) has zero |d1^2 u| average")
     denom = cells.scatter(a2 * a0).reshape(family.d1c.shape)
 
-    if cells.max_overlap > OVERLAP_LIMIT_2D:
-        raise ConstructionError(f"overlap {cells.max_overlap} exceeds {OVERLAP_LIMIT_2D}")
-
+    signed = {sign: levels_of(sign * family.d1c) for sign in (1, -1)}
     for s in family.slabs:
-        g = s.sign * family.d1c
-        lo, hi = level_band(s.k)
-        missing = (g >= lo) & (g < hi) & ~s.mask & ~family.exits
+        missing = (signed[s.sign] == s.k) & ~s.mask & ~family.exits
         if np.any(missing):
             first = tuple(int(x) for x in np.argwhere(missing)[0])
             raise ConstructionError(

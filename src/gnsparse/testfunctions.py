@@ -26,8 +26,9 @@ product evaluator also carries its two 1D factors, ``evaluate.factors``,
 and a compact radial one its profile jet and width, ``evaluate.profile``.
 
 A spec refuses numbers that are not finite, a window that does not
-increase, a radial spec with two different widths, and a 1D spec with a
-second center or width or a radial layout, when it is built.
+increase, a sine-window without a nonzero frequency, a radial spec with two
+different widths, and a 1D spec with a second center or width or a radial
+layout, when it is built.
 ``make_test_function(spec, n, axis)`` samples it on the grid of n cells
 per axis over its own window.
 """
@@ -84,6 +85,9 @@ class TestFunctionSpec:
         for a, b in self.windows():
             if not -math.inf < a < b < math.inf:
                 raise CorpusConfigError(f"window {self.window!r} is not a finite increasing pair")
+        if self.family == "sine-window" and self.frequency == 0.0:
+            # sin(0 (x - c)) samples u = 0, which passes every verdict
+            raise CorpusConfigError("a sine-window needs a nonzero frequency")
         if self.dim == 2 and self.layout == "radial" and len(set(self.widths())) > 1:
             raise CorpusConfigError(f"a radial spec has one width, got {self.width!r}")
         pairs = [key for key in ("center", "width") if isinstance(getattr(self, key), (tuple, list))]

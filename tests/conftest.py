@@ -1,10 +1,16 @@
-"""Shared fixtures."""
+"""Shared fixtures and the property tests' hypothesis profile."""
 
 import os
 
 import pytest
+from hypothesis import settings
 
 from gnsparse import parallel
+
+# every property test draws the same examples on every run, has no time
+# limit and keeps no example database; a test sets only its example count
+settings.register_profile("gnsparse", derandomize=True, deadline=None, database=None)
+settings.load_profile("gnsparse")
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 

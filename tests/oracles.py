@@ -22,10 +22,9 @@ from gnsparse.sparse1d import (
     POINTWISE_SLACK,
     SeededRuns,
     _interval_integrals,
-    band_edges,
     build_family_1d,
     default_k_min,
-    level_band,
+    level_floor,
 )
 from gnsparse.testfunctions import TestFunctionSpec, profile_jet
 
@@ -127,8 +126,8 @@ def observation_bounds_report(u, family):
         bound_a = 4.0 * int_d2
         bound_b = 32.0 / (iv.y - iv.z) ** 2 * int_u
         g = iv.sign * family.d1[i0:i1]
-        lo, hi = level_band(iv.k)
-        own = (g >= lo) & (g < hi)
+        k = int(iv.k)
+        own = (g >= level_floor(k)) & (g < level_floor(k + 1))
         if not np.any(own):
             continue
         vmax = float(np.max(g[own]))
@@ -169,9 +168,19 @@ def loop_pointwise_1d(u, family):
 
 
 
+def float_band(k, below, above):
+    """The band [2^(k-1-below), 2^(k+above)) of level k, or of each level of
+    an integer array as a column, from level_floor's scalar edges."""
+    ks = np.reshape(k, (-1, 1)).tolist()
+    lo = np.array([[level_floor(j - below)] for (j,) in ks])
+    hi = np.array([[level_floor(j + 1 + above)] for (j,) in ks])
+    return lo, hi
+
+
 def nonzero_seeded_runs(g, seeds, k):
-    """sparse1d.seeded_runs with (row, column) indices from 2-D np.nonzero."""
-    lo, hi = band_edges(np.reshape(k, (-1, 1)))
+    """sparse1d.seeded_runs of the samples g, with the widened bands of
+    float_band and (row, column) indices from 2-D np.nonzero."""
+    lo, hi = float_band(k, 1, 1)
     in_band = np.zeros((seeds.shape[0], seeds.shape[1] + 2), dtype=np.int8)
     in_band[:, 1:-1] = (g >= lo) & (g < hi)
     step = np.diff(in_band, axis=1)

@@ -110,13 +110,14 @@ def probe_numbers(draw):
     return values
 
 
-@settings(max_examples=80, derandomize=True, deadline=None, database=None)
+@settings(max_examples=80)
 @given(probe_numbers(), st.sampled_from(["gaussian", "sine-window", "modulated-bump"]))
 def test_spec_numbers_are_finite_and_windows_increase(tmp_path_factory, numbers, family):
-    # a nan center or width samples u = 0, which passes every verdict, and
-    # a 1D function would ignore a second center or width; the config is
-    # refused exactly when a number is not finite, a window does not
-    # increase or a 1D function has two centers or widths
+    # a nan center or width, or a sine-window's zero frequency, samples
+    # u = 0, which passes every verdict, and a 1D function would ignore a
+    # second center or width; the config is refused exactly when a number
+    # is not finite, a window does not increase, a sine-window has frequency
+    # 0 or a 1D function has two centers or widths
     keys = {key: ", ".join(map(repr, numbers[key])) for key in ("center", "width", "amplitude", "frequency")}
     keys["window"] = "; ".join(f"{a!r}, {b!r}" for a, b in numbers["window"])
     path = tmp_path_factory.mktemp("probe") / "probe.cfg"
@@ -125,6 +126,7 @@ def test_spec_numbers_are_finite_and_windows_increase(tmp_path_factory, numbers,
     flat = [x for key in ("center", "width", "amplitude", "frequency") for x in numbers[key]] + sum(pairs, [])
     refused = not all(map(math.isfinite, flat)) or not all(a < b for a, b in pairs)
     refused |= len(pairs) == 1 and max(len(numbers["center"]), len(numbers["width"])) == 2
+    refused |= family == "sine-window" and numbers["frequency"] == [0.0]
     argv = ["--config", str(path)]
     if refused:
         with pytest.raises(ConfigError, match="function 'probe'"):
@@ -551,6 +553,24 @@ class TestMainExitCodes:
         err = capsys.readouterr().err
         assert "configuration error" in err and "function 'probe'" in err
         assert "Traceback" not in err
+        assert not (tmp_path / "report.csv").exists()
+
+    @pytest.mark.parametrize("frequency", [None, "0.0", "-0.0"])
+    def test_sine_window_without_a_frequency_is_a_config_error(self, tmp_path, capsys, frequency):
+        # frequency defaults to 0, and sin(0 x) samples u = 0, which passed
+        # every verdict with norms 0.0
+        keys = dict(PROBE_KEYS, family="sine-window", window="-3.0, 3.0")
+        if frequency is None:
+            del keys["frequency"]
+        else:
+            keys["frequency"] = frequency
+        lines = "".join(f"{key} = {value}\n" for key, value in keys.items())
+        run = f"[run]\nchecks = {', '.join(CHECK_NAMES)}\n"
+        text = f"{run}\n[function:s]\n{lines}\n[case:only]\nfunction = s\nX = L:2\nY = L:2\n"
+        code = main(["--config", write_config(tmp_path, text), "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "function 's'" in err and "nonzero frequency" in err
         assert not (tmp_path / "report.csv").exists()
 
     def test_probe_config_passes_every_check(self, tmp_path):

@@ -289,7 +289,7 @@ def compact_radial_specs(draw):
     return TestFunctionSpec(family, c, (w, w), amplitude, 2.0, window, layout="radial")
 
 
-@settings(max_examples=12, derandomize=True, deadline=None, database=None)
+@settings(max_examples=12)
 @given(compact_radial_specs(), st.sampled_from([1, 2]))
 def test_radial_profile_sups_bound_the_lattice_scan(spec, axis):
     u = make_test_function(spec, 64, axis=axis)
@@ -417,7 +417,7 @@ def evaluator_calls(draw):
     return make_evaluator_2d(spec), (points(0, 15)[:, None], points(1, 17)[None, :]), partials
 
 
-@settings(max_examples=80, derandomize=True, deadline=None, database=None)
+@settings(max_examples=80)
 @given(evaluator_calls())
 def test_multi_order_call_equals_single_order_calls(call):
     evaluate, points, orders = call

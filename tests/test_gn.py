@@ -319,11 +319,9 @@ class TestInductionIdentities:
         assert result.ok, result.failures
 
     def test_orlicz_identities_are_not_a_tautology(self, monkeypatch):
-        # both sides of a combined identity are interned by their flat form,
-        # so they are one object when the exponent rule is right; a wrong
-        # rule gives a different flat form, which the sampled comparison
-        # must reject
-        monkeypatch.setattr(spaces_module, "_COMBINED", {})
+        # both sides of a combined identity have one flat form, so they are
+        # equal when the exponent rule is right; a wrong rule gives a
+        # different flat form, which the sampled comparison must reject
         x, y = P("Orl:exp"), P("Orl:pow:2")
         for k in (3, 4):
             assert induction_identity_check(x, y, k).ok
@@ -337,7 +335,6 @@ class TestInductionIdentities:
             (xa, wx), (ya, wy) = leaves
             return ((xa, wy), (ya, wx))
 
-        monkeypatch.setattr(spaces_module, "_COMBINED", {})
         monkeypatch.setattr(spaces_module, "_product_leaves", swapped)
         for k in (3, 4):
             result = induction_identity_check(x, y, k)
@@ -345,10 +342,8 @@ class TestInductionIdentities:
             assert result.failures[0].startswith(f"step-down identity at k={k}")
 
     def test_orlicz_products_are_compared_unsolved(self, monkeypatch):
-        # both sides of every identity are one interned object, compared
-        # without an evaluation: no product is validated or solved
-        monkeypatch.setattr(spaces_module, "_COMBINED", {})
-
+        # both sides of every identity are compared by key, without an
+        # evaluation: no product is validated or solved
         def refuse(*args):
             raise AssertionError("a product was validated or solved")
 
@@ -356,7 +351,6 @@ class TestInductionIdentities:
         monkeypatch.setattr(spaces_module, "_newton", refuse)
         for k in (3, 4):
             assert induction_identity_check(P("Orl:exp"), P("Orl:pow:2"), k).ok
-        assert len(spaces_module._COMBINED) == 5
 
     def test_starts_at_three(self):
         with pytest.raises(AdmissibilityError):

@@ -184,7 +184,7 @@ class TestRearrangement:
         with pytest.raises(ValueError, match="cell measure must be positive"):
             evaluate(CellField([1.0, 2.0, 0.5], mu))
 
-    @settings(max_examples=40, derandomize=True, deadline=None, database=None)
+    @settings(max_examples=40)
     @given(
         values=st.lists(st.floats(-1e3, 1e3, allow_subnormal=False), min_size=1, max_size=200),
         mu=st.sampled_from([1e-3, 1.0 / 64.0, 1.0]),
@@ -410,47 +410,25 @@ class TestCombination:
             assert z is x
             assert z.format() == "Orl:powlog:1,1"
 
-    def test_nested_product_is_the_direct_product(self, monkeypatch):
+    def test_nested_product_is_the_direct_product(self):
         # X^(2/3) (X^(1/4) Y^(3/4))^(1/3) = X^(3/4) Y^(1/4): one flat form,
-        # one interned function, one text, one arithmetic
-        monkeypatch.setattr(spaces_module, "_COMBINED", {})
+        # one key, one text, one arithmetic
         x, y = SpaceDescriptor.parse("Orl:exp"), SpaceDescriptor.parse("Orl:pow:2")
         inner = cl_combine(x, y, Fraction(1, 4))
         nested = cl_combine(x, inner, Fraction(2, 3))
         direct = cl_combine(x, y, Fraction(3, 4))
-        assert nested.young is direct.young
-        assert len(spaces_module._COMBINED) == 2
-        assert direct.format() == "Orl:combined(exp,pow:2;3/4)"
-        # built afresh from the nested factors, outside the table
-        rebuilt = YoungFunction("combined", factors=(x.young, inner.young), theta=Fraction(2, 3))
-        assert rebuilt is not direct.young
-        assert rebuilt.describe() == direct.young.describe()
-        assert rebuilt.leaves == ((x.young, Fraction(3, 4)), (y.young, Fraction(1, 4)))
+        assert nested == direct
+        assert nested.format() == direct.format() == "Orl:combined(exp,pow:2;3/4)"
+        assert nested.young.leaves == ((x.young, Fraction(3, 4)), (y.young, Fraction(1, 4)))
         t = np.concatenate([[0.0, 1e-300], np.logspace(-12.0, 8.0, 101)])
-        assert rebuilt(t).tobytes() == direct.young(t).tobytes()
-        assert rebuilt.inverse(t).tobytes() == direct.young.inverse(t).tobytes()
+        assert nested.young(t).tobytes() == direct.young(t).tobytes()
+        assert nested.young.inverse(t).tobytes() == direct.young.inverse(t).tobytes()
 
     def test_three_leaf_text_lists_all_but_the_last_weight(self):
         pow3 = YoungFunction("pow", (Fraction(3),))
         young = YoungFunction("combined", factors=(_EXP_POW2, pow3), theta=Fraction(1, 2))
         assert young.leaves == ((_EXP, Fraction(1, 6)), (_POW2, Fraction(1, 3)), (pow3, Fraction(1, 2)))
         assert young.describe() == "combined(exp,pow:2,pow:3;1/6,1/3)"
-
-    def test_a_build_that_raises_is_not_kept(self, monkeypatch):
-        monkeypatch.setattr(spaces_module, "_COMBINED", {})
-        x, y = SpaceDescriptor.parse("Orl:exp"), SpaceDescriptor.parse("Orl:pow:2")
-        build = YoungFunction.__init__
-
-        def refuse(young, *args, **kwargs):
-            raise AdmissibilityError("refused")
-
-        monkeypatch.setattr(YoungFunction, "__init__", refuse)
-        with pytest.raises(AdmissibilityError, match="refused"):
-            cl_combine(x, y, Fraction(1, 3))
-        assert spaces_module._COMBINED == {}
-        monkeypatch.setattr(YoungFunction, "__init__", build)
-        z = cl_combine(x, y, Fraction(1, 3))
-        assert list(spaces_module._COMBINED.values()) == [z.young]
 
     def test_descriptor_equality_samples_no_inverse(self, monkeypatch):
         # two objects of one product compare by key: no inverse is read
@@ -1153,7 +1131,7 @@ def young_products(draw):
     return YoungFunction("combined", factors=factors, theta=theta)
 
 
-@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@settings(max_examples=40)
 @given(
     young=young_products(),
     values=st.lists(st.floats(1e-3, 1e2), min_size=1, max_size=64),
@@ -1193,7 +1171,7 @@ def young_leaf_texts(draw):
     return text
 
 
-@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@settings(max_examples=100)
 @given(
     leaves=st.lists(young_leaf_texts(), min_size=2, max_size=3),
     weights=st.lists(st.fractions(0, 1, max_denominator=16), min_size=2, max_size=2),
@@ -1288,7 +1266,7 @@ def _same_space(a, b) -> bool:
     return all(index_float(u) == index_float(v) for u, v in pairs if u is not None)
 
 
-@settings(max_examples=400, derandomize=True, deadline=None, database=None)
+@settings(max_examples=400)
 @given(spaces=descriptor_pairs(), theta=st.fractions(0, 1, max_denominator=6))
 @example(spaces=(SpaceDescriptor.parse("Orl:powlog:2,0"), SpaceDescriptor.parse("Orl:pow:2")), theta=Fraction(1, 2))
 @example(spaces=(SpaceDescriptor.parse("Orl:exp"), SpaceDescriptor.parse("Orl:powlog:2,1")), theta=Fraction(1, 3))
@@ -1336,7 +1314,7 @@ def positive_fields(draw):
     return 10.0 ** rng.uniform(low, high, draw(st.integers(1, 4096)))
 
 
-@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@settings(max_examples=60)
 @given(young=young_functions(), values=positive_fields(), mu=st.sampled_from([1e-4, 1.0 / 64.0, 1.0, 10.0]))
 def test_luxemburg_matches_bisection_oracle(young, values, mu):
     want = bisection_luxemburg(values, mu, young)
@@ -1363,7 +1341,7 @@ def young_beyond_powers(draw):
     return draw(young_products())
 
 
-@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@settings(max_examples=60)
 @given(
     young=young_beyond_powers(),
     values=st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=64),
@@ -1406,7 +1384,7 @@ def cell_fields(draw, measures=(1e-4, 1.0 / 64.0, 1.0, 10.0)):
     return CellField(values, draw(st.sampled_from(measures)))
 
 
-@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@settings(max_examples=200)
 @given(f=cell_fields(), P=st.sampled_from([Fraction(101, 100), Fraction(3, 2), Fraction(2), Fraction(5)]))
 def test_weak_lorentz_norm_matches_the_plateau_loop(f, P):
     want = loop_weak_lorentz_norm(f, P)
@@ -1414,7 +1392,7 @@ def test_weak_lorentz_norm_matches_the_plateau_loop(f, P):
     assert abs(got - want) <= 1e-15 * want
 
 
-@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@settings(max_examples=200)
 @given(
     f=cell_fields(measures=(1e-6, 1e-4, 1.0 / 64.0, 1.0, 10.0, 1e4)),
     P=st.sampled_from([Fraction(101, 100), Fraction(3, 2), Fraction(2), Fraction(9, 4), Fraction(3)]),
@@ -1429,7 +1407,7 @@ def test_binomial_lorentz_matches_the_quadrature(f, P, q):
     assert lorentz_norm(f, P, Fraction(q)) == pytest.approx(want, rel=1e-13)
 
 
-@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@settings(max_examples=200)
 @given(
     f=cell_fields(measures=(1e-4, 1e-2, 1.0, 1e2)),
     P=st.sampled_from([Fraction(101, 100), Fraction(3, 2), Fraction(2), Fraction(9, 4), Fraction(3)]),

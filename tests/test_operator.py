@@ -127,7 +127,7 @@ def assert_matches_loop(fam, sets, seed):
 
 
 class TestFlatFamilyAgainstLoops:
-    @settings(max_examples=80, derandomize=True, deadline=None, database=None)
+    @settings(max_examples=80)
     @given(interval_families(), st.integers(0, 2**32 - 1))
     def test_interval_family(self, family, seed):
         grid, z, y = family
@@ -138,7 +138,7 @@ class TestFlatFamilyAgainstLoops:
         assert all(np.array_equal(a, b) for a, b in zip(sets_of(fam), sets))
         assert_matches_loop(fam, sets, seed)
 
-    @settings(max_examples=80, derandomize=True, deadline=None, database=None)
+    @settings(max_examples=80)
     @given(mask_families(), st.integers(0, 2**32 - 1))
     def test_mask_family(self, family, seed):
         grid, masks = family

@@ -51,8 +51,6 @@ def test_orlicz_combined_matches_the_reference(tmp_path, monkeypatch):
     monkeypatch.setattr(norms, "_log_modular_root", counted_outer)
     monkeypatch.setattr(spaces, "_newton", counted_newton)
     monkeypatch.setattr(spaces.YoungFunction, "_validate", counted_validate)
-    # products built earlier in the process would be reused, so start empty
-    monkeypatch.setattr(spaces, "_COMBINED", {})
     assert cli.main(["--config", str(config), "--format", "text", "--out", str(tmp_path)]) == 0
     report = reference.parse_report((tmp_path / "report.txt").read_text(encoding="utf-8"))
     with open(reference.reference_path("orlicz-combined"), encoding="utf-8") as handle:

@@ -19,14 +19,14 @@ from gnsparse.rearrangement import CellField
 from gnsparse.spaces import SpaceDescriptor
 from gnsparse.sparse1d import (
     BISECT_TOL_FACTOR,
+    NO_LEVEL,
     SparseFamily1D,
-    band_edges,
     build_family_1d,
     coverage_report,
     default_k_min,
-    level_band,
     level_floor,
     level_index,
+    levels_of,
     seeded_runs,
     verify_pointwise_1d,
 )
@@ -36,6 +36,7 @@ from corpus import member, members
 from oracles import (
     BOUND_YOUNGS,
     factorized_bounds_report,
+    float_band,
     interval_table,
     loop_pointwise_1d,
     modular_bound,
@@ -115,19 +116,30 @@ class TestLevelIndex:
             with pytest.raises(ValueError):
                 level_index(bad)
 
-    def test_band_edges(self):
-        assert band_edges(1) == (0.5, 4.0)
-        assert band_edges(0) == (0.25, 2.0)
+    def test_levels_of(self):
+        # a level map is the binary exponent of each positive sample: level
+        # k holds [2^(k-1), 2^k), so a power of two starts its level and its
+        # lower neighbour ends the one below, subnormals included
+        ks = list(range(-1072, 1025, 7))
+        floors = [level_floor(k) for k in ks]
+        assert levels_of(floors).tolist() == ks
+        assert levels_of([math.nextafter(v, 0.0) for v in floors]).tolist() == [k - 1 for k in ks]
+        assert levels_of([math.nextafter(v, math.inf) for v in floors]).tolist() == ks
+        assert levels_of([5e-324, 1e-310, 1.0, 3.0, 0.75]).tolist() == [-1073, -1029, 1, 2, 0]
+        assert levels_of([0.0, -0.0, -1.0, -5e-324, math.nan]).tolist() == [NO_LEVEL] * 5
+        assert levels_of(np.ones((2, 3))).shape == (2, 3)
 
-    def test_level_band(self):
-        # a level's own band is [2^(k-1), 2^k), for an int or an integer array
-        assert level_band(1) == (1.0, 2.0)
-        assert level_band(-2) == (0.125, 0.25)
-        ks = np.arange(-30, 12)
-        lo, hi = level_band(ks)
-        assert lo.tolist() == [level_floor(k) for k in ks.tolist()]
-        assert hi.tolist() == [level_floor(k + 1) for k in ks.tolist()]
-        assert all(level_index(v) == k for v, k in zip(lo.tolist(), ks.tolist()))
+    def test_levels_of_matches_the_float_bands(self):
+        # on random values the level is k exactly where the value lies in
+        # level_floor's band [2^(k-1), 2^k), and within one of k exactly
+        # where it lies in the widened band [2^(k-2), 2^(k+1))
+        rng = np.random.default_rng(0)
+        g = rng.choice([1.0, -1.0], 4000) * 2.0 ** rng.uniform(-40.0, 40.0, 4000)
+        levels = levels_of(g)
+        for k in range(-42, 43):
+            own = (g >= level_floor(k)) & (g < level_floor(k + 1))
+            wide = (g >= level_floor(k - 1)) & (g < level_floor(k + 2))
+            assert np.array_equal(levels == k, own) and np.array_equal(np.abs(levels - k) <= 1, wide)
 
 
 class TestEscapeInterval:
@@ -427,7 +439,7 @@ def scalar_family_1d(u, k_min):
             if not g[i] >= level_floor(k_min):
                 continue
             k = level_index(float(g[i]))
-            lo, hi = band_edges(k)
+            lo, hi = level_floor(k - 1), level_floor(k + 2)
             left, right = last_run.get(k, (-1, -1))
             if not left <= i <= right:
                 left = right = i
@@ -590,8 +602,8 @@ def test_seeded_runs_per_row_levels_equal_per_level_calls(seed):
         g = sign * d1
         levels = np.arange(-6, level_index(float(np.max(np.abs(d1)))) + 1)
         seeds = np.array([(g >= level_floor(k)) & (g < level_floor(k + 1)) for k in levels.tolist()])
-        batched = seeded_runs(g[None], seeds, levels[:, None])
-        single = [seeded_runs(g[None], seeds[row][None], k) for row, k in enumerate(levels.tolist())]
+        batched = seeded_runs(levels_of(g)[None], seeds, levels[:, None])
+        single = [seeded_runs(levels_of(g)[None], seeds[row][None], k) for row, k in enumerate(levels.tolist())]
         assert batched.first.size and batched.exit_index.size
         for field in ("first", "last", "exit_index"):
             want = np.concatenate([getattr(r, field) for r in single])
@@ -614,15 +626,16 @@ def run_inputs(draw):
     for end in (0, -1):
         if draw(st.booleans()):
             g[:, end] = 2.0 ** (np.min(k) - 0.5)
-    lo, hi = level_band(np.reshape(k, (-1, 1)))
+    lo, hi = float_band(k, 0, 0)
     seeds = (g >= lo) & (g < hi) & (rng.random((rows, width)) < draw(st.sampled_from([0.3, 1.0])))
     return g, seeds, k
 
 
-@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@settings(max_examples=300)
 @given(run_inputs())
 def test_seeded_runs_match_the_nonzero_oracle(inputs):
-    got, want = seeded_runs(*inputs), nonzero_seeded_runs(*inputs)
+    g, seeds, k = inputs
+    got, want = seeded_runs(levels_of(g), seeds, k), nonzero_seeded_runs(g, seeds, k)
     for field in got._fields:
         a, b = getattr(got, field), getattr(want, field)
         assert a.dtype == b.dtype and np.array_equal(a, b), field
@@ -642,7 +655,7 @@ def localized_functions(draw):
     return make_test_function(spec, draw(st.integers(64, 2048)))
 
 
-@settings(max_examples=30, derandomize=True, deadline=None, database=None)
+@settings(max_examples=30)
 @given(localized_functions())
 def test_random_families_match_oracle_and_cover(u):
     fam = build_allowing_exits(u)
@@ -652,7 +665,7 @@ def test_random_families_match_oracle_and_cover(u):
     assert uncovered.size == 0
 
 
-@settings(max_examples=30, derandomize=True, deadline=None, database=None)
+@settings(max_examples=30)
 @given(localized_functions())
 def test_random_families_bound_the_operator(u):
     # int_0^t (T f)* <= K int_0^t f* for |u''| and |u|, and the bounds it

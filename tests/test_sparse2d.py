@@ -12,7 +12,7 @@ from gnsparse.errors import ConstructionError, CorpusConfigError
 from gnsparse.grid import Grid1D, Grid2D, GridFunction2D
 from gnsparse.operator import CellFamily
 from gnsparse.rearrangement import CellField
-from gnsparse.sparse1d import band_edges, level_band, level_floor
+from gnsparse.sparse1d import level_floor
 from gnsparse.sparse2d import (
     DeltaResult,
     _field_lattices,
@@ -303,7 +303,7 @@ class TestVerify2DFailures:
     def test_seed_cell_missing_from_its_slab_is_named_unless_it_exited(self, p1):
         u, fam = p1
         slab = fam.slabs[0]
-        lo, hi = level_band(slab.k)
+        lo, hi = level_floor(slab.k), level_floor(slab.k + 1)
         g = slab.sign * fam.d1c
         i, j = (int(x) for x in np.argwhere((g >= lo) & (g < hi) & slab.mask)[0])
         mask = slab.mask.copy()
@@ -368,7 +368,7 @@ def loop_slabs_2d(fam):
         if k not in fam.deltas or not fam.deltas[k].admissible:
             continue
         m = fam.deltas[k].steps
-        lo, hi = band_edges(k)
+        lo, hi = level_floor(k - 1), level_floor(k + 2)
         for sign in (1, -1):
             g = sign * lines
             mask = np.zeros(lines.shape, dtype=bool)
