@@ -404,7 +404,6 @@ class _CaseRun:
 
     case: GNCase
     result: CaseResult
-    inductions: dict
     built: dict = field(default_factory=dict)
 
     @_built_once
@@ -491,40 +490,24 @@ class _CaseRun:
 
     def induction(self) -> str:
         """The exponent identities of the order induction hold at k = 3 and 4."""
-        verdict = _induction_of(self.inductions, self.case.x_space, self.case.y_space)
-        if isinstance(verdict, GnsparseError):
-            raise verdict
-        return verdict
+        x, y = self.case.x_space, self.case.y_space
+        bad = [msg for k in (3, 4) for msg in induction_identity_check(x, y, k).failures]
+        return f"fail: {bad[0]}" if bad else "pass"
 
 
-def _induction_of(inductions: dict, x: SpaceDescriptor, y: SpaceDescriptor):
-    """The induction verdict of the pair (X, Y), or the GnsparseError that
-    stopped it.  It is a function of X and Y alone, so it is kept in
-    ``inductions`` under their descriptors and checked once per pair."""
-    key = (x.format(), y.format())
-    if key not in inductions:
-        try:
-            bad = [msg for k in (3, 4) for msg in induction_identity_check(x, y, k).failures]
-            inductions[key] = f"fail: {bad[0]}" if bad else "pass"
-        except GnsparseError as exc:
-            inductions[key] = exc
-    return inductions[key]
-
-
-def run_case(case: GNCase, checks, inductions=None) -> CaseResult:
+def run_case(case: GNCase, checks) -> CaseResult:
     """Execute the selected checks for one case.
 
     A GnsparseError becomes an ``error`` verdict for the check it stopped,
     and the other checks still run; ``result.error`` keeps the first one.
     A failed sample or family build is an ``error`` for every check that
     reads it, and a Z space that cannot be combined for every check.  Any
-    other exception is a programming error and propagates.  ``inductions``
-    holds the induction verdicts of the (X, Y) pairs already checked, for
-    cases that share it; a case gets a dict of its own if none is given.
+    other exception is a programming error and propagates.  Every verdict,
+    ``induction`` too, is computed here from the case alone.
     """
     selected = [c for c in CHECK_NAMES if c in checks]
     result = CaseResult(case=case, z_text="", verdicts=())
-    run = _CaseRun(case, result, {} if inductions is None else inductions)
+    run = _CaseRun(case, result)
     try:
         result.z_text = case.z_space.format()
     except GnsparseError as exc:
@@ -548,19 +531,9 @@ def run_corpus(cases, checks):
     how execution is scheduled: ``parallel.run_ordered`` spreads a long
     enough run over the CPUs, heaviest cases (n**dim) first, and returns
     the results in case order, so reruns stay byte-for-byte reproducible.
-    The induction check runs once per distinct (X, Y) pair of the run,
-    whose cases share its verdict; every pair is checked before any case
-    runs, because a forked worker fills only its own copy of the verdicts.
     """
     checks = tuple(checks)
     unknown = [c for c in checks if c not in CHECK_NAMES]
     if unknown:
         raise ValueError(f"unknown checks: {', '.join(unknown)}")
-    cases = list(cases)
-    inductions = {}
-    if "induction" in checks:
-        for case in cases:
-            _induction_of(inductions, case.x_space, case.y_space)
-    return run_ordered(
-        lambda case: run_case(case, checks, inductions), cases, weight=lambda case: case.n**case.dim
-    )
+    return run_ordered(lambda case: run_case(case, checks), list(cases), weight=lambda case: case.n**case.dim)

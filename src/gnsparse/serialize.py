@@ -10,6 +10,7 @@ bytes.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import os
@@ -155,9 +156,15 @@ def text_report(results) -> str:
 
 
 def atomic_write_text(path, text: str) -> None:
-    """Write-then-rename so readers never observe a partial file."""
+    """Write-then-rename so readers never observe a partial file.  A failed
+    write or rename removes the temp file before the error propagates."""
     path = os.fspath(path)
     tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8", newline="") as handle:
-        handle.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise

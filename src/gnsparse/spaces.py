@@ -406,7 +406,7 @@ class SpaceDescriptor:
                 return cls("lebesgue", primary=INF)
             return cls("lorentz", primary=P, secondary=p)
         if head == "Orl":
-            sub, _, params = rest.partition(":")
+            sub, sep, params = rest.partition(":")
             if sub == "pow":
                 return cls("orlicz", young=YoungFunction("pow", (parse_index(params),)))
             if sub == "powlog":
@@ -417,6 +417,8 @@ class SpaceDescriptor:
                 # t^p log(e + t)^0 is t^p
                 return cls("orlicz", young=YoungFunction("powlog", (p, a)) if a else YoungFunction("pow", (p,)))
             if sub == "exp":
+                if sep:
+                    raise AdmissibilityError(f"the exp Orlicz form takes no parameters: {text!r}")
                 return cls("orlicz", young=YoungFunction("exp"))
             raise AdmissibilityError(f"unknown Orlicz form {sub!r} in {text!r}")
         raise AdmissibilityError(f"unknown space descriptor {text!r}")
@@ -447,9 +449,9 @@ def cl_combine(x: SpaceDescriptor, y: SpaceDescriptor, theta: Fraction) -> Space
     """The space Z with Z = X^theta Y^(1-theta) in the Calderon product sense.
 
     Only like kinds combine; mixing kinds raises AdmissibilityError.  Two
-    Orlicz spaces whose Young functions have the same ``key`` give X
-    itself, by the identity X^theta X^(1-theta) = X; no combined Young
-    function is built for them.  Any other pair builds its combined Young
+    equal spaces of any kind give X itself, by the identity
+    X^theta X^(1-theta) = X; no index is combined and no Young function is
+    built for them.  Any other Orlicz pair builds its combined Young
     function afresh.  That function is kept flat, so its text follows its
     own factors, and a nested product such as X^b (X^a Y^(1-a))^(1-b)
     equals, and reads as, X^(b+a(1-b)) Y^((1-a)(1-b)), since descriptors
@@ -461,6 +463,8 @@ def cl_combine(x: SpaceDescriptor, y: SpaceDescriptor, theta: Fraction) -> Space
     theta = Fraction(theta)
     if not 0 <= theta <= 1:
         raise AdmissibilityError(f"combination weight must be in [0, 1], got {theta}")
+    if x == y:
+        return x
     if x.kind != y.kind:
         raise AdmissibilityError(f"cannot combine {x.format()} with {y.format()}: different kinds")
     if x.kind == "lebesgue":
@@ -471,8 +475,6 @@ def cl_combine(x: SpaceDescriptor, y: SpaceDescriptor, theta: Fraction) -> Space
         p = harmonic_combine(x.secondary, y.secondary, theta)
         return SpaceDescriptor("lorentz", primary=P, secondary=p)
     ya, yb = x.young, y.young
-    if ya.key == yb.key:
-        return x
     if ya.kind == "pow" and yb.kind == "pow":
         # (s^(1/p))^theta (s^(1/q))^(1-theta) = s^(1/r) with harmonic r
         return SpaceDescriptor(

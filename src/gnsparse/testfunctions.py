@@ -25,10 +25,10 @@ the array a call for that entry alone returns.  For the sup probe, a
 product evaluator also carries its two 1D factors, ``evaluate.factors``,
 and a compact radial one its profile jet and width, ``evaluate.profile``.
 
-A spec refuses numbers that are not finite, a window that does not
-increase, a sine-window without a nonzero frequency, a radial spec with two
-different widths, and a 1D spec with a second center or width or a radial
-layout, when it is built.
+A spec refuses numbers that are not finite, a width that is not positive,
+a window that does not increase, a sine-window without a nonzero
+frequency, a radial spec with two different widths, and a 1D spec with a
+second center or width or a radial layout, when it is built.
 ``make_test_function(spec, n, axis)`` samples it on the grid of n cells
 per axis over its own window.
 """
@@ -82,6 +82,9 @@ class TestFunctionSpec:
         for key, values in zip(("center", "width", "amplitude", "frequency"), numbers):
             if not all(map(math.isfinite, values)):
                 raise CorpusConfigError(f"{key} {getattr(self, key)!r} is not finite")
+        if min(self.widths()) <= 0.0:
+            # no grid resolves a width that is not positive
+            raise CorpusConfigError(f"width {self.width!r} is not positive")
         for a, b in self.windows():
             if not -math.inf < a < b < math.inf:
                 raise CorpusConfigError(f"window {self.window!r} is not a finite increasing pair")

@@ -34,4 +34,4 @@ def members(dim):
 def case_run(case):
     """The run ``run_case`` makes for ``case``, with nothing built yet: its
     sample ``u``, ``family`` and ``fields`` are built on first read."""
-    return _CaseRun(case, CaseResult(case=case, z_text="", verdicts=()), {})
+    return _CaseRun(case, CaseResult(case=case, z_text="", verdicts=()))

@@ -116,8 +116,8 @@ def test_spec_numbers_are_finite_and_windows_increase(tmp_path_factory, numbers,
     # a nan center or width, or a sine-window's zero frequency, samples
     # u = 0, which passes every verdict, and a 1D function would ignore a
     # second center or width; the config is refused exactly when a number
-    # is not finite, a window does not increase, a sine-window has frequency
-    # 0 or a 1D function has two centers or widths
+    # is not finite, a width is not positive, a window does not increase, a
+    # sine-window has frequency 0 or a 1D function has two centers or widths
     keys = {key: ", ".join(map(repr, numbers[key])) for key in ("center", "width", "amplitude", "frequency")}
     keys["window"] = "; ".join(f"{a!r}, {b!r}" for a, b in numbers["window"])
     path = tmp_path_factory.mktemp("probe") / "probe.cfg"
@@ -127,12 +127,28 @@ def test_spec_numbers_are_finite_and_windows_increase(tmp_path_factory, numbers,
     refused = not all(map(math.isfinite, flat)) or not all(a < b for a, b in pairs)
     refused |= len(pairs) == 1 and max(len(numbers["center"]), len(numbers["width"])) == 2
     refused |= family == "sine-window" and numbers["frequency"] == [0.0]
+    refused |= any(w <= 0 for w in numbers["width"])
     argv = ["--config", str(path)]
     if refused:
         with pytest.raises(ConfigError, match="function 'probe'"):
             run_config(*argv)
     else:
         assert run_config(*argv).corpus["probe"].windows() == tuple(map(tuple, pairs))
+
+
+@pytest.mark.parametrize(
+    "width, window",
+    [("-1.0", "-1.5, 1.5"), ("0.0", "-1.5, 1.5"), ("1.0, -1.0", "-1.5, 1.5; -1.5, 1.5")],
+    ids=["negative", "zero", "2d-pair"],
+)
+def test_width_that_is_not_positive_is_a_config_error(tmp_path, capsys, width, window):
+    # no grid resolves such a width: it is refused when the function is
+    # loaded, not run as an error verdict in every check
+    config = write_config(tmp_path, probe_config(width=width, window=window))
+    assert main(["--config", config, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error: function 'probe': width" in err and "is not positive" in err
+    assert not (tmp_path / "report.csv").exists()
 
 
 RADIAL_KEYS = dict(
@@ -452,6 +468,17 @@ class TestMainExitCodes:
         assert "Traceback" not in err
         assert not (tmp_path / "report.csv").exists()
 
+    @pytest.mark.parametrize("space", ["Orl:exp:3", "Orl:exp:"])
+    def test_exp_with_parameters_is_a_config_error(self, tmp_path, capsys, space):
+        # exp takes no parameters: read as Orl:exp, a mistyped descriptor
+        # would run as another space
+        bad = TINY_CONFIG.replace("X = L:1\nY = L:1", f"X = {space}\nY = Orl:exp")
+        code = main(["--config", write_config(tmp_path, bad), "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"configuration error: case 'first': the exp Orlicz form takes no parameters: {space!r}" in err
+        assert not (tmp_path / "report.csv").exists()
+
     def test_young_function_that_fails_its_check_is_a_config_error(self, tmp_path, capsys, monkeypatch):
         # any package error while a case's spaces are read, not only an
         # AdmissibilityError, is a configuration error: exit 2, no report
@@ -582,6 +609,15 @@ class TestMainExitCodes:
         code = main(["--config", write_config(tmp_path), "--out", str(blocker / "sub")])
         assert code == 2
         assert "write failure" in capsys.readouterr().err
+
+    def test_failed_rename_leaves_no_temp_file(self, tmp_path, capsys):
+        # the temp file holds the whole report: a failed rename removes it
+        out = tmp_path / "out"
+        (out / "report.csv").mkdir(parents=True)
+        code = main(["--config", write_config(tmp_path), "--out", str(out)])
+        assert code == 2
+        assert "write failure" in capsys.readouterr().err
+        assert list(out.glob("*.tmp")) == []
 
 
 class TestEntryPoint:

@@ -576,29 +576,28 @@ class TestRunCorpus:
         assert len(sorts) >= 6, len(sorts)
         assert len(set(sorts)) == len(sorts)
 
-    def test_induction_runs_once_per_space_pair(self, monkeypatch):
-        # the induction verdict depends on X and Y alone: the bundled suite's
-        # 27 cases hold 7 pairs, each checked at k = 3 and 4, and every case
-        # gets the verdict a run of its own gives
+    def test_induction_runs_in_every_case(self, monkeypatch, tmp_path):
+        # the induction verdict is computed in its case, like every other
+        # check: each case of the bundled suite checks its own X and Y at
+        # k = 3 and 4 and gets the verdict a run of its own gives.  Calls
+        # are appended to a file, so a forked worker's calls count too
         cases = run_config().cases
         alone = [run_case(case, ("induction",)).verdicts for case in cases]
-        calls = []
+        log = tmp_path / "calls"
 
         def counted(x, y, k):
-            calls.append((x.format(), y.format(), k))
+            with open(log, "a", encoding="utf-8") as handle:
+                handle.write(f"{x.format()} {y.format()} {k}\n")
             return induction_identity_check(x, y, k)
 
         monkeypatch.setattr(gn_module, "induction_identity_check", counted)
         results = run_corpus(cases, ("induction",))
         assert [result.verdicts for result in results] == alone
-        pairs = {(case.x_space.format(), case.y_space.format()) for case in cases}
-        assert len(pairs) == 7
-        assert sorted(calls) == sorted((x, y, k) for x, y in pairs for k in (3, 4))
+        calls = Counter(log.read_text(encoding="utf-8").splitlines())
+        assert calls == Counter(f"{case.x_space.format()} {case.y_space.format()} {k}" for case in cases for k in (3, 4))
 
-    def test_induction_runs_once_per_space_pair_across_processes(self, monkeypatch, forced_fork):
-        # a forked worker fills only its own copy of the verdicts, and its
-        # calls are not counted here: every pair is checked before the fork
-        self.test_induction_runs_once_per_space_pair(monkeypatch)
+    def test_induction_runs_in_every_case_across_processes(self, monkeypatch, tmp_path, forced_fork):
+        self.test_induction_runs_in_every_case(monkeypatch, tmp_path)
         assert forced_fork
 
     def test_z_is_combined_on_first_use(self, monkeypatch):

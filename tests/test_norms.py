@@ -251,6 +251,9 @@ class TestDescriptors:
             "Lor:1e999,2",
             "Orl:pow:1e999",
             "Orl:powlog:1e999,1",
+            # exp takes no parameters: they would be dropped unread
+            "Orl:exp:3",
+            "Orl:exp:",
         ],
     )
     def test_inadmissible_rejected(self, text):
@@ -396,7 +399,7 @@ class TestCombination:
         assert cl_combine(x, y, Fraction(0)) == y
 
     def test_equal_young_functions_give_x(self, monkeypatch):
-        # X^theta X^(1-theta) = X, decided on describe() strings, so no
+        # X^theta X^(1-theta) = X, decided on descriptor equality, so no
         # combined Young function is built
         x = SpaceDescriptor.parse("Orl:powlog:1,1")
         y = SpaceDescriptor.parse("Orl:powlog:1,1")
@@ -409,6 +412,26 @@ class TestCombination:
             z = cl_combine(x, y, theta)
             assert z is x
             assert z.format() == "Orl:powlog:1,1"
+
+    def test_equal_spaces_give_x_for_every_kind(self):
+        # X^theta X^(1-theta) = X for every kind and every weight in [0, 1],
+        # equality deciding it: a product built twice is two equal objects
+        P = SpaceDescriptor.parse
+
+        def product():
+            return cl_combine(P("Orl:exp"), P("Orl:pow:2"), Fraction(1, 3))
+
+        equal = [(P(text), P(text)) for text in ("L:3/2", "Lor:2,3", "Orl:exp")] + [(product(), product())]
+        for x, y in equal:
+            assert x is not y and x == y
+            for theta in (Fraction(0), Fraction(1, 3), Fraction(1)):
+                assert cl_combine(x, y, theta) is x
+            with pytest.raises(AdmissibilityError, match="must be in"):
+                cl_combine(x, y, Fraction(2))
+        for x, y in ((P("L:2"), P("Lor:2,2")), (P("L:2"), P("Orl:pow:2")), (P("Lor:2,2"), P("Orl:exp"))):
+            for theta in (Fraction(0), Fraction(1, 3), Fraction(1)):
+                with pytest.raises(AdmissibilityError, match="different kinds"):
+                    cl_combine(x, y, theta)
 
     def test_nested_product_is_the_direct_product(self):
         # X^(2/3) (X^(1/4) Y^(3/4))^(1/3) = X^(3/4) Y^(1/4): one flat form,
